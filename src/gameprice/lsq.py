@@ -9,8 +9,11 @@ u_i + t_i (c_i - u_i). The worst-case ratio
 is <= 1 exactly when the adjusted prices admit no arbitrage. The solver finds
 the minimum-norm feasible t by cutting planes: every mix p induces the linear
 constraint sum_i p_i (c_i - u_i) t_i >= price(mix(p)) - sum_i p_i u_i, and
-L itself is the separation oracle. The min-norm subproblem is solved exactly
-by active-set enumeration for n <= 3 and by Dykstra alternating projections
+L itself is the separation oracle. The oracle is projected gradient ascent
+on a concave reparametrization of the ratio; it stops only when the upper
+bound max_i dh/dy_i (Euler's identity plus concavity) is within 1e-10
+relative of its value. The min-norm subproblem is solved exactly by
+active-set enumeration for n <= 3 and by Dykstra alternating projections
 for larger n.
 """
 
@@ -41,30 +44,11 @@ DEFAULT_L_TOL = 1e-9
 DEFAULT_X_TOL = 1e-8
 DEFAULT_MAX_CUTS = 10_000
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-@dataclass(frozen=True)
-class AdjustedPriceLine:
-    """Interpolation segment from a stand-alone price up to its ceiling E/g."""
-
-    base: float
-    ceiling: float
-
-    def __post_init__(self):
-        if not (self.base > 0.0):
-            raise InvariantViolation("stand-alone price must be > 0")
-        if self.ceiling < self.base - 1e-9 * self.base:
-            raise InvariantViolation("ceiling below the stand-alone price")
-
-    @property
-    def span(self) -> float:
-        return max(0.0, self.ceiling - self.base)
-
-    def adjusted(self, t: float) -> float:
-        if not (0.0 <= t <= 1.0):
-            raise InvariantViolation("interpolation weight must lie in [0, 1]")
-        return self.base + t * self.span
+# relative gap between the oracle's computed upper bound and its value
+ORACLE_GAP = 1e-10
+# relative value changes below this are noise of the 1e-12 price solve
+_PRICE_NOISE = 1e-12
+_ORACLE_MAX_ITER = 500
 
 
 @dataclass(frozen=True)
@@ -136,105 +120,86 @@ class _LsqProblem:
     def ratio(self, t: np.ndarray, p: np.ndarray) -> float:
         return self.price_mix(p) / float(p @ self.adjusted(t))
 
-    def _price_gradient(self, payoffs: np.ndarray) -> np.ndarray:
-        """d price / d payoff_j, by the envelope theorem at the solved (u, t)."""
+    def value_grad(self, p: np.ndarray) -> tuple[float, np.ndarray]:
+        """Mix price at p and its gradient in p, from one price solve.
+
+        The gradient is d price / d payoff_j by the envelope theorem at the
+        solved (u, t), mapped back to the mix weights through M.
+        """
+        payoffs = self.M @ p
         u, t = self.price_full(payoffs)
         if t >= 1.0 - 1e-13:
-            return u * self.probs / payoffs
-        den = payoffs * t - u * t + u
-        w = float(np.sum(self.probs * payoffs / den))
-        return self.probs * u / (den * w)
+            dprice = u * self.probs / payoffs
+        else:
+            den = payoffs * t - u * t + u
+            w = float(np.sum(self.probs * payoffs / den))
+            dprice = self.probs * u / (den * w)
+        return u, self.M.T @ dprice
+
+    def ratio_grad(self, p: np.ndarray, adj: np.ndarray) -> tuple[float, np.ndarray]:
+        """price(mix(p)) / (p . adj) and its gradient with respect to p."""
+        num, grad_num = self.value_grad(p)
+        den = float(p @ adj)
+        return num / den, (grad_num * den - num * adj) / (den * den)
 
     def big_L(self, t: np.ndarray) -> tuple[float, np.ndarray]:
         """max of the price ratio over the mix simplex and an attaining mix."""
-        adj = self.adjusted(t)
-        if self.n == 1:
-            return self.u[0] / adj[0], np.array([1.0])
-        if self.n == 2:
-            f = lambda s: self.price_mix(np.array([s, 1.0 - s])) / (
-                s * adj[0] + (1.0 - s) * adj[1]
-            )
-            s, val = _golden_max(f, 0.0, 1.0)
-            for cand in (0.0, 1.0):
-                v = f(cand)
-                if v > val:
-                    s, val = cand, v
-            return val, np.array([s, 1.0 - s])
-        return self._big_l_multistart(adj)
+        return self.maximize(self.adjusted(t), np.full(self.n, 1.0 / self.n))
 
-    def _big_l_multistart(self, adj: np.ndarray) -> tuple[float, np.ndarray]:
-        n = self.n
-        ratio = lambda p: self.price_mix(p) / float(p @ adj)
-        starts = [np.full(n, 1.0 / n)]
-        starts.extend(np.eye(n)[i] for i in range(n))
-        grid_best, grid_val = None, -math.inf
-        for p in _simplex_grid(n):
-            v = ratio(p)
-            if v > grid_val:
-                grid_best, grid_val = p, v
-        if grid_best is not None:
-            starts.append(grid_best)
-        best_p, best_val = None, -math.inf
-        for p0 in starts:
-            val, p = self._ascend(ratio, adj, p0)
-            if val > best_val:
-                best_val, best_p = val, p
-        return best_val, best_p
+    def maximize(self, adj: np.ndarray, p0: np.ndarray) -> tuple[float, np.ndarray]:
+        """max over mixes p of price(mix(p)) / (p . adj), ascending from p0.
 
-    def _ascend(self, ratio, adj, p0, max_iter=200):
-        p = np.asarray(p0, dtype=float).copy()
-        val = ratio(p)
-        for _ in range(max_iter):
-            grad = self.ratio_grad(p, adj)
-            gnorm = float(np.max(np.abs(grad)))
-            if gnorm < 1e-16:
-                break
-            step = 0.25
-            improved = False
-            for _ in range(45):
-                q = _project_simplex(p + step * grad / gnorm)
-                v = ratio(q)
-                if v > val + abs(val) * 1e-15:
-                    p, val = q, v
-                    improved = True
+        In y = p * adj / (p . adj) the ratio is h(y) = price(mix(y / adj)),
+        concave on the simplex because the mix price is concave and
+        1-homogeneous, so a local maximum is global. Euler's identity
+        grad h . y = h and concavity give max h <= max_i dh/dy_i; projected
+        gradient ascent with Barzilai-Borwein steps runs until that bound is
+        within ORACLE_GAP of the value, and raises PricingError otherwise.
+        """
+
+        def evaluate(y: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+            p = y / adj
+            p /= p.sum()
+            price, grad = self.value_grad(p)
+            return price / float(p @ adj), grad / adj, p
+
+        y = p0 * adj
+        y /= y.sum()
+        val, g, p = evaluate(y)
+        bound = float(np.max(g))
+        step = 1.0 / bound
+        for _ in range(_ORACLE_MAX_ITER):
+            if bound - val <= ORACLE_GAP * val:
+                return val, p
+            # g - val projects like g (the simplex absorbs constant shifts)
+            # but keeps y + step * d exact when g is nearly flat; moves past
+            # 1e6 land on the same face and only lose that precision
+            d = g - val
+            d_max = float(np.max(np.abs(d)))
+            step = min(step, 1e6 / d_max)
+            while True:
+                y_new = _project_simplex(y + step * d)
+                val_new, g_new, p_new = evaluate(y_new)
+                bound_new = float(np.max(g_new))
+                # near the optimum value changes drown in price noise; a
+                # falling bound still shows progress there
+                if val_new > val or (
+                    val_new >= val * (1.0 - _PRICE_NOISE) and bound_new < bound
+                ):
                     break
                 step *= 0.5
-            if not improved:
-                break
-        return val, p
-
-    def ratio_grad(self, p: np.ndarray, adj: np.ndarray) -> np.ndarray:
-        """Gradient of price(mix(p)) / (p . adj) with respect to p."""
-        payoffs = self.M @ p
-        num = self.price_full(payoffs)[0]
-        grad_num = self.M.T @ self._price_gradient(payoffs)
-        den = float(p @ adj)
-        return (grad_num * den - num * adj) / (den * den)
-
-    def local_max(self, adj: np.ndarray, q0: np.ndarray):
-        """Ascent from a single start; cheap near-feasibility probe."""
-        ratio = lambda p: self.price_mix(p) / float(p @ adj)
-        return self._ascend(ratio, adj, q0)
-
-
-def _golden_max(f, lo: float, hi: float, iters: int = 100):
-    a, b = lo, hi
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(iters):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
-        if b - a < 1e-14:
-            break
-    mid = 0.5 * (a + b)
-    return mid, f(mid)
+                if step * d_max < 1e-15:  # y would no longer move
+                    raise PricingError(
+                        f"separation oracle stalled with gap {(bound - val) / val:.3e}"
+                    )
+            s, r = y_new - y, g_new - g
+            curv = -float(s @ r)
+            step = float(s @ s) / curv if curv > 0.0 else 2.0 * step
+            y, val, g, p, bound = y_new, val_new, g_new, p_new, bound_new
+        raise PricingError(
+            f"separation oracle iteration cap {_ORACLE_MAX_ITER} hit "
+            f"with gap {(bound - val) / val:.3e}"
+        )
 
 
 def _project_simplex(v: np.ndarray) -> np.ndarray:
@@ -245,19 +210,6 @@ def _project_simplex(v: np.ndarray) -> np.ndarray:
     rho = np.nonzero(srt * np.arange(1, n + 1) > (css - 1.0))[0][-1]
     theta = (css[rho] - 1.0) / (rho + 1.0)
     return np.maximum(v - theta, 0.0)
-
-
-def _simplex_grid(n: int):
-    """Coarse rational grid on the simplex (about 70-200 points)."""
-    k = {3: 16, 4: 8}.get(n, 4)
-    for cuts in itertools.combinations(range(k + n - 1), n - 1):
-        parts = []
-        prev = -1
-        for c in cuts:
-            parts.append(c - prev - 1)
-            prev = c
-        parts.append(k + n - 2 - prev)
-        yield np.array(parts, dtype=float) / k
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +360,7 @@ def _polish_bisect(prob, pinned0, pinned1, i_free, q_hat):
 
     def feasible(s: float) -> bool:
         nonlocal q_probe
-        val, q = prob.local_max(prob.adjusted(x_of(s)), q_probe)
+        val, q = prob.maximize(prob.adjusted(x_of(s)), q_probe)
         q_probe = q
         return val <= 1.0 + feas_tol
 
@@ -451,8 +403,8 @@ def _polish_newton(prob, assemble, q_hat, x_hat, free):
         x = assemble(mu, q)
         adj = prob.adjusted(x)
         r = np.empty(len(z))
-        r[0] = prob.price_mix(q) / float(q @ adj) - 1.0
-        grad = prob.ratio_grad(q, adj)
+        ratio, grad = prob.ratio_grad(q, adj)
+        r[0] = ratio - 1.0
         r[1:] = grad[support[1:]] - grad[support[0]]
         return r
 

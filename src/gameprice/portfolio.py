@@ -9,6 +9,7 @@ basis {put, call, stock-minus-call}.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -28,7 +29,6 @@ from .core import (
 )
 from .lsq import (
     LsSolution,
-    _golden_max,
     check_constant_mix,
     cone_coordinates,
     in_cone,
@@ -36,6 +36,29 @@ from .lsq import (
     price_in_cone,
 )
 from .pricer import price_general
+
+
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _golden_max(f, lo: float, hi: float, iters: int = 100):
+    a, b = lo, hi
+    c = b - _INVPHI * (b - a)
+    d = a + _INVPHI * (b - a)
+    fc, fd = f(c), f(d)
+    for _ in range(iters):
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - _INVPHI * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INVPHI * (b - a)
+            fd = f(d)
+        if b - a < 1e-14:
+            break
+    mid = 0.5 * (a + b)
+    return mid, f(mid)
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,16 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from gameprice import (
-    AdjustedPriceLine,
     BasisError,
     ConeBasis,
     Game,
     InvariantViolation,
+    OutcomeSpace,
+    PricingError,
     Rate,
     big_L,
     check_constant_mix,
@@ -22,7 +24,13 @@ from gameprice import (
     price_in_cone,
     reduce_to_basis,
 )
-from gameprice.lsq import _min_norm_active_set, _min_norm_dykstra, _project_simplex
+import gameprice.lsq
+from gameprice.lsq import (
+    _LsqProblem,
+    _min_norm_active_set,
+    _min_norm_dykstra,
+    _project_simplex,
+)
 
 R05 = Rate(0.05)
 COIN = fair_coin()
@@ -45,23 +53,6 @@ def basis(*pairs):
 B11 = basis((19, 1), (4, 16))
 B12 = basis((19, 1), (16, 4))
 B13 = basis((12, 8), (11, 9))
-
-
-class TestAdjustedPriceLine:
-    def test_interpolates_between_base_and_ceiling(self):
-        line = AdjustedPriceLine(base=7.0, ceiling=9.0)
-        assert line.adjusted(0.0) == 7.0
-        assert line.adjusted(1.0) == 9.0
-        assert 7.0 <= line.adjusted(0.3) <= 9.0
-
-    def test_rejects_weight_outside_unit_interval(self):
-        line = AdjustedPriceLine(base=7.0, ceiling=9.0)
-        with pytest.raises(InvariantViolation):
-            line.adjusted(1.2)
-
-    def test_rejects_inverted_line(self):
-        with pytest.raises(InvariantViolation):
-            AdjustedPriceLine(base=9.0, ceiling=7.0)
 
 
 class TestReduceToBasis:
@@ -124,6 +115,49 @@ class TestBigL:
         val, p = big_L(B11, R05, [1.0, 1.0])
         assert val == pytest.approx(1.0, abs=1e-10)
         assert p.weights.tolist() == pytest.approx([0.4, 0.6], abs=1e-6)
+
+
+def _simplex_grid(n: int):
+    """Rational grid on the simplex (33-91 points), the oracle's reference."""
+    k = {2: 32, 3: 12, 4: 6}[n]
+    for cuts in itertools.combinations(range(k + n - 1), n - 1):
+        parts = []
+        prev = -1
+        for c in cuts:
+            parts.append(c - prev - 1)
+            prev = c
+        parts.append(k + n - 2 - prev)
+        yield np.array(parts, dtype=float) / k
+
+
+class TestOracle:
+    def test_beats_grid_and_certifies_its_bound(self):
+        rng = np.random.default_rng(11)
+        for case in range(16):
+            n = int(rng.integers(2, 5))
+            m = int(rng.integers(2, 6))
+            if m == 2 and case % 2 == 0:
+                space = COIN
+            else:
+                space = OutcomeSpace(rng.dirichlet(np.ones(m)).tolist())
+            payoffs = rng.uniform(0.5, 20.0, (n, m))
+            payoffs[rng.random((n, m)) < 0.2] = 0.0
+            payoffs[:, 0] += 1.0  # no game is all zero
+            prob = _LsqProblem(ConeBasis(space, [Game(row) for row in payoffs]), R05)
+            t = rng.uniform(0.0, 1.0, n)
+            val, p = prob.big_L(t)
+            grid_best = max(prob.ratio(t, q) for q in _simplex_grid(n))
+            assert val >= grid_best * (1.0 - 1e-12)
+            # max_i dh/dy_i bounds the ratio over the whole simplex
+            adj = prob.adjusted(t)
+            price, grad = prob.value_grad(p)
+            ratio = price / float(p @ adj)
+            assert float(np.max(grad / adj)) - ratio <= 1e-10 * ratio
+
+    def test_uncertified_stop_raises(self, monkeypatch):
+        monkeypatch.setattr(gameprice.lsq, "_ORACLE_MAX_ITER", 1)
+        with pytest.raises(PricingError, match="gap"):
+            _LsqProblem(B13, R05).big_L(np.zeros(2))
 
 
 class TestLeastSquaresPrices:
