@@ -3,6 +3,7 @@
 Subcommands: price, ls-price, simulate, sweep, compare-mv, parity,
 paper-examples. Input is the game-spec JSON documented in core; output goes
 to stdout as a plain table (default), JSON, or CSV. Exit codes: 0 ok,
+1 a result out of tolerance, a failed paper check or a solver failure,
 2 parse error, 3 invariant violation, 4 basis failure.
 """
 
@@ -29,7 +30,7 @@ from .core import (
     is_fair_coin,
     load_game_file,
 )
-from .lsq import least_squares_prices, price_in_cone, reduce_to_basis
+from .lsq import LsSolution, least_squares_prices, price_in_cone, reduce_to_basis
 from .portfolio import compare_mean_variance, put_call_parity
 from .pricer import REGIME_FULL, price_general
 from .reference import run_checks
@@ -113,6 +114,18 @@ def cmd_price(args) -> int:
     return EXIT_OK
 
 
+def _tolerance_exit(sol: Optional[LsSolution], tol_L: float) -> int:
+    """EXIT_FAIL, after a note on stderr, when the solver stopped out of tolerance.
+
+    Call it after the result is printed: the result is still shown.
+    """
+    if sol is None or sol.max_violation <= tol_L:
+        return EXIT_OK
+    print(f"not within tolerance: max_violation {sol.max_violation:.3e} > "
+          f"tol_L {tol_L:.3e}", file=sys.stderr)
+    return EXIT_FAIL
+
+
 def cmd_ls_price(args) -> int:
     gf = load_game_file(args.input)
     rate = _resolve_rate(gf, args)
@@ -126,7 +139,7 @@ def cmd_ls_price(args) -> int:
     sol = least_squares_prices(basis, rate, tol_L=args.tol_ls)
     if args.format == "json":
         print(json.dumps(sol.to_json_dict()))
-        return EXIT_OK
+        return _tolerance_exit(sol, args.tol_ls)
     basis_idx = [next(i for i, g in enumerate(games) if g is bg)
                  for bg in basis.games]
     fp = args.full_precision
@@ -134,7 +147,7 @@ def cmd_ls_price(args) -> int:
         print("game,standalone,ls_price,x")
         for k, i in enumerate(basis_idx):
             print(f"{names[i]},{sol.standalone[k]!r},{sol.prices[k]!r},{sol.x[k]!r}")
-        return EXIT_OK
+        return _tolerance_exit(sol, args.tol_ls)
     for k, i in enumerate(basis_idx):
         print(f"{names[i]}: standalone={_fmt_price(sol.standalone[k], fp)} "
               f"ls={_fmt_price(sol.prices[k], fp)} x={_fmt_price(sol.x[k], fp)}")
@@ -145,7 +158,7 @@ def cmd_ls_price(args) -> int:
         print(f"{name}: ls={_fmt_price(cone_price, fp)} (priced by linearity)")
     cert = ", ".join(_fmt_price(w, fp) for w in sol.certificate.weights)
     print(f"certificate mix: ({cert})")
-    return EXIT_OK
+    return _tolerance_exit(sol, args.tol_ls)
 
 
 def _resolve_u_t(args, gf: GameFile, game: Game, rate: Rate) -> tuple[float, float]:
@@ -248,7 +261,7 @@ def cmd_parity(args) -> int:
     rep = put_call_parity(stock, gf.space, args.strike, rate, tol_L=args.tol_ls)
     if args.format == "json":
         print(json.dumps(rep.to_json_dict()))
-        return EXIT_OK
+        return _tolerance_exit(rep.solution, args.tol_ls)
     if rep.degenerate:
         print(f"degenerate: {rep.reason}")
         return EXIT_OK
@@ -257,13 +270,13 @@ def cmd_parity(args) -> int:
         print("put,call,covered,stock,residual")
         print(f"{rep.put_price!r},{rep.call_price!r},{rep.covered_price!r},"
               f"{rep.stock_price!r},{rep.residual!r}")
-        return EXIT_OK
+        return _tolerance_exit(rep.solution, args.tol_ls)
     print(f"put={_fmt_price(rep.put_price, fp)} "
           f"call={_fmt_price(rep.call_price, fp)} "
           f"covered={_fmt_price(rep.covered_price, fp)} "
           f"stock={_fmt_price(rep.stock_price, fp)}")
     print(f"parity residual: {rep.residual:.3e}")
-    return EXIT_OK
+    return _tolerance_exit(rep.solution, args.tol_ls)
 
 
 def cmd_paper_examples(args) -> int:

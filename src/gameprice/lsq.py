@@ -15,6 +15,11 @@ bound max_i dh/dy_i (Euler's identity plus concavity) is within 1e-10
 relative of its value. The min-norm subproblem is solved exactly by
 active-set enumeration for n <= 3 and by Dykstra alternating projections
 for larger n.
+
+The constant-mix and cone-membership tests solve least squares when the
+basis games are linearly independent, where the coefficients are unique.
+Only dependent games (more games than outcomes, say) need scipy's linear
+program and NNLS, imported on first use so that no other path loads scipy.
 """
 
 from __future__ import annotations
@@ -25,7 +30,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import linprog, nnls
 
 from .core import (
     BasisError,
@@ -581,17 +585,40 @@ def check_constant_mix(
     """A mix with outcome-independent payoff, if one exists, with its support.
 
     When found, every supported game's least-squares price is pinned to its
-    ceiling E/g. The search maximizes the smallest weight first (full-support
-    witness if possible), then probes each coordinate for the maximal support.
+    ceiling E/g. Payoffs are nonnegative and no game is all zero, so every
+    constant mix is k / sum(k) for some k >= 0 with M k = 1. For linearly
+    independent games that k is unique: the least-squares solution decides,
+    and its support {k_i > 0} is already maximal. Dependent games (more games
+    than outcomes, say) need a linear program, which loads scipy on first
+    use: it maximizes the smallest weight first (full-support witness if
+    possible), then probes each coordinate for the maximal support. Every
+    mix must keep its payoff spread within tol of the largest payoff.
     """
     M = basis.payoff_matrix()
     m, n = M.shape
     scale = float(np.max(M))
-    if n == 1:
-        spread = float(np.max(M[:, 0]) - np.min(M[:, 0]))
-        if spread <= tol * max(scale, 1.0):
-            return Mix([1.0]), (0,)
-        return None
+
+    def _validated(p: np.ndarray) -> Optional[tuple[Mix, tuple[int, ...]]]:
+        p = np.clip(p, 0.0, None)
+        total = p.sum()
+        if total <= 0.0:
+            return None
+        p = p / total
+        payoff = M @ p
+        if float(np.max(payoff) - np.min(payoff)) > tol * max(scale, 1.0):
+            return None
+        support = tuple(int(i) for i in np.nonzero(p > 1e-9)[0])
+        return Mix(p), support
+
+    coef = _independent_fit(M, np.ones(m))
+    if coef is not None:
+        # M k = 1 must hold to tol itself: the spread check is scaled by the
+        # largest payoff, which lets mixes of much smaller games through
+        if float(np.max(np.abs(M @ coef - 1.0))) > tol:
+            return None
+        return _validated(coef)
+
+    from scipy.optimize import linprog
 
     # variables [p_1..p_n, lam, s]: M p = lam * ones, sum p = 1, p_i >= s >= 0
     a_eq = np.zeros((m + 1, n + 2))
@@ -611,19 +638,6 @@ def check_constant_mix(
                   method="highs")
     if not res.success:
         return None
-
-    def _validated(p: np.ndarray) -> Optional[tuple[Mix, tuple[int, ...]]]:
-        p = np.clip(p, 0.0, None)
-        total = p.sum()
-        if total <= 0.0:
-            return None
-        p = p / total
-        payoff = M @ p
-        if float(np.max(payoff) - np.min(payoff)) > tol * max(scale, 1.0):
-            return None
-        support = tuple(int(i) for i in np.nonzero(p > 1e-9)[0])
-        return Mix(p), support
-
     if res.x[n + 1] > 1e-9:
         return _validated(res.x[:n])
 
@@ -699,10 +713,51 @@ def cone_coordinates(basis: ConeBasis, game: Game, *, tol: float = 1e-9) -> np.n
 
 
 def in_cone(basis: ConeBasis, game: Game, *, tol: float = 1e-9) -> bool:
-    """Whether a game is a nonnegative combination of the basis games."""
-    _, residual = nnls(basis.payoff_matrix(), game.payoffs)
-    scale = max(float(np.max(np.abs(game.payoffs))), 1.0)
+    """Whether a game is a nonnegative combination of the basis games.
+
+    True when some coefficients k >= 0 leave a residual |M k - game| (2-norm)
+    within tol of the game's largest payoff (at least 1). For linearly
+    independent basis games the coefficients on each face of the cone are
+    unique: least squares drops the games whose coefficient comes out
+    negative and refits the rest until none is, and the residual decides.
+    Dependent games need NNLS, which loads scipy on first use.
+    """
+    M = basis.payoff_matrix()
+    target = game.payoffs
+    scale = max(float(np.max(np.abs(target))), 1.0)
+    k = _independent_fit(M, target)
+    if k is None:
+        from scipy.optimize import nnls
+
+        _, residual = nnls(M, target)
+    else:
+        residual = float(np.linalg.norm(M @ k - target))
     return residual <= tol * scale
+
+
+def _independent_fit(M: np.ndarray, b: np.ndarray) -> Optional[np.ndarray]:
+    """Nonnegative k with M k closest to b on the face least squares picks.
+
+    None when the columns of M are linearly dependent. Otherwise every face
+    of the cone they span has unique coefficients: least squares drops the
+    columns whose coefficient comes out negative and refits the rest until
+    none is. In exact arithmetic a negative coefficient already puts b off
+    the cone; in floating point the refits recover points on a face that
+    rounding pushed just outside, as with nearly proportional games. A
+    refit's residual is never below the least nonnegative one, so a
+    residual test on it errs only towards "outside".
+    """
+    n = M.shape[1]
+    k, _, rank, _ = np.linalg.lstsq(M, b, rcond=None)
+    if rank < n:
+        return None
+    keep = np.arange(n)
+    while np.any(k < 0.0):
+        keep = keep[k >= 0.0]
+        k = np.linalg.lstsq(M[:, keep], b, rcond=None)[0] if keep.size else keep
+    out = np.zeros(n)
+    out[keep] = k
+    return out
 
 
 def reduce_to_basis(

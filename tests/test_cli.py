@@ -1,9 +1,19 @@
+import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+import gameprice.cli
+import gameprice.portfolio
 from gameprice.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 INTRO = {
     "probabilities": [0.5, 0.5],
@@ -128,6 +138,82 @@ class TestExitCodes:
         rc, _, err = run(capsys, ["price", "--game", "A", str(path)])
         assert rc == 2
         assert "--rate" in err
+
+
+def _out_of_tolerance(solver):
+    """solver, with its result's max_violation pushed far past any tol_L."""
+
+    def wrapped(*args, **kwargs):
+        return dataclasses.replace(solver(*args, **kwargs), max_violation=1e-3)
+
+    return wrapped
+
+
+class TestOutOfTolerance:
+    @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+    def test_ls_price_prints_then_fails(self, capsys, monkeypatch, fmt):
+        monkeypatch.setattr(gameprice.cli, "least_squares_prices",
+                            _out_of_tolerance(gameprice.cli.least_squares_prices))
+        rc, out, err = run(capsys, [
+            "ls-price", "--format", fmt, str(ROOT / "sample_games/example13.json"),
+        ])
+        assert rc == 1
+        assert out.strip()
+        assert err.splitlines() == [
+            "not within tolerance: max_violation 1.000e-03 > tol_L 1.000e-09"
+        ]
+
+    @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+    def test_parity_prints_then_fails(self, capsys, monkeypatch, remark35, fmt):
+        monkeypatch.setattr(gameprice.portfolio, "least_squares_prices",
+                            _out_of_tolerance(gameprice.portfolio.least_squares_prices))
+        rc, out, err = run(capsys, [
+            "parity", "--strike", "10", "--tol-ls", "1e-6", "--format", fmt, remark35,
+        ])
+        assert rc == 1
+        assert out.strip()
+        assert err.splitlines() == [
+            "not within tolerance: max_violation 1.000e-03 > tol_L 1.000e-06"
+        ]
+
+
+def test_default_commands_never_load_scipy(tmp_path):
+    spec5 = tmp_path / "five.json"
+    spec5.write_text(json.dumps({
+        "probabilities": [0.1, 0.2, 0.3, 0.25, 0.15],
+        "games": {"A": [3, 9, 14, 0, 7], "B": [5, 5, 8, 12, 1]},
+        "rate": {"value": 0.04, "convention": "continuous"},
+    }))
+    games = ROOT / "sample_games"
+    commands = [
+        ["price", str(games / "intro.json"), "--game", "A"],
+        ["price", str(spec5), "--game", "A"],
+        ["ls-price", str(games / "example11.json")],
+        ["ls-price", str(games / "intro.json")],
+        ["parity", str(games / "remark35.json"), "--strike", "10"],
+        ["compare-mv", str(games / "remark35.json")],
+        ["simulate", str(games / "remark35.json"), "--game", "X",
+         "--attempts", "200", "--paths", "20"],
+        ["sweep", str(games / "remark35.json"), "--game", "S", "--points", "3",
+         "--attempts", "100", "--paths", "10"],
+        ["paper-examples"],
+    ]
+    script = textwrap.dedent(f"""
+        import contextlib, io, sys
+        import gameprice
+        import gameprice.cli
+        for argv in {commands!r}:
+            with contextlib.redirect_stdout(io.StringIO()):
+                rc = gameprice.cli.main(argv)
+            assert rc == 0, (argv, rc)
+        print("scipy" in sys.modules)
+    """)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 class TestLsPriceCommand:

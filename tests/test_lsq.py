@@ -17,6 +17,7 @@ from gameprice import (
     check_linear_pricing,
     cone_coordinates,
     fair_coin,
+    in_cone,
     least_squares_prices,
     ls_ratio,
     mix_game,
@@ -259,6 +260,186 @@ class TestConstantMixDetector:
         found = check_constant_mix(basis((0, 2), (2, 0)))
         assert found is not None
         assert found[0].weights.tolist() == pytest.approx([0.5, 0.5], abs=1e-9)
+
+
+def _lp_constant_mix(M, tol=1e-9):
+    """Reference: the linear-programming search, maximin weight then probes."""
+    from scipy.optimize import linprog
+
+    m, n = M.shape
+    a_eq = np.zeros((m + 1, n + 2))
+    a_eq[:m, :n] = M
+    a_eq[:m, n] = -1.0
+    a_eq[m, :n] = 1.0
+    b_eq = np.zeros(m + 1)
+    b_eq[m] = 1.0
+    a_ub = np.zeros((n, n + 2))
+    a_ub[:, :n] = -np.eye(n)
+    a_ub[:, n + 1] = 1.0
+    lp = dict(A_ub=a_ub, b_ub=np.zeros(n), A_eq=a_eq, b_eq=b_eq,
+              bounds=[(0.0, 1.0)] * n + [(0.0, None), (0.0, 1.0)], method="highs")
+
+    def solve(var):
+        cost = np.zeros(n + 2)
+        cost[var] = -1.0
+        return linprog(cost, **lp)
+
+    res = solve(n + 1)
+    if not res.success:
+        return None
+    if res.x[n + 1] > 1e-9:
+        p = res.x[:n]
+    else:
+        probes = [(i, solve(i)) for i in range(n)]
+        witnesses = [r.x[:n] for i, r in probes if r.success and r.x[i] > 1e-9]
+        if not witnesses:
+            return None
+        p = np.mean(witnesses, axis=0)
+    p = np.clip(p, 0.0, None)
+    p = p / p.sum()
+    if np.ptp(M @ p) > tol * max(float(M.max()), 1.0):
+        return None
+    return p, tuple(int(i) for i in np.nonzero(p > 1e-9)[0])
+
+
+def _nnls_in_cone(M, target, tol=1e-9):
+    from scipy.optimize import nnls
+
+    return nnls(M, target)[1] <= tol * max(float(target.max()), 1.0)
+
+
+def _random_full_rank_basis(rng, kind):
+    """A basis of n <= m games with full column rank, and its payoff matrix."""
+    while True:
+        n = int(rng.integers(1, 5))
+        m = int(rng.integers(max(n, 2), 7))
+        M = rng.uniform(0.5, 20.0, (m, n))
+        if kind == "constant":
+            # solve one column so that M k is constant for a chosen k >= 0,
+            # with a zero weight (a face of the simplex) half of the time
+            k = rng.uniform(0.1, 1.0, n)
+            if n > 1 and rng.random() < 0.5:
+                k[rng.integers(n)] = 0.0
+            i = int(np.argmax(k))
+            rest = M @ k - M[:, i] * k[i]
+            M[:, i] = (rest.max() + rng.uniform(0.5, 5.0) - rest) / k[i]
+        elif kind == "zeros":
+            M[rng.random((m, n)) < 0.3] = 0.0
+        elif kind == "near_proportional" and n >= 2:
+            M[:, 1] = M[:, 0] * rng.uniform(0.5, 2.0) * (1.0 + 1e-9 * rng.uniform(-1, 1, m))
+        elif kind == "wide_scale":
+            M *= 10.0 ** rng.uniform(-4.0, 4.0, (1, n) if rng.random() < 0.5 else (m, n))
+        if np.any(M.max(axis=0) <= 0.0) or np.linalg.matrix_rank(M) < n:
+            continue
+        try:  # a pair closer than 1e-12 is rejected as proportional
+            b = ConeBasis(OutcomeSpace(np.full(m, 1.0 / m)), [Game(c) for c in M.T])
+        except BasisError:
+            continue
+        return b, M
+
+
+def _cone_targets(rng, M):
+    """Games inside the cone of M's columns, on one of its faces, and outside."""
+    m, n = M.shape
+    for where in ("inside", "face", "outside"):
+        k = rng.uniform(0.1, 2.0, n)
+        if where == "face":
+            if n == 1:
+                continue
+            k[rng.integers(n)] = 0.0
+        target = M @ k
+        if where == "outside":
+            if m > n and rng.random() < 0.5:  # off the span
+                target = target + rng.uniform(0.1, 1.0) * target.max() * np.abs(
+                    rng.normal(size=m))
+            else:  # in the span with a negative coefficient
+                k[rng.integers(n)] = -rng.uniform(0.1, 1.0)
+                target = M @ k
+        if np.all(target >= 0.0) and np.any(target > 0.0):
+            yield target
+
+
+class TestIndependentGamesMatchLpAndNnls:
+    """The least-squares path for independent games against scipy references."""
+
+    KINDS = ("constant", "zeros", "near_proportional", "wide_scale", "plain")
+
+    def test_random_full_rank_bases(self):
+        rng = np.random.default_rng(703079)
+        found = targets = 0
+        for trial in range(250):
+            b, M = _random_full_rank_basis(rng, self.KINDS[trial % len(self.KINDS)])
+            got, ref = check_constant_mix(b), _lp_constant_mix(M)
+            assert (got is None) == (ref is None), M
+            if got is not None:
+                found += 1
+                assert got[1] == ref[1], M
+                assert np.max(np.abs(got[0].weights - ref[0])) <= 1e-9, M
+            for target in _cone_targets(rng, M):
+                targets += 1
+                assert in_cone(b, Game(target)) == _nnls_in_cone(M, target), (M, target)
+        assert found >= 50 and targets >= 600
+
+    def test_nearly_equal_games_on_a_constant_mix(self):
+        # two games equal to within 1e-9 on the support of a constant mix: at
+        # tol 1e-9 any split of weight between them is a constant mix, so the
+        # split is not determined. The LP, at condition numbers near 1e10,
+        # sometimes finds no mix at all; where it finds one, it can spread
+        # weight over both games where least squares puts it on one
+        rng = np.random.default_rng(11)
+        for _ in range(60):
+            m = int(rng.integers(3, 7))
+            M = rng.uniform(0.5, 20.0, (m, 3))
+            M[:, 1] = M[:, 0] * rng.uniform(0.5, 2.0) * (1.0 + 1e-9 * rng.uniform(-1, 1, m))
+            k = rng.uniform(0.1, 1.0, 3)
+            rest = M[:, :2] @ k[:2]
+            M[:, 2] = (rest.max() + rng.uniform(0.5, 5.0) - rest) / k[2]
+            b = ConeBasis(OutcomeSpace(np.full(m, 1.0 / m)), [Game(c) for c in M.T])
+            got, ref = check_constant_mix(b), _lp_constant_mix(M)
+            assert got is not None
+            assert np.ptp(M @ got[0].weights) <= 1e-9 * M.max()
+            assert 2 in got[1] and {0, 1} & set(got[1])
+            if ref is not None:
+                assert set(got[1]) <= set(ref[1])
+
+
+class TestDependentGames:
+    """More games than independent directions: the LP and NNLS fallback."""
+
+    S3 = OutcomeSpace([0.2, 0.3, 0.5])
+
+    @pytest.mark.parametrize("games, support", [
+        (((19, 1), (1, 19), (12, 8)), (0, 1, 2)),
+        (((19, 1), (10, 10), (5, 5)), (1, 2)),
+        (((19, 1), (1, 19), (12, 8), (4, 16)), (0, 1, 2, 3)),
+        (((19, 1), (12, 8), (10, 10), (5, 5)), (2, 3)),
+    ])
+    def test_fair_coin_maximal_support(self, games, support):
+        b = basis(*games)
+        p, got = check_constant_mix(b)
+        assert got == support
+        payoff = b.payoff_matrix() @ p.weights
+        assert np.ptp(payoff) <= 1e-9 * payoff.max()
+        sol = least_squares_prices(b, R05)
+        assert sol.max_violation <= 1e-9
+
+    def test_dependent_triple(self):
+        # (7, 6, 5) = (1, 2, 3) + 2 * (3, 2, 1); (1, 2, 3) + (3, 2, 1) is constant
+        b = ConeBasis(self.S3, [Game([1, 2, 3]), Game([3, 2, 1]), Game([7, 6, 5])])
+        assert check_constant_mix(b)[1] == (0, 1, 2)
+        assert least_squares_prices(b, R05).max_violation <= 1e-9
+        assert in_cone(b, Game([6, 8, 10]))
+        assert not in_cone(b, Game([0.4, 1.6, 2.8]))  # (1,2,3) - 0.2 * (3,2,1)
+        assert not in_cone(b, Game([1, 0, 0]))  # off the span
+
+    def test_dependent_triple_without_constant_mix(self):
+        b = ConeBasis(self.S3, [Game([1, 2, 3]), Game([2, 4, 6]), Game([5, 1, 1])])
+        assert check_constant_mix(b) is None
+
+    def test_fair_coin_cone(self):
+        b = basis((19, 1), (1, 19), (12, 8))
+        assert in_cone(b, Game([10, 11]))
+        assert not in_cone(b, Game([20, 0.5]))
 
 
 class TestLinearPricingDetector:
