@@ -146,7 +146,8 @@ def cmd_ls_price(args) -> int:
     if args.format == "csv":
         print("game,standalone,ls_price,x")
         for k, i in enumerate(basis_idx):
-            print(f"{names[i]},{sol.standalone[k]!r},{sol.prices[k]!r},{sol.x[k]!r}")
+            print(f"{names[i]},{float(sol.standalone[k])!r},{float(sol.prices[k])!r},"
+                  f"{float(sol.x[k])!r}")
         return _tolerance_exit(sol, args.tol_ls)
     for k, i in enumerate(basis_idx):
         print(f"{names[i]}: standalone={_fmt_price(sol.standalone[k], fp)} "

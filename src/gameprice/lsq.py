@@ -12,14 +12,14 @@ constraint sum_i p_i (c_i - u_i) t_i >= price(mix(p)) - sum_i p_i u_i, and
 L itself is the separation oracle. The oracle is projected gradient ascent
 on a concave reparametrization of the ratio; it stops only when the upper
 bound max_i dh/dy_i (Euler's identity plus concavity) is within 1e-10
-relative of its value. The min-norm subproblem is solved exactly by
-active-set enumeration for n <= 3 and by Dykstra alternating projections
-for larger n.
+relative of its value. The min-norm subproblem is a least-distance program,
+solved exactly as one nonnegative least-squares (NNLS) problem by a numpy
+Lawson-Hanson active-set method; cone membership is the same NNLS.
 
-The constant-mix and cone-membership tests solve least squares when the
-basis games are linearly independent, where the coefficients are unique.
-Only dependent games (more games than outcomes, say) need scipy's linear
-program and NNLS, imported on first use so that no other path loads scipy.
+The constant-mix test solves least squares when the basis games are
+linearly independent, where the coefficients are unique. Only dependent
+games (more games than outcomes, say) need scipy's linear program, imported
+on first use so that no other path loads scipy.
 """
 
 from __future__ import annotations
@@ -221,83 +221,84 @@ def _project_simplex(v: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _min_norm_active_set(cuts, n: int, scale: float) -> Optional[np.ndarray]:
+def _nnls(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """argmin |A x - b| over x >= 0, by Lawson and Hanson's active-set method.
+
+    The problem is invariant under positive column scaling, so the columns are
+    scaled to unit norm first: the entering test and its tolerance then weigh
+    games whose payoffs span many orders of magnitude alike. Each passive set
+    is solved by lstsq, which stays stable on nearly proportional columns. A
+    column whose own coefficient comes out nonpositive on entry is rejected
+    for this round, and a step that reaches the boundary drops its blocking
+    column explicitly: waiting for the stepped coefficient to round to zero
+    can cycle forever on nearly parallel columns.
+    """
+    norms = np.linalg.norm(A, axis=0)
+    A = A / norms
+    n = A.shape[1]
+    tol = 10.0 * np.finfo(float).eps * max(A.shape) * float(np.linalg.norm(b))
+    x = np.zeros(n)
+    passive = np.zeros(n, dtype=bool)
+
+    def solve() -> np.ndarray:
+        z = np.zeros(n)
+        z[passive] = np.linalg.lstsq(A[:, passive], b, rcond=None)[0]
+        return z
+
+    for _ in range(3 * n):
+        w = A.T @ (b - A @ x)
+        w[passive] = -np.inf
+        while True:
+            j = int(np.argmax(w))
+            if w[j] <= tol:
+                return x / norms
+            passive[j] = True
+            z = solve()
+            if z[j] > 0.0:
+                break
+            passive[j] = False
+            w[j] = -np.inf
+        while np.any(z[passive] <= 0.0):
+            blocked = np.flatnonzero(passive & (z <= 0.0))
+            steps = x[blocked] / (x[blocked] - z[blocked])
+            k = int(np.argmin(steps))
+            x = x + steps[k] * (z - x)
+            passive[blocked[k]] = False
+            passive &= x > 0.0
+            z = solve()
+        x = z
+    raise PricingError(f"NNLS iteration cap {3 * n} hit")
+
+
+def _min_norm_point(cuts, n: int) -> np.ndarray:
     """Exact min-norm point of {t in [0,1]^n : a.t >= b for (a,b) in cuts}.
 
-    Enumerates candidate active sets; KKT conditions are sufficient for this
-    convex QP, so the first fully consistent candidate is the optimum. Cuts
-    with b <= 0 can never be active at the optimum (coefficients are >= 0)
-    but still participate in feasibility checks.
+    Least-distance programming (Lawson and Hanson, ch. 23): min |t| subject
+    to G t >= h is the NNLS problem min |E u - f| over u >= 0 with
+    E = [G^T; h^T] and f = (0, ..., 0, 1). Its residual r gives
+    t = -r[:n] / r[n], and r[n] = -1 / (1 + |t|^2) when the constraints are
+    feasible (r = 0 when not). Cut coefficients are >= 0, so the minimizer
+    under the cuts and t <= 1 is a nonnegative combination of cut normals,
+    less multipliers only on coordinates at 1: it is >= 0 without the rows
+    t >= 0, and cuts with b <= 0 hold at every such t. Only the live cuts and
+    t <= 1 are built.
     """
-    feas = 1e-11 * max(scale, 1.0)
-    pool = [(a, b) for (a, b) in cuts if b > feas]
-    pool.extend((-np.eye(n)[i], -1.0) for i in range(n))
-    # most recently added cuts first: they are the most likely to be active
-    order = list(range(len(pool)))
-    order[: len(pool) - n] = order[: len(pool) - n][::-1]
-
-    def ok(x: np.ndarray) -> bool:
-        if np.any(x < -1e-12) or np.any(x > 1.0 + 1e-12):
-            return False
-        return all(float(a @ x) >= b - feas for (a, b) in cuts)
-
-    zero = np.zeros(n)
-    if ok(zero):
-        return zero
-    best = None
-    best_norm = math.inf
-    for r in range(1, n + 1):
-        for subset in itertools.combinations(order, r):
-            A = np.array([pool[i][0] for i in subset])
-            b = np.array([pool[i][1] for i in subset])
-            try:
-                mu = np.linalg.solve(A @ A.T, b)
-            except np.linalg.LinAlgError:
-                continue
-            if np.any(mu < -1e-10):
-                continue
-            x = A.T @ mu
-            x = np.clip(x, 0.0, None)
-            if not ok(x):
-                continue
-            norm = float(x @ x)
-            if norm < best_norm - 1e-15:
-                best, best_norm = x, norm
-        if best is not None:
-            return np.clip(best, 0.0, 1.0)
-    return None
-
-
-def _min_norm_dykstra(cuts, n: int, max_sweeps: int = 100_000) -> np.ndarray:
-    """Dykstra's alternating projections onto the box and each half-space."""
-    sets = [("box", None)] + [("half", (a, b, float(a @ a))) for (a, b) in cuts]
-    x = np.zeros(n)
-    mem = [np.zeros(n) for _ in sets]
-    for _ in range(max_sweeps):
-        x_prev = x.copy()
-        for i, (kind, data) in enumerate(sets):
-            y = x + mem[i]
-            if kind == "box":
-                proj = np.clip(y, 0.0, 1.0)
-            else:
-                a, b, aa = data
-                viol = b - float(a @ y)
-                proj = y + a * (viol / aa) if viol > 0.0 and aa > 0.0 else y
-            mem[i] = y - proj
-            x = proj
-        if float(np.max(np.abs(x - x_prev))) < 1e-13:
-            break
-    return x
-
-
-def _min_norm_point(cuts, n: int, scale: float) -> np.ndarray:
-    if not cuts:
+    live = [(a, b) for (a, b) in cuts if b > 0.0]
+    if not live:
         return np.zeros(n)
-    if n <= 3:
-        x = _min_norm_active_set(cuts, n, scale)
-        if x is not None:
-            return x
-    return _min_norm_dykstra(cuts, n)
+    a_cut = np.array([a for a, _ in live])
+    b_cut = np.array([b for _, b in live])
+    E = np.block([[a_cut.T, -np.eye(n)], [b_cut, -np.ones(n)]])
+    f = np.zeros(n + 1)
+    f[n] = 1.0
+    u = _nnls(E, f)
+    r = E @ u - f
+    # |t| <= sqrt(n) in the box, so a feasible set has r[n] <= -1 / (1 + n)
+    if r[n] > -0.5 / (1.0 + n):
+        raise PricingError(f"min-norm subproblem infeasible (residual {r[n]:.3e})")
+    t = np.clip(r[:n] / -r[n], 0.0, 1.0)
+    t[u[len(live):] > 0.0] = 1.0  # a bound with a positive multiplier holds exactly
+    return t
 
 
 # ---------------------------------------------------------------------------
@@ -508,10 +509,11 @@ def least_squares_prices(
 
     def add_cut(p: np.ndarray) -> None:
         a = p * prob.d
-        b = prob.price_mix(p) - float(p @ prob.u)
         if float(np.max(a)) <= 0.0:
             return  # degenerate direction: constraint is vacuous (b <= 0)
-        cuts.append((a, b))
+        # price(mix(p)) <= p . c, so t = 1 meets every cut; the price solve's
+        # 1e-12 noise must not push b past it and empty the feasible set
+        cuts.append((a, min(prob.price_mix(p) - float(p @ prob.u), float(a.sum()))))
 
     if use_fast_paths:
         found = check_constant_mix(basis)
@@ -533,7 +535,7 @@ def least_squares_prices(
     iterations = 0
     converged = False
     for iterations in range(1, max_cuts + 1):
-        x_new = _min_norm_point(cuts, n, prob.scale)
+        x_new = _min_norm_point(cuts, n)
         val, pstar = prob.big_L(x_new)
         violation = val - 1.0
         moved = float(np.max(np.abs(x_new - x))) if iterations > 1 else math.inf
@@ -715,23 +717,13 @@ def cone_coordinates(basis: ConeBasis, game: Game, *, tol: float = 1e-9) -> np.n
 def in_cone(basis: ConeBasis, game: Game, *, tol: float = 1e-9) -> bool:
     """Whether a game is a nonnegative combination of the basis games.
 
-    True when some coefficients k >= 0 leave a residual |M k - game| (2-norm)
-    within tol of the game's largest payoff (at least 1). For linearly
-    independent basis games the coefficients on each face of the cone are
-    unique: least squares drops the games whose coefficient comes out
-    negative and refits the rest until none is, and the residual decides.
-    Dependent games need NNLS, which loads scipy on first use.
+    True when the least nonnegative residual |M k - game| (2-norm, k >= 0,
+    by NNLS) is within tol of the game's largest payoff (at least 1).
     """
     M = basis.payoff_matrix()
     target = game.payoffs
     scale = max(float(np.max(np.abs(target))), 1.0)
-    k = _independent_fit(M, target)
-    if k is None:
-        from scipy.optimize import nnls
-
-        _, residual = nnls(M, target)
-    else:
-        residual = float(np.linalg.norm(M @ k - target))
+    residual = float(np.linalg.norm(M @ _nnls(M, target) - target))
     return residual <= tol * scale
 
 

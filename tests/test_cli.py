@@ -264,6 +264,17 @@ class TestLsPriceCommand:
         assert rc == 0
         assert out.count("ls=9.512") == 2
 
+    def test_csv_prints_plain_numbers(self, capsys):
+        rc, out, _ = run(capsys, ["ls-price", str(ROOT / "sample_games" / "intro.json"),
+                                  "--format", "csv"])
+        assert rc == 0
+        header, *rows = out.strip().splitlines()
+        assert header == "game,standalone,ls_price,x"
+        assert {row.split(",")[0] for row in rows} == {"A", "C"}
+        for row in rows:
+            for field in row.split(",")[1:]:
+                float(field)
+
 
 class TestSimulateAndSweep:
     def test_simulate_defaults_to_solved_price(self, capsys, intro):

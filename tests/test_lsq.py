@@ -1,5 +1,10 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,11 +33,12 @@ from gameprice import (
 import gameprice.lsq
 from gameprice.lsq import (
     _LsqProblem,
-    _min_norm_active_set,
-    _min_norm_dykstra,
+    _min_norm_point,
+    _nnls,
     _project_simplex,
 )
 
+ROOT = Path(__file__).resolve().parents[1]
 R05 = Rate(0.05)
 COIN = fair_coin()
 G = math.exp(0.05)
@@ -441,6 +447,37 @@ class TestDependentGames:
         assert in_cone(b, Game([10, 11]))
         assert not in_cone(b, Game([20, 0.5]))
 
+    @pytest.mark.parametrize("games", [
+        ((16.426, 11.207), (19.628, 4.488), (11.298, 9.931), (7.389, 12.036),
+         (5.088, 16.143)),
+        ((11.143, 13.399), (13.999, 15.731), (18.586, 3.42), (12.71, 3.301),
+         (9.141, 15.833), (17.947, 15.305)),
+    ])
+    def test_fair_coin_constant_mix_solves_at_once(self, games):
+        # a full-support constant mix makes x = 1 the exact min-norm point at
+        # once; a point off by 1e-3 (from a fixed-tolerance projection method)
+        # sent the oracle crawling along the null space to its iteration cap
+        sol = least_squares_prices(basis(*games), R05)
+        assert sol.iterations == 1
+        assert np.max(np.abs(sol.x - 1.0)) <= 1e-13
+        assert sol.max_violation <= 1e-9
+
+    def test_cone_membership_never_loads_scipy(self):
+        script = textwrap.dedent("""
+            import sys
+            from gameprice import ConeBasis, Game, OutcomeSpace, in_cone
+            space = OutcomeSpace([0.2, 0.3, 0.5])
+            b = ConeBasis(space, [Game([1, 2, 3]), Game([2, 4, 6]), Game([5, 1, 1])])
+            print(in_cone(b, Game([6, 3, 4])), in_cone(b, Game([4.9, 0.8, 0.7])),
+                  "scipy" in sys.modules)
+        """)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["True", "False", "False"]
+
 
 class TestLinearPricingDetector:
     def test_example_12_is_linear(self):
@@ -473,37 +510,104 @@ class TestPriceInCone:
             price_in_cone(sol, [-1.0, 2.0])
 
 
+def _random_cuts(rng, n):
+    """Up to 60 cuts a.t >= b with a >= 0 that t = 1 meets, as the solver's do.
+
+    Half are near copies of an earlier cut, 1e-9 to 1e-3 apart; a fifth have
+    t = 1 binding, some just past it by rounding.
+    """
+    cuts = []
+    for _ in range(int(rng.integers(1, 61))):
+        if cuts and rng.random() < 0.5:
+            a0, b0 = cuts[int(rng.integers(len(cuts)))]
+            eps = 10.0 ** rng.uniform(-9.0, -3.0)
+            a = a0 * (1.0 + eps * rng.uniform(-1.0, 1.0, n))
+            b = min(b0 + eps * abs(b0) * rng.uniform(-1.0, 1.0), float(a.sum()))
+        else:
+            a = rng.uniform(0.0, 1.0, n) * (rng.random(n) < 0.8)
+            b = rng.uniform(-0.3, 1.0) * float(a.sum())
+        if rng.random() < 0.2:
+            b = float(a.sum()) * (1.0 + 2.2e-16 * int(rng.integers(0, 4)))
+        cuts.append((a, b))
+    return cuts
+
+
+def _scipy_ldp(cuts, n):
+    """Min-norm point by least-distance programming on scipy's NNLS, with every
+    row built: all cuts, t >= 0 and t <= 1."""
+    from scipy.optimize import nnls
+
+    G = np.vstack([np.array([a for a, _ in cuts]), np.eye(n), -np.eye(n)])
+    h = np.concatenate([[b for _, b in cuts], np.zeros(n), -np.ones(n)])
+    E = np.vstack([G.T, h])
+    f = np.zeros(n + 1)
+    f[n] = 1.0
+    u, _ = nnls(E, f, maxiter=50 * E.shape[1])
+    r = E @ u - f
+    return -r[:n] / r[n]
+
+
 class TestMinNormSubproblem:
     def test_no_cuts_is_origin(self):
-        x = _min_norm_active_set([], 2, 1.0)
+        x = _min_norm_point([], 2)
         assert x.tolist() == [0.0, 0.0]
 
     def test_single_halfspace_projection(self):
         cuts = [(np.array([1.0, 1.0]), 1.0)]
-        x = _min_norm_active_set(cuts, 2, 1.0)
+        x = _min_norm_point(cuts, 2)
         assert x.tolist() == pytest.approx([0.5, 0.5], abs=1e-12)
 
     def test_box_binding(self):
         # projection onto the half-space alone would exceed the unit box
         cuts = [(np.array([1.0, 0.05]), 1.04)]
-        x = _min_norm_active_set(cuts, 2, 1.0)
+        x = _min_norm_point(cuts, 2)
         assert x[0] <= 1.0 + 1e-12
         assert float(np.array([1.0, 0.05]) @ x) >= 1.04 - 1e-10
 
-    def test_active_set_matches_dykstra(self):
-        rng = np.random.default_rng(3)
-        for n in (2, 3):
-            for _ in range(8):
-                cuts = [
-                    (rng.uniform(0.0, 1.0, n), rng.uniform(0.0, 0.8))
-                    for _ in range(rng.integers(1, 5))
-                ]
-                cuts = [(a, b) for a, b in cuts if float(a.sum()) >= b]
-                if not cuts:
-                    continue
-                xa = _min_norm_active_set(cuts, n, 1.0)
-                xd = _min_norm_dykstra(cuts, n)
-                assert np.max(np.abs(xa - xd)) <= 1e-8
+    def test_random_cut_sets_match_scipy_ldp(self):
+        rng = np.random.default_rng(41)
+        compared = 0
+        for _ in range(200):
+            n = int(rng.integers(1, 7))
+            cuts = _random_cuts(rng, n)
+            x = _min_norm_point(cuts, n)
+            assert np.all(x >= 0.0) and np.all(x <= 1.0)
+            assert all(float(a @ x) >= b - 1e-12 for a, b in cuts), cuts
+            # scipy's NNLS can stop at a non-optimal point on rank-deficient
+            # systems (repeated cuts with t = 1 binding), and a set just past
+            # t = 1 by rounding has no feasible point. A feasible reference is
+            # never shorter than the min-norm point, and equals it when it is
+            # as short
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ref = _scipy_ldp(cuts, n)
+            if np.all(np.isfinite(ref)) and np.all(ref >= -1e-9) and np.all(
+                    ref <= 1.0 + 1e-9) and all(float(a @ ref) >= b - 1e-9 for a, b in cuts):
+                assert float(x @ x) <= float(ref @ ref) + 1e-9, cuts
+                if float(ref @ ref) <= float(x @ x) + 1e-12:
+                    compared += 1
+                    assert np.max(np.abs(x - ref)) <= 1e-10, cuts
+        assert compared >= 190
+
+    def test_nnls_residual_matches_scipy(self):
+        from scipy.optimize import nnls
+
+        rng = np.random.default_rng(5)
+        for trial in range(300):
+            m, k = int(rng.integers(1, 9)), int(rng.integers(1, 9))
+            if trial % 2:  # rank r, often below min(m, k)
+                r = int(rng.integers(1, min(m, k) + 1))
+                A = rng.normal(size=(m, r)) @ rng.normal(size=(r, k))
+            else:
+                A = rng.normal(size=(m, k))
+            b = rng.normal(size=m)
+            x = _nnls(A, b)
+            assert np.all(x >= 0.0)
+            ours = float(np.linalg.norm(A @ x - b))
+            # scipy's own residual, recomputed: on rank-deficient A it can
+            # report a residual its solution does not have, and stop short
+            x_ref = nnls(A, b, maxiter=50 * k)[0]
+            theirs = float(np.linalg.norm(A @ x_ref - b))
+            assert ours <= theirs + 1e-12 * float(np.linalg.norm(b)), (A, b)
 
 
 def test_project_simplex():
