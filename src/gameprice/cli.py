@@ -14,11 +14,8 @@ import json
 import sys
 from typing import Optional
 
-import numpy as np
-
 from .core import (
     BasisError,
-    ConeBasis,
     Game,
     GameFile,
     GameFileError,
@@ -27,7 +24,6 @@ from .core import (
     PricingError,
     Rate,
     TruncationError,
-    is_fair_coin,
     load_game_file,
 )
 from .lsq import LsSolution, least_squares_prices, price_in_cone, reduce_to_basis
@@ -131,11 +127,7 @@ def cmd_ls_price(args) -> int:
     rate = _resolve_rate(gf, args)
     names = list(gf.games)
     games = [gf.games[n] for n in names]
-    if is_fair_coin(gf.space) and all(g.size == 2 for g in games):
-        basis, coords = reduce_to_basis(games, gf.space)
-    else:
-        basis = ConeBasis(gf.space, games)
-        coords = np.eye(len(games))
+    basis, coords = reduce_to_basis(games, gf.space)
     sol = least_squares_prices(basis, rate, tol_L=args.tol_ls)
     if args.format == "json":
         print(json.dumps(sol.to_json_dict()))

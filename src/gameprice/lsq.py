@@ -14,12 +14,12 @@ on a concave reparametrization of the ratio; it stops only when the upper
 bound max_i dh/dy_i (Euler's identity plus concavity) is within 1e-10
 relative of its value. The min-norm subproblem is a least-distance program,
 solved exactly as one nonnegative least-squares (NNLS) problem by a numpy
-Lawson-Hanson active-set method; cone membership is the same NNLS.
-
-The constant-mix test solves least squares when the basis games are
-linearly independent, where the coefficients are unique. Only dependent
-games (more games than outcomes, say) need scipy's linear program, imported
-on first use so that no other path loads scipy.
+Lawson-Hanson active-set method. Every question about the cone the games
+span is the same NNLS: whether a game lies in it and with which
+coefficients, which games are its extreme rays, and whether some mix pays a
+constant. Only the maximal support of a constant mix among linearly
+dependent games needs scipy's linear program, imported on first use so that
+no other path loads scipy.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ import numpy as np
 from .core import (
     BasisError,
     ConeBasis,
+    DimensionMismatch,
     Game,
     InvariantViolation,
     Mix,
@@ -588,13 +589,14 @@ def check_constant_mix(
 
     When found, every supported game's least-squares price is pinned to its
     ceiling E/g. Payoffs are nonnegative and no game is all zero, so every
-    constant mix is k / sum(k) for some k >= 0 with M k = 1. For linearly
-    independent games that k is unique: the least-squares solution decides,
-    and its support {k_i > 0} is already maximal. Dependent games (more games
-    than outcomes, say) need a linear program, which loads scipy on first
-    use: it maximizes the smallest weight first (full-support witness if
-    possible), then probes each coordinate for the maximal support. Every
-    mix must keep its payoff spread within tol of the largest payoff.
+    constant mix is k / sum(k) for some k >= 0 with M k = 1: NNLS decides
+    whether one exists. For linearly independent games that k is unique and
+    its support {k_i > 0} is maximal. Among dependent games (more games than
+    outcomes, say) NNLS returns a basic solution, so a linear program, which
+    loads scipy on first use, supplies the maximal support: it maximizes the
+    smallest weight first (full-support witness if possible), then probes
+    each coordinate. Every mix must keep its payoff spread within tol of the
+    largest payoff.
     """
     M = basis.payoff_matrix()
     m, n = M.shape
@@ -612,13 +614,13 @@ def check_constant_mix(
         support = tuple(int(i) for i in np.nonzero(p > 1e-9)[0])
         return Mix(p), support
 
-    coef = _independent_fit(M, np.ones(m))
-    if coef is not None:
-        # M k = 1 must hold to tol itself: the spread check is scaled by the
-        # largest payoff, which lets mixes of much smaller games through
-        if float(np.max(np.abs(M @ coef - 1.0))) > tol:
-            return None
-        return _validated(coef)
+    k = _nnls(M, np.ones(m))
+    # M k = 1 must hold to tol itself: the spread check is scaled by the
+    # largest payoff, which lets mixes of much smaller games through
+    if float(np.max(np.abs(M @ k - 1.0))) > tol:
+        return None
+    if np.linalg.matrix_rank(M) == n:
+        return _validated(k)
 
     from scipy.optimize import linprog
 
@@ -694,101 +696,65 @@ def check_linear_pricing(
     return True
 
 
-def cone_coordinates(basis: ConeBasis, game: Game, *, tol: float = 1e-9) -> np.ndarray:
-    """Nonnegative coefficients representing a game in the basis.
+def _cone_fit(M: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, float]:
+    """Coefficients k >= 0 with M k closest to target, by NNLS, and how close.
 
-    Raises BasisError when the game does not lie in the cone (residual or a
-    genuinely negative coefficient).
+    The distance is |M k - target| (2-norm) over the target's largest payoff
+    (at least 1): every cone test compares it with its tol.
     """
-    M = basis.payoff_matrix()
-    target = game.payoffs
-    scale = max(float(np.max(np.abs(target))), float(np.max(M)), 1.0)
-    k, *_ = np.linalg.lstsq(M, target, rcond=None)
-    if np.any(k < -tol * scale):
+    k = _nnls(M, target)
+    scale = max(float(np.max(np.abs(target))), 1.0)
+    return k, float(np.linalg.norm(M @ k - target)) / scale
+
+
+def cone_coordinates(basis: ConeBasis, game: Game, *, tol: float = 1e-9) -> np.ndarray:
+    """Nonnegative coefficients representing a game in the basis, by NNLS.
+
+    Raises BasisError when the game does not lie in the cone: the least
+    nonnegative residual exceeds tol of the game's largest payoff (at least 1).
+    """
+    k, residual = _cone_fit(basis.payoff_matrix(), game.payoffs)
+    if residual > tol:
         raise BasisError(
-            f"game lies outside the cone: coefficient {np.min(k):.6g} is negative"
+            f"game lies outside the cone: relative residual {residual:.3g}"
         )
-    k = np.clip(k, 0.0, None)
-    if float(np.max(np.abs(M @ k - target))) > tol * scale:
-        raise BasisError("game is not representable in the basis")
     return k
 
 
 def in_cone(basis: ConeBasis, game: Game, *, tol: float = 1e-9) -> bool:
     """Whether a game is a nonnegative combination of the basis games.
 
-    True when the least nonnegative residual |M k - game| (2-norm, k >= 0,
-    by NNLS) is within tol of the game's largest payoff (at least 1).
+    The same test as cone_coordinates: the least nonnegative residual
+    (2-norm, by NNLS) is within tol of the game's largest payoff (at least 1).
     """
-    M = basis.payoff_matrix()
-    target = game.payoffs
-    scale = max(float(np.max(np.abs(target))), 1.0)
-    residual = float(np.linalg.norm(M @ _nnls(M, target) - target))
-    return residual <= tol * scale
-
-
-def _independent_fit(M: np.ndarray, b: np.ndarray) -> Optional[np.ndarray]:
-    """Nonnegative k with M k closest to b on the face least squares picks.
-
-    None when the columns of M are linearly dependent. Otherwise every face
-    of the cone they span has unique coefficients: least squares drops the
-    columns whose coefficient comes out negative and refits the rest until
-    none is. In exact arithmetic a negative coefficient already puts b off
-    the cone; in floating point the refits recover points on a face that
-    rounding pushed just outside, as with nearly proportional games. A
-    refit's residual is never below the least nonnegative one, so a
-    residual test on it errs only towards "outside".
-    """
-    n = M.shape[1]
-    k, _, rank, _ = np.linalg.lstsq(M, b, rcond=None)
-    if rank < n:
-        return None
-    keep = np.arange(n)
-    while np.any(k < 0.0):
-        keep = keep[k >= 0.0]
-        k = np.linalg.lstsq(M[:, keep], b, rcond=None)[0] if keep.size else keep
-    out = np.zeros(n)
-    out[keep] = k
-    return out
+    return _cone_fit(basis.payoff_matrix(), game.payoffs)[1] <= tol
 
 
 def reduce_to_basis(
     games: Sequence[Game], space: OutcomeSpace
 ) -> tuple[ConeBasis, np.ndarray]:
-    """Basis of the cone spanned by fair-coin games, plus each game's coordinates.
+    """Extreme rays of the cone the games span, plus each game's coordinates.
 
-    With equal payoff ratios everything is a multiple of one game; otherwise
-    the games with extreme ratios span the cone and every input decomposes
-    with nonnegative coefficients.
+    Valid on any outcome space. From the last game to the first, a game is
+    dropped while it lies in the cone of the games still kept (the test of
+    cone_coordinates), so the cone never changes and no kept game lies in
+    the cone of the others. The kept games form the basis in input order;
+    row i of the coordinates represents games[i] in it.
     """
     if not games:
         raise BasisError("need at least one game")
-    if not is_fair_coin(space):
-        raise BasisError("basis reduction is defined on the fair two-outcome space")
     for g in games:
-        if g.size != 2:
-            raise BasisError("basis reduction needs two-outcome games")
-
-    def ratio(g: Game) -> float:
-        a, b = float(g.payoffs[0]), float(g.payoffs[1])
-        return a / b if b > 0.0 else math.inf
-
-    i_min = min(range(len(games)), key=lambda i: ratio(games[i]))
-    i_max = max(range(len(games)), key=lambda i: ratio(games[i]))
-    g_min, g_max = games[i_min], games[i_max]
-    cross = float(
-        g_min.payoffs[0] * g_max.payoffs[1] - g_max.payoffs[0] * g_min.payoffs[1]
-    )
-    scale = max(float(np.max(g.payoffs)) for g in games)
-    if abs(cross) <= 1e-12 * scale * scale:
-        base = games[i_min]
-        basis = ConeBasis(space, [base])
-        ref = float(base.payoffs[1]) if base.payoffs[1] > 0 else float(base.payoffs[0])
-        idx = 1 if base.payoffs[1] > 0 else 0
-        coords = np.array([[float(g.payoffs[idx]) / ref] for g in games])
-        return basis, coords
-
-    basis = ConeBasis(space, [g_min, g_max])
+        if g.size != space.size:
+            raise DimensionMismatch(
+                f"game of length {g.size} on a space of {space.size} outcomes"
+            )
+    M = np.column_stack([g.payoffs for g in games])
+    keep = list(range(len(games)))
+    for i in reversed(range(len(games))):
+        others = [j for j in keep if j != i]
+        if others and _cone_fit(M[:, others], M[:, i])[1] <= 1e-9:
+            keep = others
+    basis = ConeBasis(space, [games[i] for i in keep])
     coords = np.vstack([cone_coordinates(basis, g) for g in games])
     return basis, coords
 

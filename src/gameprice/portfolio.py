@@ -16,8 +16,6 @@ from typing import Optional
 import numpy as np
 
 from .core import (
-    BasisError,
-    ConeBasis,
     Game,
     InvariantViolation,
     OutcomeSpace,
@@ -31,9 +29,9 @@ from .lsq import (
     LsSolution,
     check_constant_mix,
     cone_coordinates,
-    in_cone,
     least_squares_prices,
     price_in_cone,
+    reduce_to_basis,
 )
 from .pricer import price_general
 
@@ -226,8 +224,8 @@ def put_call_parity(
 
     The basis is {put, call, stock-minus-call}; put + (stock-minus-call) = K
     is the constant mix that pins both of those prices to their ceilings.
-    Linearly dependent members (always the case on two outcomes) are dropped
-    and priced by linearity instead.
+    A member in the cone of the others (one always is on two outcomes) is
+    dropped by reduce_to_basis and priced by linearity instead.
     """
     if strike <= 0:
         raise InvariantViolation("strike must be > 0")
@@ -249,46 +247,26 @@ def put_call_parity(
             degenerate=True,
             reason="call pays nothing: strike at or above every stock payoff",
         )
-    members: list[tuple[str, Game]] = [
-        ("put", Game(put)),
-        ("call", Game(call)),
-        ("covered", Game(covered)),
-    ]
-    # drop any member that is a nonnegative combination of the others
-    # (checked covered-first so the canonical basis keeps put and call)
-    kept = members[:]
-    for name in ("covered", "call", "put"):
-        if len(kept) <= 2:
-            break
-        idx = next(i for i, (n, _) in enumerate(kept) if n == name)
-        others = [g for i, (_, g) in enumerate(kept) if i != idx]
-        try:
-            droppable = in_cone(ConeBasis(space, others), kept[idx][1])
-        except BasisError:
-            continue  # the remaining pair would degenerate; keep this member
-        if droppable:
-            kept.pop(idx)
-    basis = ConeBasis(space, [g for _, g in kept])
+    # reduction tries the last game first: when the three are dependent,
+    # covered is dropped and the basis keeps put and call
+    basis, coords = reduce_to_basis([Game(put), Game(call), Game(covered)], space)
     constant = check_constant_mix(basis)
     if constant is None:
         raise PricingError(
             "internal error: put + covered = strike mix not detected"
         )
     sol = least_squares_prices(basis, rate, tol_L=tol_L)
-    prices = {
-        name: price_in_cone(sol, cone_coordinates(basis, game))
-        for name, game in members
-    }
+    put_price, call_price, covered_price = (price_in_cone(sol, k) for k in coords)
     stock_price = price_in_cone(sol, cone_coordinates(basis, stock))
     residual = (
-        prices["call"] - prices["put"] + strike / rate.growth_factor() - stock_price
+        call_price - put_price + strike / rate.growth_factor() - stock_price
     )
     return ParityReport(
         strike=strike,
         degenerate=False,
-        put_price=prices["put"],
-        call_price=prices["call"],
-        covered_price=prices["covered"],
+        put_price=put_price,
+        call_price=call_price,
+        covered_price=covered_price,
         stock_price=stock_price,
         residual=residual,
         solution=sol,

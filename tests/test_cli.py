@@ -118,17 +118,19 @@ class TestExitCodes:
             "games": {"A": [2, 2], "B": [10, 10]},
             "rate": {"value": 0.05},
         }))
-        # equal payoff ratios reduce to one game: fine; proportional pair as a
-        # declared 3-outcome basis is the failure case
+        # a proportional pair reduces to its first game on any outcome space
         path2 = tmp_path / "prop3.json"
         path2.write_text(json.dumps({
             "probabilities": [0.4, 0.3, 0.3],
             "games": {"A": [2, 2, 2], "B": [10, 10, 10]},
             "rate": {"value": 0.05},
         }))
-        rc, _, err = run(capsys, ["ls-price", str(path2)])
-        assert rc == 4
-        assert "basis" in err.lower()
+        for spec in (path, path2):
+            rc, out, err = run(capsys, ["ls-price", str(spec)])
+            assert rc == 0, err
+            lines = out.splitlines()
+            assert lines[0].startswith("A: standalone=1.902 ls=1.902")
+            assert lines[1] == "B: ls=9.512 (priced by linearity)"
 
     def test_missing_rate_everywhere(self, capsys, tmp_path):
         path = tmp_path / "norate.json"
@@ -241,6 +243,17 @@ class TestLsPriceCommand:
         assert rc == 0
         assert "priced by linearity" in out
         assert "certificate mix" in out
+
+    def test_redundant_game_on_three_outcomes(self, capsys):
+        rc, out, err = run(capsys, ["ls-price", "--full-precision",
+                                    str(ROOT / "sample_games" / "redundant3.json")])
+        assert rc == 0, err
+        lines = out.splitlines()
+        assert [line.split(":")[0] for line in lines[:3]] == ["A", "C", "B"]
+        assert lines[2].endswith(" (priced by linearity)")
+        price_a = float(lines[0].split("ls=")[1].split()[0])
+        price_b = float(lines[2].split("ls=")[1].split()[0])
+        assert price_b == pytest.approx(2.0 * price_a, rel=1e-12)
 
     def test_singleton(self, capsys, tmp_path):
         path = tmp_path / "one.json"

@@ -90,6 +90,78 @@ class TestReduceToBasis:
         k = cone_coordinates(basis((13, 7), (19, 1)), Game([16, 4]))
         assert k.tolist() == pytest.approx([0.5, 0.5], rel=1e-12)
 
+    def test_keeps_file_order_and_the_earlier_copy(self):
+        games = [Game([1, 2, 3]), Game([2, 4, 6]), Game([5, 1, 1])]
+        b, coords = reduce_to_basis(games, OutcomeSpace([0.2, 0.3, 0.5]))
+        assert b.games == (games[0], games[2])
+        assert coords.ravel().tolist() == pytest.approx([1, 0, 2, 0, 0, 1], abs=1e-12)
+
+    def test_random_sets_with_planted_redundant_games(self):
+        rng = np.random.default_rng(5)
+        coin_sets = 0
+        for trial in range(300):
+            m = 2 if trial % 3 == 0 else int(rng.integers(2, 7))
+            games, planted = _redundant_game_set(rng, m)
+            space = COIN if trial % 3 == 0 else OutcomeSpace(
+                rng.dirichlet(np.ones(m)).tolist())
+            b, coords = reduce_to_basis(games, space)
+            assert np.all(coords >= 0.0)
+            B = b.payoff_matrix()
+            for g, k in zip(games, coords):
+                scale = max(float(g.payoffs.max()), 1.0)
+                assert np.linalg.norm(B @ k - g.payoffs) <= 1e-9 * scale, (games, g)
+            kept = {id(g) for g in b.games}
+            assert not kept & {id(games[i]) for i in planted}, games
+            for i, g in enumerate(b.games):
+                others = [h for j, h in enumerate(b.games) if j != i]
+                if others:
+                    assert not in_cone(ConeBasis(space, others), g), games
+            if space is COIN:
+                coin_sets += 1
+                assert _rays(b.games) == _rays(_extreme_ratio_games(games)), games
+        assert coin_sets == 100
+
+
+def _redundant_game_set(rng, m):
+    """Up to 8 games on m outcomes, some redundant, and the redundant indices.
+
+    The independent draws come first, some with zero payoffs; scaled copies,
+    duplicates and nonnegative combinations of earlier games are appended
+    after them.
+    """
+    n_base = int(rng.integers(1, min(m, 4) + 1))
+    base = rng.uniform(0.5, 20.0, (n_base, m))
+    base[rng.random((n_base, m)) < 0.25] = 0.0
+    base[np.arange(n_base), rng.integers(m, size=n_base)] = rng.uniform(0.5, 20.0, n_base)
+    rows = list(base)
+    planted = []
+    for _ in range(int(rng.integers(1, 9 - n_base))):
+        kind = rng.integers(3)
+        if kind == 0:  # scaled copy
+            row = rows[rng.integers(len(rows))] * rng.uniform(0.1, 10.0)
+        elif kind == 1:  # duplicate
+            row = rows[rng.integers(len(rows))].copy()
+        else:  # nonnegative combination of two or more earlier games
+            pick = rng.choice(len(rows), size=min(len(rows), int(rng.integers(2, 4))),
+                              replace=False)
+            row = sum(rng.uniform(0.1, 2.0) * rows[i] for i in pick)
+        planted.append(len(rows))
+        rows.append(row)
+    return [Game(r) for r in rows], planted
+
+
+def _rays(games):
+    return {tuple(np.round(g.payoffs / np.linalg.norm(g.payoffs), 9)) for g in games}
+
+
+def _extreme_ratio_games(games):
+    """The fair-coin rule: the games of least and greatest payoff ratio."""
+
+    def ratio(g):
+        return g.payoffs[0] / g.payoffs[1] if g.payoffs[1] > 0.0 else math.inf
+
+    return [min(games, key=ratio), max(games, key=ratio)]
+
 
 class TestLsRatio:
     def test_singleton_at_zero_is_one(self):
@@ -442,6 +514,39 @@ class TestDependentGames:
         b = ConeBasis(self.S3, [Game([1, 2, 3]), Game([2, 4, 6]), Game([5, 1, 1])])
         assert check_constant_mix(b) is None
 
+    def test_coordinates_of_a_dependent_triple_are_nonnegative(self):
+        # least squares returns the min-norm coefficients (-2/3, 4/3, 2/3) here
+        b = ConeBasis(self.S3, [Game([1, 2, 3]), Game([3, 2, 1]), Game([7, 6, 5])])
+        target = np.array([6.0, 8.0, 10.0])
+        k = cone_coordinates(b, Game(target))
+        assert np.all(k >= 0.0)
+        assert np.max(np.abs(b.payoff_matrix() @ k - target)) <= 1e-9
+
+    def test_random_dependent_sets_match_lp(self):
+        rng = np.random.default_rng(17)
+        found = 0
+        for trial in range(120):
+            m = int(rng.integers(2, 5))
+            n = m + int(rng.integers(1, 4))
+            M = rng.uniform(0.5, 20.0, (m, n))
+            M[rng.random((m, n)) < 0.2] = 0.0
+            M[rng.integers(m, size=n), np.arange(n)] = rng.uniform(0.5, 20.0, n)
+            if trial % 2 == 0:
+                # solve one column so that M k is constant for a chosen k >= 0
+                # with zero weights on some games
+                k = rng.uniform(0.1, 1.0, n) * (rng.random(n) < 0.7)
+                i = int(rng.integers(n))
+                k[i] = rng.uniform(0.1, 1.0)
+                rest = M @ k - M[:, i] * k[i]
+                M[:, i] = (rest.max() + rng.uniform(0.5, 5.0) - rest) / k[i]
+            b = ConeBasis(OutcomeSpace(np.full(m, 1.0 / m)), [Game(c) for c in M.T])
+            got, ref = check_constant_mix(b), _lp_constant_mix(M)
+            assert (got is None) == (ref is None), M
+            if got is not None:
+                found += 1
+                assert got[1] == ref[1], M
+        assert found >= 60
+
     def test_fair_coin_cone(self):
         b = basis((19, 1), (1, 19), (12, 8))
         assert in_cone(b, Game([10, 11]))
@@ -465,18 +570,18 @@ class TestDependentGames:
     def test_cone_membership_never_loads_scipy(self):
         script = textwrap.dedent("""
             import sys
-            from gameprice import ConeBasis, Game, OutcomeSpace, in_cone
+            from gameprice import ConeBasis, Game, OutcomeSpace, check_constant_mix, in_cone
             space = OutcomeSpace([0.2, 0.3, 0.5])
             b = ConeBasis(space, [Game([1, 2, 3]), Game([2, 4, 6]), Game([5, 1, 1])])
             print(in_cone(b, Game([6, 3, 4])), in_cone(b, Game([4.9, 0.8, 0.7])),
-                  "scipy" in sys.modules)
+                  check_constant_mix(b), "scipy" in sys.modules)
         """)
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
         done = subprocess.run([sys.executable, "-c", script], env=env,
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
-        assert done.stdout.split() == ["True", "False", "False"]
+        assert done.stdout.split() == ["True", "False", "None", "False"]
 
 
 class TestLinearPricingDetector:
