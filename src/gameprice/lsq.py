@@ -17,14 +17,13 @@ solved exactly as one nonnegative least-squares (NNLS) problem by a numpy
 Lawson-Hanson active-set method. Every question about the cone the games
 span is the same NNLS: whether a game lies in it and with which
 coefficients, which games are its extreme rays, and whether some mix pays a
-constant. Only the maximal support of a constant mix among linearly
-dependent games needs scipy's linear program, imported on first use so that
-no other path loads scipy.
+constant, with the largest support such a mix can have. Prices are linear
+exactly when one oracle call certifies L(0) <= 1. The module needs numpy
+only.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -43,7 +42,7 @@ from .core import (
     Rate,
     is_fair_coin,
 )
-from .pricer import KappaContext, _price_numeric
+from .pricer import KappaContext, _price_fair, _price_numeric
 
 DEFAULT_L_TOL = 1e-9
 DEFAULT_X_TOL = 1e-8
@@ -105,14 +104,7 @@ class _LsqProblem:
     def price_full(self, payoffs: np.ndarray) -> tuple[float, float]:
         """(price, proportion) of an arbitrary payoff vector on the space."""
         if self._fair and payoffs[0] > 0.0 and payoffs[1] > 0.0:
-            a, b = float(payoffs[0]), float(payoffs[1])
-            mean = 0.5 * (a + b)
-            gm = math.sqrt(a * b)
-            if mean <= gm * self.g:
-                return gm / self.g, 1.0
-            u = self._kappa * max(a, b) + (1.0 - self._kappa) * min(a, b)
-            t = u * (mean - u) / ((a - u) * (u - b))
-            return u, t
+            return _price_fair(float(payoffs[0]), float(payoffs[1]), self.g, self._kappa)
         u, t, _, _ = _price_numeric(payoffs.tolist(), self._probs_list, self.rate, 1e-12)
         return u, t
 
@@ -187,9 +179,11 @@ class _LsqProblem:
                 val_new, g_new, p_new = evaluate(y_new)
                 bound_new = float(np.max(g_new))
                 # near the optimum value changes drown in price noise; a
-                # falling bound still shows progress there
+                # falling bound, or a slope still rising at y_new (the maximum
+                # along the step lies beyond it), still shows progress there
                 if val_new > val or (
-                    val_new >= val * (1.0 - _PRICE_NOISE) and bound_new < bound
+                    val_new >= val * (1.0 - _PRICE_NOISE)
+                    and (bound_new < bound or float(g_new @ (y_new - y)) > 0.0)
                 ):
                     break
                 step *= 0.5
@@ -493,7 +487,6 @@ def least_squares_prices(
     max_cuts: int = DEFAULT_MAX_CUTS,
     seed_mixes: Optional[Sequence[Sequence[float]]] = None,
     use_fast_paths: bool = True,
-    polish: bool = True,
 ) -> LsSolution:
     """Min-norm feasible coordinates and the prices they induce.
 
@@ -508,18 +501,23 @@ def least_squares_prices(
     n = prob.n
     cuts: list[tuple[np.ndarray, float]] = []
 
-    def add_cut(p: np.ndarray) -> None:
+    def add_cut(p: np.ndarray, constant: bool = False) -> None:
         a = p * prob.d
         if float(np.max(a)) <= 0.0:
             return  # degenerate direction: constraint is vacuous (b <= 0)
         # price(mix(p)) <= p . c, so t = 1 meets every cut; the price solve's
-        # 1e-12 noise must not push b past it and empty the feasible set
-        cuts.append((a, min(prob.price_mix(p) - float(p @ prob.u), float(a.sum()))))
+        # 1e-12 noise must not push b past it and empty the feasible set. A
+        # constant mix is priced at exactly p . c, so its cut pins t = 1
+        ceiling = float(a.sum())
+        if constant:
+            cuts.append((a, ceiling))
+        else:
+            cuts.append((a, min(prob.price_mix(p) - float(p @ prob.u), ceiling)))
 
     if use_fast_paths:
         found = check_constant_mix(basis)
         if found is not None:
-            add_cut(found[0].weights)
+            add_cut(found[0].weights, constant=True)
     for p in (seed_mixes if seed_mixes is not None else ()):
         weights = np.asarray(p, dtype=float)
         if weights.shape != (n,) or np.any(weights < 0.0):
@@ -565,10 +563,9 @@ def least_squares_prices(
             f"cutting-plane iteration cap {max_cuts} exceeded "
             f"(violation {violation:.3e})"
         )
-    if polish:
-        refined = _polish(prob, x, pstar, tol_L)
-        if refined is not None:
-            x, pstar, violation = refined
+    refined = _polish(prob, x, pstar, tol_L)
+    if refined is not None:
+        x, pstar, violation = refined
     prices = prob.adjusted(x)
     return LsSolution(
         x=x,
@@ -590,17 +587,18 @@ def check_constant_mix(
     When found, every supported game's least-squares price is pinned to its
     ceiling E/g. Payoffs are nonnegative and no game is all zero, so every
     constant mix is k / sum(k) for some k >= 0 with M k = 1: NNLS decides
-    whether one exists. For linearly independent games that k is unique and
-    its support {k_i > 0} is maximal. Among dependent games (more games than
-    outcomes, say) NNLS returns a basic solution, so a linear program, which
-    loads scipy on first use, supplies the maximal support: it maximizes the
-    smallest weight first (full-support witness if possible), then probes
-    each coordinate. Every mix must keep its payoff spread within tol of the
-    largest payoff.
+    whether one exists. Its k can leave out a game that some other constant
+    mix uses (dependent games, or games equal to within tol), so each game j
+    with k_j = 0 is probed with the homogenized NNLS
+    [M_-j, -1] (k', lam) = -M_j: j can carry weight when lam > 0 and
+    w = (k', 1) / lam has M w = 1 to tol. The mean of k and the successful
+    witnesses, each as a mix, has the largest support any constant mix has.
+    Every mix must keep its payoff spread within tol of the largest payoff.
     """
     M = basis.payoff_matrix()
     m, n = M.shape
     scale = float(np.max(M))
+    ones = np.ones(m)
 
     def _validated(p: np.ndarray) -> Optional[tuple[Mix, tuple[int, ...]]]:
         p = np.clip(p, 0.0, None)
@@ -614,86 +612,37 @@ def check_constant_mix(
         support = tuple(int(i) for i in np.nonzero(p > 1e-9)[0])
         return Mix(p), support
 
-    k = _nnls(M, np.ones(m))
     # M k = 1 must hold to tol itself: the spread check is scaled by the
     # largest payoff, which lets mixes of much smaller games through
-    if float(np.max(np.abs(M @ k - 1.0))) > tol:
-        return None
-    if np.linalg.matrix_rank(M) == n:
-        return _validated(k)
+    def constant(k: np.ndarray) -> bool:
+        return float(np.max(np.abs(M @ k - 1.0))) <= tol
 
-    from scipy.optimize import linprog
-
-    # variables [p_1..p_n, lam, s]: M p = lam * ones, sum p = 1, p_i >= s >= 0
-    a_eq = np.zeros((m + 1, n + 2))
-    a_eq[:m, :n] = M
-    a_eq[:m, n] = -1.0
-    a_eq[m, :n] = 1.0
-    b_eq = np.zeros(m + 1)
-    b_eq[m] = 1.0
-    a_ub = np.zeros((n, n + 2))
-    a_ub[:, :n] = -np.eye(n)
-    a_ub[:, n + 1] = 1.0
-    b_ub = np.zeros(n)
-    bounds = [(0.0, 1.0)] * n + [(0.0, None), (0.0, 1.0)]
-    cost = np.zeros(n + 2)
-    cost[n + 1] = -1.0
-    res = linprog(cost, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=bounds,
-                  method="highs")
-    if not res.success:
+    k = _nnls(M, ones)
+    if not constant(k):
         return None
-    if res.x[n + 1] > 1e-9:
-        return _validated(res.x[:n])
-
-    # degenerate face: find the maximal support by maximizing each weight
-    witnesses = []
-    for k in range(n):
-        cost_k = np.zeros(n + 2)
-        cost_k[k] = -1.0
-        res_k = linprog(cost_k, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
-                        bounds=bounds, method="highs")
-        if res_k.success and res_k.x[k] > 1e-9:
-            witnesses.append(res_k.x[:n])
-    if not witnesses:
-        return None
+    witnesses = [k / k.sum()]
+    for j in np.flatnonzero(k == 0.0):
+        others = np.arange(n) != j
+        z = _nnls(np.column_stack([M[:, others], -ones]), -M[:, j])
+        if z[-1] <= 0.0:
+            continue
+        w = np.ones(n)
+        w[others] = z[:-1]
+        w /= z[-1]
+        if constant(w):
+            witnesses.append(w / w.sum())
     return _validated(np.mean(witnesses, axis=0))
 
 
-def check_linear_pricing(
-    basis: ConeBasis,
-    rate: Rate,
-    *,
-    tol: float = 1e-9,
-    grid: int = 101,
-    n_random: int = 100,
-    seed: int = 0,
-) -> bool:
+def check_linear_pricing(basis: ConeBasis, rate: Rate, *, tol: float = 1e-9) -> bool:
     """True when mix prices are linear along the whole simplex.
 
     Linearity means the least-squares prices equal the stand-alone ones
-    (x = 0). Checked on a grid along every edge plus random interior mixes.
+    (x = 0), that is L(0) = 1: the certified oracle's worst ratio at t = 0
+    is within tol of 1. Raises PricingError when the oracle cannot certify
+    its bound.
     """
-    prob = _LsqProblem(basis, rate)
-    n = prob.n
-    if n == 1:
-        return True
-
-    def linear_ok(p: np.ndarray) -> bool:
-        lin = float(p @ prob.u)
-        return abs(prob.price_mix(p) - lin) <= tol * max(1.0, abs(lin))
-
-    for i, j in itertools.combinations(range(n), 2):
-        for s in np.linspace(0.0, 1.0, grid):
-            p = np.zeros(n)
-            p[i], p[j] = s, 1.0 - s
-            if not linear_ok(p):
-                return False
-    rng = np.random.default_rng(seed)
-    for _ in range(n_random):
-        p = rng.dirichlet(np.ones(n))
-        if not linear_ok(p):
-            return False
-    return True
+    return _LsqProblem(basis, rate).big_L(np.zeros(basis.n))[0] <= 1.0 + tol
 
 
 def _cone_fit(M: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, float]:

@@ -165,24 +165,28 @@ def optimal_proportion(
     return _opt_t(game.payoffs.tolist(), space.probs.tolist(), u)
 
 
-def price_two_outcome_fair(a: float, b: float, rate: Rate) -> PriceResult:
-    """Closed-form price of a fair-coin game paying a or b (both > 0).
+def _price_fair(a: float, b: float, g: float, kappa: float) -> tuple[float, float]:
+    """(price, proportion) of a fair-coin game paying a or b (both > 0).
 
     Full-investment regime when E/sqrt(ab) <= g: u = sqrt(ab)/g and t = 1.
     Otherwise u = kappa*max(a,b) + (1-kappa)*min(a,b) and
     t = u(E-u)/((a-u)(u-b)).
     """
-    if not (a > 0 and b > 0):
-        raise InvariantViolation("closed form needs strictly positive payoffs")
-    g = rate.growth_factor()
     mean = 0.5 * (a + b)
     gm = math.sqrt(a * b)
-    if mean / gm <= g:
-        u = gm / g
-        return PriceResult(u, 1.0, REGIME_FULL, gm / u)
-    k = KappaContext.from_rate(rate).kappa
-    u = k * max(a, b) + (1.0 - k) * min(a, b)
-    t = u * (mean - u) / ((a - u) * (u - b))
+    if mean <= gm * g:
+        return gm / g, 1.0
+    u = kappa * max(a, b) + (1.0 - kappa) * min(a, b)
+    return u, u * (mean - u) / ((a - u) * (u - b))
+
+
+def price_two_outcome_fair(a: float, b: float, rate: Rate) -> PriceResult:
+    """Closed-form price of a fair-coin game paying a or b (both > 0)."""
+    if not (a > 0 and b > 0):
+        raise InvariantViolation("closed form needs strictly positive payoffs")
+    u, t = _price_fair(a, b, rate.growth_factor(), KappaContext.from_rate(rate).kappa)
+    if t == 1.0:
+        return PriceResult(u, 1.0, REGIME_FULL, math.sqrt(a * b) / u)
     achieved = math.exp(_elg([a, b], [0.5, 0.5], u, t))
     return PriceResult(u, t, REGIME_INTERIOR, achieved)
 

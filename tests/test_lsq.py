@@ -438,7 +438,7 @@ def _cone_targets(rng, M):
 
 
 class TestIndependentGamesMatchLpAndNnls:
-    """The least-squares path for independent games against scipy references."""
+    """The NNLS detector on independent games against scipy references."""
 
     KINDS = ("constant", "zeros", "near_proportional", "wide_scale", "plain")
 
@@ -461,9 +461,9 @@ class TestIndependentGamesMatchLpAndNnls:
     def test_nearly_equal_games_on_a_constant_mix(self):
         # two games equal to within 1e-9 on the support of a constant mix: at
         # tol 1e-9 any split of weight between them is a constant mix, so the
-        # split is not determined. The LP, at condition numbers near 1e10,
-        # sometimes finds no mix at all; where it finds one, it can spread
-        # weight over both games where least squares puts it on one
+        # split is not determined, but the largest support is. The LP, at
+        # condition numbers near 1e10, sometimes finds no mix at all; where
+        # it finds one, its support is the detector's
         rng = np.random.default_rng(11)
         for _ in range(60):
             m = int(rng.integers(3, 7))
@@ -478,11 +478,11 @@ class TestIndependentGamesMatchLpAndNnls:
             assert np.ptp(M @ got[0].weights) <= 1e-9 * M.max()
             assert 2 in got[1] and {0, 1} & set(got[1])
             if ref is not None:
-                assert set(got[1]) <= set(ref[1])
+                assert got[1] == ref[1], M
 
 
 class TestDependentGames:
-    """More games than independent directions: the LP and NNLS fallback."""
+    """More games than independent directions: probes for the largest support."""
 
     S3 = OutcomeSpace([0.2, 0.3, 0.5])
 
@@ -570,18 +570,22 @@ class TestDependentGames:
     def test_cone_membership_never_loads_scipy(self):
         script = textwrap.dedent("""
             import sys
-            from gameprice import ConeBasis, Game, OutcomeSpace, check_constant_mix, in_cone
+            from gameprice import (ConeBasis, Game, OutcomeSpace, Rate, check_constant_mix,
+                                   check_linear_pricing, fair_coin, in_cone)
             space = OutcomeSpace([0.2, 0.3, 0.5])
             b = ConeBasis(space, [Game([1, 2, 3]), Game([2, 4, 6]), Game([5, 1, 1])])
+            coin = ConeBasis(fair_coin(), [Game([19, 1]), Game([10, 10]), Game([5, 5])])
+            b12 = ConeBasis(fair_coin(), [Game([19, 1]), Game([16, 4])])
             print(in_cone(b, Game([6, 3, 4])), in_cone(b, Game([4.9, 0.8, 0.7])),
-                  check_constant_mix(b), "scipy" in sys.modules)
+                  check_constant_mix(b), "".join(map(str, check_constant_mix(coin)[1])),
+                  check_linear_pricing(b12, Rate(0.05)), "scipy" in sys.modules)
         """)
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
         done = subprocess.run([sys.executable, "-c", script], env=env,
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
-        assert done.stdout.split() == ["True", "False", "None", "False"]
+        assert done.stdout.split() == ["True", "False", "None", "12", "True", "False"]
 
 
 class TestLinearPricingDetector:
@@ -593,6 +597,14 @@ class TestLinearPricingDetector:
 
     def test_singleton_trivially_linear(self):
         assert check_linear_pricing(basis((19, 1)), R05) is True
+
+    @pytest.mark.parametrize("games", [
+        ((1, 2, 3), (5, 1, 1)),
+        ((1, 2, 3), (2, 4, 6.5)),
+    ])
+    def test_three_outcome_pairs_are_not(self, games):
+        b = ConeBasis(OutcomeSpace([0.2, 0.3, 0.5]), [Game(g) for g in games])
+        assert check_linear_pricing(b, R05) is False
 
 
 class TestPriceInCone:

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from gameprice import (
@@ -123,6 +124,15 @@ class TestPutCallParity:
         rep = put_call_parity(Game([14, 10, 6]), space, 9.0, R05)
         assert not rep.degenerate
         assert abs(rep.residual) < 1e-7 * rep.strike
+
+    def test_three_outcome_strike_sweep_never_stalls(self):
+        # near the oracle's optimum the value's gain drowns in price noise;
+        # steps along a still-rising slope must count as progress there
+        space = OutcomeSpace([0.2, 0.5, 0.3])
+        for strike in np.linspace(7.0, 13.0, 13):
+            rep = put_call_parity(Game([14, 10, 6]), space, float(strike), R05)
+            assert not rep.degenerate
+            assert rep.solution.max_violation <= 1e-9, strike
 
     def test_strike_below_every_payoff_degenerates(self):
         rep = put_call_parity(Game([12, 8]), COIN, 5.0, R05)
