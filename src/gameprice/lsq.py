@@ -9,10 +9,12 @@ u_i + t_i (c_i - u_i). The worst-case ratio
 is <= 1 exactly when the adjusted prices admit no arbitrage. The solver finds
 the minimum-norm feasible t by cutting planes: every mix p induces the linear
 constraint sum_i p_i (c_i - u_i) t_i >= price(mix(p)) - sum_i p_i u_i, and
-L itself is the separation oracle. The oracle is projected gradient ascent
-on a concave reparametrization of the ratio; it stops only when the upper
-bound max_i dh/dy_i (Euler's identity plus concavity) is within 1e-10
-relative of its value. The min-norm subproblem is a least-distance program,
+L itself is the separation oracle. When some mix of the games pays a
+constant, t = 1 is the only feasible point on the games with c_i > u_i, so
+it is returned at once. The oracle is projected gradient ascent on a
+concave reparametrization of the ratio; it stops only when the upper bound
+max_i dh/dy_i (Euler's identity plus concavity) is within 1e-10 relative of
+its value. The min-norm subproblem is a least-distance program,
 solved exactly as one nonnegative least-squares (NNLS) problem by a numpy
 Lawson-Hanson active-set method. Every question about the cone the games
 span is the same NNLS: whether a game lies in it and with which
@@ -325,10 +327,7 @@ def _polish(prob: _LsqProblem, x_hat: np.ndarray, q_hat: np.ndarray, tol_L: floa
         return x
 
     try:
-        if len(free) == 1:
-            result = _polish_bisect(prob, pinned0, pinned1, free[0], q_hat)
-        else:
-            result = _polish_newton(prob, assemble, q_hat, x_hat, free)
+        result = _polish_newton(prob, assemble, q_hat, x_hat, free)
     except (PricingError, np.linalg.LinAlgError, ValueError):
         return None
     if result is None:
@@ -345,35 +344,6 @@ def _polish(prob: _LsqProblem, x_hat: np.ndarray, q_hat: np.ndarray, tol_L: floa
     if abs(prob.price_mix(q) / float(q @ adj) - 1.0) > abs(val - 1.0):
         q = p_best
     return x, q, val - 1.0
-
-
-def _polish_bisect(prob, pinned0, pinned1, i_free, q_hat):
-    """One free coordinate: its optimum is the smallest feasible value."""
-
-    def x_of(s: float) -> np.ndarray:
-        x = np.where(pinned1, 1.0, 0.0)
-        x[i_free] = s
-        return x
-
-    q_probe = q_hat.copy()
-    feas_tol = 1e-13
-
-    def feasible(s: float) -> bool:
-        nonlocal q_probe
-        val, q = prob.maximize(prob.adjusted(x_of(s)), q_probe)
-        q_probe = q
-        return val <= 1.0 + feas_tol
-
-    if feasible(0.0):
-        return x_of(0.0), q_probe
-    lo, hi = 0.0, 1.0
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            hi = mid
-        else:
-            lo = mid
-    return x_of(hi), q_probe
 
 
 def _polish_newton(prob, assemble, q_hat, x_hat, free):
@@ -490,34 +460,19 @@ def least_squares_prices(
 ) -> LsSolution:
     """Min-norm feasible coordinates and the prices they induce.
 
-    Iterates: solve the min-norm subproblem over the cuts collected so far,
-    ask the separation oracle (big_L) for the worst mix at the solution, stop
-    once the worst ratio is within tol_L of 1, else add the violated cut.
-    seed_mixes inject extra valid cuts up front (any mix yields one), which
-    changes the route but not the answer; use_fast_paths seeds the constant
-    mix when one exists.
+    With use_fast_paths, a constant mix (check_constant_mix) pins every
+    price at its ceiling: x is 1 wherever d = c - u > 0 and 0 elsewhere, and
+    one oracle call gives max_violation and the certificate. Otherwise the
+    solver iterates: solve the min-norm subproblem over the cuts collected
+    so far, ask the separation oracle (big_L) for the worst mix at the
+    solution, stop once the worst ratio is within tol_L of 1, else add the
+    violated cut, and finish with a KKT polish. seed_mixes inject extra
+    valid cuts up front (any mix yields one), which changes the route but
+    not the answer.
     """
     prob = _LsqProblem(basis, rate)
     n = prob.n
-    cuts: list[tuple[np.ndarray, float]] = []
-
-    def add_cut(p: np.ndarray, constant: bool = False) -> None:
-        a = p * prob.d
-        if float(np.max(a)) <= 0.0:
-            return  # degenerate direction: constraint is vacuous (b <= 0)
-        # price(mix(p)) <= p . c, so t = 1 meets every cut; the price solve's
-        # 1e-12 noise must not push b past it and empty the feasible set. A
-        # constant mix is priced at exactly p . c, so its cut pins t = 1
-        ceiling = float(a.sum())
-        if constant:
-            cuts.append((a, ceiling))
-        else:
-            cuts.append((a, min(prob.price_mix(p) - float(p @ prob.u), ceiling)))
-
-    if use_fast_paths:
-        found = check_constant_mix(basis)
-        if found is not None:
-            add_cut(found[0].weights, constant=True)
+    seeds = []
     for p in (seed_mixes if seed_mixes is not None else ()):
         weights = np.asarray(p, dtype=float)
         if weights.shape != (n,) or np.any(weights < 0.0):
@@ -525,7 +480,38 @@ def least_squares_prices(
         total = weights.sum()
         if total <= 0.0:
             raise InvariantViolation("seed mixes must not be all zero")
-        add_cut(weights / total)
+        seeds.append(weights / total)
+
+    def solution(x: np.ndarray, pstar: np.ndarray, violation: float, iterations: int):
+        return LsSolution(
+            x=x,
+            prices=prob.adjusted(x),
+            certificate=Mix(pstar),
+            norm=float(x @ x),
+            iterations=iterations,
+            max_violation=float(violation),
+            standalone=prob.u.copy(),
+            ceilings=prob.c.copy(),
+        )
+
+    if use_fast_paths and check_constant_mix(basis) is not None:
+        # every feasible point has x_i = 1 wherever d_i > 0 (check_constant_mix)
+        x = np.where(prob.d > 0.0, 1.0, 0.0)
+        val, pstar = prob.big_L(x)
+        return solution(x, pstar, val - 1.0, 1)
+
+    cuts: list[tuple[np.ndarray, float]] = []
+
+    def add_cut(p: np.ndarray) -> None:
+        a = p * prob.d
+        if float(np.max(a)) <= 0.0:
+            return  # degenerate direction: constraint is vacuous (b <= 0)
+        # price(mix(p)) <= p . c, so t = 1 meets every cut; the price solve's
+        # 1e-12 noise must not push b past it and empty the feasible set
+        cuts.append((a, min(prob.price_mix(p) - float(p @ prob.u), float(a.sum()))))
+
+    for p in seeds:
+        add_cut(p)
 
     x = np.zeros(n)
     violation = math.inf
@@ -566,17 +552,7 @@ def least_squares_prices(
     refined = _polish(prob, x, pstar, tol_L)
     if refined is not None:
         x, pstar, violation = refined
-    prices = prob.adjusted(x)
-    return LsSolution(
-        x=x,
-        prices=prices,
-        certificate=Mix(pstar),
-        norm=float(x @ x),
-        iterations=iterations,
-        max_violation=float(violation),
-        standalone=prob.u.copy(),
-        ceilings=prob.c.copy(),
-    )
+    return solution(x, pstar, violation, iterations)
 
 
 def check_constant_mix(
@@ -584,8 +560,13 @@ def check_constant_mix(
 ) -> Optional[tuple[Mix, tuple[int, ...]]]:
     """A mix with outcome-independent payoff, if one exists, with its support.
 
-    When found, every supported game's least-squares price is pinned to its
-    ceiling E/g. Payoffs are nonnegative and no game is all zero, so every
+    When found, every game's least-squares price is pinned to its ceiling
+    E/g, not only the supported ones. The mix pays some K > 0 and is priced
+    at K/g, its linear price at most, which pins the supported games. Adding
+    a small weight eps of any game a_i keeps the payoff K + eps a_i in the
+    full-investment regime, where the price's gradient in the payoffs is
+    probs / g, so L(t) <= 1 needs adjusted_i >= E_i / g to first order in
+    eps: t_i = 1. Payoffs are nonnegative and no game is all zero, so every
     constant mix is k / sum(k) for some k >= 0 with M k = 1: NNLS decides
     whether one exists. Its k can leave out a game that some other constant
     mix uses (dependent games, or games equal to within tol), so each game j
@@ -648,19 +629,19 @@ def check_linear_pricing(basis: ConeBasis, rate: Rate, *, tol: float = 1e-9) -> 
 def _cone_fit(M: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, float]:
     """Coefficients k >= 0 with M k closest to target, by NNLS, and how close.
 
-    The distance is |M k - target| (2-norm) over the target's largest payoff
-    (at least 1): every cone test compares it with its tol.
+    The distance is |M k - target| (2-norm) over the target's largest payoff,
+    which is positive because no game is all zero; scaling all payoffs
+    leaves the distance unchanged. Every cone test compares it with its tol.
     """
     k = _nnls(M, target)
-    scale = max(float(np.max(np.abs(target))), 1.0)
-    return k, float(np.linalg.norm(M @ k - target)) / scale
+    return k, float(np.linalg.norm(M @ k - target) / np.max(np.abs(target)))
 
 
 def cone_coordinates(basis: ConeBasis, game: Game, *, tol: float = 1e-9) -> np.ndarray:
     """Nonnegative coefficients representing a game in the basis, by NNLS.
 
     Raises BasisError when the game does not lie in the cone: the least
-    nonnegative residual exceeds tol of the game's largest payoff (at least 1).
+    nonnegative residual exceeds tol of the game's largest payoff.
     """
     k, residual = _cone_fit(basis.payoff_matrix(), game.payoffs)
     if residual > tol:
@@ -674,7 +655,7 @@ def in_cone(basis: ConeBasis, game: Game, *, tol: float = 1e-9) -> bool:
     """Whether a game is a nonnegative combination of the basis games.
 
     The same test as cone_coordinates: the least nonnegative residual
-    (2-norm, by NNLS) is within tol of the game's largest payoff (at least 1).
+    (2-norm, by NNLS) is within tol of the game's largest payoff.
     """
     return _cone_fit(basis.payoff_matrix(), game.payoffs)[1] <= tol
 

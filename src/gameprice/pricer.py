@@ -70,8 +70,11 @@ class KappaContext:
 
     @classmethod
     def from_rate(cls, rate: Rate) -> "KappaContext":
+        # the same value, without the cancellation that rounds kappa to 0
+        # once g > ~9.5e7
         g = rate.growth_factor()
-        return cls((1.0 - math.sqrt(1.0 - 1.0 / (g * g))) / 2.0)
+        q = 1.0 / (g * g)
+        return cls(q / (2.0 * (1.0 + math.sqrt(1.0 - q))))
 
 
 def max_proportion(game: Game, u: float) -> float:

@@ -81,6 +81,15 @@ class TestPriceCommand:
         u = float(out.split()[0].split("=")[1])
         assert u == pytest.approx(7.223641028417384, rel=1e-15)
 
+    def test_high_rate(self, capsys, intro):
+        rc, out, err = run(capsys, ["price", "--game", "A", "--rate", "20", intro])
+        assert rc == 0, err
+        assert out.strip() == "u=8.984e-09 t=1.000 regime=full"
+        rc, out, err = run(capsys, ["ls-price", "--rate", "20",
+                                    str(ROOT / "sample_games" / "example12.json")])
+        assert rc == 0, err
+        assert "certificate mix" in out
+
 
 class TestExitCodes:
     def test_missing_file_is_parse_error(self, capsys, tmp_path):

@@ -96,6 +96,14 @@ class TestReduceToBasis:
         assert b.games == (games[0], games[2])
         assert coords.ravel().tolist() == pytest.approx([1, 0, 2, 0, 0, 1], abs=1e-12)
 
+    @pytest.mark.parametrize("k", range(-6, 7))
+    def test_scaling_all_payoffs_keeps_the_same_games(self, k):
+        # the third game lies 3.3e-7 (relative) off the ray of the first
+        games = [Game(np.array(g) * 10.0 ** k)
+                 for g in ((1, 2, 3), (5, 1, 1), (1, 2, 3.000001))]
+        b, _ = reduce_to_basis(games, OutcomeSpace([0.2, 0.3, 0.5]))
+        assert b.n == 3
+
     def test_random_sets_with_planted_redundant_games(self):
         rng = np.random.default_rng(5)
         coin_sets = 0
@@ -312,6 +320,27 @@ class TestLeastSquaresPrices:
             assert sol_v.prices.tolist() == pytest.approx(
                 (v * sol.prices).tolist(), rel=1e-9
             )
+
+    def test_constant_mix_pins_every_game_at_its_ceiling(self):
+        # a constant mix plus a little of any game stays in the full-investment
+        # regime, where that game's marginal price is its ceiling: x = 1 exactly
+        rng = np.random.default_rng(11)
+        outside = 0
+        for _ in range(60):
+            b, _ = _random_full_rank_basis(rng, "constant")
+            support = check_constant_mix(b)[1]
+            sol = least_squares_prices(b, R05)
+            assert sol.iterations == 1
+            assert np.all(sol.x[sol.ceilings > sol.standalone] == 1.0)
+            assert sol.prices.tolist() == pytest.approx(sol.ceilings.tolist(), rel=1e-12)
+            assert abs(sol.max_violation) <= 1e-12
+            # minimality: lowering a game outside the support breaks L <= 1
+            for i in set(range(b.n)) - set(support):
+                outside += 1
+                t = sol.x.copy()
+                t[i] -= 1e-3
+                assert big_L(b, R05, t)[0] > 1.0, (b, i)
+        assert outside >= 10
 
     def test_json_schema_keys(self):
         doc = least_squares_prices(B13, R05).to_json_dict()

@@ -129,10 +129,15 @@ class TestPutCallParity:
         # near the oracle's optimum the value's gain drowns in price noise;
         # steps along a still-rising slope must count as progress there
         space = OutcomeSpace([0.2, 0.5, 0.3])
+        stock = np.array([14.0, 10.0, 6.0])
         for strike in np.linspace(7.0, 13.0, 13):
-            rep = put_call_parity(Game([14, 10, 6]), space, float(strike), R05)
+            rep = put_call_parity(Game(stock), space, float(strike), R05)
             assert not rep.degenerate
             assert rep.solution.max_violation <= 1e-9, strike
+            # put + covered = strike pins every price at its ceiling exactly
+            assert np.all(rep.solution.x == 1.0), (strike, rep.solution.x)
+            ceiling = space.probs @ np.maximum(stock - strike, 0.0) / R05.growth_factor()
+            assert rep.call_price == pytest.approx(ceiling, rel=1e-12), strike
 
     def test_strike_below_every_payoff_degenerates(self):
         rep = put_call_parity(Game([12, 8]), COIN, 5.0, R05)

@@ -61,7 +61,7 @@ class TestKappa:
         assert KappaContext.from_rate(R02S).kappa == pytest.approx(KAPPA_02S, rel=1e-14)
 
     def test_stays_below_half(self):
-        for r in (1e-6, 0.05, 0.5, 3.0):
+        for r in (1e-6, 0.05, 0.5, 3.0, 20.0, 100.0):
             k = KappaContext.from_rate(Rate(r)).kappa
             assert 0.0 < k < 0.5
 
