@@ -327,7 +327,13 @@ def _polish(prob: _LsqProblem, x_hat: np.ndarray, q_hat: np.ndarray, tol_L: floa
         return x
 
     try:
-        result = _polish_newton(prob, assemble, q_hat, x_hat, free)
+        # Newton's finite-difference Jacobian is near singular when the tight
+        # mix barely weights the free game; with one free coordinate,
+        # bisection on feasibility does not depend on that weight
+        if len(free) == 1:
+            result = _polish_bisect(prob, pinned0, pinned1, free[0], q_hat)
+        else:
+            result = _polish_newton(prob, assemble, q_hat, x_hat, free)
     except (PricingError, np.linalg.LinAlgError, ValueError):
         return None
     if result is None:
@@ -344,6 +350,35 @@ def _polish(prob: _LsqProblem, x_hat: np.ndarray, q_hat: np.ndarray, tol_L: floa
     if abs(prob.price_mix(q) / float(q @ adj) - 1.0) > abs(val - 1.0):
         q = p_best
     return x, q, val - 1.0
+
+
+def _polish_bisect(prob, pinned0, pinned1, i_free, q_hat):
+    """One free coordinate: its optimum is the smallest feasible value."""
+
+    def x_of(s: float) -> np.ndarray:
+        x = np.where(pinned1, 1.0, 0.0)
+        x[i_free] = s
+        return x
+
+    q_probe = q_hat.copy()
+    feas_tol = 1e-13
+
+    def feasible(s: float) -> bool:
+        nonlocal q_probe
+        val, q = prob.maximize(prob.adjusted(x_of(s)), q_probe)
+        q_probe = q
+        return val <= 1.0 + feas_tol
+
+    if feasible(0.0):
+        return x_of(0.0), q_probe
+    lo, hi = 0.0, 1.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if feasible(mid):
+            hi = mid
+        else:
+            lo = mid
+    return x_of(hi), q_probe
 
 
 def _polish_newton(prob, assemble, q_hat, x_hat, free):
@@ -456,19 +491,17 @@ def least_squares_prices(
     x_tol: float = DEFAULT_X_TOL,
     max_cuts: int = DEFAULT_MAX_CUTS,
     seed_mixes: Optional[Sequence[Sequence[float]]] = None,
-    use_fast_paths: bool = True,
 ) -> LsSolution:
     """Min-norm feasible coordinates and the prices they induce.
 
-    With use_fast_paths, a constant mix (check_constant_mix) pins every
-    price at its ceiling: x is 1 wherever d = c - u > 0 and 0 elsewhere, and
-    one oracle call gives max_violation and the certificate. Otherwise the
-    solver iterates: solve the min-norm subproblem over the cuts collected
-    so far, ask the separation oracle (big_L) for the worst mix at the
-    solution, stop once the worst ratio is within tol_L of 1, else add the
-    violated cut, and finish with a KKT polish. seed_mixes inject extra
-    valid cuts up front (any mix yields one), which changes the route but
-    not the answer.
+    A constant mix (check_constant_mix) pins every price at its ceiling:
+    x is 1 wherever d = c - u > 0 and 0 elsewhere, and one oracle call
+    gives max_violation and the certificate. Otherwise the solver iterates:
+    solve the min-norm subproblem over the cuts collected so far, ask the
+    separation oracle (big_L) for the worst mix at the solution, stop once
+    the worst ratio is within tol_L of 1, else add the violated cut, and
+    finish with a KKT polish. seed_mixes inject extra valid cuts up front
+    (any mix yields one), which changes the route but not the answer.
     """
     prob = _LsqProblem(basis, rate)
     n = prob.n
@@ -494,7 +527,7 @@ def least_squares_prices(
             ceilings=prob.c.copy(),
         )
 
-    if use_fast_paths and check_constant_mix(basis) is not None:
+    if check_constant_mix(basis) is not None:
         # every feasible point has x_i = 1 wherever d_i > 0 (check_constant_mix)
         x = np.where(prob.d > 0.0, 1.0, 0.0)
         val, pstar = prob.big_L(x)

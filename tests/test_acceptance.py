@@ -264,11 +264,9 @@ def _check_minimality(rng) -> bool:
 def _check_min_norm_uniqueness(rng) -> bool:
     basis = ConeBasis(COIN, [Game([12, 8]), Game([11, 9])])
     base = least_squares_prices(basis, R05)
-    for k in range(10):
+    for _ in range(10):
         mixes = rng.dirichlet(np.ones(2), size=3)
-        sol = least_squares_prices(
-            basis, R05, seed_mixes=mixes, use_fast_paths=(k % 2 == 0)
-        )
+        sol = least_squares_prices(basis, R05, seed_mixes=mixes)
         if float(np.max(np.abs(sol.x - base.x))) > 1e-7:
             return False
     return True

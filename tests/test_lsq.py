@@ -294,20 +294,21 @@ class TestLeastSquaresPrices:
                 assert sol.prices[i] <= sol.ceilings[i] + 1e-9
 
     def test_fast_path_consistency(self):
+        # a warm start with the tight cut and the single-game cuts changes
+        # the route, not the answer
         for b in (B11, B12, B13):
-            with_fp = least_squares_prices(b, R05, use_fast_paths=True)
-            without = least_squares_prices(b, R05, use_fast_paths=False)
-            assert np.max(np.abs(with_fp.prices - without.prices)) <= 1e-7
-            assert np.max(np.abs(with_fp.x - without.x)) <= 1e-7
+            cold = least_squares_prices(b, R05)
+            seeds = [cold.certificate.weights, *np.eye(b.n)]
+            warm = least_squares_prices(b, R05, seed_mixes=seeds)
+            assert np.max(np.abs(cold.prices - warm.prices)) <= 1e-7
+            assert np.max(np.abs(cold.x - warm.x)) <= 1e-7
 
     def test_unique_across_cut_orderings(self):
         rng = np.random.default_rng(42)
         base = least_squares_prices(B13, R05)
-        for k in range(10):
+        for _ in range(10):
             mixes = rng.dirichlet(np.ones(2), size=3)
-            sol = least_squares_prices(
-                B13, R05, seed_mixes=mixes, use_fast_paths=(k % 2 == 0)
-            )
+            sol = least_squares_prices(B13, R05, seed_mixes=mixes)
             assert np.max(np.abs(sol.x - base.x)) <= 1e-7
 
     def test_basis_rescaling_rescales_prices(self):
@@ -341,6 +342,25 @@ class TestLeastSquaresPrices:
                 t[i] -= 1e-3
                 assert big_L(b, R05, t)[0] > 1.0, (b, i)
         assert outside >= 10
+
+    def test_one_free_coordinate_with_a_light_tight_mix(self):
+        # the tight mix puts 7e-4 on game 1, the only free coordinate: the
+        # polish must bisect on it, where Newton on the stationarity system
+        # stalls at L - 1 = 2.4e-10 with x_1 5.8e-6 short. L(1, s, 1) - 1
+        # falls by 4.2e-5 per unit s near its root 0.99555884379, so the
+        # bisection's L <= 1 + 1e-13 stops 2.4e-9 below it
+        space = OutcomeSpace([0.19260668218462157, 0.38268946492998346,
+                              0.42470385288539486])
+        games = [
+            Game([16.519473978223758, 5.561914742826162, 5.18765198276563]),
+            Game([1.1989547071332123, 13.025124643794816, 0.630364597159615]),
+            Game([12.408997830948268, 14.045392493773656, 14.091032958410597]),
+        ]
+        rate = Rate(0.01)
+        sol = least_squares_prices(ConeBasis(space, games), rate)
+        assert sol.x[0] == 1.0 and sol.x[2] == 1.0
+        assert sol.x[1] == pytest.approx(0.99555884379, abs=1e-8)
+        assert abs(sol.max_violation) <= 1e-12
 
     def test_json_schema_keys(self):
         doc = least_squares_prices(B13, R05).to_json_dict()
