@@ -28,7 +28,7 @@ from .core import (
 )
 from .lsq import LsSolution, least_squares_prices, price_in_cone, reduce_to_basis
 from .portfolio import compare_mean_variance, put_call_parity
-from .pricer import REGIME_FULL, price_general
+from .pricer import REGIME_FULL, U_REL_TOL, price_general
 from .reference import run_checks
 from .simulate import SimConfig, simulate_growth, sweep_proportion, sweep_rows_csv
 
@@ -321,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("price", help="price one game")
     common(sp)
     sp.add_argument("--game", required=True, help="game name in the file")
-    sp.add_argument("--tol-price", type=_tolerance, default=1e-10,
+    sp.add_argument("--tol-price", type=_tolerance, default=U_REL_TOL,
                     help="relative tolerance of the price solver")
     sp.set_defaults(func=cmd_price)
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Literal, Sequence
 
@@ -120,6 +121,9 @@ class Game:
 
 Convention = Literal["continuous", "simple"]
 
+# largest continuous rate whose growth factor e^r is a finite float
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+
 
 @dataclass(frozen=True)
 class Rate:
@@ -137,6 +141,11 @@ class Rate:
             raise InvariantViolation("interest rate must be > 0")
         if self.convention not in ("continuous", "simple"):
             raise InvariantViolation(f"unknown convention {self.convention!r}")
+        if self.convention == "continuous" and self.value > _LOG_FLOAT_MAX:
+            raise InvariantViolation(
+                f"continuous rate {self.value!r} overflows the growth factor e^r "
+                f"(at most {_LOG_FLOAT_MAX:.6g})"
+            )
 
     def growth_factor(self) -> float:
         if self.convention == "continuous":
@@ -173,13 +182,25 @@ class Mix:
         return int(self.weights.size)
 
 
+def _ray_residual(a: np.ndarray, b: np.ndarray) -> float:
+    """Distance from b to the ray through a, over b's largest payoff.
+
+    The 2-norm of b minus its projection on a, which for nonnegative games is
+    the nonnegative least-squares fit reduce_to_basis tests; scaling both
+    games leaves it unchanged.
+    """
+    k = float(a @ b) / float(a @ a)
+    return float(np.linalg.norm(b - k * a) / np.max(np.abs(b)))
+
+
 @dataclass(frozen=True)
 class ConeBasis:
     """Ordered basis games over one shared outcome space.
 
     For n = 2 the basis property (neither game a nonnegative multiple of the
-    other) is checked exactly via payoff ratios; for n > 2 it is declared by
-    the caller.
+    other) is checked by the relative residual reduce_to_basis applies: the
+    pair is proportional when either game lies within 1e-9 of the other's
+    ray. For n > 2 it is declared by the caller.
     """
 
     space: OutcomeSpace
@@ -196,10 +217,7 @@ class ConeBasis:
                 )
         if len(games) == 2:
             a, b = games[0].payoffs, games[1].payoffs
-            # proportional payoffs <=> a_i*b_j - a_j*b_i = 0 for all i, j
-            cross = np.outer(a, b)
-            scale = max(float(np.max(np.abs(a))), float(np.max(np.abs(b))))
-            if np.max(np.abs(cross - cross.T)) <= 1e-12 * scale * scale:
+            if min(_ray_residual(a, b), _ray_residual(b, a)) <= 1e-9:
                 raise BasisError("the two games are proportional: not a basis")
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "games", games)

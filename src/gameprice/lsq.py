@@ -44,7 +44,7 @@ from .core import (
     Rate,
     is_fair_coin,
 )
-from .pricer import KappaContext, _price_fair, _price_numeric
+from .pricer import U_REL_TOL, KappaContext, _price_fair, _price_numeric
 
 DEFAULT_L_TOL = 1e-9
 DEFAULT_X_TOL = 1e-8
@@ -107,7 +107,9 @@ class _LsqProblem:
         """(price, proportion) of an arbitrary payoff vector on the space."""
         if self._fair and payoffs[0] > 0.0 and payoffs[1] > 0.0:
             return _price_fair(float(payoffs[0]), float(payoffs[1]), self.g, self._kappa)
-        u, t, _, _ = _price_numeric(payoffs.tolist(), self._probs_list, self.rate, 1e-12)
+        u, t, _, _ = _price_numeric(
+            payoffs.tolist(), self._probs_list, self.rate, U_REL_TOL
+        )
         return u, t
 
     def price_mix(self, p: np.ndarray) -> float:
@@ -182,10 +184,15 @@ class _LsqProblem:
                 bound_new = float(np.max(g_new))
                 # near the optimum value changes drown in price noise; a
                 # falling bound, or a slope still rising at y_new (the maximum
-                # along the step lies beyond it), still shows progress there
+                # along the step lies beyond it), still shows progress there.
+                # The slope is taken of g_new - val_new: y_new - y sums to 0
+                # only to rounding, which times g_new ~ val would swamp it
                 if val_new > val or (
                     val_new >= val * (1.0 - _PRICE_NOISE)
-                    and (bound_new < bound or float(g_new @ (y_new - y)) > 0.0)
+                    and (
+                        bound_new < bound
+                        or float((g_new - val_new) @ (y_new - y)) > 0.0
+                    )
                 ):
                     break
                 step *= 0.5
@@ -228,7 +235,9 @@ def _nnls(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     column whose own coefficient comes out nonpositive on entry is rejected
     for this round, and a step that reaches the boundary drops its blocking
     column explicitly: waiting for the stepped coefficient to round to zero
-    can cycle forever on nearly parallel columns.
+    can cycle forever on nearly parallel columns. Before stopping, a column
+    nearly parallel to the passive ones gets a second entry test, on the
+    residual it would remove (_orthogonal_entry).
     """
     norms = np.linalg.norm(A, axis=0)
     A = A / norms
@@ -243,12 +252,15 @@ def _nnls(A: np.ndarray, b: np.ndarray) -> np.ndarray:
         return z
 
     for _ in range(3 * n):
-        w = A.T @ (b - A @ x)
+        r = b - A @ x
+        w = A.T @ r
         w[passive] = -np.inf
         while True:
             j = int(np.argmax(w))
             if w[j] <= tol:
-                return x / norms
+                j = _orthogonal_entry(A, passive, r, w, tol)
+                if j is None:
+                    return x / norms
             passive[j] = True
             z = solve()
             if z[j] > 0.0:
@@ -265,6 +277,33 @@ def _nnls(A: np.ndarray, b: np.ndarray) -> np.ndarray:
             z = solve()
         x = z
     raise PricingError(f"NNLS iteration cap {3 * n} hit")
+
+
+def _orthogonal_entry(A, passive, r, w, tol):
+    """A column the gradient test w_j > tol misses, or None.
+
+    Only the part p_j of column a_j orthogonal to the passive columns can
+    reduce the residual r, by p_j . r / |p_j| per unit step, while
+    w_j = a_j . r shrinks with |p_j|. For a column nearly parallel to a
+    passive one, w_j drops below tol while the residual it would remove is
+    far above it. Returns the column with the largest such reduction above
+    tol and above the rounding of p_j's direction, eps |r| / |p_j|.
+    """
+    # w_j < -tol leaves no doubt, as in the gradient test: p_j . r has the
+    # sign of w_j when r is orthogonal to the passive columns
+    cand = np.flatnonzero(w >= -tol)
+    if cand.size == 0 or not passive.any():
+        return None
+    q = np.linalg.qr(A[:, passive])[0]
+    p = A[:, cand] - q @ (q.T @ A[:, cand])
+    p_norm = np.linalg.norm(p, axis=0)
+    keep = p_norm > 0.0
+    cand, p_norm = cand[keep], p_norm[keep]
+    gain = (p[:, keep].T @ r) / p_norm
+    floor = np.maximum(tol, 10.0 * np.finfo(float).eps * np.linalg.norm(r) / p_norm)
+    if not np.any(gain > floor):
+        return None
+    return int(cand[np.argmax(gain - floor)])
 
 
 def _min_norm_point(cuts, n: int) -> np.ndarray:

@@ -8,8 +8,11 @@ form; general finite games are solved from the simultaneous equations
     E[log(a_j * t/u - t + 1)] = log g        (growth at the optimum)
     E[(a_j - u) / (a_j t - u t + u)] = 0     (first-order condition in t)
 
-by nested bisection: the inner derivative is strictly decreasing in t, and
-the outer map u -> max-growth is strictly decreasing in u.
+by Newton's method on (u, t), with the exact Jacobian from the same pass
+over the outcomes. The price bracket [gm/g, E/g] safeguards it: the growth
+is concave in t, so each iterate narrows the bracket from whichever side
+its growth certifies, and a step that leaves the bracket is replaced by a
+bisection step.
 """
 
 from __future__ import annotations
@@ -37,11 +40,13 @@ REGIME_INTERIOR = "interior"
 
 Regime = Literal["full_investment", "interior"]
 
-# inner bisection on the proportion t
+# bisection on the proportion t in optimal_proportion
 T_TOL = 1e-12
-# outer bisection on the price u, relative
-U_REL_TOL = 1e-10
+# price solve, relative
+U_REL_TOL = 1e-12
 MAX_PRICE_ITER = 200
+# iterations after which every step of the price solve is a bisection step
+NEWTON_ITER = 40
 
 
 @dataclass(frozen=True)
@@ -194,11 +199,55 @@ def price_two_outcome_fair(a: float, b: float, rate: Rate) -> PriceResult:
     return PriceResult(u, t, REGIME_INTERIOR, achieved)
 
 
+def _growth_system(pay, pr, u, t):
+    """Growth, first-order condition and their Jacobian at (u, t), in one pass.
+
+    With D_j = u + t (a_j - u) it returns E[log(D/u)], f = E[(a - u)/D],
+    d growth/du = -(t/u) E[a/D], df/du = -E[a/D^2] and df/dt =
+    -E[(a - u)^2/D^2]; d growth/dt is f itself.
+    """
+    growth = f = s_a = s_a2 = s_d2 = 0.0
+    for a, p in zip(pay, pr):
+        d = a - u
+        inv = 1.0 / (u + t * d)
+        q = p * inv
+        growth += p * math.log1p(t * d / u)
+        f += q * d
+        s_a += q * a
+        s_a2 += q * a * inv
+        s_d2 += q * d * d * inv
+    return growth, f, -t * s_a / u, -s_a2, -s_d2
+
+
+def _inside(a_min, u, t):
+    """Whether 0 < t and every log argument u + t (a_j - u) is positive."""
+    return t > 0.0 and u * (1.0 - t) + t * a_min > 0.0
+
+
+def _newton_start(pay, pr, mean, log_g, lo, hi):
+    """Starting (u, t) for the price solve.
+
+    To second order in t the best growth at price u is
+    (E - u)^2 / (2 E[(a - u)^2]), reached at t = u (E - u) / E[(a - u)^2];
+    setting it to log g < 1/2 gives u = E - sqrt(2 log g Var / (1 - 2 log g)).
+    Otherwise, or when that u is not above lo (high rates, payoffs over many
+    orders of magnitude), the start is (lo, 1/2).
+    """
+    var = sum(p * (a - mean) ** 2 for a, p in zip(pay, pr))
+    if log_g < 0.5:
+        u = mean - math.sqrt(2.0 * log_g * var / (1.0 - 2.0 * log_g))
+        if u > lo:
+            u = min(u, hi - 1e-6 * (hi - lo))
+            return u, u * (mean - u) / (var + (mean - u) ** 2)
+    return lo, 0.5
+
+
 def _price_numeric(pay, pr, rate: Rate, rel_tol):
     g = rate.growth_factor()
     log_g = rate.log_growth_factor()
     mean = sum(p * a for a, p in zip(pay, pr))
-    if min(pay) > 0.0:
+    a_min = min(pay)
+    if a_min > 0.0:
         gm = math.exp(sum(p * math.log(a) for a, p in zip(pay, pr)))
         hm = 1.0 / sum(p / a for a, p in zip(pay, pr))
     else:
@@ -206,26 +255,63 @@ def _price_numeric(pay, pr, rate: Rate, rel_tol):
     if gm > 0.0 and gm / g <= hm * (1.0 + 1e-14):
         u = gm / g
         return u, 1.0, REGIME_FULL, gm / u
+    # The best growth over t is at least log g at lo when gm > 0 (t = 1) and
+    # at most log g at hi (Jensen). With a zero payoff lo is a guess: a price
+    # below it leaves the solve unconverged. In between, the regime is
+    # interior, so the best growth is attained at some t < 1.
     lo = gm / g if gm > 0.0 else mean * 1e-9
     hi = mean / g
-    g_lo = _opt_t(pay, pr, lo)[1]
-    g_hi = _opt_t(pay, pr, hi)[1]
-    if not (g_lo >= log_g - 1e-12 and g_hi <= log_g + 1e-9):
-        raise PricingError(
-            "internal error: price bracket invalid "
-            f"(growth at {lo!r} is {g_lo!r}, at {hi!r} is {g_hi!r}, target {log_g!r})"
-        )
-    for _ in range(MAX_PRICE_ITER):
-        if hi - lo <= rel_tol * hi:
-            break
-        mid = 0.5 * (lo + hi)
-        if _opt_t(pay, pr, mid)[1] > log_g:
-            lo = mid
-        else:
-            hi = mid
-    u = 0.5 * (lo + hi)
-    t, logv = _opt_t(pay, pr, u)
-    return u, t, REGIME_INTERIOR, math.exp(logv)
+    tol = max(rel_tol, 4.0 * np.finfo(float).eps)
+    u, t = _newton_start(pay, pr, mean, log_g, lo, hi)
+    while not _inside(a_min, u, t):
+        t *= 0.5
+    for it in range(MAX_PRICE_ITER):
+        growth, f, gu, fu, ft = _growth_system(pay, pr, u, t)
+        gap = growth - log_g
+        # growth is concave in t, so the best growth at u lies between growth
+        # and growth + f (s - t) maximized over s in [0, 1]
+        if gap >= 0.0:
+            lo = u
+        elif gap + (f * (1.0 - t) if f > 0.0 else -f * t) < 0.0:
+            hi = u
+        det = gu * ft - f * fu
+        bisect = True
+        if det != 0.0:
+            du = (f * f - gap * ft) / det
+            dt = (gap * fu - f * gu) / det
+            # t moves with u as dt*/du = -fu/ft: its step is measured in the
+            # units of a relative step in u
+            if abs(du) <= tol * u and abs(dt) <= tol * max(1.0, u * fu / ft):
+                u += du
+                t += dt
+                return u, t, REGIME_INTERIOR, math.exp(_elg(pay, pr, u, t))
+            bisect = it >= NEWTON_ITER or not (math.isfinite(du) and math.isfinite(dt))
+        if not bisect:
+            # damped step, multiplicative in u; the cap keeps exp finite
+            lam = 1.0
+            while True:
+                u_new = u * math.exp(min(lam * du / u, 50.0))
+                t_new = t + lam * dt
+                if _inside(a_min, u_new, t_new):
+                    break
+                lam *= 0.5
+            bisect = not lo < u_new < hi
+        if bisect:
+            # bisect the bracket, with a Newton step in t alone: the best t
+            # lies in (0, 1), where every log argument is positive
+            u_new = 0.5 * (lo + hi)
+            t_new = t - f / ft
+            if t_new <= 0.0:
+                t_new = 0.5 * min(t, 1.0)
+            elif t_new >= 1.0:
+                t_new = 0.5 * (min(t, 1.0) + 1.0)
+            while not _inside(a_min, u_new, t_new):
+                t_new *= 0.5
+        u, t = u_new, t_new
+    raise PricingError(
+        f"internal error: price solve did not converge in {MAX_PRICE_ITER} "
+        f"iterations (bracket [{lo!r}, {hi!r}], target growth {log_g!r})"
+    )
 
 
 def price_general(

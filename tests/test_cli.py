@@ -120,6 +120,12 @@ class TestExitCodes:
         assert rc == 3
         assert "nonnegative" in err
 
+    def test_overflowing_rate_is_an_invariant_violation(self, capsys, intro):
+        rc, out, err = run(capsys, ["price", intro, "--game", "A", "--rate", "710"])
+        assert rc == 3
+        assert out == ""
+        assert err.count("\n") == 1 and "overflows" in err
+
     def test_degenerate_basis_exit_code(self, capsys, tmp_path):
         path = tmp_path / "prop.json"
         path.write_text(json.dumps({
@@ -263,6 +269,31 @@ class TestLsPriceCommand:
         price_a = float(lines[0].split("ls=")[1].split()[0])
         price_b = float(lines[2].split("ls=")[1].split()[0])
         assert price_b == pytest.approx(2.0 * price_a, rel=1e-12)
+
+    def test_pair_far_apart_in_scale(self, capsys, tmp_path):
+        path = tmp_path / "scales.json"
+        path.write_text(json.dumps({
+            "probabilities": [0.5, 0.5],
+            "games": {"A": [1, 1], "B": [10000, 10000.00005]},
+            "rate": {"value": 0.05},
+        }))
+        rc, out, err = run(capsys, ["ls-price", str(path), "--format", "csv"])
+        assert rc == 0, err
+        assert [row.split(",")[0] for row in out.splitlines()[1:]] == ["A", "B"]
+
+    @pytest.mark.parametrize(
+        "path", sorted((ROOT / "sample_games").glob("*.json")), ids=lambda p: p.name)
+    def test_standalone_prices_equal_the_price_command(self, capsys, path):
+        rc, out, err = run(capsys, ["ls-price", str(path), "--format", "csv"])
+        assert rc == 0, err
+        rows = [row.split(",") for row in out.splitlines()[1:]]
+        assert rows
+        for name, standalone, _, _ in rows:
+            rc, out, err = run(capsys, ["price", str(path), "--game", name,
+                                        "--format", "json"])
+            assert rc == 0, err
+            price = json.loads(out)["price"]
+            assert float(standalone) == pytest.approx(price, rel=1e-12), name
 
     def test_singleton(self, capsys, tmp_path):
         path = tmp_path / "one.json"

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -75,6 +76,15 @@ class TestRate:
         with pytest.raises(InvariantViolation):
             Rate(0.05, "weekly")
 
+    def test_rejects_a_continuous_rate_whose_growth_factor_overflows(self):
+        top = math.log(sys.float_info.max)
+        assert math.isfinite(Rate(top).growth_factor())
+        with pytest.raises(InvariantViolation, match="overflows"):
+            Rate(710.0)
+        with pytest.raises(InvariantViolation, match="overflows"):
+            Rate(math.nextafter(top, math.inf))
+        assert Rate(710.0, "simple").growth_factor() == 711.0
+
 
 class TestMixAndBasis:
     def test_mix_validates_simplex(self):
@@ -86,6 +96,36 @@ class TestMixAndBasis:
     def test_proportional_pair_is_not_a_basis(self):
         with pytest.raises(BasisError):
             ConeBasis(COIN, [Game([2, 2]), Game([5, 5])])
+
+    def test_pair_far_apart_in_scale_is_a_basis(self):
+        # B lies 3.5e-9 of its size off A's ray: reduce_to_basis keeps both
+        b = ConeBasis(COIN, [Game([1, 1]), Game([10000, 10000.00005])])
+        assert b.n == 2
+        with pytest.raises(BasisError):
+            ConeBasis(COIN, [Game([1, 1]), Game([10000, 10000.000005])])
+
+    def test_pair_verdict_is_scale_invariant(self):
+        rng = np.random.default_rng(8)
+        verdicts = []
+        for trial in range(120):
+            m = int(rng.integers(2, 6))
+            a = rng.uniform(0.5, 20.0, m)
+            # exact multiples, pairs 1e-11 and 1e-7 off proportional, unrelated
+            off = (0.0, 1e-11, 1e-7, 1.0)[trial % 4]
+            b = a * rng.uniform(0.01, 100.0) * (1.0 + off * rng.uniform(-1.0, 1.0, m))
+            if off == 1.0:
+                b = rng.uniform(0.5, 20.0, m)
+            space = OutcomeSpace(np.full(m, 1.0 / m))
+            verdict = set()
+            for k in range(-6, 7):
+                try:
+                    ConeBasis(space, [Game(a * 10.0**k), Game(b * 10.0**k)])
+                    verdict.add(True)
+                except BasisError:
+                    verdict.add(False)
+            assert len(verdict) == 1, (a, b)
+            verdicts.append(verdict.pop())
+        assert verdicts.count(True) >= 50 and verdicts.count(False) >= 50
 
     def test_dimension_mismatch(self):
         with pytest.raises(InvariantViolation):

@@ -453,12 +453,13 @@ def _random_full_rank_basis(rng, kind):
         elif kind == "zeros":
             M[rng.random((m, n)) < 0.3] = 0.0
         elif kind == "near_proportional" and n >= 2:
-            M[:, 1] = M[:, 0] * rng.uniform(0.5, 2.0) * (1.0 + 1e-9 * rng.uniform(-1, 1, m))
+            # about ten times the 1e-9 residual at which a pair is proportional
+            M[:, 1] = M[:, 0] * rng.uniform(0.5, 2.0) * (1.0 + 1e-8 * rng.uniform(-1, 1, m))
         elif kind == "wide_scale":
             M *= 10.0 ** rng.uniform(-4.0, 4.0, (1, n) if rng.random() < 0.5 else (m, n))
         if np.any(M.max(axis=0) <= 0.0) or np.linalg.matrix_rank(M) < n:
             continue
-        try:  # a pair closer than 1e-12 is rejected as proportional
+        try:  # a pair within 1e-9 relative of proportional is not a basis
             b = ConeBasis(OutcomeSpace(np.full(m, 1.0 / m)), [Game(c) for c in M.T])
         except BasisError:
             continue
@@ -753,6 +754,30 @@ class TestMinNormSubproblem:
                     compared += 1
                     assert np.max(np.abs(x - ref)) <= 1e-10, cuts
         assert compared >= 190
+
+    def test_nearly_parallel_columns_reach_the_cone(self):
+        # two games 1e-9 to 1e-6 off proportional that still form a basis:
+        # once one enters, the other's gradient a_j . r is below any
+        # tolerance while the residual it removes is ~1e-9 of the target
+        from scipy.optimize import nnls
+
+        rng = np.random.default_rng(12)
+        checked = 0
+        for _ in range(400):
+            m = int(rng.integers(2, 7))
+            M = rng.uniform(0.5, 20.0, (m, 2))
+            off = 10.0 ** rng.uniform(-9.0, -6.0)
+            M[:, 1] = M[:, 0] * rng.uniform(0.5, 2.0) * (1.0 + off * rng.uniform(-1, 1, m))
+            try:
+                b = ConeBasis(OutcomeSpace(np.full(m, 1.0 / m)), [Game(c) for c in M.T])
+            except BasisError:
+                continue
+            for k in ([1.0, 0.0], [0.0, 1.0], rng.uniform(0.1, 2.0, 2)):
+                target = M @ np.asarray(k)
+                assert in_cone(b, Game(target)), (M, k)
+                assert nnls(M, target)[1] <= 1e-9 * float(target.max())
+                checked += 1
+        assert checked >= 600
 
     def test_nnls_residual_matches_scipy(self):
         from scipy.optimize import nnls

@@ -29,7 +29,9 @@ from gameprice import (
     st_petersburg,
     truncate_series,
 )
-from gameprice.pricer import REGIME_FULL, REGIME_INTERIOR
+from gameprice import pricer
+from gameprice.core import PricingError
+from gameprice.pricer import REGIME_FULL, REGIME_INTERIOR, _opt_t, _price_numeric
 
 R05 = Rate(0.05)
 R02S = Rate(0.02, "simple")
@@ -319,3 +321,158 @@ def test_concavity_in_mix():
 
         blend = alpha * p + (1.0 - alpha) * q
         assert u_of(blend) >= alpha * u_of(p) + (1.0 - alpha) * u_of(q) - 1e-9
+
+
+# ---------------------------------------------------------------------------
+# The numeric price against the nested bisection it replaced
+# ---------------------------------------------------------------------------
+
+
+def _bisection_price(pay, pr, rate, rel_tol=1e-14):
+    """Reference solver: bisection on u, each step maximizing growth over t by
+    bisection (_opt_t), in the bracket [gm/g, E/g]. About 40 x 40 sweeps."""
+    g = rate.growth_factor()
+    log_g = rate.log_growth_factor()
+    mean = sum(p * a for a, p in zip(pay, pr))
+    if min(pay) > 0.0:
+        gm = math.exp(sum(p * math.log(a) for a, p in zip(pay, pr)))
+        hm = 1.0 / sum(p / a for a, p in zip(pay, pr))
+    else:
+        gm, hm = 0.0, 0.0
+    if gm > 0.0 and gm / g <= hm * (1.0 + 1e-14):
+        return gm / g, 1.0, REGIME_FULL, g
+    lo = gm / g if gm > 0.0 else mean * 1e-9
+    hi = mean / g
+    if not (_opt_t(pay, pr, lo)[1] >= log_g - 1e-12 and _opt_t(pay, pr, hi)[1] <= log_g + 1e-9):
+        raise PricingError("price bracket invalid")
+    for _ in range(200):
+        if hi - lo <= rel_tol * hi:
+            break
+        mid = 0.5 * (lo + hi)
+        if _opt_t(pay, pr, mid)[1] > log_g:
+            lo = mid
+        else:
+            hi = mid
+    u = 0.5 * (lo + hi)
+    t, logv = _opt_t(pay, pr, u)
+    return u, t, REGIME_INTERIOR, math.exp(logv)
+
+
+def _agrees_with_bisection(pay, pr, rate):
+    """Assert the Newton price matches the reference; return its regime."""
+    pay = [float(a) for a in pay]
+    pr = [float(p) for p in np.asarray(pr) / np.sum(pr)]
+    u_ref, t_ref, regime_ref, _ = _bisection_price(pay, pr, rate)
+    res = price_general(Game(pay), OutcomeSpace(pr), rate, force_numeric=True)
+    case = (pay, pr, rate)
+    assert res.regime == regime_ref, case
+    assert res.price == pytest.approx(u_ref, rel=1e-11), case
+    assert res.proportion == pytest.approx(t_ref, abs=1e-10), case
+    assert abs(math.log(res.achieved_growth) - rate.log_growth_factor()) <= 1e-12, case
+    return res.regime
+
+
+def _random_probs(rng, m):
+    w = rng.uniform(0.1, 1.0, m)
+    return w / w.sum()
+
+
+class TestNewtonPrice:
+    @pytest.mark.parametrize("m", [2, 3, 5, 50])
+    def test_outcome_counts(self, m):
+        rng = np.random.default_rng(100 + m)
+        regimes = [
+            _agrees_with_bisection(rng.uniform(0.2, 50.0, m), _random_probs(rng, m), Rate(r))
+            for r in (0.005, 0.02, 0.05, 0.2) * 3
+        ]
+        assert regimes.count(REGIME_INTERIOR) >= 6
+
+    @pytest.mark.parametrize("m", [2, 3, 5])
+    def test_a_zero_payoff(self, m):
+        rng = np.random.default_rng(200 + m)
+        for r in (0.01, 0.05, 0.2) * 4:
+            pay = rng.uniform(0.2, 50.0, m)
+            pay[rng.integers(m)] = 0.0
+            assert _agrees_with_bisection(pay, _random_probs(rng, m), Rate(r)) == REGIME_INTERIOR
+
+    @pytest.mark.parametrize("r", [0.05, 20.0])
+    def test_payoffs_from_1e_minus_6_to_1e6(self, r):
+        # at r = 20, g = 4.9e8: interior only because gm/hm exceeds g, which
+        # needs weight 0.03-0.15 on the payoff 1e-6 and most of the rest on 1e6
+        rng = np.random.default_rng(300)
+        regimes = []
+        for m in (2, 3, 5) * 4:
+            pay = 10.0 ** rng.uniform(-6.0, 6.0, m)
+            pay[0], pay[-1] = 1e-6, 1e6
+            pr = rng.uniform(0.01, 0.05, m)
+            pr[0] = rng.uniform(0.03, 0.15)
+            pr[-1] = 1.0 - pr[:-1].sum()
+            regimes.append(_agrees_with_bisection(pay, pr, Rate(r)))
+        assert regimes.count(REGIME_INTERIOR) >= 6
+
+    def test_growth_factor_close_to_one(self):
+        # payoffs at least a factor 2 apart: t is ill-conditioned in u when
+        # the game is nearly constant, and no reference pins it to 1e-10
+        rng = np.random.default_rng(400)
+        for m in (2, 3, 5) * 4:
+            pay = rng.uniform(1.0, 50.0, m)
+            pay[0], pay[-1] = 1.0, 2.0 * max(pay)
+            regime = _agrees_with_bisection(pay, _random_probs(rng, m), Rate(1e-8))
+            assert regime == REGIME_INTERIOR
+
+    @pytest.mark.parametrize("delta", [1e-3, 1e-6, 1e-9])
+    def test_a_hair_inside_the_regime_boundary(self, delta):
+        # g = (1 - delta) gm/hm puts gm/g just above hm: u near gm/g, t near 1
+        rng = np.random.default_rng(500)
+        for m in (2, 3, 5) * 3:
+            pay = rng.uniform(0.5, 50.0, m)
+            pr = _random_probs(rng, m)
+            gm = math.exp(float(pr @ np.log(pay)))
+            hm = 1.0 / float(pr @ (1.0 / pay))
+            rate = Rate(math.log(gm / hm) + math.log1p(-delta))
+            assert _agrees_with_bisection(pay, pr, rate) == REGIME_INTERIOR
+
+    def test_a_start_that_newton_overshoots_falls_back_to_bisection(self, monkeypatch):
+        pay, pr, rate = [19.0, 1.0], [0.5, 0.5], R05
+        g = rate.growth_factor()
+        lo = math.exp(0.5 * math.log(19.0)) / g
+        hi = 10.0 / g
+        start = (hi * (1.0 - 1e-9), 0.999)
+        monkeypatch.setattr(pricer, "_newton_start", lambda *args: start)
+        iterates = []
+        system = pricer._growth_system
+
+        def recorded(pay, pr, u, t):
+            iterates.append(u)
+            return system(pay, pr, u, t)
+
+        monkeypatch.setattr(pricer, "_growth_system", recorded)
+        u, t, regime, achieved = _price_numeric(pay, pr, rate, 1e-12)
+        # the Newton step from the start leaves the bracket; the next iterate
+        # is its midpoint, with either end possibly moved to the start
+        midpoints = [0.5 * (lo + hi), 0.5 * (lo + start[0]), 0.5 * (start[0] + hi)]
+        assert any(iterates[1] == pytest.approx(m, rel=1e-13) for m in midpoints)
+        assert u == pytest.approx(U_GAME_A, rel=1e-13)
+        assert t == pytest.approx(T_GAME_A, abs=1e-12)
+        assert regime == REGIME_INTERIOR
+        assert achieved == pytest.approx(G, rel=1e-14)
+
+    def test_bisection_alone_converges(self, monkeypatch):
+        # with no Newton iterations allowed every step bisects the bracket,
+        # the path taken once NEWTON_ITER steps have not converged
+        monkeypatch.setattr(pricer, "NEWTON_ITER", 0)
+        for pay, pr in (([19.0, 1.0], [0.5, 0.5]), ([0.0, 3.0, 7.0], [0.2, 0.5, 0.3])):
+            u_ref, t_ref, _, _ = _bisection_price(pay, pr, R05)
+            u, t, regime, _ = _price_numeric(pay, pr, R05, 1e-12)
+            assert regime == REGIME_INTERIOR
+            assert u == pytest.approx(u_ref, rel=1e-11)
+            assert t == pytest.approx(t_ref, abs=1e-10)
+
+    def test_a_price_below_the_zero_payoff_bracket_raises(self):
+        # with a zero payoff the bracket starts at E * 1e-9; at r = 20 the
+        # price of this game lies below it, in both solvers
+        pay, pr, rate = [0.0, 1.0], [0.9, 0.1], Rate(20.0)
+        with pytest.raises(PricingError):
+            _bisection_price(pay, pr, rate)
+        with pytest.raises(PricingError, match="did not converge"):
+            _price_numeric(pay, pr, rate, 1e-12)
