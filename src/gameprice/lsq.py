@@ -9,14 +9,20 @@ u_i + t_i (c_i - u_i). The worst-case ratio
 is <= 1 exactly when the adjusted prices admit no arbitrage. The solver finds
 the minimum-norm feasible t by cutting planes: every mix p induces the linear
 constraint sum_i p_i (c_i - u_i) t_i >= price(mix(p)) - sum_i p_i u_i, and
-L itself is the separation oracle. When some mix of the games pays a
-constant, t = 1 is the only feasible point on the games with c_i > u_i, so
-it is returned at once. The oracle is projected gradient ascent on a
-concave reparametrization of the ratio; it stops only when the upper bound
-max_i dh/dy_i (Euler's identity plus concavity) is within 1e-10 relative of
-its value. The min-norm subproblem is a least-distance program,
-solved exactly as one nonnegative least-squares (NNLS) problem by a numpy
-Lawson-Hanson active-set method. Every question about the cone the games
+L itself is the separation oracle. Cutting planes converge only linearly on
+the curved boundary of {L <= 1}, so at the first iterate with L - 1 <= 1e-4
+the solver hands over to a KKT polish (Newton on the stationarity system).
+Its point is returned when it is certified: L <= 1 + tol_L by the oracle,
+and every coordinate held at 1 has a nonnegative bound multiplier. Else the
+cutting planes go on to tol_L and the polish runs once more. When some mix
+of the games pays a constant, t = 1 is the only feasible point on the games
+with c_i > u_i, so it is returned at once. LsSolution.termination says
+which way a solve ended. The oracle is projected gradient ascent on a
+concave reparametrization of the ratio, run on plain Python floats; it
+stops only when the upper bound max_i dh/dy_i (Euler's identity plus
+concavity) is within 1e-10 relative of its value. The min-norm subproblem
+is a least-distance program, solved exactly as one nonnegative
+least-squares (NNLS) problem by a numpy Lawson-Hanson active-set method. Every question about the cone the games
 span is the same NNLS: whether a game lies in it and with which
 coefficients, which games are its extreme rays, and whether some mix pays a
 constant, with the largest support such a mix can have. Prices are linear
@@ -28,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Literal, Optional, Sequence
 
 import numpy as np
 
@@ -54,7 +60,14 @@ DEFAULT_MAX_CUTS = 10_000
 ORACLE_GAP = 1e-10
 # relative value changes below this are noise of the 1e-12 price solve
 _PRICE_NOISE = 1e-12
+# the cutting planes hand over to the KKT polish at the first L - 1 below this
+_HANDOFF_L = 1e-4
+# a bound multiplier mu q_i d_i - 1 above -_MULTIPLIER_TOL counts as >= 0
+_MULTIPLIER_TOL = 1e-9
 _ORACLE_MAX_ITER = 500
+
+
+Termination = Literal["constant_mix", "polished", "tol", "stalled"]
 
 
 @dataclass(frozen=True)
@@ -63,6 +76,11 @@ class LsSolution:
 
     certificate is a mix whose stand-alone price equals its linear price at
     the solution; max_violation is the final L - 1 seen by the solver.
+    termination says how the solve ended: "constant_mix" (x pinned by a
+    constant mix), "polished" (the KKT polish was accepted), "tol" (the
+    cutting planes reached tol_L and the polish was rejected) or "stalled"
+    (x stopped moving before L - 1 reached tol_L; max_violation says by how
+    much it missed).
     """
 
     x: np.ndarray
@@ -73,6 +91,7 @@ class LsSolution:
     max_violation: float
     standalone: np.ndarray
     ceilings: np.ndarray
+    termination: Termination
 
     def to_json_dict(self) -> dict:
         return {
@@ -94,26 +113,28 @@ class _LsqProblem:
         self.M = basis.payoff_matrix()
         self.probs = self.space.probs
         self._probs_list = self.probs.tolist()
+        # the oracle's hot loop runs on plain floats (numpy overhead dominates
+        # at these sizes): payoff rows for M p, columns for M^T dprice
+        self._rows = self.M.tolist()
+        self._cols = self.M.T.tolist()
         self.g = rate.growth_factor()
         self._fair = is_fair_coin(self.space)
         self._kappa = KappaContext.from_rate(rate).kappa
         self.n = basis.n
-        self.u = np.array([self.price_full(g.payoffs)[0] for g in basis.games])
+        self.u = np.array([self.price_full(g.payoffs.tolist())[0] for g in basis.games])
         self.c = (self.probs @ self.M) / self.g
         self.d = np.maximum(self.c - self.u, 0.0)
         self.scale = float(np.max(self.c))
 
-    def price_full(self, payoffs: np.ndarray) -> tuple[float, float]:
-        """(price, proportion) of an arbitrary payoff vector on the space."""
+    def price_full(self, payoffs: list[float]) -> tuple[float, float]:
+        """(price, proportion) of an arbitrary payoff list on the space."""
         if self._fair and payoffs[0] > 0.0 and payoffs[1] > 0.0:
-            return _price_fair(float(payoffs[0]), float(payoffs[1]), self.g, self._kappa)
-        u, t, _, _ = _price_numeric(
-            payoffs.tolist(), self._probs_list, self.rate, U_REL_TOL
-        )
+            return _price_fair(payoffs[0], payoffs[1], self.g, self._kappa)
+        u, t, _, _ = _price_numeric(payoffs, self._probs_list, self.rate, U_REL_TOL)
         return u, t
 
     def price_mix(self, p: np.ndarray) -> float:
-        return self.price_full(self.M @ p)[0]
+        return self.price_full((self.M @ p).tolist())[0]
 
     def adjusted(self, t: np.ndarray) -> np.ndarray:
         return self.u + t * self.d
@@ -121,21 +142,26 @@ class _LsqProblem:
     def ratio(self, t: np.ndarray, p: np.ndarray) -> float:
         return self.price_mix(p) / float(p @ self.adjusted(t))
 
-    def value_grad(self, p: np.ndarray) -> tuple[float, np.ndarray]:
+    def _mix_value_grad(self, p: list[float]) -> tuple[float, list[float]]:
         """Mix price at p and its gradient in p, from one price solve.
 
         The gradient is d price / d payoff_j by the envelope theorem at the
         solved (u, t), mapped back to the mix weights through M.
         """
-        payoffs = self.M @ p
+        payoffs = [sum(a * w for a, w in zip(row, p)) for row in self._rows]
         u, t = self.price_full(payoffs)
         if t >= 1.0 - 1e-13:
-            dprice = u * self.probs / payoffs
+            dprice = [q * u / a for q, a in zip(self._probs_list, payoffs)]
         else:
-            den = payoffs * t - u * t + u
-            w = float(np.sum(self.probs * payoffs / den))
-            dprice = self.probs * u / (den * w)
-        return u, self.M.T @ dprice
+            den = [a * t - u * t + u for a in payoffs]
+            w = sum(q * a / v for q, a, v in zip(self._probs_list, payoffs, den))
+            dprice = [q * u / (v * w) for q, v in zip(self._probs_list, den)]
+        return u, [sum(a * dp for a, dp in zip(col, dprice)) for col in self._cols]
+
+    def value_grad(self, p: np.ndarray) -> tuple[float, np.ndarray]:
+        """_mix_value_grad on arrays, for the polish."""
+        u, grad = self._mix_value_grad(p.tolist())
+        return u, np.array(grad)
 
     def ratio_grad(self, p: np.ndarray, adj: np.ndarray) -> tuple[float, np.ndarray]:
         """price(mix(p)) / (p . adj) and its gradient with respect to p."""
@@ -156,32 +182,37 @@ class _LsqProblem:
         grad h . y = h and concavity give max h <= max_i dh/dy_i; projected
         gradient ascent with Barzilai-Borwein steps runs until that bound is
         within ORACLE_GAP of the value, and raises PricingError otherwise.
+        The ascent runs on plain floats.
         """
+        adj = adj.tolist()
 
-        def evaluate(y: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-            p = y / adj
-            p /= p.sum()
-            price, grad = self.value_grad(p)
-            return price / float(p @ adj), grad / adj, p
+        def evaluate(y: list[float]) -> tuple[float, list[float], list[float]]:
+            p = [yi / ai for yi, ai in zip(y, adj)]
+            total = sum(p)
+            p = [pi / total for pi in p]
+            price, grad = self._mix_value_grad(p)
+            linear = sum(pi * ai for pi, ai in zip(p, adj))
+            return price / linear, [gi / ai for gi, ai in zip(grad, adj)], p
 
-        y = p0 * adj
-        y /= y.sum()
+        y = [pi * ai for pi, ai in zip(p0.tolist(), adj)]
+        total = sum(y)
+        y = [yi / total for yi in y]
         val, g, p = evaluate(y)
-        bound = float(np.max(g))
+        bound = max(g)
         step = 1.0 / bound
         for _ in range(_ORACLE_MAX_ITER):
             if bound - val <= ORACLE_GAP * val:
-                return val, p
+                return val, np.array(p)
             # g - val projects like g (the simplex absorbs constant shifts)
             # but keeps y + step * d exact when g is nearly flat; moves past
             # 1e6 land on the same face and only lose that precision
-            d = g - val
-            d_max = float(np.max(np.abs(d)))
+            d = [gi - val for gi in g]
+            d_max = max(abs(di) for di in d)
             step = min(step, 1e6 / d_max)
             while True:
-                y_new = _project_simplex(y + step * d)
+                y_new = _project_simplex([yi + step * di for yi, di in zip(y, d)])
                 val_new, g_new, p_new = evaluate(y_new)
-                bound_new = float(np.max(g_new))
+                bound_new = max(g_new)
                 # near the optimum value changes drown in price noise; a
                 # falling bound, or a slope still rising at y_new (the maximum
                 # along the step lies beyond it), still shows progress there.
@@ -191,7 +222,8 @@ class _LsqProblem:
                     val_new >= val * (1.0 - _PRICE_NOISE)
                     and (
                         bound_new < bound
-                        or float((g_new - val_new) @ (y_new - y)) > 0.0
+                        or sum((gn - val_new) * (yn - yo)
+                               for gn, yn, yo in zip(g_new, y_new, y)) > 0.0
                     )
                 ):
                     break
@@ -200,9 +232,9 @@ class _LsqProblem:
                     raise PricingError(
                         f"separation oracle stalled with gap {(bound - val) / val:.3e}"
                     )
-            s, r = y_new - y, g_new - g
-            curv = -float(s @ r)
-            step = float(s @ s) / curv if curv > 0.0 else 2.0 * step
+            s = [yn - yo for yn, yo in zip(y_new, y)]
+            curv = -sum(si * (gn - go) for si, gn, go in zip(s, g_new, g))
+            step = sum(si * si for si in s) / curv if curv > 0.0 else 2.0 * step
             y, val, g, p, bound = y_new, val_new, g_new, p_new, bound_new
         raise PricingError(
             f"separation oracle iteration cap {_ORACLE_MAX_ITER} hit "
@@ -210,14 +242,15 @@ class _LsqProblem:
         )
 
 
-def _project_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the probability simplex."""
-    n = v.size
-    srt = np.sort(v)[::-1]
-    css = np.cumsum(srt)
-    rho = np.nonzero(srt * np.arange(1, n + 1) > (css - 1.0))[0][-1]
-    theta = (css[rho] - 1.0) / (rho + 1.0)
-    return np.maximum(v - theta, 0.0)
+def _project_simplex(v: Sequence[float]) -> list[float]:
+    """Euclidean projection onto the probability simplex, on plain floats."""
+    theta = 0.0
+    css = 0.0
+    for k, s in enumerate(sorted(v, reverse=True), 1):
+        css += s
+        if s * k > css - 1.0:
+            theta = (css - 1.0) / k
+    return [max(x - theta, 0.0) for x in v]
 
 
 # ---------------------------------------------------------------------------
@@ -322,9 +355,13 @@ def _min_norm_point(cuts, n: int) -> np.ndarray:
     live = [(a, b) for (a, b) in cuts if b > 0.0]
     if not live:
         return np.zeros(n)
-    a_cut = np.array([a for a, _ in live])
-    b_cut = np.array([b for _, b in live])
-    E = np.block([[a_cut.T, -np.eye(n)], [b_cut, -np.ones(n)]])
+    k = len(live)
+    E = np.empty((n + 1, k + n))
+    for j, (a, b) in enumerate(live):
+        E[:n, j] = a
+        E[n, j] = b
+    E[:n, k:] = -np.eye(n)
+    E[n, k:] = -1.0
     f = np.zeros(n + 1)
     f[n] = 1.0
     u = _nnls(E, f)
@@ -333,7 +370,7 @@ def _min_norm_point(cuts, n: int) -> np.ndarray:
     if r[n] > -0.5 / (1.0 + n):
         raise PricingError(f"min-norm subproblem infeasible (residual {r[n]:.3e})")
     t = np.clip(r[:n] / -r[n], 0.0, 1.0)
-    t[u[len(live):] > 0.0] = 1.0  # a bound with a positive multiplier holds exactly
+    t[u[k:] > 0.0] = 1.0  # a bound with a positive multiplier holds exactly
     return t
 
 
@@ -344,7 +381,11 @@ def _min_norm_point(cuts, n: int) -> np.ndarray:
 # sqrt(tol) tangentially. At the optimum, x_i = mu * q_i * (c_i - u_i) on
 # free coordinates for the tight mix q, q maximizes the ratio at x, and the
 # ratio equals 1; refining on that square system recovers x to near machine
-# precision, which the uniqueness and certificate tolerances rely on.
+# precision, which the uniqueness and certificate tolerances rely on. A
+# coordinate held at 1 needs a nonnegative bound multiplier,
+# mu * q_i * (c_i - u_i) >= 1. With L(x) <= 1 + tol_L, checked by the oracle,
+# those are the KKT conditions of the min-norm point of the convex set
+# {L <= 1}, so an accepted polish is certified from any starting point.
 # ---------------------------------------------------------------------------
 
 
@@ -377,9 +418,11 @@ def _polish(prob: _LsqProblem, x_hat: np.ndarray, q_hat: np.ndarray, tol_L: floa
         return None
     if result is None:
         return None
-    x, q = result
+    x, q, mu = result
     if np.any(x < -1e-12) or np.any(x > 1.0 + 1e-12):
         return None
+    if np.any(mu * q[pinned1] * prob.d[pinned1] < 1.0 - _MULTIPLIER_TOL):
+        return None  # lowering that coordinate would shorten x within L <= 1
     x = np.clip(x, 0.0, 1.0)
     val, p_best = prob.big_L(x)
     if val - 1.0 > max(tol_L, 1e-9) or val < 1.0 - 1e-6:
@@ -392,7 +435,13 @@ def _polish(prob: _LsqProblem, x_hat: np.ndarray, q_hat: np.ndarray, tol_L: floa
 
 
 def _polish_bisect(prob, pinned0, pinned1, i_free, q_hat):
-    """One free coordinate: its optimum is the smallest feasible value."""
+    """One free coordinate: its optimum is the smallest feasible value.
+
+    The multiplier comes from the stationarity of that coordinate,
+    mu = x_free / (q_free * d_free). When the tight mix leaves the free game
+    out, mu is undetermined and 0 is returned, which certifies no coordinate
+    held at 1.
+    """
 
     def x_of(s: float) -> np.ndarray:
         x = np.where(pinned1, 1.0, 0.0)
@@ -408,16 +457,17 @@ def _polish_bisect(prob, pinned0, pinned1, i_free, q_hat):
         q_probe = q
         return val <= 1.0 + feas_tol
 
-    if feasible(0.0):
-        return x_of(0.0), q_probe
-    lo, hi = 0.0, 1.0
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            hi = mid
-        else:
-            lo = mid
-    return x_of(hi), q_probe
+    hi = 0.0
+    if not feasible(0.0):
+        lo, hi = 0.0, 1.0
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            if feasible(mid):
+                hi = mid
+            else:
+                lo = mid
+    qd = float(q_probe[i_free] * prob.d[i_free])
+    return x_of(hi), q_probe, hi / qd if qd > 0.0 else 0.0
 
 
 def _polish_newton(prob, assemble, q_hat, x_hat, free):
@@ -483,7 +533,7 @@ def _polish_newton(prob, assemble, q_hat, x_hat, free):
         return None
     q = np.clip(q, 0.0, None)
     q = q / q.sum()
-    return assemble(mu, q), q
+    return assemble(mu, q), q, mu
 
 
 # ---------------------------------------------------------------------------
@@ -537,10 +587,17 @@ def least_squares_prices(
     x is 1 wherever d = c - u > 0 and 0 elsewhere, and one oracle call
     gives max_violation and the certificate. Otherwise the solver iterates:
     solve the min-norm subproblem over the cuts collected so far, ask the
-    separation oracle (big_L) for the worst mix at the solution, stop once
-    the worst ratio is within tol_L of 1, else add the violated cut, and
-    finish with a KKT polish. seed_mixes inject extra valid cuts up front
-    (any mix yields one), which changes the route but not the answer.
+    separation oracle (big_L) for the worst mix at the solution, and add the
+    violated cut. Kelley's cutting planes converge only linearly on the
+    curved boundary of {L <= 1}, so at the first iterate with
+    L - 1 <= 1e-4 the solver hands over to the KKT polish (Newton on the
+    stationarity system), and returns its point when the polish certifies
+    it: L <= 1 + tol_L by the oracle and a nonnegative multiplier on every
+    coordinate held at 1. When it does not, cutting goes on until
+    L - 1 <= tol_L (or x stalls) and the polish runs once more, its last
+    run. LsSolution.termination records which exit was taken. seed_mixes
+    inject extra valid cuts up front (any mix yields one), which changes the
+    route but not the answer.
     """
     prob = _LsqProblem(basis, rate)
     n = prob.n
@@ -554,7 +611,13 @@ def least_squares_prices(
             raise InvariantViolation("seed mixes must not be all zero")
         seeds.append(weights / total)
 
-    def solution(x: np.ndarray, pstar: np.ndarray, violation: float, iterations: int):
+    def solution(
+        x: np.ndarray,
+        pstar: np.ndarray,
+        violation: float,
+        iterations: int,
+        termination: Termination,
+    ):
         return LsSolution(
             x=x,
             prices=prob.adjusted(x),
@@ -564,13 +627,14 @@ def least_squares_prices(
             max_violation=float(violation),
             standalone=prob.u.copy(),
             ceilings=prob.c.copy(),
+            termination=termination,
         )
 
     if check_constant_mix(basis) is not None:
         # every feasible point has x_i = 1 wherever d_i > 0 (check_constant_mix)
         x = np.where(prob.d > 0.0, 1.0, 0.0)
         val, pstar = prob.big_L(x)
-        return solution(x, pstar, val - 1.0, 1)
+        return solution(x, pstar, val - 1.0, 1, "constant_mix")
 
     cuts: list[tuple[np.ndarray, float]] = []
 
@@ -590,20 +654,29 @@ def least_squares_prices(
     pstar = np.full(n, 1.0 / n)
     stalled = 0
     iterations = 0
-    converged = False
+    termination: Optional[Termination] = None
+    handed_off = False
     for iterations in range(1, max_cuts + 1):
         x_new = _min_norm_point(cuts, n)
+        # big_L starts from the uniform mix: from the previous tight mix the
+        # ascent stays on that mix's face, and the polish would then leave
+        # out a game that the optimum weighs
         val, pstar = prob.big_L(x_new)
         violation = val - 1.0
         moved = float(np.max(np.abs(x_new - x))) if iterations > 1 else math.inf
         x = x_new
         if violation <= tol_L:
-            converged = True
+            termination = "tol"
             break
+        if not handed_off and violation <= _HANDOFF_L:
+            handed_off = True
+            refined = _polish(prob, x, pstar, tol_L)
+            if refined is not None:
+                return solution(*refined, iterations, "polished")
         if moved < x_tol:
             stalled += 1
             if stalled >= 5:
-                converged = True  # x has settled; report the residual honestly
+                termination = "stalled"  # x has settled; report the residual
                 break
         else:
             stalled = 0
@@ -616,15 +689,15 @@ def least_squares_prices(
                 if i in keep_recent
                 or float(c[0] @ x) - c[1] <= 1e-7 * prob.scale
             ]
-    if not converged:
+    if termination is None:
         raise PricingError(
             f"cutting-plane iteration cap {max_cuts} exceeded "
             f"(violation {violation:.3e})"
         )
     refined = _polish(prob, x, pstar, tol_L)
     if refined is not None:
-        x, pstar, violation = refined
-    return solution(x, pstar, violation, iterations)
+        return solution(*refined, iterations, "polished")
+    return solution(x, pstar, violation, iterations, termination)
 
 
 def check_constant_mix(

@@ -12,12 +12,16 @@ by Newton's method on (u, t), with the exact Jacobian from the same pass
 over the outcomes. The price bracket [gm/g, E/g] safeguards it: the growth
 is concave in t, so each iterate narrows the bracket from whichever side
 its growth certifies, and a step that leaves the bracket is replaced by a
-bisection step.
+bisection step, geometric while the bracket spans more than a factor 4.
+With a zero payoff gm = 0, and the lower end is a certified floor from the
+single-outcome sub-games (_zero_payoff_floor), which can lie tens of
+orders of magnitude below E/g.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Literal, Sequence
 
@@ -47,6 +51,9 @@ U_REL_TOL = 1e-12
 MAX_PRICE_ITER = 200
 # iterations after which every step of the price solve is a bisection step
 NEWTON_ITER = 40
+# logs of the smallest normal and the largest float
+_LOG_TINY = math.log(sys.float_info.min)
+_LOG_HUGE = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -242,6 +249,30 @@ def _newton_start(pay, pr, mean, log_g, lo, hi):
     return lo, 0.5
 
 
+def _zero_payoff_floor(pay, pr, log_g):
+    """A price at which the best growth still exceeds log g, for gm = 0.
+
+    The game pays at least a_j on outcome j alone. At Kelly's stake that
+    sub-game grows by p log(p a/u) + (1 - p) log((1 - p) a/(a - u)), which
+    exceeds (1 - p) log(1 - p) + p log(p a/u) (p = p_j, a = a_j). Setting
+    the latter to log g bounds the price from below by
+    p a exp(((1 - p) log(1 - p) - log g) / p); the largest bound over j is
+    returned. Raises PricingError when it underflows: below the smallest
+    normal float, or so small that a payoff over it overflows.
+    """
+    log_lo = max(
+        math.log(p * a) + ((1.0 - p) * math.log1p(-p) - log_g) / p
+        for a, p in zip(pay, pr)
+        if a > 0.0
+    )
+    if log_lo < _LOG_TINY or math.log(max(pay)) - log_lo > _LOG_HUGE:
+        raise PricingError(
+            f"price lower bound exp({log_lo:.6g}) underflows: the price of "
+            f"this game with a zero payoff is not representable"
+        )
+    return math.exp(log_lo)
+
+
 def _price_numeric(pay, pr, rate: Rate, rel_tol):
     g = rate.growth_factor()
     log_g = rate.log_growth_factor()
@@ -255,11 +286,10 @@ def _price_numeric(pay, pr, rate: Rate, rel_tol):
     if gm > 0.0 and gm / g <= hm * (1.0 + 1e-14):
         u = gm / g
         return u, 1.0, REGIME_FULL, gm / u
-    # The best growth over t is at least log g at lo when gm > 0 (t = 1) and
-    # at most log g at hi (Jensen). With a zero payoff lo is a guess: a price
-    # below it leaves the solve unconverged. In between, the regime is
-    # interior, so the best growth is attained at some t < 1.
-    lo = gm / g if gm > 0.0 else mean * 1e-9
+    # The best growth over t is at least log g at lo and at most log g at hi
+    # (Jensen). In between, the regime is interior, so the best growth is
+    # attained at some t < 1.
+    lo = gm / g if gm > 0.0 else _zero_payoff_floor(pay, pr, log_g)
     hi = mean / g
     tol = max(rel_tol, 4.0 * np.finfo(float).eps)
     u, t = _newton_start(pay, pr, mean, log_g, lo, hi)
@@ -287,21 +317,25 @@ def _price_numeric(pay, pr, rate: Rate, rel_tol):
                 return u, t, REGIME_INTERIOR, math.exp(_elg(pay, pr, u, t))
             bisect = it >= NEWTON_ITER or not (math.isfinite(du) and math.isfinite(dt))
         if not bisect:
-            # damped step, multiplicative in u; the cap keeps exp finite
+            # damped step, multiplicative in u; the caps keep exp finite and
+            # u_new > 0 unless u is near underflow, where the step bisects
             lam = 1.0
-            while True:
-                u_new = u * math.exp(min(lam * du / u, 50.0))
+            for _ in range(60):
+                u_new = u * math.exp(min(max(lam * du / u, -50.0), 50.0))
                 t_new = t + lam * dt
                 if _inside(a_min, u_new, t_new):
+                    bisect = not lo < u_new < hi
                     break
                 lam *= 0.5
-            bisect = not lo < u_new < hi
+            else:
+                bisect = True
         if bisect:
             # bisect the bracket, with a Newton step in t alone: the best t
             # lies in (0, 1), where every log argument is positive
-            u_new = 0.5 * (lo + hi)
+            # geometrically while the bracket spans orders of magnitude
+            u_new = math.sqrt(lo) * math.sqrt(hi) if hi > 4.0 * lo else 0.5 * (lo + hi)
             t_new = t - f / ft
-            if t_new <= 0.0:
+            if not t_new > 0.0:  # also a NaN from ft = 0
                 t_new = 0.5 * min(t, 1.0)
             elif t_new >= 1.0:
                 t_new = 0.5 * (min(t, 1.0) + 1.0)

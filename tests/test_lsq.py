@@ -241,6 +241,16 @@ class TestOracle:
             ratio = price / float(p @ adj)
             assert float(np.max(grad / adj)) - ratio <= 1e-10 * ratio
 
+    def test_any_start_mix_reaches_the_same_value(self):
+        space = OutcomeSpace([0.214, 0.3943, 0.3917])
+        games = [[3.287, 3.227, 11.874], [19.525, 12.468, 8.845], [10.384, 16.286, 10.685]]
+        prob = _LsqProblem(ConeBasis(space, [Game(g) for g in games]), R05)
+        t = np.array([0.3, 0.1, 0.2])
+        val, _ = prob.big_L(t)
+        for start in (*np.eye(3), [0.5, 0.5, 0.0], [0.0, 0.9, 0.1]):
+            got = prob.maximize(prob.adjusted(t), np.array(start))[0]
+            assert got == pytest.approx(val, rel=2e-10)
+
     def test_uncertified_stop_raises(self, monkeypatch):
         monkeypatch.setattr(gameprice.lsq, "_ORACLE_MAX_ITER", 1)
         with pytest.raises(PricingError, match="gap"):
@@ -365,6 +375,148 @@ class TestLeastSquaresPrices:
     def test_json_schema_keys(self):
         doc = least_squares_prices(B13, R05).to_json_dict()
         assert set(doc) == {"x", "prices", "certificate", "iterations", "max_violation"}
+
+
+def _normalized_space(probs):
+    probs = np.asarray(probs, dtype=float)
+    return OutcomeSpace((probs / probs.sum()).tolist())
+
+
+def _cut_then_polish(b, rate, tol_L=1e-9):
+    """Reference route: Kelley's cutting planes to tol_L, then one KKT polish,
+    whose point replaces the last iterate when it is accepted. The solver
+    hands over to the polish at L - 1 <= 1e-4 instead; a certified polish
+    lands on the same point."""
+    prob = _LsqProblem(b, rate)
+    cuts = []
+    for _ in range(200):
+        x = _min_norm_point(cuts, b.n)
+        val, p = prob.big_L(x)
+        if val - 1.0 <= tol_L:
+            break
+        a = p * prob.d
+        cuts.append((a, min(prob.price_mix(p) - float(p @ prob.u), float(a.sum()))))
+    else:
+        raise AssertionError("reference did not reach tol_L")
+    refined = gameprice.lsq._polish(prob, x, p, tol_L)
+    return x if refined is None else refined[0]
+
+
+def _stress_basis(rng):
+    """n = 2-4 games on m = 2-6 outcomes (n <= m), each game's payoffs uniform
+    on [0.5, 20] times its own 10^U(-2, 2), a fifth of the payoffs zero, and a
+    continuous rate of 0.5-10%."""
+    m = int(rng.integers(2, 7))
+    n = int(rng.integers(2, min(4, m) + 1))
+    M = rng.uniform(0.5, 20.0, (m, n)) * 10.0 ** rng.uniform(-2.0, 2.0, (1, n))
+    M[rng.random((m, n)) < 0.2] = 0.0
+    empty = M.max(axis=0) <= 0.0
+    M[rng.integers(m, size=int(empty.sum())), np.flatnonzero(empty)] = rng.uniform(
+        0.5, 20.0, int(empty.sum()))
+    space = OutcomeSpace(rng.dirichlet(np.ones(m)).tolist())
+    return ConeBasis(space, [Game(c) for c in M.T]), Rate(float(rng.uniform(0.005, 0.10)))
+
+
+class TestPolishHandOff:
+    """The cutting planes hand over to the KKT polish at L - 1 <= 1e-4."""
+
+    # from bench/workloads.py LS_DEEP_CATALOGUE
+    CATALOGUE = (
+        ([0.1853, 0.4231, 0.3916], [[13.56, 6.509, 12.316], [12.333, 11.833, 3.588]],
+         0.0401),
+        ([0.2337, 0.1482, 0.2648, 0.3533],
+         [[14.929, 18.089, 15.235, 17.318], [14.254, 9.719, 4.898, 13.386]], 0.0321),
+        ([0.1771, 0.2464, 0.2913, 0.2852],
+         [[8.634, 15.915, 17.338, 11.67], [12.687, 7.956, 11.862, 12.373]], 0.0156),
+        ([0.2141, 0.2057, 0.1481, 0.1524, 0.2797],
+         [[5.239, 12.225, 7.748, 9.338, 19.203], [9.933, 11.704, 17.397, 4.065, 3.506]],
+         0.0736),
+        ([0.1044, 0.101, 0.2751, 0.2342, 0.2853],
+         [[0.915, 12.906, 9.904, 14.745, 6.719], [19.987, 1.968, 11.149, 14.872, 18.054]],
+         0.0616),
+        ([0.214, 0.3943, 0.3917],
+         [[3.287, 3.227, 11.874], [19.525, 12.468, 8.845], [10.384, 16.286, 10.685]],
+         0.0476),
+    )
+
+    def test_a_coordinate_at_one_with_a_negative_multiplier(self):
+        # at the hand-off the min-norm point of the cuts is (1, 1, 0.9155),
+        # and the answer has its second coordinate below 1: held there, the
+        # polish returns (1, 1, 0.96754), feasible but longer than the
+        # min-norm point, and the multiplier check rejects it
+        b = ConeBasis(_normalized_space([0.32614, 0.279487, 0.177199, 0.217175]), [
+            Game([22.011, 11.7269, 32.0345, 19.1696]),
+            Game([42.0288, 6.33053, 36.6893, 53.7165]),
+            Game([0.792, 0.85036, 0.692692, 0.789511]),
+        ])
+        sol = least_squares_prices(b, Rate(0.026103))
+        assert sol.x.tolist() == pytest.approx([1.0, 0.9603988317, 0.9831404748], abs=1e-9)
+        assert sol.norm == pytest.approx(2.8889311, abs=1e-7)
+        assert sol.max_violation <= 1e-9
+
+    def test_a_fourth_coordinate_just_below_one(self):
+        # without the multiplier check the early polish holds x_4 at 1
+        b = ConeBasis(_normalized_space(
+            [0.134728, 0.103083, 0.187604, 0.117473, 0.171545, 0.285567]), [
+            Game([141.539, 125.397, 188.845, 77.9621, 304.354, 17.0021]),
+            Game([0.276305, 0.359307, 0.577202, 0.0247088, 0.495573, 0.889834]),
+            Game([0.752698, 1.02711, 2.01956, 0.335677, 1.60697, 1.24503]),
+            Game([3.0252, 2.9356, 1.30537, 3.7825, 3.56638, 3.71558]),
+        ])
+        sol = least_squares_prices(b, Rate(0.094141))
+        assert sol.x[3] == pytest.approx(0.9996591762, abs=1e-9)
+        assert sol.max_violation <= 1e-9
+
+    def test_random_bases_match_cutting_to_tol_then_polishing(self):
+        rng = np.random.default_rng(2024)
+        compared = 0
+        for _ in range(120):
+            try:
+                b, rate = _stress_basis(rng)
+            except BasisError:  # a proportional pair
+                continue
+            if check_constant_mix(b) is not None:
+                continue
+            try:
+                ref = _cut_then_polish(b, rate)
+            except PricingError:  # the oracle's iteration cap
+                continue
+            x = least_squares_prices(b, rate).x
+            assert np.max(np.abs(x - ref)) <= 1e-10, (b, rate, x, ref)
+            compared += 1
+        assert compared >= 90
+
+    def test_catalogue_bases_finish_by_polish(self):
+        for probs, games, r in self.CATALOGUE:
+            b = ConeBasis(OutcomeSpace(probs), [Game(g) for g in games])
+            sol = least_squares_prices(b, Rate(r))
+            assert sol.termination in ("polished", "constant_mix"), (probs, games)
+            assert sol.iterations <= 6, (probs, games)
+            assert sol.max_violation <= 1e-9
+
+    def test_termination_reasons(self, monkeypatch):
+        assert least_squares_prices(B11, R05).termination == "constant_mix"
+        assert least_squares_prices(B13, R05).termination == "polished"
+        monkeypatch.setattr(gameprice.lsq, "_polish", lambda *args: None)
+        sol = least_squares_prices(B13, R05)
+        assert sol.termination == "tol" and sol.max_violation <= 1e-9
+        # a tolerance no iterate can meet: x stops moving by x_tol first
+        sol = least_squares_prices(B13, R05, tol_L=-1.0, x_tol=1.0)
+        assert sol.termination == "stalled" and sol.max_violation > -1.0
+        assert sol.iterations == 6
+
+    def test_the_polish_runs_at_most_twice(self, monkeypatch):
+        calls = []
+        polish = gameprice.lsq._polish
+
+        def rejected(*args):
+            calls.append(polish(*args))
+            return None
+
+        monkeypatch.setattr(gameprice.lsq, "_polish", rejected)
+        sol = least_squares_prices(B13, R05)
+        assert len(calls) == 2 and calls[0] is not None
+        assert sol.termination == "tol"
 
 
 class TestConstantMixDetector:
@@ -802,8 +954,8 @@ class TestMinNormSubproblem:
 
 
 def test_project_simplex():
-    p = _project_simplex(np.array([0.4, 0.9, -0.2]))
-    assert abs(p.sum() - 1.0) <= 1e-12
-    assert np.all(p >= 0.0)
-    q = _project_simplex(np.array([0.2, 0.3, 0.5]))
-    assert q.tolist() == pytest.approx([0.2, 0.3, 0.5], abs=1e-12)
+    p = _project_simplex([0.4, 0.9, -0.2])
+    assert abs(sum(p) - 1.0) <= 1e-12
+    assert min(p) >= 0.0
+    q = _project_simplex([0.2, 0.3, 0.5])
+    assert q == pytest.approx([0.2, 0.3, 0.5], abs=1e-12)

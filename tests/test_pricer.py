@@ -1,4 +1,6 @@
+import contextlib
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -469,10 +471,70 @@ class TestNewtonPrice:
             assert t == pytest.approx(t_ref, abs=1e-10)
 
     def test_a_price_below_the_zero_payoff_bracket_raises(self):
-        # with a zero payoff the bracket starts at E * 1e-9; at r = 20 the
-        # price of this game lies below it, in both solvers
+        # the reference's bracket starts at E * 1e-9, and at r = 20 the price
+        # of this game lies below it. _price_numeric starts from the certified
+        # floor of _zero_payoff_floor; on two outcomes with one zero payoff
+        # that floor is the price itself up to a relative (1 - p) u / a
         pay, pr, rate = [0.0, 1.0], [0.9, 0.1], Rate(20.0)
         with pytest.raises(PricingError):
             _bisection_price(pay, pr, rate)
-        with pytest.raises(PricingError, match="did not converge"):
-            _price_numeric(pay, pr, rate, 1e-12)
+        u, t, regime, _ = _price_numeric(pay, pr, rate, 1e-12)
+        assert regime == REGIME_INTERIOR
+        assert u == pytest.approx(0.1 * math.exp((0.9 * math.log(0.9) - 20.0) / 0.1), rel=1e-12)
+        assert u == pytest.approx(5.3614986911377856e-89, rel=1e-12)
+        assert t == pytest.approx(0.1, rel=1e-12)
+        assert _growth_and_foc_residuals(pay, pr, rate, u, t) == pytest.approx((0.0, 0.0), abs=1e-12)
+
+    def test_zero_payoff_games_converge_or_raise_in_bounded_time(self):
+        # a floor that underflows (or leaves payoff / price overflowing)
+        # raises at once; every other case converges, within the iteration
+        # cap, to a price where growth and first-order condition hold
+        rng = np.random.default_rng(7)
+        solved = underflowed = 0
+        with _time_limit(60.0):
+            for i in range(800):
+                rate = Rate((0.05, 1.0, 5.0, 20.0)[i % 4])
+                m = int(rng.integers(2, 6))
+                pay = rng.uniform(0.5, 20.0, m) * 10.0 ** rng.uniform(-3.0, 3.0, m)
+                pay[rng.integers(m)] = 0.0
+                pr = np.maximum(rng.dirichlet(np.full(m, rng.uniform(0.2, 2.0))), 1e-6)
+                pay, pr = pay.tolist(), (pr / pr.sum()).tolist()
+                try:
+                    u, t, regime, _ = _price_numeric(pay, pr, rate, 1e-12)
+                except PricingError as exc:
+                    assert "underflows" in str(exc), (pay, pr, rate)
+                    underflowed += 1
+                    continue
+                solved += 1
+                assert regime == REGIME_INTERIOR and 0.0 < t < 1.0, (pay, pr, rate)
+                growth, foc = _growth_and_foc_residuals(pay, pr, rate, u, t)
+                assert abs(growth) <= 1e-8 and abs(foc) <= 1e-7, (pay, pr, rate)
+        assert solved >= 780 and underflowed >= 1
+
+
+def _growth_and_foc_residuals(pay, pr, rate, u, t):
+    """E log(1 + t(a - u)/u) - log g, and the first-order condition relative
+    to E|a - u| / (u + t(a - u)), in plain floating point."""
+    growth = foc = scale = 0.0
+    for a, p in zip(pay, pr):
+        den = u + t * (a - u)
+        growth += p * math.log(den / u)
+        foc += p * (a - u) / den
+        scale += p * abs(a - u) / den
+    return growth - rate.log_growth_factor(), foc / (1.0 + scale)
+
+
+@contextlib.contextmanager
+def _time_limit(seconds):
+    """Raise TimeoutError in the block after `seconds` (a solve that loops)."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
