@@ -11,23 +11,24 @@ the minimum-norm feasible t by cutting planes: every mix p induces the linear
 constraint sum_i p_i (c_i - u_i) t_i >= price(mix(p)) - sum_i p_i u_i, and
 L itself is the separation oracle. Cutting planes converge only linearly on
 the curved boundary of {L <= 1}, so at the first iterate with L - 1 <= 1e-4
-the solver hands over to a KKT polish (Newton on the stationarity system).
-Its point is returned when it is certified: L <= 1 + tol_L by the oracle,
-and every coordinate held at 1 has a nonnegative bound multiplier. Else the
-cutting planes go on to tol_L and the polish runs once more. When some mix
-of the games pays a constant, t = 1 is the only feasible point on the games
-with c_i > u_i, so it is returned at once. LsSolution.termination says
-which way a solve ended. The oracle is projected gradient ascent on a
-concave reparametrization of the ratio, run on plain Python floats; it
-stops only when the upper bound max_i dh/dy_i (Euler's identity plus
-concavity) is within 1e-10 relative of its value. The min-norm subproblem
-is a least-distance program, solved exactly as one nonnegative
-least-squares (NNLS) problem by a numpy Lawson-Hanson active-set method. Every question about the cone the games
-span is the same NNLS: whether a game lies in it and with which
-coefficients, which games are its extreme rays, and whether some mix pays a
-constant, with the largest support such a mix can have. Prices are linear
-exactly when one oracle call certifies L(0) <= 1. The module needs numpy
-only.
+the solver hands over to a KKT polish: Newton on the stationarity system,
+with the exact Jacobian from the mix price's Hessian. Its point is returned
+when it is certified: L <= 1 + tol_L by the oracle, and every coordinate
+held at 1 has a nonnegative bound multiplier. Else the cutting planes go on
+to tol_L and the polish runs once more. When some mix of the games pays a
+constant, t = 1 is the only feasible point on the games with c_i > u_i, so
+it is returned at once. LsSolution.termination says which way a solve
+ended. The oracle is projected gradient ascent on a concave
+reparametrization of the ratio, run on plain Python floats; it stops only
+when the upper bound max_i dh/dy_i (Euler's identity plus concavity) is
+within 1e-10 relative of its value. The min-norm subproblem is a
+least-distance program, solved exactly as one nonnegative least-squares
+(NNLS) problem by a numpy Lawson-Hanson active-set method. Every question
+about the cone the games span is the same NNLS: whether a game lies in it
+and with which coefficients, which games are its extreme rays, and whether
+some mix pays a constant, with the largest support such a mix can have.
+Prices are linear exactly when one oracle call certifies L(0) <= 1. The
+module needs numpy only.
 """
 
 from __future__ import annotations
@@ -53,8 +54,6 @@ from .core import (
 from .pricer import U_REL_TOL, KappaContext, _price_fair, _price_numeric
 
 DEFAULT_L_TOL = 1e-9
-DEFAULT_X_TOL = 1e-8
-DEFAULT_MAX_CUTS = 10_000
 
 # relative gap between the oracle's computed upper bound and its value
 ORACLE_GAP = 1e-10
@@ -65,6 +64,10 @@ _HANDOFF_L = 1e-4
 # a bound multiplier mu q_i d_i - 1 above -_MULTIPLIER_TOL counts as >= 0
 _MULTIPLIER_TOL = 1e-9
 _ORACLE_MAX_ITER = 500
+# the cutting planes stall after 5 iterates in a row move x by less than this
+_X_TOL = 1e-8
+# cap on the cutting-plane iterations
+_MAX_CUTS = 10_000
 
 
 Termination = Literal["constant_mix", "polished", "tol", "stalled"]
@@ -158,16 +161,34 @@ class _LsqProblem:
             dprice = [q * u / (v * w) for q, v in zip(self._probs_list, den)]
         return u, [sum(a * dp for a, dp in zip(col, dprice)) for col in self._cols]
 
-    def value_grad(self, p: np.ndarray) -> tuple[float, np.ndarray]:
-        """_mix_value_grad on arrays, for the polish."""
-        u, grad = self._mix_value_grad(p.tolist())
-        return u, np.array(grad)
+    def value_grad_hess(self, p: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+        """Mix price at p with its gradient and Hessian in p, from one price solve.
 
-    def ratio_grad(self, p: np.ndarray, adj: np.ndarray) -> tuple[float, np.ndarray]:
-        """price(mix(p)) / (p . adj) and its gradient with respect to p."""
-        num, grad_num = self.value_grad(p)
-        den = float(p @ adj)
-        return num / den, (grad_num * den - num * adj) / (den * den)
+        In the payoffs a the gradient is gamma = probs u / (D W), with
+        D = u + t (a - u) and W = E[a / D] (as in _mix_value_grad). Its
+        Jacobian follows from differentiating gamma through u (du/da = gamma)
+        and through t, whose derivative the implicit function theorem gives
+        from the first-order condition E[(a - u) / D] = 0. In the
+        full-investment regime the price is gm/g, whose Hessian is
+        gamma gamma^T / u - diag(gamma / a). M maps both back to the weights.
+        """
+        a = self.M @ p
+        u, t = self.price_full(a.tolist())
+        if t >= 1.0 - 1e-13:
+            gamma = self.probs * u / a
+            hess = np.outer(gamma, gamma) / u - np.diag(gamma / a)
+        else:
+            D = u + t * (a - u)
+            W = float(self.probs @ (a / D))
+            gamma = self.probs * u / (D * W)
+            # the first-order condition's partials: u probs / D^2 in a,
+            # -E[a / D^2] in u and -E[(a - u)^2 / D^2] in t
+            pd2 = self.probs / (D * D)
+            dt = (u * pd2 - float(pd2 @ a) * gamma) / float(pd2 @ (a - u) ** 2)
+            dD = (1.0 - t) * gamma + t * np.eye(a.size) + np.outer(a - u, dt)
+            dW = self.probs / D - (pd2 * a) @ dD
+            hess = gamma[:, None] * (gamma / u - dD / D[:, None] - dW / W)
+        return u, self.M.T @ gamma, self.M.T @ hess @ self.M
 
     def big_L(self, t: np.ndarray) -> tuple[float, np.ndarray]:
         """max of the price ratio over the mix simplex and an attaining mix."""
@@ -390,40 +411,23 @@ def _min_norm_point(cuts, n: int) -> np.ndarray:
 
 
 def _polish(prob: _LsqProblem, x_hat: np.ndarray, q_hat: np.ndarray, tol_L: float):
-    n = prob.n
     if float(np.max(np.abs(x_hat))) <= 1e-12:
         return None
     tiny = 1e-12 * max(prob.scale, 1.0)
     pinned0 = prob.d <= tiny
     pinned1 = (~pinned0) & (x_hat >= 1.0 - 1e-9)
-    free = [i for i in range(n) if not pinned0[i] and not pinned1[i]]
-    if not free:
+    free = ~pinned0 & ~pinned1
+    if not free.any():
         return None
-
-    def assemble(mu: float, q: np.ndarray) -> np.ndarray:
-        x = np.where(pinned1, 1.0, 0.0)
-        for i in free:
-            x[i] = min(1.0, max(0.0, mu * q[i] * prob.d[i]))
-        return x
-
     try:
-        # Newton's finite-difference Jacobian is near singular when the tight
-        # mix barely weights the free game; with one free coordinate,
-        # bisection on feasibility does not depend on that weight
-        if len(free) == 1:
-            result = _polish_bisect(prob, pinned0, pinned1, free[0], q_hat)
-        else:
-            result = _polish_newton(prob, assemble, q_hat, x_hat, free)
+        result = _polish_newton(prob, pinned1, free, q_hat, x_hat)
     except (PricingError, np.linalg.LinAlgError, ValueError):
         return None
     if result is None:
         return None
     x, q, mu = result
-    if np.any(x < -1e-12) or np.any(x > 1.0 + 1e-12):
-        return None
     if np.any(mu * q[pinned1] * prob.d[pinned1] < 1.0 - _MULTIPLIER_TOL):
         return None  # lowering that coordinate would shorten x within L <= 1
-    x = np.clip(x, 0.0, 1.0)
     val, p_best = prob.big_L(x)
     if val - 1.0 > max(tol_L, 1e-9) or val < 1.0 - 1e-6:
         return None
@@ -434,106 +438,84 @@ def _polish(prob: _LsqProblem, x_hat: np.ndarray, q_hat: np.ndarray, tol_L: floa
     return x, q, val - 1.0
 
 
-def _polish_bisect(prob, pinned0, pinned1, i_free, q_hat):
-    """One free coordinate: its optimum is the smallest feasible value.
+def _polish_newton(prob, pinned1, free, q_hat, x_hat):
+    """Newton on (s, tight-mix weights) for the stationarity system.
 
-    The multiplier comes from the stationarity of that coordinate,
-    mu = x_free / (q_free * d_free). When the tight mix leaves the free game
-    out, mu is undetermined and 0 is returned, which certifies no coordinate
-    held at 1.
+    The free coordinates are x_F = min(1, s q_F d_F / (q_F . d_F)), so that
+    mu = s / (q_F . d_F) and s is the scale of x_F. In (mu, q) a light weight
+    q_i on a free game makes the system near singular: steps in mu and q_i
+    cancel in x_i = mu q_i d_i. The residual is the ratio less 1 and the
+    differences of its gradient over the support of q; its Jacobian is exact,
+    by the chain rule through value_grad_hess. Newton stops after a step
+    within 1e-12 of z, or when the line search no longer lowers the residual.
     """
-
-    def x_of(s: float) -> np.ndarray:
-        x = np.where(pinned1, 1.0, 0.0)
-        x[i_free] = s
-        return x
-
-    q_probe = q_hat.copy()
-    feas_tol = 1e-13
-
-    def feasible(s: float) -> bool:
-        nonlocal q_probe
-        val, q = prob.maximize(prob.adjusted(x_of(s)), q_probe)
-        q_probe = q
-        return val <= 1.0 + feas_tol
-
-    hi = 0.0
-    if not feasible(0.0):
-        lo, hi = 0.0, 1.0
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if feasible(mid):
-                hi = mid
-            else:
-                lo = mid
-    qd = float(q_probe[i_free] * prob.d[i_free])
-    return x_of(hi), q_probe, hi / qd if qd > 0.0 else 0.0
-
-
-def _polish_newton(prob, assemble, q_hat, x_hat, free):
-    """Newton on (mu, tight-mix weights) for the stationarity system."""
     n = prob.n
-    support = [i for i in range(n) if q_hat[i] > 1e-7 * float(np.max(q_hat))]
-    if len(support) < 2:
+    d = prob.d
+    support = np.flatnonzero(q_hat > 1e-7 * float(np.max(q_hat)))
+    if support.size < 2:
         return None
-    qd = np.array([q_hat[i] * prob.d[i] for i in free])
-    xs = np.array([x_hat[i] for i in free])
-    denom = float(qd @ qd)
-    if denom <= 0.0:
-        return None
-    mu0 = float(qd @ xs) / denom
+    first, rest = support[0], support[1:]
+    d_free = np.where(free, d, 0.0)
+    # dq/dz: z[1:] are the weights on rest, and first takes what is left
+    Jq = np.zeros((n, support.size))
+    Jq[rest, np.arange(1, support.size)] = 1.0
+    Jq[first, 1:] = -1.0
 
-    def unpack(z: np.ndarray) -> tuple[float, np.ndarray]:
-        mu = z[0]
+    def evaluate(z: np.ndarray):
+        """(residual, Jacobian, x, q, mu) at z, or None outside the domain."""
+        s = z[0]
         q = np.zeros(n)
-        q[support[1:]] = z[1:]
-        q[support[0]] = 1.0 - float(np.sum(z[1:]))
-        return mu, q
-
-    def residual(z: np.ndarray) -> np.ndarray:
-        mu, q = unpack(z)
-        if mu < 0.0 or np.any(q[support] < -1e-9):
-            return np.full(len(z), 1e6)
-        x = assemble(mu, q)
+        q[rest] = z[1:]
+        q[first] = 1.0 - float(np.sum(z[1:]))
+        qd = float(q @ d_free)
+        if s < 0.0 or np.any(q[support] < -1e-9) or qd <= 0.0:
+            return None
+        mu = s / qd
+        raw = mu * q * d_free
+        x = np.where(pinned1, 1.0, np.clip(raw, 0.0, 1.0))
+        # dx/dz, zero off the free coordinates and on those clipped at 1
+        Jx = mu * d_free[:, None] * Jq - np.outer(raw, d_free @ Jq) / qd
+        Jx[:, 0] = q * d_free / qd
+        Jx[raw >= 1.0] = 0.0
+        value, grad, hess = prob.value_grad_hess(q)
         adj = prob.adjusted(x)
-        r = np.empty(len(z))
-        ratio, grad = prob.ratio_grad(q, adj)
-        r[0] = ratio - 1.0
-        r[1:] = grad[support[1:]] - grad[support[0]]
-        return r
+        dadj = d[:, None] * Jx
+        den = float(q @ adj)
+        ratio = value / den
+        ratio_grad = (grad - ratio * adj) / den
+        dden = adj @ Jq + q @ dadj
+        dratio = (grad @ Jq - ratio * dden) / den
+        dratio_grad = (hess @ Jq - np.outer(adj, dratio) - ratio * dadj
+                       - np.outer(ratio_grad, dden)) / den
+        r = np.concatenate(([ratio - 1.0], ratio_grad[rest] - ratio_grad[first]))
+        jac = np.vstack((dratio, dratio_grad[rest] - dratio_grad[first]))
+        return r, jac, x, q, mu
 
-    z = np.concatenate(([mu0], q_hat[support[1:]]))
-    r = residual(z)
+    z = np.concatenate(([float(np.sum(x_hat[free]))], q_hat[rest]))
+    state = evaluate(z)
+    if state is None:
+        return None
     for _ in range(40):
-        err = float(np.max(np.abs(r)))
-        if err < 3e-12:
-            break
-        jac = np.empty((len(z), len(z)))
-        for j in range(len(z)):
-            h = 1e-7 * max(1.0, abs(z[j]))
-            zp, zm = z.copy(), z.copy()
-            zp[j] += h
-            zm[j] -= h
-            jac[:, j] = (residual(zp) - residual(zm)) / (2.0 * h)
+        r, jac = state[:2]
         step = np.linalg.solve(jac, -r)
+        if float(np.max(np.abs(step))) <= 1e-12 * float(np.max(np.abs(z))):
+            state = evaluate(z + step)
+            break
+        err = float(np.max(np.abs(r)))
         lam = 1.0
         while lam > 1e-8:
-            z_new = z + lam * step
-            r_new = residual(z_new)
-            if float(np.max(np.abs(r_new))) < err:
-                z, r = z_new, r_new
+            new = evaluate(z + lam * step)
+            if new is not None and float(np.max(np.abs(new[0]))) < err:
+                z, state = z + lam * step, new
                 break
             lam *= 0.5
         else:
             break
-    if float(np.max(np.abs(r))) > 1e-9:
+    if state is None or float(np.max(np.abs(state[0]))) > 1e-9:
         return None
-    mu, q = unpack(z)
-    if np.any(q < -1e-9):
-        return None
+    _, _, x, q, mu = state
     q = np.clip(q, 0.0, None)
-    q = q / q.sum()
-    return assemble(mu, q), q, mu
+    return x, q / q.sum(), mu
 
 
 # ---------------------------------------------------------------------------
@@ -577,8 +559,6 @@ def least_squares_prices(
     rate: Rate,
     *,
     tol_L: float = DEFAULT_L_TOL,
-    x_tol: float = DEFAULT_X_TOL,
-    max_cuts: int = DEFAULT_MAX_CUTS,
     seed_mixes: Optional[Sequence[Sequence[float]]] = None,
 ) -> LsSolution:
     """Min-norm feasible coordinates and the prices they induce.
@@ -656,7 +636,7 @@ def least_squares_prices(
     iterations = 0
     termination: Optional[Termination] = None
     handed_off = False
-    for iterations in range(1, max_cuts + 1):
+    for iterations in range(1, _MAX_CUTS + 1):
         x_new = _min_norm_point(cuts, n)
         # big_L starts from the uniform mix: from the previous tight mix the
         # ascent stays on that mix's face, and the polish would then leave
@@ -673,7 +653,7 @@ def least_squares_prices(
             refined = _polish(prob, x, pstar, tol_L)
             if refined is not None:
                 return solution(*refined, iterations, "polished")
-        if moved < x_tol:
+        if moved < _X_TOL:
             stalled += 1
             if stalled >= 5:
                 termination = "stalled"  # x has settled; report the residual
@@ -691,7 +671,7 @@ def least_squares_prices(
             ]
     if termination is None:
         raise PricingError(
-            f"cutting-plane iteration cap {max_cuts} exceeded "
+            f"cutting-plane iteration cap {_MAX_CUTS} exceeded "
             f"(violation {violation:.3e})"
         )
     refined = _polish(prob, x, pstar, tol_L)

@@ -237,7 +237,7 @@ class TestOracle:
             assert val >= grid_best * (1.0 - 1e-12)
             # max_i dh/dy_i bounds the ratio over the whole simplex
             adj = prob.adjusted(t)
-            price, grad = prob.value_grad(p)
+            price, grad, _ = prob.value_grad_hess(p)
             ratio = price / float(p @ adj)
             assert float(np.max(grad / adj)) - ratio <= 1e-10 * ratio
 
@@ -255,6 +255,46 @@ class TestOracle:
         monkeypatch.setattr(gameprice.lsq, "_ORACLE_MAX_ITER", 1)
         with pytest.raises(PricingError, match="gap"):
             _LsqProblem(B13, R05).big_L(np.zeros(2))
+
+
+class TestMixHessian:
+    def test_matches_central_differences_of_the_gradient(self):
+        rng = np.random.default_rng(5)
+        seen = {"full": 0, "interior": 0, "zero payoff": 0, "fair coin": 0}
+        for case in range(200):
+            m = int(rng.integers(2, 7))
+            n = int(rng.integers(2, 5))
+            if m == 2 and case % 2 == 0:
+                space = COIN
+            else:
+                space = OutcomeSpace(rng.dirichlet(np.ones(m)).tolist())
+            if case % 4 == 1:  # nearly constant payoffs: full investment
+                M = 10.0 + rng.uniform(-0.3, 0.3, (m, n))
+            else:
+                M = rng.uniform(0.5, 20.0, (m, n)) * 10.0 ** rng.uniform(-1.0, 1.0, (1, n))
+                if case % 3 == 0 and m > 2:
+                    M[rng.integers(m)] = 0.0  # every mix has a zero payoff
+            rate = Rate(float(rng.uniform(0.005, 0.10)))
+            prob = _LsqProblem(ConeBasis(space, [Game(c) for c in M.T]), rate)
+            p = rng.dirichlet(np.ones(n))
+            value, grad, hess = prob.value_grad_hess(p)
+            u, g = prob._mix_value_grad(p.tolist())
+            g = np.array(g)
+            scale = float(np.max(np.abs(g)))
+            assert value == pytest.approx(u, rel=1e-12)
+            assert np.max(np.abs(grad - g)) <= 1e-12 * scale
+            for j in range(n):
+                # the curvature grows as p_j shrinks, so the step shrinks with it
+                e = np.zeros(n)
+                e[j] = 1e-4 * p[j]
+                fd = (np.array(prob._mix_value_grad((p + e).tolist())[1])
+                      - np.array(prob._mix_value_grad((p - e).tolist())[1])) / (2.0 * e[j])
+                assert np.max(np.abs(hess[:, j] - fd)) <= 1e-7 * scale, (case, j)
+            a = M @ p
+            seen["full" if prob.price_full(a.tolist())[1] == 1.0 else "interior"] += 1
+            seen["zero payoff"] += bool(np.any(a == 0.0))
+            seen["fair coin"] += space is COIN and bool(np.all(a > 0.0))
+        assert min(seen.values()) >= 15, seen
 
 
 class TestLeastSquaresPrices:
@@ -354,11 +394,11 @@ class TestLeastSquaresPrices:
         assert outside >= 10
 
     def test_one_free_coordinate_with_a_light_tight_mix(self):
-        # the tight mix puts 7e-4 on game 1, the only free coordinate: the
-        # polish must bisect on it, where Newton on the stationarity system
-        # stalls at L - 1 = 2.4e-10 with x_1 5.8e-6 short. L(1, s, 1) - 1
-        # falls by 4.2e-5 per unit s near its root 0.99555884379, so the
-        # bisection's L <= 1 + 1e-13 stops 2.4e-9 below it
+        # the tight mix puts 7e-4 on game 1, the only free coordinate. In
+        # unknowns (mu, q) the polish's Newton stalls here: steps in mu and q_1
+        # cancel in x_1 = mu q_1 d_1. In (s, q) x_1 = s, and Newton reaches the
+        # root 0.99555884379 of L(1, s, 1) = 1, along which L - 1 falls by
+        # only 4.2e-5 per unit s
         space = OutcomeSpace([0.19260668218462157, 0.38268946492998346,
                               0.42470385288539486])
         games = [
@@ -415,6 +455,29 @@ def _stress_basis(rng):
         0.5, 20.0, int(empty.sum()))
     space = OutcomeSpace(rng.dirichlet(np.ones(m)).tolist())
     return ConeBasis(space, [Game(c) for c in M.T]), Rate(float(rng.uniform(0.005, 0.10)))
+
+
+def _bisection_coordinate(prob, x, i):
+    """Reference for one free coordinate i: the smallest s in [0, 1] with
+    L <= 1 + 1e-13 when x_i = s and the other coordinates stay as in x, by
+    bisection on the oracle to 2^-40. L - 1 falls slowly along a light free
+    game, so this stops up to a few 1e-9 below the root."""
+
+    def feasible(s):
+        t = x.copy()
+        t[i] = s
+        return prob.big_L(t)[0] <= 1.0 + 1e-13
+
+    if feasible(0.0):
+        return 0.0
+    lo, hi = 0.0, 1.0
+    for _ in range(40):
+        mid = 0.5 * (lo + hi)
+        if feasible(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 class TestPolishHandOff:
@@ -486,6 +549,28 @@ class TestPolishHandOff:
             compared += 1
         assert compared >= 90
 
+    def test_one_free_coordinate_matches_bisection(self):
+        rng = np.random.default_rng(7)
+        compared = 0
+        for _ in range(200):
+            try:
+                b, rate = _stress_basis(rng)
+            except BasisError:  # a proportional pair
+                continue
+            try:
+                sol = least_squares_prices(b, rate)
+            except PricingError:  # the oracle's iteration cap
+                continue
+            free = np.flatnonzero((sol.x > 0.0) & (sol.x < 1.0))
+            if free.size != 1:
+                continue
+            i = int(free[0])
+            assert sol.termination == "polished", (b, rate)
+            ref = _bisection_coordinate(_LsqProblem(b, rate), sol.x, i)
+            assert abs(sol.x[i] - ref) <= 1e-8, (b, rate, sol.x, ref)
+            compared += 1
+        assert compared >= 15
+
     def test_catalogue_bases_finish_by_polish(self):
         for probs, games, r in self.CATALOGUE:
             b = ConeBasis(OutcomeSpace(probs), [Game(g) for g in games])
@@ -500,8 +585,9 @@ class TestPolishHandOff:
         monkeypatch.setattr(gameprice.lsq, "_polish", lambda *args: None)
         sol = least_squares_prices(B13, R05)
         assert sol.termination == "tol" and sol.max_violation <= 1e-9
-        # a tolerance no iterate can meet: x stops moving by x_tol first
-        sol = least_squares_prices(B13, R05, tol_L=-1.0, x_tol=1.0)
+        # a tolerance no iterate can meet: x stops moving by _X_TOL first
+        monkeypatch.setattr(gameprice.lsq, "_X_TOL", 1.0)
+        sol = least_squares_prices(B13, R05, tol_L=-1.0)
         assert sol.termination == "stalled" and sol.max_violation > -1.0
         assert sol.iterations == 6
 
