@@ -28,7 +28,7 @@ from .core import (
 )
 from .lsq import LsSolution, least_squares_prices, price_in_cone, reduce_to_basis
 from .portfolio import compare_mean_variance, put_call_parity
-from .pricer import REGIME_FULL, U_REL_TOL, price_general
+from .pricer import REGIME_FULL, price_general
 from .reference import run_checks
 from .simulate import SimConfig, simulate_growth, sweep_proportion, sweep_rows_csv
 
@@ -90,7 +90,7 @@ def cmd_price(args) -> int:
     gf = load_game_file(args.input)
     rate = _resolve_rate(gf, args)
     game = _pick_game(gf, args.game)
-    res = price_general(game, gf.space, rate, rel_tol=args.tol_price)
+    res = price_general(game, gf.space, rate)
     fp = args.full_precision
     if args.format == "json":
         print(json.dumps({
@@ -321,8 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("price", help="price one game")
     common(sp)
     sp.add_argument("--game", required=True, help="game name in the file")
-    sp.add_argument("--tol-price", type=_tolerance, default=U_REL_TOL,
-                    help="relative tolerance of the price solver")
     sp.set_defaults(func=cmd_price)
 
     sp = sub.add_parser("ls-price", help="least-squares prices of all games")

@@ -51,7 +51,7 @@ from .core import (
     Rate,
     is_fair_coin,
 )
-from .pricer import U_REL_TOL, KappaContext, _price_fair, _price_numeric
+from .pricer import KappaContext, _price_fair, _price_numeric
 
 DEFAULT_L_TOL = 1e-9
 
@@ -133,7 +133,7 @@ class _LsqProblem:
         """(price, proportion) of an arbitrary payoff list on the space."""
         if self._fair and payoffs[0] > 0.0 and payoffs[1] > 0.0:
             return _price_fair(payoffs[0], payoffs[1], self.g, self._kappa)
-        u, t, _, _ = _price_numeric(payoffs, self._probs_list, self.rate, U_REL_TOL)
+        u, t, _, _ = _price_numeric(payoffs, self._probs_list, self.rate)
         return u, t
 
     def price_mix(self, p: np.ndarray) -> float:

@@ -3,19 +3,20 @@
 The mean-variance one-fund weight is computed from payoff variances and
 rates of mean return (E/u - 1 at the growth-rate price), then compared with
 the weight that actually maximizes the growth-rate price of the blended
-fund. Put-call parity is verified through least-squares prices of the
-basis {put, call, stock-minus-call}.
+fund. That weight comes from the least-squares solver's separation oracle,
+which certifies its maximum to 1e-10 relative. Put-call parity is verified
+through least-squares prices of the basis {put, call, stock-minus-call}.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .core import (
+    ConeBasis,
     Game,
     InvariantViolation,
     OutcomeSpace,
@@ -27,6 +28,7 @@ from .core import (
 )
 from .lsq import (
     LsSolution,
+    _LsqProblem,
     check_constant_mix,
     cone_coordinates,
     least_squares_prices,
@@ -34,29 +36,6 @@ from .lsq import (
     reduce_to_basis,
 )
 from .pricer import price_general
-
-
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def _golden_max(f, lo: float, hi: float, iters: int = 100):
-    a, b = lo, hi
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(iters):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
-        if b - a < 1e-14:
-            break
-    mid = 0.5 * (a + b)
-    return mid, f(mid)
 
 
 @dataclass(frozen=True)
@@ -141,8 +120,15 @@ def one_fund_weight(x: Game, y: Game, rate: Rate) -> float:
 def compare_mean_variance(x: Game, y: Game, rate: Rate) -> FundComparison:
     """Price the one-fund blend and the best blend of two independent coin games.
 
-    The blend price is concave in the weight, so a golden-section search
-    finds the maximizer; ties (flat objective) resolve to the midpoint 0.5.
+    The best weight w* comes from the separation oracle of the least-squares
+    solver on the basis {x, y} over the joint space, with unit denominators:
+    the ratio it maximizes is then the blend price itself, concave in the
+    weight. The oracle stops only once its upper bound on the maximum is
+    within ORACLE_GAP (1e-10) relative of its value, so no weight, the
+    one-fund weight included, prices above price_star by more than that
+    gap: a certificate, not a patch, backs FundComparison's check. A
+    symmetric pair certifies at the uniform start and returns w* = 0.5
+    exactly.
     """
     u_x, _, v_x, r_x = _coin_stats(x, rate)
     u_y, _, v_y, r_y = _coin_stats(y, rate)
@@ -152,16 +138,10 @@ def compare_mean_variance(x: Game, y: Game, rate: Rate) -> FundComparison:
     def blend(w: float) -> Game:
         return Game(w * x4.payoffs + (1.0 - w) * y4.payoffs)
 
-    def price_of(w: float) -> float:
-        return price_general(blend(w), space, rate).price
-
-    price_onefund = price_of(w_of)
-    w_star, price_star = _golden_max(price_of, 0.0, 1.0)
-    mid = price_of(0.5)
-    if mid >= price_star - 1e-12 * max(1.0, price_star):
-        w_star, price_star = 0.5, mid
-    if price_onefund > price_star:
-        w_star, price_star = w_of, price_onefund
+    price_onefund = price_general(blend(w_of), space, rate).price
+    problem = _LsqProblem(ConeBasis(space, [x4, y4]), rate)
+    _, p = problem.maximize(np.ones(2), np.full(2, 0.5))
+    w_star = float(p[0])
     star = price_general(blend(w_star), space, rate)
     t_star = star.proportion
     allocation = (t_star * w_star, t_star * (1.0 - w_star), 1.0 - t_star)

@@ -93,10 +93,7 @@ def max_proportion(game: Game, u: float) -> float:
     """Largest t keeping every log argument positive (may be +inf)."""
     if u <= 0:
         raise InvariantViolation("price must be > 0")
-    a_min = float(np.min(game.payoffs))
-    if a_min >= u:
-        return math.inf
-    return u / (u - a_min)
+    return _tmax_raw(game.payoffs.tolist(), u)
 
 
 # -- raw helpers on plain lists (hot loops; numpy overhead dominates at m <= 8)
@@ -273,7 +270,7 @@ def _zero_payoff_floor(pay, pr, log_g):
     return math.exp(log_lo)
 
 
-def _price_numeric(pay, pr, rate: Rate, rel_tol):
+def _price_numeric(pay, pr, rate: Rate):
     g = rate.growth_factor()
     log_g = rate.log_growth_factor()
     mean = sum(p * a for a, p in zip(pay, pr))
@@ -291,7 +288,6 @@ def _price_numeric(pay, pr, rate: Rate, rel_tol):
     # attained at some t < 1.
     lo = gm / g if gm > 0.0 else _zero_payoff_floor(pay, pr, log_g)
     hi = mean / g
-    tol = max(rel_tol, 4.0 * np.finfo(float).eps)
     u, t = _newton_start(pay, pr, mean, log_g, lo, hi)
     while not _inside(a_min, u, t):
         t *= 0.5
@@ -311,7 +307,8 @@ def _price_numeric(pay, pr, rate: Rate, rel_tol):
             dt = (gap * fu - f * gu) / det
             # t moves with u as dt*/du = -fu/ft: its step is measured in the
             # units of a relative step in u
-            if abs(du) <= tol * u and abs(dt) <= tol * max(1.0, u * fu / ft):
+            if (abs(du) <= U_REL_TOL * u
+                    and abs(dt) <= U_REL_TOL * max(1.0, u * fu / ft)):
                 u += du
                 t += dt
                 return u, t, REGIME_INTERIOR, math.exp(_elg(pay, pr, u, t))
@@ -353,7 +350,6 @@ def price_general(
     space: OutcomeSpace,
     rate: Rate,
     *,
-    rel_tol: float = U_REL_TOL,
     force_numeric: bool = False,
 ) -> PriceResult:
     """Price a finite game with nonnegative payoffs and positive expectation.
@@ -369,7 +365,7 @@ def price_general(
             float(game.payoffs[0]), float(game.payoffs[1]), rate
         )
     u, t, regime, achieved = _price_numeric(
-        game.payoffs.tolist(), space.probs.tolist(), rate, rel_tol
+        game.payoffs.tolist(), space.probs.tolist(), rate
     )
     return PriceResult(u, t, regime, achieved)
 
@@ -429,10 +425,9 @@ def price_series(
     sgame: SeriesGame,
     rate: Rate,
     *,
-    rel_tol: float = U_REL_TOL,
     trunc_tol: float = 1e-12,
     max_terms: int = 60,
 ) -> PriceResult:
     """Price a countable-support game via adaptive truncation."""
     space, game = truncate_series(sgame, tol=trunc_tol, max_terms=max_terms)
-    return price_general(game, space, rate, rel_tol=rel_tol, force_numeric=True)
+    return price_general(game, space, rate, force_numeric=True)

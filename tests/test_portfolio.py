@@ -12,6 +12,7 @@ from gameprice import (
     fair_coin,
     joint_space,
     one_fund_weight,
+    price_general,
     put_call_parity,
     variance,
 )
@@ -106,6 +107,32 @@ class TestCompareMeanVariance:
         for key in ("u_x", "u_y", "r_x", "r_y", "v_x", "v_y", "w_onefund",
                     "price_onefund", "w_star", "price_star", "t_star", "allocation"):
             assert key in doc
+
+
+class TestCertifiedBestBlend:
+    def test_no_grid_weight_prices_above_the_certified_maximum(self):
+        # seeded coin pairs at scales 1e-3..1e3; both games of a pair share
+        # one scale, since one_fund_weight calls a game constant by its
+        # variance against the larger payoff of the pair
+        rng = np.random.default_rng(35)
+        pairs = [(Game([3.0, 0.0]), Game([1.0, 2.5]))]
+        for _ in range(24):
+            scale = 10.0 ** rng.uniform(-3.0, 3.0)
+            a = rng.uniform(0.05, 1.0, size=4) * scale
+            pairs.append((Game(a[:2]), Game(a[2:])))
+        weights = np.linspace(0.0, 1.0, 101)
+        for x, y in pairs:
+            for convention in ("continuous", "simple"):
+                rate = Rate(float(rng.uniform(0.001, 0.5)), convention)
+                comp = compare_mean_variance(x, y, rate)
+                space, x4, y4 = joint_space(x, y)
+                grid = max(
+                    price_general(Game(w * x4.payoffs + (1 - w) * y4.payoffs),
+                                  space, rate).price
+                    for w in weights
+                )
+                assert grid <= comp.price_star * (1 + 1e-10), (x, y, rate)
+                assert comp.price_star >= comp.price_onefund, (x, y, rate)
 
 
 class TestPutCallParity:

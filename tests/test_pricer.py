@@ -449,7 +449,7 @@ class TestNewtonPrice:
             return system(pay, pr, u, t)
 
         monkeypatch.setattr(pricer, "_growth_system", recorded)
-        u, t, regime, achieved = _price_numeric(pay, pr, rate, 1e-12)
+        u, t, regime, achieved = _price_numeric(pay, pr, rate)
         # the Newton step from the start leaves the bracket; the next iterate
         # is its midpoint, with either end possibly moved to the start
         midpoints = [0.5 * (lo + hi), 0.5 * (lo + start[0]), 0.5 * (start[0] + hi)]
@@ -465,7 +465,7 @@ class TestNewtonPrice:
         monkeypatch.setattr(pricer, "NEWTON_ITER", 0)
         for pay, pr in (([19.0, 1.0], [0.5, 0.5]), ([0.0, 3.0, 7.0], [0.2, 0.5, 0.3])):
             u_ref, t_ref, _, _ = _bisection_price(pay, pr, R05)
-            u, t, regime, _ = _price_numeric(pay, pr, R05, 1e-12)
+            u, t, regime, _ = _price_numeric(pay, pr, R05)
             assert regime == REGIME_INTERIOR
             assert u == pytest.approx(u_ref, rel=1e-11)
             assert t == pytest.approx(t_ref, abs=1e-10)
@@ -478,7 +478,7 @@ class TestNewtonPrice:
         pay, pr, rate = [0.0, 1.0], [0.9, 0.1], Rate(20.0)
         with pytest.raises(PricingError):
             _bisection_price(pay, pr, rate)
-        u, t, regime, _ = _price_numeric(pay, pr, rate, 1e-12)
+        u, t, regime, _ = _price_numeric(pay, pr, rate)
         assert regime == REGIME_INTERIOR
         assert u == pytest.approx(0.1 * math.exp((0.9 * math.log(0.9) - 20.0) / 0.1), rel=1e-12)
         assert u == pytest.approx(5.3614986911377856e-89, rel=1e-12)
@@ -500,7 +500,7 @@ class TestNewtonPrice:
                 pr = np.maximum(rng.dirichlet(np.full(m, rng.uniform(0.2, 2.0))), 1e-6)
                 pay, pr = pay.tolist(), (pr / pr.sum()).tolist()
                 try:
-                    u, t, regime, _ = _price_numeric(pay, pr, rate, 1e-12)
+                    u, t, regime, _ = _price_numeric(pay, pr, rate)
                 except PricingError as exc:
                     assert "underflows" in str(exc), (pay, pr, rate)
                     underflowed += 1
