@@ -18,10 +18,11 @@ held at 1 has a nonnegative bound multiplier. Else the cutting planes go on
 to tol_L and the polish runs once more. When some mix of the games pays a
 constant, t = 1 is the only feasible point on the games with c_i > u_i, so
 it is returned at once. LsSolution.termination says which way a solve
-ended. The oracle is projected gradient ascent on a concave
-reparametrization of the ratio, run on plain Python floats; it stops only
-when the upper bound max_i dh/dy_i (Euler's identity plus concavity) is
-within 1e-10 relative of its value. The min-norm subproblem is a
+ended. The oracle is projected Newton on a concave reparametrization of the
+ratio, with the mix price's exact Hessian, run on plain Python floats; the
+polish uses the same derivatives. The oracle stops only when the upper
+bound max_i dh/dy_i (Euler's identity plus concavity) is within 1e-10
+relative of its value. The min-norm subproblem is a
 least-distance program, solved exactly as one nonnegative least-squares
 (NNLS) problem by a numpy Lawson-Hanson active-set method. Every question
 about the cone the games span is the same NNLS: whether a game lies in it
@@ -35,6 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul, sub
 from typing import Literal, Optional, Sequence
 
 import numpy as np
@@ -57,8 +59,11 @@ DEFAULT_L_TOL = 1e-9
 
 # relative gap between the oracle's computed upper bound and its value
 ORACLE_GAP = 1e-10
-# relative value changes below this are noise of the 1e-12 price solve
-_PRICE_NOISE = 1e-12
+# eigenvalues of the oracle's unit-diagonal Hessian block within this of
+# the largest count as flat
+_FLAT = 1e-9
+# share of the predicted rise that an oracle step must achieve
+_ARMIJO = 1e-4
 # the cutting planes hand over to the KKT polish at the first L - 1 below this
 _HANDOFF_L = 1e-4
 # a bound multiplier mu q_i d_i - 1 above -_MULTIPLIER_TOL counts as >= 0
@@ -145,133 +150,204 @@ class _LsqProblem:
     def ratio(self, t: np.ndarray, p: np.ndarray) -> float:
         return self.price_mix(p) / float(p @ self.adjusted(t))
 
-    def _mix_value_grad(self, p: list[float]) -> tuple[float, list[float]]:
-        """Mix price at p and its gradient in p, from one price solve.
-
-        The gradient is d price / d payoff_j by the envelope theorem at the
-        solved (u, t), mapped back to the mix weights through M.
-        """
-        payoffs = [sum(a * w for a, w in zip(row, p)) for row in self._rows]
-        u, t = self.price_full(payoffs)
-        if t >= 1.0 - 1e-13:
-            dprice = [q * u / a for q, a in zip(self._probs_list, payoffs)]
-        else:
-            den = [a * t - u * t + u for a in payoffs]
-            w = sum(q * a / v for q, a, v in zip(self._probs_list, payoffs, den))
-            dprice = [q * u / (v * w) for q, v in zip(self._probs_list, den)]
-        return u, [sum(a * dp for a, dp in zip(col, dprice)) for col in self._cols]
-
-    def value_grad_hess(self, p: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    def value_grad_hess(
+        self, p: Sequence[float]
+    ) -> tuple[float, list[float], list[list[float]]]:
         """Mix price at p with its gradient and Hessian in p, from one price solve.
 
         In the payoffs a the gradient is gamma = probs u / (D W), with
-        D = u + t (a - u) and W = E[a / D] (as in _mix_value_grad). Its
-        Jacobian follows from differentiating gamma through u (du/da = gamma)
-        and through t, whose derivative the implicit function theorem gives
-        from the first-order condition E[(a - u) / D] = 0. In the
-        full-investment regime the price is gm/g, whose Hessian is
-        gamma gamma^T / u - diag(gamma / a). M maps both back to the weights.
+        D = u + t (a - u) and W = E[a / D], by the envelope theorem at the
+        solved (u, t). Its Jacobian follows from differentiating gamma through
+        u (du/da = gamma) and through t, whose derivative dt the implicit
+        function theorem gives from the first-order condition
+        E[(a - u) / D] = 0; dW is W's. With e = gamma / D, f = e (a - u) and
+        G, E, F, T, V = M^T gamma, e, f, dt, dW the Hessian in the weights is
+        G G^T / u - (1 - t) E G^T - F T^T - G V^T / W - t M^T diag(e) M. In
+        the full-investment regime the price is gm/g, and the Hessian is
+        G G^T / u - M^T diag(gamma / a) M. Runs on plain floats: numpy's
+        overhead dominates at these sizes.
         """
-        a = self.M @ p
-        u, t = self.price_full(a.tolist())
+        cols = self._cols
+        q = self._probs_list
+        a = [sum(map(mul, row, p)) for row in self._rows]
+        u, t = self.price_full(a)
         if t >= 1.0 - 1e-13:
-            gamma = self.probs * u / a
-            hess = np.outer(gamma, gamma) / u - np.diag(gamma / a)
-        else:
-            D = u + t * (a - u)
-            W = float(self.probs @ (a / D))
-            gamma = self.probs * u / (D * W)
-            # the first-order condition's partials: u probs / D^2 in a,
-            # -E[a / D^2] in u and -E[(a - u)^2 / D^2] in t
-            pd2 = self.probs / (D * D)
-            dt = (u * pd2 - float(pd2 @ a) * gamma) / float(pd2 @ (a - u) ** 2)
-            dD = (1.0 - t) * gamma + t * np.eye(a.size) + np.outer(a - u, dt)
-            dW = self.probs / D - (pd2 * a) @ dD
-            hess = gamma[:, None] * (gamma / u - dD / D[:, None] - dW / W)
-        return u, self.M.T @ gamma, self.M.T @ hess @ self.M
+            gamma = [qi * u / x for qi, x in zip(q, a)]
+            G = [sum(map(mul, col, gamma)) for col in cols]
+            w = [gi / x for gi, x in zip(gamma, a)]
+            return u, G, [
+                [gj * gk / u - sum(map(mul, cw, ck)) for gk, ck in zip(G, cols)]
+                for gj, cw in zip(G, [list(map(mul, col, w)) for col in cols])
+            ]
+        D = [u + t * (x - u) for x in a]
+        W = sum(qi * x / di for qi, x, di in zip(q, a, D))
+        gamma = [qi * u / (di * W) for qi, di in zip(q, D)]
+        # the first-order condition's partials: u probs / D^2 in a,
+        # -E[a / D^2] in u and -E[(a - u)^2 / D^2] in t
+        pd2 = [qi / (di * di) for qi, di in zip(q, D)]
+        s_a = sum(map(mul, pd2, a))
+        s_au = sum(w * x * (x - u) for w, x in zip(pd2, a))
+        s_uu = sum(w * (x - u) ** 2 for w, x in zip(pd2, a))
+        dt = [(u * w - s_a * gi) / s_uu for w, gi in zip(pd2, gamma)]
+        dW = [qi / di - (1.0 - t) * gi * s_a - t * w * x - dti * s_au
+              for qi, di, gi, w, x, dti in zip(q, D, gamma, pd2, a, dt)]
+        e = [gi / di for gi, di in zip(gamma, D)]
+        f = [ei * (x - u) for ei, x in zip(e, a)]
+        G, E, F, T, V = ([sum(map(mul, col, v)) for col in cols]
+                         for v in (gamma, e, f, dt, dW))
+        GV = [gk / u - vk / W for gk, vk in zip(G, V)]
+        te = [t * ei for ei in e]
+        return u, G, [
+            [gj * gvk - sej * gk - fj * tk - sum(map(mul, ce, ck))
+             for gk, tk, gvk, ck in zip(G, T, GV, cols)]
+            for gj, sej, fj, ce in zip(G, [(1.0 - t) * ej for ej in E], F,
+                                       [list(map(mul, col, te)) for col in cols])
+        ]
 
     def big_L(self, t: np.ndarray) -> tuple[float, np.ndarray]:
         """max of the price ratio over the mix simplex and an attaining mix."""
         return self.maximize(self.adjusted(t), np.full(self.n, 1.0 / self.n))
 
     def maximize(self, adj: np.ndarray, p0: np.ndarray) -> tuple[float, np.ndarray]:
-        """max over mixes p of price(mix(p)) / (p . adj), ascending from p0.
+        """max over mixes p of price(mix(p)) / (p . adj), climbing from p0.
 
         In y = p * adj / (p . adj) the ratio is h(y) = price(mix(y / adj)),
         concave on the simplex because the mix price is concave and
         1-homogeneous, so a local maximum is global. Euler's identity
-        grad h . y = h and concavity give max h <= max_i dh/dy_i; projected
-        gradient ascent with Barzilai-Borwein steps runs until that bound is
-        within ORACLE_GAP of the value, and raises PricingError otherwise.
-        The ascent runs on plain floats.
+        grad h . y = h and concavity give max h <= max_i dh/dy_i; the climb
+        runs until that bound is within ORACLE_GAP of the value, and raises
+        PricingError otherwise. Each step is projected Newton (Bertsekas
+        1982) in z, y without its largest coordinate y_r = 1 - sum(z), on
+        the box z >= 0. Coordinates near 0 that the gradient pushes out go
+        to 0 (the epsilon-active set). The others take the Newton step along
+        the curved directions of their Hessian block (_newton_split), and
+        along its flat ones a step on to the first bound: there the ratio is
+        affine (the cash direction M^-1 1 of a square basis, the null space
+        of M when there are more games than outcomes), so Newton would not
+        move, and the bound is the maximum along them. The step is halved
+        until the value rises by Armijo's rule, the bound is met, or the
+        value falls by at most ORACLE_GAP while the bound comes closer.
         """
         adj = adj.tolist()
+        inv = [1.0 / ai for ai in adj]
+        n = len(adj)
 
-        def evaluate(y: list[float]) -> tuple[float, list[float], list[float]]:
-            p = [yi / ai for yi, ai in zip(y, adj)]
+        def evaluate(y: list[float]):
+            """(h, dh/dy, certificate gap, p, the mix price's Hessian, 1 / p . adj)."""
+            p = list(map(mul, y, inv))
             total = sum(p)
             p = [pi / total for pi in p]
-            price, grad = self._mix_value_grad(p)
-            linear = sum(pi * ai for pi, ai in zip(p, adj))
-            return price / linear, [gi / ai for gi, ai in zip(grad, adj)], p
+            price, grad, hess = self.value_grad_hess(p)
+            # the price is 1-homogeneous: h(y) = price(M (y / adj)) on the
+            # simplex, and y / adj = total * p
+            val = price * total
+            g = list(map(mul, grad, inv))
+            return val, g, max(g) - val, p, hess, total
 
-        y = [pi * ai for pi, ai in zip(p0.tolist(), adj)]
+        y = list(map(mul, p0.tolist(), adj))
         total = sum(y)
         y = [yi / total for yi in y]
-        val, g, p = evaluate(y)
-        bound = max(g)
-        step = 1.0 / bound
+        val, g, gap, p, hess, total = evaluate(y)
         for _ in range(_ORACLE_MAX_ITER):
-            if bound - val <= ORACLE_GAP * val:
+            if gap <= ORACLE_GAP * val:
                 return val, np.array(p)
-            # g - val projects like g (the simplex absorbs constant shifts)
-            # but keeps y + step * d exact when g is nearly flat; moves past
-            # 1e6 land on the same face and only lose that precision
-            d = [gi - val for gi in g]
-            d_max = max(abs(di) for di in d)
-            step = min(step, 1e6 / d_max)
+            r = y.index(max(y))
+            gz = [gj - g[r] for gj in g]
+            # the Hessian of h in z (y_j = z_j, y_r = 1 - sum(z)), from the
+            # mix price's by the chain rule
+            scale = [bj / total for bj in inv]
+            hr = [hk * scale[r] * bk for hk, bk in zip(hess[r], inv)]
+
+            def hz(j: int, k: int) -> float:
+                return hess[j][k] * scale[j] * inv[k] - hr[k] - hr[j] + hr[r]
+
+            # epsilon-active set: the coordinates within eps of 0 that the
+            # gradient pushes out go to 0. eps is the length of a projected
+            # gradient step, and at most 1e-3
+            eps = 0.0
+            if min(y) <= 1e-3:
+                eps = min(1e-3, math.sqrt(sum((yj - max(yj + dj, 0.0)) ** 2
+                                              for yj, dj in zip(y, gz))))
+            out = [yj <= eps and dj < 0.0 for yj, dj in zip(y, gz)]
+            free = [j for j in range(n) if j != r and not out[j]]
+            step, flat = _newton_split([[hz(j, k) for k in free] for j in free],
+                                       [gz[j] for j in free])
+            if any(flat):
+                # the ratio is affine along flat: go on from the Newton point
+                # to the first bound, so that it is met exactly
+                reach = [(y[j] + sj) / -fj for j, sj, fj in zip(free, step, flat)
+                         if fj < 0.0]
+                if sum(flat) > 0.0:
+                    reach.append((y[r] - sum(step)) / sum(flat))
+                alpha = max(min(reach), 0.0)
+                step = [sj + alpha * fj for sj, fj in zip(step, flat)]
+            d = [-yj if o else 0.0 for yj, o in zip(y, out)]
+            for j, sj in zip(free, step):
+                d[j] = sj
+            tau = 1.0
             while True:
-                y_new = _project_simplex([yi + step * di for yi, di in zip(y, d)])
-                val_new, g_new, p_new = evaluate(y_new)
-                bound_new = max(g_new)
-                # near the optimum value changes drown in price noise; a
-                # falling bound, or a slope still rising at y_new (the maximum
-                # along the step lies beyond it), still shows progress there.
-                # The slope is taken of g_new - val_new: y_new - y sums to 0
-                # only to rounding, which times g_new ~ val would swamp it
-                if val_new > val or (
-                    val_new >= val * (1.0 - _PRICE_NOISE)
-                    and (
-                        bound_new < bound
-                        or sum((gn - val_new) * (yn - yo)
-                               for gn, yn, yo in zip(g_new, y_new, y)) > 0.0
-                    )
-                ):
+                y_new = [max(yi + tau * di, 0.0) for yi, di in zip(y, d)]
+                y_new[r] = 0.0
+                y_r = 1.0 - sum(y_new)
+                if y_r >= 0.0:
+                    y_new[r] = y_r
+                else:  # y_r clipped at 0: back onto the simplex
+                    norm = sum(y_new)
+                    y_new = [yi / norm for yi in y_new]
+                state = evaluate(y_new)
+                val_new, gap_new = state[0], state[2]
+                # Armijo's rule on the projection arc: the value rises by a
+                # share of what the gradient predicts for the step taken
+                rise = val_new - val
+                if ((rise > 0.0 and rise >= _ARMIJO * sum(
+                        map(mul, gz, map(sub, y_new, y))))
+                        or gap_new <= ORACLE_GAP * val_new
+                        or (rise >= -ORACLE_GAP * val and gap_new < gap)):
                     break
-                step *= 0.5
-                if step * d_max < 1e-15:  # y would no longer move
+                tau *= 0.5
+                if tau * max(map(abs, d)) < 1e-16:  # y would no longer move
                     raise PricingError(
-                        f"separation oracle stalled with gap {(bound - val) / val:.3e}"
+                        f"separation oracle stalled with gap {gap / val:.3e}"
                     )
-            s = [yn - yo for yn, yo in zip(y_new, y)]
-            curv = -sum(si * (gn - go) for si, gn, go in zip(s, g_new, g))
-            step = sum(si * si for si in s) / curv if curv > 0.0 else 2.0 * step
-            y, val, g, p, bound = y_new, val_new, g_new, p_new, bound_new
+            y = y_new
+            val, g, gap, p, hess, total = state
         raise PricingError(
             f"separation oracle iteration cap {_ORACLE_MAX_ITER} hit "
-            f"with gap {(bound - val) / val:.3e}"
+            f"with gap {gap / val:.3e}"
         )
 
 
-def _project_simplex(v: Sequence[float]) -> list[float]:
-    """Euclidean projection onto the probability simplex, on plain floats."""
-    theta = 0.0
-    css = 0.0
-    for k, s in enumerate(sorted(v, reverse=True), 1):
-        css += s
-        if s * k > css - 1.0:
-            theta = (css - 1.0) / k
-    return [max(x - theta, 0.0) for x in v]
+def _newton_split(
+    H: list[list[float]], g: list[float]
+) -> tuple[list[float], list[float]]:
+    """Newton step of a concave quadratic along its curved directions, and g's
+    part along its flat ones.
+
+    H is first scaled to a unit diagonal, D^-1/2 H D^-1/2 with D its
+    diagonal, so that a coordinate near its bound, where the curvature can
+    be 1e12 times that of the others, does not make them look flat. Scaled
+    eigenvalues within _FLAT of the largest curvature count as flat; the
+    Newton step -H^-1 g is taken along the others.
+    """
+    k = len(g)
+    if k == 0:
+        return [], []
+    if k == 1:  # scaled, H is -1 or flat; eigh's call overhead would dominate
+        return ([-g[0] / H[0][0]], [0.0]) if H[0][0] < 0.0 else ([0.0], [g[0]])
+    d = [math.sqrt(-H[j][j]) if H[j][j] < 0.0 else 1.0 for j in range(k)]
+    lam, vec = np.linalg.eigh([[hjk / (dj * dk) for hjk, dk in zip(row, d)]
+                               for row, dj in zip(H, d)])
+    gs = [gj / dj for gj, dj in zip(g, d)]
+    curv = _FLAT * max(float(-lam[0]), 0.0)  # eigh sorts lam upward
+    step = [0.0] * k
+    flat = [0.0] * k
+    for lk, v in zip(lam.tolist(), vec.T.tolist()):
+        ck = sum(map(mul, v, gs))
+        if lk < -curv:
+            step = [si - ck / lk * vi for si, vi in zip(step, v)]
+        else:
+            flat = [fi + ck * vi for fi, vi in zip(flat, v)]
+    return [si / dj for si, dj in zip(step, d)], [fi / dj for fi, dj in zip(flat, d)]
 
 
 # ---------------------------------------------------------------------------
@@ -428,11 +504,13 @@ def _polish(prob: _LsqProblem, x_hat: np.ndarray, q_hat: np.ndarray, tol_L: floa
     x, q, mu = result
     if np.any(mu * q[pinned1] * prob.d[pinned1] < 1.0 - _MULTIPLIER_TOL):
         return None  # lowering that coordinate would shorten x within L <= 1
-    val, p_best = prob.big_L(x)
+    # the oracle's certificate does not depend on where it starts; from the
+    # tight mix q it takes a step or two
+    adj = prob.adjusted(x)
+    val, p_best = prob.maximize(adj, q)
     if val - 1.0 > max(tol_L, 1e-9) or val < 1.0 - 1e-6:
         return None
     # prefer the tighter witness
-    adj = prob.adjusted(x)
     if abs(prob.price_mix(q) / float(q @ adj) - 1.0) > abs(val - 1.0):
         q = p_best
     return x, q, val - 1.0
@@ -451,7 +529,14 @@ def _polish_newton(prob, pinned1, free, q_hat, x_hat):
     """
     n = prob.n
     d = prob.d
-    support = np.flatnonzero(q_hat > 1e-7 * float(np.max(q_hat)))
+    # the games q_hat weighs, and those whose ratio gradient ties with the
+    # ratio at q_hat: where the tight mixes form a segment, q_hat can lie at
+    # one end of it and leave out a game that the optimum weighs
+    adj_hat = prob.adjusted(x_hat)
+    value, grad, _ = prob.value_grad_hess(q_hat.tolist())
+    ratio = value / float(q_hat @ adj_hat)
+    support = np.flatnonzero((q_hat > 1e-7 * float(np.max(q_hat)))
+                             | (np.array(grad) >= ratio * (1.0 - 1e-8) * adj_hat))
     if support.size < 2:
         return None
     first, rest = support[0], support[1:]
@@ -477,7 +562,8 @@ def _polish_newton(prob, pinned1, free, q_hat, x_hat):
         Jx = mu * d_free[:, None] * Jq - np.outer(raw, d_free @ Jq) / qd
         Jx[:, 0] = q * d_free / qd
         Jx[raw >= 1.0] = 0.0
-        value, grad, hess = prob.value_grad_hess(q)
+        value, grad, hess = prob.value_grad_hess(q.tolist())
+        grad, hess = np.array(grad), np.array(hess)
         adj = prob.adjusted(x)
         dadj = d[:, None] * Jx
         den = float(q @ adj)
@@ -491,7 +577,16 @@ def _polish_newton(prob, pinned1, free, q_hat, x_hat):
         jac = np.vstack((dratio, dratio_grad[rest] - dratio_grad[first]))
         return r, jac, x, q, mu
 
-    z = np.concatenate(([float(np.sum(x_hat[free]))], q_hat[rest]))
+    # start at x_hat: x_F = mu q_F d_F, so q_F takes the shape of
+    # x_hat_F / d_F, at the weight q_hat puts on the free games. Where the
+    # tight mixes form a segment, q_hat can lie at an end of it that x_hat
+    # does not fit
+    q0 = q_hat.copy()
+    fs = free & np.isin(np.arange(n), support)
+    shape = x_hat[fs] / d[fs]
+    if shape.sum() > 0.0:
+        q0[fs] = shape * (q_hat[fs].sum() / shape.sum())
+    z = np.concatenate(([float(np.sum(x_hat[free]))], q0[rest]))
     state = evaluate(z)
     if state is None:
         return None

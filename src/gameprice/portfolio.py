@@ -29,7 +29,6 @@ from .core import (
 from .lsq import (
     LsSolution,
     _LsqProblem,
-    check_constant_mix,
     cone_coordinates,
     least_squares_prices,
     price_in_cone,
@@ -106,9 +105,11 @@ def one_fund_weight(x: Game, y: Game, rate: Rate) -> float:
     u_x, _, v_x, r_x = _coin_stats(x, rate)
     u_y, _, v_y, r_y = _coin_stats(y, rate)
     del u_x, u_y
-    scale = max(float(np.max(x.payoffs)), float(np.max(y.payoffs)))
-    if v_x <= 1e-12 * scale * scale or v_y <= 1e-12 * scale * scale:
-        raise InvariantViolation("one-fund formula undefined for a constant game")
+    # each game's variance against its own largest payoff: a coin game next
+    # to a much larger one is still a coin game
+    for v, g in ((v_x, x), (v_y, y)):
+        if v <= 1e-12 * float(np.max(g.payoffs)) ** 2:
+            raise InvariantViolation("one-fund formula undefined for a constant game")
     r = rate.value
     if r_x <= r or r_y <= r:
         raise InvariantViolation("mean returns must exceed the risk-free rate")
@@ -230,12 +231,11 @@ def put_call_parity(
     # reduction tries the last game first: when the three are dependent,
     # covered is dropped and the basis keeps put and call
     basis, coords = reduce_to_basis([Game(put), Game(call), Game(covered)], space)
-    constant = check_constant_mix(basis)
-    if constant is None:
+    sol = least_squares_prices(basis, rate, tol_L=tol_L)
+    if sol.termination != "constant_mix":
         raise PricingError(
             "internal error: put + covered = strike mix not detected"
         )
-    sol = least_squares_prices(basis, rate, tol_L=tol_L)
     put_price, call_price, covered_price = (price_in_cone(sol, k) for k in coords)
     stock_price = price_in_cone(sol, cone_coordinates(basis, stock))
     residual = (

@@ -35,7 +35,6 @@ from gameprice.lsq import (
     _LsqProblem,
     _min_norm_point,
     _nnls,
-    _project_simplex,
 )
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -277,18 +276,18 @@ class TestMixHessian:
             rate = Rate(float(rng.uniform(0.005, 0.10)))
             prob = _LsqProblem(ConeBasis(space, [Game(c) for c in M.T]), rate)
             p = rng.dirichlet(np.ones(n))
-            value, grad, hess = prob.value_grad_hess(p)
-            u, g = prob._mix_value_grad(p.tolist())
-            g = np.array(g)
-            scale = float(np.max(np.abs(g)))
-            assert value == pytest.approx(u, rel=1e-12)
-            assert np.max(np.abs(grad - g)) <= 1e-12 * scale
+            value, grad, hess = prob.value_grad_hess(p.tolist())
+            grad, hess = np.array(grad), np.array(hess)
+            scale = float(np.max(np.abs(grad)))
+            assert value == pytest.approx(prob.price_mix(p), rel=1e-12)
             for j in range(n):
                 # the curvature grows as p_j shrinks, so the step shrinks with it
                 e = np.zeros(n)
                 e[j] = 1e-4 * p[j]
-                fd = (np.array(prob._mix_value_grad((p + e).tolist())[1])
-                      - np.array(prob._mix_value_grad((p - e).tolist())[1])) / (2.0 * e[j])
+                fd = (prob.price_mix(p + e) - prob.price_mix(p - e)) / (2.0 * e[j])
+                assert abs(grad[j] - fd) <= 1e-7 * scale, (case, j)
+                fd = (np.array(prob.value_grad_hess((p + e).tolist())[1])
+                      - np.array(prob.value_grad_hess((p - e).tolist())[1])) / (2.0 * e[j])
                 assert np.max(np.abs(hess[:, j] - fd)) <= 1e-7 * scale, (case, j)
             a = M @ p
             seen["full" if prob.price_full(a.tolist())[1] == 1.0 else "interior"] += 1
@@ -557,10 +556,7 @@ class TestPolishHandOff:
                 b, rate = _stress_basis(rng)
             except BasisError:  # a proportional pair
                 continue
-            try:
-                sol = least_squares_prices(b, rate)
-            except PricingError:  # the oracle's iteration cap
-                continue
+            sol = least_squares_prices(b, rate)
             free = np.flatnonzero((sol.x > 0.0) & (sol.x < 1.0))
             if free.size != 1:
                 continue
@@ -570,6 +566,65 @@ class TestPolishHandOff:
             assert abs(sol.x[i] - ref) <= 1e-8, (b, rate, sol.x, ref)
             compared += 1
         assert compared >= 15
+
+    def test_hard_draws_and_a_redundant_basis_finish_by_polish(self):
+        # stress draws (seed, index) that hold traps for the oracle: 2024/88
+        # and 2024/247 a nearly singular Hessian block with a coordinate ~1e-8
+        # from its bound (and in 88 two tight mixes on different faces);
+        # 2/186 curvatures 1e12 apart, the smaller of which looks flat unless
+        # the block is scaled to a unit diagonal; 1/112 two vertices of equal
+        # ratio, between which steps that raise the value only by rounding
+        # would cycle; 6/3 a flat direction whose step, unless it starts from
+        # the Newton point, stops short of the bound it aims at. The
+        # redundant basis has a segment of tight mixes along the null space
+        # of M
+        expected = {
+            (2024, 88): [0.08595524675487888, 0.026868120348460187, 0.09032688483957825],
+            (2024, 247): [0.3005878423214162, 0.641694935737485, 0.5119787064597746],
+            (2, 186): [1.0, 0.7034213079700256, 0.720770910253722],
+            (1, 112): [0.6288538091208453, 0.2765454669480799, 0.6261302170744923,
+                       0.3696862904111953],
+            (6, 3): [0.00437518358390894, 0.004910557521728674, 4.6523687254033e-06],
+        }
+        for (seed, index), x in expected.items():
+            rng = np.random.default_rng(seed)
+            for _ in range(index):
+                try:
+                    _stress_basis(rng)
+                except BasisError:  # a proportional pair
+                    pass
+            sol = least_squares_prices(*_stress_basis(rng))
+            assert sol.termination == "polished", (seed, index)
+            assert sol.x.tolist() == pytest.approx(x, abs=1e-10), (seed, index)
+        b = ConeBasis(OutcomeSpace([0.2, 0.3, 0.5]),
+                      [Game([1, 2, 3]), Game([2, 4, 6]), Game([5, 1, 1])])
+        sol = least_squares_prices(b, R05)
+        assert sol.termination == "polished"
+        assert sol.x.tolist() == pytest.approx([0.7862068134154, 0.7862068134154, 1.0],
+                                               abs=1e-10)
+
+    def test_more_games_than_outcomes(self):
+        # four extreme rays on three outcomes (a seeded uniform draw): along
+        # the null space of M the ratio is affine and the oracle's Hessian
+        # flat, so it must step along that direction to a bound
+        b = ConeBasis(OutcomeSpace([0.1107300072112312, 0.7982745802781561,
+                                    0.09099541251061251]), [
+            Game([23.514418213362386, 25.81031876414489, 4.163045570729718]),
+            Game([6.519765604066548, 2.3115464317958203, 2.900907157592642]),
+            Game([8.047274470476749, 2.3283595461971656, 8.172897136004835]),
+            Game([10.609386089330775, 15.079815426856495, 9.27178671287309]),
+        ])
+        rate = Rate(0.028949566136009467)
+        assert reduce_to_basis(b.games, b.space)[0].n == 4
+        sol = least_squares_prices(b, rate)
+        assert sol.termination == "polished"
+        assert sol.max_violation <= 1e-9
+        # the feasible set is closed upward, so the min-norm point turns
+        # infeasible when any positive coordinate is lowered alone
+        for i in np.flatnonzero(sol.x > 0.0):
+            t = sol.x.copy()
+            t[i] = max(t[i] - 1e-6, 0.0)
+            assert big_L(b, rate, t)[0] > 1.0, i
 
     def test_catalogue_bases_finish_by_polish(self):
         for probs, games, r in self.CATALOGUE:
@@ -1038,10 +1093,3 @@ class TestMinNormSubproblem:
             theirs = float(np.linalg.norm(A @ x_ref - b))
             assert ours <= theirs + 1e-12 * float(np.linalg.norm(b)), (A, b)
 
-
-def test_project_simplex():
-    p = _project_simplex([0.4, 0.9, -0.2])
-    assert abs(sum(p) - 1.0) <= 1e-12
-    assert min(p) >= 0.0
-    q = _project_simplex([0.2, 0.3, 0.5])
-    assert q == pytest.approx([0.2, 0.3, 0.5], abs=1e-12)

@@ -66,6 +66,17 @@ class TestOneFundWeight:
         with pytest.raises(InvariantViolation, match="undefined"):
             one_fund_weight(Game([10, 10]), Y, R02S)
 
+    def test_small_coin_next_to_a_much_larger_game(self):
+        # each game's variance is measured against its own largest payoff:
+        # x's relative spread is 28%, though its variance is below 1e-12 of
+        # y's largest payoff squared
+        x, y = Game([7.7e-4, 1.36e-3]), Game([86.0, 768.0])
+        comp = compare_mean_variance(x, y, R02S)
+        assert 0.0 < comp.w_onefund < 1.0
+        assert comp.price_star >= comp.price_onefund
+        with pytest.raises(InvariantViolation, match="undefined"):
+            one_fund_weight(Game([10, 10]), y, R02S)
+
     def test_mean_return_exceeds_rate_even_near_constant(self):
         # u <= E/g with equality only for constants, so E/u - 1 > r always;
         # the weight stays well defined arbitrarily close to degeneracy
@@ -111,9 +122,8 @@ class TestCompareMeanVariance:
 
 class TestCertifiedBestBlend:
     def test_no_grid_weight_prices_above_the_certified_maximum(self):
-        # seeded coin pairs at scales 1e-3..1e3; both games of a pair share
-        # one scale, since one_fund_weight calls a game constant by its
-        # variance against the larger payoff of the pair
+        # seeded coin pairs at scales 1e-3..1e3, both games of a pair at one
+        # scale
         rng = np.random.default_rng(35)
         pairs = [(Game([3.0, 0.0]), Game([1.0, 2.5]))]
         for _ in range(24):
@@ -152,10 +162,13 @@ class TestPutCallParity:
         assert not rep.degenerate
         assert abs(rep.residual) < 1e-7 * rep.strike
 
-    def test_three_outcome_strike_sweep_never_stalls(self):
-        # near the oracle's optimum the value's gain drowns in price noise;
-        # steps along a still-rising slope must count as progress there
-        space = OutcomeSpace([0.2, 0.5, 0.3])
+    @pytest.mark.parametrize("probs", [(0.5, 0.3, 0.2), (0.2, 0.5, 0.3), (0.3, 0.3, 0.4)])
+    def test_three_outcome_strike_sweep_never_stalls(self, probs):
+        # put + covered = strike is a constant mix at every strike, so x = 1
+        # and the certified oracle's L at x is the only check: it must not
+        # stop short near its optimum, where the value's gain drowns in price
+        # noise
+        space = OutcomeSpace(list(probs))
         stock = np.array([14.0, 10.0, 6.0])
         for strike in np.linspace(7.0, 13.0, 13):
             rep = put_call_parity(Game(stock), space, float(strike), R05)
