@@ -7,29 +7,25 @@ u_i + t_i (c_i - u_i). The worst-case ratio
     L(t) = max over mixes p of  price(mix(p)) / sum_i p_i * adjusted_i(t_i)
 
 is <= 1 exactly when the adjusted prices admit no arbitrage. The solver finds
-the minimum-norm feasible t by cutting planes: every mix p induces the linear
-constraint sum_i p_i (c_i - u_i) t_i >= price(mix(p)) - sum_i p_i u_i, and
-L itself is the separation oracle. Cutting planes converge only linearly on
-the curved boundary of {L <= 1}, so at the first iterate with L - 1 <= 1e-4
-the solver hands over to a KKT polish: Newton on the stationarity system,
-with the exact Jacobian from the mix price's Hessian. Its point is returned
-when it is certified: L <= 1 + tol_L by the oracle, and every coordinate
-held at 1 has a nonnegative bound multiplier. Else the cutting planes go on
-to tol_L and the polish runs once more. When some mix of the games pays a
-constant, t = 1 is the only feasible point on the games with c_i > u_i, so
-it is returned at once. LsSolution.termination says which way a solve
-ended. The oracle is projected Newton on a concave reparametrization of the
-ratio, with the mix price's exact Hessian, run on plain Python floats; the
-polish uses the same derivatives. The oracle stops only when the upper
-bound max_i dh/dy_i (Euler's identity plus concavity) is within 1e-10
-relative of its value. The min-norm subproblem is a
-least-distance program, solved exactly as one nonnegative least-squares
-(NNLS) problem by a numpy Lawson-Hanson active-set method. Every question
-about the cone the games span is the same NNLS: whether a game lies in it
-and with which coefficients, which games are its extreme rays, and whether
-some mix pays a constant, with the largest support such a mix can have.
-Prices are linear exactly when one oracle call certifies L(0) <= 1. The
-module needs numpy only.
+the minimum-norm feasible t. Every weight vector w >= 0 induces the linear
+constraint price(mix(w)) <= w . adjusted(t), and the mix price is concave in
+w, so the Lagrangian dual of this semi-infinite program is one smooth
+concave maximization over w >= 0 (_max_dual). Projected Newton solves it
+from any start, and t = min(w (c - u), 1) at its maximizer; the oracle then
+certifies L(t) <= 1 + tol_L from the tight mix w / |w|. When some mix of the
+games pays a constant, t = 1 is the only feasible point on the games with
+c_i > u_i, so it is returned at once; prices are linear exactly when one
+oracle call certifies L(0) <= 1. LsSolution.termination says which way a
+solve ended. The oracle is projected Newton on a concave reparametrization
+of the ratio; it and the dual take the mix price's exact gradient and
+Hessian from one price solve, on plain Python floats. The oracle stops only
+when the upper bound max_i dh/dy_i (Euler's identity plus concavity) is
+within 1e-10 relative of its value. Every question about the cone the games
+span is one nonnegative least-squares (NNLS) problem, solved by a numpy
+Lawson-Hanson active-set method: whether a game lies in it and with which
+coefficients, which games are its extreme rays, and whether some mix pays a
+constant, with the largest support such a mix can have. The module needs
+numpy only.
 """
 
 from __future__ import annotations
@@ -59,23 +55,16 @@ DEFAULT_L_TOL = 1e-9
 
 # relative gap between the oracle's computed upper bound and its value
 ORACLE_GAP = 1e-10
-# eigenvalues of the oracle's unit-diagonal Hessian block within this of
-# the largest count as flat
+# eigenvalues of a unit-diagonal Hessian block within this of the largest
+# count as flat
 _FLAT = 1e-9
-# share of the predicted rise that an oracle step must achieve
+# share of the predicted rise that a Newton step (oracle or dual) must achieve
 _ARMIJO = 1e-4
-# the cutting planes hand over to the KKT polish at the first L - 1 below this
-_HANDOFF_L = 1e-4
-# a bound multiplier mu q_i d_i - 1 above -_MULTIPLIER_TOL counts as >= 0
-_MULTIPLIER_TOL = 1e-9
+# cap on the Newton steps of the oracle and of the dual
 _ORACLE_MAX_ITER = 500
-# the cutting planes stall after 5 iterates in a row move x by less than this
-_X_TOL = 1e-8
-# cap on the cutting-plane iterations
-_MAX_CUTS = 10_000
 
 
-Termination = Literal["constant_mix", "polished", "tol", "stalled"]
+Termination = Literal["constant_mix", "linear", "newton", "stalled"]
 
 
 @dataclass(frozen=True)
@@ -85,10 +74,11 @@ class LsSolution:
     certificate is a mix whose stand-alone price equals its linear price at
     the solution; max_violation is the final L - 1 seen by the solver.
     termination says how the solve ended: "constant_mix" (x pinned by a
-    constant mix), "polished" (the KKT polish was accepted), "tol" (the
-    cutting planes reached tol_L and the polish was rejected) or "stalled"
-    (x stopped moving before L - 1 reached tol_L; max_violation says by how
-    much it missed).
+    constant mix), "linear" (the oracle certified L(0) <= 1 + tol_L, so
+    x = 0), "newton" (the dual's projected Newton converged and the oracle
+    certified its point) or "stalled" (the solver settled, but the oracle's
+    L - 1 at its point exceeds tol_L; max_violation says by how much).
+    iterations counts the Newton steps, and is 1 for the first two.
     """
 
     x: np.ndarray
@@ -351,7 +341,116 @@ def _newton_split(
 
 
 # ---------------------------------------------------------------------------
-# min-norm point under linear cuts and the unit box
+# the concave dual of the min-norm problem
+# ---------------------------------------------------------------------------
+
+
+def _max_dual(prob: _LsqProblem, mixes: Sequence[np.ndarray]) -> tuple[np.ndarray, int]:
+    """Weights w >= 0 that maximize the dual, and the Newton steps taken.
+
+    The min-norm point of {x in [0,1]^n : price(M w) <= w . (u + d x) for
+    all w >= 0} has the Lagrangian dual
+    D(w) = price(M w) - w . u + sum_i psi(w_i d_i), psi(s) = -s^2 / 2 for
+    s <= 1 and 1/2 - s above, whose inner minimizer is x(w) = min(w d, 1).
+    D is concave. Its gradient is grad price(M w) - u - d x(w), and its
+    Hessian the mix price's less diag(d^2) where w_i d_i < 1, so one
+    value_grad_hess call gives both. At the maximizer the adjusted prices
+    equal the mix price's gradient on the support of w, so w / |w| is a
+    tight mix by Euler's identity, and D = |x|^2 / 2 certifies minimality.
+    Each game is measured on the scale of its ceiling, v = w c, which
+    leaves x unchanged when a game is rescaled. The climb starts from the
+    mix with the largest D at its best scale b / |a|^2, a = p d and
+    b = price(M p) - p . u (D's maximum along p while b p d / |a|^2 <= 1),
+    and runs projected Newton on v >= 0 as the oracle does (Bertsekas
+    1982): coordinates near 0 that the gradient pushes out go to 0, the
+    others take the Newton step along the curved directions of their block
+    (_newton_split) and along the flat ones a step on to the first bound,
+    and the step is halved until D rises by Armijo's rule. It stops when
+    the gradient vanishes to rounding or no halving raises D.
+    """
+    c = prob.c.tolist()
+    d = prob.d.tolist()
+    u = prob.u.tolist()
+    n = prob.n
+
+    def evaluate(v: list[float]):
+        """(D, dD/dv, its Hessian, w) at v."""
+        w = [vi / ci for vi, ci in zip(v, c)]
+        # the mix price is 1-homogeneous: solve it on the simplex, where the
+        # payoffs keep their scale however small w is
+        total = sum(w)
+        price, grad, hess = prob.value_grad_hess([wi / total for wi in w])
+        price *= total
+        s = [wi * di for wi, di in zip(w, d)]
+        value = price - sum(map(mul, w, u)) + sum(
+            -0.5 * si * si if si <= 1.0 else 0.5 - si for si in s)
+        g = [(gi - ui - di * min(si, 1.0)) / ci
+             for gi, ui, di, si, ci in zip(grad, u, d, s, c)]
+        H = [[hjk / (total * cj * ck) for hjk, ck in zip(row, c)]
+             for row, cj in zip(hess, c)]
+        for j in range(n):
+            if s[j] < 1.0:
+                H[j][j] -= (d[j] / c[j]) ** 2
+        return value, g, H, w
+
+    starts = []
+    for p in mixes:
+        a2 = float(np.sum((p * prob.d) ** 2))
+        b = prob.price_mix(p) - float(p @ prob.u)
+        if b > 0.0:
+            v = (b / a2 * p * prob.c).tolist()
+            starts.append((evaluate(v), v))
+    if not starts:
+        raise PricingError("no start mix is priced above its stand-alone prices")
+    (value, g, H, w), v = max(starts, key=lambda start: start[0][0])
+
+    def projected(v, g):
+        """The projected gradient's largest entry, per game on the scale of c."""
+        return max(abs(gj) if vj > 0.0 else gj for vj, gj in zip(v, g))
+
+    pg = projected(v, g)
+    for steps in range(_ORACLE_MAX_ITER):
+        if pg <= 1e-15:
+            return np.array(w), steps
+        # epsilon-active set, as in maximize
+        eps = min(1e-3, math.sqrt(sum((vj - max(vj + gj, 0.0)) ** 2
+                                      for vj, gj in zip(v, g))))
+        out = [vj <= eps and gj < 0.0 for vj, gj in zip(v, g)]
+        free = [j for j in range(n) if not out[j]]
+        step, flat = _newton_split([[H[j][k] for k in free] for j in free],
+                                   [g[j] for j in free])
+        if any(fj < 0.0 for fj in flat):
+            # D is affine along flat: go on from the Newton point to the
+            # first bound
+            alpha = max(min((v[j] + sj) / -fj for j, sj, fj in zip(free, step, flat)
+                            if fj < 0.0), 0.0)
+            step = [sj + alpha * fj for sj, fj in zip(step, flat)]
+        dv = [-vj if o else 0.0 for vj, o in zip(v, out)]
+        for j, sj in zip(free, step):
+            dv[j] = sj
+        tau = 1.0
+        while True:
+            v_new = [max(vj + tau * dj, 0.0) for vj, dj in zip(v, dv)]
+            if any(v_new):
+                state = evaluate(v_new)
+                rise = state[0] - value
+                pg_new = projected(v_new, state[1])
+                # Armijo's rule, or D level to rounding while the gradient
+                # shrinks: D's terms are at most w . c = sum(v) and cancel
+                pred = sum(map(mul, g, map(sub, v_new, v)))
+                if ((rise > 0.0 and rise >= _ARMIJO * pred)
+                        or (rise >= -1e-14 * sum(v) and pg_new < pg)):
+                    break
+            tau *= 0.5
+            if tau * max(map(abs, dv)) < 1e-16 * max(v):  # v would no longer move
+                return np.array(w), steps
+        v, pg = v_new, pg_new
+        value, g, H, w = state
+    raise PricingError(f"least-squares dual iteration cap {_ORACLE_MAX_ITER} hit")
+
+
+# ---------------------------------------------------------------------------
+# nonnegative least squares and the cone the games span
 # ---------------------------------------------------------------------------
 
 
@@ -436,183 +535,6 @@ def _orthogonal_entry(A, passive, r, w, tol):
     return int(cand[np.argmax(gain - floor)])
 
 
-def _min_norm_point(cuts, n: int) -> np.ndarray:
-    """Exact min-norm point of {t in [0,1]^n : a.t >= b for (a,b) in cuts}.
-
-    Least-distance programming (Lawson and Hanson, ch. 23): min |t| subject
-    to G t >= h is the NNLS problem min |E u - f| over u >= 0 with
-    E = [G^T; h^T] and f = (0, ..., 0, 1). Its residual r gives
-    t = -r[:n] / r[n], and r[n] = -1 / (1 + |t|^2) when the constraints are
-    feasible (r = 0 when not). Cut coefficients are >= 0, so the minimizer
-    under the cuts and t <= 1 is a nonnegative combination of cut normals,
-    less multipliers only on coordinates at 1: it is >= 0 without the rows
-    t >= 0, and cuts with b <= 0 hold at every such t. Only the live cuts and
-    t <= 1 are built.
-    """
-    live = [(a, b) for (a, b) in cuts if b > 0.0]
-    if not live:
-        return np.zeros(n)
-    k = len(live)
-    E = np.empty((n + 1, k + n))
-    for j, (a, b) in enumerate(live):
-        E[:n, j] = a
-        E[n, j] = b
-    E[:n, k:] = -np.eye(n)
-    E[n, k:] = -1.0
-    f = np.zeros(n + 1)
-    f[n] = 1.0
-    u = _nnls(E, f)
-    r = E @ u - f
-    # |t| <= sqrt(n) in the box, so a feasible set has r[n] <= -1 / (1 + n)
-    if r[n] > -0.5 / (1.0 + n):
-        raise PricingError(f"min-norm subproblem infeasible (residual {r[n]:.3e})")
-    t = np.clip(r[:n] / -r[n], 0.0, 1.0)
-    t[u[k:] > 0.0] = 1.0  # a bound with a positive multiplier holds exactly
-    return t
-
-
-# ---------------------------------------------------------------------------
-# KKT polish
-#
-# Cutting planes certify L(x) <= 1 + tol but pin x itself only to about
-# sqrt(tol) tangentially. At the optimum, x_i = mu * q_i * (c_i - u_i) on
-# free coordinates for the tight mix q, q maximizes the ratio at x, and the
-# ratio equals 1; refining on that square system recovers x to near machine
-# precision, which the uniqueness and certificate tolerances rely on. A
-# coordinate held at 1 needs a nonnegative bound multiplier,
-# mu * q_i * (c_i - u_i) >= 1. With L(x) <= 1 + tol_L, checked by the oracle,
-# those are the KKT conditions of the min-norm point of the convex set
-# {L <= 1}, so an accepted polish is certified from any starting point.
-# ---------------------------------------------------------------------------
-
-
-def _polish(prob: _LsqProblem, x_hat: np.ndarray, q_hat: np.ndarray, tol_L: float):
-    if float(np.max(np.abs(x_hat))) <= 1e-12:
-        return None
-    tiny = 1e-12 * max(prob.scale, 1.0)
-    pinned0 = prob.d <= tiny
-    pinned1 = (~pinned0) & (x_hat >= 1.0 - 1e-9)
-    free = ~pinned0 & ~pinned1
-    if not free.any():
-        return None
-    try:
-        result = _polish_newton(prob, pinned1, free, q_hat, x_hat)
-    except (PricingError, np.linalg.LinAlgError, ValueError):
-        return None
-    if result is None:
-        return None
-    x, q, mu = result
-    if np.any(mu * q[pinned1] * prob.d[pinned1] < 1.0 - _MULTIPLIER_TOL):
-        return None  # lowering that coordinate would shorten x within L <= 1
-    # the oracle's certificate does not depend on where it starts; from the
-    # tight mix q it takes a step or two
-    adj = prob.adjusted(x)
-    val, p_best = prob.maximize(adj, q)
-    if val - 1.0 > max(tol_L, 1e-9) or val < 1.0 - 1e-6:
-        return None
-    # prefer the tighter witness
-    if abs(prob.price_mix(q) / float(q @ adj) - 1.0) > abs(val - 1.0):
-        q = p_best
-    return x, q, val - 1.0
-
-
-def _polish_newton(prob, pinned1, free, q_hat, x_hat):
-    """Newton on (s, tight-mix weights) for the stationarity system.
-
-    The free coordinates are x_F = min(1, s q_F d_F / (q_F . d_F)), so that
-    mu = s / (q_F . d_F) and s is the scale of x_F. In (mu, q) a light weight
-    q_i on a free game makes the system near singular: steps in mu and q_i
-    cancel in x_i = mu q_i d_i. The residual is the ratio less 1 and the
-    differences of its gradient over the support of q; its Jacobian is exact,
-    by the chain rule through value_grad_hess. Newton stops after a step
-    within 1e-12 of z, or when the line search no longer lowers the residual.
-    """
-    n = prob.n
-    d = prob.d
-    # the games q_hat weighs, and those whose ratio gradient ties with the
-    # ratio at q_hat: where the tight mixes form a segment, q_hat can lie at
-    # one end of it and leave out a game that the optimum weighs
-    adj_hat = prob.adjusted(x_hat)
-    value, grad, _ = prob.value_grad_hess(q_hat.tolist())
-    ratio = value / float(q_hat @ adj_hat)
-    support = np.flatnonzero((q_hat > 1e-7 * float(np.max(q_hat)))
-                             | (np.array(grad) >= ratio * (1.0 - 1e-8) * adj_hat))
-    if support.size < 2:
-        return None
-    first, rest = support[0], support[1:]
-    d_free = np.where(free, d, 0.0)
-    # dq/dz: z[1:] are the weights on rest, and first takes what is left
-    Jq = np.zeros((n, support.size))
-    Jq[rest, np.arange(1, support.size)] = 1.0
-    Jq[first, 1:] = -1.0
-
-    def evaluate(z: np.ndarray):
-        """(residual, Jacobian, x, q, mu) at z, or None outside the domain."""
-        s = z[0]
-        q = np.zeros(n)
-        q[rest] = z[1:]
-        q[first] = 1.0 - float(np.sum(z[1:]))
-        qd = float(q @ d_free)
-        if s < 0.0 or np.any(q[support] < -1e-9) or qd <= 0.0:
-            return None
-        mu = s / qd
-        raw = mu * q * d_free
-        x = np.where(pinned1, 1.0, np.clip(raw, 0.0, 1.0))
-        # dx/dz, zero off the free coordinates and on those clipped at 1
-        Jx = mu * d_free[:, None] * Jq - np.outer(raw, d_free @ Jq) / qd
-        Jx[:, 0] = q * d_free / qd
-        Jx[raw >= 1.0] = 0.0
-        value, grad, hess = prob.value_grad_hess(q.tolist())
-        grad, hess = np.array(grad), np.array(hess)
-        adj = prob.adjusted(x)
-        dadj = d[:, None] * Jx
-        den = float(q @ adj)
-        ratio = value / den
-        ratio_grad = (grad - ratio * adj) / den
-        dden = adj @ Jq + q @ dadj
-        dratio = (grad @ Jq - ratio * dden) / den
-        dratio_grad = (hess @ Jq - np.outer(adj, dratio) - ratio * dadj
-                       - np.outer(ratio_grad, dden)) / den
-        r = np.concatenate(([ratio - 1.0], ratio_grad[rest] - ratio_grad[first]))
-        jac = np.vstack((dratio, dratio_grad[rest] - dratio_grad[first]))
-        return r, jac, x, q, mu
-
-    # start at x_hat: x_F = mu q_F d_F, so q_F takes the shape of
-    # x_hat_F / d_F, at the weight q_hat puts on the free games. Where the
-    # tight mixes form a segment, q_hat can lie at an end of it that x_hat
-    # does not fit
-    q0 = q_hat.copy()
-    fs = free & np.isin(np.arange(n), support)
-    shape = x_hat[fs] / d[fs]
-    if shape.sum() > 0.0:
-        q0[fs] = shape * (q_hat[fs].sum() / shape.sum())
-    z = np.concatenate(([float(np.sum(x_hat[free]))], q0[rest]))
-    state = evaluate(z)
-    if state is None:
-        return None
-    for _ in range(40):
-        r, jac = state[:2]
-        step = np.linalg.solve(jac, -r)
-        if float(np.max(np.abs(step))) <= 1e-12 * float(np.max(np.abs(z))):
-            state = evaluate(z + step)
-            break
-        err = float(np.max(np.abs(r)))
-        lam = 1.0
-        while lam > 1e-8:
-            new = evaluate(z + lam * step)
-            if new is not None and float(np.max(np.abs(new[0]))) < err:
-                z, state = z + lam * step, new
-                break
-            lam *= 0.5
-        else:
-            break
-    if state is None or float(np.max(np.abs(state[0]))) > 1e-9:
-        return None
-    _, _, x, q, mu = state
-    q = np.clip(q, 0.0, None)
-    return x, q / q.sum(), mu
-
-
 # ---------------------------------------------------------------------------
 # public operations
 # ---------------------------------------------------------------------------
@@ -660,19 +582,16 @@ def least_squares_prices(
 
     A constant mix (check_constant_mix) pins every price at its ceiling:
     x is 1 wherever d = c - u > 0 and 0 elsewhere, and one oracle call
-    gives max_violation and the certificate. Otherwise the solver iterates:
-    solve the min-norm subproblem over the cuts collected so far, ask the
-    separation oracle (big_L) for the worst mix at the solution, and add the
-    violated cut. Kelley's cutting planes converge only linearly on the
-    curved boundary of {L <= 1}, so at the first iterate with
-    L - 1 <= 1e-4 the solver hands over to the KKT polish (Newton on the
-    stationarity system), and returns its point when the polish certifies
-    it: L <= 1 + tol_L by the oracle and a nonnegative multiplier on every
-    coordinate held at 1. When it does not, cutting goes on until
-    L - 1 <= tol_L (or x stalls) and the polish runs once more, its last
-    run. LsSolution.termination records which exit was taken. seed_mixes
-    inject extra valid cuts up front (any mix yields one), which changes the
-    route but not the answer.
+    gives max_violation and the certificate. Otherwise one oracle call at
+    x = 0 decides whether prices are linear (L(0) <= 1 + tol_L, x = 0).
+    When they are not, x = min(w d, 1) at the maximizer w >= 0 of the
+    concave dual (_max_dual), certified by the oracle from the tight mix
+    w / |w|. The dual starts from the best of the oracle's worst mix at
+    x = 0, the uniform mix and seed_mixes (any mix is a start), which
+    changes the route but not the answer: D is concave. The uniform mix
+    matters where the worst mix at x = 0 sits on a game whose stand-alone
+    price is near 0, and D along it is near 0 too.
+    LsSolution.termination records which exit was taken.
     """
     prob = _LsqProblem(basis, rate)
     n = prob.n
@@ -711,68 +630,18 @@ def least_squares_prices(
         val, pstar = prob.big_L(x)
         return solution(x, pstar, val - 1.0, 1, "constant_mix")
 
-    cuts: list[tuple[np.ndarray, float]] = []
-
-    def add_cut(p: np.ndarray) -> None:
-        a = p * prob.d
-        if float(np.max(a)) <= 0.0:
-            return  # degenerate direction: constraint is vacuous (b <= 0)
-        # price(mix(p)) <= p . c, so t = 1 meets every cut; the price solve's
-        # 1e-12 noise must not push b past it and empty the feasible set
-        cuts.append((a, min(prob.price_mix(p) - float(p @ prob.u), float(a.sum()))))
-
-    for p in seeds:
-        add_cut(p)
-
     x = np.zeros(n)
-    violation = math.inf
-    pstar = np.full(n, 1.0 / n)
-    stalled = 0
-    iterations = 0
-    termination: Optional[Termination] = None
-    handed_off = False
-    for iterations in range(1, _MAX_CUTS + 1):
-        x_new = _min_norm_point(cuts, n)
-        # big_L starts from the uniform mix: from the previous tight mix the
-        # ascent stays on that mix's face, and the polish would then leave
-        # out a game that the optimum weighs
-        val, pstar = prob.big_L(x_new)
-        violation = val - 1.0
-        moved = float(np.max(np.abs(x_new - x))) if iterations > 1 else math.inf
-        x = x_new
-        if violation <= tol_L:
-            termination = "tol"
-            break
-        if not handed_off and violation <= _HANDOFF_L:
-            handed_off = True
-            refined = _polish(prob, x, pstar, tol_L)
-            if refined is not None:
-                return solution(*refined, iterations, "polished")
-        if moved < _X_TOL:
-            stalled += 1
-            if stalled >= 5:
-                termination = "stalled"  # x has settled; report the residual
-                break
-        else:
-            stalled = 0
-        add_cut(pstar)
-        if len(cuts) > 120:
-            keep_recent = set(range(len(cuts) - 60, len(cuts)))
-            cuts = [
-                c
-                for i, c in enumerate(cuts)
-                if i in keep_recent
-                or float(c[0] @ x) - c[1] <= 1e-7 * prob.scale
-            ]
-    if termination is None:
-        raise PricingError(
-            f"cutting-plane iteration cap {_MAX_CUTS} exceeded "
-            f"(violation {violation:.3e})"
-        )
-    refined = _polish(prob, x, pstar, tol_L)
-    if refined is not None:
-        return solution(*refined, iterations, "polished")
-    return solution(x, pstar, violation, iterations, termination)
+    val, pstar = prob.big_L(x)
+    if val <= 1.0 + max(tol_L, 0.0):
+        # L(0) <= 1 makes x = 0 exact, and the dual's maximum w = 0
+        end = "linear" if val - 1.0 <= tol_L else "stalled"
+        return solution(x, pstar, val - 1.0, 1, end)
+    w, steps = _max_dual(prob, [pstar, np.full(n, 1.0 / n), *seeds])
+    x = np.minimum(w * prob.d, 1.0)
+    val, pstar = prob.maximize(prob.adjusted(x), w / w.sum())
+    end = "newton" if val - 1.0 <= tol_L else "stalled"
+    return solution(x, pstar, val - 1.0, steps, end)
+
 
 
 def check_constant_mix(

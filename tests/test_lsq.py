@@ -33,9 +33,9 @@ from gameprice import (
 import gameprice.lsq
 from gameprice.lsq import (
     _LsqProblem,
-    _min_norm_point,
     _nnls,
 )
+from kelley_reference import _min_norm_point, _polish
 
 ROOT = Path(__file__).resolve().parents[1]
 R05 = Rate(0.05)
@@ -361,15 +361,18 @@ class TestLeastSquaresPrices:
             assert np.max(np.abs(sol.x - base.x)) <= 1e-7
 
     def test_basis_rescaling_rescales_prices(self):
+        # x does not change when a game is rescaled, by up to 1e6 either way:
+        # the dual measures each game on the scale of its ceiling
         rng = np.random.default_rng(9)
         sol = least_squares_prices(B13, R05)
-        for _ in range(5):
-            v = rng.uniform(0.2, 8.0, 2)
+        for _ in range(20):
+            v = 10.0 ** rng.uniform(-6.0, 6.0, 2)
             scaled = ConeBasis(COIN, [g.scaled(k) for g, k in zip(B13.games, v)])
             sol_v = least_squares_prices(scaled, R05)
             assert sol_v.prices.tolist() == pytest.approx(
                 (v * sol.prices).tolist(), rel=1e-9
             )
+            assert np.max(np.abs(sol_v.x - sol.x)) <= 1e-12
 
     def test_constant_mix_pins_every_game_at_its_ceiling(self):
         # a constant mix plus a little of any game stays in the full-investment
@@ -424,8 +427,7 @@ def _normalized_space(probs):
 def _cut_then_polish(b, rate, tol_L=1e-9):
     """Reference route: Kelley's cutting planes to tol_L, then one KKT polish,
     whose point replaces the last iterate when it is accepted. The solver
-    hands over to the polish at L - 1 <= 1e-4 instead; a certified polish
-    lands on the same point."""
+    maximizes the dual instead; both land on the min-norm point."""
     prob = _LsqProblem(b, rate)
     cuts = []
     for _ in range(200):
@@ -437,23 +439,40 @@ def _cut_then_polish(b, rate, tol_L=1e-9):
         cuts.append((a, min(prob.price_mix(p) - float(p @ prob.u), float(a.sum()))))
     else:
         raise AssertionError("reference did not reach tol_L")
-    refined = gameprice.lsq._polish(prob, x, p, tol_L)
+    refined = _polish(prob, x, p, tol_L)
     return x if refined is None else refined[0]
 
 
-def _stress_basis(rng):
+def _stress_basis(rng, wide=False):
     """n = 2-4 games on m = 2-6 outcomes (n <= m), each game's payoffs uniform
     on [0.5, 20] times its own 10^U(-2, 2), a fifth of the payoffs zero, and a
-    continuous rate of 0.5-10%."""
+    continuous rate of 0.5-10%. wide draws the scale from 10^U(-3, 3) and a
+    rate of 10^U(-4, -1), simple or continuous with equal odds."""
     m = int(rng.integers(2, 7))
     n = int(rng.integers(2, min(4, m) + 1))
-    M = rng.uniform(0.5, 20.0, (m, n)) * 10.0 ** rng.uniform(-2.0, 2.0, (1, n))
+    spread = 3.0 if wide else 2.0
+    M = rng.uniform(0.5, 20.0, (m, n)) * 10.0 ** rng.uniform(-spread, spread, (1, n))
     M[rng.random((m, n)) < 0.2] = 0.0
     empty = M.max(axis=0) <= 0.0
     M[rng.integers(m, size=int(empty.sum())), np.flatnonzero(empty)] = rng.uniform(
         0.5, 20.0, int(empty.sum()))
     space = OutcomeSpace(rng.dirichlet(np.ones(m)).tolist())
-    return ConeBasis(space, [Game(c) for c in M.T]), Rate(float(rng.uniform(0.005, 0.10)))
+    if not wide:
+        return ConeBasis(space, [Game(c) for c in M.T]), Rate(float(rng.uniform(0.005, 0.10)))
+    conv = "simple" if rng.random() < 0.5 else "continuous"
+    basis = ConeBasis(space, [Game(c) for c in M.T])
+    return basis, Rate(float(10.0 ** rng.uniform(-4.0, -1.0)), conv)
+
+
+def _stress_draw(seed, index, wide=False):
+    """Draw number index of the stress sequence seeded with seed."""
+    rng = np.random.default_rng(seed)
+    for _ in range(index):
+        try:
+            _stress_basis(rng, wide)
+        except BasisError:  # a proportional pair
+            pass
+    return _stress_basis(rng, wide)
 
 
 def _bisection_coordinate(prob, x, i):
@@ -480,7 +499,7 @@ def _bisection_coordinate(prob, x, i):
 
 
 class TestPolishHandOff:
-    """The cutting planes hand over to the KKT polish at L - 1 <= 1e-4."""
+    """Answers that the KKT polish gave, and hard draws, from the dual."""
 
     # from bench/workloads.py LS_DEEP_CATALOGUE
     CATALOGUE = (
@@ -502,10 +521,9 @@ class TestPolishHandOff:
     )
 
     def test_a_coordinate_at_one_with_a_negative_multiplier(self):
-        # at the hand-off the min-norm point of the cuts is (1, 1, 0.9155),
-        # and the answer has its second coordinate below 1: held there, the
-        # polish returns (1, 1, 0.96754), feasible but longer than the
-        # min-norm point, and the multiplier check rejects it
+        # the answer's second coordinate lies just below 1. Held at 1, the
+        # KKT system gives (1, 1, 0.96754): feasible, but longer than the
+        # min-norm point, with a negative bound multiplier
         b = ConeBasis(_normalized_space([0.32614, 0.279487, 0.177199, 0.217175]), [
             Game([22.011, 11.7269, 32.0345, 19.1696]),
             Game([42.0288, 6.33053, 36.6893, 53.7165]),
@@ -517,7 +535,8 @@ class TestPolishHandOff:
         assert sol.max_violation <= 1e-9
 
     def test_a_fourth_coordinate_just_below_one(self):
-        # without the multiplier check the early polish holds x_4 at 1
+        # x_4 lies 3.4e-4 below 1, where holding it at 1 also gives a
+        # feasible point, only a longer one
         b = ConeBasis(_normalized_space(
             [0.134728, 0.103083, 0.187604, 0.117473, 0.171545, 0.285567]), [
             Game([141.539, 125.397, 188.845, 77.9621, 304.354, 17.0021]),
@@ -561,7 +580,7 @@ class TestPolishHandOff:
             if free.size != 1:
                 continue
             i = int(free[0])
-            assert sol.termination == "polished", (b, rate)
+            assert sol.termination == "newton", (b, rate)
             ref = _bisection_coordinate(_LsqProblem(b, rate), sol.x, i)
             assert abs(sol.x[i] - ref) <= 1e-8, (b, rate, sol.x, ref)
             compared += 1
@@ -575,9 +594,11 @@ class TestPolishHandOff:
         # the block is scaled to a unit diagonal; 1/112 two vertices of equal
         # ratio, between which steps that raise the value only by rounding
         # would cycle; 6/3 a flat direction whose step, unless it starts from
-        # the Newton point, stops short of the bound it aims at. The
-        # redundant basis has a segment of tight mixes along the null space
-        # of M
+        # the Newton point, stops short of the bound it aims at. 1/8 holds one
+        # for the dual: with x_1 and x_3 at 1, D is affine along a direction
+        # that only the step on to the first bound follows (by Newton steps
+        # alone the dual hits its cap). The redundant basis has a segment of
+        # tight mixes along the null space of M
         expected = {
             (2024, 88): [0.08595524675487888, 0.026868120348460187, 0.09032688483957825],
             (2024, 247): [0.3005878423214162, 0.641694935737485, 0.5119787064597746],
@@ -585,21 +606,16 @@ class TestPolishHandOff:
             (1, 112): [0.6288538091208453, 0.2765454669480799, 0.6261302170744923,
                        0.3696862904111953],
             (6, 3): [0.00437518358390894, 0.004910557521728674, 4.6523687254033e-06],
+            (1, 8): [1.0, 0.5329596830549306, 1.0],
         }
         for (seed, index), x in expected.items():
-            rng = np.random.default_rng(seed)
-            for _ in range(index):
-                try:
-                    _stress_basis(rng)
-                except BasisError:  # a proportional pair
-                    pass
-            sol = least_squares_prices(*_stress_basis(rng))
-            assert sol.termination == "polished", (seed, index)
+            sol = least_squares_prices(*_stress_draw(seed, index))
+            assert sol.termination == "newton", (seed, index)
             assert sol.x.tolist() == pytest.approx(x, abs=1e-10), (seed, index)
         b = ConeBasis(OutcomeSpace([0.2, 0.3, 0.5]),
                       [Game([1, 2, 3]), Game([2, 4, 6]), Game([5, 1, 1])])
         sol = least_squares_prices(b, R05)
-        assert sol.termination == "polished"
+        assert sol.termination == "newton"
         assert sol.x.tolist() == pytest.approx([0.7862068134154, 0.7862068134154, 1.0],
                                                abs=1e-10)
 
@@ -617,7 +633,7 @@ class TestPolishHandOff:
         rate = Rate(0.028949566136009467)
         assert reduce_to_basis(b.games, b.space)[0].n == 4
         sol = least_squares_prices(b, rate)
-        assert sol.termination == "polished"
+        assert sol.termination == "newton"
         assert sol.max_violation <= 1e-9
         # the feasible set is closed upward, so the min-norm point turns
         # infeasible when any positive coordinate is lowered alone
@@ -630,34 +646,62 @@ class TestPolishHandOff:
         for probs, games, r in self.CATALOGUE:
             b = ConeBasis(OutcomeSpace(probs), [Game(g) for g in games])
             sol = least_squares_prices(b, Rate(r))
-            assert sol.termination in ("polished", "constant_mix"), (probs, games)
-            assert sol.iterations <= 6, (probs, games)
+            assert sol.termination in ("newton", "constant_mix"), (probs, games)
+            assert sol.iterations <= 10, (probs, games)
             assert sol.max_violation <= 1e-9
 
-    def test_termination_reasons(self, monkeypatch):
-        assert least_squares_prices(B11, R05).termination == "constant_mix"
-        assert least_squares_prices(B13, R05).termination == "polished"
-        monkeypatch.setattr(gameprice.lsq, "_polish", lambda *args: None)
+    def test_termination_reasons(self):
+        sol = least_squares_prices(B11, R05)
+        assert (sol.termination, sol.iterations) == ("constant_mix", 1)
+        sol = least_squares_prices(B12, R05)
+        assert (sol.termination, sol.iterations) == ("linear", 1)
+        assert sol.x.tolist() == [0.0, 0.0] and sol.max_violation <= 1e-9
         sol = least_squares_prices(B13, R05)
-        assert sol.termination == "tol" and sol.max_violation <= 1e-9
-        # a tolerance no iterate can meet: x stops moving by _X_TOL first
-        monkeypatch.setattr(gameprice.lsq, "_X_TOL", 1.0)
-        sol = least_squares_prices(B13, R05, tol_L=-1.0)
-        assert sol.termination == "stalled" and sol.max_violation > -1.0
-        assert sol.iterations == 6
+        assert sol.termination == "newton" and sol.max_violation <= 1e-12
+        assert 1 <= sol.iterations <= 10
+        # a tolerance no point can meet: Newton converges, and the oracle's
+        # L - 1 is reported as it is
+        stalled = least_squares_prices(B13, R05, tol_L=-1.0)
+        assert stalled.termination == "stalled"
+        assert stalled.x.tolist() == pytest.approx(sol.x.tolist(), abs=1e-12)
+        assert -1.0 < stalled.max_violation <= 1e-12
 
-    def test_the_polish_runs_at_most_twice(self, monkeypatch):
-        calls = []
-        polish = gameprice.lsq._polish
 
-        def rejected(*args):
-            calls.append(polish(*args))
-            return None
+class TestDualSolve:
+    """Every stress draw ends certified: the dual is concave, so Newton needs
+    no globalization, and it measures each game on the scale of its ceiling."""
 
-        monkeypatch.setattr(gameprice.lsq, "_polish", rejected)
-        sol = least_squares_prices(B13, R05)
-        assert len(calls) == 2 and calls[0] is not None
-        assert sol.termination == "tol"
+    @pytest.mark.parametrize("seed, wide", [(7, False), (31337, True)])
+    def test_stress_draws_end_certified(self, seed, wide):
+        # the wide draws' game scales span up to 1e6 within one basis, so
+        # the stop test and the active set must be measured per game
+        rng = np.random.default_rng(seed)
+        solved = 0
+        for index in range(400):
+            try:
+                b, rate = _stress_basis(rng, wide)
+            except BasisError:  # a proportional pair
+                continue
+            sol = least_squares_prices(b, rate)
+            assert sol.termination in ("constant_mix", "linear", "newton"), index
+            assert sol.max_violation <= 1e-12, (index, sol.max_violation)
+            solved += 1
+        assert solved >= 390
+
+    def test_a_game_priced_near_zero(self):
+        # game 0 pays only on an outcome of probability 6.9e-5, so u_0 is
+        # 6.5e-96, and D along the worst mix at x = 0 peaks near 1e-180. The
+        # answer must be certified, or the solver must say it cannot give one
+        b, rate = _stress_draw(2, 260)
+        assert _LsqProblem(b, rate).u[0] < 1e-90
+        try:
+            sol = least_squares_prices(b, rate)
+        except PricingError:
+            return
+        assert sol.termination == "newton" and sol.max_violation <= 1e-12
+        # from that mix alone Newton climbs the scale of w for 98 steps; the
+        # uniform mix starts near the answer's scale
+        assert sol.iterations <= 25
 
 
 class TestConstantMixDetector:
