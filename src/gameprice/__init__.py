@@ -1,5 +1,7 @@
 """Growth-rate prices of games, least-squares prices over cones, and tooling."""
 
+import importlib
+
 from .core import (
     BasisError,
     ConeBasis,
@@ -27,26 +29,6 @@ from .core import (
     st_petersburg,
     variance,
 )
-from .lsq import (
-    LsSolution,
-    big_L,
-    check_constant_mix,
-    check_linear_pricing,
-    cone_coordinates,
-    in_cone,
-    least_squares_prices,
-    ls_ratio,
-    price_in_cone,
-    reduce_to_basis,
-)
-from .portfolio import (
-    FundComparison,
-    ParityReport,
-    compare_mean_variance,
-    joint_space,
-    one_fund_weight,
-    put_call_parity,
-)
 from .pricer import (
     KappaContext,
     PriceResult,
@@ -60,9 +42,56 @@ from .pricer import (
     price_two_outcome_fair,
     truncate_series,
 )
-from .simulate import SimConfig, SimReport, SweepPoint, simulate_growth, sweep_proportion
 
 __version__ = "0.1.0"
+
+# Names from the modules that need numpy, imported on first use (PEP 562), so
+# that `import gameprice` and pricing one game never load numpy.
+_LAZY = {
+    "lsq": (
+        "LsSolution",
+        "big_L",
+        "check_constant_mix",
+        "check_linear_pricing",
+        "cone_coordinates",
+        "in_cone",
+        "least_squares_prices",
+        "ls_ratio",
+        "price_in_cone",
+        "reduce_to_basis",
+    ),
+    "portfolio": (
+        "FundComparison",
+        "ParityReport",
+        "compare_mean_variance",
+        "joint_space",
+        "one_fund_weight",
+        "put_call_parity",
+    ),
+    "simulate": (
+        "SimConfig",
+        "SimReport",
+        "SweepPoint",
+        "simulate_growth",
+        "sweep_proportion",
+    ),
+}
+_LAZY_NAMES = {name: module for module, names in _LAZY.items() for name in names}
+_LAZY_MODULES = ("lsq", "portfolio", "reference", "simulate")
+
+
+def __getattr__(name: str):
+    if name in _LAZY_MODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    module = _LAZY_NAMES.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY_NAMES, *_LAZY_MODULES})
+
 
 __all__ = [
     "BasisError",

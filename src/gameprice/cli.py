@@ -5,6 +5,9 @@ paper-examples. Input is the game-spec JSON documented in core; output goes
 to stdout as a plain table (default), JSON, or CSV. Exit codes: 0 ok,
 1 a result out of tolerance, a failed paper check or a solver failure,
 2 parse error, 3 invariant violation, 4 basis failure.
+
+The modules that need numpy (lsq, portfolio, simulate, reference) are
+imported inside the commands that use them, so `price` never loads numpy.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from .core import (
     BasisError,
@@ -26,11 +29,10 @@ from .core import (
     TruncationError,
     load_game_file,
 )
-from .lsq import LsSolution, least_squares_prices, price_in_cone, reduce_to_basis
-from .portfolio import compare_mean_variance, put_call_parity
 from .pricer import REGIME_FULL, price_general
-from .reference import run_checks
-from .simulate import SimConfig, simulate_growth, sweep_proportion, sweep_rows_csv
+
+if TYPE_CHECKING:
+    from .lsq import LsSolution
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -123,12 +125,14 @@ def _tolerance_exit(sol: Optional[LsSolution], tol_L: float) -> int:
 
 
 def cmd_ls_price(args) -> int:
+    from . import lsq
+
     gf = load_game_file(args.input)
     rate = _resolve_rate(gf, args)
     names = list(gf.games)
     games = [gf.games[n] for n in names]
-    basis, coords = reduce_to_basis(games, gf.space)
-    sol = least_squares_prices(basis, rate, tol_L=args.tol_ls)
+    basis, coords = lsq.reduce_to_basis(games, gf.space)
+    sol = lsq.least_squares_prices(basis, rate, tol_L=args.tol_ls)
     if args.format == "json":
         print(json.dumps(sol.to_json_dict()))
         return _tolerance_exit(sol, args.tol_ls)
@@ -147,7 +151,7 @@ def cmd_ls_price(args) -> int:
     for j, name in enumerate(names):
         if j in basis_idx:
             continue
-        cone_price = price_in_cone(sol, coords[j])
+        cone_price = lsq.price_in_cone(sol, coords[j])
         print(f"{name}: ls={_fmt_price(cone_price, fp)} (priced by linearity)")
     cert = ", ".join(_fmt_price(w, fp) for w in sol.certificate.weights)
     print(f"certificate mix: ({cert})")
@@ -167,6 +171,8 @@ def _resolve_u_t(args, gf: GameFile, game: Game, rate: Rate) -> tuple[float, flo
 
 
 def cmd_simulate(args) -> int:
+    from .simulate import SimConfig, simulate_growth
+
     gf = load_game_file(args.input)
     rate = _resolve_rate(gf, args)
     game = _pick_game(gf, args.game)
@@ -192,6 +198,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    from .simulate import SimConfig, sweep_proportion, sweep_rows_csv
+
     gf = load_game_file(args.input)
     rate = _resolve_rate(gf, args)
     game = _pick_game(gf, args.game)
@@ -220,6 +228,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_compare_mv(args) -> int:
+    from .portfolio import compare_mean_variance
+
     gf = load_game_file(args.input)
     rate = _resolve_rate(gf, args)
     x = _pick_game(gf, args.x)
@@ -248,6 +258,8 @@ def cmd_compare_mv(args) -> int:
 
 
 def cmd_parity(args) -> int:
+    from .portfolio import put_call_parity
+
     gf = load_game_file(args.input)
     rate = _resolve_rate(gf, args)
     stock = _pick_game(gf, args.stock)
@@ -273,6 +285,8 @@ def cmd_parity(args) -> int:
 
 
 def cmd_paper_examples(args) -> int:
+    from .reference import run_checks
+
     rows = run_checks(args.only)
     if not rows:
         print(f"no checks match {args.only!r}", file=sys.stderr)

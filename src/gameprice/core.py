@@ -1,9 +1,11 @@
 """Domain types shared by every solver: outcome spaces, games, mixes, rates.
 
-All types are immutable value objects (frozen dataclasses holding read-only
-numpy arrays), so they can be shared freely across threads. Probability
-vectors are validated to 1e-12 and then renormalized exactly, so downstream
-sums are exact simplex elements.
+All types are immutable value objects (frozen dataclasses), so they can be
+shared freely across threads. Games and outcome spaces hold their values as
+float tuples and validate them with math alone, so pricing one game never
+imports numpy; their .payoffs and .probs are read-only float64 arrays built
+on first access. Probability vectors are validated to 1e-12 and then
+renormalized exactly, so downstream sums are exact simplex elements.
 """
 
 from __future__ import annotations
@@ -12,9 +14,11 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, Literal, Sequence
+from functools import cached_property
+from typing import TYPE_CHECKING, Callable, Literal, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 PROB_TOL = 1e-12
 
@@ -47,39 +51,69 @@ class GameFileError(PricingError, ValueError):
     """A game-spec file failed to parse or violates the documented schema."""
 
 
-def _frozen(values, name: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim != 1 or arr.size < 1:
+def _float_tuple(values, name: str) -> tuple[float, ...]:
+    """values as a nonempty tuple of finite floats.
+
+    Accepts any 1-d sequence of numbers, an ndarray included; a string, a
+    scalar or a nested sequence is not a 1-d vector.
+    """
+    if isinstance(values, (str, bytes)):
         raise InvariantViolation(f"{name} must be a nonempty 1-d vector")
-    if not np.all(np.isfinite(arr)):
+    tolist = getattr(values, "tolist", None)
+    if tolist is not None:  # an ndarray: its entries as Python numbers
+        values = tolist()
+    try:
+        out = tuple(map(float, values))
+    except TypeError:
+        raise InvariantViolation(f"{name} must be a nonempty 1-d vector") from None
+    if not out:
+        raise InvariantViolation(f"{name} must be a nonempty 1-d vector")
+    if not all(map(math.isfinite, out)):
         raise InvariantViolation(f"{name} must be finite")
-    arr = arr.copy()
+    return out
+
+
+def _frozen_array(values: tuple[float, ...]) -> np.ndarray:
+    import numpy as np
+
+    arr = np.array(values, dtype=float)
     arr.flags.writeable = False
     return arr
 
 
 @dataclass(frozen=True)
 class OutcomeSpace:
-    """Finite probability vector over the joint outcomes shared by all games."""
+    """Finite probability vector over the joint outcomes shared by all games.
 
-    probs: np.ndarray
+    prob_tuple holds the renormalized probabilities; probs is the same vector
+    as a read-only float64 array.
+    """
+
+    prob_tuple: tuple[float, ...]
 
     def __init__(self, probs: Sequence[float]):
-        arr = _frozen(probs, "probs")
-        if np.any(arr <= 0.0):
+        values = _float_tuple(probs, "probs")
+        if min(values) <= 0.0:
             raise InvariantViolation("every outcome probability must be > 0")
-        total = float(arr.sum())
+        # left to right, not sum() (compensated from Python 3.12): numpy sums
+        # in this order below 8 entries, so there the probabilities equal
+        # a / a.sum() bit for bit
+        total = 0.0
+        for p in values:
+            total += p
         if abs(total - 1.0) > PROB_TOL:
             raise InvariantViolation(
                 f"probabilities must sum to 1 within {PROB_TOL}, got {total!r}"
             )
-        arr = arr / total
-        arr.flags.writeable = False
-        object.__setattr__(self, "probs", arr)
+        object.__setattr__(self, "prob_tuple", tuple(p / total for p in values))
+
+    @cached_property
+    def probs(self) -> np.ndarray:
+        return _frozen_array(self.prob_tuple)
 
     @property
     def size(self) -> int:
-        return int(self.probs.size)
+        return len(self.prob_tuple)
 
 
 def fair_coin() -> OutcomeSpace:
@@ -88,7 +122,7 @@ def fair_coin() -> OutcomeSpace:
 
 
 def is_fair_coin(space: OutcomeSpace) -> bool:
-    return space.size == 2 and abs(float(space.probs[0]) - 0.5) <= PROB_TOL
+    return space.size == 2 and abs(space.prob_tuple[0] - 0.5) <= PROB_TOL
 
 
 @dataclass(frozen=True)
@@ -97,26 +131,32 @@ class Game:
 
     Payoffs must be >= 0 with at least one strictly positive entry, which is
     equivalent to a positive expectation under any valid outcome space.
+    payoff_tuple holds them; payoffs is the same vector as a read-only
+    float64 array.
     """
 
-    payoffs: np.ndarray
+    payoff_tuple: tuple[float, ...]
 
     def __init__(self, payoffs: Sequence[float]):
-        arr = _frozen(payoffs, "payoffs")
-        if np.any(arr < 0.0):
+        values = _float_tuple(payoffs, "payoffs")
+        if min(values) < 0.0:
             raise InvariantViolation("payoffs must be nonnegative")
-        if not np.any(arr > 0.0):
+        if max(values) <= 0.0:
             raise InvariantViolation("a game must pay something: expectation is 0")
-        object.__setattr__(self, "payoffs", arr)
+        object.__setattr__(self, "payoff_tuple", values)
+
+    @cached_property
+    def payoffs(self) -> np.ndarray:
+        return _frozen_array(self.payoff_tuple)
 
     @property
     def size(self) -> int:
-        return int(self.payoffs.size)
+        return len(self.payoff_tuple)
 
     def scaled(self, k: float) -> "Game":
         if k <= 0:
             raise InvariantViolation("scale factor must be > 0")
-        return Game(self.payoffs * k)
+        return Game([a * k for a in self.payoff_tuple])
 
 
 Convention = Literal["continuous", "simple"]
@@ -165,8 +205,8 @@ class Mix:
     weights: np.ndarray
 
     def __init__(self, weights: Sequence[float]):
-        arr = _frozen(weights, "weights")
-        if np.any(arr < 0.0):
+        arr = _frozen_array(_float_tuple(weights, "weights"))
+        if (arr < 0.0).any():
             raise InvariantViolation("mix weights must be nonnegative")
         total = float(arr.sum())
         if abs(total - 1.0) > PROB_TOL:
@@ -189,6 +229,8 @@ def _ray_residual(a: np.ndarray, b: np.ndarray) -> float:
     the nonnegative least-squares fit reduce_to_basis tests; scaling both
     games leaves it unchanged.
     """
+    import numpy as np
+
     k = float(a @ b) / float(a @ a)
     return float(np.linalg.norm(b - k * a) / np.max(np.abs(b)))
 
@@ -228,6 +270,8 @@ class ConeBasis:
 
     def payoff_matrix(self) -> np.ndarray:
         """m x n matrix, one column per basis game."""
+        import numpy as np
+
         return np.column_stack([g.payoffs for g in self.games])
 
 
@@ -282,12 +326,16 @@ def _check_aligned(game: Game, space: OutcomeSpace) -> None:
 
 def expectation(game: Game, space: OutcomeSpace) -> float:
     """Probability-weighted mean payoff."""
+    import numpy as np
+
     _check_aligned(game, space)
     return float(np.dot(space.probs, game.payoffs))
 
 
 def geometric_mean(game: Game, space: OutcomeSpace) -> float:
     """exp of the probability-weighted mean log payoff; needs payoffs > 0."""
+    import numpy as np
+
     _check_aligned(game, space)
     if np.any(game.payoffs <= 0.0):
         raise InvariantViolation(
@@ -298,6 +346,8 @@ def geometric_mean(game: Game, space: OutcomeSpace) -> float:
 
 def harmonic_mean(game: Game, space: OutcomeSpace) -> float:
     """1 / E[1/payoff]; defined as 0 when any payoff is 0."""
+    import numpy as np
+
     _check_aligned(game, space)
     if np.any(game.payoffs <= 0.0):
         return 0.0
@@ -306,6 +356,8 @@ def harmonic_mean(game: Game, space: OutcomeSpace) -> float:
 
 def variance(game: Game, space: OutcomeSpace) -> float:
     """Probability-weighted payoff variance."""
+    import numpy as np
+
     mean = expectation(game, space)
     return float(np.dot(space.probs, (game.payoffs - mean) ** 2))
 
@@ -322,6 +374,8 @@ def mix_game(basis: ConeBasis, p: Mix | Sequence[float]) -> Game:
 
 def combine(basis: ConeBasis, k: Sequence[float]) -> Game:
     """Nonnegative linear combination (a point of the cone, not of the simplex)."""
+    import numpy as np
+
     arr = np.asarray(k, dtype=float)
     if arr.size != basis.n:
         raise DimensionMismatch(
@@ -352,10 +406,23 @@ class GameFile:
     rate: Rate | None
 
 
+def _numbers(value, what: str) -> list[float]:
+    """value, when it is a list of JSON numbers; GameFileError naming what if not."""
+    if not (isinstance(value, list) and all(isinstance(v, float) for v in value)):
+        raise GameFileError(f"{what} must be a list of numbers")
+    return value
+
+
 def parse_game_file(text: str) -> GameFile:
-    """Parse the documented game-spec JSON schema from a string."""
+    """Parse the documented game-spec JSON schema from a string.
+
+    A value of the wrong JSON type is a GameFileError; numbers that break a
+    domain invariant (negative, non-finite, not summing to 1) raise the
+    domain type's InvariantViolation.
+    """
     try:
-        doc = json.loads(text)
+        # every JSON number as a float: an integer too large for one reads inf
+        doc = json.loads(text, parse_int=float)
     except json.JSONDecodeError as exc:
         raise GameFileError(
             f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
@@ -369,12 +436,10 @@ def parse_game_file(text: str) -> GameFile:
         raise GameFileError(f"missing required key {exc.args[0]!r}") from exc
     if not isinstance(games_doc, dict) or not games_doc:
         raise GameFileError('"games" must be a nonempty object of name -> payoffs')
-    space = OutcomeSpace(probs)
+    space = OutcomeSpace(_numbers(probs, '"probabilities"'))
     games: dict[str, Game] = {}
     for name, payoffs in games_doc.items():
-        if not isinstance(payoffs, list):
-            raise GameFileError(f'game "{name}" must be a list of payoffs')
-        game = Game(payoffs)
+        game = Game(_numbers(payoffs, f'game "{name}"'))
         if game.size != space.size:
             raise GameFileError(
                 f'game "{name}" has {game.size} payoffs for {space.size} outcomes'
@@ -385,7 +450,9 @@ def parse_game_file(text: str) -> GameFile:
         rdoc = doc["rate"]
         if not isinstance(rdoc, dict) or "value" not in rdoc:
             raise GameFileError('"rate" must be an object with a "value"')
-        rate = Rate(float(rdoc["value"]), rdoc.get("convention", "continuous"))
+        if not isinstance(rdoc["value"], float):
+            raise GameFileError('"rate" "value" must be a number')
+        rate = Rate(rdoc["value"], rdoc.get("convention", "continuous"))
     return GameFile(space=space, games=games, rate=rate)
 
 

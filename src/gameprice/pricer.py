@@ -25,8 +25,6 @@ import sys
 from dataclasses import dataclass
 from typing import Literal, Sequence
 
-import numpy as np
-
 from .core import (
     Game,
     InvariantViolation,
@@ -93,10 +91,10 @@ def max_proportion(game: Game, u: float) -> float:
     """Largest t keeping every log argument positive (may be +inf)."""
     if u <= 0:
         raise InvariantViolation("price must be > 0")
-    return _tmax_raw(game.payoffs.tolist(), u)
+    return _tmax_raw(game.payoff_tuple, u)
 
 
-# -- raw helpers on plain lists (hot loops; numpy overhead dominates at m <= 8)
+# -- raw helpers on plain sequences (hot loops; numpy overhead dominates at m <= 8)
 
 
 def _elg(pay: Sequence[float], pr: Sequence[float], u: float, t: float) -> float:
@@ -159,7 +157,7 @@ def expected_log_growth(
         raise InvariantViolation("proportion must be >= 0")
     if game.size != space.size:
         raise InvariantViolation("game and space dimensions differ")
-    return _elg(game.payoffs.tolist(), space.probs.tolist(), u, t)
+    return _elg(game.payoff_tuple, space.prob_tuple, u, t)
 
 
 def optimal_proportion(
@@ -174,7 +172,7 @@ def optimal_proportion(
         raise InvariantViolation("price must be > 0")
     if game.size != space.size:
         raise InvariantViolation("game and space dimensions differ")
-    return _opt_t(game.payoffs.tolist(), space.probs.tolist(), u)
+    return _opt_t(game.payoff_tuple, space.prob_tuple, u)
 
 
 def _price_fair(a: float, b: float, g: float, kappa: float) -> tuple[float, float]:
@@ -360,13 +358,10 @@ def price_general(
     """
     if game.size != space.size:
         raise InvariantViolation("game and space dimensions differ")
-    if not force_numeric and is_fair_coin(space) and np.all(game.payoffs > 0.0):
-        return price_two_outcome_fair(
-            float(game.payoffs[0]), float(game.payoffs[1]), rate
-        )
-    u, t, regime, achieved = _price_numeric(
-        game.payoffs.tolist(), space.probs.tolist(), rate
-    )
+    pay = game.payoff_tuple
+    if not force_numeric and is_fair_coin(space) and min(pay) > 0.0:
+        return price_two_outcome_fair(pay[0], pay[1], rate)
+    u, t, regime, achieved = _price_numeric(pay, space.prob_tuple, rate)
     return PriceResult(u, t, regime, achieved)
 
 

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import gameprice.cli
+import gameprice.lsq
 import gameprice.portfolio
 from gameprice.cli import main
 
@@ -120,6 +121,54 @@ class TestExitCodes:
         assert rc == 3
         assert "nonnegative" in err
 
+    @pytest.mark.parametrize("spec, message", [
+        ({"probabilities": ["a", 0.5]}, '"probabilities" must be a list of numbers'),
+        ({"probabilities": [None, 0.5]}, '"probabilities" must be a list of numbers'),
+        ({"probabilities": [[0.5], 0.5]}, '"probabilities" must be a list of numbers'),
+        ({"probabilities": [{"p": 0.5}, 0.5]}, '"probabilities" must be a list of numbers'),
+        ({"probabilities": None}, '"probabilities" must be a list of numbers'),
+        ({"probabilities": 0.5}, '"probabilities" must be a list of numbers'),
+        ({"games": {"A": [19, "a"]}}, 'game "A" must be a list of numbers'),
+        ({"games": {"A": [19, None]}}, 'game "A" must be a list of numbers'),
+        ({"games": {"A": [19, [1]]}}, 'game "A" must be a list of numbers'),
+        ({"games": {"A": [19, {"a": 1}]}}, 'game "A" must be a list of numbers'),
+        ({"games": {"A": [19, True]}}, 'game "A" must be a list of numbers'),
+        ({"rate": {"value": "a"}}, '"rate" "value" must be a number'),
+        ({"rate": {"value": None}}, '"rate" "value" must be a number'),
+        ({"rate": {"value": [0.05]}}, '"rate" "value" must be a number'),
+    ], ids=lambda v: json.dumps(v) if isinstance(v, dict) else None)
+    def test_non_numeric_value_is_a_parse_error(self, capsys, tmp_path, spec, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**INTRO, **spec}))
+        rc, out, err = run(capsys, ["price", "--game", "A", str(path)])
+        assert rc == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("spec, message", [
+        ({"probabilities": [0.5, 0.6]}, "sum to 1"),
+        ({"probabilities": [1.0, 0.0]}, "> 0"),
+        ({"games": {"A": [19, float("nan")]}}, "finite"),
+        ({"games": {"A": [19, float("inf")]}}, "finite"),
+        ({"rate": {"value": -0.05}}, "rate must be > 0"),
+    ], ids=lambda v: json.dumps(v) if isinstance(v, dict) else None)
+    def test_numbers_breaking_an_invariant_stay_invariant_violations(
+            self, capsys, tmp_path, spec, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**INTRO, **spec}))
+        rc, out, err = run(capsys, ["price", "--game", "A", str(path)])
+        assert rc == 3
+        assert out == ""
+        assert err.startswith("invariant violated:") and message in err
+
+    def test_integer_beyond_float_range_is_not_finite(self, capsys, tmp_path):
+        path = tmp_path / "huge.json"
+        path.write_text('{"probabilities": [0.5, 0.5], "games": {"A": [19, 1%s]}, '
+                        '"rate": {"value": 0.05}}' % ("0" * 400))
+        rc, out, err = run(capsys, ["price", "--game", "A", str(path)])
+        assert rc == 3
+        assert "payoffs must be finite" in err
+
     def test_overflowing_rate_is_an_invariant_violation(self, capsys, intro):
         rc, out, err = run(capsys, ["price", intro, "--game", "A", "--rate", "710"])
         assert rc == 3
@@ -169,8 +218,8 @@ def _out_of_tolerance(solver):
 class TestOutOfTolerance:
     @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
     def test_ls_price_prints_then_fails(self, capsys, monkeypatch, fmt):
-        monkeypatch.setattr(gameprice.cli, "least_squares_prices",
-                            _out_of_tolerance(gameprice.cli.least_squares_prices))
+        monkeypatch.setattr(gameprice.lsq, "least_squares_prices",
+                            _out_of_tolerance(gameprice.lsq.least_squares_prices))
         rc, out, err = run(capsys, [
             "ls-price", "--format", fmt, str(ROOT / "sample_games/example13.json"),
         ])
@@ -194,13 +243,24 @@ class TestOutOfTolerance:
         ]
 
 
+FIVE = {
+    "probabilities": [0.1, 0.2, 0.3, 0.25, 0.15],
+    "games": {"A": [3, 9, 14, 0, 7], "B": [5, 5, 8, 12, 1]},
+    "rate": {"value": 0.04, "convention": "continuous"},
+}
+
+
+def _run_python(script: str) -> subprocess.CompletedProcess:
+    """script in a fresh interpreter that imports gameprice from this checkout."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    return subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
 def test_default_commands_never_load_scipy(tmp_path):
     spec5 = tmp_path / "five.json"
-    spec5.write_text(json.dumps({
-        "probabilities": [0.1, 0.2, 0.3, 0.25, 0.15],
-        "games": {"A": [3, 9, 14, 0, 7], "B": [5, 5, 8, 12, 1]},
-        "rate": {"value": 0.04, "convention": "continuous"},
-    }))
+    spec5.write_text(json.dumps(FIVE))
     games = ROOT / "sample_games"
     commands = [
         ["price", str(games / "intro.json"), "--game", "A"],
@@ -225,12 +285,37 @@ def test_default_commands_never_load_scipy(tmp_path):
             assert rc == 0, (argv, rc)
         print("scipy" in sys.modules)
     """)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    done = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, timeout=120)
+    done = _run_python(script)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
+
+
+def test_price_never_loads_numpy(tmp_path):
+    spec5 = tmp_path / "five.json"
+    spec5.write_text(json.dumps(FIVE))
+    commands = [
+        ["price", str(path), "--game", "A", "--format", fmt]
+        for path in (ROOT / "sample_games" / "intro.json", spec5)  # closed form, numeric
+        for fmt in ("table", "json", "csv")
+    ]
+    ls_price = ["ls-price", str(ROOT / "sample_games" / "intro.json")]
+    script = textwrap.dedent(f"""
+        import contextlib, io, sys
+        import gameprice
+        import gameprice.cli
+        print("numpy" in sys.modules)
+        for argv in {commands!r}:
+            with contextlib.redirect_stdout(io.StringIO()):
+                rc = gameprice.cli.main(argv)
+            assert rc == 0, (argv, rc)
+        print("numpy" in sys.modules)
+        with contextlib.redirect_stdout(io.StringIO()):
+            rc = gameprice.cli.main({ls_price!r})
+        print(rc, "numpy" in sys.modules)
+    """)
+    done = _run_python(script)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["False", "False", "0 True"]
 
 
 class TestLsPriceCommand:

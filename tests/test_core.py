@@ -22,6 +22,7 @@ from gameprice import (
     harmonic_mean,
     mix_game,
     parse_game_file,
+    price_series,
     st_petersburg,
     variance,
 )
@@ -59,6 +60,61 @@ class TestGame:
 
     def test_zero_entries_allowed(self):
         assert Game([0.0, 2.0]).size == 2
+
+
+class TestValueTypes:
+    """Games and outcome spaces keep float tuples and build their arrays lazily."""
+
+    @pytest.mark.parametrize("make, values", [
+        (Game, []),
+        (Game, [[1.0, 2.0], [3.0, 4.0]]),
+        (Game, np.ones((2, 2))),
+        (Game, 5.0),
+        (Game, [1.0, math.nan]),
+        (Game, [1.0, math.inf]),
+        (Game, [1.0, -0.1]),
+        (Game, [0.0, 0.0]),
+        (OutcomeSpace, []),
+        (OutcomeSpace, [[0.5, 0.5]]),
+        (OutcomeSpace, [0.5, math.nan]),
+        (OutcomeSpace, [math.inf, 0.5]),
+        (OutcomeSpace, [1.0, 0.0]),
+        (OutcomeSpace, [0.5, 0.5 + 1e-11]),
+    ])
+    def test_invalid_values_raise_invariant_violation(self, make, values):
+        with pytest.raises(InvariantViolation):
+            make(values)
+
+    def test_arrays_are_read_only_float64_and_cached(self):
+        g = Game([19, 1])
+        s = OutcomeSpace(np.array([0.25, 0.75]))
+        for arr, again, values in ((g.payoffs, g.payoffs, g.payoff_tuple),
+                                   (s.probs, s.probs, s.prob_tuple)):
+            assert isinstance(arr, np.ndarray) and arr.dtype == np.float64
+            assert not arr.flags.writeable
+            assert arr is again
+            assert arr.tolist() == list(values)
+        assert all(type(v) is float for v in g.payoff_tuple + s.prob_tuple)
+
+    def test_renormalization_matches_numpy(self):
+        # below 8 entries numpy sums left to right, as OutcomeSpace does; above,
+        # numpy sums pairwise, and either order is within (m - 1) eps / 2 of
+        # the exact sum, so each probability moves by at most m eps of itself
+        rng = np.random.default_rng(15)
+        eps = sys.float_info.epsilon
+        for m in range(1, 70):
+            for _ in range(50):
+                raw = rng.random(m) ** 3 + 1e-9
+                a = raw / raw.sum()
+                ref = a / a.sum()
+                got = np.array(OutcomeSpace(a).prob_tuple)
+                if m <= 7:
+                    assert got.tobytes() == ref.tobytes(), m
+                else:
+                    assert np.all(np.abs(got - ref) <= m * eps * ref), m
+
+    def test_st_petersburg_price_unchanged(self):
+        assert price_series(st_petersburg(), Rate(0.05)).price == 4.815577514678612
 
 
 class TestRate:
