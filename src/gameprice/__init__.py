@@ -45,8 +45,9 @@ from .pricer import (
 
 __version__ = "0.1.0"
 
-# Names from the modules that need numpy, imported on first use (PEP 562), so
-# that `import gameprice` and pricing one game never load numpy.
+# Names from the solver modules, imported on first use (PEP 562), so that
+# `import gameprice` compiles only core and pricer; of these modules only
+# simulate loads numpy.
 _LAZY = {
     "lsq": (
         "LsSolution",

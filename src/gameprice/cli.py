@@ -6,8 +6,10 @@ to stdout as a plain table (default), JSON, or CSV. Exit codes: 0 ok,
 1 a result out of tolerance, a failed paper check or a solver failure,
 2 parse error, 3 invariant violation, 4 basis failure.
 
-The modules that need numpy (lsq, portfolio, simulate, reference) are
-imported inside the commands that use them, so `price` never loads numpy.
+The solver modules (lsq, portfolio, reference, simulate) are imported
+inside the commands that use them, so `price` compiles only core and pricer.
+Only simulate needs numpy, because its seeded numpy random streams define
+its answers: simulate and sweep load numpy, and no other command does.
 """
 
 from __future__ import annotations
@@ -131,7 +133,7 @@ def cmd_ls_price(args) -> int:
     rate = _resolve_rate(gf, args)
     names = list(gf.games)
     games = [gf.games[n] for n in names]
-    basis, coords = lsq.reduce_to_basis(games, gf.space)
+    basis, coords = lsq._reduce_to_basis(games, gf.space)
     sol = lsq.least_squares_prices(basis, rate, tol_L=args.tol_ls)
     if args.format == "json":
         print(json.dumps(sol.to_json_dict()))
@@ -139,21 +141,21 @@ def cmd_ls_price(args) -> int:
     basis_idx = [next(i for i, g in enumerate(games) if g is bg)
                  for bg in basis.games]
     fp = args.full_precision
+    rows = list(zip(basis_idx, sol.standalone_tuple, sol.price_tuple, sol.x_tuple))
     if args.format == "csv":
         print("game,standalone,ls_price,x")
-        for k, i in enumerate(basis_idx):
-            print(f"{names[i]},{float(sol.standalone[k])!r},{float(sol.prices[k])!r},"
-                  f"{float(sol.x[k])!r}")
+        for i, u, price, x in rows:
+            print(f"{names[i]},{u!r},{price!r},{x!r}")
         return _tolerance_exit(sol, args.tol_ls)
-    for k, i in enumerate(basis_idx):
-        print(f"{names[i]}: standalone={_fmt_price(sol.standalone[k], fp)} "
-              f"ls={_fmt_price(sol.prices[k], fp)} x={_fmt_price(sol.x[k], fp)}")
+    for i, u, price, x in rows:
+        print(f"{names[i]}: standalone={_fmt_price(u, fp)} "
+              f"ls={_fmt_price(price, fp)} x={_fmt_price(x, fp)}")
     for j, name in enumerate(names):
         if j in basis_idx:
             continue
         cone_price = lsq.price_in_cone(sol, coords[j])
         print(f"{name}: ls={_fmt_price(cone_price, fp)} (priced by linearity)")
-    cert = ", ".join(_fmt_price(w, fp) for w in sol.certificate.weights)
+    cert = ", ".join(_fmt_price(w, fp) for w in sol.certificate.weight_tuple)
     print(f"certificate mix: ({cert})")
     return _tolerance_exit(sol, args.tol_ls)
 

@@ -1,11 +1,12 @@
 """Domain types shared by every solver: outcome spaces, games, mixes, rates.
 
 All types are immutable value objects (frozen dataclasses), so they can be
-shared freely across threads. Games and outcome spaces hold their values as
-float tuples and validate them with math alone, so pricing one game never
-imports numpy; their .payoffs and .probs are read-only float64 arrays built
-on first access. Probability vectors are validated to 1e-12 and then
-renormalized exactly, so downstream sums are exact simplex elements.
+shared freely across threads. Games, outcome spaces and mixes hold their
+values as float tuples and validate them with math alone, so the solvers
+never import numpy; their .payoffs, .probs and .weights are read-only
+float64 arrays built on first access. Probability vectors are validated to
+1e-12 and then renormalized exactly, so downstream sums are exact simplex
+elements.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import cached_property
+from operator import mul
 from typing import TYPE_CHECKING, Callable, Literal, Sequence
 
 if TYPE_CHECKING:
@@ -66,6 +68,8 @@ def _float_tuple(values, name: str) -> tuple[float, ...]:
         out = tuple(map(float, values))
     except TypeError:
         raise InvariantViolation(f"{name} must be a nonempty 1-d vector") from None
+    except OverflowError:  # an int beyond float range
+        raise InvariantViolation(f"{name} must be finite") from None
     if not out:
         raise InvariantViolation(f"{name} must be a nonempty 1-d vector")
     if not all(map(math.isfinite, out)):
@@ -73,7 +77,9 @@ def _float_tuple(values, name: str) -> tuple[float, ...]:
     return out
 
 
-def _frozen_array(values: tuple[float, ...]) -> np.ndarray:
+def _frozen_array(values: Sequence) -> np.ndarray:
+    """values (a vector, or a matrix as a sequence of rows) as a read-only
+    float64 array."""
     import numpy as np
 
     arr = np.array(values, dtype=float)
@@ -177,7 +183,11 @@ class Rate:
     convention: Convention = "continuous"
 
     def __post_init__(self):
-        if not (self.value > 0.0 and math.isfinite(self.value)):
+        try:
+            valid = self.value > 0.0 and math.isfinite(self.value)
+        except OverflowError:  # an int beyond float range
+            raise InvariantViolation("interest rate must be finite") from None
+        if not valid:
             raise InvariantViolation("interest rate must be > 0")
         if self.convention not in ("continuous", "simple"):
             raise InvariantViolation(f"unknown convention {self.convention!r}")
@@ -200,39 +210,55 @@ class Rate:
 
 @dataclass(frozen=True)
 class Mix:
-    """A point of the probability simplex: one weight per basis game."""
+    """A point of the probability simplex: one weight per basis game.
 
-    weights: np.ndarray
+    weight_tuple holds the renormalized weights; weights is the same vector
+    as a read-only float64 array.
+    """
+
+    weight_tuple: tuple[float, ...]
 
     def __init__(self, weights: Sequence[float]):
-        arr = _frozen_array(_float_tuple(weights, "weights"))
-        if (arr < 0.0).any():
+        values = _float_tuple(weights, "weights")
+        if min(values) < 0.0:
             raise InvariantViolation("mix weights must be nonnegative")
-        total = float(arr.sum())
+        total = 0.0  # left to right, as in OutcomeSpace
+        for w in values:
+            total += w
         if abs(total - 1.0) > PROB_TOL:
             raise InvariantViolation(
                 f"mix weights must sum to 1 within {PROB_TOL}, got {total!r}"
             )
-        arr = arr / total
-        arr.flags.writeable = False
-        object.__setattr__(self, "weights", arr)
+        object.__setattr__(self, "weight_tuple", tuple(w / total for w in values))
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        return _frozen_array(self.weight_tuple)
 
     @property
     def size(self) -> int:
-        return int(self.weights.size)
+        return len(self.weight_tuple)
 
 
-def _ray_residual(a: np.ndarray, b: np.ndarray) -> float:
+def _dot(a: Sequence[float], b: Sequence[float]) -> float:
+    return sum(map(mul, a, b))
+
+
+def _payoff_rows(games: Sequence[Game]) -> list[tuple[float, ...]]:
+    """The payoff matrix of the games as float tuples, one per outcome."""
+    return list(zip(*(g.payoff_tuple for g in games)))
+
+
+def _ray_residual(a: Sequence[float], b: Sequence[float]) -> float:
     """Distance from b to the ray through a, over b's largest payoff.
 
     The 2-norm of b minus its projection on a, which for nonnegative games is
     the nonnegative least-squares fit reduce_to_basis tests; scaling both
     games leaves it unchanged.
     """
-    import numpy as np
-
-    k = float(a @ b) / float(a @ a)
-    return float(np.linalg.norm(b - k * a) / np.max(np.abs(b)))
+    k = _dot(a, b) / _dot(a, a)
+    r = [bi - k * ai for ai, bi in zip(a, b)]
+    return math.sqrt(_dot(r, r)) / max(map(abs, b))
 
 
 @dataclass(frozen=True)
@@ -258,7 +284,7 @@ class ConeBasis:
                     f"game of length {g.size} on a space of {space.size} outcomes"
                 )
         if len(games) == 2:
-            a, b = games[0].payoffs, games[1].payoffs
+            a, b = games[0].payoff_tuple, games[1].payoff_tuple
             if min(_ray_residual(a, b), _ray_residual(b, a)) <= 1e-9:
                 raise BasisError("the two games are proportional: not a basis")
         object.__setattr__(self, "space", space)
@@ -326,66 +352,56 @@ def _check_aligned(game: Game, space: OutcomeSpace) -> None:
 
 def expectation(game: Game, space: OutcomeSpace) -> float:
     """Probability-weighted mean payoff."""
-    import numpy as np
-
     _check_aligned(game, space)
-    return float(np.dot(space.probs, game.payoffs))
+    return _dot(space.prob_tuple, game.payoff_tuple)
 
 
 def geometric_mean(game: Game, space: OutcomeSpace) -> float:
     """exp of the probability-weighted mean log payoff; needs payoffs > 0."""
-    import numpy as np
-
     _check_aligned(game, space)
-    if np.any(game.payoffs <= 0.0):
+    if min(game.payoff_tuple) <= 0.0:
         raise InvariantViolation(
             "geometric mean is zero (a payoff is 0): price regime forced interior"
         )
-    return float(math.exp(np.dot(space.probs, np.log(game.payoffs))))
+    return math.exp(_dot(space.prob_tuple, map(math.log, game.payoff_tuple)))
 
 
 def harmonic_mean(game: Game, space: OutcomeSpace) -> float:
     """1 / E[1/payoff]; defined as 0 when any payoff is 0."""
-    import numpy as np
-
     _check_aligned(game, space)
-    if np.any(game.payoffs <= 0.0):
+    if min(game.payoff_tuple) <= 0.0:
         return 0.0
-    return float(1.0 / np.dot(space.probs, 1.0 / game.payoffs))
+    return 1.0 / sum(p / a for p, a in zip(space.prob_tuple, game.payoff_tuple))
 
 
 def variance(game: Game, space: OutcomeSpace) -> float:
     """Probability-weighted payoff variance."""
-    import numpy as np
-
     mean = expectation(game, space)
-    return float(np.dot(space.probs, (game.payoffs - mean) ** 2))
+    return sum(p * (a - mean) ** 2 for p, a in zip(space.prob_tuple, game.payoff_tuple))
 
 
 def mix_game(basis: ConeBasis, p: Mix | Sequence[float]) -> Game:
     """Componentwise convex combination of the basis games."""
-    weights = p.weights if isinstance(p, Mix) else Mix(p).weights
-    if weights.size != basis.n:
+    weights = (p if isinstance(p, Mix) else Mix(p)).weight_tuple
+    if len(weights) != basis.n:
         raise DimensionMismatch(
-            f"mix of length {weights.size} over a basis of {basis.n} games"
+            f"mix of length {len(weights)} over a basis of {basis.n} games"
         )
-    return Game(basis.payoff_matrix() @ weights)
+    return Game([_dot(row, weights) for row in _payoff_rows(basis.games)])
 
 
 def combine(basis: ConeBasis, k: Sequence[float]) -> Game:
     """Nonnegative linear combination (a point of the cone, not of the simplex)."""
-    import numpy as np
-
-    arr = np.asarray(k, dtype=float)
-    if arr.size != basis.n:
+    coeffs = _float_tuple(k, "cone coefficients")
+    if len(coeffs) != basis.n:
         raise DimensionMismatch(
-            f"coefficients of length {arr.size} over a basis of {basis.n} games"
+            f"coefficients of length {len(coeffs)} over a basis of {basis.n} games"
         )
-    if np.any(arr < 0.0):
+    if min(coeffs) < 0.0:
         raise InvariantViolation("cone coefficients must be nonnegative")
-    if not np.any(arr > 0.0):
+    if max(coeffs) <= 0.0:
         raise InvariantViolation("cone coefficients must not all be zero")
-    return Game(basis.payoff_matrix() @ arr)
+    return Game([_dot(row, coeffs) for row in _payoff_rows(basis.games)])
 
 
 # ---------------------------------------------------------------------------

@@ -18,24 +18,27 @@ c_i > u_i, so it is returned at once; prices are linear exactly when one
 oracle call certifies L(0) <= 1. LsSolution.termination says which way a
 solve ended. The oracle is projected Newton on a concave reparametrization
 of the ratio; it and the dual take the mix price's exact gradient and
-Hessian from one price solve, on plain Python floats. The oracle stops only
+Hessian from one price solve, and split each Newton step into its curved
+and flat parts by a pivoted LDL^T factorization. The oracle stops only
 when the upper bound max_i dh/dy_i (Euler's identity plus concavity) is
 within 1e-10 relative of its value. Every question about the cone the games
-span is one nonnegative least-squares (NNLS) problem, solved by a numpy
-Lawson-Hanson active-set method: whether a game lies in it and with which
-coefficients, which games are its extreme rays, and whether some mix pays a
-constant, with the largest support such a mix can have. The module needs
-numpy only.
+span is one nonnegative least-squares (NNLS) problem, solved by Lawson and
+Hanson's active-set method on a Householder QR of its passive columns:
+whether a game lies in it and with which coefficients, which games are its
+extreme rays, and whether some mix pays a constant, with the largest
+support such a mix can have. Everything runs on plain Python floats, so
+solving imports no numpy; the functions that return arrays build them on
+the way out.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from functools import cached_property
 from operator import mul, sub
-from typing import Literal, Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Literal, Optional, Sequence
 
 from .core import (
     BasisError,
@@ -47,21 +50,30 @@ from .core import (
     OutcomeSpace,
     PricingError,
     Rate,
+    _dot,
+    _float_tuple,
+    _frozen_array,
+    _payoff_rows,
     is_fair_coin,
 )
 from .pricer import KappaContext, _price_fair, _price_numeric
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_L_TOL = 1e-9
 
 # relative gap between the oracle's computed upper bound and its value
 ORACLE_GAP = 1e-10
-# eigenvalues of a unit-diagonal Hessian block within this of the largest
-# count as flat
+# pivots of a unit-diagonal Hessian block within this of the largest count
+# as flat
 _FLAT = 1e-9
 # share of the predicted rise that a Newton step (oracle or dual) must achieve
 _ARMIJO = 1e-4
 # cap on the Newton steps of the oracle and of the dual
 _ORACLE_MAX_ITER = 500
+
+_EPS = sys.float_info.epsilon
 
 
 Termination = Literal["constant_mix", "linear", "newton", "stalled"]
@@ -79,50 +91,82 @@ class LsSolution:
     certified its point) or "stalled" (the solver settled, but the oracle's
     L - 1 at its point exceeds tol_L; max_violation says by how much).
     iterations counts the Newton steps, and is 1 for the first two.
+    x_tuple, price_tuple, standalone_tuple and ceiling_tuple hold the
+    vectors; x, prices, standalone and ceilings are the same vectors as
+    read-only float64 arrays, built on first access.
     """
 
-    x: np.ndarray
-    prices: np.ndarray
+    x_tuple: tuple[float, ...]
+    price_tuple: tuple[float, ...]
     certificate: Mix
     norm: float
     iterations: int
     max_violation: float
-    standalone: np.ndarray
-    ceilings: np.ndarray
+    standalone_tuple: tuple[float, ...]
+    ceiling_tuple: tuple[float, ...]
     termination: Termination
+
+    @cached_property
+    def x(self) -> np.ndarray:
+        return _frozen_array(self.x_tuple)
+
+    @cached_property
+    def prices(self) -> np.ndarray:
+        return _frozen_array(self.price_tuple)
+
+    @cached_property
+    def standalone(self) -> np.ndarray:
+        return _frozen_array(self.standalone_tuple)
+
+    @cached_property
+    def ceilings(self) -> np.ndarray:
+        return _frozen_array(self.ceiling_tuple)
 
     def to_json_dict(self) -> dict:
         return {
-            "x": [float(v) for v in self.x],
-            "prices": [float(v) for v in self.prices],
-            "certificate": [float(v) for v in self.certificate.weights],
-            "iterations": int(self.iterations),
-            "max_violation": float(self.max_violation),
+            "x": list(self.x_tuple),
+            "prices": list(self.price_tuple),
+            "certificate": list(self.certificate.weight_tuple),
+            "iterations": self.iterations,
+            "max_violation": self.max_violation,
         }
 
 
 class _LsqProblem:
-    """Precomputed pricing context for one basis and rate."""
+    """Precomputed pricing context for one basis and rate.
+
+    u_tuple, c_tuple and d_tuple hold the stand-alone prices, the ceilings
+    and d = max(c - u, 0). The solver works on them and on the plain-float
+    methods; u and d, adjusted and big_L give arrays, built on request, for
+    callers that hold arrays.
+    """
 
     def __init__(self, basis: ConeBasis, rate: Rate):
         self.basis = basis
         self.rate = rate
         self.space = basis.space
-        self.M = basis.payoff_matrix()
-        self.probs = self.space.probs
-        self._probs_list = self.probs.tolist()
-        # the oracle's hot loop runs on plain floats (numpy overhead dominates
-        # at these sizes): payoff rows for M p, columns for M^T dprice
-        self._rows = self.M.tolist()
-        self._cols = self.M.T.tolist()
+        self._probs_list = list(self.space.prob_tuple)
+        # the hot loops run on plain floats (numpy overhead dominates at these
+        # sizes): payoff rows for M p, columns for M^T dprice
+        self._cols = [g.payoff_tuple for g in basis.games]
+        self._rows = _payoff_rows(basis.games)
         self.g = rate.growth_factor()
         self._fair = is_fair_coin(self.space)
         self._kappa = KappaContext.from_rate(rate).kappa
         self.n = basis.n
-        self.u = np.array([self.price_full(g.payoffs.tolist())[0] for g in basis.games])
-        self.c = (self.probs @ self.M) / self.g
-        self.d = np.maximum(self.c - self.u, 0.0)
-        self.scale = float(np.max(self.c))
+        self.u_tuple = tuple(self.price_full(list(col))[0] for col in self._cols)
+        self.c_tuple = tuple(_dot(self._probs_list, col) / self.g for col in self._cols)
+        self.d_tuple = tuple(max(ci - ui, 0.0)
+                             for ci, ui in zip(self.c_tuple, self.u_tuple))
+        self.scale = max(self.c_tuple)
+
+    @cached_property
+    def u(self) -> np.ndarray:
+        return _frozen_array(self.u_tuple)
+
+    @cached_property
+    def d(self) -> np.ndarray:
+        return _frozen_array(self.d_tuple)
 
     def price_full(self, payoffs: list[float]) -> tuple[float, float]:
         """(price, proportion) of an arbitrary payoff list on the space."""
@@ -131,14 +175,21 @@ class _LsqProblem:
         u, t, _, _ = _price_numeric(payoffs, self._probs_list, self.rate)
         return u, t
 
-    def price_mix(self, p: np.ndarray) -> float:
-        return self.price_full((self.M @ p).tolist())[0]
+    def price_mix(self, p: Sequence[float]) -> float:
+        return self.price_full([_dot(row, p) for row in self._rows])[0]
 
-    def adjusted(self, t: np.ndarray) -> np.ndarray:
-        return self.u + t * self.d
+    def adjusted_prices(self, t: Sequence[float]) -> list[float]:
+        """u + t d."""
+        return [ui + ti * di for ui, ti, di in zip(self.u_tuple, t, self.d_tuple)]
 
-    def ratio(self, t: np.ndarray, p: np.ndarray) -> float:
-        return self.price_mix(p) / float(p @ self.adjusted(t))
+    def adjusted(self, t: Sequence[float]) -> np.ndarray:
+        """adjusted_prices(t) as an array."""
+        import numpy as np
+
+        return np.array(self.adjusted_prices(t))
+
+    def ratio(self, t: Sequence[float], p: Sequence[float]) -> float:
+        return self.price_mix(p) / _dot(p, self.adjusted_prices(t))
 
     def value_grad_hess(
         self, p: Sequence[float]
@@ -194,11 +245,20 @@ class _LsqProblem:
                                        [list(map(mul, col, te)) for col in cols])
         ]
 
-    def big_L(self, t: np.ndarray) -> tuple[float, np.ndarray]:
+    def oracle(self, t: Sequence[float]) -> tuple[float, list[float]]:
         """max of the price ratio over the mix simplex and an attaining mix."""
-        return self.maximize(self.adjusted(t), np.full(self.n, 1.0 / self.n))
+        return self.maximize(self.adjusted_prices(t), [1.0 / self.n] * self.n)
 
-    def maximize(self, adj: np.ndarray, p0: np.ndarray) -> tuple[float, np.ndarray]:
+    def big_L(self, t: Sequence[float]) -> tuple[float, np.ndarray]:
+        """oracle(t), with the mix as an array."""
+        import numpy as np
+
+        val, p = self.oracle(t)
+        return val, np.array(p)
+
+    def maximize(
+        self, adj: Sequence[float], p0: Sequence[float]
+    ) -> tuple[float, list[float]]:
         """max over mixes p of price(mix(p)) / (p . adj), climbing from p0.
 
         In y = p * adj / (p . adj) the ratio is h(y) = price(mix(y / adj)),
@@ -218,7 +278,7 @@ class _LsqProblem:
         until the value rises by Armijo's rule, the bound is met, or the
         value falls by at most ORACLE_GAP while the bound comes closer.
         """
-        adj = adj.tolist()
+        adj = _float_tuple(adj, "adj")
         inv = [1.0 / ai for ai in adj]
         n = len(adj)
 
@@ -234,13 +294,13 @@ class _LsqProblem:
             g = list(map(mul, grad, inv))
             return val, g, max(g) - val, p, hess, total
 
-        y = list(map(mul, p0.tolist(), adj))
+        y = list(map(mul, _float_tuple(p0, "p0"), adj))
         total = sum(y)
         y = [yi / total for yi in y]
         val, g, gap, p, hess, total = evaluate(y)
         for _ in range(_ORACLE_MAX_ITER):
             if gap <= ORACLE_GAP * val:
-                return val, np.array(p)
+                return val, p
             r = y.index(max(y))
             gz = [gj - g[r] for gj in g]
             # the Hessian of h in z (y_j = z_j, y_r = 1 - sum(z)), from the
@@ -315,29 +375,79 @@ def _newton_split(
 
     H is first scaled to a unit diagonal, D^-1/2 H D^-1/2 with D its
     diagonal, so that a coordinate near its bound, where the curvature can
-    be 1e12 times that of the others, does not make them look flat. Scaled
-    eigenvalues within _FLAT of the largest curvature count as flat; the
-    Newton step -H^-1 g is taken along the others.
+    be 1e12 times that of the others, does not make them look flat. Its
+    negative A is positive semidefinite, and is factored as V diag(s) V^T
+    by LDL^T with diagonal pivoting: each step eliminates the largest
+    diagonal entry left in the Schur complement, and the factorization
+    stops at the first pivot within _FLAT of the largest curvature (the
+    first pivot). The coordinates left over span the flat directions: g's
+    flat part is its orthogonal projection onto the null space of V^T, and
+    the Newton step -H^-1 g is the minimum-norm solution of
+    V diag(s) V^T x = g - flat.
     """
     k = len(g)
     if k == 0:
         return [], []
-    if k == 1:  # scaled, H is -1 or flat; eigh's call overhead would dominate
+    if k == 1:  # scaled, H is -1 or flat
         return ([-g[0] / H[0][0]], [0.0]) if H[0][0] < 0.0 else ([0.0], [g[0]])
     d = [math.sqrt(-H[j][j]) if H[j][j] < 0.0 else 1.0 for j in range(k)]
-    lam, vec = np.linalg.eigh([[hjk / (dj * dk) for hjk, dk in zip(row, d)]
-                               for row, dj in zip(H, d)])
+    S = [[-hjk / (dj * dk) for hjk, dk in zip(row, d)] for row, dj in zip(H, d)]
     gs = [gj / dj for gj, dj in zip(g, d)]
-    curv = _FLAT * max(float(-lam[0]), 0.0)  # eigh sorts lam upward
-    step = [0.0] * k
-    flat = [0.0] * k
-    for lk, v in zip(lam.tolist(), vec.T.tolist()):
-        ck = sum(map(mul, v, gs))
-        if lk < -curv:
-            step = [si - ck / lk * vi for si, vi in zip(step, v)]
-        else:
-            flat = [fi + ck * vi for fi, vi in zip(flat, v)]
-    return [si / dj for si, dj in zip(step, d)], [fi / dj for fi, dj in zip(flat, d)]
+    rest = list(range(k))
+    pivots = []  # (index, column of V, pivot), in elimination order
+    limit = _FLAT * max(max(S[j][j] for j in rest), 0.0)
+    while rest:
+        p = max(rest, key=lambda j: S[j][j])
+        s = S[p][p]
+        if s <= limit:
+            break
+        rest.remove(p)
+        v = [0.0] * k
+        v[p] = 1.0
+        for j in rest:
+            v[j] = S[j][p] / s
+        for j in rest:
+            row, lj = S[j], v[j] * s
+            for i in rest:
+                row[i] -= lj * v[i]
+        pivots.append((p, v, s))
+    # an orthonormal basis of the null space of V^T: e_q for each flat
+    # coordinate q, with the pivot coordinates solved by back substitution
+    # (V is unit triangular in them), then Gram-Schmidt
+    null = []
+    for q in rest:
+        z = [0.0] * k
+        z[q] = 1.0
+        for p, v, _ in reversed(pivots):
+            z[p] = -_dot(v, z)
+        for e in null:
+            c = _dot(e, z)
+            z = [zi - c * ei for zi, ei in zip(z, e)]
+        norm = math.sqrt(_dot(z, z))
+        null.append([zi / norm for zi in z])
+
+    def project(x: list[float]) -> list[float]:
+        """x's orthogonal projection onto the null space of V^T."""
+        out = [0.0] * k
+        for e in null:
+            c = _dot(e, x)
+            out = [oi + c * ei for oi, ei in zip(out, e)]
+        return out
+
+    flat = project(gs)
+    curved = list(map(sub, gs, flat))
+    # curved = V a (forward substitution on the pivot rows); then V^T x = a / s
+    # (back substitution) gives a solution on the pivot coordinates, and
+    # removing its null-space part leaves the one of least norm
+    a = []
+    for p, _, _ in pivots:
+        a.append(curved[p] - sum(ai * v[p] for ai, (_, v, _) in zip(a, pivots)))
+    x = [0.0] * k
+    for (p, v, s), ai in zip(reversed(pivots), reversed(a)):
+        x[p] = ai / s - _dot(v, x)
+    if null:
+        x = list(map(sub, x, project(x)))
+    return [xi / dj for xi, dj in zip(x, d)], [fi / dj for fi, dj in zip(flat, d)]
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +455,9 @@ def _newton_split(
 # ---------------------------------------------------------------------------
 
 
-def _max_dual(prob: _LsqProblem, mixes: Sequence[np.ndarray]) -> tuple[np.ndarray, int]:
+def _max_dual(
+    prob: _LsqProblem, mixes: Sequence[Sequence[float]]
+) -> tuple[list[float], int]:
     """Weights w >= 0 that maximize the dual, and the Newton steps taken.
 
     The min-norm point of {x in [0,1]^n : price(M w) <= w . (u + d x) for
@@ -368,9 +480,7 @@ def _max_dual(prob: _LsqProblem, mixes: Sequence[np.ndarray]) -> tuple[np.ndarra
     and the step is halved until D rises by Armijo's rule. It stops when
     the gradient vanishes to rounding or no halving raises D.
     """
-    c = prob.c.tolist()
-    d = prob.d.tolist()
-    u = prob.u.tolist()
+    c, d, u = prob.c_tuple, prob.d_tuple, prob.u_tuple
     n = prob.n
 
     def evaluate(v: list[float]):
@@ -395,10 +505,10 @@ def _max_dual(prob: _LsqProblem, mixes: Sequence[np.ndarray]) -> tuple[np.ndarra
 
     starts = []
     for p in mixes:
-        a2 = float(np.sum((p * prob.d) ** 2))
-        b = prob.price_mix(p) - float(p @ prob.u)
+        a2 = sum((pi * di) ** 2 for pi, di in zip(p, d))
+        b = prob.price_mix(p) - _dot(p, u)
         if b > 0.0:
-            v = (b / a2 * p * prob.c).tolist()
+            v = [b / a2 * pi * ci for pi, ci in zip(p, c)]
             starts.append((evaluate(v), v))
     if not starts:
         raise PricingError("no start mix is priced above its stand-alone prices")
@@ -411,7 +521,7 @@ def _max_dual(prob: _LsqProblem, mixes: Sequence[np.ndarray]) -> tuple[np.ndarra
     pg = projected(v, g)
     for steps in range(_ORACLE_MAX_ITER):
         if pg <= 1e-15:
-            return np.array(w), steps
+            return w, steps
         # epsilon-active set, as in maximize
         eps = min(1e-3, math.sqrt(sum((vj - max(vj + gj, 0.0)) ** 2
                                       for vj, gj in zip(v, g))))
@@ -443,7 +553,7 @@ def _max_dual(prob: _LsqProblem, mixes: Sequence[np.ndarray]) -> tuple[np.ndarra
                     break
             tau *= 0.5
             if tau * max(map(abs, dv)) < 1e-16 * max(v):  # v would no longer move
-                return np.array(w), steps
+                return w, steps
         v, pg = v_new, pg_new
         value, g, H, w = state
     raise PricingError(f"least-squares dual iteration cap {_ORACLE_MAX_ITER} hit")
@@ -454,61 +564,124 @@ def _max_dual(prob: _LsqProblem, mixes: Sequence[np.ndarray]) -> tuple[np.ndarra
 # ---------------------------------------------------------------------------
 
 
-def _nnls(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """argmin |A x - b| over x >= 0, by Lawson and Hanson's active-set method.
+def _householder(cols: list[list[float]]) -> tuple[list, list[list[float]]]:
+    """Householder QR of the columns: (reflectors, R).
+
+    Reflector i is (i, v, beta) with Q_i = I - v v^T / beta acting on the
+    entries from i on, and Q^T = Q_r ... Q_1; R[i] holds column i of R, its
+    first i + 1 entries. A column already zero from i on needs no reflector.
+    """
+    work = [list(col) for col in cols]
+    m = len(work[0]) if work else 0
+    reflectors, R = [], []
+    for i, col in enumerate(work):
+        if i < m:
+            x = col[i:]
+            alpha = -math.copysign(math.sqrt(_dot(x, x)), x[0])
+            v = x
+            v[0] -= alpha
+            beta = -alpha * v[0]  # v.v / 2
+            if beta > 0.0:
+                reflector = (i, v, beta)
+                reflectors.append(reflector)
+                for other in work[i + 1:]:
+                    _reflect(reflector, other)
+                col[i:] = [alpha] + [0.0] * (m - i - 1)
+        R.append((col + [0.0] * (i + 1 - m))[:i + 1])
+    return reflectors, R
+
+
+def _reflect(reflector: tuple, y: list[float]) -> None:
+    """Apply one Householder reflector to y in place."""
+    i, v, beta = reflector
+    c = _dot(v, y[i:]) / beta
+    y[i:] = [yj - c * vj for yj, vj in zip(y[i:], v)]
+
+
+def _apply_qt(reflectors: list, y: Sequence[float]) -> list[float]:
+    """Q^T y."""
+    y = list(y)
+    for reflector in reflectors:
+        _reflect(reflector, y)
+    return y
+
+
+def _nnls_cols(cols: Sequence[Sequence[float]], b: Sequence[float]) -> list[float]:
+    """argmin |A x - b| over x >= 0, A given by its columns, by Lawson and
+    Hanson's active-set method.
 
     The problem is invariant under positive column scaling, so the columns are
     scaled to unit norm first: the entering test and its tolerance then weigh
     games whose payoffs span many orders of magnitude alike. Each passive set
-    is solved by lstsq, which stays stable on nearly proportional columns. A
-    column whose own coefficient comes out nonpositive on entry is rejected
-    for this round, and a step that reaches the boundary drops its blocking
-    column explicitly: waiting for the stepped coefficient to round to zero
-    can cycle forever on nearly parallel columns. Before stopping, a column
-    nearly parallel to the passive ones gets a second entry test, on the
-    residual it would remove (_orthogonal_entry).
+    is solved through a Householder QR of its columns, which stays stable on
+    nearly proportional columns. A column whose own coefficient comes out
+    nonpositive on entry is rejected for this round, and a step that reaches
+    the boundary drops its blocking column explicitly: waiting for the stepped
+    coefficient to round to zero can cycle forever on nearly parallel
+    columns. Before stopping, a column nearly parallel to the passive ones
+    gets a second entry test, on the residual it would remove
+    (_orthogonal_entry). A zero column keeps a zero coefficient.
     """
-    norms = np.linalg.norm(A, axis=0)
-    A = A / norms
-    n = A.shape[1]
-    tol = 10.0 * np.finfo(float).eps * max(A.shape) * float(np.linalg.norm(b))
-    x = np.zeros(n)
-    passive = np.zeros(n, dtype=bool)
+    b = _float_tuple(b, "b")
+    n, m = len(cols), len(b)
+    norms = [math.sqrt(_dot(col, col)) or 1.0 for col in cols]
+    A = [[a / nj for a in col] for col, nj in zip(cols, norms)]
+    tol = 10.0 * _EPS * max(m, n) * math.sqrt(_dot(b, b))
+    x = [0.0] * n
+    passive: list[int] = []
+    reflectors: list = []  # of the Householder QR of the passive columns
 
-    def solve() -> np.ndarray:
-        z = np.zeros(n)
-        z[passive] = np.linalg.lstsq(A[:, passive], b, rcond=None)[0]
-        return z
+    def solve(passive: list[int]) -> tuple[list[float], list]:
+        """Least squares on the passive columns, zero elsewhere, and the
+        reflectors of their QR."""
+        reflectors, R = _householder([A[j] for j in passive])
+        c = _apply_qt(reflectors, b)
+        z = [0.0] * n
+        coef = [0.0] * len(passive)
+        for i in reversed(range(len(passive))):
+            col_rest = sum(R[k][i] * coef[k] for k in range(i + 1, len(passive)))
+            if R[i][i] != 0.0:
+                coef[i] = (c[i] - col_rest) / R[i][i]
+        for j, cj in zip(passive, coef):
+            z[j] = cj
+        return z, reflectors
 
     for _ in range(3 * n):
-        r = b - A @ x
-        w = A.T @ r
-        w[passive] = -np.inf
+        r = list(b)
+        for j in passive:
+            r = [ri - x[j] * aij for ri, aij in zip(r, A[j])]
+        w = [-math.inf if j in passive else _dot(A[j], r) for j in range(n)]
         while True:
-            j = int(np.argmax(w))
+            j = max(range(n), key=w.__getitem__)
             if w[j] <= tol:
-                j = _orthogonal_entry(A, passive, r, w, tol)
+                j = _orthogonal_entry(A, passive, reflectors, r, w, tol)
                 if j is None:
-                    return x / norms
-            passive[j] = True
-            z = solve()
+                    return [xj / nj for xj, nj in zip(x, norms)]
+            trial = sorted([*passive, j])
+            z, trial_reflectors = solve(trial)
             if z[j] > 0.0:
+                passive, reflectors = trial, trial_reflectors
                 break
-            passive[j] = False
-            w[j] = -np.inf
-        while np.any(z[passive] <= 0.0):
-            blocked = np.flatnonzero(passive & (z <= 0.0))
-            steps = x[blocked] / (x[blocked] - z[blocked])
-            k = int(np.argmin(steps))
-            x = x + steps[k] * (z - x)
-            passive[blocked[k]] = False
-            passive &= x > 0.0
-            z = solve()
+            w[j] = -math.inf
+        while any(z[i] <= 0.0 for i in passive):
+            blocked = [i for i in passive if z[i] <= 0.0]
+            steps = [x[i] / (x[i] - z[i]) for i in blocked]
+            k = steps.index(min(steps))
+            x = [xi + steps[k] * (zi - xi) for xi, zi in zip(x, z)]
+            passive = [i for i in passive if i != blocked[k] and x[i] > 0.0]
+            z, reflectors = solve(passive)
         x = z
     raise PricingError(f"NNLS iteration cap {3 * n} hit")
 
 
-def _orthogonal_entry(A, passive, r, w, tol):
+def _nnls(A, b) -> np.ndarray:
+    """_nnls_cols on an m x n array A, as an array."""
+    import numpy as np
+
+    return np.array(_nnls_cols(np.asarray(A, dtype=float).T.tolist(), b))
+
+
+def _orthogonal_entry(A, passive, reflectors, r, w, tol):
     """A column the gradient test w_j > tol misses, or None.
 
     Only the part p_j of column a_j orthogonal to the passive columns can
@@ -516,23 +689,29 @@ def _orthogonal_entry(A, passive, r, w, tol):
     w_j = a_j . r shrinks with |p_j|. For a column nearly parallel to a
     passive one, w_j drops below tol while the residual it would remove is
     far above it. Returns the column with the largest such reduction above
-    tol and above the rounding of p_j's direction, eps |r| / |p_j|.
+    tol and above the rounding of p_j's direction, which the QR computes to
+    about eps max(m, n) of the unit column, so the reduction to
+    eps max(m, n) |r| / |p_j|; both bounds carry tol's factor 10. Below row
+    k = len(passive), Q^T a_j holds p_j's coordinates in the orthogonal
+    complement of the passive columns, and Q^T r those of r.
     """
     # w_j < -tol leaves no doubt, as in the gradient test: p_j . r has the
     # sign of w_j when r is orthogonal to the passive columns
-    cand = np.flatnonzero(w >= -tol)
-    if cand.size == 0 or not passive.any():
+    cand = [j for j, wj in enumerate(w) if wj >= -tol]
+    if not cand or not passive:
         return None
-    q = np.linalg.qr(A[:, passive])[0]
-    p = A[:, cand] - q @ (q.T @ A[:, cand])
-    p_norm = np.linalg.norm(p, axis=0)
-    keep = p_norm > 0.0
-    cand, p_norm = cand[keep], p_norm[keep]
-    gain = (p[:, keep].T @ r) / p_norm
-    floor = np.maximum(tol, 10.0 * np.finfo(float).eps * np.linalg.norm(r) / p_norm)
-    if not np.any(gain > floor):
-        return None
-    return int(cand[np.argmax(gain - floor)])
+    k = len(passive)
+    r_perp = _apply_qt(reflectors, r)[k:]
+    rounding = 10.0 * _EPS * max(len(r), len(A)) * math.sqrt(_dot(r, r))
+    best, best_margin = None, 0.0
+    for j in cand:
+        p = _apply_qt(reflectors, A[j])[k:]
+        p_norm = math.sqrt(_dot(p, p))
+        if p_norm > 0.0:
+            margin = _dot(p, r_perp) / p_norm - max(tol, rounding / p_norm)
+            if margin > best_margin:
+                best, best_margin = j, margin
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -545,11 +724,11 @@ def ls_ratio(
 ) -> float:
     """Ratio of a mix's stand-alone price to its adjusted linear price."""
     prob = _LsqProblem(basis, rate)
-    t_arr = _check_t(t, basis.n)
-    weights = p.weights if isinstance(p, Mix) else Mix(p).weights
-    if weights.size != basis.n:
+    t = _check_t(t, basis.n)
+    weights = (p if isinstance(p, Mix) else Mix(p)).weight_tuple
+    if len(weights) != basis.n:
         raise InvariantViolation("mix length does not match the basis")
-    return prob.ratio(t_arr, weights)
+    return prob.ratio(t, weights)
 
 
 def big_L(
@@ -557,18 +736,17 @@ def big_L(
 ) -> tuple[float, Mix]:
     """Worst-case ratio over all mixes, with an attaining mix."""
     prob = _LsqProblem(basis, rate)
-    t_arr = _check_t(t, basis.n)
-    val, p = prob.big_L(t_arr)
+    val, p = prob.oracle(_check_t(t, basis.n))
     return val, Mix(p)
 
 
-def _check_t(t, n: int) -> np.ndarray:
-    arr = np.asarray(t, dtype=float)
-    if arr.shape != (n,):
+def _check_t(t, n: int) -> list[float]:
+    values = _float_tuple(t, "t")
+    if len(values) != n:
         raise InvariantViolation(f"t must have length {n}")
-    if np.any(arr < -1e-15) or np.any(arr > 1.0 + 1e-15):
+    if min(values) < -1e-15 or max(values) > 1.0 + 1e-15:
         raise InvariantViolation("t must lie in [0, 1]^n")
-    return np.clip(arr, 0.0, 1.0)
+    return [min(max(v, 0.0), 1.0) for v in values]
 
 
 def least_squares_prices(
@@ -597,51 +775,51 @@ def least_squares_prices(
     n = prob.n
     seeds = []
     for p in (seed_mixes if seed_mixes is not None else ()):
-        weights = np.asarray(p, dtype=float)
-        if weights.shape != (n,) or np.any(weights < 0.0):
+        weights = _float_tuple(p, "seed mixes")
+        if len(weights) != n or min(weights) < 0.0:
             raise InvariantViolation("seed mixes must be nonnegative length-n vectors")
-        total = weights.sum()
+        total = sum(weights)
         if total <= 0.0:
             raise InvariantViolation("seed mixes must not be all zero")
-        seeds.append(weights / total)
+        seeds.append([wi / total for wi in weights])
 
     def solution(
-        x: np.ndarray,
-        pstar: np.ndarray,
+        x: list[float],
+        pstar: list[float],
         violation: float,
         iterations: int,
         termination: Termination,
     ):
         return LsSolution(
-            x=x,
-            prices=prob.adjusted(x),
+            x_tuple=tuple(x),
+            price_tuple=tuple(prob.adjusted_prices(x)),
             certificate=Mix(pstar),
-            norm=float(x @ x),
+            norm=_dot(x, x),
             iterations=iterations,
-            max_violation=float(violation),
-            standalone=prob.u.copy(),
-            ceilings=prob.c.copy(),
+            max_violation=violation,
+            standalone_tuple=prob.u_tuple,
+            ceiling_tuple=prob.c_tuple,
             termination=termination,
         )
 
     if check_constant_mix(basis) is not None:
         # every feasible point has x_i = 1 wherever d_i > 0 (check_constant_mix)
-        x = np.where(prob.d > 0.0, 1.0, 0.0)
-        val, pstar = prob.big_L(x)
+        x = [1.0 if di > 0.0 else 0.0 for di in prob.d_tuple]
+        val, pstar = prob.oracle(x)
         return solution(x, pstar, val - 1.0, 1, "constant_mix")
 
-    x = np.zeros(n)
-    val, pstar = prob.big_L(x)
+    x = [0.0] * n
+    val, pstar = prob.oracle(x)
     if val <= 1.0 + max(tol_L, 0.0):
         # L(0) <= 1 makes x = 0 exact, and the dual's maximum w = 0
         end = "linear" if val - 1.0 <= tol_L else "stalled"
         return solution(x, pstar, val - 1.0, 1, end)
-    w, steps = _max_dual(prob, [pstar, np.full(n, 1.0 / n), *seeds])
-    x = np.minimum(w * prob.d, 1.0)
-    val, pstar = prob.maximize(prob.adjusted(x), w / w.sum())
+    w, steps = _max_dual(prob, [pstar, [1.0 / n] * n, *seeds])
+    x = [min(wi * di, 1.0) for wi, di in zip(w, prob.d_tuple)]
+    total = sum(w)
+    val, pstar = prob.maximize(prob.adjusted_prices(x), [wi / total for wi in w])
     end = "newton" if val - 1.0 <= tol_L else "stalled"
     return solution(x, pstar, val - 1.0, steps, end)
-
 
 
 def check_constant_mix(
@@ -665,43 +843,49 @@ def check_constant_mix(
     witnesses, each as a mix, has the largest support any constant mix has.
     Every mix must keep its payoff spread within tol of the largest payoff.
     """
-    M = basis.payoff_matrix()
-    m, n = M.shape
-    scale = float(np.max(M))
-    ones = np.ones(m)
+    cols = [g.payoff_tuple for g in basis.games]
+    rows = _payoff_rows(basis.games)
+    n = basis.n
+    scale = max(map(max, cols))
+    minus_ones = [-1.0] * len(rows)
 
-    def _validated(p: np.ndarray) -> Optional[tuple[Mix, tuple[int, ...]]]:
-        p = np.clip(p, 0.0, None)
-        total = p.sum()
+    def _validated(p: list[float]) -> Optional[tuple[Mix, tuple[int, ...]]]:
+        p = [max(pi, 0.0) for pi in p]
+        total = sum(p)
         if total <= 0.0:
             return None
-        p = p / total
-        payoff = M @ p
-        if float(np.max(payoff) - np.min(payoff)) > tol * max(scale, 1.0):
+        p = [pi / total for pi in p]
+        payoff = [_dot(row, p) for row in rows]
+        if max(payoff) - min(payoff) > tol * max(scale, 1.0):
             return None
-        support = tuple(int(i) for i in np.nonzero(p > 1e-9)[0])
+        support = tuple(i for i, pi in enumerate(p) if pi > 1e-9)
         return Mix(p), support
 
     # M k = 1 must hold to tol itself: the spread check is scaled by the
     # largest payoff, which lets mixes of much smaller games through
-    def constant(k: np.ndarray) -> bool:
-        return float(np.max(np.abs(M @ k - 1.0))) <= tol
+    def constant(k: list[float]) -> bool:
+        return max(abs(_dot(row, k) - 1.0) for row in rows) <= tol
 
-    k = _nnls(M, ones)
+    def mix(k: list[float]) -> list[float]:
+        total = sum(k)
+        return [ki / total for ki in k]
+
+    k = _nnls_cols(cols, [1.0] * len(rows))
     if not constant(k):
         return None
-    witnesses = [k / k.sum()]
-    for j in np.flatnonzero(k == 0.0):
-        others = np.arange(n) != j
-        z = _nnls(np.column_stack([M[:, others], -ones]), -M[:, j])
+    witnesses = [mix(k)]
+    for j in [j for j, kj in enumerate(k) if kj == 0.0]:
+        others = [i for i in range(n) if i != j]
+        z = _nnls_cols([cols[i] for i in others] + [minus_ones], [-a for a in cols[j]])
         if z[-1] <= 0.0:
             continue
-        w = np.ones(n)
-        w[others] = z[:-1]
-        w /= z[-1]
+        w = [1.0] * n
+        for i, zi in zip(others, z):
+            w[i] = zi
+        w = [wi / z[-1] for wi in w]
         if constant(w):
-            witnesses.append(w / w.sum())
-    return _validated(np.mean(witnesses, axis=0))
+            witnesses.append(mix(w))
+    return _validated([sum(col) / len(witnesses) for col in zip(*witnesses)])
 
 
 def check_linear_pricing(basis: ConeBasis, rate: Rate, *, tol: float = 1e-9) -> bool:
@@ -712,32 +896,44 @@ def check_linear_pricing(basis: ConeBasis, rate: Rate, *, tol: float = 1e-9) -> 
     is within tol of 1. Raises PricingError when the oracle cannot certify
     its bound.
     """
-    return _LsqProblem(basis, rate).big_L(np.zeros(basis.n))[0] <= 1.0 + tol
+    return _LsqProblem(basis, rate).oracle([0.0] * basis.n)[0] <= 1.0 + tol
 
 
-def _cone_fit(M: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, float]:
+def _cone_fit(
+    cols: Sequence[Sequence[float]], target: Sequence[float]
+) -> tuple[list[float], float]:
     """Coefficients k >= 0 with M k closest to target, by NNLS, and how close.
 
-    The distance is |M k - target| (2-norm) over the target's largest payoff,
-    which is positive because no game is all zero; scaling all payoffs
-    leaves the distance unchanged. Every cone test compares it with its tol.
+    M is given by its columns. The distance is |M k - target| (2-norm) over
+    the target's largest payoff, which is positive because no game is all
+    zero; scaling all payoffs leaves the distance unchanged. Every cone test
+    compares it with its tol.
     """
-    k = _nnls(M, target)
-    return k, float(np.linalg.norm(M @ k - target) / np.max(np.abs(target)))
+    k = _nnls_cols(cols, target)
+    r = list(target)
+    for col, kj in zip(cols, k):
+        r = [ri - kj * a for ri, a in zip(r, col)]
+    return k, math.sqrt(_dot(r, r)) / max(map(abs, target))
+
+
+def _coordinates(basis: ConeBasis, game: Game, tol: float) -> list[float]:
+    """cone_coordinates as a list."""
+    k, residual = _cone_fit([g.payoff_tuple for g in basis.games], game.payoff_tuple)
+    if residual > tol:
+        raise BasisError(
+            f"game lies outside the cone: relative residual {residual:.3g}"
+        )
+    return k
 
 
 def cone_coordinates(basis: ConeBasis, game: Game, *, tol: float = 1e-9) -> np.ndarray:
     """Nonnegative coefficients representing a game in the basis, by NNLS.
 
     Raises BasisError when the game does not lie in the cone: the least
-    nonnegative residual exceeds tol of the game's largest payoff.
+    nonnegative residual exceeds tol of the game's largest payoff. The
+    coefficients come as a read-only float64 array.
     """
-    k, residual = _cone_fit(basis.payoff_matrix(), game.payoffs)
-    if residual > tol:
-        raise BasisError(
-            f"game lies outside the cone: relative residual {residual:.3g}"
-        )
-    return k
+    return _frozen_array(_coordinates(basis, game, tol))
 
 
 def in_cone(basis: ConeBasis, game: Game, *, tol: float = 1e-9) -> bool:
@@ -746,7 +942,28 @@ def in_cone(basis: ConeBasis, game: Game, *, tol: float = 1e-9) -> bool:
     The same test as cone_coordinates: the least nonnegative residual
     (2-norm, by NNLS) is within tol of the game's largest payoff.
     """
-    return _cone_fit(basis.payoff_matrix(), game.payoffs)[1] <= tol
+    return _cone_fit([g.payoff_tuple for g in basis.games], game.payoff_tuple)[1] <= tol
+
+
+def _reduce_to_basis(
+    games: Sequence[Game], space: OutcomeSpace
+) -> tuple[ConeBasis, list[list[float]]]:
+    """reduce_to_basis, with the coordinates as lists."""
+    if not games:
+        raise BasisError("need at least one game")
+    for g in games:
+        if g.size != space.size:
+            raise DimensionMismatch(
+                f"game of length {g.size} on a space of {space.size} outcomes"
+            )
+    keep = list(range(len(games)))
+    for i in reversed(range(len(games))):
+        others = [j for j in keep if j != i]
+        if others and _cone_fit([games[j].payoff_tuple for j in others],
+                                games[i].payoff_tuple)[1] <= 1e-9:
+            keep = others
+    basis = ConeBasis(space, [games[i] for i in keep])
+    return basis, [_coordinates(basis, g, 1e-9) for g in games]
 
 
 def reduce_to_basis(
@@ -758,33 +975,20 @@ def reduce_to_basis(
     dropped while it lies in the cone of the games still kept (the test of
     cone_coordinates), so the cone never changes and no kept game lies in
     the cone of the others. The kept games form the basis in input order;
-    row i of the coordinates represents games[i] in it.
+    row i of the coordinates, a read-only float64 array, represents
+    games[i] in it.
     """
-    if not games:
-        raise BasisError("need at least one game")
-    for g in games:
-        if g.size != space.size:
-            raise DimensionMismatch(
-                f"game of length {g.size} on a space of {space.size} outcomes"
-            )
-    M = np.column_stack([g.payoffs for g in games])
-    keep = list(range(len(games)))
-    for i in reversed(range(len(games))):
-        others = [j for j in keep if j != i]
-        if others and _cone_fit(M[:, others], M[:, i])[1] <= 1e-9:
-            keep = others
-    basis = ConeBasis(space, [games[i] for i in keep])
-    coords = np.vstack([cone_coordinates(basis, g) for g in games])
-    return basis, coords
+    basis, coords = _reduce_to_basis(games, space)
+    return basis, _frozen_array(coords)
 
 
 def price_in_cone(solution: LsSolution, k: Sequence[float]) -> float:
     """Linear price of the cone point with coefficients k at the solved prices."""
-    arr = np.asarray(k, dtype=float)
-    if arr.shape != solution.prices.shape:
+    coeffs = _float_tuple(k, "cone coefficients")
+    if len(coeffs) != len(solution.price_tuple):
         raise InvariantViolation("coefficient vector length does not match the basis")
-    if np.any(arr < 0.0):
+    if min(coeffs) < 0.0:
         raise InvariantViolation("cone coefficients must be nonnegative")
-    if not np.any(arr > 0.0):
+    if max(coeffs) <= 0.0:
         raise InvariantViolation("cone coefficients must not all be zero")
-    return float(arr @ solution.prices)
+    return _dot(coeffs, solution.price_tuple)

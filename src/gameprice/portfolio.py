@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from .core import (
     ConeBasis,
     Game,
@@ -28,11 +26,11 @@ from .core import (
 )
 from .lsq import (
     LsSolution,
+    _coordinates,
     _LsqProblem,
-    cone_coordinates,
+    _reduce_to_basis,
     least_squares_prices,
     price_in_cone,
-    reduce_to_basis,
 )
 from .pricer import price_general
 
@@ -75,8 +73,8 @@ class FundComparison:
             "w_star": self.w_star,
             "price_star": self.price_star,
             "t_star": self.t_star,
-            "fund_onefund": [float(v) for v in self.fund_onefund.payoffs],
-            "fund_star": [float(v) for v in self.fund_star.payoffs],
+            "fund_onefund": list(self.fund_onefund.payoff_tuple),
+            "fund_star": list(self.fund_star.payoff_tuple),
             "allocation": list(self.allocation),
         }
 
@@ -86,8 +84,9 @@ def joint_space(x: Game, y: Game) -> tuple[OutcomeSpace, Game, Game]:
     if x.size != 2 or y.size != 2:
         raise InvariantViolation("joint space needs two two-outcome games")
     space = OutcomeSpace([0.25, 0.25, 0.25, 0.25])
-    x4 = Game([x.payoffs[0], x.payoffs[0], x.payoffs[1], x.payoffs[1]])
-    y4 = Game([y.payoffs[0], y.payoffs[1], y.payoffs[0], y.payoffs[1]])
+    (x0, x1), (y0, y1) = x.payoff_tuple, y.payoff_tuple
+    x4 = Game([x0, x0, x1, x1])
+    y4 = Game([y0, y1, y0, y1])
     return space, x4, y4
 
 
@@ -108,7 +107,7 @@ def one_fund_weight(x: Game, y: Game, rate: Rate) -> float:
     # each game's variance against its own largest payoff: a coin game next
     # to a much larger one is still a coin game
     for v, g in ((v_x, x), (v_y, y)):
-        if v <= 1e-12 * float(np.max(g.payoffs)) ** 2:
+        if v <= 1e-12 * max(g.payoff_tuple) ** 2:
             raise InvariantViolation("one-fund formula undefined for a constant game")
     r = rate.value
     if r_x <= r or r_y <= r:
@@ -137,12 +136,13 @@ def compare_mean_variance(x: Game, y: Game, rate: Rate) -> FundComparison:
     space, x4, y4 = joint_space(x, y)
 
     def blend(w: float) -> Game:
-        return Game(w * x4.payoffs + (1.0 - w) * y4.payoffs)
+        return Game([w * a + (1.0 - w) * b
+                     for a, b in zip(x4.payoff_tuple, y4.payoff_tuple)])
 
     price_onefund = price_general(blend(w_of), space, rate).price
     problem = _LsqProblem(ConeBasis(space, [x4, y4]), rate)
-    _, p = problem.maximize(np.ones(2), np.full(2, 0.5))
-    w_star = float(p[0])
+    _, p = problem.maximize([1.0, 1.0], [0.5, 0.5])
+    w_star = p[0]
     star = price_general(blend(w_star), space, rate)
     t_star = star.proportion
     allocation = (t_star * w_star, t_star * (1.0 - w_star), 1.0 - t_star)
@@ -212,17 +212,17 @@ def put_call_parity(
         raise InvariantViolation("strike must be > 0")
     if stock.size != space.size:
         raise InvariantViolation("stock and space dimensions differ")
-    s = stock.payoffs
-    put = np.maximum(strike - s, 0.0)
-    call = np.maximum(s - strike, 0.0)
-    covered = np.minimum(s, strike)
-    if not np.any(put > 0.0):
+    s = stock.payoff_tuple
+    put = [max(strike - a, 0.0) for a in s]
+    call = [max(a - strike, 0.0) for a in s]
+    covered = [min(a, strike) for a in s]
+    if max(put) <= 0.0:
         return ParityReport(
             strike=strike,
             degenerate=True,
             reason="put pays nothing: strike at or below every stock payoff",
         )
-    if not np.any(call > 0.0):
+    if max(call) <= 0.0:
         return ParityReport(
             strike=strike,
             degenerate=True,
@@ -230,14 +230,14 @@ def put_call_parity(
         )
     # reduction tries the last game first: when the three are dependent,
     # covered is dropped and the basis keeps put and call
-    basis, coords = reduce_to_basis([Game(put), Game(call), Game(covered)], space)
+    basis, coords = _reduce_to_basis([Game(put), Game(call), Game(covered)], space)
     sol = least_squares_prices(basis, rate, tol_L=tol_L)
     if sol.termination != "constant_mix":
         raise PricingError(
             "internal error: put + covered = strike mix not detected"
         )
     put_price, call_price, covered_price = (price_in_cone(sol, k) for k in coords)
-    stock_price = price_in_cone(sol, cone_coordinates(basis, stock))
+    stock_price = price_in_cone(sol, _coordinates(basis, stock, 1e-9))
     residual = (
         call_price - put_price + strike / rate.growth_factor() - stock_price
     )

@@ -12,9 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-import numpy as np
-
-from .core import ConeBasis, Game, Rate, fair_coin, mix_game, st_petersburg
+from .core import ConeBasis, Game, Rate, _dot, fair_coin, mix_game, st_petersburg
 from .lsq import least_squares_prices
 from .portfolio import compare_mean_variance, put_call_parity
 from .pricer import KappaContext, price_general, price_series
@@ -68,11 +66,11 @@ def _check_game_b():
 def _check_example11_prices():
     sol = least_squares_prices(_coin_basis([(19, 1), (4, 16)]), R_CONT)
     target = 10.0 / math.exp(0.05)
-    ok = all(_close(p, target, 1e-4) for p in sol.prices)
+    ok = all(_close(p, target, 1e-4) for p in sol.price_tuple)
     return (
         ok,
         f"both prices = {target:.4f} +- 1e-4",
-        f"prices = ({sol.prices[0]:.6f}, {sol.prices[1]:.6f})",
+        "prices = ({:.6f}, {:.6f})".format(*sol.price_tuple),
     )
 
 
@@ -81,45 +79,40 @@ def _check_example11_certificate():
     sol = least_squares_prices(basis, R_CONT)
     q = sol.certificate
     mix_price = price_general(mix_game(basis, q), fair_coin(), R_CONT).price
-    linear = float(q.weights @ sol.prices)
+    linear = _dot(q.weight_tuple, sol.price_tuple)
     tight = abs(mix_price - linear) <= 1e-7 * linear
-    near = float(np.max(np.abs(q.weights - np.array([0.4, 0.6])))) <= 1e-3
+    near = max(abs(w - t) for w, t in zip(q.weight_tuple, (0.4, 0.6))) <= 1e-3
     return (
         tight and near,
         "tight mix = (0.4, 0.6) +- 1e-3",
-        f"q = ({q.weights[0]:.6f}, {q.weights[1]:.6f})",
+        "q = ({:.6f}, {:.6f})".format(*q.weight_tuple),
     )
 
 
 def _check_example12():
     sol = least_squares_prices(_coin_basis([(19, 1), (16, 4)]), R_CONT)
-    ok = (
-        _close(sol.prices[0], 7.224, 5e-4)
-        and _close(sol.prices[1], 8.149, 5e-4)
-        and float(np.max(np.abs(sol.x))) <= 1e-6
-    )
+    prices = sol.price_tuple
+    x_max = max(map(abs, sol.x_tuple))
+    ok = (_close(prices[0], 7.224, 5e-4) and _close(prices[1], 8.149, 5e-4)
+          and x_max <= 1e-6)
     return (
         ok,
         "prices = (7.224, 8.149), x = (0, 0)",
-        f"prices = ({sol.prices[0]:.6f}, {sol.prices[1]:.6f}), "
-        f"|x| = {float(np.max(np.abs(sol.x))):.2e}",
+        f"prices = ({prices[0]:.6f}, {prices[1]:.6f}), |x| = {x_max:.2e}",
     )
 
 
 def _check_example13():
     sol = least_squares_prices(_coin_basis([(12, 8), (11, 9)]), R_CONT)
+    prices = sol.price_tuple
     sandwich = all(
-        sol.standalone[i] < sol.prices[i] < sol.ceilings[i] for i in range(2)
+        u < p < c for u, p, c in zip(sol.standalone_tuple, prices, sol.ceiling_tuple)
     )
-    ok = (
-        _close(sol.prices[0], 9.345, 1e-3)
-        and _close(sol.prices[1], 9.469, 1e-3)
-        and sandwich
-    )
+    ok = _close(prices[0], 9.345, 1e-3) and _close(prices[1], 9.469, 1e-3) and sandwich
     return (
         ok,
         "prices = (9.345, 9.469) +- 1e-3, strict sandwich",
-        f"prices = ({sol.prices[0]:.6f}, {sol.prices[1]:.6f})",
+        f"prices = ({prices[0]:.6f}, {prices[1]:.6f})",
     )
 
 

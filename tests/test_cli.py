@@ -315,7 +315,41 @@ def test_price_never_loads_numpy(tmp_path):
     """)
     done = _run_python(script)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines() == ["False", "False", "0 True"]
+    assert done.stdout.splitlines() == ["False", "False", "0 False"]
+
+
+def test_least_squares_commands_never_load_numpy():
+    games = ROOT / "sample_games"
+    commands = [
+        ["ls-price", str(path), "--format", fmt]
+        for path in sorted(games.glob("*.json"))
+        for fmt in ("table", "json", "csv")
+    ]
+    commands += [
+        ["parity", str(games / "remark35.json"), "--strike", "10"],
+        ["parity", str(games / "stock3.json"), "--strike", "9"],
+        ["compare-mv", str(games / "remark35.json")],
+        ["paper-examples"],
+    ]
+    # simulate's answers are defined by seeded numpy random streams, so it
+    # (and sweep) still load numpy
+    simulate = ["simulate", str(games / "remark35.json"), "--game", "X",
+                "--attempts", "200", "--paths", "20"]
+    script = textwrap.dedent(f"""
+        import contextlib, io, sys
+        import gameprice.cli
+        for argv in {commands!r}:
+            with contextlib.redirect_stdout(io.StringIO()):
+                rc = gameprice.cli.main(argv)
+            assert rc == 0, (argv, rc)
+            assert "numpy" not in sys.modules, argv
+        with contextlib.redirect_stdout(io.StringIO()):
+            rc = gameprice.cli.main({simulate!r})
+        print(rc, "numpy" in sys.modules)
+    """)
+    done = _run_python(script)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["0 True"]
 
 
 class TestLsPriceCommand:

@@ -80,6 +80,8 @@ class TestValueTypes:
         (OutcomeSpace, [math.inf, 0.5]),
         (OutcomeSpace, [1.0, 0.0]),
         (OutcomeSpace, [0.5, 0.5 + 1e-11]),
+        (Game, [1, 10**400]),  # an int beyond float range
+        (Rate, 10**400),
     ])
     def test_invalid_values_raise_invariant_violation(self, make, values):
         with pytest.raises(InvariantViolation):

@@ -32,8 +32,11 @@ from gameprice import (
 )
 import gameprice.lsq
 from gameprice.lsq import (
+    _FLAT,
     _LsqProblem,
+    _newton_split,
     _nnls,
+    _nnls_cols,
 )
 from kelley_reference import _min_norm_point, _polish
 
@@ -1137,3 +1140,87 @@ class TestMinNormSubproblem:
             theirs = float(np.linalg.norm(A @ x_ref - b))
             assert ours <= theirs + 1e-12 * float(np.linalg.norm(b)), (A, b)
 
+
+
+def _eigh_split(H, g):
+    """Reference for _newton_split: the same unit-diagonal scaling, with the
+    curved and flat directions taken from numpy's symmetric eigensolver.
+    Scaled eigenvalues within _FLAT of the largest curvature count as flat."""
+    H, g = np.asarray(H, dtype=float), np.asarray(g, dtype=float)
+    if g.size == 1:
+        return ([-g[0] / H[0, 0]], [0.0]) if H[0, 0] < 0.0 else ([0.0], [g[0]])
+    d = np.sqrt(np.where(np.diag(H) < 0.0, -np.diag(H), 1.0))
+    lam, vec = np.linalg.eigh(H / np.outer(d, d))
+    gs = g / d
+    curved = lam < -_FLAT * max(-lam[0], 0.0)
+    c = vec.T @ gs
+    step = vec[:, curved] @ (-c[curved] / lam[curved])
+    flat = vec[:, ~curved] @ c[~curved]
+    return (step / d).tolist(), (flat / d).tolist()
+
+
+class TestPlainFloatKernels:
+    """The plain-float kernels against numpy and scipy references."""
+
+    def test_nnls_matches_scipy(self):
+        from scipy.optimize import nnls
+
+        rng = np.random.default_rng(2024)
+        unique = 0
+        for trial in range(600):
+            m, n = int(rng.integers(1, 9)), int(rng.integers(1, 9))
+            A = rng.uniform(0.0, 20.0, (m, n))
+            A[rng.random((m, n)) < 0.25] = 0.0  # zero payoffs
+            proportional = trial % 3 == 1 and n >= 2
+            if proportional:  # a pair of columns 1e-9 apart
+                j = int(rng.integers(1, n))
+                A[:, j] = A[:, 0] * (1.0 + 1e-9 * rng.uniform(-1.0, 1.0, m))
+            A[0, A.max(axis=0) <= 0.0] = 1.0  # no game is all zero
+            A *= 10.0 ** rng.uniform(-6.0, 6.0, n)
+            if trial % 4 == 0:  # a point of the cone
+                b = A @ (rng.uniform(0.0, 1.0, n) * (rng.random(n) < 0.6)) + A[:, 0]
+            elif trial % 4 == 1:  # a point anywhere
+                b = rng.uniform(-1.0, 1.0, m) * A.max()
+            else:  # the constant-mix question
+                b = np.ones(m)
+            x = np.array(_nnls_cols(A.T.tolist(), b.tolist()))
+            assert np.all(x >= 0.0)
+            # NNLS is invariant under positive column scaling, which scipy
+            # does not apply itself: the reference solves on unit columns
+            norms = np.linalg.norm(A, axis=0)
+            x_ref = nnls(A / norms, b, maxiter=50 * n)[0] / norms
+            scale = float(np.linalg.norm(b))
+            ours = float(np.linalg.norm(A @ x - b))
+            theirs = float(np.linalg.norm(A @ x_ref - b))
+            assert abs(ours - theirs) <= 1e-12 * scale, (A, b)
+            # the minimizer is unique only with independent columns: with
+            # n > m or a proportional pair, weight can move between columns
+            if n <= m and not proportional:
+                weighed = x * norms > 1e-9 * scale
+                assert np.array_equal(weighed, x_ref * norms > 1e-9 * scale), (A, b)
+                unique += 1
+        assert unique >= 250
+
+    def test_newton_split_matches_eigh(self):
+        rng = np.random.default_rng(16)
+        planted = 0
+        for _ in range(500):
+            k = int(rng.integers(1, 7))
+            flats = int(rng.integers(0, min(2, k) + 1))
+            q = np.linalg.qr(rng.normal(size=(k, k)))[0]
+            lam = np.concatenate((10.0 ** rng.uniform(-1.0, 1.0, k - flats),
+                                  np.zeros(flats)))
+            H = -(q * lam) @ q.T
+            H = (H + H.T) / 2.0
+            g = rng.normal(size=k)
+            step, flat = _newton_split(H.tolist(), g.tolist())
+            ref_step, ref_flat = _eigh_split(H, g)
+            # both solve the unit-diagonal problem: compare there, where a
+            # coordinate of tiny curvature does not blow up its step
+            d = np.sqrt(np.where(np.diag(H) < 0.0, -np.diag(H), 1.0))
+            scale = float(np.linalg.norm(g / d))
+            for ours, ref in ((step, ref_step), (flat, ref_flat)):
+                gap = np.max(np.abs(d * np.subtract(ours, ref)))
+                assert gap <= 1e-10 * scale, (H, g)
+            planted += float(np.linalg.norm(d * ref_flat)) > 1e-3 * scale
+        assert planted >= 200
