@@ -16,19 +16,20 @@ certifies L(t) <= 1 + tol_L from the tight mix w / |w|. When some mix of the
 games pays a constant, t = 1 is the only feasible point on the games with
 c_i > u_i, so it is returned at once; prices are linear exactly when one
 oracle call certifies L(0) <= 1. LsSolution.termination says which way a
-solve ended. The oracle is projected Newton on a concave reparametrization
-of the ratio; it and the dual take the mix price's exact gradient and
-Hessian from one price solve, and split each Newton step into its curved
-and flat parts by a pivoted LDL^T factorization. The oracle stops only
-when the upper bound max_i dh/dy_i (Euler's identity plus concavity) is
-within 1e-10 relative of its value. Every question about the cone the games
-span is one nonnegative least-squares (NNLS) problem, solved by Lawson and
-Hanson's active-set method on a Householder QR of its passive columns:
-whether a game lies in it and with which coefficients, which games are its
-extreme rays, and whether some mix pays a constant, with the largest
-support such a mix can have. Everything runs on plain Python floats, so
-solving imports no numpy; the functions that return arrays build them on
-the way out.
+solve ended. One projected-Newton routine (_projected_newton) makes both
+climbs: the oracle's, on a concave reparametrization of the ratio over the
+mix simplex, and the dual's, over w >= 0. Both take the mix price's exact
+gradient and Hessian from one price solve, and the routine splits each
+Newton step into its curved and flat parts by a pivoted LDL^T
+factorization. The oracle stops only when the upper bound max_i dh/dy_i
+(Euler's identity plus concavity) is within 1e-10 relative of its value.
+Every question about the cone the games span is one nonnegative
+least-squares (NNLS) problem, solved by Lawson and Hanson's active-set
+method on a Householder QR of its passive columns: whether a game lies in
+it and with which coefficients, which games are its extreme rays, and
+whether some mix pays a constant, with the largest support such a mix can
+have. Everything runs on plain Python floats, so solving imports no numpy;
+the functions that return arrays build them on the way out.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ import sys
 from dataclasses import dataclass
 from functools import cached_property
 from operator import mul, sub
-from typing import TYPE_CHECKING, Literal, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Literal, Optional, Sequence
 
 from .core import (
     BasisError,
@@ -265,25 +266,19 @@ class _LsqProblem:
         concave on the simplex because the mix price is concave and
         1-homogeneous, so a local maximum is global. Euler's identity
         grad h . y = h and concavity give max h <= max_i dh/dy_i; the climb
-        runs until that bound is within ORACLE_GAP of the value, and raises
-        PricingError otherwise. Each step is projected Newton (Bertsekas
-        1982) in z, y without its largest coordinate y_r = 1 - sum(z), on
-        the box z >= 0. Coordinates near 0 that the gradient pushes out go
-        to 0 (the epsilon-active set). The others take the Newton step along
-        the curved directions of their Hessian block (_newton_split), and
-        along its flat ones a step on to the first bound: there the ratio is
-        affine (the cash direction M^-1 1 of a square basis, the null space
-        of M when there are more games than outcomes), so Newton would not
-        move, and the bound is the maximum along them. The step is halved
-        until the value rises by Armijo's rule, the bound is met, or the
-        value falls by at most ORACLE_GAP while the bound comes closer.
+        (_projected_newton on the simplex) runs until that bound is within
+        ORACLE_GAP of the value, and raises PricingError otherwise. Along
+        the flat directions of the Hessian the ratio is affine: the cash
+        direction M^-1 1 of a square basis, the null space of M when there
+        are more games than outcomes. A step is also taken when the bound is
+        met, or when the value falls by at most ORACLE_GAP while the bound
+        comes closer.
         """
         adj = _float_tuple(adj, "adj")
         inv = [1.0 / ai for ai in adj]
-        n = len(adj)
 
         def evaluate(y: list[float]):
-            """(h, dh/dy, certificate gap, p, the mix price's Hessian, 1 / p . adj)."""
+            """(h, dh/dy, its Hessian, certificate gap, p)."""
             p = list(map(mul, y, inv))
             total = sum(p)
             p = [pi / total for pi in p]
@@ -292,79 +287,113 @@ class _LsqProblem:
             # simplex, and y / adj = total * p
             val = price * total
             g = list(map(mul, grad, inv))
-            return val, g, max(g) - val, p, hess, total
+            # the price's Hessian is (-1)-homogeneous: at y / adj it is
+            # hess / total, and y / adj puts inv on both of its sides
+            scale = [bj / total for bj in inv]
+            H = [[hk * sj * bk for hk, bk in zip(row, inv)]
+                 for row, sj in zip(hess, scale)]
+            return val, g, H, max(g) - val, p
+
+        def certified(state) -> bool:
+            return state[3] <= ORACLE_GAP * state[0]
+
+        def accept(new, old) -> bool:
+            return certified(new) or (
+                new[0] - old[0] >= -ORACLE_GAP * old[0] and new[3] < old[3])
 
         y = list(map(mul, _float_tuple(p0, "p0"), adj))
         total = sum(y)
         y = [yi / total for yi in y]
-        val, g, gap, p, hess, total = evaluate(y)
-        for _ in range(_ORACLE_MAX_ITER):
-            if gap <= ORACLE_GAP * val:
-                return val, p
-            r = y.index(max(y))
-            gz = [gj - g[r] for gj in g]
-            # the Hessian of h in z (y_j = z_j, y_r = 1 - sum(z)), from the
-            # mix price's by the chain rule
-            scale = [bj / total for bj in inv]
-            hr = [hk * scale[r] * bk for hk, bk in zip(hess[r], inv)]
+        state, _, end = _projected_newton(evaluate, y, evaluate(y), certified, accept,
+                                          simplex=True)
+        val, gap, p = state[0], state[3], state[4]
+        if end != "done":
+            why = end if end == "stalled" else f"iteration cap {_ORACLE_MAX_ITER} hit"
+            raise PricingError(f"separation oracle {why} with gap {gap / val:.3e}")
+        return val, p
 
-            def hz(j: int, k: int) -> float:
-                return hess[j][k] * scale[j] * inv[k] - hr[k] - hr[j] + hr[r]
 
-            # epsilon-active set: the coordinates within eps of 0 that the
-            # gradient pushes out go to 0. eps is the length of a projected
-            # gradient step, and at most 1e-3
-            eps = 0.0
-            if min(y) <= 1e-3:
-                eps = min(1e-3, math.sqrt(sum((yj - max(yj + dj, 0.0)) ** 2
-                                              for yj, dj in zip(y, gz))))
-            out = [yj <= eps and dj < 0.0 for yj, dj in zip(y, gz)]
-            free = [j for j in range(n) if j != r and not out[j]]
-            step, flat = _newton_split([[hz(j, k) for k in free] for j in free],
-                                       [gz[j] for j in free])
-            if any(flat):
-                # the ratio is affine along flat: go on from the Newton point
-                # to the first bound, so that it is met exactly
-                reach = [(y[j] + sj) / -fj for j, sj, fj in zip(free, step, flat)
-                         if fj < 0.0]
-                if sum(flat) > 0.0:
-                    reach.append((y[r] - sum(step)) / sum(flat))
-                alpha = max(min(reach), 0.0)
-                step = [sj + alpha * fj for sj, fj in zip(step, flat)]
-            d = [-yj if o else 0.0 for yj, o in zip(y, out)]
-            for j, sj in zip(free, step):
-                d[j] = sj
-            tau = 1.0
-            while True:
-                y_new = [max(yi + tau * di, 0.0) for yi, di in zip(y, d)]
-                y_new[r] = 0.0
-                y_r = 1.0 - sum(y_new)
-                if y_r >= 0.0:
-                    y_new[r] = y_r
-                else:  # y_r clipped at 0: back onto the simplex
-                    norm = sum(y_new)
-                    y_new = [yi / norm for yi in y_new]
-                state = evaluate(y_new)
-                val_new, gap_new = state[0], state[2]
+def _projected_newton(
+    evaluate: Callable[[list[float]], tuple],
+    x: list[float],
+    state: tuple,
+    done: Callable[[tuple], bool],
+    accept: Callable[[tuple, tuple], bool],
+    *,
+    simplex: bool,
+) -> tuple[tuple, int, Literal["done", "stalled", "cap"]]:
+    """Projected Newton (Bertsekas 1982) for a smooth concave function,
+    climbing from x on x >= 0, and on sum(x) = 1 as well when simplex is set.
+
+    evaluate(x) gives a state (value, gradient, Hessian, ...), with state
+    the one at x; done(state) is the caller's stop test, made at the top of
+    each step, and accept(new, old) lets a step through that Armijo's rule
+    rejects. On the simplex each step drops r = argmax x and works in z, x
+    without x_r = 1 - sum(z), on the box z >= 0 with sum(z) <= 1; the
+    gradient in z is g_j - g_r and the Hessian H_jk - H_rk - H_rj + H_rr.
+    Coordinates within eps of 0 that the gradient pushes out go to 0 (the
+    epsilon-active set, eps the length of a projected gradient step and at
+    most 1e-3). The others take the Newton step along the curved directions
+    of their Hessian block (_newton_split), and along its flat ones a step
+    on to the first bound: there the function is affine, so Newton would
+    not move, and the bound is the maximum along them. The step is
+    projected and halved until the value rises by Armijo's rule or accept
+    passes it. Returns the last state, the steps taken, and how the climb
+    ended: "done", "stalled" (a halved step would no longer move x) or
+    "cap" (_ORACLE_MAX_ITER steps).
+    """
+    for steps in range(_ORACLE_MAX_ITER):
+        if done(state):
+            return state, steps, "done"
+        value, g, H = state[:3]
+        r = -1
+        if simplex:  # into z: drop x_r
+            r = x.index(max(x))
+            hr = H[r]
+            g = [gj - g[r] for gj in g]
+            H = [[hjk - hk - hr[j] + hr[r] for hjk, hk in zip(row, hr)]
+                 for j, row in enumerate(H)]
+        eps = min(1e-3, math.sqrt(sum((xj - max(xj + gj, 0.0)) ** 2
+                                      for xj, gj in zip(x, g))))
+        out = [xj <= eps and gj < 0.0 for xj, gj in zip(x, g)]
+        free = [j for j in range(len(x)) if j != r and not out[j]]
+        step, flat = _newton_split([[H[j][k] for k in free] for j in free],
+                                   [g[j] for j in free])
+        # the function is affine along flat: go on from the Newton point to
+        # the first bound, so that it is met exactly
+        reach = [(x[j] + sj) / -fj for j, sj, fj in zip(free, step, flat) if fj < 0.0]
+        if simplex and sum(flat) > 0.0:
+            reach.append((x[r] - sum(step)) / sum(flat))
+        if reach:
+            alpha = max(min(reach), 0.0)
+            step = [sj + alpha * fj for sj, fj in zip(step, flat)]
+        d = [-xj if o else 0.0 for xj, o in zip(x, out)]
+        for j, sj in zip(free, step):
+            d[j] = sj
+        tau = 1.0
+        while True:
+            x_new = [max(xj + tau * dj, 0.0) for xj, dj in zip(x, d)]
+            if simplex:
+                x_new[r] = 0.0
+                x_r = 1.0 - sum(x_new)
+                if x_r >= 0.0:
+                    x_new[r] = x_r
+                else:  # x_r clipped at 0: back onto the simplex
+                    norm = sum(x_new)
+                    x_new = [xj / norm for xj in x_new]
+            if any(x_new):
+                new = evaluate(x_new)
                 # Armijo's rule on the projection arc: the value rises by a
                 # share of what the gradient predicts for the step taken
-                rise = val_new - val
-                if ((rise > 0.0 and rise >= _ARMIJO * sum(
-                        map(mul, gz, map(sub, y_new, y))))
-                        or gap_new <= ORACLE_GAP * val_new
-                        or (rise >= -ORACLE_GAP * val and gap_new < gap)):
+                rise = new[0] - value
+                pred = sum(map(mul, g, map(sub, x_new, x)))
+                if (rise > 0.0 and rise >= _ARMIJO * pred) or accept(new, state):
                     break
-                tau *= 0.5
-                if tau * max(map(abs, d)) < 1e-16:  # y would no longer move
-                    raise PricingError(
-                        f"separation oracle stalled with gap {gap / val:.3e}"
-                    )
-            y = y_new
-            val, g, gap, p, hess, total = state
-        raise PricingError(
-            f"separation oracle iteration cap {_ORACLE_MAX_ITER} hit "
-            f"with gap {gap / val:.3e}"
-        )
+            tau *= 0.5
+            if tau * max(map(abs, d)) < 1e-16 * max(x):  # x would no longer move
+                return state, steps, "stalled"
+        x, state = x_new, new
+    return state, _ORACLE_MAX_ITER, "cap"
 
 
 def _newton_split(
@@ -473,18 +502,14 @@ def _max_dual(
     leaves x unchanged when a game is rescaled. The climb starts from the
     mix with the largest D at its best scale b / |a|^2, a = p d and
     b = price(M p) - p . u (D's maximum along p while b p d / |a|^2 <= 1),
-    and runs projected Newton on v >= 0 as the oracle does (Bertsekas
-    1982): coordinates near 0 that the gradient pushes out go to 0, the
-    others take the Newton step along the curved directions of their block
-    (_newton_split) and along the flat ones a step on to the first bound,
-    and the step is halved until D rises by Armijo's rule. It stops when
-    the gradient vanishes to rounding or no halving raises D.
+    and runs _projected_newton on v >= 0. It stops when the projected
+    gradient vanishes to rounding or no halving raises D.
     """
     c, d, u = prob.c_tuple, prob.d_tuple, prob.u_tuple
     n = prob.n
 
     def evaluate(v: list[float]):
-        """(D, dD/dv, its Hessian, w) at v."""
+        """(D, dD/dv, its Hessian, w, the projected gradient, sum(v)) at v."""
         w = [vi / ci for vi, ci in zip(v, c)]
         # the mix price is 1-homogeneous: solve it on the simplex, where the
         # payoffs keep their scale however small w is
@@ -501,7 +526,9 @@ def _max_dual(
         for j in range(n):
             if s[j] < 1.0:
                 H[j][j] -= (d[j] / c[j]) ** 2
-        return value, g, H, w
+        # the projected gradient's largest entry, per game on the scale of c
+        pg = max(abs(gj) if vj > 0.0 else gj for vj, gj in zip(v, g))
+        return value, g, H, w, pg, sum(v)
 
     starts = []
     for p in mixes:
@@ -512,51 +539,18 @@ def _max_dual(
             starts.append((evaluate(v), v))
     if not starts:
         raise PricingError("no start mix is priced above its stand-alone prices")
-    (value, g, H, w), v = max(starts, key=lambda start: start[0][0])
+    state, v = max(starts, key=lambda start: start[0][0])
 
-    def projected(v, g):
-        """The projected gradient's largest entry, per game on the scale of c."""
-        return max(abs(gj) if vj > 0.0 else gj for vj, gj in zip(v, g))
+    def accept(new, old) -> bool:
+        # D level to rounding while the gradient shrinks: D's terms are at
+        # most w . c = sum(v) and cancel
+        return new[0] - old[0] >= -1e-14 * old[5] and new[4] < old[4]
 
-    pg = projected(v, g)
-    for steps in range(_ORACLE_MAX_ITER):
-        if pg <= 1e-15:
-            return w, steps
-        # epsilon-active set, as in maximize
-        eps = min(1e-3, math.sqrt(sum((vj - max(vj + gj, 0.0)) ** 2
-                                      for vj, gj in zip(v, g))))
-        out = [vj <= eps and gj < 0.0 for vj, gj in zip(v, g)]
-        free = [j for j in range(n) if not out[j]]
-        step, flat = _newton_split([[H[j][k] for k in free] for j in free],
-                                   [g[j] for j in free])
-        if any(fj < 0.0 for fj in flat):
-            # D is affine along flat: go on from the Newton point to the
-            # first bound
-            alpha = max(min((v[j] + sj) / -fj for j, sj, fj in zip(free, step, flat)
-                            if fj < 0.0), 0.0)
-            step = [sj + alpha * fj for sj, fj in zip(step, flat)]
-        dv = [-vj if o else 0.0 for vj, o in zip(v, out)]
-        for j, sj in zip(free, step):
-            dv[j] = sj
-        tau = 1.0
-        while True:
-            v_new = [max(vj + tau * dj, 0.0) for vj, dj in zip(v, dv)]
-            if any(v_new):
-                state = evaluate(v_new)
-                rise = state[0] - value
-                pg_new = projected(v_new, state[1])
-                # Armijo's rule, or D level to rounding while the gradient
-                # shrinks: D's terms are at most w . c = sum(v) and cancel
-                pred = sum(map(mul, g, map(sub, v_new, v)))
-                if ((rise > 0.0 and rise >= _ARMIJO * pred)
-                        or (rise >= -1e-14 * sum(v) and pg_new < pg)):
-                    break
-            tau *= 0.5
-            if tau * max(map(abs, dv)) < 1e-16 * max(v):  # v would no longer move
-                return w, steps
-        v, pg = v_new, pg_new
-        value, g, H, w = state
-    raise PricingError(f"least-squares dual iteration cap {_ORACLE_MAX_ITER} hit")
+    state, steps, end = _projected_newton(
+        evaluate, v, state, lambda s: s[4] <= 1e-15, accept, simplex=False)
+    if end == "cap":
+        raise PricingError(f"least-squares dual iteration cap {_ORACLE_MAX_ITER} hit")
+    return state[3], steps
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable, Optional
 
 from .core import ConeBasis, Game, Rate, _dot, fair_coin, mix_game, st_petersburg
@@ -63,8 +64,17 @@ def _check_game_b():
     return ok, "u = 9.512 +- 5e-4, t = 1", f"u = {res.price:.6f}, t = {res.proportion}"
 
 
+_EX11 = [(19, 1), (4, 16)]
+
+
+@cache
+def _example11():
+    """Least-squares prices of example 1.1, shared by its two checks."""
+    return least_squares_prices(_coin_basis(_EX11), R_CONT)
+
+
 def _check_example11_prices():
-    sol = least_squares_prices(_coin_basis([(19, 1), (4, 16)]), R_CONT)
+    sol = _example11()
     target = 10.0 / math.exp(0.05)
     ok = all(_close(p, target, 1e-4) for p in sol.price_tuple)
     return (
@@ -75,8 +85,8 @@ def _check_example11_prices():
 
 
 def _check_example11_certificate():
-    basis = _coin_basis([(19, 1), (4, 16)])
-    sol = least_squares_prices(basis, R_CONT)
+    basis = _coin_basis(_EX11)
+    sol = _example11()
     q = sol.certificate
     mix_price = price_general(mix_game(basis, q), fair_coin(), R_CONT).price
     linear = _dot(q.weight_tuple, sol.price_tuple)
@@ -140,6 +150,12 @@ _X = Game([50, 1])
 _Y = Game([30.6191, 14])
 
 
+@cache
+def _remark35():
+    """The Remark 3.5 fund comparison, shared by three checks."""
+    return compare_mean_variance(_X, _Y, R_SIMPLE)
+
+
 def _check_remark35_standalone():
     u_x = price_general(_X, fair_coin(), R_SIMPLE).price
     u_y = price_general(_Y, fair_coin(), R_SIMPLE).price
@@ -152,7 +168,7 @@ def _check_remark35_standalone():
 
 
 def _check_remark35_onefund():
-    comp = compare_mean_variance(_X, _Y, R_SIMPLE)
+    comp = _remark35()
     ok = _close(comp.w_onefund, 0.2932, 1e-3) and _close(
         comp.price_onefund, 21.3995, 1e-3
     )
@@ -164,7 +180,7 @@ def _check_remark35_onefund():
 
 
 def _check_remark35_best():
-    comp = compare_mean_variance(_X, _Y, R_SIMPLE)
+    comp = _remark35()
     ok = _close(comp.w_star, 0.3514, 1e-3) and _close(comp.price_star, 21.4134, 1e-3)
     return (
         ok,
@@ -174,7 +190,7 @@ def _check_remark35_best():
 
 
 def _check_remark35_allocation():
-    comp = compare_mean_variance(_X, _Y, R_SIMPLE)
+    comp = _remark35()
     target = (0.1484, 0.2738, 0.5778)
     ok = all(_close(a, b, 1e-3) for a, b in zip(comp.allocation, target))
     return (

@@ -34,7 +34,9 @@ import gameprice.lsq
 from gameprice.lsq import (
     _FLAT,
     _LsqProblem,
+    _max_dual,
     _newton_split,
+    _projected_newton,
     _nnls,
     _nnls_cols,
 )
@@ -705,6 +707,76 @@ class TestDualSolve:
         # from that mix alone Newton climbs the scale of w for 98 steps; the
         # uniform mix starts near the answer's scale
         assert sol.iterations <= 25
+
+    def test_iteration_cap_raises(self, monkeypatch):
+        # B13 takes 6 steps from the even mix
+        monkeypatch.setattr(gameprice.lsq, "_ORACLE_MAX_ITER", 1)
+        with pytest.raises(PricingError, match="dual iteration cap"):
+            _max_dual(_LsqProblem(B13, R05), [[0.5, 0.5]])
+
+
+def _climb(f, grad, hess, x, *, simplex):
+    """_projected_newton on a closed-form concave f, from x.
+
+    The state carries x last; the climb is done when the projected gradient
+    vanishes (x >= 0) or the Frank-Wolfe gap max(g) - g . x does (simplex).
+    """
+    def evaluate(x):
+        return f(x), grad(x), hess(x), x
+
+    def done(state):
+        g, x = state[1], state[3]
+        if simplex:
+            return max(g) - sum(gj * xj for gj, xj in zip(g, x)) <= 1e-15
+        return max(abs(gj) if xj > 0.0 else gj for gj, xj in zip(g, x)) <= 1e-15
+
+    state, steps, end = _projected_newton(
+        evaluate, x, evaluate(x), done, lambda new, old: False, simplex=simplex)
+    return state[3], steps, end
+
+
+class TestProjectedNewton:
+    """The one projected-Newton routine on closed-form concave functions."""
+
+    def test_quadratic_with_its_maximizer_on_a_bound(self):
+        # max of -((x0 - 1)^2 + (x1 + 1)^2) / 2 on x >= 0 is (1, 0)
+        x, steps, end = _climb(
+            lambda x: -((x[0] - 1.0) ** 2 + (x[1] + 1.0) ** 2) / 2.0,
+            lambda x: [1.0 - x[0], -1.0 - x[1]],
+            lambda x: [[-1.0, 0.0], [0.0, -1.0]],
+            [0.5, 0.5], simplex=False)
+        assert (x, steps, end) == ([1.0, 0.0], 1, "done")
+
+    def test_flat_step_stops_at_the_first_bound_on_the_orthant(self, monkeypatch):
+        # -x0 - x1 - (x2 - 1/2)^2 / 2 is affine in (x0, x1): the first step
+        # goes along (-1, -1) until x0 reaches 0, leaving x1 at 1/4
+        args = (lambda x: -x[0] - x[1] - (x[2] - 0.5) ** 2 / 2.0,
+                lambda x: [-1.0, -1.0, 0.5 - x[2]],
+                lambda x: [[0.0] * 3, [0.0] * 3, [0.0, 0.0, -1.0]],
+                [0.25, 0.5, 0.25])
+        assert _climb(*args, simplex=False) == ([0.0, 0.0, 0.5], 2, "done")
+        monkeypatch.setattr(gameprice.lsq, "_ORACLE_MAX_ITER", 1)
+        assert _climb(*args, simplex=False) == ([0.0, 0.25, 0.5], 1, "cap")
+
+    def test_flat_step_stops_at_the_sum_bound_on_the_simplex(self, monkeypatch):
+        # y0 - (y1 - 1/4)^2 / 2 from (1/4, 1/8, 5/8): in z = (y0, y1) it is
+        # affine along z0, which rises until y2 = 1 - z0 - z1 reaches 0
+        args = (lambda y: y[0] - (y[1] - 0.25) ** 2 / 2.0,
+                lambda y: [1.0, 0.25 - y[1], 0.0],
+                lambda y: [[0.0] * 3, [0.0, -1.0, 0.0], [0.0] * 3],
+                [0.25, 0.125, 0.625])
+        assert _climb(*args, simplex=True) == ([1.0, 0.0, 0.0], 2, "done")
+        monkeypatch.setattr(gameprice.lsq, "_ORACLE_MAX_ITER", 1)
+        assert _climb(*args, simplex=True) == ([0.75, 0.25, 0.0], 1, "cap")
+
+    def test_linear_objective_ends_at_the_best_vertex(self):
+        c = [1.0, 3.0, 2.0]
+        x, _, end = _climb(
+            lambda y: sum(ci * yi for ci, yi in zip(c, y)),
+            lambda y: list(c),
+            lambda y: [[0.0] * 3 for _ in range(3)],
+            [1.0 / 3.0] * 3, simplex=True)
+        assert (x, end) == ([0.0, 1.0, 0.0], "done")
 
 
 class TestConstantMixDetector:
