@@ -46,8 +46,8 @@ from .pricer import (
 __version__ = "0.1.0"
 
 # Names from the solver modules, imported on first use (PEP 562), so that
-# `import gameprice` compiles only core and pricer; of these modules only
-# simulate loads numpy.
+# `import gameprice` compiles only core and pricer; none of these modules
+# loads numpy.
 _LAZY = {
     "lsq": (
         "LsSolution",

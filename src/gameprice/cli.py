@@ -8,8 +8,8 @@ to stdout as a plain table (default), JSON, or CSV. Exit codes: 0 ok,
 
 The solver modules (lsq, portfolio, reference, simulate) are imported
 inside the commands that use them, so `price` compiles only core and pricer.
-Only simulate needs numpy, because its seeded numpy random streams define
-its answers: simulate and sweep load numpy, and no other command does.
+No command loads numpy: simulate and sweep draw numpy's seeded random
+streams from a plain-Python copy of them.
 """
 
 from __future__ import annotations
