@@ -1,6 +1,7 @@
 """Growth-rate prices of games, least-squares prices over cones, and tooling."""
 
 import importlib
+import types
 
 from .core import (
     BasisError,
@@ -80,6 +81,13 @@ _LAZY = {
 _LAZY_NAMES = {name: module for module, names in _LAZY.items() for name in names}
 _LAZY_MODULES = ("lsq", "portfolio", "reference", "simulate")
 
+# the public names: the eager imports above and the lazy ones
+__all__ = sorted(
+    [name for name, value in globals().items()
+     if not name.startswith("_") and not isinstance(value, types.ModuleType)]
+    + list(_LAZY_NAMES)
+)
+
 
 def __getattr__(name: str):
     if name in _LAZY_MODULES:
@@ -92,64 +100,3 @@ def __getattr__(name: str):
 
 def __dir__():
     return sorted({*globals(), *_LAZY_NAMES, *_LAZY_MODULES})
-
-
-__all__ = [
-    "BasisError",
-    "ConeBasis",
-    "DimensionMismatch",
-    "FundComparison",
-    "Game",
-    "GameFile",
-    "GameFileError",
-    "InvariantViolation",
-    "KappaContext",
-    "LogDomainViolation",
-    "LsSolution",
-    "Mix",
-    "OutcomeSpace",
-    "ParityReport",
-    "PriceResult",
-    "PricingError",
-    "Rate",
-    "REGIME_FULL",
-    "REGIME_INTERIOR",
-    "SeriesGame",
-    "SimConfig",
-    "SimReport",
-    "SweepPoint",
-    "TruncationError",
-    "big_L",
-    "check_constant_mix",
-    "check_linear_pricing",
-    "combine",
-    "compare_mean_variance",
-    "cone_coordinates",
-    "constant_series",
-    "expectation",
-    "expected_log_growth",
-    "fair_coin",
-    "geometric_mean",
-    "harmonic_mean",
-    "in_cone",
-    "joint_space",
-    "least_squares_prices",
-    "load_game_file",
-    "ls_ratio",
-    "max_proportion",
-    "mix_game",
-    "one_fund_weight",
-    "optimal_proportion",
-    "parse_game_file",
-    "price_general",
-    "price_in_cone",
-    "price_series",
-    "price_two_outcome_fair",
-    "put_call_parity",
-    "reduce_to_basis",
-    "simulate_growth",
-    "st_petersburg",
-    "sweep_proportion",
-    "truncate_series",
-    "variance",
-]

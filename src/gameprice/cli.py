@@ -21,6 +21,7 @@ from typing import TYPE_CHECKING, Optional
 
 from .core import (
     BasisError,
+    ConeBasis,
     Game,
     GameFile,
     GameFileError,
@@ -131,32 +132,26 @@ def cmd_ls_price(args) -> int:
 
     gf = load_game_file(args.input)
     rate = _resolve_rate(gf, args)
-    names = list(gf.games)
-    games = [gf.games[n] for n in names]
-    basis, coords = lsq._reduce_to_basis(games, gf.space)
+    # the solver reduces the games, a proportional pair included
+    basis = ConeBasis._unchecked(gf.space, gf.games.values())
     sol = lsq.least_squares_prices(basis, rate, tol_L=args.tol_ls)
+    fp = args.full_precision
+    rows = list(zip(gf.games, sol.standalone_tuple, sol.price_tuple, sol.x_tuple))
     if args.format == "json":
         print(json.dumps(sol.to_json_dict()))
-        return _tolerance_exit(sol, args.tol_ls)
-    basis_idx = [next(i for i, g in enumerate(games) if g is bg)
-                 for bg in basis.games]
-    fp = args.full_precision
-    rows = list(zip(basis_idx, sol.standalone_tuple, sol.price_tuple, sol.x_tuple))
-    if args.format == "csv":
+    elif args.format == "csv":
         print("game,standalone,ls_price,x")
-        for i, u, price, x in rows:
-            print(f"{names[i]},{u!r},{price!r},{x!r}")
-        return _tolerance_exit(sol, args.tol_ls)
-    for i, u, price, x in rows:
-        print(f"{names[i]}: standalone={_fmt_price(u, fp)} "
-              f"ls={_fmt_price(price, fp)} x={_fmt_price(x, fp)}")
-    for j, name in enumerate(names):
-        if j in basis_idx:
-            continue
-        cone_price = lsq.price_in_cone(sol, coords[j])
-        print(f"{name}: ls={_fmt_price(cone_price, fp)} (priced by linearity)")
-    cert = ", ".join(_fmt_price(w, fp) for w in sol.certificate.weight_tuple)
-    print(f"certificate mix: ({cert})")
+        for name, u, price, x in rows:
+            print(f"{name},{u!r},{price!r},{x!r}")
+    else:  # the basis games first, then the rest
+        for name, u, price, x in (rows[i] for i in sol.basis):
+            print(f"{name}: standalone={_fmt_price(u, fp)} "
+                  f"ls={_fmt_price(price, fp)} x={_fmt_price(x, fp)}")
+        for j, (name, _, price, _) in enumerate(rows):
+            if j not in sol.basis:
+                print(f"{name}: ls={_fmt_price(price, fp)} (priced by linearity)")
+        cert = (_fmt_price(sol.certificate.weight_tuple[i], fp) for i in sol.basis)
+        print(f"certificate mix: ({', '.join(cert)})")
     return _tolerance_exit(sol, args.tol_ls)
 
 

@@ -87,6 +87,19 @@ def _frozen_array(values: Sequence) -> np.ndarray:
     return arr
 
 
+def _on_simplex(values: tuple[float, ...], name: str) -> tuple[float, ...]:
+    """values, which must sum to 1 within PROB_TOL, renormalized. The sum runs
+    left to right, not by sum() (compensated from Python 3.12), as numpy's
+    does below 8 entries: there the result is a / a.sum() bit for bit."""
+    total = 0.0
+    for v in values:
+        total += v
+    if abs(total - 1.0) > PROB_TOL:
+        raise InvariantViolation(
+            f"{name} must sum to 1 within {PROB_TOL}, got {total!r}")
+    return tuple(v / total for v in values)
+
+
 @dataclass(frozen=True)
 class OutcomeSpace:
     """Finite probability vector over the joint outcomes shared by all games.
@@ -101,17 +114,7 @@ class OutcomeSpace:
         values = _float_tuple(probs, "probs")
         if min(values) <= 0.0:
             raise InvariantViolation("every outcome probability must be > 0")
-        # left to right, not sum() (compensated from Python 3.12): numpy sums
-        # in this order below 8 entries, so there the probabilities equal
-        # a / a.sum() bit for bit
-        total = 0.0
-        for p in values:
-            total += p
-        if abs(total - 1.0) > PROB_TOL:
-            raise InvariantViolation(
-                f"probabilities must sum to 1 within {PROB_TOL}, got {total!r}"
-            )
-        object.__setattr__(self, "prob_tuple", tuple(p / total for p in values))
+        object.__setattr__(self, "prob_tuple", _on_simplex(values, "probabilities"))
 
     @cached_property
     def probs(self) -> np.ndarray:
@@ -222,14 +225,7 @@ class Mix:
         values = _float_tuple(weights, "weights")
         if min(values) < 0.0:
             raise InvariantViolation("mix weights must be nonnegative")
-        total = 0.0  # left to right, as in OutcomeSpace
-        for w in values:
-            total += w
-        if abs(total - 1.0) > PROB_TOL:
-            raise InvariantViolation(
-                f"mix weights must sum to 1 within {PROB_TOL}, got {total!r}"
-            )
-        object.__setattr__(self, "weight_tuple", tuple(w / total for w in values))
+        object.__setattr__(self, "weight_tuple", _on_simplex(values, "mix weights"))
 
     @cached_property
     def weights(self) -> np.ndarray:
@@ -247,6 +243,13 @@ def _dot(a: Sequence[float], b: Sequence[float]) -> float:
 def _payoff_rows(games: Sequence[Game]) -> list[tuple[float, ...]]:
     """The payoff matrix of the games as float tuples, one per outcome."""
     return list(zip(*(g.payoff_tuple for g in games)))
+
+
+def _check_aligned(game: Game, space: OutcomeSpace) -> None:
+    if game.size != space.size:
+        raise DimensionMismatch(
+            f"game of length {game.size} on a space of {space.size} outcomes"
+        )
 
 
 def _ray_residual(a: Sequence[float], b: Sequence[float]) -> float:
@@ -279,16 +282,22 @@ class ConeBasis:
         if len(games) < 1:
             raise BasisError("a basis needs at least one game")
         for g in games:
-            if g.size != space.size:
-                raise DimensionMismatch(
-                    f"game of length {g.size} on a space of {space.size} outcomes"
-                )
+            _check_aligned(g, space)
         if len(games) == 2:
             a, b = games[0].payoff_tuple, games[1].payoff_tuple
             if min(_ray_residual(a, b), _ray_residual(b, a)) <= 1e-9:
                 raise BasisError("the two games are proportional: not a basis")
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "games", games)
+
+    @classmethod
+    def _unchecked(cls, space: OutcomeSpace, games: Sequence[Game]) -> ConeBasis:
+        """The games as declared, a proportional pair included: ls-price
+        hands a game file's games to least_squares_prices, which reduces them."""
+        basis = object.__new__(cls)
+        object.__setattr__(basis, "space", space)
+        object.__setattr__(basis, "games", tuple(games))
+        return basis
 
     @property
     def n(self) -> int:
@@ -343,13 +352,6 @@ def constant_series(c: float) -> SeriesGame:
     )
 
 
-def _check_aligned(game: Game, space: OutcomeSpace) -> None:
-    if game.size != space.size:
-        raise DimensionMismatch(
-            f"game of length {game.size} on a space of {space.size} outcomes"
-        )
-
-
 def expectation(game: Game, space: OutcomeSpace) -> float:
     """Probability-weighted mean payoff."""
     _check_aligned(game, space)
@@ -390,17 +392,21 @@ def mix_game(basis: ConeBasis, p: Mix | Sequence[float]) -> Game:
     return Game([_dot(row, weights) for row in _payoff_rows(basis.games)])
 
 
-def combine(basis: ConeBasis, k: Sequence[float]) -> Game:
-    """Nonnegative linear combination (a point of the cone, not of the simplex)."""
+def _cone_coefficients(k: Sequence[float], n: int) -> tuple[float, ...]:
+    """k as the coefficients of a point of the cone of n games."""
     coeffs = _float_tuple(k, "cone coefficients")
-    if len(coeffs) != basis.n:
-        raise DimensionMismatch(
-            f"coefficients of length {len(coeffs)} over a basis of {basis.n} games"
-        )
+    if len(coeffs) != n:
+        raise DimensionMismatch(f"coefficients of length {len(coeffs)} over {n} games")
     if min(coeffs) < 0.0:
         raise InvariantViolation("cone coefficients must be nonnegative")
     if max(coeffs) <= 0.0:
         raise InvariantViolation("cone coefficients must not all be zero")
+    return coeffs
+
+
+def combine(basis: ConeBasis, k: Sequence[float]) -> Game:
+    """Nonnegative linear combination (a point of the cone, not of the simplex)."""
+    coeffs = _cone_coefficients(k, basis.n)
     return Game([_dot(row, coeffs) for row in _payoff_rows(basis.games)])
 
 

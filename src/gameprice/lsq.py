@@ -28,8 +28,9 @@ least-squares (NNLS) problem, solved by Lawson and Hanson's active-set
 method on a Householder QR of its passive columns: whether a game lies in
 it and with which coefficients, which games are its extreme rays, and
 whether some mix pays a constant, with the largest support such a mix can
-have. Everything runs on plain Python floats, so solving imports no numpy;
-the functions that return arrays build them on the way out.
+have; one QR of the games, with a bound on its rounding, settles the clear
+cases first. Everything runs on plain Python floats, so solving imports no
+numpy; the functions that return arrays build them on the way out.
 """
 
 from __future__ import annotations
@@ -44,13 +45,14 @@ from typing import TYPE_CHECKING, Callable, Literal, Optional, Sequence
 from .core import (
     BasisError,
     ConeBasis,
-    DimensionMismatch,
     Game,
     InvariantViolation,
     Mix,
     OutcomeSpace,
     PricingError,
     Rate,
+    _check_aligned,
+    _cone_coefficients,
     _dot,
     _float_tuple,
     _frozen_array,
@@ -84,8 +86,10 @@ Termination = Literal["constant_mix", "linear", "newton", "stalled"]
 class LsSolution:
     """Min-norm coordinates, the prices they induce, and a tightness witness.
 
-    certificate is a mix whose stand-alone price equals its linear price at
-    the solution; max_violation is the final L - 1 seen by the solver.
+    The vectors run over the declared games; basis holds the indices of the
+    ones solved on, the rest priced by linearity, and norm is |x|^2 over
+    them. certificate is a mix whose stand-alone price equals its linear
+    price at the solution; max_violation is the final L - 1 seen by the solver.
     termination says how the solve ended: "constant_mix" (x pinned by a
     constant mix), "linear" (the oracle certified L(0) <= 1 + tol_L, so
     x = 0), "newton" (the dual's projected Newton converged and the oracle
@@ -106,6 +110,7 @@ class LsSolution:
     standalone_tuple: tuple[float, ...]
     ceiling_tuple: tuple[float, ...]
     termination: Termination
+    basis: tuple[int, ...]
 
     @cached_property
     def x(self) -> np.ndarray:
@@ -600,6 +605,15 @@ def _apply_qt(reflectors: list, y: Sequence[float]) -> list[float]:
     return y
 
 
+def _back_substitute(R: list[list[float]], c: Sequence[float]) -> list[float]:
+    """x with R x = c[:len(R)], R by columns as from _householder; 0 where R_ii is."""
+    x = [0.0] * len(R)
+    for i in reversed(range(len(R))):
+        if R[i][i] != 0.0:
+            x[i] = (c[i] - sum(R[k][i] * x[k] for k in range(i + 1, len(R)))) / R[i][i]
+    return x
+
+
 def _nnls_cols(cols: Sequence[Sequence[float]], b: Sequence[float]) -> list[float]:
     """argmin |A x - b| over x >= 0, A given by its columns, by Lawson and
     Hanson's active-set method.
@@ -629,14 +643,8 @@ def _nnls_cols(cols: Sequence[Sequence[float]], b: Sequence[float]) -> list[floa
         """Least squares on the passive columns, zero elsewhere, and the
         reflectors of their QR."""
         reflectors, R = _householder([A[j] for j in passive])
-        c = _apply_qt(reflectors, b)
         z = [0.0] * n
-        coef = [0.0] * len(passive)
-        for i in reversed(range(len(passive))):
-            col_rest = sum(R[k][i] * coef[k] for k in range(i + 1, len(passive)))
-            if R[i][i] != 0.0:
-                coef[i] = (c[i] - col_rest) / R[i][i]
-        for j, cj in zip(passive, coef):
+        for j, cj in zip(passive, _back_substitute(R, _apply_qt(reflectors, b))):
             z[j] = cj
         return z, reflectors
 
@@ -750,7 +758,16 @@ def least_squares_prices(
     tol_L: float = DEFAULT_L_TOL,
     seed_mixes: Optional[Sequence[Sequence[float]]] = None,
 ) -> LsSolution:
-    """Min-norm feasible coordinates and the prices they induce.
+    """Min-norm feasible coordinates and the prices they induce, per game.
+
+    The solve runs on the extreme rays of the cone the games span
+    (reduce_to_basis), on the caller's basis itself when none is dropped,
+    so one cone gets one price system. A dropped game j is priced by
+    linearity at k_j . prices, k_j its coordinates, with x_j =
+    (price_j - u_j) / d_j (0 when d_j = 0, 1 on the constant-mix exit), in
+    [0, 1] up to tol_L u_j / d_j and the cone test's 1e-9, and weight 0 in
+    the certificate. seed_mixes over the declared games map onto the kept
+    ones through the coordinates, exactly: the mix price is 1-homogeneous.
 
     A constant mix (check_constant_mix) pins every price at its ceiling:
     x is 1 wherever d = c - u > 0 and 0 elsewhere, and one oracle call
@@ -765,38 +782,50 @@ def least_squares_prices(
     price is near 0, and D along it is near 0 too.
     LsSolution.termination records which exit was taken.
     """
-    prob = _LsqProblem(basis, rate)
-    n = prob.n
+    games = basis.games
+    keep, coords = _reduce_to_basis(games, basis.space)
+    dropped = len(keep) < len(games)
     seeds = []
     for p in (seed_mixes if seed_mixes is not None else ()):
         weights = _float_tuple(p, "seed mixes")
-        if len(weights) != n or min(weights) < 0.0:
+        if len(weights) != len(games) or min(weights) < 0.0:
             raise InvariantViolation("seed mixes must be nonnegative length-n vectors")
+        if dropped:  # the same mix payoff, on the kept games
+            weights = [_dot(weights, col) for col in zip(*coords)]
         total = sum(weights)
         if total <= 0.0:
             raise InvariantViolation("seed mixes must not be all zero")
         seeds.append([wi / total for wi in weights])
+    prob = _LsqProblem(
+        ConeBasis(basis.space, [games[i] for i in keep]) if dropped else basis, rate)
+    n = prob.n
 
-    def solution(
-        x: list[float],
-        pstar: list[float],
-        violation: float,
-        iterations: int,
-        termination: Termination,
-    ):
+    def solution(x, pstar, violation: float, iterations: int, termination: Termination):
+        prices, u, c = prob.adjusted_prices(x), prob.u_tuple, prob.c_tuple
+        norm = _dot(x, x)
+        if dropped:  # by linearity; a constant mix pins every game at its ceiling
+            full = _LsqProblem(basis, rate)
+            u, c, prices = full.u_tuple, full.c_tuple, [_dot(k, prices) for k in coords]
+            x_all = [0.0 if dj <= 0.0 else 1.0 if termination == "constant_mix"
+                     else (pj - uj) / dj for pj, uj, dj in zip(prices, u, full.d_tuple)]
+            p_all = [0.0] * len(games)
+            for r, i in enumerate(keep):
+                x_all[i], p_all[i] = x[r], pstar[r]
+            x, pstar = x_all, p_all
         return LsSolution(
             x_tuple=tuple(x),
-            price_tuple=tuple(prob.adjusted_prices(x)),
+            price_tuple=tuple(prices),
             certificate=Mix(pstar),
-            norm=_dot(x, x),
+            norm=norm,
             iterations=iterations,
             max_violation=violation,
-            standalone_tuple=prob.u_tuple,
-            ceiling_tuple=prob.c_tuple,
+            standalone_tuple=tuple(u),
+            ceiling_tuple=tuple(c),
             termination=termination,
+            basis=tuple(keep),
         )
 
-    if check_constant_mix(basis) is not None:
+    if check_constant_mix(prob.basis) is not None:
         # every feasible point has x_i = 1 wherever d_i > 0 (check_constant_mix)
         x = [1.0 if di > 0.0 else 0.0 for di in prob.d_tuple]
         val, pstar = prob.oracle(x)
@@ -836,12 +865,15 @@ def check_constant_mix(
     w = (k', 1) / lam has M w = 1 to tol. The mean of k and the successful
     witnesses, each as a mix, has the largest support any constant mix has.
     Every mix must keep its payoff spread within tol of the largest payoff.
-    """
+    First, where it is sure, one QR of the games (_unit_qr) decides without
+    NNLS: every mix pays |M k - 1| >= the distance of 1 from their span over
+    sqrt(m), so none is constant when that exceeds tol beyond rounding; on a
+    square basis, k = M^-1 1 positive beyond rounding is the NNLS answer."""
     cols = [g.payoff_tuple for g in basis.games]
     rows = _payoff_rows(basis.games)
-    n = basis.n
+    n, m = basis.n, len(rows)
     scale = max(map(max, cols))
-    minus_ones = [-1.0] * len(rows)
+    minus_ones = [-1.0] * m
 
     def _validated(p: list[float]) -> Optional[tuple[Mix, tuple[int, ...]]]:
         p = [max(pi, 0.0) for pi in p]
@@ -864,7 +896,18 @@ def check_constant_mix(
         total = sum(k)
         return [ki / total for ki in k]
 
-    k = _nnls_cols(cols, [1.0] * len(rows))
+    qr = _unit_qr(cols)
+    if qr is not None and qr[4] <= tol:
+        reflectors, R, norms, _, rounding = qr
+        c = _apply_qt(reflectors, [1.0] * m)
+        if n < m and _dot(c[n:], c[n:]) > m * (tol + rounding) ** 2:
+            return None
+        k = _back_substitute(R, c)
+        if n == m and min(k) > rounding * math.sqrt(_dot(k, k)):
+            k = [ki / nj for ki, nj in zip(k, norms)]
+            if constant(k):
+                return _validated(mix(k))
+    k = _nnls_cols(cols, [1.0] * m)
     if not constant(k):
         return None
     witnesses = [mix(k)]
@@ -894,30 +937,24 @@ def check_linear_pricing(basis: ConeBasis, rate: Rate, *, tol: float = 1e-9) -> 
 
 
 def _cone_fit(
-    cols: Sequence[Sequence[float]], target: Sequence[float]
+    cols: Sequence[Sequence[float]], target: Sequence[float], tol: float = math.inf
 ) -> tuple[list[float], float]:
     """Coefficients k >= 0 with M k closest to target, by NNLS, and how close.
 
     M is given by its columns. The distance is |M k - target| (2-norm) over
     the target's largest payoff, which is positive because no game is all
     zero; scaling all payoffs leaves the distance unchanged. Every cone test
-    compares it with its tol.
+    compares it with its tol; BasisError when it exceeds tol.
     """
     k = _nnls_cols(cols, target)
     r = list(target)
     for col, kj in zip(cols, k):
         r = [ri - kj * a for ri, a in zip(r, col)]
-    return k, math.sqrt(_dot(r, r)) / max(map(abs, target))
-
-
-def _coordinates(basis: ConeBasis, game: Game, tol: float) -> list[float]:
-    """cone_coordinates as a list."""
-    k, residual = _cone_fit([g.payoff_tuple for g in basis.games], game.payoff_tuple)
+    residual = math.sqrt(_dot(r, r)) / max(map(abs, target))
     if residual > tol:
         raise BasisError(
-            f"game lies outside the cone: relative residual {residual:.3g}"
-        )
-    return k
+            f"game lies outside the cone: relative residual {residual:.3g}")
+    return k, residual
 
 
 def cone_coordinates(basis: ConeBasis, game: Game, *, tol: float = 1e-9) -> np.ndarray:
@@ -927,7 +964,8 @@ def cone_coordinates(basis: ConeBasis, game: Game, *, tol: float = 1e-9) -> np.n
     nonnegative residual exceeds tol of the game's largest payoff. The
     coefficients come as a read-only float64 array.
     """
-    return _frozen_array(_coordinates(basis, game, tol))
+    cols = [g.payoff_tuple for g in basis.games]
+    return _frozen_array(_cone_fit(cols, game.payoff_tuple, tol)[0])
 
 
 def in_cone(basis: ConeBasis, game: Game, *, tol: float = 1e-9) -> bool:
@@ -939,25 +977,56 @@ def in_cone(basis: ConeBasis, game: Game, *, tol: float = 1e-9) -> bool:
     return _cone_fit([g.payoff_tuple for g in basis.games], game.payoff_tuple)[1] <= tol
 
 
+def _unit_qr(cols: Sequence[Sequence[float]]) -> Optional[tuple]:
+    """(reflectors, R, norms, inv2, rounding) of the Householder QR A = QR of
+    the columns scaled to unit norm; None with more columns than rows or a
+    zero pivot. Row i of A^+ = R^-1 Q^T is e_i / |e_i|^2, e_i column i's part
+    orthogonal to the others, so inv2[i] = |row i of R^-1|^2 is one over its
+    squared distance from their span. Perturbing A by E moves that distance
+    by at most 2 |E| |A^+| of itself, and a vector b's distance from the span
+    by 2 |E| |A^+| |b|; the QR's |E| is a few eps m n and |A^+| <= |R^-1|_F,
+    so rounding = 100 eps m n |R^-1|_F bounds both factors."""
+    n, m = len(cols), len(cols[0])
+    if n > m:
+        return None
+    norms = [math.sqrt(_dot(col, col)) for col in cols]
+    unit = [[a / nj for a in col] for col, nj in zip(cols, norms)]
+    reflectors, R = _householder(unit)
+    if not all(R[k][k] for k in range(n)):
+        return None
+    inv2 = []  # by forward substitution in R^T y = e_k
+    for k in range(n):
+        y = [1.0 / R[k][k]]
+        for j in range(k + 1, n):
+            y.append(-_dot(R[j][k:j], y) / R[j][j])
+        inv2.append(_dot(y, y))
+    return reflectors, R, norms, inv2, 100.0 * _EPS * m * n * math.sqrt(sum(inv2))
+
+
 def _reduce_to_basis(
     games: Sequence[Game], space: OutcomeSpace
-) -> tuple[ConeBasis, list[list[float]]]:
-    """reduce_to_basis, with the coordinates as lists."""
+) -> tuple[list[int], list[list[float]]]:
+    """reduce_to_basis as lists, with the kept indices. A game farther than
+    1e-9 of its largest payoff from the others' span, beyond _unit_qr's
+    rounding, is kept without the cone test's NNLS."""
     if not games:
         raise BasisError("need at least one game")
     for g in games:
-        if g.size != space.size:
-            raise DimensionMismatch(
-                f"game of length {g.size} on a space of {space.size} outcomes"
-            )
+        _check_aligned(g, space)
+    cols = [g.payoff_tuple for g in games]
+    qr = _unit_qr(cols)
+    far = [False] * len(cols) if qr is None else [
+        (1.0 - qr[4]) * nj > 1e-9 * max(col) * math.sqrt(r2)
+        for col, nj, r2 in zip(cols, qr[2], qr[3])]
     keep = list(range(len(games)))
     for i in reversed(range(len(games))):
         others = [j for j in keep if j != i]
-        if others and _cone_fit([games[j].payoff_tuple for j in others],
-                                games[i].payoff_tuple)[1] <= 1e-9:
+        if not far[i] and others and _cone_fit([cols[j] for j in others],
+                                               cols[i])[1] <= 1e-9:
             keep = others
-    basis = ConeBasis(space, [games[i] for i in keep])
-    return basis, [_coordinates(basis, g, 1e-9) for g in games]
+    kept = [cols[j] for j in keep]
+    return keep, [[float(i == j) for j in keep] if i in keep
+                  else _cone_fit(kept, col, 1e-9)[0] for i, col in enumerate(cols)]
 
 
 def reduce_to_basis(
@@ -970,19 +1039,12 @@ def reduce_to_basis(
     cone_coordinates), so the cone never changes and no kept game lies in
     the cone of the others. The kept games form the basis in input order;
     row i of the coordinates, a read-only float64 array, represents
-    games[i] in it.
+    games[i] in it: a unit vector for a kept game.
     """
-    basis, coords = _reduce_to_basis(games, space)
-    return basis, _frozen_array(coords)
+    keep, coords = _reduce_to_basis(games, space)
+    return ConeBasis(space, [games[i] for i in keep]), _frozen_array(coords)
 
 
 def price_in_cone(solution: LsSolution, k: Sequence[float]) -> float:
     """Linear price of the cone point with coefficients k at the solved prices."""
-    coeffs = _float_tuple(k, "cone coefficients")
-    if len(coeffs) != len(solution.price_tuple):
-        raise InvariantViolation("coefficient vector length does not match the basis")
-    if min(coeffs) < 0.0:
-        raise InvariantViolation("cone coefficients must be nonnegative")
-    if max(coeffs) <= 0.0:
-        raise InvariantViolation("cone coefficients must not all be zero")
-    return _dot(coeffs, solution.price_tuple)
+    return _dot(_cone_coefficients(k, len(solution.price_tuple)), solution.price_tuple)

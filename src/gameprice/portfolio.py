@@ -20,18 +20,12 @@ from .core import (
     OutcomeSpace,
     PricingError,
     Rate,
+    _check_aligned,
     expectation,
     fair_coin,
     variance,
 )
-from .lsq import (
-    LsSolution,
-    _coordinates,
-    _LsqProblem,
-    _reduce_to_basis,
-    least_squares_prices,
-    price_in_cone,
-)
+from .lsq import LsSolution, _LsqProblem, least_squares_prices
 from .pricer import price_general
 
 
@@ -205,13 +199,13 @@ def put_call_parity(
 
     The basis is {put, call, stock-minus-call}; put + (stock-minus-call) = K
     is the constant mix that pins both of those prices to their ceilings.
-    A member in the cone of the others (one always is on two outcomes) is
-    dropped by reduce_to_basis and priced by linearity instead.
+    least_squares_prices prices all three: a member in the cone of the
+    others (one always is on two outcomes) is priced by linearity. The
+    stock is call + (stock-minus-call), so its price is their sum.
     """
     if strike <= 0:
         raise InvariantViolation("strike must be > 0")
-    if stock.size != space.size:
-        raise InvariantViolation("stock and space dimensions differ")
+    _check_aligned(stock, space)
     s = stock.payoff_tuple
     put = [max(strike - a, 0.0) for a in s]
     call = [max(a - strike, 0.0) for a in s]
@@ -228,16 +222,16 @@ def put_call_parity(
             degenerate=True,
             reason="call pays nothing: strike at or above every stock payoff",
         )
-    # reduction tries the last game first: when the three are dependent,
-    # covered is dropped and the basis keeps put and call
-    basis, coords = _reduce_to_basis([Game(put), Game(call), Game(covered)], space)
-    sol = least_squares_prices(basis, rate, tol_L=tol_L)
+    # the reduction tries the last game first: when the three are dependent,
+    # covered is dropped and the solve keeps put and call
+    sol = least_squares_prices(
+        ConeBasis(space, [Game(put), Game(call), Game(covered)]), rate, tol_L=tol_L)
     if sol.termination != "constant_mix":
         raise PricingError(
             "internal error: put + covered = strike mix not detected"
         )
-    put_price, call_price, covered_price = (price_in_cone(sol, k) for k in coords)
-    stock_price = price_in_cone(sol, _coordinates(basis, stock, 1e-9))
+    put_price, call_price, covered_price = sol.price_tuple
+    stock_price = call_price + covered_price
     residual = (
         call_price - put_price + strike / rate.growth_factor() - stock_price
     )

@@ -34,6 +34,7 @@ from .core import (
     Rate,
     SeriesGame,
     TruncationError,
+    _check_aligned,
     is_fair_coin,
 )
 
@@ -155,8 +156,7 @@ def expected_log_growth(
         raise InvariantViolation("price must be > 0")
     if t < 0:
         raise InvariantViolation("proportion must be >= 0")
-    if game.size != space.size:
-        raise InvariantViolation("game and space dimensions differ")
+    _check_aligned(game, space)
     return _elg(game.payoff_tuple, space.prob_tuple, u, t)
 
 
@@ -170,8 +170,7 @@ def optimal_proportion(
     """
     if u <= 0:
         raise InvariantViolation("price must be > 0")
-    if game.size != space.size:
-        raise InvariantViolation("game and space dimensions differ")
+    _check_aligned(game, space)
     return _opt_t(game.payoff_tuple, space.prob_tuple, u)
 
 
@@ -356,8 +355,7 @@ def price_general(
     otherwise solves numerically. force_numeric routes the solver path even
     when the closed form applies (used to cross-check the two).
     """
-    if game.size != space.size:
-        raise InvariantViolation("game and space dimensions differ")
+    _check_aligned(game, space)
     pay = game.payoff_tuple
     if not force_numeric and is_fair_coin(space) and min(pay) > 0.0:
         return price_two_outcome_fair(pay[0], pay[1], rate)

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .core import Game, InvariantViolation, OutcomeSpace
+from .core import Game, InvariantViolation, OutcomeSpace, _check_aligned
 from .pricer import max_proportion
 
 _MASK32 = 0xFFFFFFFF
@@ -333,8 +333,7 @@ def _report(game: Game, counts: list[list[int]], attempts: int, u: float,
 
 def simulate_growth(game: Game, space: OutcomeSpace, cfg: SimConfig) -> SimReport:
     """Mean and variance of the per-path growth rate, with a 95% CI half-width."""
-    if game.size != space.size:
-        raise InvariantViolation("game and space dimensions differ")
+    _check_aligned(game, space)
     return _report(game, _draw_paths(space, cfg), cfg.attempts, cfg.price,
                    cfg.proportion)
 
@@ -355,8 +354,7 @@ def sweep_proportion(
     """
     if grid < 3:
         raise InvariantViolation("grid needs at least 3 points")
-    if game.size != space.size:
-        raise InvariantViolation("game and space dimensions differ")
+    _check_aligned(game, space)
     t_cap = max_proportion(game, u)
     t_hi = 1.0 if math.isinf(t_cap) else min(1.0, t_cap * (1.0 - 1e-9))
     step = t_hi / (grid - 1)

@@ -398,6 +398,19 @@ class TestLsPriceCommand:
         price_b = float(lines[2].split("ls=")[1].split()[0])
         assert price_b == pytest.approx(2.0 * price_a, rel=1e-12)
 
+    def test_json_and_csv_list_every_game(self, capsys):
+        path = str(ROOT / "sample_games" / "redundant3.json")
+        rc, out, err = run(capsys, ["ls-price", path, "--format", "json"])
+        assert rc == 0, err
+        doc = json.loads(out)
+        assert len(doc["x"]) == len(doc["prices"]) == len(doc["certificate"]) == 3
+        assert doc["prices"][1] == pytest.approx(2.0 * doc["prices"][0], rel=1e-12)
+        rc, out, err = run(capsys, ["ls-price", path, "--format", "csv"])
+        assert rc == 0, err
+        rows = [row.split(",") for row in out.splitlines()[1:]]
+        assert [row[0] for row in rows] == ["A", "B", "C"]
+        assert [float(row[2]) for row in rows] == doc["prices"]
+
     def test_pair_far_apart_in_scale(self, capsys, tmp_path):
         path = tmp_path / "scales.json"
         path.write_text(json.dumps({
@@ -451,7 +464,8 @@ class TestLsPriceCommand:
         assert rc == 0
         header, *rows = out.strip().splitlines()
         assert header == "game,standalone,ls_price,x"
-        assert {row.split(",")[0] for row in rows} == {"A", "C"}
+        # every game in file order, B (priced by linearity) included
+        assert [row.split(",")[0] for row in rows] == ["A", "B", "C"]
         for row in rows:
             for field in row.split(",")[1:]:
                 float(field)

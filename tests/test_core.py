@@ -10,20 +10,29 @@ from hypothesis import strategies as st
 from gameprice import (
     BasisError,
     ConeBasis,
+    DimensionMismatch,
     Game,
     GameFileError,
     InvariantViolation,
     Mix,
     OutcomeSpace,
     Rate,
+    SimConfig,
     expectation,
+    expected_log_growth,
     fair_coin,
     geometric_mean,
     harmonic_mean,
     mix_game,
+    optimal_proportion,
     parse_game_file,
+    price_general,
     price_series,
+    put_call_parity,
+    reduce_to_basis,
+    simulate_growth,
     st_petersburg,
+    sweep_proportion,
     variance,
 )
 
@@ -117,6 +126,50 @@ class TestValueTypes:
 
     def test_st_petersburg_price_unchanged(self):
         assert price_series(st_petersburg(), Rate(0.05)).price == 4.815577514678612
+
+
+_SIM = SimConfig(attempts=10, paths=2, seed=0, price=1.0, proportion=0.5)
+
+
+class TestDimensionMismatch:
+    """Every entry point that pairs games with an outcome space checks their
+    lengths the same way, with DimensionMismatch (an InvariantViolation)."""
+
+    @pytest.mark.parametrize("call", [
+        expectation,
+        geometric_mean,
+        harmonic_mean,
+        variance,
+        lambda g, s: ConeBasis(s, [g]),
+        lambda g, s: reduce_to_basis([g], s),
+        lambda g, s: price_general(g, s, Rate(0.05)),
+        lambda g, s: expected_log_growth(g, s, 1.0, 0.5),
+        lambda g, s: optimal_proportion(g, s, 1.0),
+        lambda g, s: simulate_growth(g, s, _SIM),
+        lambda g, s: sweep_proportion(g, s, 1.0, 3, _SIM),
+        lambda g, s: put_call_parity(g, s, 2.0, Rate(0.05)),
+    ], ids=["expectation", "geometric_mean", "harmonic_mean", "variance", "ConeBasis",
+            "reduce_to_basis", "price_general", "expected_log_growth",
+            "optimal_proportion", "simulate_growth", "sweep_proportion",
+            "put_call_parity"])
+    def test_each_entry_point_raises_dimension_mismatch(self, call):
+        with pytest.raises(DimensionMismatch, match="game of length 3 on a space of 2"):
+            call(Game([3.0, 1.0, 2.0]), COIN)
+
+
+class TestSimplexValidation:
+    @pytest.mark.parametrize("make, name", [(OutcomeSpace, "probabilities"),
+                                            (Mix, "mix weights")])
+    def test_the_message_names_the_type(self, make, name):
+        with pytest.raises(InvariantViolation, match=f"^{name} must sum to 1 within"):
+            make([0.5, 0.6])
+
+    @pytest.mark.parametrize("make, attr", [(OutcomeSpace, "prob_tuple"),
+                                            (Mix, "weight_tuple")])
+    def test_renormalized_by_the_left_to_right_sum(self, make, attr):
+        values = [0.1, 0.2, 0.3, 0.4 + 3e-13]
+        total = ((0.1 + 0.2) + 0.3) + (0.4 + 3e-13)
+        assert getattr(make(values), attr) == tuple(v / total for v in values)
 
 
 class TestRate:

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import os
 import subprocess
@@ -24,6 +25,7 @@ from gameprice import (
     fair_coin,
     in_cone,
     least_squares_prices,
+    load_game_file,
     ls_ratio,
     mix_game,
     price_general,
@@ -132,6 +134,149 @@ class TestReduceToBasis:
                 coin_sets += 1
                 assert _rays(b.games) == _rays(_extreme_ratio_games(games)), games
         assert coin_sets == 100
+
+
+def _nnls_only(monkeypatch):
+    """Make every span test defer to NNLS, as before the QR shortcut."""
+    monkeypatch.setattr(gameprice.lsq, "_unit_qr", lambda cols: None)
+
+
+def _redundant_sets(seed=5, sets=300):
+    """(games, space) of the planted-redundant draws of
+    test_random_sets_with_planted_redundant_games."""
+    rng = np.random.default_rng(seed)
+    for trial in range(sets):
+        m = 2 if trial % 3 == 0 else int(rng.integers(2, 7))
+        games, _ = _redundant_game_set(rng, m)
+        yield games, COIN if trial % 3 == 0 else OutcomeSpace(
+            rng.dirichlet(np.ones(m)).tolist())
+
+
+class TestOneBasisRule:
+    """least_squares_prices reduces the games it is given, as ls-price does."""
+
+    def test_declared_prices_are_reduced_prices_by_linearity(self):
+        solved = 0
+        for games, space in _redundant_sets():
+            # ls-price's path: a proportional pair is no ConeBasis
+            sol = least_squares_prices(ConeBasis._unchecked(space, games), R05)
+            b, coords = reduce_to_basis(games, space)
+            ref = least_squares_prices(b, R05)
+            assert [games[i] for i in sol.basis] == list(b.games)
+            assert len(sol.prices) == len(games) == len(sol.certificate.weights)
+            for j, k in enumerate(coords):
+                assert sol.prices[j] == pytest.approx(price_in_cone(ref, k), rel=1e-10)
+            kept = list(sol.basis)
+            assert sol.x[kept].tolist() == list(ref.x_tuple)
+            assert sol.certificate.weights[kept].tolist() == list(ref.certificate.weight_tuple)
+            assert sol.max_violation == ref.max_violation
+            solved += 1
+        assert solved == 300
+
+    def test_library_and_ls_price_agree_bit_for_bit(self, capsys):
+        from gameprice.cli import main
+
+        path = ROOT / "sample_games" / "redundant3.json"
+        gf = load_game_file(str(path))
+        sol = least_squares_prices(ConeBasis(gf.space, list(gf.games.values())), gf.rate)
+        assert main(["ls-price", str(path), "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["prices"] == list(sol.price_tuple)
+        assert doc["x"] == list(sol.x_tuple)
+        assert doc["certificate"] == list(sol.certificate.weight_tuple)
+        # A, C solved on; B = 2 A by linearity, with no certificate weight
+        assert sol.basis == (0, 2) and doc["certificate"][1] == 0.0
+        assert doc["prices"][1] == pytest.approx(2.0 * doc["prices"][0], rel=1e-12)
+        assert doc["x"][1] == pytest.approx(doc["x"][0], abs=1e-12)
+
+    @staticmethod
+    def _near_proportional_sets():
+        space = OutcomeSpace([0.2, 0.3, 0.5])
+        # the pair far from proportional (relative residual 3.3e-7)
+        yield [Game([1, 2, 3]), Game([5, 1, 1]), Game([1, 2, 3.000001])], space
+        rng = np.random.default_rng(29)
+        for r in (1e-11, 1e-10, 5e-10, 9e-10, 1.1e-9, 2e-9, 1e-8, 1e-7):
+            for _ in range(5):
+                a = rng.uniform(0.5, 20.0, 3)
+                v = rng.normal(size=3)
+                v -= (v @ a) / (a @ a) * a
+                # off a's ray by r of b's largest payoff
+                b = a * rng.uniform(0.5, 2.0)
+                b = b + r * b.max() * v / np.linalg.norm(v)
+                third = [Game(rng.uniform(0.5, 20.0, 3))] if rng.random() < 0.5 else []
+                yield [Game(a), Game(b)] + third, space
+
+    def test_span_shortcut_keeps_what_nnls_alone_keeps(self, monkeypatch):
+        sets = [*self._near_proportional_sets(), *_redundant_sets()]
+        fits = []
+        cone_fit = gameprice.lsq._cone_fit
+        monkeypatch.setattr(gameprice.lsq, "_cone_fit",
+                            lambda *a: fits.append(a) or cone_fit(*a))
+        fast = [gameprice.lsq._reduce_to_basis(g, s) for g, s in sets]
+        fast_fits = len(fits)
+        _nnls_only(monkeypatch)
+        for (games, space), (keep, coords) in zip(sets, fast):
+            assert gameprice.lsq._reduce_to_basis(games, space) == (keep, coords), games
+        # a fit is skipped for each game of a full-rank set that is farther
+        # than 1e-9 from the others' span: the 3.3e-7 set and most pairs from
+        # 1.1e-9 up; a set with a planted redundant game takes every fit
+        assert (len(fits) - fast_fits) - fast_fits >= 50
+
+    def test_tiny_rate_basis_with_a_proportional_pair(self):
+        # a fuzz draw whose declared form stalled the constant-mix exit's
+        # oracle at L - 1 = 6.5e-5 (these rounded inputs do not)
+        b = ConeBasis(OutcomeSpace([0.40246, 0.59754]),
+                      [Game([0.79058, 0.0]), Game([0.0, 62.5219]), Game([0.0, 8.47028])])
+        sol = least_squares_prices(b, Rate(1.4294e-9))
+        assert sol.termination == "constant_mix"
+        assert sol.max_violation <= 1e-12
+        assert sol.basis == (0, 1)
+        assert sol.x.tolist() == [1.0, 1.0, 1.0]
+        assert sol.prices[2] == pytest.approx(sol.prices[1] * 8.47028 / 62.5219, rel=1e-12)
+
+    def test_seed_mixes_map_onto_the_kept_games(self, monkeypatch):
+        # B = 2 A is dropped: a seed all on B pays what one all on A pays
+        starts = []
+        max_dual = gameprice.lsq._max_dual
+        monkeypatch.setattr(gameprice.lsq, "_max_dual",
+                            lambda prob, mixes: starts.append(mixes) or max_dual(prob, mixes))
+        b = ConeBasis(OutcomeSpace([0.2, 0.3, 0.5]),
+                      [Game([1, 2, 3]), Game([2, 4, 6]), Game([5, 1, 1])])
+        sol = least_squares_prices(b, R05, seed_mixes=[[0.0, 1.0, 0.0], [0.0, 0.5, 0.5]])
+        assert starts[0][-2:] == [[1.0, 0.0], [2.0 / 3.0, 1.0 / 3.0]]
+        assert sol.x.tolist() == pytest.approx(least_squares_prices(b, R05).x.tolist(),
+                                               abs=1e-10)
+
+    @staticmethod
+    def _near_constant_bases(rng):
+        """Bases with more outcomes than games on which a mix pays 1 to within
+        delta of 1e-10 to 1e-8 at one outcome: constant at tol 1e-9 or not."""
+        for delta in (1e-10, 3e-10, 9e-10, 3e-9, 1e-8):
+            for _ in range(4):
+                m, n = int(rng.integers(3, 6)), 2
+                M = rng.uniform(0.5, 20.0, (m, n))
+                k = rng.uniform(0.1, 1.0, n)
+                M[:, 1] = (1.0 - M[:, 0] * k[0]) / k[1]
+                if M[:, 1].min() <= 0.0:
+                    M[:, 0] *= 0.5 / (M[:, 0] * k[0]).max()
+                    M[:, 1] = (1.0 - M[:, 0] * k[0]) / k[1]
+                M[rng.integers(m), 1] += delta / k[1]
+                yield ConeBasis(OutcomeSpace(np.full(m, 1.0 / m)), [Game(c) for c in M.T])
+
+    def test_constant_mix_shortcut_matches_nnls(self, monkeypatch):
+        rng = np.random.default_rng(41)
+        bases = [_random_full_rank_basis(rng, kind)[0]
+                 for kind in ("constant", "plain", "zeros", "wide_scale") * 40]
+        bases += self._near_constant_bases(rng)
+        fast = [check_constant_mix(b) for b in bases]
+        _nnls_only(monkeypatch)
+        for b, got in zip(bases, fast):
+            ref = check_constant_mix(b)
+            assert (got is None) == (ref is None), b
+            if got is not None:
+                assert got[1] == ref[1], b
+                assert np.max(np.abs(got[0].weights - ref[0].weights)) <= 1e-12, b
+        assert sum(got is not None for got in fast) >= 30
 
 
 def _redundant_game_set(rng, m):
@@ -563,11 +708,12 @@ class TestPolishHandOff:
                 continue
             if check_constant_mix(b) is not None:
                 continue
-            try:
-                ref = _cut_then_polish(b, rate)
+            try:  # on the games the solver keeps: draw 13 has one in the cone
+                ref = _cut_then_polish(reduce_to_basis(b.games, b.space)[0], rate)
             except PricingError:  # the oracle's iteration cap
                 continue
-            x = least_squares_prices(b, rate).x
+            sol = least_squares_prices(b, rate)
+            x = sol.x[list(sol.basis)]
             assert np.max(np.abs(x - ref)) <= 1e-10, (b, rate, x, ref)
             compared += 1
         assert compared >= 90
@@ -602,8 +748,8 @@ class TestPolishHandOff:
         # the Newton point, stops short of the bound it aims at. 1/8 holds one
         # for the dual: with x_1 and x_3 at 1, D is affine along a direction
         # that only the step on to the first bound follows (by Newton steps
-        # alone the dual hits its cap). The redundant basis has a segment of
-        # tight mixes along the null space of M
+        # alone the dual hits its cap). The redundant basis is solved on
+        # (1, 2, 3) and (5, 1, 1); (2, 4, 6) is priced by linearity
         expected = {
             (2024, 88): [0.08595524675487888, 0.026868120348460187, 0.09032688483957825],
             (2024, 247): [0.3005878423214162, 0.641694935737485, 0.5119787064597746],
@@ -621,7 +767,7 @@ class TestPolishHandOff:
                       [Game([1, 2, 3]), Game([2, 4, 6]), Game([5, 1, 1])])
         sol = least_squares_prices(b, R05)
         assert sol.termination == "newton"
-        assert sol.x.tolist() == pytest.approx([0.7862068134154, 0.7862068134154, 1.0],
+        assert sol.x.tolist() == pytest.approx([0.8808872855, 0.8808872855, 0.9027610207],
                                                abs=1e-10)
 
     def test_more_games_than_outcomes(self):
