@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import TYPE_CHECKING, Optional
 
 from .core import (
     BasisError,
@@ -34,7 +33,10 @@ from .core import (
 )
 from .pricer import REGIME_FULL, price_general
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
+    from typing import Optional
+
     from .lsq import LsSolution
 
 EXIT_OK = 0

@@ -1,12 +1,12 @@
 """Domain types shared by every solver: outcome spaces, games, mixes, rates.
 
-All types are immutable value objects (frozen dataclasses), so they can be
-shared freely across threads. Games, outcome spaces and mixes hold their
-values as float tuples and validate them with math alone, so the solvers
-never import numpy; their .payoffs, .probs and .weights are read-only
-float64 arrays built on first access. Probability vectors are validated to
-1e-12 and then renormalized exactly, so downstream sums are exact simplex
-elements.
+All types are immutable records (_Record, below), equal and hashed by value;
+.replace gives a changed, revalidated copy. So they can be shared freely
+across threads. Games, outcome spaces and mixes hold their values as float
+tuples and validate them with math alone, so the solvers never import numpy;
+their .payoffs, .probs and .weights are read-only float64 arrays built on
+first access. Probability vectors are validated to 1e-12 and then
+renormalized exactly, so downstream sums are exact simplex elements.
 """
 
 from __future__ import annotations
@@ -14,13 +14,16 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass
 from functools import cached_property
 from operator import mul
-from typing import TYPE_CHECKING, Callable, Literal, Sequence
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
+    from typing import Callable, Literal, Sequence
+
     import numpy as np
+
+    Convention = Literal["continuous", "simple"]
 
 PROB_TOL = 1e-12
 
@@ -51,6 +54,76 @@ class TruncationError(PricingError, RuntimeError):
 
 class GameFileError(PricingError, ValueError):
     """A game-spec file failed to parse or violates the documented schema."""
+
+
+class _Record:
+    """Base of the immutable value types.
+
+    A record's fields are its class's annotations, in declaration order, and
+    a class attribute of the same name is a field's default. The constructor
+    takes the fields by position or by name, then runs __post_init__.
+    Equality goes by the class and the field values, hashing by the field
+    values, as for a frozen dataclass; a field that cannot be hashed makes
+    the record unhashable. Attributes cannot be assigned or deleted, but
+    functools.cached_property still caches into the instance __dict__.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(vars(cls).get("__annotations__", ()))
+
+    def __init__(self, *args, **kwargs):
+        cls = type(self)
+        fields = cls._fields
+        if len(args) > len(fields):
+            raise TypeError(
+                f"{cls.__name__}() takes {len(fields)} arguments, {len(args)} given")
+        state = self.__dict__
+        state.update(zip(fields, args))
+        for name in fields[len(args):]:
+            if name in kwargs:
+                state[name] = kwargs.pop(name)
+            elif hasattr(cls, name):
+                state[name] = getattr(cls, name)
+            else:
+                raise TypeError(f"{cls.__name__}() missing argument {name!r}")
+        if kwargs:
+            name = next(iter(kwargs))
+            raise TypeError(
+                f"{cls.__name__}() got multiple values for argument {name!r}"
+                if name in fields else
+                f"{cls.__name__}() got an unexpected argument {name!r}")
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        """Validate the fields; a record with invariants overrides this."""
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
+
+    def replace(self, **changes):
+        """A copy with the given fields changed, built (and validated) again
+        by the constructor."""
+        return type(self)(**dict(zip(self._fields, self._values()), **changes))
 
 
 def _float_tuple(values, name: str) -> tuple[float, ...]:
@@ -100,8 +173,7 @@ def _on_simplex(values: tuple[float, ...], name: str) -> tuple[float, ...]:
     return tuple(v / total for v in values)
 
 
-@dataclass(frozen=True)
-class OutcomeSpace:
+class OutcomeSpace(_Record):
     """Finite probability vector over the joint outcomes shared by all games.
 
     prob_tuple holds the renormalized probabilities; probs is the same vector
@@ -114,7 +186,7 @@ class OutcomeSpace:
         values = _float_tuple(probs, "probs")
         if min(values) <= 0.0:
             raise InvariantViolation("every outcome probability must be > 0")
-        object.__setattr__(self, "prob_tuple", _on_simplex(values, "probabilities"))
+        super().__init__(_on_simplex(values, "probabilities"))
 
     @cached_property
     def probs(self) -> np.ndarray:
@@ -134,8 +206,7 @@ def is_fair_coin(space: OutcomeSpace) -> bool:
     return space.size == 2 and abs(space.prob_tuple[0] - 0.5) <= PROB_TOL
 
 
-@dataclass(frozen=True)
-class Game:
+class Game(_Record):
     """Nonnegative payoff vector aligned to an OutcomeSpace.
 
     Payoffs must be >= 0 with at least one strictly positive entry, which is
@@ -152,7 +223,7 @@ class Game:
             raise InvariantViolation("payoffs must be nonnegative")
         if max(values) <= 0.0:
             raise InvariantViolation("a game must pay something: expectation is 0")
-        object.__setattr__(self, "payoff_tuple", values)
+        super().__init__(values)
 
     @cached_property
     def payoffs(self) -> np.ndarray:
@@ -168,14 +239,11 @@ class Game:
         return Game([a * k for a in self.payoff_tuple])
 
 
-Convention = Literal["continuous", "simple"]
-
 # largest continuous rate whose growth factor e^r is a finite float
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
-@dataclass(frozen=True)
-class Rate:
+class Rate(_Record):
     """Per-period interest rate with its compounding convention.
 
     growth_factor() is e^r for the continuous convention and 1+r for the
@@ -211,8 +279,7 @@ class Rate:
         return math.log1p(self.value)
 
 
-@dataclass(frozen=True)
-class Mix:
+class Mix(_Record):
     """A point of the probability simplex: one weight per basis game.
 
     weight_tuple holds the renormalized weights; weights is the same vector
@@ -225,7 +292,7 @@ class Mix:
         values = _float_tuple(weights, "weights")
         if min(values) < 0.0:
             raise InvariantViolation("mix weights must be nonnegative")
-        object.__setattr__(self, "weight_tuple", _on_simplex(values, "mix weights"))
+        super().__init__(_on_simplex(values, "mix weights"))
 
     @cached_property
     def weights(self) -> np.ndarray:
@@ -264,8 +331,7 @@ def _ray_residual(a: Sequence[float], b: Sequence[float]) -> float:
     return math.sqrt(_dot(r, r)) / max(map(abs, b))
 
 
-@dataclass(frozen=True)
-class ConeBasis:
+class ConeBasis(_Record):
     """Ordered basis games over one shared outcome space.
 
     For n = 2 the basis property (neither game a nonnegative multiple of the
@@ -287,16 +353,14 @@ class ConeBasis:
             a, b = games[0].payoff_tuple, games[1].payoff_tuple
             if min(_ray_residual(a, b), _ray_residual(b, a)) <= 1e-9:
                 raise BasisError("the two games are proportional: not a basis")
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "games", games)
+        super().__init__(space, games)
 
     @classmethod
     def _unchecked(cls, space: OutcomeSpace, games: Sequence[Game]) -> ConeBasis:
         """The games as declared, a proportional pair included: ls-price
         hands a game file's games to least_squares_prices, which reduces them."""
         basis = object.__new__(cls)
-        object.__setattr__(basis, "space", space)
-        object.__setattr__(basis, "games", tuple(games))
+        _Record.__init__(basis, space, tuple(games))
         return basis
 
     @property
@@ -310,8 +374,7 @@ class ConeBasis:
         return np.column_stack([g.payoffs for g in self.games])
 
 
-@dataclass(frozen=True)
-class SeriesGame:
+class SeriesGame(_Record):
     """Countable-support game given by a term rule j -> (payoff_j, prob_j).
 
     tail_exponent is the nu > 0 for which sum prob_j * max(payoff_j,1)^nu is
@@ -421,8 +484,7 @@ def combine(basis: ConeBasis, k: Sequence[float]) -> Game:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GameFile:
+class GameFile(_Record):
     space: OutcomeSpace
     games: dict[str, Game]
     rate: Rate | None

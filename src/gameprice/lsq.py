@@ -37,10 +37,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from functools import cached_property
 from operator import mul, sub
-from typing import TYPE_CHECKING, Callable, Literal, Optional, Sequence
 
 from .core import (
     BasisError,
@@ -57,12 +55,18 @@ from .core import (
     _float_tuple,
     _frozen_array,
     _payoff_rows,
+    _Record,
     is_fair_coin,
 )
 from .pricer import KappaContext, _price_fair, _price_numeric
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
+    from typing import Callable, Literal, Optional, Sequence
+
     import numpy as np
+
+    Termination = Literal["constant_mix", "linear", "newton", "stalled"]
 
 DEFAULT_L_TOL = 1e-9
 
@@ -79,11 +83,8 @@ _ORACLE_MAX_ITER = 500
 _EPS = sys.float_info.epsilon
 
 
-Termination = Literal["constant_mix", "linear", "newton", "stalled"]
 
-
-@dataclass(frozen=True)
-class LsSolution:
+class LsSolution(_Record):
     """Min-norm coordinates, the prices they induce, and a tightness witness.
 
     The vectors run over the declared games; basis holds the indices of the

@@ -10,9 +10,6 @@ through least-squares prices of the basis {put, call, stock-minus-call}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
 from .core import (
     ConeBasis,
     Game,
@@ -21,6 +18,7 @@ from .core import (
     PricingError,
     Rate,
     _check_aligned,
+    _Record,
     expectation,
     fair_coin,
     variance,
@@ -28,9 +26,12 @@ from .core import (
 from .lsq import LsSolution, _LsqProblem, least_squares_prices
 from .pricer import price_general
 
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Optional
 
-@dataclass(frozen=True)
-class FundComparison:
+
+class FundComparison(_Record):
     """One-fund weight vs the price-maximizing weight for two coin games."""
 
     w_onefund: float
@@ -158,8 +159,7 @@ def compare_mean_variance(x: Game, y: Game, rate: Rate) -> FundComparison:
     )
 
 
-@dataclass(frozen=True)
-class ParityReport:
+class ParityReport(_Record):
     """Least-squares prices of {put, call, stock-minus-call} and the parity gap."""
 
     strike: float

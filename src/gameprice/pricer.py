@@ -22,9 +22,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
-from typing import Literal, Sequence
-
 from .core import (
     Game,
     InvariantViolation,
@@ -35,13 +32,18 @@ from .core import (
     SeriesGame,
     TruncationError,
     _check_aligned,
+    _Record,
     is_fair_coin,
 )
 
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Literal, Sequence
+
+    Regime = Literal["full_investment", "interior"]
+
 REGIME_FULL = "full_investment"
 REGIME_INTERIOR = "interior"
-
-Regime = Literal["full_investment", "interior"]
 
 # bisection on the proportion t in optimal_proportion
 T_TOL = 1e-12
@@ -55,8 +57,7 @@ _LOG_TINY = math.log(sys.float_info.min)
 _LOG_HUGE = math.log(sys.float_info.max)
 
 
-@dataclass(frozen=True)
-class PriceResult:
+class PriceResult(_Record):
     """Price, optimal proportion, regime flag and the growth attained there.
 
     regime is full_investment exactly when proportion == 1; achieved_growth
@@ -69,8 +70,7 @@ class PriceResult:
     achieved_growth: float
 
 
-@dataclass(frozen=True)
-class KappaContext:
+class KappaContext(_Record):
     """Interior-regime mixing coefficient kappa = (1 - sqrt(1 - 1/g^2)) / 2."""
 
     kappa: float

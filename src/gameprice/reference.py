@@ -9,21 +9,22 @@ paper-examples command renders these rows; ids are filterable by substring
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cache
-from typing import Callable, Optional
 
-from .core import ConeBasis, Game, Rate, _dot, fair_coin, mix_game, st_petersburg
+from .core import ConeBasis, Game, Rate, _dot, _Record, fair_coin, mix_game, st_petersburg
 from .lsq import least_squares_prices
 from .portfolio import compare_mean_variance, put_call_parity
 from .pricer import KappaContext, price_general, price_series
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Callable, Optional
 
 R_CONT = Rate(0.05, "continuous")
 R_SIMPLE = Rate(0.02, "simple")
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(_Record):
     check_id: str
     description: str
     expected: str

@@ -17,11 +17,12 @@ accumulation, exact fsum aggregation).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
-
-from .core import Game, InvariantViolation, OutcomeSpace, _check_aligned
+from .core import Game, InvariantViolation, OutcomeSpace, _check_aligned, _Record
 from .pricer import max_proportion
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Callable, Sequence
 
 _MASK32 = 0xFFFFFFFF
 _MASK64 = (1 << 64) - 1
@@ -250,8 +251,7 @@ def _path_counts(space: OutcomeSpace, attempts: int, seed: int, path: int) -> li
     return _multinomial(_pcg64_doubles(seed, path), attempts, space.prob_tuple)
 
 
-@dataclass(frozen=True)
-class SimConfig:
+class SimConfig(_Record):
     attempts: int
     paths: int
     seed: int
@@ -273,8 +273,7 @@ class SimConfig:
             raise InvariantViolation("seed must be a nonnegative integer")
 
 
-@dataclass(frozen=True)
-class SimReport:
+class SimReport(_Record):
     mean_growth: float
     var_growth: float
     ci_halfwidth: float
@@ -289,8 +288,7 @@ class SimReport:
         }
 
 
-@dataclass(frozen=True)
-class SweepPoint:
+class SweepPoint(_Record):
     proportion: float
     mean_growth: float
     var_growth: float

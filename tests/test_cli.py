@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import os
@@ -210,7 +209,7 @@ def _out_of_tolerance(solver):
     """solver, with its result's max_violation pushed far past any tol_L."""
 
     def wrapped(*args, **kwargs):
-        return dataclasses.replace(solver(*args, **kwargs), max_violation=1e-3)
+        return solver(*args, **kwargs).replace(max_violation=1e-3)
 
     return wrapped
 

@@ -6,6 +6,8 @@ import sys
 import textwrap
 from pathlib import Path
 
+import pytest
+
 import gameprice
 import gameprice.lsq
 
@@ -50,3 +52,43 @@ def test_plain_import_loads_no_numpy_and_resolves_submodules():
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines() == ["False", "False", "False"]
+
+
+_COMMANDS = (
+    ["price", "sample_games/intro.json", "--game", "A"],
+    ["ls-price", "sample_games/intro.json"],
+    ["parity", "sample_games/stock3.json", "--strike", "9"],
+    ["compare-mv", "sample_games/remark35.json"],
+    ["paper-examples"],
+    ["simulate", "sample_games/remark35.json", "--game", "X"],
+    ["sweep", "sample_games/remark35.json", "--game", "S"],
+)
+
+
+@pytest.mark.parametrize("flags, absent", [
+    ((), ("dataclasses", "inspect")),
+    # without site, whose .pth hooks may load typing themselves
+    (("-S",), ("dataclasses", "inspect", "typing")),
+])
+def test_import_and_every_command_leave_heavy_stdlib_modules_unloaded(flags, absent):
+    script = textwrap.dedent(f"""
+        import contextlib, io, sys
+        sys.path.insert(0, {str(ROOT / "src")!r})
+        absent = {absent!r}
+        def loaded():
+            return [name for name in absent if name in sys.modules]
+        import gameprice
+        print("import gameprice", loaded())
+        import gameprice.cli
+        print("import gameprice.cli", loaded())
+        for argv in {[list(a) for a in _COMMANDS]!r}:
+            with contextlib.redirect_stdout(io.StringIO()):
+                rc = gameprice.cli.main(argv)
+            print(argv[0], rc, loaded())
+    """)
+    done = subprocess.run([sys.executable, *flags, "-c", script], cwd=ROOT,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == (
+        ["import gameprice []", "import gameprice.cli []"]
+        + [f"{argv[0]} 0 []" for argv in _COMMANDS])

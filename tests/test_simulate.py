@@ -1,6 +1,5 @@
 import math
 import random
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -210,7 +209,7 @@ class TestSweep:
         t_hi = 1.0 if math.isinf(t_cap) else min(1.0, t_cap * (1.0 - 1e-9))
         assert [r.proportion for r in rows] == np.linspace(0.0, t_hi, grid).tolist()
         for r in rows:
-            rep = simulate_growth(game, COIN, replace(cfg, proportion=r.proportion))
+            rep = simulate_growth(game, COIN, cfg.replace(proportion=r.proportion))
             assert (r.mean_growth, r.var_growth, r.ci_halfwidth, r.failed_paths) == (
                 rep.mean_growth, rep.var_growth, rep.ci_halfwidth, rep.failed_paths)
 
