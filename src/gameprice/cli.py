@@ -134,8 +134,7 @@ def cmd_ls_price(args) -> int:
 
     gf = load_game_file(args.input)
     rate = _resolve_rate(gf, args)
-    # the solver reduces the games, a proportional pair included
-    basis = ConeBasis._unchecked(gf.space, gf.games.values())
+    basis = ConeBasis(gf.space, gf.games.values())
     sol = lsq.least_squares_prices(basis, rate, tol_L=args.tol_ls)
     fp = args.full_precision
     rows = list(zip(gf.games, sol.standalone_tuple, sol.price_tuple, sol.x_tuple))

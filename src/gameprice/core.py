@@ -45,7 +45,7 @@ class LogDomainViolation(PricingError, ValueError):
 
 
 class BasisError(PricingError, ValueError):
-    """A game set does not form (or reduce to) a valid cone basis."""
+    """An empty game set, or a game outside the cone of a basis."""
 
 
 class TruncationError(PricingError, RuntimeError):
@@ -319,25 +319,13 @@ def _check_aligned(game: Game, space: OutcomeSpace) -> None:
         )
 
 
-def _ray_residual(a: Sequence[float], b: Sequence[float]) -> float:
-    """Distance from b to the ray through a, over b's largest payoff.
-
-    The 2-norm of b minus its projection on a, which for nonnegative games is
-    the nonnegative least-squares fit reduce_to_basis tests; scaling both
-    games leaves it unchanged.
-    """
-    k = _dot(a, b) / _dot(a, a)
-    r = [bi - k * ai for ai, bi in zip(a, b)]
-    return math.sqrt(_dot(r, r)) / max(map(abs, b))
-
-
 class ConeBasis(_Record):
-    """Ordered basis games over one shared outcome space.
+    """Ordered games over one shared outcome space: a nonempty set, each game
+    of the space's length.
 
-    For n = 2 the basis property (neither game a nonnegative multiple of the
-    other) is checked by the relative residual reduce_to_basis applies: the
-    pair is proportional when either game lies within 1e-9 of the other's
-    ray. For n > 2 it is declared by the caller.
+    The games may span their cone redundantly, a proportional pair included:
+    which of them are extreme rays is reduce_to_basis's verdict alone, and
+    least_squares_prices solves on those.
     """
 
     space: OutcomeSpace
@@ -349,19 +337,7 @@ class ConeBasis(_Record):
             raise BasisError("a basis needs at least one game")
         for g in games:
             _check_aligned(g, space)
-        if len(games) == 2:
-            a, b = games[0].payoff_tuple, games[1].payoff_tuple
-            if min(_ray_residual(a, b), _ray_residual(b, a)) <= 1e-9:
-                raise BasisError("the two games are proportional: not a basis")
         super().__init__(space, games)
-
-    @classmethod
-    def _unchecked(cls, space: OutcomeSpace, games: Sequence[Game]) -> ConeBasis:
-        """The games as declared, a proportional pair included: ls-price
-        hands a game file's games to least_squares_prices, which reduces them."""
-        basis = object.__new__(cls)
-        _Record.__init__(basis, space, tuple(games))
-        return basis
 
     @property
     def n(self) -> int:

@@ -49,7 +49,6 @@ from .core import (
     OutcomeSpace,
     PricingError,
     Rate,
-    _check_aligned,
     _cone_coefficients,
     _dot,
     _float_tuple,
@@ -161,8 +160,7 @@ class _LsqProblem:
         self._fair = is_fair_coin(self.space)
         self._kappa = KappaContext.from_rate(rate).kappa
         self.n = basis.n
-        self.u_tuple = tuple(self.price_full(list(col))[0] for col in self._cols)
-        self.c_tuple = tuple(_dot(self._probs_list, col) / self.g for col in self._cols)
+        self.u_tuple, self.c_tuple = map(tuple, zip(*map(self.standalone, self._cols)))
         self.d_tuple = tuple(max(ci - ui, 0.0)
                              for ci, ui in zip(self.c_tuple, self.u_tuple))
         self.scale = max(self.c_tuple)
@@ -174,6 +172,10 @@ class _LsqProblem:
     @cached_property
     def d(self) -> np.ndarray:
         return _frozen_array(self.d_tuple)
+
+    def standalone(self, col: Sequence[float]) -> tuple[float, float]:
+        """(u, c) of a game's payoffs: its stand-alone price and ceiling E/g."""
+        return self.price_full(list(col))[0], _dot(self._probs_list, col) / self.g
 
     def price_full(self, payoffs: list[float]) -> tuple[float, float]:
         """(price, proportion) of an arbitrary payoff list on the space."""
@@ -784,7 +786,7 @@ def least_squares_prices(
     LsSolution.termination records which exit was taken.
     """
     games = basis.games
-    keep, coords = _reduce_to_basis(games, basis.space)
+    keep, coords = _reduce_to_basis(games)
     dropped = len(keep) < len(games)
     seeds = []
     for p in (seed_mixes if seed_mixes is not None else ()):
@@ -805,10 +807,12 @@ def least_squares_prices(
         prices, u, c = prob.adjusted_prices(x), prob.u_tuple, prob.c_tuple
         norm = _dot(x, x)
         if dropped:  # by linearity; a constant mix pins every game at its ceiling
-            full = _LsqProblem(basis, rate)
-            u, c, prices = full.u_tuple, full.c_tuple, [_dot(k, prices) for k in coords]
-            x_all = [0.0 if dj <= 0.0 else 1.0 if termination == "constant_mix"
-                     else (pj - uj) / dj for pj, uj, dj in zip(prices, u, full.d_tuple)]
+            kept = dict(zip(keep, zip(u, c)))
+            u, c = zip(*(kept[j] if j in kept else prob.standalone(g.payoff_tuple)
+                         for j, g in enumerate(games)))
+            prices = [_dot(k, prices) for k in coords]
+            x_all = [0.0 if cj - uj <= 0.0 else 1.0 if termination == "constant_mix"
+                     else (pj - uj) / (cj - uj) for pj, uj, cj in zip(prices, u, c)]
             p_all = [0.0] * len(games)
             for r, i in enumerate(keep):
                 x_all[i], p_all[i] = x[r], pstar[r]
@@ -1004,16 +1008,10 @@ def _unit_qr(cols: Sequence[Sequence[float]]) -> Optional[tuple]:
     return reflectors, R, norms, inv2, 100.0 * _EPS * m * n * math.sqrt(sum(inv2))
 
 
-def _reduce_to_basis(
-    games: Sequence[Game], space: OutcomeSpace
-) -> tuple[list[int], list[list[float]]]:
-    """reduce_to_basis as lists, with the kept indices. A game farther than
-    1e-9 of its largest payoff from the others' span, beyond _unit_qr's
-    rounding, is kept without the cone test's NNLS."""
-    if not games:
-        raise BasisError("need at least one game")
-    for g in games:
-        _check_aligned(g, space)
+def _reduce_to_basis(games: Sequence[Game]) -> tuple[list[int], list[list[float]]]:
+    """reduce_to_basis as lists, with the kept indices, on the games of a
+    ConeBasis. A game farther than 1e-9 of its largest payoff from the others'
+    span, beyond _unit_qr's rounding, is kept without the cone test's NNLS."""
     cols = [g.payoff_tuple for g in games]
     qr = _unit_qr(cols)
     far = [False] * len(cols) if qr is None else [
@@ -1040,9 +1038,11 @@ def reduce_to_basis(
     cone_coordinates), so the cone never changes and no kept game lies in
     the cone of the others. The kept games form the basis in input order;
     row i of the coordinates, a read-only float64 array, represents
-    games[i] in it: a unit vector for a kept game.
+    games[i] in it: a unit vector for a kept game. The games must make a
+    ConeBasis on the space: a nonempty set, each of the space's length.
     """
-    keep, coords = _reduce_to_basis(games, space)
+    games = ConeBasis(space, games).games
+    keep, coords = _reduce_to_basis(games)
     return ConeBasis(space, [games[i] for i in keep]), _frozen_array(coords)
 
 

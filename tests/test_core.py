@@ -23,6 +23,7 @@ from gameprice import (
     fair_coin,
     geometric_mean,
     harmonic_mean,
+    least_squares_prices,
     mix_game,
     optimal_proportion,
     parse_game_file,
@@ -205,15 +206,22 @@ class TestMixAndBasis:
             Mix([1.5, -0.5])
 
     def test_proportional_pair_is_not_a_basis(self):
-        with pytest.raises(BasisError):
-            ConeBasis(COIN, [Game([2, 2]), Game([5, 5])])
+        # ConeBasis takes the pair; the reduction keeps one game, and the
+        # solve prices the other by linearity
+        b = ConeBasis(COIN, [Game([2, 2]), Game([5, 5])])
+        assert reduce_to_basis(b.games, COIN)[0].n == 1
+        sol = least_squares_prices(b, Rate(0.05))
+        assert sol.basis == (0,)
+        assert sol.price_tuple[1] == pytest.approx(2.5 * sol.price_tuple[0], rel=1e-14)
+        # only an empty set is no ConeBasis, for the reduction too
+        for make in (ConeBasis, lambda space, games: reduce_to_basis(games, space)):
+            with pytest.raises(BasisError):
+                make(COIN, [])
 
     def test_pair_far_apart_in_scale_is_a_basis(self):
         # B lies 3.5e-9 of its size off A's ray: reduce_to_basis keeps both
-        b = ConeBasis(COIN, [Game([1, 1]), Game([10000, 10000.00005])])
-        assert b.n == 2
-        with pytest.raises(BasisError):
-            ConeBasis(COIN, [Game([1, 1]), Game([10000, 10000.000005])])
+        assert reduce_to_basis([Game([1, 1]), Game([10000, 10000.00005])], COIN)[0].n == 2
+        assert reduce_to_basis([Game([1, 1]), Game([10000, 10000.000005])], COIN)[0].n == 1
 
     def test_pair_verdict_is_scale_invariant(self):
         rng = np.random.default_rng(8)
@@ -227,13 +235,8 @@ class TestMixAndBasis:
             if off == 1.0:
                 b = rng.uniform(0.5, 20.0, m)
             space = OutcomeSpace(np.full(m, 1.0 / m))
-            verdict = set()
-            for k in range(-6, 7):
-                try:
-                    ConeBasis(space, [Game(a * 10.0**k), Game(b * 10.0**k)])
-                    verdict.add(True)
-                except BasisError:
-                    verdict.add(False)
+            verdict = {reduce_to_basis([Game(a * 10.0**k), Game(b * 10.0**k)], space)[0].n == 2
+                       for k in range(-6, 7)}
             assert len(verdict) == 1, (a, b)
             verdicts.append(verdict.pop())
         assert verdicts.count(True) >= 50 and verdicts.count(False) >= 50

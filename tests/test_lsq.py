@@ -158,8 +158,7 @@ class TestOneBasisRule:
     def test_declared_prices_are_reduced_prices_by_linearity(self):
         solved = 0
         for games, space in _redundant_sets():
-            # ls-price's path: a proportional pair is no ConeBasis
-            sol = least_squares_prices(ConeBasis._unchecked(space, games), R05)
+            sol = least_squares_prices(ConeBasis(space, games), R05)
             b, coords = reduce_to_basis(games, space)
             ref = least_squares_prices(b, R05)
             assert [games[i] for i in sol.basis] == list(b.games)
@@ -189,6 +188,26 @@ class TestOneBasisRule:
         assert doc["prices"][1] == pytest.approx(2.0 * doc["prices"][0], rel=1e-12)
         assert doc["x"][1] == pytest.approx(doc["x"][0], abs=1e-12)
 
+    @pytest.mark.parametrize("probs, a, k, end", [
+        # a constant game pins both prices at their ceilings
+        ([0.5, 0.5], [2, 2], 2.5, "constant_mix"),
+        ([0.2, 0.3, 0.5], [1, 2, 3], 2.0, "linear"),
+    ], ids=["coin", "three_outcomes"])
+    def test_a_proportional_pair_is_priced_as_by_ls_price(self, capsys, tmp_path,
+                                                          probs, a, k, end):
+        from gameprice.cli import main
+
+        b = [a, [k * v for v in a]]
+        sol = least_squares_prices(ConeBasis(OutcomeSpace(probs), [Game(g) for g in b]), R05)
+        assert sol.basis == (0,) and sol.termination == end
+        assert sol.max_violation <= 1e-12
+        assert sol.price_tuple[1] == pytest.approx(k * sol.price_tuple[0], rel=1e-14)
+        path = tmp_path / "pair.json"
+        path.write_text(json.dumps({"probabilities": probs, "games": {"A": b[0], "B": b[1]},
+                                    "rate": {"value": 0.05}}))
+        assert main(["ls-price", str(path), "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["prices"] == list(sol.price_tuple)
+
     @staticmethod
     def _near_proportional_sets():
         space = OutcomeSpace([0.2, 0.3, 0.5])
@@ -212,11 +231,11 @@ class TestOneBasisRule:
         cone_fit = gameprice.lsq._cone_fit
         monkeypatch.setattr(gameprice.lsq, "_cone_fit",
                             lambda *a: fits.append(a) or cone_fit(*a))
-        fast = [gameprice.lsq._reduce_to_basis(g, s) for g, s in sets]
+        fast = [gameprice.lsq._reduce_to_basis(g) for g, _ in sets]
         fast_fits = len(fits)
         _nnls_only(monkeypatch)
-        for (games, space), (keep, coords) in zip(sets, fast):
-            assert gameprice.lsq._reduce_to_basis(games, space) == (keep, coords), games
+        for (games, _), (keep, coords) in zip(sets, fast):
+            assert gameprice.lsq._reduce_to_basis(games) == (keep, coords), games
         # a fit is skipped for each game of a full-rank set that is farther
         # than 1e-9 from the others' span: the 3.3e-7 set and most pairs from
         # 1.1e-9 up; a set with a planted redundant game takes every fit
@@ -607,10 +626,14 @@ def _stress_basis(rng, wide=False):
     M[rng.integers(m, size=int(empty.sum())), np.flatnonzero(empty)] = rng.uniform(
         0.5, 20.0, int(empty.sum()))
     space = OutcomeSpace(rng.dirichlet(np.ones(m)).tolist())
-    if not wide:
-        return ConeBasis(space, [Game(c) for c in M.T]), Rate(float(rng.uniform(0.005, 0.10)))
-    conv = "simple" if rng.random() < 0.5 else "continuous"
     basis = ConeBasis(space, [Game(c) for c in M.T])
+    conv = "simple" if wide and rng.random() < 0.5 else "continuous"
+    if n == 2 and reduce_to_basis(basis.games, space)[0].n == 1:
+        # a proportional pair draws no rate, so the draws after it stay as
+        # they were when ConeBasis rejected such a pair
+        return basis, Rate(0.05)
+    if not wide:
+        return basis, Rate(float(rng.uniform(0.005, 0.10)))
     return basis, Rate(float(10.0 ** rng.uniform(-4.0, -1.0)), conv)
 
 
@@ -618,10 +641,7 @@ def _stress_draw(seed, index, wide=False):
     """Draw number index of the stress sequence seeded with seed."""
     rng = np.random.default_rng(seed)
     for _ in range(index):
-        try:
-            _stress_basis(rng, wide)
-        except BasisError:  # a proportional pair
-            pass
+        _stress_basis(rng, wide)
     return _stress_basis(rng, wide)
 
 
@@ -702,10 +722,7 @@ class TestPolishHandOff:
         rng = np.random.default_rng(2024)
         compared = 0
         for _ in range(120):
-            try:
-                b, rate = _stress_basis(rng)
-            except BasisError:  # a proportional pair
-                continue
+            b, rate = _stress_basis(rng)
             if check_constant_mix(b) is not None:
                 continue
             try:  # on the games the solver keeps: draw 13 has one in the cone
@@ -722,15 +739,13 @@ class TestPolishHandOff:
         rng = np.random.default_rng(7)
         compared = 0
         for _ in range(200):
-            try:
-                b, rate = _stress_basis(rng)
-            except BasisError:  # a proportional pair
-                continue
+            b, rate = _stress_basis(rng)
             sol = least_squares_prices(b, rate)
-            free = np.flatnonzero((sol.x > 0.0) & (sol.x < 1.0))
-            if free.size != 1:
+            # a dropped game's x comes from linearity, not from the solver
+            free = [i for i in sol.basis if 0.0 < sol.x[i] < 1.0]
+            if len(free) != 1:
                 continue
-            i = int(free[0])
+            i = free[0]
             assert sol.termination == "newton", (b, rate)
             ref = _bisection_coordinate(_LsqProblem(b, rate), sol.x, i)
             assert abs(sol.x[i] - ref) <= 1e-8, (b, rate, sol.x, ref)
@@ -829,10 +844,7 @@ class TestDualSolve:
         rng = np.random.default_rng(seed)
         solved = 0
         for index in range(400):
-            try:
-                b, rate = _stress_basis(rng, wide)
-            except BasisError:  # a proportional pair
-                continue
+            b, rate = _stress_basis(rng, wide)
             sol = least_squares_prices(b, rate)
             assert sol.termination in ("constant_mix", "linear", "newton"), index
             assert sol.max_violation <= 1e-12, (index, sol.max_violation)
@@ -1017,11 +1029,7 @@ def _random_full_rank_basis(rng, kind):
             M *= 10.0 ** rng.uniform(-4.0, 4.0, (1, n) if rng.random() < 0.5 else (m, n))
         if np.any(M.max(axis=0) <= 0.0) or np.linalg.matrix_rank(M) < n:
             continue
-        try:  # a pair within 1e-9 relative of proportional is not a basis
-            b = ConeBasis(OutcomeSpace(np.full(m, 1.0 / m)), [Game(c) for c in M.T])
-        except BasisError:
-            continue
-        return b, M
+        return ConeBasis(OutcomeSpace(np.full(m, 1.0 / m)), [Game(c) for c in M.T]), M
 
 
 def _cone_targets(rng, M):
@@ -1326,10 +1334,7 @@ class TestMinNormSubproblem:
             M = rng.uniform(0.5, 20.0, (m, 2))
             off = 10.0 ** rng.uniform(-9.0, -6.0)
             M[:, 1] = M[:, 0] * rng.uniform(0.5, 2.0) * (1.0 + off * rng.uniform(-1, 1, m))
-            try:
-                b = ConeBasis(OutcomeSpace(np.full(m, 1.0 / m)), [Game(c) for c in M.T])
-            except BasisError:
-                continue
+            b = ConeBasis(OutcomeSpace(np.full(m, 1.0 / m)), [Game(c) for c in M.T])
             for k in ([1.0, 0.0], [0.0, 1.0], rng.uniform(0.1, 2.0, 2)):
                 target = M @ np.asarray(k)
                 assert in_cone(b, Game(target)), (M, k)
