@@ -15,7 +15,8 @@ its growth certifies, and a step that leaves the bracket is replaced by a
 bisection step, geometric while the bracket spans more than a factor 4.
 With a zero payoff gm = 0, and the lower end is a certified floor from the
 single-outcome sub-games (_zero_payoff_floor), which can lie tens of
-orders of magnitude below E/g.
+orders of magnitude below E/g. optimal_proportion solves the second
+equation alone at a given u, by safeguarded Newton in t on the same pass.
 """
 
 from __future__ import annotations
@@ -45,10 +46,9 @@ if TYPE_CHECKING:
 REGIME_FULL = "full_investment"
 REGIME_INTERIOR = "interior"
 
-# bisection on the proportion t in optimal_proportion
-T_TOL = 1e-12
 # price solve, relative
 U_REL_TOL = 1e-12
+# iteration cap of the price solve and of optimal_proportion
 MAX_PRICE_ITER = 200
 # iterations after which every step of the price solve is a bisection step
 NEWTON_ITER = 40
@@ -88,11 +88,16 @@ class KappaContext(_Record):
         return cls(q / (2.0 * (1.0 + math.sqrt(1.0 - q))))
 
 
+def _check_price(u: float) -> None:
+    if not 0.0 < u < math.inf:
+        raise InvariantViolation(f"price must be finite and > 0, got {u!r}")
+
+
 def max_proportion(game: Game, u: float) -> float:
     """Largest t keeping every log argument positive (may be +inf)."""
-    if u <= 0:
-        raise InvariantViolation("price must be > 0")
-    return _tmax_raw(game.payoff_tuple, u)
+    _check_price(u)
+    a_min = min(game.payoff_tuple)
+    return math.inf if a_min >= u else u / (u - a_min)
 
 
 # -- raw helpers on plain sequences (hot loops; numpy overhead dominates at m <= 8)
@@ -110,52 +115,13 @@ def _elg(pay: Sequence[float], pr: Sequence[float], u: float, t: float) -> float
     return total
 
 
-def _dgrowth(pay, pr, u, t):
-    # d/dt E[log(...)] = sum p*(a-u)/(u + t*(a-u)); no cancellation near a ~ u
-    total = 0.0
-    for a, p in zip(pay, pr):
-        d = a - u
-        total += p * d / (u + t * d)
-    return total
-
-
-def _tmax_raw(pay, u):
-    a_min = min(pay)
-    if a_min >= u:
-        return math.inf
-    return u / (u - a_min)
-
-
-def _opt_t(pay, pr, u, t_tol=T_TOL):
-    """Maximize expected log growth over feasible t; returns (t*, value)."""
-    if _dgrowth(pay, pr, u, 0.0) <= 0.0:
-        return 0.0, 0.0
-    tmax = _tmax_raw(pay, u)
-    if tmax > 1.0:
-        if _dgrowth(pay, pr, u, 1.0) >= 0.0:
-            return 1.0, _elg(pay, pr, u, 1.0)
-        hi = 1.0
-    else:
-        hi = tmax * (1.0 - 1e-12)
-    lo = 0.0
-    while hi - lo > t_tol:
-        mid = 0.5 * (lo + hi)
-        if _dgrowth(pay, pr, u, mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    t = 0.5 * (lo + hi)
-    return t, _elg(pay, pr, u, t)
-
-
 def expected_log_growth(
     game: Game, space: OutcomeSpace, u: float, t: float
 ) -> float:
     """E[log(a_j * t/u - t + 1)] for stake proportion t at price u."""
-    if u <= 0:
-        raise InvariantViolation("price must be > 0")
-    if t < 0:
-        raise InvariantViolation("proportion must be >= 0")
+    _check_price(u)
+    if not 0.0 <= t < math.inf:
+        raise InvariantViolation(f"proportion must be finite and >= 0, got {t!r}")
     _check_aligned(game, space)
     return _elg(game.payoff_tuple, space.prob_tuple, u, t)
 
@@ -165,13 +131,43 @@ def optimal_proportion(
 ) -> tuple[float, float]:
     """Maximizer t* of expected log growth over [0, min(1, t_max)) and its value.
 
-    Returns (0.0, 0.0) when the game is worthless at price u (u >= expectation):
-    the derivative at t = 0 is (E - u)/u <= 0 and the optimum sits at zero stake.
+    Returns (0.0, 0.0) when u >= E, where the derivative at t = 0 is <= 0, and
+    (1.0, growth at 1) when every payoff is positive (t_max > 1) and the
+    derivative at 1 is >= 0. Otherwise t* is the root in the open bracket
+    (0, 1) of the price solve's first-order condition E[(a - u)/(u + t(a - u))]
+    = 0, found by Newton in t; the condition decreases in t, so each iterate
+    narrows the bracket, and a step leaving it is replaced by the midpoint.
+    A zero payoff makes t_max = 1, which is never evaluated. Raises
+    InvariantViolation unless u is finite and > 0.
     """
-    if u <= 0:
-        raise InvariantViolation("price must be > 0")
+    _check_price(u)
     _check_aligned(game, space)
-    return _opt_t(game.payoff_tuple, space.prob_tuple, u)
+    pay, pr = game.payoff_tuple, space.prob_tuple
+    _, f, _, _, ft = _growth_system(pay, pr, u, 0.0)
+    if f <= 0.0:
+        return 0.0, 0.0
+    if min(pay) > 0.0 and _growth_system(pay, pr, u, 1.0)[1] >= 0.0:
+        return 1.0, _elg(pay, pr, u, 1.0)
+    lo, hi, tol = 0.0, 1.0, 4.0 * sys.float_info.epsilon
+    t = -f / ft  # the Newton step from 0: u (E - u) / E[(a - u)^2]
+    for _ in range(MAX_PRICE_ITER):
+        if not lo < t < hi:
+            t = 0.5 * (lo + hi)
+        _, f, _, _, ft = _growth_system(pay, pr, u, t)
+        if f > 0.0:
+            lo = t
+        else:
+            hi = t
+        step = -f / ft
+        # stop before the safeguard: a sub-ulp step can round onto the
+        # bracket's end, and its midpoint would restart as bisection
+        if abs(step) <= tol * t or hi - lo <= tol * hi:
+            return t, _elg(pay, pr, u, t)
+        t += step
+    raise PricingError(
+        f"internal error: optimal proportion did not converge in "
+        f"{MAX_PRICE_ITER} iterations (bracket [{lo!r}, {hi!r}], price {u!r})"
+    )
 
 
 def _price_fair(a: float, b: float, g: float, kappa: float) -> tuple[float, float]:

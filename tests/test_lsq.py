@@ -208,6 +208,19 @@ class TestOneBasisRule:
         assert main(["ls-price", str(path), "--format", "json"]) == 0
         assert json.loads(capsys.readouterr().out)["prices"] == list(sol.price_tuple)
 
+    def test_a_dropped_game_sits_within_rounding_of_its_standalone_price(self):
+        # B = 2 A is priced at 2 x A's price, 1 ulp below B's own stand-alone
+        # price (4.081865934334524 against ...525), so x_B = -3.0e-15
+        space, rate = OutcomeSpace([0.2, 0.3, 0.5]), R05
+        games = [Game([1, 2, 3]), Game([2, 4, 6])]
+        sol = least_squares_prices(ConeBasis(space, games), rate)
+        alone = price_general(games[1], space, rate).price
+        assert sol.basis == (0,)
+        assert sol.price_tuple[1] >= alone * (1.0 - 4.0 * sys.float_info.epsilon)
+        # the docstring's bound on a dropped game's x: tol_L u / d plus the cone
+        # test's 1e-9, here 1e-9 x 4.0819 / 0.29379 + 1e-9 = 1.49e-8
+        assert -1.49e-8 <= sol.x_tuple[1] <= 1.0 + 1.49e-8
+
     @staticmethod
     def _near_proportional_sets():
         space = OutcomeSpace([0.2, 0.3, 0.5])

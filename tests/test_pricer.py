@@ -1,5 +1,6 @@
 import contextlib
 import math
+import random
 import signal
 
 import numpy as np
@@ -33,7 +34,7 @@ from gameprice import (
 )
 from gameprice import pricer
 from gameprice.core import PricingError
-from gameprice.pricer import REGIME_FULL, REGIME_INTERIOR, _opt_t, _price_numeric
+from gameprice.pricer import REGIME_FULL, REGIME_INTERIOR, _elg, _price_numeric
 
 R05 = Rate(0.05)
 R02S = Rate(0.02, "simple")
@@ -141,6 +142,89 @@ class TestOptimalProportion:
             t_oracle = _golden_argmax(f, 0.0, t_hi)
             if 1e-6 < t_oracle < t_hi - 1e-6:
                 assert t == pytest.approx(t_oracle, abs=1e-7)
+
+
+
+class TestOneStakeKernel:
+    """optimal_proportion solves the price solve's first-order condition."""
+
+    def test_the_proportion_at_the_price_is_the_price_solves(self):
+        # (1, 2, 3): the bisection it replaced gave 0.7622366329310353
+        game, space = Game([1, 2, 3]), OutcomeSpace([0.2, 0.3, 0.5])
+        res = price_general(game, space, R05)
+        t, growth = optimal_proportion(game, space, res.price)
+        assert t == pytest.approx(res.proportion, rel=1e-14)
+        assert t == pytest.approx(0.7622366329314658, rel=1e-14)
+        assert growth == pytest.approx(0.05, rel=1e-12)
+
+    def test_random_games_agree_with_the_price_solve(self):
+        # m = 2-7, payoffs 10^(+-3), a zero payoff in one draw of ten,
+        # continuous rates of 0.1-30%; interior draws only
+        rng = random.Random(5)
+        interior = 0
+        for _ in range(1500):
+            m = rng.randint(2, 7)
+            pay = [10.0 ** rng.uniform(-3.0, 3.0) for _ in range(m)]
+            if rng.random() < 0.1:
+                pay[rng.randrange(m)] = 0.0
+            w = [rng.uniform(0.05, 1.0) for _ in range(m)]
+            game, space = Game(pay), OutcomeSpace([v / sum(w) for v in w])
+            rate = Rate(rng.uniform(0.001, 0.3))
+            res = price_general(game, space, rate)
+            if res.regime != REGIME_INTERIOR:
+                continue
+            interior += 1
+            t, growth = optimal_proportion(game, space, res.price)
+            case = (pay, space.prob_tuple, rate)
+            assert t == pytest.approx(res.proportion, rel=1e-14), case
+            assert 0.0 < t < min(1.0, max_proportion(game, res.price)), case
+            assert growth == pytest.approx(rate.log_growth_factor(), abs=1e-12), case
+        assert interior >= 1400
+
+    @pytest.mark.parametrize("p, u", [(0.5, U_ZERO_PAYOFF), (1e-6, 0.01)],
+                             ids=["coin", "rare_zero"])
+    def test_a_zero_payoff_never_evaluates_t_max(self, monkeypatch, p, u):
+        # (0, 2) with probability p on 0: t* = 1 - 2p / (2 - u), a hair
+        # below t_max = 1 when p is small
+        game, space = Game([0, 2]), OutcomeSpace([p, 1.0 - p])
+        assert max_proportion(game, u) == 1.0
+        seen = []
+        system = pricer._growth_system
+
+        def recorded(pay, pr, u, t):
+            seen.append(t)
+            return system(pay, pr, u, t)
+
+        monkeypatch.setattr(pricer, "_growth_system", recorded)
+        t, growth = optimal_proportion(game, space, u)
+        assert 0.0 < t < 1.0 and max(seen) < 1.0
+        assert t == pytest.approx(1.0 - 2.0 * p / (2.0 - u), rel=1e-14)
+        assert growth == expected_log_growth(game, space, u, t)
+
+    def test_the_iteration_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(pricer, "MAX_PRICE_ITER", 1)
+        with pytest.raises(PricingError, match="optimal proportion"):
+            optimal_proportion(Game([1, 2, 3]), OutcomeSpace([0.2, 0.3, 0.5]), 2.1)
+
+
+class TestNonFiniteArguments:
+    GAME = Game([19, 1])
+
+    @pytest.mark.parametrize("u", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_a_price_that_is_not_finite_and_positive_is_rejected(self, u):
+        for call in (lambda: optimal_proportion(self.GAME, COIN, u),
+                     lambda: expected_log_growth(self.GAME, COIN, u, 0.5),
+                     lambda: max_proportion(self.GAME, u)):
+            with pytest.raises(InvariantViolation):
+                call()
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -1.0])
+    def test_a_proportion_that_is_not_finite_and_nonnegative_is_rejected(self, t):
+        with pytest.raises(InvariantViolation):
+            expected_log_growth(self.GAME, COIN, 5.0, t)
+        # every payoff above the price: t = inf grew without bound before
+        with pytest.raises(InvariantViolation):
+            expected_log_growth(Game([19, 10]), COIN, 5.0, t)
 
 
 class TestClosedForm:
@@ -328,6 +412,49 @@ def test_concavity_in_mix():
 # ---------------------------------------------------------------------------
 # The numeric price against the nested bisection it replaced
 # ---------------------------------------------------------------------------
+
+
+# The bisection that optimal_proportion used before it shared the price
+# solve's Newton kernel; kept here, unchanged, as an independent reference.
+T_TOL = 1e-12
+
+
+def _dgrowth(pay, pr, u, t):
+    # d/dt E[log(...)] = sum p*(a-u)/(u + t*(a-u)); no cancellation near a ~ u
+    total = 0.0
+    for a, p in zip(pay, pr):
+        d = a - u
+        total += p * d / (u + t * d)
+    return total
+
+
+def _tmax_raw(pay, u):
+    a_min = min(pay)
+    if a_min >= u:
+        return math.inf
+    return u / (u - a_min)
+
+
+def _opt_t(pay, pr, u, t_tol=T_TOL):
+    """Maximize expected log growth over feasible t; returns (t*, value)."""
+    if _dgrowth(pay, pr, u, 0.0) <= 0.0:
+        return 0.0, 0.0
+    tmax = _tmax_raw(pay, u)
+    if tmax > 1.0:
+        if _dgrowth(pay, pr, u, 1.0) >= 0.0:
+            return 1.0, _elg(pay, pr, u, 1.0)
+        hi = 1.0
+    else:
+        hi = tmax * (1.0 - 1e-12)
+    lo = 0.0
+    while hi - lo > t_tol:
+        mid = 0.5 * (lo + hi)
+        if _dgrowth(pay, pr, u, mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    t = 0.5 * (lo + hi)
+    return t, _elg(pay, pr, u, t)
 
 
 def _bisection_price(pay, pr, rate, rel_tol=1e-14):
