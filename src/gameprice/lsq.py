@@ -57,7 +57,7 @@ from .core import (
     _Record,
     is_fair_coin,
 )
-from .pricer import KappaContext, _price_fair, _price_numeric
+from .pricer import _price_fair, _price_numeric
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -158,7 +158,6 @@ class _LsqProblem:
         self._rows = _payoff_rows(basis.games)
         self.g = rate.growth_factor()
         self._fair = is_fair_coin(self.space)
-        self._kappa = KappaContext.from_rate(rate).kappa
         self.n = basis.n
         self.u_tuple, self.c_tuple = map(tuple, zip(*map(self.standalone, self._cols)))
         self.d_tuple = tuple(max(ci - ui, 0.0)
@@ -180,7 +179,7 @@ class _LsqProblem:
     def price_full(self, payoffs: list[float]) -> tuple[float, float]:
         """(price, proportion) of an arbitrary payoff list on the space."""
         if self._fair and payoffs[0] > 0.0 and payoffs[1] > 0.0:
-            return _price_fair(payoffs[0], payoffs[1], self.g, self._kappa)
+            return _price_fair(payoffs[0], payoffs[1], self.g)
         u, t, _, _ = _price_numeric(payoffs, self._probs_list, self.rate)
         return u, t
 

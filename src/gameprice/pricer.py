@@ -8,15 +8,15 @@ form; general finite games are solved from the simultaneous equations
     E[log(a_j * t/u - t + 1)] = log g        (growth at the optimum)
     E[(a_j - u) / (a_j t - u t + u)] = 0     (first-order condition in t)
 
-by Newton's method on (u, t), with the exact Jacobian from the same pass
-over the outcomes. The price bracket [gm/g, E/g] safeguards it: the growth
-is concave in t, so each iterate narrows the bracket from whichever side
-its growth certifies, and a step that leaves the bracket is replaced by a
-bisection step, geometric while the bracket spans more than a factor 4.
-With a zero payoff gm = 0, and the lower end is a certified floor from the
-single-outcome sub-games (_zero_payoff_floor), which can lie tens of
-orders of magnitude below E/g. optimal_proportion solves the second
-equation alone at a given u, by safeguarded Newton in t on the same pass.
+by two routes. Newton's method on (u, t) takes the exact Jacobian from the
+same pass over the outcomes; the growth is concave in t, so each iterate
+narrows the price bracket [gm/g, E/g] from the side its growth certifies.
+A Newton step that is not finite, leaves the log domain or the bracket, or
+comes after NEWTON_ITER steps becomes a bisection step in u (geometric while
+the bracket spans more than a factor 4) at the optimal stake t*(u), which
+optimal_proportion solves for on the same pass. With a zero payoff gm = 0,
+and the lower end is a certified floor from the single-outcome sub-games
+(_zero_payoff_floor), which can lie tens of orders of magnitude below E/g.
 """
 
 from __future__ import annotations
@@ -81,11 +81,7 @@ class KappaContext(_Record):
 
     @classmethod
     def from_rate(cls, rate: Rate) -> "KappaContext":
-        # the same value, without the cancellation that rounds kappa to 0
-        # once g > ~9.5e7
-        g = rate.growth_factor()
-        q = 1.0 / (g * g)
-        return cls(q / (2.0 * (1.0 + math.sqrt(1.0 - q))))
+        return cls(_kappa(rate.growth_factor()))
 
 
 def _check_price(u: float) -> None:
@@ -133,12 +129,10 @@ def optimal_proportion(
 
     Returns (0.0, 0.0) when u >= E, where the derivative at t = 0 is <= 0, and
     (1.0, growth at 1) when every payoff is positive (t_max > 1) and the
-    derivative at 1 is >= 0. Otherwise t* is the root in the open bracket
-    (0, 1) of the price solve's first-order condition E[(a - u)/(u + t(a - u))]
-    = 0, found by Newton in t; the condition decreases in t, so each iterate
-    narrows the bracket, and a step leaving it is replaced by the midpoint.
-    A zero payoff makes t_max = 1, which is never evaluated. Raises
-    InvariantViolation unless u is finite and > 0.
+    derivative at 1 is >= 0. Otherwise t* is the root in (0, 1) of the price
+    solve's first-order condition, by _best_stake from the Newton step from 0,
+    never evaluating t_max = 1 of a zero payoff. Raises InvariantViolation
+    unless u is finite and > 0.
     """
     _check_price(u)
     _check_aligned(game, space)
@@ -146,41 +140,34 @@ def optimal_proportion(
     _, f, _, _, ft = _growth_system(pay, pr, u, 0.0)
     if f <= 0.0:
         return 0.0, 0.0
-    if min(pay) > 0.0 and _growth_system(pay, pr, u, 1.0)[1] >= 0.0:
-        return 1.0, _elg(pay, pr, u, 1.0)
-    lo, hi, tol = 0.0, 1.0, 4.0 * sys.float_info.epsilon
-    t = -f / ft  # the Newton step from 0: u (E - u) / E[(a - u)^2]
-    for _ in range(MAX_PRICE_ITER):
-        if not lo < t < hi:
-            t = 0.5 * (lo + hi)
-        _, f, _, _, ft = _growth_system(pay, pr, u, t)
-        if f > 0.0:
-            lo = t
-        else:
-            hi = t
-        step = -f / ft
-        # stop before the safeguard: a sub-ulp step can round onto the
-        # bracket's end, and its midpoint would restart as bisection
-        if abs(step) <= tol * t or hi - lo <= tol * hi:
-            return t, _elg(pay, pr, u, t)
-        t += step
-    raise PricingError(
-        f"internal error: optimal proportion did not converge in "
-        f"{MAX_PRICE_ITER} iterations (bracket [{lo!r}, {hi!r}], price {u!r})"
-    )
+    if min(pay) > 0.0:
+        growth, f1, _, _, _ = _growth_system(pay, pr, u, 1.0)
+        if f1 >= 0.0:
+            return 1.0, growth
+    return _best_stake(pay, pr, u, -f / ft)  # -f/ft = u (E - u) / E[(a - u)^2]
 
 
-def _price_fair(a: float, b: float, g: float, kappa: float) -> tuple[float, float]:
+def _kappa(g: float) -> float:
+    # without the cancellation that rounds kappa to 0 once g > ~9.5e7
+    q = 1.0 / (g * g)
+    if q == 0.0:
+        raise InvariantViolation(f"kappa underflows at growth factor {g!r}")
+    return q / (2.0 * (1.0 + math.sqrt(1.0 - q)))
+
+
+def _price_fair(a: float, b: float, g: float) -> tuple[float, float]:
     """(price, proportion) of a fair-coin game paying a or b (both > 0).
 
     Full-investment regime when E/sqrt(ab) <= g: u = sqrt(ab)/g and t = 1.
     Otherwise u = kappa*max(a,b) + (1-kappa)*min(a,b) and
-    t = u(E-u)/((a-u)(u-b)).
+    t = u(E-u)/((a-u)(u-b)), with kappa computed only then: 1/g^2 underflows
+    at rates where payoffs less than 4 g^2 apart are in full investment.
     """
     mean = 0.5 * (a + b)
     gm = math.sqrt(a * b)
     if mean <= gm * g:
         return gm / g, 1.0
+    kappa = _kappa(g)
     u = kappa * max(a, b) + (1.0 - kappa) * min(a, b)
     return u, u * (mean - u) / ((a - u) * (u - b))
 
@@ -189,7 +176,7 @@ def price_two_outcome_fair(a: float, b: float, rate: Rate) -> PriceResult:
     """Closed-form price of a fair-coin game paying a or b (both > 0)."""
     if not (a > 0 and b > 0):
         raise InvariantViolation("closed form needs strictly positive payoffs")
-    u, t = _price_fair(a, b, rate.growth_factor(), KappaContext.from_rate(rate).kappa)
+    u, t = _price_fair(a, b, rate.growth_factor())
     if t == 1.0:
         return PriceResult(u, 1.0, REGIME_FULL, math.sqrt(a * b) / u)
     achieved = math.exp(_elg([a, b], [0.5, 0.5], u, t))
@@ -214,6 +201,34 @@ def _growth_system(pay, pr, u, t):
         s_a2 += q * a * inv
         s_d2 += q * d * d * inv
     return growth, f, -t * s_a / u, -s_a2, -s_d2
+
+
+def _best_stake(pay, pr, u, t):
+    """Root t* in (0, 1) of the first-order condition at u, by Newton from t.
+
+    The condition decreases in t, so each iterate narrows the bracket, and a
+    step leaving it is replaced by the midpoint. Returns t* and the growth
+    there, from the last _growth_system pass.
+    """
+    lo, hi, tol = 0.0, 1.0, 4.0 * sys.float_info.epsilon
+    for _ in range(MAX_PRICE_ITER):
+        if not lo < t < hi:
+            t = 0.5 * (lo + hi)
+        growth, f, _, _, ft = _growth_system(pay, pr, u, t)
+        if f > 0.0:
+            lo = t
+        else:
+            hi = t
+        step = -f / ft
+        # stop before the safeguard: a sub-ulp step can round onto the
+        # bracket's end, and its midpoint would restart as bisection
+        if abs(step) <= tol * t or hi - lo <= tol * hi:
+            return t, growth
+        t += step
+    raise PricingError(
+        f"internal error: optimal proportion did not converge in "
+        f"{MAX_PRICE_ITER} iterations (bracket [{lo!r}, {hi!r}], price {u!r})"
+    )
 
 
 def _inside(a_min, u, t):
@@ -294,7 +309,6 @@ def _price_numeric(pay, pr, rate: Rate):
         elif gap + (f * (1.0 - t) if f > 0.0 else -f * t) < 0.0:
             hi = u
         det = gu * ft - f * fu
-        bisect = True
         if det != 0.0:
             du = (f * f - gap * ft) / det
             dt = (gap * fu - f * gu) / det
@@ -302,36 +316,21 @@ def _price_numeric(pay, pr, rate: Rate):
             # units of a relative step in u
             if (abs(du) <= U_REL_TOL * u
                     and abs(dt) <= U_REL_TOL * max(1.0, u * fu / ft)):
-                u += du
-                t += dt
+                u, t = u + du, t + dt
                 return u, t, REGIME_INTERIOR, math.exp(_elg(pay, pr, u, t))
-            bisect = it >= NEWTON_ITER or not (math.isfinite(du) and math.isfinite(dt))
-        if not bisect:
-            # damped step, multiplicative in u; the caps keep exp finite and
-            # u_new > 0 unless u is near underflow, where the step bisects
-            lam = 1.0
-            for _ in range(60):
-                u_new = u * math.exp(min(max(lam * du / u, -50.0), 50.0))
-                t_new = t + lam * dt
-                if _inside(a_min, u_new, t_new):
-                    bisect = not lo < u_new < hi
-                    break
-                lam *= 0.5
-            else:
-                bisect = True
-        if bisect:
-            # bisect the bracket, with a Newton step in t alone: the best t
-            # lies in (0, 1), where every log argument is positive
-            # geometrically while the bracket spans orders of magnitude
-            u_new = math.sqrt(lo) * math.sqrt(hi) if hi > 4.0 * lo else 0.5 * (lo + hi)
-            t_new = t - f / ft
-            if not t_new > 0.0:  # also a NaN from ft = 0
-                t_new = 0.5 * min(t, 1.0)
-            elif t_new >= 1.0:
-                t_new = 0.5 * (min(t, 1.0) + 1.0)
-            while not _inside(a_min, u_new, t_new):
-                t_new *= 0.5
-        u, t = u_new, t_new
+            if it < NEWTON_ITER and math.isfinite(du) and math.isfinite(dt):
+                # multiplicative in u; the caps keep exp finite and u_new > 0
+                # unless u is near underflow, where the step bisects
+                u_new = u * math.exp(min(max(du / u, -50.0), 50.0))
+                t_new = t + dt
+                if lo < u_new < hi and _inside(a_min, u_new, t_new):
+                    u, t = u_new, t_new
+                    continue
+        # bisect the bracket, geometrically while it spans orders of
+        # magnitude, at the best stake there: the next pass's growth is then
+        # the best growth at u, so it moves one end of the bracket to u
+        u = math.sqrt(lo) * math.sqrt(hi) if hi > 4.0 * lo else 0.5 * (lo + hi)
+        t = _best_stake(pay, pr, u, t)[0]
     raise PricingError(
         f"internal error: price solve did not converge in {MAX_PRICE_ITER} "
         f"iterations (bracket [{lo!r}, {hi!r}], target growth {log_g!r})"

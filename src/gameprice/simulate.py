@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from .core import Game, InvariantViolation, OutcomeSpace, _check_aligned, _Record
-from .pricer import max_proportion
+from .pricer import _check_price, max_proportion
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -265,8 +265,7 @@ class SimConfig(_Record):
                 raise InvariantViolation(f"{name} must be an integer")
         if self.attempts < 1 or self.paths < 1:
             raise InvariantViolation("attempts and paths must be >= 1")
-        if not (self.price > 0.0):
-            raise InvariantViolation("price must be > 0")
+        _check_price(self.price)
         if not (0.0 <= self.proportion <= 1.0):
             raise InvariantViolation("proportion must lie in [0, 1]")
         if self.seed < 0:

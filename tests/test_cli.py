@@ -90,6 +90,16 @@ class TestPriceCommand:
         assert rc == 0, err
         assert "certificate mix" in out
 
+    def test_a_rate_where_one_over_g_squared_underflows(self, capsys):
+        # g = e^400: game A is in full investment, where kappa is never needed
+        intro = str(ROOT / "sample_games" / "intro.json")
+        rc, out, err = run(capsys, ["price", intro, "--game", "A", "--rate", "400"])
+        assert rc == 0, err
+        assert out.strip() == "u=8.348e-174 t=1.000 regime=full"
+        rc, out, err = run(capsys, ["ls-price", intro, "--rate", "400"])
+        assert rc == 0, err
+        assert "certificate mix" in out
+
 
 class TestExitCodes:
     def test_missing_file_is_parse_error(self, capsys, tmp_path):
@@ -173,6 +183,13 @@ class TestExitCodes:
         assert rc == 3
         assert out == ""
         assert err.count("\n") == 1 and "overflows" in err
+
+    @pytest.mark.parametrize("u", ["inf", "nan", "0"])
+    def test_simulate_at_a_price_that_is_not_finite_and_positive(self, capsys, intro, u):
+        rc, out, err = run(capsys, ["simulate", intro, "--game", "A", "--u", u])
+        assert rc == 3
+        assert out == ""
+        assert "price must be finite and > 0" in err
 
     def test_degenerate_basis_exit_code(self, capsys, tmp_path):
         path = tmp_path / "prop.json"

@@ -5,7 +5,7 @@ import signal
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gameprice import (
@@ -262,6 +262,24 @@ class TestClosedForm:
     def test_rejects_zero_payoff(self):
         with pytest.raises(InvariantViolation):
             price_two_outcome_fair(0.0, 2.0, R05)
+
+    @pytest.mark.parametrize("r", [354.0, 355.0, 400.0, 700.0])
+    def test_full_investment_where_one_over_g_squared_underflows(self, r):
+        # from r = 355, g^2 overflows and 1/g^2 is 0; (19, 1) is in full
+        # investment there, so the closed form needs no kappa
+        rate = Rate(r)
+        cf = price_two_outcome_fair(19.0, 1.0, rate)
+        nm = price_general(Game([19.0, 1.0]), COIN, rate, force_numeric=True)
+        assert cf.regime == nm.regime == REGIME_FULL
+        assert cf.price == pytest.approx(nm.price, rel=1e-12)
+        assert cf.price == pytest.approx(math.sqrt(19.0) * math.exp(-r), rel=1e-12)
+
+    def test_an_interior_game_where_kappa_underflows_is_an_invariant_violation(self):
+        # payoffs more than 4 g^2 apart stay interior; kappa is not representable
+        with pytest.raises(InvariantViolation, match="kappa"):
+            KappaContext.from_rate(Rate(400.0))
+        with pytest.raises(InvariantViolation, match="kappa"):
+            price_two_outcome_fair(1e300, 1e-300, Rate(400.0))
 
 
 class TestPriceGeneral:
@@ -637,6 +655,75 @@ class TestNewtonPrice:
                 growth, foc = _growth_and_foc_residuals(pay, pr, rate, u, t)
                 assert abs(growth) <= 1e-8 and abs(foc) <= 1e-7, (pay, pr, rate)
         assert solved >= 780 and underflowed >= 1
+
+
+# ---------------------------------------------------------------------------
+# Properties of the price solve over its edge cases
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def _price_problems(draw):
+    """(pay, pr, rate) with m = 2-8 outcomes, in one of four families: plain
+    games; a zero payoff (rates up to 30%, where the reference's bracket
+    still holds the price); payoffs from 1e-6 to 1e6; and g a relative 1e-9
+    to 1e-3 below gm/hm, just inside the interior regime. Outside the last,
+    continuous rates run from 1e-8 to 20. Every payoff list spans a factor
+    2, so t is well conditioned in u."""
+    m = draw(st.integers(2, 8))
+    family = draw(st.sampled_from(("plain", "zero_payoff", "wide", "boundary")))
+    unit = st.floats(0.0, 1.0)
+    w = [0.05 + draw(unit) for _ in range(m)]
+    pr = [v / sum(w) for v in w]
+    if family == "wide":
+        pay = [10.0 ** (12.0 * draw(unit) - 6.0) for _ in range(m)]
+        pay[0], pay[-1] = 1e-6, 1e6
+    else:
+        pay = [0.5 + 49.5 * draw(unit) for _ in range(m)]
+        pay[0], pay[-1] = 0.5, 2.0 * max(pay)
+    if family == "zero_payoff":
+        pay[draw(st.integers(0, m - 1))] = 0.0
+    if family == "boundary":
+        gm = math.exp(sum(p * math.log(a) for a, p in zip(pay, pr)))
+        hm = 1.0 / sum(p / a for a, p in zip(pay, pr))
+        r = math.log(gm / hm) + math.log1p(-(10.0 ** (6.0 * draw(unit) - 9.0)))
+        assume(r > 0.0)
+    else:
+        r_max = 0.3 if family == "zero_payoff" else 20.0
+        r = 1e-8 * (r_max / 1e-8) ** draw(unit)
+    return pay, pr, Rate(r)
+
+
+def _check_price_solve(pay, pr, rate):
+    """The numeric solve converges to the reference price within 1e-13, its
+    growth at (u, t) is log g within 1e-12, and t is optimal_proportion's."""
+    game, space = Game(pay), OutcomeSpace(pr)
+    res = price_general(game, space, rate, force_numeric=True)
+    u, t = res.price, res.proportion
+    assert u == pytest.approx(_bisection_price(pay, pr, rate)[0], rel=1e-13)
+    assert abs(expected_log_growth(game, space, u, t) - rate.log_growth_factor()) <= 1e-12
+    assert optimal_proportion(game, space, u)[0] == pytest.approx(t, abs=1e-12)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(_price_problems())
+def test_the_price_solve_meets_its_reference(problem):
+    _check_price_solve(*problem)
+
+
+def test_a_step_that_leaves_the_log_domain_bisects_at_the_best_stake(monkeypatch):
+    # (1, 100) on (0.9, 0.1) at 5%: the first Newton step leaves the log
+    # domain, which a damped step once shortened by three halvings
+    seen = []
+    best_stake = pricer._best_stake
+
+    def recorded(pay, pr, u, t):
+        seen.append(u)
+        return best_stake(pay, pr, u, t)
+
+    monkeypatch.setattr(pricer, "_best_stake", recorded)
+    _check_price_solve([1.0, 100.0], [0.9, 0.1], R05)
+    assert seen
 
 
 def _growth_and_foc_residuals(pay, pr, rate, u, t):
