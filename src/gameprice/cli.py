@@ -19,6 +19,7 @@ import json
 import sys
 
 from .core import (
+    DEFAULT_L_TOL,
     BasisError,
     ConeBasis,
     Game,
@@ -337,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("ls-price", help="least-squares prices of all games")
     common(sp)
-    sp.add_argument("--tol-ls", type=_tolerance, default=1e-9,
+    sp.add_argument("--tol-ls", type=_tolerance, default=DEFAULT_L_TOL,
                     help="stopping tolerance on the worst-case ratio")
     sp.set_defaults(func=cmd_ls_price)
 
@@ -372,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--stock", default="S", help="name of the stock game")
     sp.add_argument("--strike", type=float, required=True)
-    sp.add_argument("--tol-ls", type=_tolerance, default=1e-9)
+    sp.add_argument("--tol-ls", type=_tolerance, default=DEFAULT_L_TOL)
     sp.set_defaults(func=cmd_parity)
 
     sp = sub.add_parser("paper-examples",

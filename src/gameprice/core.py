@@ -26,6 +26,7 @@ if TYPE_CHECKING:
     Convention = Literal["continuous", "simple"]
 
 PROB_TOL = 1e-12
+DEFAULT_L_TOL = 1e-9  # least-squares prices: L(t) <= 1 + tol_L by default
 
 
 class PricingError(Exception):

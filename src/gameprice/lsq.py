@@ -41,6 +41,7 @@ from functools import cached_property
 from operator import mul, sub
 
 from .core import (
+    DEFAULT_L_TOL,
     BasisError,
     ConeBasis,
     Game,
@@ -67,8 +68,8 @@ if TYPE_CHECKING:
 
     Termination = Literal["constant_mix", "linear", "newton", "stalled"]
 
-DEFAULT_L_TOL = 1e-9
-
+# a game within this of its largest payoff (2-norm) from a cone lies in it
+CONE_TOL = 1e-9
 # relative gap between the oracle's computed upper bound and its value
 ORACLE_GAP = 1e-10
 # pivots of a unit-diagonal Hessian block within this of the largest count
@@ -220,7 +221,7 @@ class _LsqProblem:
         q = self._probs_list
         a = [sum(map(mul, row, p)) for row in self._rows]
         u, t = self.price_full(a)
-        if t >= 1.0 - 1e-13:
+        if t == 1.0:
             gamma = [qi * u / x for qi, x in zip(q, a)]
             G = [sum(map(mul, col, gamma)) for col in cols]
             w = [gi / x for gi, x in zip(gamma, a)]
@@ -849,9 +850,7 @@ def least_squares_prices(
     return solution(x, pstar, val - 1.0, steps, end)
 
 
-def check_constant_mix(
-    basis: ConeBasis, *, tol: float = 1e-9
-) -> Optional[tuple[Mix, tuple[int, ...]]]:
+def check_constant_mix(basis: ConeBasis) -> Optional[tuple[Mix, tuple[int, ...]]]:
     """A mix with outcome-independent payoff, if one exists, with its support.
 
     When found, every game's least-squares price is pinned to its ceiling
@@ -863,16 +862,17 @@ def check_constant_mix(
     eps: t_i = 1. Payoffs are nonnegative and no game is all zero, so every
     constant mix is k / sum(k) for some k >= 0 with M k = 1: NNLS decides
     whether one exists. Its k can leave out a game that some other constant
-    mix uses (dependent games, or games equal to within tol), so each game j
-    with k_j = 0 is probed with the homogenized NNLS
+    mix uses (dependent games, or games equal to within CONE_TOL), so each
+    game j with k_j = 0 is probed with the homogenized NNLS
     [M_-j, -1] (k', lam) = -M_j: j can carry weight when lam > 0 and
-    w = (k', 1) / lam has M w = 1 to tol. The mean of k and the successful
-    witnesses, each as a mix, has the largest support any constant mix has.
-    Every mix must keep its payoff spread within tol of the largest payoff.
-    First, where it is sure, one QR of the games (_unit_qr) decides without
-    NNLS: every mix pays |M k - 1| >= the distance of 1 from their span over
-    sqrt(m), so none is constant when that exceeds tol beyond rounding; on a
-    square basis, k = M^-1 1 positive beyond rounding is the NNLS answer."""
+    w = (k', 1) / lam has M w = 1 to CONE_TOL. The mean of k and the
+    successful witnesses, each as a mix, has the largest support any constant
+    mix has. Every mix must keep its payoff spread within CONE_TOL of the
+    largest payoff. First, where it is sure, one QR of the games (_unit_qr)
+    decides without NNLS: every mix pays |M k - 1| >= the distance of 1 from
+    their span over sqrt(m), so none is constant when that exceeds CONE_TOL
+    beyond rounding; on a square basis, k = M^-1 1 positive beyond rounding
+    is the NNLS answer."""
     cols = [g.payoff_tuple for g in basis.games]
     rows = _payoff_rows(basis.games)
     n, m = basis.n, len(rows)
@@ -886,25 +886,25 @@ def check_constant_mix(
             return None
         p = [pi / total for pi in p]
         payoff = [_dot(row, p) for row in rows]
-        if max(payoff) - min(payoff) > tol * max(scale, 1.0):
+        if max(payoff) - min(payoff) > CONE_TOL * max(scale, 1.0):
             return None
         support = tuple(i for i, pi in enumerate(p) if pi > 1e-9)
         return Mix(p), support
 
-    # M k = 1 must hold to tol itself: the spread check is scaled by the
+    # M k = 1 must hold to CONE_TOL itself: the spread check is scaled by the
     # largest payoff, which lets mixes of much smaller games through
     def constant(k: list[float]) -> bool:
-        return max(abs(_dot(row, k) - 1.0) for row in rows) <= tol
+        return max(abs(_dot(row, k) - 1.0) for row in rows) <= CONE_TOL
 
     def mix(k: list[float]) -> list[float]:
         total = sum(k)
         return [ki / total for ki in k]
 
     qr = _unit_qr(cols)
-    if qr is not None and qr[4] <= tol:
+    if qr is not None and qr[4] <= CONE_TOL:
         reflectors, R, norms, _, rounding = qr
         c = _apply_qt(reflectors, [1.0] * m)
-        if n < m and _dot(c[n:], c[n:]) > m * (tol + rounding) ** 2:
+        if n < m and _dot(c[n:], c[n:]) > m * (CONE_TOL + rounding) ** 2:
             return None
         k = _back_substitute(R, c)
         if n == m and min(k) > rounding * math.sqrt(_dot(k, k)):
@@ -929,15 +929,15 @@ def check_constant_mix(
     return _validated([sum(col) / len(witnesses) for col in zip(*witnesses)])
 
 
-def check_linear_pricing(basis: ConeBasis, rate: Rate, *, tol: float = 1e-9) -> bool:
+def check_linear_pricing(basis: ConeBasis, rate: Rate) -> bool:
     """True when mix prices are linear along the whole simplex.
 
     Linearity means the least-squares prices equal the stand-alone ones
     (x = 0), that is L(0) = 1: the certified oracle's worst ratio at t = 0
-    is within tol of 1. Raises PricingError when the oracle cannot certify
-    its bound.
+    is within DEFAULT_L_TOL of 1. Raises PricingError when the oracle cannot
+    certify its bound.
     """
-    return _LsqProblem(basis, rate).oracle([0.0] * basis.n)[0] <= 1.0 + tol
+    return _LsqProblem(basis, rate).oracle([0.0] * basis.n)[0] <= 1.0 + DEFAULT_L_TOL
 
 
 def _cone_fit(
@@ -947,8 +947,8 @@ def _cone_fit(
 
     M is given by its columns. The distance is |M k - target| (2-norm) over
     the target's largest payoff, which is positive because no game is all
-    zero; scaling all payoffs leaves the distance unchanged. Every cone test
-    compares it with its tol; BasisError when it exceeds tol.
+    zero; scaling all payoffs leaves the distance unchanged. The cone tests
+    compare it with CONE_TOL; BasisError when it exceeds tol.
     """
     k = _nnls_cols(cols, target)
     r = list(target)
@@ -961,24 +961,25 @@ def _cone_fit(
     return k, residual
 
 
-def cone_coordinates(basis: ConeBasis, game: Game, *, tol: float = 1e-9) -> np.ndarray:
+def cone_coordinates(basis: ConeBasis, game: Game) -> np.ndarray:
     """Nonnegative coefficients representing a game in the basis, by NNLS.
 
     Raises BasisError when the game does not lie in the cone: the least
-    nonnegative residual exceeds tol of the game's largest payoff. The
+    nonnegative residual exceeds CONE_TOL of the game's largest payoff. The
     coefficients come as a read-only float64 array.
     """
     cols = [g.payoff_tuple for g in basis.games]
-    return _frozen_array(_cone_fit(cols, game.payoff_tuple, tol)[0])
+    return _frozen_array(_cone_fit(cols, game.payoff_tuple, CONE_TOL)[0])
 
 
-def in_cone(basis: ConeBasis, game: Game, *, tol: float = 1e-9) -> bool:
+def in_cone(basis: ConeBasis, game: Game) -> bool:
     """Whether a game is a nonnegative combination of the basis games.
 
     The same test as cone_coordinates: the least nonnegative residual
-    (2-norm, by NNLS) is within tol of the game's largest payoff.
+    (2-norm, by NNLS) is within CONE_TOL of the game's largest payoff.
     """
-    return _cone_fit([g.payoff_tuple for g in basis.games], game.payoff_tuple)[1] <= tol
+    cols = [g.payoff_tuple for g in basis.games]
+    return _cone_fit(cols, game.payoff_tuple)[1] <= CONE_TOL
 
 
 def _unit_qr(cols: Sequence[Sequence[float]]) -> Optional[tuple]:
@@ -1009,22 +1010,22 @@ def _unit_qr(cols: Sequence[Sequence[float]]) -> Optional[tuple]:
 
 def _reduce_to_basis(games: Sequence[Game]) -> tuple[list[int], list[list[float]]]:
     """reduce_to_basis as lists, with the kept indices, on the games of a
-    ConeBasis. A game farther than 1e-9 of its largest payoff from the others'
+    ConeBasis. A game farther than CONE_TOL of its largest payoff from the others'
     span, beyond _unit_qr's rounding, is kept without the cone test's NNLS."""
     cols = [g.payoff_tuple for g in games]
     qr = _unit_qr(cols)
     far = [False] * len(cols) if qr is None else [
-        (1.0 - qr[4]) * nj > 1e-9 * max(col) * math.sqrt(r2)
+        (1.0 - qr[4]) * nj > CONE_TOL * max(col) * math.sqrt(r2)
         for col, nj, r2 in zip(cols, qr[2], qr[3])]
     keep = list(range(len(games)))
     for i in reversed(range(len(games))):
         others = [j for j in keep if j != i]
         if not far[i] and others and _cone_fit([cols[j] for j in others],
-                                               cols[i])[1] <= 1e-9:
+                                               cols[i])[1] <= CONE_TOL:
             keep = others
     kept = [cols[j] for j in keep]
     return keep, [[float(i == j) for j in keep] if i in keep
-                  else _cone_fit(kept, col, 1e-9)[0] for i, col in enumerate(cols)]
+                  else _cone_fit(kept, col, CONE_TOL)[0] for i, col in enumerate(cols)]
 
 
 def reduce_to_basis(

@@ -11,6 +11,7 @@ through least-squares prices of the basis {put, call, stock-minus-call}.
 from __future__ import annotations
 
 from .core import (
+    DEFAULT_L_TOL,
     ConeBasis,
     Game,
     InvariantViolation,
@@ -96,9 +97,15 @@ def _coin_stats(g: Game, rate: Rate) -> tuple[float, float, float, float]:
 
 def one_fund_weight(x: Game, y: Game, rate: Rate) -> float:
     """Mean-variance one-fund weight on x, from Sharpe-style ratios (r_i - r)/v_i."""
-    u_x, _, v_x, r_x = _coin_stats(x, rate)
-    u_y, _, v_y, r_y = _coin_stats(y, rate)
-    del u_x, u_y
+    return _one_fund(x, y, rate, _coin_stats(x, rate), _coin_stats(y, rate))
+
+
+def _one_fund(
+    x: Game, y: Game, rate: Rate, stats_x: tuple, stats_y: tuple
+) -> float:
+    """one_fund_weight from the games' _coin_stats."""
+    _, _, v_x, r_x = stats_x
+    _, _, v_y, r_y = stats_y
     # each game's variance against its own largest payoff: a coin game next
     # to a much larger one is still a coin game
     for v, g in ((v_x, x), (v_y, y)):
@@ -125,9 +132,10 @@ def compare_mean_variance(x: Game, y: Game, rate: Rate) -> FundComparison:
     symmetric pair certifies at the uniform start and returns w* = 0.5
     exactly.
     """
-    u_x, _, v_x, r_x = _coin_stats(x, rate)
-    u_y, _, v_y, r_y = _coin_stats(y, rate)
-    w_of = one_fund_weight(x, y, rate)
+    stats_x, stats_y = _coin_stats(x, rate), _coin_stats(y, rate)
+    u_x, _, v_x, r_x = stats_x
+    u_y, _, v_y, r_y = stats_y
+    w_of = _one_fund(x, y, rate, stats_x, stats_y)
     space, x4, y4 = joint_space(x, y)
 
     def blend(w: float) -> Game:
@@ -193,7 +201,7 @@ def put_call_parity(
     strike: float,
     rate: Rate,
     *,
-    tol_L: float = 1e-9,
+    tol_L: float = DEFAULT_L_TOL,
 ) -> ParityReport:
     """Check call - put + K/g = stock under least-squares prices.
 

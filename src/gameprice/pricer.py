@@ -14,9 +14,13 @@ narrows the price bracket [gm/g, E/g] from the side its growth certifies.
 A Newton step that is not finite, leaves the log domain or the bracket, or
 comes after NEWTON_ITER steps becomes a bisection step in u (geometric while
 the bracket spans more than a factor 4) at the optimal stake t*(u), which
-optimal_proportion solves for on the same pass. With a zero payoff gm = 0,
-and the lower end is a certified floor from the single-outcome sub-games
-(_zero_payoff_floor), which can lie tens of orders of magnitude below E/g.
+optimal_proportion solves for on the same pass. At t*(u) the Newton step is
+Newton on the best growth, convex in log u: from above the price it can land
+below the bracket, and then the next point is the bracket's lower end, from
+which Newton rises to the price, instead of the midpoint. With a zero payoff
+gm = 0, and the lower end is a certified floor from the single-outcome
+sub-games (_zero_payoff_floor), which can lie tens of orders of magnitude
+below E/g. Every growth figure comes from one kernel, _growth_system.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from .core import (
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
-    from typing import Literal, Sequence
+    from typing import Literal
 
     Regime = Literal["full_investment", "interior"]
 
@@ -96,30 +100,21 @@ def max_proportion(game: Game, u: float) -> float:
     return math.inf if a_min >= u else u / (u - a_min)
 
 
-# -- raw helpers on plain sequences (hot loops; numpy overhead dominates at m <= 8)
-
-
-def _elg(pay: Sequence[float], pr: Sequence[float], u: float, t: float) -> float:
-    total = 0.0
-    for a, p in zip(pay, pr):
-        x = t * (a - u) / u
-        if x <= -1.0:
-            raise LogDomainViolation(
-                f"log domain violation: t={t!r} at or beyond t_max for u={u!r}"
-            )
-        total += p * math.log1p(x)
-    return total
-
-
 def expected_log_growth(
     game: Game, space: OutcomeSpace, u: float, t: float
 ) -> float:
-    """E[log(a_j * t/u - t + 1)] for stake proportion t at price u."""
+    """E[log(a_j * t/u - t + 1)] for stake proportion t at price u, as
+    _growth_system computes it. Its term t (a - u) / u is monotone in a, also
+    after rounding, so one exact test at the smallest payoff decides
+    LogDomainViolation: the term must exceed -1 there."""
     _check_price(u)
     if not 0.0 <= t < math.inf:
         raise InvariantViolation(f"proportion must be finite and >= 0, got {t!r}")
     _check_aligned(game, space)
-    return _elg(game.payoff_tuple, space.prob_tuple, u, t)
+    if t * (min(game.payoff_tuple) - u) / u <= -1.0:
+        raise LogDomainViolation(f"log domain violation: t={t!r} at or beyond "
+                                 f"t_max for u={u!r}")
+    return _growth_system(game.payoff_tuple, space.prob_tuple, u, t)[0]
 
 
 def optimal_proportion(
@@ -144,7 +139,8 @@ def optimal_proportion(
         growth, f1, _, _, _ = _growth_system(pay, pr, u, 1.0)
         if f1 >= 0.0:
             return 1.0, growth
-    return _best_stake(pay, pr, u, -f / ft)  # -f/ft = u (E - u) / E[(a - u)^2]
+    t, (growth, *_) = _best_stake(pay, pr, u, -f / ft)  # u (E - u) / E[(a - u)^2]
+    return t, growth
 
 
 def _kappa(g: float) -> float:
@@ -179,7 +175,7 @@ def price_two_outcome_fair(a: float, b: float, rate: Rate) -> PriceResult:
     u, t = _price_fair(a, b, rate.growth_factor())
     if t == 1.0:
         return PriceResult(u, 1.0, REGIME_FULL, math.sqrt(a * b) / u)
-    achieved = math.exp(_elg([a, b], [0.5, 0.5], u, t))
+    achieved = math.exp(_growth_system([a, b], [0.5, 0.5], u, t)[0])
     return PriceResult(u, t, REGIME_INTERIOR, achieved)
 
 
@@ -207,14 +203,14 @@ def _best_stake(pay, pr, u, t):
     """Root t* in (0, 1) of the first-order condition at u, by Newton from t.
 
     The condition decreases in t, so each iterate narrows the bracket, and a
-    step leaving it is replaced by the midpoint. Returns t* and the growth
-    there, from the last _growth_system pass.
+    step leaving it is replaced by the midpoint. Returns t* and the last
+    _growth_system pass, which was made at (u, t*).
     """
     lo, hi, tol = 0.0, 1.0, 4.0 * sys.float_info.epsilon
     for _ in range(MAX_PRICE_ITER):
         if not lo < t < hi:
             t = 0.5 * (lo + hi)
-        growth, f, _, _, ft = _growth_system(pay, pr, u, t)
+        _, f, _, _, ft = system = _growth_system(pay, pr, u, t)
         if f > 0.0:
             lo = t
         else:
@@ -223,7 +219,7 @@ def _best_stake(pay, pr, u, t):
         # stop before the safeguard: a sub-ulp step can round onto the
         # bracket's end, and its midpoint would restart as bisection
         if abs(step) <= tol * t or hi - lo <= tol * hi:
-            return t, growth
+            return t, system
         t += step
     raise PricingError(
         f"internal error: optimal proportion did not converge in "
@@ -243,14 +239,15 @@ def _newton_start(pay, pr, mean, log_g, lo, hi):
     (E - u)^2 / (2 E[(a - u)^2]), reached at t = u (E - u) / E[(a - u)^2];
     setting it to log g < 1/2 gives u = E - sqrt(2 log g Var / (1 - 2 log g)).
     Otherwise, or when that u is not above lo (high rates, payoffs over many
-    orders of magnitude), the start is (lo, 1/2).
+    orders of magnitude), the start is (lo, 1/2). Squares are products, which
+    overflow to inf (and so to that start) where ** raises OverflowError.
     """
-    var = sum(p * (a - mean) ** 2 for a, p in zip(pay, pr))
+    var = sum(p * ((a - mean) * (a - mean)) for a, p in zip(pay, pr))
     if log_g < 0.5:
         u = mean - math.sqrt(2.0 * log_g * var / (1.0 - 2.0 * log_g))
         if u > lo:
             u = min(u, hi - 1e-6 * (hi - lo))
-            return u, u * (mean - u) / (var + (mean - u) ** 2)
+            return u, u * (mean - u) / (var + (mean - u) * (mean - u))
     return lo, 0.5
 
 
@@ -299,8 +296,9 @@ def _price_numeric(pay, pr, rate: Rate):
     u, t = _newton_start(pay, pr, mean, log_g, lo, hi)
     while not _inside(a_min, u, t):
         t *= 0.5
+    system, best = _growth_system(pay, pr, u, t), False  # best: t is t*(u)
     for it in range(MAX_PRICE_ITER):
-        growth, f, gu, fu, ft = _growth_system(pay, pr, u, t)
+        growth, f, gu, fu, ft = system
         gap = growth - log_g
         # growth is concave in t, so the best growth at u lies between growth
         # and growth + f (s - t) maximized over s in [0, 1]
@@ -309,6 +307,7 @@ def _price_numeric(pay, pr, rate: Rate):
         elif gap + (f * (1.0 - t) if f > 0.0 else -f * t) < 0.0:
             hi = u
         det = gu * ft - f * fu
+        to_lo = False
         if det != 0.0:
             du = (f * f - gap * ft) / det
             dt = (gap * fu - f * gu) / det
@@ -317,7 +316,8 @@ def _price_numeric(pay, pr, rate: Rate):
             if (abs(du) <= U_REL_TOL * u
                     and abs(dt) <= U_REL_TOL * max(1.0, u * fu / ft)):
                 u, t = u + du, t + dt
-                return u, t, REGIME_INTERIOR, math.exp(_elg(pay, pr, u, t))
+                growth = _growth_system(pay, pr, u, t)[0]
+                return u, t, REGIME_INTERIOR, math.exp(growth)
             if it < NEWTON_ITER and math.isfinite(du) and math.isfinite(dt):
                 # multiplicative in u; the caps keep exp finite and u_new > 0
                 # unless u is near underflow, where the step bisects
@@ -325,12 +325,21 @@ def _price_numeric(pay, pr, rate: Rate):
                 t_new = t + dt
                 if lo < u_new < hi and _inside(a_min, u_new, t_new):
                     u, t = u_new, t_new
+                    system, best = _growth_system(pay, pr, u, t), False
                     continue
-        # bisect the bracket, geometrically while it spans orders of
-        # magnitude, at the best stake there: the next pass's growth is then
-        # the best growth at u, so it moves one end of the bracket to u
-        u = math.sqrt(lo) * math.sqrt(hi) if hi > 4.0 * lo else 0.5 * (lo + hi)
-        t = _best_stake(pay, pr, u, t)[0]
+                # at t*(u) the step is Newton on the best growth, convex in
+                # log u: from above the price it can land below lo, and from
+                # lo it rises to the price inside the bracket
+                to_lo = best and u_new <= lo < u
+        # else bisect the bracket, geometrically while it spans orders of
+        # magnitude; at the best stake there, the next pass's growth is the
+        # best growth at u, so it moves one end of the bracket to u
+        if to_lo:
+            u = lo
+        else:
+            u = math.sqrt(lo) * math.sqrt(hi) if hi > 4.0 * lo else 0.5 * (lo + hi)
+        t, system = _best_stake(pay, pr, u, t)
+        best = True
     raise PricingError(
         f"internal error: price solve did not converge in {MAX_PRICE_ITER} "
         f"iterations (bracket [{lo!r}, {hi!r}], target growth {log_g!r})"

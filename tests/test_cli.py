@@ -100,6 +100,15 @@ class TestPriceCommand:
         assert rc == 0, err
         assert "certificate mix" in out
 
+    def test_a_payoff_whose_square_overflows(self, capsys, tmp_path):
+        # (1e200 - mean)^2 overflows: the price solve starts from its bracket
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"probabilities": [0.4, 0.6],
+                                    "games": {"A": [1e200, 1]}, "rate": {"value": 0.05}}))
+        rc, out, err = run(capsys, ["price", str(path), "--game", "A"])
+        assert rc == 0, err
+        assert out.strip() == "u=2.553e+199 t=0.194 regime=interior"
+
 
 class TestExitCodes:
     def test_missing_file_is_parse_error(self, capsys, tmp_path):

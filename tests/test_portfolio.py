@@ -16,6 +16,7 @@ from gameprice import (
     put_call_parity,
     variance,
 )
+from gameprice import portfolio
 
 R02S = Rate(0.02, "simple")
 R05 = Rate(0.05)
@@ -112,6 +113,19 @@ class TestCompareMeanVariance:
     def test_identical_inputs_flat_objective_midpoint(self):
         comp = compare_mean_variance(X, X, R02S)
         assert comp.w_star == 0.5
+
+    def test_each_coin_game_is_priced_once(self, monkeypatch):
+        priced = []
+        solve = portfolio.price_general
+
+        def recorded(game, space, rate, **kwargs):
+            priced.append((game.payoff_tuple, space.size))
+            return solve(game, space, rate, **kwargs)
+
+        monkeypatch.setattr(portfolio, "price_general", recorded)
+        comp = compare_mean_variance(X, Y, R02S)
+        assert [g for g, m in priced if m == 2] == [X.payoff_tuple, Y.payoff_tuple]
+        assert comp.w_onefund == one_fund_weight(X, Y, R02S)
 
     def test_json_payload_has_all_intermediates(self):
         doc = compare_mean_variance(X, Y, R02S).to_json_dict()

@@ -34,7 +34,7 @@ from gameprice import (
 )
 from gameprice import pricer
 from gameprice.core import PricingError
-from gameprice.pricer import REGIME_FULL, REGIME_INTERIOR, _elg, _price_numeric
+from gameprice.pricer import REGIME_FULL, REGIME_INTERIOR, _price_numeric
 
 R05 = Rate(0.05)
 R02S = Rate(0.02, "simple")
@@ -433,8 +433,21 @@ def test_concavity_in_mix():
 
 
 # The bisection that optimal_proportion used before it shared the price
-# solve's Newton kernel; kept here, unchanged, as an independent reference.
+# solve's Newton kernel, and the growth kernel it evaluated; kept here,
+# unchanged, as an independent reference.
 T_TOL = 1e-12
+
+
+def _elg(pay, pr, u, t):
+    total = 0.0
+    for a, p in zip(pay, pr):
+        x = t * (a - u) / u
+        if x <= -1.0:
+            raise LogDomainViolation(
+                f"log domain violation: t={t!r} at or beyond t_max for u={u!r}"
+            )
+        total += p * math.log1p(x)
+    return total
 
 
 def _dgrowth(pay, pr, u, t):
@@ -724,6 +737,45 @@ def test_a_step_that_leaves_the_log_domain_bisects_at_the_best_stake(monkeypatch
     monkeypatch.setattr(pricer, "_best_stake", recorded)
     _check_price_solve([1.0, 100.0], [0.9, 0.1], R05)
     assert seen
+
+
+def test_a_step_below_lo_from_the_best_stake_goes_to_lo(monkeypatch):
+    # (0.5, 1) just inside the interior regime: from the best stake above the
+    # price, each Newton step lands below lo, so bisection alone would take
+    # about 100 growth passes; from lo, Newton rises to the price
+    pay, pr = [0.5, 1.0], [0.1380938292619644, 0.8619061707380357]
+    rate = Rate(0.03363543392064187)
+    passes = []
+    system = pricer._growth_system
+
+    def recorded(pay, pr, u, t):
+        passes.append(u)
+        return system(pay, pr, u, t)
+
+    monkeypatch.setattr(pricer, "_growth_system", recorded)
+    u, t, regime, _ = _price_numeric(pay, pr, rate)
+    assert regime == REGIME_INTERIOR
+    assert len(passes) <= 20
+    assert u == pytest.approx(_bisection_price(pay, pr, rate)[0], rel=1e-13)
+
+
+class TestPayoffsWhoseSquareOverflows:
+    # past a payoff of about 1.3e154, (a - mean)^2 overflows to inf in the
+    # starting point, which is then (lo, 1/2)
+
+    @pytest.mark.parametrize("pay, pr", [([1e200, 1.0], [0.4, 0.6]),
+                                         ([1e160, 3.0, 1.0], [0.2, 0.3, 0.5])])
+    def test_the_start_falls_back_to_the_bracket(self, pay, pr):
+        u, t, regime, achieved = _price_numeric(pay, pr, R05)
+        assert regime == REGIME_INTERIOR and 0.0 < t < 1.0
+        assert achieved == pytest.approx(G, rel=1e-12)
+        growth, foc = _growth_and_foc_residuals(pay, pr, R05, u, t)
+        assert abs(growth) <= 1e-12 and abs(foc) <= 1e-12
+
+    def test_a_price_beyond_float_range_raises_no_overflow_error(self):
+        # near its price, about 1e-48, t a / u overflows
+        with contextlib.suppress(PricingError):
+            price_general(Game([1e300, 1e-300]), COIN, Rate(400), force_numeric=True)
 
 
 def _growth_and_foc_residuals(pay, pr, rate, u, t):
