@@ -1,12 +1,13 @@
 """Domain types shared by every solver: outcome spaces, games, mixes, rates.
 
-All types are immutable records (_Record, below), equal and hashed by value;
-.replace gives a changed, revalidated copy. So they can be shared freely
-across threads. Games, outcome spaces and mixes hold their values as float
-tuples and validate them with math alone, so the solvers never import numpy;
-their .payoffs, .probs and .weights are read-only float64 arrays built on
-first access. Probability vectors are validated to 1e-12 and then
-renormalized exactly, so downstream sums are exact simplex elements.
+All types are immutable records (_Record, below), equal and hashed by value,
+built and validated by one path, so every record's .replace gives a changed,
+revalidated copy and its keywords are its field names. So they can be shared
+freely across threads. Games, outcome spaces and mixes hold their values as
+float tuples and validate them with math alone, so the solvers never import
+numpy; their .payoffs, .probs and .weights are read-only float64 arrays
+(_array) built on first access. Probability vectors are validated to 1e-12
+and then renormalized exactly, so downstream sums are exact simplex elements.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from __future__ import annotations
 import json
 import math
 import sys
-from functools import cached_property
 from operator import mul
 
 TYPE_CHECKING = False
@@ -61,12 +61,13 @@ class _Record:
     """Base of the immutable value types.
 
     A record's fields are its class's annotations, in declaration order, and
-    a class attribute of the same name is a field's default. The constructor
-    takes the fields by position or by name, then runs __post_init__.
-    Equality goes by the class and the field values, hashing by the field
-    values, as for a frozen dataclass; a field that cannot be hashed makes
-    the record unhashable. Attributes cannot be assigned or deleted, but
-    functools.cached_property still caches into the instance __dict__.
+    a class attribute of the same name is a field's default. The constructor,
+    the only one, takes the fields by position or by name, then runs
+    __post_init__, which validates them and may store a field's normalized
+    value through self.__dict__. Equality goes by the class and the field
+    values, hashing by the field values, as for a frozen dataclass; a field
+    that cannot be hashed makes the record unhashable. Attributes cannot be
+    assigned or deleted; _array caches its array in the instance __dict__.
     """
 
     _fields: tuple[str, ...] = ()
@@ -161,6 +162,23 @@ def _frozen_array(values: Sequence) -> np.ndarray:
     return arr
 
 
+class _array:
+    """A read-only float64 array of the float-tuple field named, as a class
+    attribute: built on first access, then cached in the instance __dict__."""
+
+    def __init__(self, field: str):
+        self.field = field
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        arr = obj.__dict__[self.name] = _frozen_array(getattr(obj, self.field))
+        return arr
+
+
 def _on_simplex(values: tuple[float, ...], name: str) -> tuple[float, ...]:
     """values, which must sum to 1 within PROB_TOL, renormalized. The sum runs
     left to right, not by sum() (compensated from Python 3.12), as numpy's
@@ -182,16 +200,13 @@ class OutcomeSpace(_Record):
     """
 
     prob_tuple: tuple[float, ...]
+    probs = _array("prob_tuple")
 
-    def __init__(self, probs: Sequence[float]):
-        values = _float_tuple(probs, "probs")
+    def __post_init__(self):
+        values = _float_tuple(self.prob_tuple, "probs")
         if min(values) <= 0.0:
             raise InvariantViolation("every outcome probability must be > 0")
-        super().__init__(_on_simplex(values, "probabilities"))
-
-    @cached_property
-    def probs(self) -> np.ndarray:
-        return _frozen_array(self.prob_tuple)
+        self.__dict__["prob_tuple"] = _on_simplex(values, "probabilities")
 
     @property
     def size(self) -> int:
@@ -217,18 +232,15 @@ class Game(_Record):
     """
 
     payoff_tuple: tuple[float, ...]
+    payoffs = _array("payoff_tuple")
 
-    def __init__(self, payoffs: Sequence[float]):
-        values = _float_tuple(payoffs, "payoffs")
+    def __post_init__(self):
+        values = _float_tuple(self.payoff_tuple, "payoffs")
         if min(values) < 0.0:
             raise InvariantViolation("payoffs must be nonnegative")
         if max(values) <= 0.0:
             raise InvariantViolation("a game must pay something: expectation is 0")
-        super().__init__(values)
-
-    @cached_property
-    def payoffs(self) -> np.ndarray:
-        return _frozen_array(self.payoff_tuple)
+        self.__dict__["payoff_tuple"] = values
 
     @property
     def size(self) -> int:
@@ -288,16 +300,13 @@ class Mix(_Record):
     """
 
     weight_tuple: tuple[float, ...]
+    weights = _array("weight_tuple")
 
-    def __init__(self, weights: Sequence[float]):
-        values = _float_tuple(weights, "weights")
+    def __post_init__(self):
+        values = _float_tuple(self.weight_tuple, "weights")
         if min(values) < 0.0:
             raise InvariantViolation("mix weights must be nonnegative")
-        super().__init__(_on_simplex(values, "mix weights"))
-
-    @cached_property
-    def weights(self) -> np.ndarray:
-        return _frozen_array(self.weight_tuple)
+        self.__dict__["weight_tuple"] = _on_simplex(values, "mix weights")
 
     @property
     def size(self) -> int:
@@ -332,13 +341,12 @@ class ConeBasis(_Record):
     space: OutcomeSpace
     games: tuple[Game, ...]
 
-    def __init__(self, space: OutcomeSpace, games: Sequence[Game]):
-        games = tuple(games)
-        if len(games) < 1:
+    def __post_init__(self):
+        games = self.__dict__["games"] = tuple(self.games)
+        if not games:
             raise BasisError("a basis needs at least one game")
         for g in games:
-            _check_aligned(g, space)
-        super().__init__(space, games)
+            _check_aligned(g, self.space)
 
     @property
     def n(self) -> int:
@@ -422,13 +430,17 @@ def variance(game: Game, space: OutcomeSpace) -> float:
     return sum(p * (a - mean) ** 2 for p, a in zip(space.prob_tuple, game.payoff_tuple))
 
 
+def _mix_weights(p: Mix | Sequence[float], n: int) -> tuple[float, ...]:
+    """p as the weights of a mix over n games."""
+    weights = (p if isinstance(p, Mix) else Mix(p)).weight_tuple
+    if len(weights) != n:
+        raise DimensionMismatch(f"mix of length {len(weights)} over a basis of {n} games")
+    return weights
+
+
 def mix_game(basis: ConeBasis, p: Mix | Sequence[float]) -> Game:
     """Componentwise convex combination of the basis games."""
-    weights = (p if isinstance(p, Mix) else Mix(p)).weight_tuple
-    if len(weights) != basis.n:
-        raise DimensionMismatch(
-            f"mix of length {len(weights)} over a basis of {basis.n} games"
-        )
+    weights = _mix_weights(p, basis.n)
     return Game([_dot(row, weights) for row in _payoff_rows(basis.games)])
 
 

@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import math
 import sys
-from functools import cached_property
 from operator import mul, sub
 
 from .core import (
@@ -50,10 +49,12 @@ from .core import (
     OutcomeSpace,
     PricingError,
     Rate,
+    _array,
     _cone_coefficients,
     _dot,
     _float_tuple,
     _frozen_array,
+    _mix_weights,
     _payoff_rows,
     _Record,
     is_fair_coin,
@@ -112,22 +113,10 @@ class LsSolution(_Record):
     ceiling_tuple: tuple[float, ...]
     termination: Termination
     basis: tuple[int, ...]
-
-    @cached_property
-    def x(self) -> np.ndarray:
-        return _frozen_array(self.x_tuple)
-
-    @cached_property
-    def prices(self) -> np.ndarray:
-        return _frozen_array(self.price_tuple)
-
-    @cached_property
-    def standalone(self) -> np.ndarray:
-        return _frozen_array(self.standalone_tuple)
-
-    @cached_property
-    def ceilings(self) -> np.ndarray:
-        return _frozen_array(self.ceiling_tuple)
+    x = _array("x_tuple")
+    prices = _array("price_tuple")
+    standalone = _array("standalone_tuple")
+    ceilings = _array("ceiling_tuple")
 
     def to_json_dict(self) -> dict:
         return {
@@ -148,6 +137,9 @@ class _LsqProblem:
     callers that hold arrays.
     """
 
+    u = _array("u_tuple")
+    d = _array("d_tuple")
+
     def __init__(self, basis: ConeBasis, rate: Rate):
         self.basis = basis
         self.rate = rate
@@ -164,14 +156,6 @@ class _LsqProblem:
         self.d_tuple = tuple(max(ci - ui, 0.0)
                              for ci, ui in zip(self.c_tuple, self.u_tuple))
         self.scale = max(self.c_tuple)
-
-    @cached_property
-    def u(self) -> np.ndarray:
-        return _frozen_array(self.u_tuple)
-
-    @cached_property
-    def d(self) -> np.ndarray:
-        return _frozen_array(self.d_tuple)
 
     def standalone(self, col: Sequence[float]) -> tuple[float, float]:
         """(u, c) of a game's payoffs: its stand-alone price and ceiling E/g."""
@@ -729,11 +713,7 @@ def ls_ratio(
 ) -> float:
     """Ratio of a mix's stand-alone price to its adjusted linear price."""
     prob = _LsqProblem(basis, rate)
-    t = _check_t(t, basis.n)
-    weights = (p if isinstance(p, Mix) else Mix(p)).weight_tuple
-    if len(weights) != basis.n:
-        raise InvariantViolation("mix length does not match the basis")
-    return prob.ratio(t, weights)
+    return prob.ratio(_check_t(t, basis.n), _mix_weights(p, basis.n))
 
 
 def big_L(
@@ -790,14 +770,10 @@ def least_squares_prices(
     dropped = len(keep) < len(games)
     seeds = []
     for p in (seed_mixes if seed_mixes is not None else ()):
-        weights = _float_tuple(p, "seed mixes")
-        if len(weights) != len(games) or min(weights) < 0.0:
-            raise InvariantViolation("seed mixes must be nonnegative length-n vectors")
+        weights = _cone_coefficients(p, len(games))
         if dropped:  # the same mix payoff, on the kept games
             weights = [_dot(weights, col) for col in zip(*coords)]
         total = sum(weights)
-        if total <= 0.0:
-            raise InvariantViolation("seed mixes must not be all zero")
         seeds.append([wi / total for wi in weights])
     prob = _LsqProblem(
         ConeBasis(basis.space, [games[i] for i in keep]) if dropped else basis, rate)

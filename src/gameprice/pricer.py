@@ -37,7 +37,9 @@ from .core import (
     SeriesGame,
     TruncationError,
     _check_aligned,
+    _dot,
     _Record,
+    harmonic_mean,
     is_fair_coin,
 )
 
@@ -56,6 +58,13 @@ U_REL_TOL = 1e-12
 MAX_PRICE_ITER = 200
 # iterations after which every step of the price solve is a bisection step
 NEWTON_ITER = 40
+# full investment (t* = 1) when the price is at most the harmonic mean hm
+# times this; every regime test reads it, so entry points agree on the regime
+FULL_SLACK = 1.0 + 1e-14
+# series truncation stops once the tail's probability times its log-payoff
+# bound is below SERIES_TOL, and fails after SERIES_MAX_TERMS terms
+SERIES_TOL = 1e-12
+SERIES_MAX_TERMS = 60
 # logs of the smallest normal and the largest float
 _LOG_TINY = math.log(sys.float_info.min)
 _LOG_HUGE = math.log(sys.float_info.max)
@@ -123,22 +132,20 @@ def optimal_proportion(
     """Maximizer t* of expected log growth over [0, min(1, t_max)) and its value.
 
     Returns (0.0, 0.0) when u >= E, where the derivative at t = 0 is <= 0, and
-    (1.0, growth at 1) when every payoff is positive (t_max > 1) and the
-    derivative at 1 is >= 0. Otherwise t* is the root in (0, 1) of the price
-    solve's first-order condition, by _best_stake from the Newton step from 0,
-    never evaluating t_max = 1 of a zero payoff. Raises InvariantViolation
-    unless u is finite and > 0.
+    (1.0, E[log a] - log u) when u <= hm * FULL_SLACK, the price solve's
+    full-investment test (the derivative at 1 is 1 - u/hm; hm = 0 with a zero
+    payoff). Otherwise t* is the root in (0, 1) of the price solve's
+    first-order condition, by _best_stake from the Newton step from 0, never
+    evaluating t = 1. Raises InvariantViolation unless u is finite and > 0.
     """
     _check_price(u)
-    _check_aligned(game, space)
     pay, pr = game.payoff_tuple, space.prob_tuple
+    hm = harmonic_mean(game, space)
     _, f, _, _, ft = _growth_system(pay, pr, u, 0.0)
     if f <= 0.0:
         return 0.0, 0.0
-    if min(pay) > 0.0:
-        growth, f1, _, _, _ = _growth_system(pay, pr, u, 1.0)
-        if f1 >= 0.0:
-            return 1.0, growth
+    if u <= hm * FULL_SLACK:
+        return 1.0, _dot(pr, map(math.log, pay)) - math.log(u)
     t, (growth, *_) = _best_stake(pay, pr, u, -f / ft)  # u (E - u) / E[(a - u)^2]
     return t, growth
 
@@ -154,14 +161,15 @@ def _kappa(g: float) -> float:
 def _price_fair(a: float, b: float, g: float) -> tuple[float, float]:
     """(price, proportion) of a fair-coin game paying a or b (both > 0).
 
-    Full-investment regime when E/sqrt(ab) <= g: u = sqrt(ab)/g and t = 1.
+    Full-investment regime when E/sqrt(ab) <= g FULL_SLACK: u = sqrt(ab)/g
+    and t = 1.
     Otherwise u = kappa*max(a,b) + (1-kappa)*min(a,b) and
     t = u(E-u)/((a-u)(u-b)), with kappa computed only then: 1/g^2 underflows
     at rates where payoffs less than 4 g^2 apart are in full investment.
     """
     mean = 0.5 * (a + b)
     gm = math.sqrt(a * b)
-    if mean <= gm * g:
+    if mean <= gm * g * FULL_SLACK:  # gm/g <= hm FULL_SLACK, as hm = gm^2/E
         return gm / g, 1.0
     kappa = _kappa(g)
     u = kappa * max(a, b) + (1.0 - kappa) * min(a, b)
@@ -285,7 +293,7 @@ def _price_numeric(pay, pr, rate: Rate):
         hm = 1.0 / sum(p / a for a, p in zip(pay, pr))
     else:
         gm, hm = 0.0, 0.0  # zero payoff: harmonic condition cannot hold
-    if gm > 0.0 and gm / g <= hm * (1.0 + 1e-14):
+    if gm > 0.0 and gm / g <= hm * FULL_SLACK:
         u = gm / g
         return u, 1.0, REGIME_FULL, gm / u
     # The best growth over t is at least log g at lo and at most log g at hi
@@ -367,14 +375,13 @@ def price_general(
     return PriceResult(u, t, regime, achieved)
 
 
-def truncate_series(
-    sgame: SeriesGame, *, tol: float = 1e-12, max_terms: int = 60
-) -> tuple[OutcomeSpace, Game]:
+def truncate_series(sgame: SeriesGame) -> tuple[OutcomeSpace, Game]:
     """Finite approximation of a countable-support game.
 
     Stops at the first index J where the remaining probability mass,
     multiplied by the declared-moment bound on the tail log payoff,
-    drops below tol. Raises TruncationError when max_terms binds first.
+    drops below SERIES_TOL. Raises TruncationError when SERIES_MAX_TERMS
+    binds first.
     """
     nu = sgame.tail_exponent
     log_bound = math.log(sgame.moment_bound)
@@ -383,7 +390,7 @@ def truncate_series(
     cum_p = 0.0
     cum_moment = 0.0
     converged = False
-    for j in range(1, max_terms + 1):
+    for j in range(1, SERIES_MAX_TERMS + 1):
         a, p = sgame.term(j)
         if not (math.isfinite(a) and a >= 0.0 and math.isfinite(p) and p >= 0.0):
             raise InvariantViolation(f"series term {j} is invalid: ({a!r}, {p!r})")
@@ -405,12 +412,12 @@ def truncate_series(
         if p > 0.0:
             # p_j * a_j^nu <= bound, so log a_j <= (log bound - log p_j)/nu
             log_pay_est = max(0.0, (log_bound - math.log(p)) / nu)
-            if tail_p * (log_pay_est + 60.0) < tol:
+            if tail_p * (log_pay_est + 60.0) < SERIES_TOL:
                 converged = True
                 break
     if not converged:
         raise TruncationError(
-            f"tail bound insufficient after {max_terms} terms "
+            f"tail bound insufficient after {SERIES_MAX_TERMS} terms "
             f"(remaining probability {1.0 - cum_p:.3e})"
         )
     if not pays:
@@ -418,13 +425,7 @@ def truncate_series(
     return OutcomeSpace(probs), Game(pays)
 
 
-def price_series(
-    sgame: SeriesGame,
-    rate: Rate,
-    *,
-    trunc_tol: float = 1e-12,
-    max_terms: int = 60,
-) -> PriceResult:
+def price_series(sgame: SeriesGame, rate: Rate) -> PriceResult:
     """Price a countable-support game via adaptive truncation."""
-    space, game = truncate_series(sgame, tol=trunc_tol, max_terms=max_terms)
+    space, game = truncate_series(sgame)
     return price_general(game, space, rate, force_numeric=True)

@@ -100,8 +100,15 @@ class TestValueTypes:
     def test_arrays_are_read_only_float64_and_cached(self):
         g = Game([19, 1])
         s = OutcomeSpace(np.array([0.25, 0.75]))
+        m = Mix([0.25, 0.75])
+        sol = least_squares_prices(ConeBasis(COIN, [g, Game([10, 10])]), Rate(0.05))
         for arr, again, values in ((g.payoffs, g.payoffs, g.payoff_tuple),
-                                   (s.probs, s.probs, s.prob_tuple)):
+                                   (s.probs, s.probs, s.prob_tuple),
+                                   (m.weights, m.weights, m.weight_tuple),
+                                   (sol.x, sol.x, sol.x_tuple),
+                                   (sol.prices, sol.prices, sol.price_tuple),
+                                   (sol.standalone, sol.standalone, sol.standalone_tuple),
+                                   (sol.ceilings, sol.ceilings, sol.ceiling_tuple)):
             assert isinstance(arr, np.ndarray) and arr.dtype == np.float64
             assert not arr.flags.writeable
             assert arr is again

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from gameprice import (
     BasisError,
     ConeBasis,
+    DimensionMismatch,
     Game,
     InvariantViolation,
     OutcomeSpace,
@@ -282,6 +283,16 @@ class TestOneBasisRule:
         assert sol.x.tolist() == pytest.approx(least_squares_prices(b, R05).x.tolist(),
                                                abs=1e-10)
 
+    @pytest.mark.parametrize("seed, error", [
+        ([0.5, 0.5], DimensionMismatch), ([0.5, 0.5, 0.0, 0.0], DimensionMismatch),
+        ([1.0, -0.5, 0.5], InvariantViolation), ([0.0, 0.0, 0.0], InvariantViolation),
+    ], ids=["short", "long", "negative", "all_zero"])
+    def test_a_seed_mix_is_checked_as_cone_coefficients(self, seed, error):
+        b = ConeBasis(OutcomeSpace([0.2, 0.3, 0.5]),
+                      [Game([1, 2, 3]), Game([2, 4, 6]), Game([5, 1, 1])])
+        with pytest.raises(error):
+            least_squares_prices(b, R05, seed_mixes=[[1.0, 0.0, 0.0], seed])
+
     @staticmethod
     def _near_constant_bases(rng):
         """Bases with more outcomes than games on which a mix pays 1 to within
@@ -370,6 +381,13 @@ class TestLsRatio:
         v = ls_ratio(B11, R05, [0.0, 0.0], [0.4, 0.6])
         assert v == pytest.approx(LS_RATIO_EX11_AT_ZERO, rel=1e-12)
         assert v > 1.0  # t = 0 is infeasible for this basis
+
+    @pytest.mark.parametrize("p", [[1.0], [0.25, 0.25, 0.5]], ids=["short", "long"])
+    def test_a_mix_of_the_wrong_length_is_a_dimension_mismatch(self, p):
+        # the rule mix_game applies
+        for call in (lambda: ls_ratio(B11, R05, [0.0, 0.0], p), lambda: mix_game(B11, p)):
+            with pytest.raises(DimensionMismatch, match="mix of length"):
+                call()
 
 
 class TestBigL:

@@ -2,6 +2,7 @@ import contextlib
 import math
 import random
 import signal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -340,9 +341,10 @@ class TestPriceSeries:
         assert res.price == pytest.approx(5.0 / G, rel=1e-12)
         assert res.proportion == 1.0
 
-    def test_cap_binding_raises(self):
+    def test_cap_binding_raises(self, monkeypatch):
+        monkeypatch.setattr(pricer, "SERIES_MAX_TERMS", 10)
         with pytest.raises(TruncationError):
-            price_series(st_petersburg(), R05, max_terms=10)
+            price_series(st_petersburg(), R05)
 
     def test_moment_bound_checked(self):
         bad = SeriesGame(
@@ -776,6 +778,59 @@ class TestPayoffsWhoseSquareOverflows:
         # near its price, about 1e-48, t a / u overflows
         with contextlib.suppress(PricingError):
             price_general(Game([1e300, 1e-300]), COIN, Rate(400), force_numeric=True)
+
+
+class TestOneRegimeRule:
+    """The closed form, the price solve and optimal_proportion decide full
+    investment by one rule, u <= hm FULL_SLACK."""
+
+    def test_a_payoff_below_eps_times_the_price(self):
+        # at the game's own price u + (1 - u) rounds to 0: a growth pass at
+        # t = 1 divided by zero
+        game, space = Game([1e200, 1]), OutcomeSpace([0.4, 0.6])
+        res = price_general(game, space, R05)
+        t, growth = optimal_proportion(game, space, res.price)
+        assert t == pytest.approx(res.proportion, rel=1e-14)
+        assert growth == pytest.approx(0.05, rel=1e-12)
+
+    def test_entry_points_agree_near_the_boundary(self):
+        # fair coins, g within 3e-14 of gm/hm = E/gm; edge is g's relative
+        # distance beyond the rule's boundary E = gm g FULL_SLACK, in rationals
+        rng = random.Random(0)
+        slack = Fraction(pricer.FULL_SLACK)
+        checked = 0
+        for _ in range(2000):
+            a, b = rng.uniform(0.5, 50.0), rng.uniform(0.5, 50.0)
+            g = 0.5 * (a + b) / math.sqrt(a * b) * (1.0 + rng.uniform(-3e-14, 3e-14))
+            rate = Rate(g - 1.0, "simple")
+            mean = (Fraction(a) + Fraction(b)) / 2
+            edge = float(Fraction(a) * b * (Fraction(rate.growth_factor()) * slack) ** 2
+                         / mean**2 - 1) / 2
+            if abs(edge) < 1e-15:
+                continue
+            checked += 1
+            game = Game([a, b])
+            numeric = price_general(game, COIN, rate, force_numeric=True)
+            t = optimal_proportion(game, COIN, numeric.price)[0]
+            regimes = (price_general(game, COIN, rate).regime, numeric.regime,
+                       REGIME_FULL if t == 1.0 else REGIME_INTERIOR)
+            expected = REGIME_FULL if edge > 0.0 else REGIME_INTERIOR
+            assert regimes == (expected,) * 3, (a, b, rate, edge)
+        assert checked >= 1900
+
+
+@pytest.mark.xfail(strict=True, reason="the price solve's last Newton step can "
+                   "leave the bracket: an interior price below gm/g, t > 1")
+def test_a_near_constant_interior_price_stays_in_its_bracket():
+    # payoffs 7e-6 apart at g - 1 = 7e-12, 6e-15 inside the interior regime:
+    # the solve returns u 2.9e-14 below gm/g with t = 1.0009, so
+    # optimal_proportion at that price finds full investment
+    game = Game([15.054335981344655, 15.054224284221291])
+    rate = Rate(6.865175095072118e-12, "simple")
+    res = price_general(game, COIN, rate, force_numeric=True)
+    assert res.regime == REGIME_INTERIOR
+    assert res.price >= geometric_mean(game, COIN) / rate.growth_factor()
+    assert optimal_proportion(game, COIN, res.price)[0] < 1.0
 
 
 def _growth_and_foc_residuals(pay, pr, rate, u, t):

@@ -2,9 +2,11 @@
 strict about constructor arguments, and rebuilt through validation by
 replace()."""
 
+import numpy as np
 import pytest
 
 from gameprice import (
+    BasisError,
     ConeBasis,
     FundComparison,
     Game,
@@ -37,43 +39,38 @@ def _term(j):
     return 2.0**j, 2.0**-j
 
 
-# (a function building a fresh instance, the record's fields in order, the
-# name of its constructor's first parameter); every constructor takes the
-# field values positionally
+# (a function building a fresh instance, the record's fields in order); every
+# constructor takes the field values positionally, or by the field names
 RECORDS = [
-    (lambda: OutcomeSpace([0.25, 0.75]), ("prob_tuple",), "probs"),
-    (lambda: Game([19.0, 1.0]), ("payoff_tuple",), "payoffs"),
-    (lambda: Rate(0.02, "simple"), ("value", "convention"), "value"),
-    (lambda: Mix([0.25, 0.75]), ("weight_tuple",), "weights"),
-    (lambda: ConeBasis(COIN, [Game([19, 1]), Game([10, 10])]), ("space", "games"),
-     "space"),
-    (lambda: SeriesGame(_term, 0.5, 3.0), ("term", "tail_exponent", "moment_bound"),
-     "term"),
-    (lambda: GameFile(COIN, {"A": Game([19, 1])}, R), ("space", "games", "rate"),
-     "space"),
+    (lambda: OutcomeSpace([0.25, 0.75]), ("prob_tuple",)),
+    (lambda: Game([19.0, 1.0]), ("payoff_tuple",)),
+    (lambda: Rate(0.02, "simple"), ("value", "convention")),
+    (lambda: Mix([0.25, 0.75]), ("weight_tuple",)),
+    (lambda: ConeBasis(COIN, [Game([19, 1]), Game([10, 10])]), ("space", "games")),
+    (lambda: SeriesGame(_term, 0.5, 3.0), ("term", "tail_exponent", "moment_bound")),
+    (lambda: GameFile(COIN, {"A": Game([19, 1])}, R), ("space", "games", "rate")),
     (lambda: price_general(Game([19, 1]), COIN, R),
-     ("price", "proportion", "regime", "achieved_growth"), "price"),
-    (lambda: KappaContext(0.25), ("kappa",), "kappa"),
+     ("price", "proportion", "regime", "achieved_growth")),
+    (lambda: KappaContext(0.25), ("kappa",)),
     (lambda: least_squares_prices(ConeBasis(COIN, [Game([19, 1]), Game([10, 10])]), R),
      ("x_tuple", "price_tuple", "certificate", "norm", "iterations", "max_violation",
-      "standalone_tuple", "ceiling_tuple", "termination", "basis"), "x_tuple"),
+      "standalone_tuple", "ceiling_tuple", "termination", "basis")),
     (lambda: compare_mean_variance(Game([50, 1]), Game([30.6191, 14]), Rate(0.02, "simple")),
      ("w_onefund", "fund_onefund", "price_onefund", "w_star", "fund_star", "price_star",
-      "t_star", "allocation", "u_x", "u_y", "r_x", "r_y", "var_x", "var_y"), "w_onefund"),
+      "t_star", "allocation", "u_x", "u_y", "r_x", "r_y", "var_x", "var_y")),
     (lambda: put_call_parity(Game([12, 8]), COIN, 10.0, R),
      ("strike", "degenerate", "reason", "put_price", "call_price", "covered_price",
-      "stock_price", "residual", "solution"), "strike"),
+      "stock_price", "residual", "solution")),
     (lambda: CheckResult("id", "a check", "1", "1", True),
-     ("check_id", "description", "expected", "computed", "passed"), "check_id"),
+     ("check_id", "description", "expected", "computed", "passed")),
     (lambda: SimConfig(10, 2, 0, 1.0, 0.5),
-     ("attempts", "paths", "seed", "price", "proportion"), "attempts"),
+     ("attempts", "paths", "seed", "price", "proportion")),
     (lambda: SimReport(1.01, 0.02, 0.03, 1),
-     ("mean_growth", "var_growth", "ci_halfwidth", "failed_paths"), "mean_growth"),
+     ("mean_growth", "var_growth", "ci_halfwidth", "failed_paths")),
     (lambda: SweepPoint(0.5, 1.01, 0.02, 0.03, 1),
-     ("proportion", "mean_growth", "var_growth", "ci_halfwidth", "failed_paths"),
-     "proportion"),
+     ("proportion", "mean_growth", "var_growth", "ci_halfwidth", "failed_paths")),
 ]
-IDS = [fields[0] for _, fields, _ in RECORDS]
+IDS = [fields[0] for _, fields in RECORDS]
 
 
 def _values(record, fields):
@@ -81,15 +78,15 @@ def _values(record, fields):
 
 
 def test_every_record_type_is_covered():
-    covered = {type(make()) for make, _, _ in RECORDS}
+    covered = {type(make()) for make, _ in RECORDS}
     assert covered == {OutcomeSpace, Game, Rate, Mix, ConeBasis, SeriesGame, GameFile,
                        PriceResult, KappaContext, LsSolution, FundComparison,
                        ParityReport, CheckResult, SimConfig, SimReport, SweepPoint}
 
 
-@pytest.mark.parametrize("make, fields, first", RECORDS, ids=IDS)
+@pytest.mark.parametrize("make, fields", RECORDS, ids=IDS)
 class TestRecordSemantics:
-    def test_equal_values_compare_and_hash_equal(self, make, fields, first):
+    def test_equal_values_compare_and_hash_equal(self, make, fields):
         a, b = make(), make()
         assert a is not b
         assert a == b and not a != b
@@ -100,7 +97,7 @@ class TestRecordSemantics:
             assert hash(a) == hash(b)
         assert a != _values(a, fields)
 
-    def test_fields_are_read_only(self, make, fields, first):
+    def test_fields_are_read_only(self, make, fields):
         record = make()
         for name in fields:
             value = getattr(record, name)
@@ -112,21 +109,22 @@ class TestRecordSemantics:
         with pytest.raises(AttributeError):
             record.not_a_field = 1
 
-    def test_repr_names_every_field_in_order(self, make, fields, first):
+    def test_repr_names_every_field_in_order(self, make, fields):
         record = make()
         shown = ", ".join(f"{name}={getattr(record, name)!r}" for name in fields)
         assert repr(record) == f"{type(record).__name__}({shown})"
 
-    def test_constructor_takes_the_field_values(self, make, fields, first):
+    def test_constructor_takes_the_field_values(self, make, fields):
         record = make()
         cls, values = type(record), _values(record, fields)
         assert cls(*values) == record
+        assert cls(**dict(zip(fields, values))) == record
         with pytest.raises(TypeError):
             cls()
         with pytest.raises(TypeError):
             cls(*values, values[0])
         with pytest.raises(TypeError):
-            cls(*values, **{first: values[0]})
+            cls(*values, **{fields[0]: values[0]})
         with pytest.raises(TypeError):
             cls(*values, not_a_field=1)
 
@@ -178,3 +176,36 @@ class TestReplace:
     def test_unknown_field_is_a_type_error(self):
         with pytest.raises(TypeError):
             Rate(0.05).replace(rate=0.1)
+
+    @pytest.mark.parametrize("make, fields", RECORDS, ids=IDS)
+    def test_every_record_round_trips_through_validation(self, make, fields, monkeypatch):
+        record = make()
+        cls, checked = type(record), []
+        hook = cls.__post_init__
+        monkeypatch.setattr(cls, "__post_init__",
+                            lambda self: checked.append(self) or hook(self))
+        copy = record.replace()
+        assert copy == record and copy is not record and checked == [copy]
+        assert record.replace(**{fields[0]: getattr(record, fields[0])}) == record
+
+    @pytest.mark.parametrize("record, change, error", [
+        (Game([19, 1]), {"payoff_tuple": (-1.0, 1.0)}, InvariantViolation),
+        (OutcomeSpace([0.25, 0.75]), {"prob_tuple": (0.5, 0.6)}, InvariantViolation),
+        (Mix([0.25, 0.75]), {"weight_tuple": (-0.25, 1.25)}, InvariantViolation),
+        (ConeBasis(COIN, [Game([19, 1])]), {"games": ()}, BasisError),
+        (ConeBasis(COIN, [Game([19, 1])]), {"games": [Game([1, 2, 3])]}, InvariantViolation),
+    ], ids=["Game", "OutcomeSpace", "Mix", "ConeBasis_empty", "ConeBasis_misaligned"])
+    def test_the_value_types_validate_again(self, record, change, error):
+        with pytest.raises(error):
+            record.replace(**change)
+
+    def test_the_value_types_normalize_a_changed_field(self):
+        assert Game([1, 2]).replace(payoff_tuple=(3, 4)) == Game([3, 4])
+        assert Game(payoff_tuple=np.array([3, 4])).payoff_tuple == (3.0, 4.0)
+        space = OutcomeSpace([0.5, 0.5]).replace(prob_tuple=np.array([0.25, 0.75]))
+        assert space.prob_tuple == (0.25, 0.75) and space.probs.tolist() == [0.25, 0.75]
+        mix = Mix(weight_tuple=[0.5, 0.5]).replace(weight_tuple=[0, 1])
+        assert mix.weight_tuple == (0.0, 1.0)
+        basis = ConeBasis(space=COIN, games=[Game([19, 1])])
+        assert basis.games == (Game([19, 1]),)
+        assert basis.replace(games=[Game([10, 10])]).games == (Game([10, 10]),)
