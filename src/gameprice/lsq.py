@@ -14,8 +14,12 @@ concave maximization over w >= 0 (_max_dual). Projected Newton solves it
 from any start, and t = min(w (c - u), 1) at its maximizer; the oracle then
 certifies L(t) <= 1 + tol_L from the tight mix w / |w|. When some mix of the
 games pays a constant, t = 1 is the only feasible point on the games with
-c_i > u_i, so it is returned at once; prices are linear exactly when one
-oracle call certifies L(0) <= 1. LsSolution.termination says which way a
+c_i > u_i, so it is returned at once. Prices are linear exactly when
+L(0) <= 1, and every mix's ratio at t = 0 bounds L(0) from below: when the
+uniform mix or a caller's seed mix is priced clearly above its stand-alone
+prices, the dual starts from those mixes at once, and only otherwise does
+one oracle call at t = 0 decide. A solve evaluates each mix once, handing
+each stage's last mix to the next. LsSolution.termination says which way a
 solve ended. One projected-Newton routine (_projected_newton) makes both
 climbs: the oracle's, on a concave reparametrization of the ratio over the
 mix simplex, and the dual's, over w >= 0. Both take the mix price's exact
@@ -134,7 +138,9 @@ class _LsqProblem:
     u_tuple, c_tuple and d_tuple hold the stand-alone prices, the ceilings
     and d = max(c - u, 0). The solver works on them and on the plain-float
     methods; u and d, adjusted and big_L give arrays, built on request, for
-    callers that hold arrays.
+    callers that hold arrays. value_grad_hess keeps each mix's evaluation,
+    keyed by the exact mix, for as long as the problem lives: a solve that
+    hands the same mix list from one stage to the next prices it once.
     """
 
     u = _array("u_tuple")
@@ -156,6 +162,7 @@ class _LsqProblem:
         self.d_tuple = tuple(max(ci - ui, 0.0)
                              for ci, ui in zip(self.c_tuple, self.u_tuple))
         self.scale = max(self.c_tuple)
+        self._evaluations = {}  # value_grad_hess's, by tuple(p)
 
     def standalone(self, col: Sequence[float]) -> tuple[float, float]:
         """(u, c) of a game's payoffs: its stand-alone price and ceiling E/g."""
@@ -199,8 +206,17 @@ class _LsqProblem:
         G G^T / u - (1 - t) E G^T - F T^T - G V^T / W - t M^T diag(e) M. In
         the full-investment regime the price is gm/g, and the Hessian is
         G G^T / u - M^T diag(gamma / a) M. Runs on plain floats: numpy's
-        overhead dominates at these sizes.
+        overhead dominates at these sizes. The evaluation is kept, keyed by
+        tuple(p), and returned again for the same mix; callers must not
+        change the lists.
         """
+        key = tuple(p)
+        found = self._evaluations.get(key)
+        if found is None:
+            found = self._evaluations[key] = self._value_grad_hess(key)
+        return found
+
+    def _value_grad_hess(self, p: tuple[float, ...]) -> tuple:
         cols = self._cols
         q = self._probs_list
         a = [sum(map(mul, row, p)) for row in self._rows]
@@ -252,7 +268,7 @@ class _LsqProblem:
     def maximize(
         self, adj: Sequence[float], p0: Sequence[float]
     ) -> tuple[float, list[float]]:
-        """max over mixes p of price(mix(p)) / (p . adj), climbing from p0.
+        """max over mixes p of price(mix(p)) / (p . adj), climbing from the mix p0.
 
         In y = p * adj / (p . adj) the ratio is h(y) = price(mix(y / adj)),
         concave on the simplex because the mix price is concave and
@@ -264,16 +280,14 @@ class _LsqProblem:
         direction M^-1 1 of a square basis, the null space of M when there
         are more games than outcomes. A step is also taken when the bound is
         met, or when the value falls by at most ORACLE_GAP while the bound
-        comes closer.
+        comes closer. The first evaluation is at p0 itself, so a mix the
+        caller has already evaluated is not priced again.
         """
         adj = _float_tuple(adj, "adj")
         inv = [1.0 / ai for ai in adj]
 
-        def evaluate(y: list[float]):
-            """(h, dh/dy, its Hessian, certificate gap, p)."""
-            p = list(map(mul, y, inv))
-            total = sum(p)
-            p = [pi / total for pi in p]
+        def at(p: list[float], total: float):
+            """(h, dh/dy, its Hessian, certificate gap, p) at y = total p adj."""
             price, grad, hess = self.value_grad_hess(p)
             # the price is 1-homogeneous: h(y) = price(M (y / adj)) on the
             # simplex, and y / adj = total * p
@@ -286,6 +300,11 @@ class _LsqProblem:
                  for row, sj in zip(hess, scale)]
             return val, g, H, max(g) - val, p
 
+        def evaluate(y: list[float]):
+            p = list(map(mul, y, inv))
+            total = sum(p)
+            return at([pi / total for pi in p], total)
+
         def certified(state) -> bool:
             return state[3] <= ORACLE_GAP * state[0]
 
@@ -293,11 +312,12 @@ class _LsqProblem:
             return certified(new) or (
                 new[0] - old[0] >= -ORACLE_GAP * old[0] and new[3] < old[3])
 
-        y = list(map(mul, _float_tuple(p0, "p0"), adj))
+        p0 = list(_float_tuple(p0, "p0"))
+        y = list(map(mul, p0, adj))
         total = sum(y)
         y = [yi / total for yi in y]
-        state, _, end = _projected_newton(evaluate, y, evaluate(y), certified, accept,
-                                          simplex=True)
+        state, _, end = _projected_newton(evaluate, y, at(p0, 1.0 / total), certified,
+                                          accept, simplex=True)
         val, gap, p = state[0], state[3], state[4]
         if end != "done":
             why = end if end == "stalled" else f"iteration cap {_ORACLE_MAX_ITER} hit"
@@ -478,8 +498,9 @@ def _newton_split(
 
 def _max_dual(
     prob: _LsqProblem, mixes: Sequence[Sequence[float]]
-) -> tuple[list[float], int]:
-    """Weights w >= 0 that maximize the dual, and the Newton steps taken.
+) -> tuple[list[float], list[float], int]:
+    """Weights w >= 0 that maximize the dual, the mix w / |w| the last
+    evaluation priced, and the Newton steps taken.
 
     The min-norm point of {x in [0,1]^n : price(M w) <= w . (u + d x) for
     all w >= 0} has the Lagrangian dual
@@ -494,19 +515,23 @@ def _max_dual(
     leaves x unchanged when a game is rescaled. The climb starts from the
     mix with the largest D at its best scale b / |a|^2, a = p d and
     b = price(M p) - p . u (D's maximum along p while b p d / |a|^2 <= 1),
-    and runs _projected_newton on v >= 0. It stops when the projected
-    gradient vanishes to rounding or no halving raises D.
+    and runs _projected_newton on v >= 0. least_squares_prices passes the
+    uniform mix and its seed mixes, led by the oracle's worst mix at x = 0
+    when it ran that call. The mixes must lie on the simplex. One
+    value_grad_hess call at p gives a start's b and its first state, so a
+    mix the caller has already evaluated is not priced again. The climb
+    stops when the projected gradient vanishes to rounding or no halving
+    raises D.
     """
     c, d, u = prob.c_tuple, prob.d_tuple, prob.u_tuple
     n = prob.n
 
-    def evaluate(v: list[float]):
-        """(D, dD/dv, its Hessian, w, the projected gradient, sum(v)) at v."""
-        w = [vi / ci for vi, ci in zip(v, c)]
-        # the mix price is 1-homogeneous: solve it on the simplex, where the
-        # payoffs keep their scale however small w is
-        total = sum(w)
-        price, grad, hess = prob.value_grad_hess([wi / total for wi in w])
+    def at(v: list[float], w: list[float], p: list[float], total: float):
+        """(D, dD/dv, its Hessian, w, the projected gradient, sum(v), p) at
+        v = w c, w = total p."""
+        # the mix price is 1-homogeneous: it is solved on the simplex, where
+        # the payoffs keep their scale however small w is
+        price, grad, hess = prob.value_grad_hess(p)
         price *= total
         s = [wi * di for wi, di in zip(w, d)]
         value = price - sum(map(mul, w, u)) + sum(
@@ -520,15 +545,21 @@ def _max_dual(
                 H[j][j] -= (d[j] / c[j]) ** 2
         # the projected gradient's largest entry, per game on the scale of c
         pg = max(abs(gj) if vj > 0.0 else gj for vj, gj in zip(v, g))
-        return value, g, H, w, pg, sum(v)
+        return value, g, H, w, pg, sum(v), p
+
+    def evaluate(v: list[float]):
+        w = [vi / ci for vi, ci in zip(v, c)]
+        total = sum(w)
+        return at(v, w, [wi / total for wi in w], total)
 
     starts = []
     for p in mixes:
-        a2 = sum((pi * di) ** 2 for pi, di in zip(p, d))
-        b = prob.price_mix(p) - _dot(p, u)
+        b = prob.value_grad_hess(p)[0] - _dot(p, u)
         if b > 0.0:
-            v = [b / a2 * pi * ci for pi, ci in zip(p, c)]
-            starts.append((evaluate(v), v))
+            scale = b / sum((pi * di) ** 2 for pi, di in zip(p, d))
+            w = [scale * pi for pi in p]
+            v = [wi * ci for wi, ci in zip(w, c)]
+            starts.append((at(v, w, p, scale), v))
     if not starts:
         raise PricingError("no start mix is priced above its stand-alone prices")
     state, v = max(starts, key=lambda start: start[0][0])
@@ -542,7 +573,7 @@ def _max_dual(
         evaluate, v, state, lambda s: s[4] <= 1e-15, accept, simplex=False)
     if end == "cap":
         raise PricingError(f"least-squares dual iteration cap {_ORACLE_MAX_ITER} hit")
-    return state[3], steps
+    return state[3], state[6], steps
 
 
 # ---------------------------------------------------------------------------
@@ -754,16 +785,21 @@ def least_squares_prices(
 
     A constant mix (check_constant_mix) pins every price at its ceiling:
     x is 1 wherever d = c - u > 0 and 0 elsewhere, and one oracle call
-    gives max_violation and the certificate. Otherwise one oracle call at
-    x = 0 decides whether prices are linear (L(0) <= 1 + tol_L, x = 0).
-    When they are not, x = min(w d, 1) at the maximizer w >= 0 of the
-    concave dual (_max_dual), certified by the oracle from the tight mix
-    w / |w|. The dual starts from the best of the oracle's worst mix at
-    x = 0, the uniform mix and seed_mixes (any mix is a start), which
-    changes the route but not the answer: D is concave. The uniform mix
-    matters where the worst mix at x = 0 sits on a game whose stand-alone
-    price is near 0, and D along it is near 0 too.
-    LsSolution.termination records which exit was taken.
+    gives max_violation and the certificate. Otherwise the uniform mix and
+    seed_mixes are priced first. When one of them alone proves
+    L(0) > 1 + max(tol_L, 0) (_proves_nonlinear), prices are not linear and
+    the oracle at x = 0 is skipped; else one oracle call at x = 0 decides
+    whether they are (L(0) <= 1 + tol_L, x = 0). When they are not,
+    x = min(w d, 1) at the maximizer w >= 0 of the concave dual
+    (_max_dual), certified by the oracle from the tight mix w / |w|. The
+    dual starts from the best of the uniform mix and seed_mixes, led by
+    the oracle's worst mix at x = 0 when that call ran (any mix is a
+    start), which changes the route but not the answer: D is concave. The
+    uniform mix matters where the worst mix at x = 0 sits on a game whose
+    stand-alone price is near 0, and D along it is near 0 too. Each mix is
+    priced once: the starts reuse the first pricing and the oracle's last
+    evaluation, and the certificate's climb starts from the dual's last
+    mix. LsSolution.termination records which exit was taken.
     """
     games = basis.games
     keep, coords = _reduce_to_basis(games)
@@ -813,17 +849,31 @@ def least_squares_prices(
         return solution(x, pstar, val - 1.0, 1, "constant_mix")
 
     x = [0.0] * n
-    val, pstar = prob.oracle(x)
-    if val <= 1.0 + max(tol_L, 0.0):
-        # L(0) <= 1 makes x = 0 exact, and the dual's maximum w = 0
-        end = "linear" if val - 1.0 <= tol_L else "stalled"
-        return solution(x, pstar, val - 1.0, 1, end)
-    w, steps = _max_dual(prob, [pstar, [1.0 / n] * n, *seeds])
+    starts = [[1.0 / n] * n, *seeds]
+    if not any(_proves_nonlinear(prob, p, tol_L) for p in starts):
+        val, pstar = prob.oracle(x)
+        if val <= 1.0 + max(tol_L, 0.0):
+            # L(0) <= 1 makes x = 0 exact, and the dual's maximum w = 0
+            end = "linear" if val - 1.0 <= tol_L else "stalled"
+            return solution(x, pstar, val - 1.0, 1, end)
+        starts.insert(0, pstar)
+    w, p, steps = _max_dual(prob, starts)
     x = [min(wi * di, 1.0) for wi, di in zip(w, prob.d_tuple)]
-    total = sum(w)
-    val, pstar = prob.maximize(prob.adjusted_prices(x), [wi / total for wi in w])
+    val, pstar = prob.maximize(prob.adjusted_prices(x), p)
     end = "newton" if val - 1.0 <= tol_L else "stalled"
     return solution(x, pstar, val - 1.0, steps, end)
+
+
+def _proves_nonlinear(prob: _LsqProblem, p: Sequence[float], tol_L: float) -> bool:
+    """Whether the mix p alone shows L(0) > 1 + max(tol_L, 0), so that the
+    oracle at x = 0 would not end at or below that threshold.
+
+    The ratio at any mix is a lower bound on L(0). The certified oracle may
+    stop up to ORACLE_GAP below L(0), so p must clear the threshold by
+    that much, and as much again for the rounding of the price solves.
+    """
+    threshold = (1.0 + max(tol_L, 0.0)) * (1.0 + 2.0 * ORACLE_GAP)
+    return prob.value_grad_hess(p)[0] > threshold * _dot(p, prob.u_tuple)
 
 
 def check_constant_mix(basis: ConeBasis) -> Optional[tuple[Mix, tuple[int, ...]]]:
@@ -910,10 +960,15 @@ def check_linear_pricing(basis: ConeBasis, rate: Rate) -> bool:
 
     Linearity means the least-squares prices equal the stand-alone ones
     (x = 0), that is L(0) = 1: the certified oracle's worst ratio at t = 0
-    is within DEFAULT_L_TOL of 1. Raises PricingError when the oracle cannot
-    certify its bound.
+    is within DEFAULT_L_TOL of 1. The uniform mix is priced first, and when
+    it alone proves L(0) above that (_proves_nonlinear, the rule the solve
+    uses), the answer is False without the oracle. Raises PricingError when
+    the oracle cannot certify its bound.
     """
-    return _LsqProblem(basis, rate).oracle([0.0] * basis.n)[0] <= 1.0 + DEFAULT_L_TOL
+    prob = _LsqProblem(basis, rate)
+    if _proves_nonlinear(prob, [1.0 / prob.n] * prob.n, DEFAULT_L_TOL):
+        return False
+    return prob.oracle([0.0] * prob.n)[0] <= 1.0 + DEFAULT_L_TOL
 
 
 def _cone_fit(

@@ -907,6 +907,85 @@ class TestDualSolve:
             _max_dual(_LsqProblem(B13, R05), [[0.5, 0.5]])
 
 
+def _sample_basis(name):
+    gf = load_game_file(str(ROOT / "sample_games" / name))
+    return ConeBasis(gf.space, gf.games.values()), gf.rate
+
+
+def _count_calls(monkeypatch, name):
+    """Record each call of _LsqProblem.<name>, as its arguments."""
+    calls = []
+    method = getattr(_LsqProblem, name)
+    monkeypatch.setattr(_LsqProblem, name,
+                        lambda self, *args: calls.append(args) or method(self, *args))
+    return calls
+
+
+# instances like the ls_deep benchmark's: 2 or 3 games on 3 to 5 outcomes
+LS_DEEP_LIKE = (
+    ([0.1853, 0.4231, 0.3916], [[13.56, 6.509, 12.316], [12.333, 11.833, 3.588]], 0.0401),
+    ([0.2337, 0.1482, 0.2648, 0.3533],
+     [[14.929, 18.089, 15.235, 17.318], [14.254, 9.719, 4.898, 13.386]], 0.0321),
+    ([0.1771, 0.2464, 0.2913, 0.2852],
+     [[8.634, 15.915, 17.338, 11.67], [12.687, 7.956, 11.862, 12.373]], 0.0156),
+    ([0.2141, 0.2057, 0.1481, 0.1524, 0.2797],
+     [[5.239, 12.225, 7.748, 9.338, 19.203], [9.933, 11.704, 17.397, 4.065, 3.506]],
+     0.0736),
+    ([0.1044, 0.101, 0.2751, 0.2342, 0.2853],
+     [[0.915, 12.906, 9.904, 14.745, 6.719], [19.987, 1.968, 11.149, 14.872, 18.054]],
+     0.0616),
+    ([0.214, 0.3943, 0.3917],
+     [[3.287, 3.227, 11.874], [19.525, 12.468, 8.845], [10.384, 16.286, 10.685]], 0.0476),
+)
+
+
+class TestOracleAtZero:
+    """The oracle climbs at x = 0 only when no start mix of the dual already
+    proves prices nonlinear, and a solve prices each mix once."""
+
+    @pytest.mark.parametrize("name, termination", [
+        ("example13.json", "newton"), ("example12.json", "linear"),
+        ("example11.json", "constant_mix"), ("intro.json", "constant_mix"),
+    ])
+    def test_one_oracle_climb_per_solve(self, monkeypatch, name, termination):
+        # example 13: the uniform mix proves L(0) > 1, so the only climb is
+        # the certificate's
+        b, rate = _sample_basis(name)
+        climbs = _count_calls(monkeypatch, "maximize")
+        assert least_squares_prices(b, rate).termination == termination
+        assert len(climbs) == 1
+
+    def test_a_seed_mix_can_prove_prices_nonlinear(self, monkeypatch):
+        # at tol_L = 0.1 the uniform mix's ratio, 1.0897, proves nothing;
+        # the seed's, 1.1062, does; L(0) is 1.1114
+        b = ConeBasis(OutcomeSpace([0.2, 0.3, 0.5]),
+                      [Game([1, 2, 3]), Game([5, 1, 1]), Game([2, 4, 6.5])])
+        climbs = _count_calls(monkeypatch, "maximize")
+        plain = least_squares_prices(b, R05, tol_L=0.1)
+        assert len(climbs) == 2
+        seeded = least_squares_prices(b, R05, tol_L=0.1, seed_mixes=[[0.5, 0.5, 0.0]])
+        assert len(climbs) == 3
+        assert seeded.termination == plain.termination == "newton"
+        assert seeded.x.tolist() == pytest.approx(plain.x.tolist(), abs=1e-10)
+
+    @pytest.mark.parametrize("name, linear, climbs", [
+        ("example13.json", False, 0), ("example12.json", True, 1)])
+    def test_check_linear_pricing_shares_the_rule(self, monkeypatch, name, linear, climbs):
+        b, rate = _sample_basis(name)
+        calls = _count_calls(monkeypatch, "maximize")
+        assert check_linear_pricing(b, rate) is linear
+        assert len(calls) == climbs
+
+    def test_no_payoff_vector_is_priced_twice(self, monkeypatch):
+        priced = _count_calls(monkeypatch, "price_full")
+        for probs, games, r in LS_DEEP_LIKE:
+            b = ConeBasis(OutcomeSpace(probs), [Game(g) for g in games])
+            least_squares_prices(b, Rate(r))
+            payoffs = [tuple(args[0]) for args in priced]
+            assert len(set(payoffs)) == len(payoffs), (probs, games, r)
+            priced.clear()
+
+
 def _climb(f, grad, hess, x, *, simplex):
     """_projected_newton on a closed-form concave f, from x.
 
@@ -1553,6 +1632,32 @@ def test_the_least_squares_solve_keeps_its_claims(problem, j, log_scale):
     other = least_squares_prices(_ls_basis(scaled, probs), rate)
     assert other.termination == sol.termination, case
     assert other.price_tuple[j] == pytest.approx(k * sol.price_tuple[j], rel=1e-11), case
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_the_solve_matches_the_route_through_the_oracle_at_zero(seed, wide):
+    # the reference always climbs the oracle at x = 0 and starts the dual
+    # from its worst mix as well; the solve skips both when the uniform mix
+    # proves prices nonlinear
+    basis, rate = _stress_basis(np.random.default_rng(seed), wide)
+    sol = least_squares_prices(basis, rate)
+    assert sol.max_violation <= DEFAULT_L_TOL
+    prob = _LsqProblem(ConeBasis(basis.space, [basis.games[i] for i in sol.basis]), rate)
+    x_sol = [sol.x_tuple[i] for i in sol.basis]
+    n = prob.n
+    if check_constant_mix(prob.basis) is not None:
+        assert sol.termination == "constant_mix"
+        return
+    val, pstar = prob.oracle([0.0] * n)
+    if val <= 1.0 + DEFAULT_L_TOL:
+        assert sol.termination == "linear" and x_sol == [0.0] * n
+        return
+    w, _, _ = _max_dual(prob, [pstar, [1.0 / n] * n])
+    x = [min(wi * di, 1.0) for wi, di in zip(w, prob.d_tuple)]
+    assert x_sol == pytest.approx(x, abs=1e-10)
+    end = "newton" if big_L(prob.basis, rate, x)[0] - 1.0 <= DEFAULT_L_TOL else "stalled"
+    assert sol.termination == end
 
 
 # Fails on two shrunk reproducers, kept as examples. Constant games: c - u is
