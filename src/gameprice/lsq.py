@@ -16,25 +16,25 @@ certifies L(t) <= 1 + tol_L from the tight mix w / |w|. When some mix of the
 games pays a constant, t = 1 is the only feasible point on the games with
 c_i > u_i, so it is returned at once. Prices are linear exactly when
 L(0) <= 1, and every mix's ratio at t = 0 bounds L(0) from below: when the
-uniform mix or a caller's seed mix is priced clearly above its stand-alone
-prices, the dual starts from those mixes at once, and only otherwise does
-one oracle call at t = 0 decide. A solve evaluates each mix once, handing
-each stage's last mix to the next. LsSolution.termination says which way a
-solve ended. One projected-Newton routine (_projected_newton) makes both
-climbs: the oracle's, on a concave reparametrization of the ratio over the
-mix simplex, and the dual's, over w >= 0. Both take the mix price's exact
-gradient and Hessian from one price solve, and the routine splits each
-Newton step into its curved and flat parts by a pivoted LDL^T
-factorization. The oracle stops only when the upper bound max_i dh/dy_i
-(Euler's identity plus concavity) is within 1e-10 relative of its value.
-Every question about the cone the games span is one nonnegative
-least-squares (NNLS) problem, solved by Lawson and Hanson's active-set
-method on a Householder QR of its passive columns: whether a game lies in
-it and with which coefficients, which games are its extreme rays, and
-whether some mix pays a constant, with the largest support such a mix can
-have; one QR of the games, with a bound on its rounding, settles the clear
-cases first. Everything runs on plain Python floats, so solving imports no
-numpy; the functions that return arrays build them on the way out.
+uniform mix is priced clearly above its stand-alone prices, the dual starts
+from it at once, and only otherwise does one oracle call at t = 0 decide. A
+solve evaluates each mix once, handing each stage's last mix to the next.
+LsSolution.termination says which way a solve ended. One projected-Newton
+routine (_projected_newton) makes both climbs: the oracle's, on a concave
+reparametrization of the ratio over the mix simplex, and the dual's, over
+w >= 0. Both take the mix price's exact gradient and Hessian from one price
+solve, and the routine splits each Newton step into its curved and flat
+parts by a pivoted LDL^T factorization. The oracle stops only when the
+upper bound max_i dh/dy_i (Euler's identity plus concavity) is within 1e-10
+relative of its value. Every question about the cone the games span is one
+nonnegative least-squares (NNLS) problem, solved by Lawson and Hanson's
+active-set method on a Householder QR of its passive columns: whether a game
+lies in it and with which coefficients, which games are its extreme rays,
+and whether some mix pays a constant, with the largest support such a mix
+can have; one QR of the games, with a bound on its rounding, settles the
+clear cases first. Everything runs on plain Python floats, so solving
+imports no numpy; the functions that return arrays build them on the way
+out.
 """
 
 from __future__ import annotations
@@ -136,15 +136,11 @@ class _LsqProblem:
     """Precomputed pricing context for one basis and rate.
 
     u_tuple, c_tuple and d_tuple hold the stand-alone prices, the ceilings
-    and d = max(c - u, 0). The solver works on them and on the plain-float
-    methods; u and d, adjusted and big_L give arrays, built on request, for
-    callers that hold arrays. value_grad_hess keeps each mix's evaluation,
-    keyed by the exact mix, for as long as the problem lives: a solve that
-    hands the same mix list from one stage to the next prices it once.
+    and d = max(c - u, 0), and every method runs on plain floats.
+    value_grad_hess keeps each mix's evaluation, keyed by the exact mix, for
+    as long as the problem lives: a solve that hands the same mix list from
+    one stage to the next prices it once.
     """
-
-    u = _array("u_tuple")
-    d = _array("d_tuple")
 
     def __init__(self, basis: ConeBasis, rate: Rate):
         self.basis = basis
@@ -161,7 +157,6 @@ class _LsqProblem:
         self.u_tuple, self.c_tuple = map(tuple, zip(*map(self.standalone, self._cols)))
         self.d_tuple = tuple(max(ci - ui, 0.0)
                              for ci, ui in zip(self.c_tuple, self.u_tuple))
-        self.scale = max(self.c_tuple)
         self._evaluations = {}  # value_grad_hess's, by tuple(p)
 
     def standalone(self, col: Sequence[float]) -> tuple[float, float]:
@@ -181,15 +176,6 @@ class _LsqProblem:
     def adjusted_prices(self, t: Sequence[float]) -> list[float]:
         """u + t d."""
         return [ui + ti * di for ui, ti, di in zip(self.u_tuple, t, self.d_tuple)]
-
-    def adjusted(self, t: Sequence[float]) -> np.ndarray:
-        """adjusted_prices(t) as an array."""
-        import numpy as np
-
-        return np.array(self.adjusted_prices(t))
-
-    def ratio(self, t: Sequence[float], p: Sequence[float]) -> float:
-        return self.price_mix(p) / _dot(p, self.adjusted_prices(t))
 
     def value_grad_hess(
         self, p: Sequence[float]
@@ -257,13 +243,6 @@ class _LsqProblem:
     def oracle(self, t: Sequence[float]) -> tuple[float, list[float]]:
         """max of the price ratio over the mix simplex and an attaining mix."""
         return self.maximize(self.adjusted_prices(t), [1.0 / self.n] * self.n)
-
-    def big_L(self, t: Sequence[float]) -> tuple[float, np.ndarray]:
-        """oracle(t), with the mix as an array."""
-        import numpy as np
-
-        val, p = self.oracle(t)
-        return val, np.array(p)
 
     def maximize(
         self, adj: Sequence[float], p0: Sequence[float]
@@ -516,10 +495,10 @@ def _max_dual(
     mix with the largest D at its best scale b / |a|^2, a = p d and
     b = price(M p) - p . u (D's maximum along p while b p d / |a|^2 <= 1),
     and runs _projected_newton on v >= 0. least_squares_prices passes the
-    uniform mix and its seed mixes, led by the oracle's worst mix at x = 0
-    when it ran that call. The mixes must lie on the simplex. One
-    value_grad_hess call at p gives a start's b and its first state, so a
-    mix the caller has already evaluated is not priced again. The climb
+    uniform mix, led by the oracle's worst mix at x = 0 when it ran that
+    call. The mixes must lie on the simplex. One value_grad_hess call at p
+    gives a start's b and its first state, so a mix the caller has already
+    evaluated is not priced again. The climb
     stops when the projected gradient vanishes to rounding or no halving
     raises D.
     """
@@ -694,13 +673,6 @@ def _nnls_cols(cols: Sequence[Sequence[float]], b: Sequence[float]) -> list[floa
     raise PricingError(f"NNLS iteration cap {3 * n} hit")
 
 
-def _nnls(A, b) -> np.ndarray:
-    """_nnls_cols on an m x n array A, as an array."""
-    import numpy as np
-
-    return np.array(_nnls_cols(np.asarray(A, dtype=float).T.tolist(), b))
-
-
 def _orthogonal_entry(A, passive, reflectors, r, w, tol):
     """A column the gradient test w_j > tol misses, or None.
 
@@ -744,7 +716,9 @@ def ls_ratio(
 ) -> float:
     """Ratio of a mix's stand-alone price to its adjusted linear price."""
     prob = _LsqProblem(basis, rate)
-    return prob.ratio(_check_t(t, basis.n), _mix_weights(p, basis.n))
+    adj = prob.adjusted_prices(_check_t(t, basis.n))
+    p = _mix_weights(p, basis.n)
+    return prob.price_mix(p) / _dot(p, adj)
 
 
 def big_L(
@@ -770,7 +744,6 @@ def least_squares_prices(
     rate: Rate,
     *,
     tol_L: float = DEFAULT_L_TOL,
-    seed_mixes: Optional[Sequence[Sequence[float]]] = None,
 ) -> LsSolution:
     """Min-norm feasible coordinates and the prices they induce, per game.
 
@@ -780,37 +753,28 @@ def least_squares_prices(
     linearity at k_j . prices, k_j its coordinates, with x_j =
     (price_j - u_j) / d_j (0 when d_j = 0, 1 on the constant-mix exit), in
     [0, 1] up to tol_L u_j / d_j and the cone test's 1e-9, and weight 0 in
-    the certificate. seed_mixes over the declared games map onto the kept
-    ones through the coordinates, exactly: the mix price is 1-homogeneous.
+    the certificate.
 
     A constant mix (check_constant_mix) pins every price at its ceiling:
     x is 1 wherever d = c - u > 0 and 0 elsewhere, and one oracle call
-    gives max_violation and the certificate. Otherwise the uniform mix and
-    seed_mixes are priced first. When one of them alone proves
-    L(0) > 1 + max(tol_L, 0) (_proves_nonlinear), prices are not linear and
-    the oracle at x = 0 is skipped; else one oracle call at x = 0 decides
-    whether they are (L(0) <= 1 + tol_L, x = 0). When they are not,
-    x = min(w d, 1) at the maximizer w >= 0 of the concave dual
-    (_max_dual), certified by the oracle from the tight mix w / |w|. The
-    dual starts from the best of the uniform mix and seed_mixes, led by
-    the oracle's worst mix at x = 0 when that call ran (any mix is a
-    start), which changes the route but not the answer: D is concave. The
-    uniform mix matters where the worst mix at x = 0 sits on a game whose
-    stand-alone price is near 0, and D along it is near 0 too. Each mix is
-    priced once: the starts reuse the first pricing and the oracle's last
-    evaluation, and the certificate's climb starts from the dual's last
-    mix. LsSolution.termination records which exit was taken.
+    gives max_violation and the certificate. Otherwise the uniform mix is
+    priced first. When it alone proves L(0) > 1 + max(tol_L, 0)
+    (_proves_nonlinear), prices are not linear and the oracle at x = 0 is
+    skipped; else one oracle call at x = 0 decides whether they are
+    (L(0) <= 1 + tol_L, x = 0). When they are not, x = min(w d, 1) at the
+    maximizer w >= 0 of the concave dual (_max_dual), certified by the
+    oracle from the tight mix w / |w|. The dual starts from the better of
+    the uniform mix and the oracle's worst mix at x = 0 when that call ran
+    (any mix is a start), which changes the route but not the answer: D is
+    concave. The uniform mix matters where the worst mix at x = 0 sits on
+    a game whose stand-alone price is near 0, and D along it is near 0 too.
+    Each mix is priced once: the starts reuse the first pricing and the
+    oracle's last evaluation, and the certificate's climb starts from the
+    dual's last mix. LsSolution.termination records which exit was taken.
     """
     games = basis.games
     keep, coords = _reduce_to_basis(games)
     dropped = len(keep) < len(games)
-    seeds = []
-    for p in (seed_mixes if seed_mixes is not None else ()):
-        weights = _cone_coefficients(p, len(games))
-        if dropped:  # the same mix payoff, on the kept games
-            weights = [_dot(weights, col) for col in zip(*coords)]
-        total = sum(weights)
-        seeds.append([wi / total for wi in weights])
     prob = _LsqProblem(
         ConeBasis(basis.space, [games[i] for i in keep]) if dropped else basis, rate)
     n = prob.n
@@ -849,8 +813,8 @@ def least_squares_prices(
         return solution(x, pstar, val - 1.0, 1, "constant_mix")
 
     x = [0.0] * n
-    starts = [[1.0 / n] * n, *seeds]
-    if not any(_proves_nonlinear(prob, p, tol_L) for p in starts):
+    starts = [[1.0 / n] * n]
+    if not _proves_nonlinear(prob, tol_L):
         val, pstar = prob.oracle(x)
         if val <= 1.0 + max(tol_L, 0.0):
             # L(0) <= 1 makes x = 0 exact, and the dual's maximum w = 0
@@ -864,14 +828,16 @@ def least_squares_prices(
     return solution(x, pstar, val - 1.0, steps, end)
 
 
-def _proves_nonlinear(prob: _LsqProblem, p: Sequence[float], tol_L: float) -> bool:
-    """Whether the mix p alone shows L(0) > 1 + max(tol_L, 0), so that the
-    oracle at x = 0 would not end at or below that threshold.
+def _proves_nonlinear(prob: _LsqProblem, tol_L: float) -> bool:
+    """Whether the uniform mix alone shows L(0) > 1 + max(tol_L, 0), so that
+    the oracle at x = 0 would not end at or below that threshold: the test
+    least_squares_prices and check_linear_pricing make before that call.
 
     The ratio at any mix is a lower bound on L(0). The certified oracle may
-    stop up to ORACLE_GAP below L(0), so p must clear the threshold by
+    stop up to ORACLE_GAP below L(0), so the mix must clear the threshold by
     that much, and as much again for the rounding of the price solves.
     """
+    p = [1.0 / prob.n] * prob.n
     threshold = (1.0 + max(tol_L, 0.0)) * (1.0 + 2.0 * ORACLE_GAP)
     return prob.value_grad_hess(p)[0] > threshold * _dot(p, prob.u_tuple)
 
@@ -966,7 +932,7 @@ def check_linear_pricing(basis: ConeBasis, rate: Rate) -> bool:
     the oracle cannot certify its bound.
     """
     prob = _LsqProblem(basis, rate)
-    if _proves_nonlinear(prob, [1.0 / prob.n] * prob.n, DEFAULT_L_TOL):
+    if _proves_nonlinear(prob, DEFAULT_L_TOL):
         return False
     return prob.oracle([0.0] * prob.n)[0] <= 1.0 + DEFAULT_L_TOL
 

@@ -10,6 +10,8 @@ through least-squares prices of the basis {put, call, stock-minus-call}.
 
 from __future__ import annotations
 
+import math
+
 from .core import (
     DEFAULT_L_TOL,
     ConeBasis,
@@ -211,8 +213,8 @@ def put_call_parity(
     others (one always is on two outcomes) is priced by linearity. The
     stock is call + (stock-minus-call), so its price is their sum.
     """
-    if strike <= 0:
-        raise InvariantViolation("strike must be > 0")
+    if not 0.0 < strike < math.inf:
+        raise InvariantViolation("strike must be finite and > 0")
     _check_aligned(stock, space)
     s = stock.payoff_tuple
     put = [max(strike - a, 0.0) for a in s]

@@ -12,10 +12,15 @@ cutting planes to tol_L followed by one polish.
 import numpy as np
 
 from gameprice.core import PricingError
-from gameprice.lsq import _LsqProblem, _nnls
+from gameprice.lsq import _LsqProblem, _nnls_cols
 
 # a bound multiplier mu q_i d_i - 1 above -_MULTIPLIER_TOL counts as >= 0
 _MULTIPLIER_TOL = 1e-9
+
+
+def _nnls(A, b) -> np.ndarray:
+    """The library's NNLS (_nnls_cols) on an m x n array A, as an array."""
+    return np.array(_nnls_cols(np.asarray(A, dtype=float).T.tolist(), b))
 
 
 def _min_norm_point(cuts, n: int) -> np.ndarray:
@@ -71,8 +76,9 @@ def _min_norm_point(cuts, n: int) -> np.ndarray:
 def _polish(prob: _LsqProblem, x_hat: np.ndarray, q_hat: np.ndarray, tol_L: float):
     if float(np.max(np.abs(x_hat))) <= 1e-12:
         return None
-    tiny = 1e-12 * max(prob.scale, 1.0)
-    pinned0 = prob.d <= tiny
+    d = np.array(prob.d_tuple)
+    tiny = 1e-12 * max(max(prob.c_tuple), 1.0)
+    pinned0 = d <= tiny
     pinned1 = (~pinned0) & (x_hat >= 1.0 - 1e-9)
     free = ~pinned0 & ~pinned1
     if not free.any():
@@ -84,11 +90,11 @@ def _polish(prob: _LsqProblem, x_hat: np.ndarray, q_hat: np.ndarray, tol_L: floa
     if result is None:
         return None
     x, q, mu = result
-    if np.any(mu * q[pinned1] * prob.d[pinned1] < 1.0 - _MULTIPLIER_TOL):
+    if np.any(mu * q[pinned1] * d[pinned1] < 1.0 - _MULTIPLIER_TOL):
         return None  # lowering that coordinate would shorten x within L <= 1
     # the oracle's certificate does not depend on where it starts; from the
     # tight mix q it takes a step or two
-    adj = prob.adjusted(x)
+    adj = np.array(prob.adjusted_prices(x))
     val, p_best = prob.maximize(adj, q)
     if val - 1.0 > max(tol_L, 1e-9) or val < 1.0 - 1e-6:
         return None
@@ -110,11 +116,11 @@ def _polish_newton(prob, pinned1, free, q_hat, x_hat):
     within 1e-12 of z, or when the line search no longer lowers the residual.
     """
     n = prob.n
-    d = prob.d
+    d = np.array(prob.d_tuple)
     # the games q_hat weighs, and those whose ratio gradient ties with the
     # ratio at q_hat: where the tight mixes form a segment, q_hat can lie at
     # one end of it and leave out a game that the optimum weighs
-    adj_hat = prob.adjusted(x_hat)
+    adj_hat = np.array(prob.adjusted_prices(x_hat))
     value, grad, _ = prob.value_grad_hess(q_hat.tolist())
     ratio = value / float(q_hat @ adj_hat)
     support = np.flatnonzero((q_hat > 1e-7 * float(np.max(q_hat)))
@@ -146,7 +152,7 @@ def _polish_newton(prob, pinned1, free, q_hat, x_hat):
         Jx[raw >= 1.0] = 0.0
         value, grad, hess = prob.value_grad_hess(q.tolist())
         grad, hess = np.array(grad), np.array(hess)
-        adj = prob.adjusted(x)
+        adj = np.array(prob.adjusted_prices(x))
         dadj = d[:, None] * Jx
         den = float(q @ adj)
         ratio = value / den

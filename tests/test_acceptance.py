@@ -29,7 +29,7 @@ from gameprice import (
     simulate_growth,
     st_petersburg,
 )
-from gameprice.lsq import _LsqProblem
+from gameprice.lsq import _LsqProblem, _max_dual
 
 R05 = Rate(0.05)
 R02S = Rate(0.02, "simple")
@@ -244,30 +244,35 @@ def _check_minimality(rng) -> bool:
     basis = ConeBasis(COIN, [Game([12, 8]), Game([11, 9])])
     sol = least_squares_prices(basis, R05)
     prob = _LsqProblem(basis, R05)
-    scale = prob.scale
+    u, d = np.array(prob.u_tuple), np.array(prob.d_tuple)
+    scale = max(prob.c_tuple)
     for _ in range(100):
         k = int(rng.integers(0, 2))
         delta = float(rng.uniform(1e-4, 1e-2)) * scale
         lowered = sol.prices.copy()
         lowered[k] -= delta
-        if lowered[k] < prob.u[k] - 1e-12:
+        if lowered[k] < u[k] - 1e-12:
             # buying game k below its stand-alone price beats the growth rate
             continue
-        s = (lowered - prob.u) / np.where(prob.d > 0, prob.d, 1.0)
+        s = (lowered - u) / np.where(d > 0, d, 1.0)
         s = np.clip(s, 0.0, 1.0)
-        val, p = prob.big_L(s)
-        if not (val > 1.0 and prob.price_mix(p) > float(p @ lowered)):
+        val, p = prob.oracle(s)
+        if not (val > 1.0 and prob.price_mix(p) > float(np.dot(p, lowered))):
             return False
     return True
 
 
 def _check_min_norm_uniqueness(rng) -> bool:
+    # the dual's maximizer, and so x = min(w d, 1), does not depend on the
+    # mixes it climbs from
     basis = ConeBasis(COIN, [Game([12, 8]), Game([11, 9])])
     base = least_squares_prices(basis, R05)
+    prob = _LsqProblem(basis, R05)
     for _ in range(10):
         mixes = rng.dirichlet(np.ones(2), size=3)
-        sol = least_squares_prices(basis, R05, seed_mixes=mixes)
-        if float(np.max(np.abs(sol.x - base.x))) > 1e-7:
+        w = _max_dual(prob, mixes.tolist())[0]
+        x = np.minimum(np.multiply(w, prob.d_tuple), 1.0)
+        if float(np.max(np.abs(x - base.x))) > 1e-7:
             return False
     return True
 

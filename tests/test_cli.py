@@ -200,6 +200,13 @@ class TestExitCodes:
         assert out == ""
         assert "price must be finite and > 0" in err
 
+    def test_parity_at_an_infinite_strike(self, capsys):
+        rc, out, err = run(capsys, ["parity", str(ROOT / "sample_games" / "stock3.json"),
+                                    "--strike", "inf"])
+        assert rc == 3
+        assert out == ""
+        assert "strike must be finite and > 0" in err
+
     def test_degenerate_basis_exit_code(self, capsys, tmp_path):
         path = tmp_path / "prop.json"
         path.write_text(json.dumps({

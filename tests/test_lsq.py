@@ -43,10 +43,9 @@ from gameprice.lsq import (
     _max_dual,
     _newton_split,
     _projected_newton,
-    _nnls,
     _nnls_cols,
 )
-from kelley_reference import _min_norm_point, _polish
+from kelley_reference import _min_norm_point, _nnls, _polish
 
 ROOT = Path(__file__).resolve().parents[1]
 R05 = Rate(0.05)
@@ -270,29 +269,6 @@ class TestOneBasisRule:
         assert sol.x.tolist() == [1.0, 1.0, 1.0]
         assert sol.prices[2] == pytest.approx(sol.prices[1] * 8.47028 / 62.5219, rel=1e-12)
 
-    def test_seed_mixes_map_onto_the_kept_games(self, monkeypatch):
-        # B = 2 A is dropped: a seed all on B pays what one all on A pays
-        starts = []
-        max_dual = gameprice.lsq._max_dual
-        monkeypatch.setattr(gameprice.lsq, "_max_dual",
-                            lambda prob, mixes: starts.append(mixes) or max_dual(prob, mixes))
-        b = ConeBasis(OutcomeSpace([0.2, 0.3, 0.5]),
-                      [Game([1, 2, 3]), Game([2, 4, 6]), Game([5, 1, 1])])
-        sol = least_squares_prices(b, R05, seed_mixes=[[0.0, 1.0, 0.0], [0.0, 0.5, 0.5]])
-        assert starts[0][-2:] == [[1.0, 0.0], [2.0 / 3.0, 1.0 / 3.0]]
-        assert sol.x.tolist() == pytest.approx(least_squares_prices(b, R05).x.tolist(),
-                                               abs=1e-10)
-
-    @pytest.mark.parametrize("seed, error", [
-        ([0.5, 0.5], DimensionMismatch), ([0.5, 0.5, 0.0, 0.0], DimensionMismatch),
-        ([1.0, -0.5, 0.5], InvariantViolation), ([0.0, 0.0, 0.0], InvariantViolation),
-    ], ids=["short", "long", "negative", "all_zero"])
-    def test_a_seed_mix_is_checked_as_cone_coefficients(self, seed, error):
-        b = ConeBasis(OutcomeSpace([0.2, 0.3, 0.5]),
-                      [Game([1, 2, 3]), Game([2, 4, 6]), Game([5, 1, 1])])
-        with pytest.raises(error):
-            least_squares_prices(b, R05, seed_mixes=[[1.0, 0.0, 0.0], seed])
-
     @staticmethod
     def _near_constant_bases(rng):
         """Bases with more outcomes than games on which a mix pays 1 to within
@@ -434,13 +410,14 @@ class TestOracle:
             payoffs[:, 0] += 1.0  # no game is all zero
             prob = _LsqProblem(ConeBasis(space, [Game(row) for row in payoffs]), R05)
             t = rng.uniform(0.0, 1.0, n)
-            val, p = prob.big_L(t)
-            grid_best = max(prob.ratio(t, q) for q in _simplex_grid(n))
+            val, p = prob.oracle(t)
+            adj = np.array(prob.adjusted_prices(t))
+            grid_best = max(prob.price_mix(q) / float(np.dot(q, adj))
+                            for q in _simplex_grid(n))
             assert val >= grid_best * (1.0 - 1e-12)
             # max_i dh/dy_i bounds the ratio over the whole simplex
-            adj = prob.adjusted(t)
             price, grad, _ = prob.value_grad_hess(p)
-            ratio = price / float(p @ adj)
+            ratio = price / float(np.dot(p, adj))
             assert float(np.max(grad / adj)) - ratio <= 1e-10 * ratio
 
     def test_any_start_mix_reaches_the_same_value(self):
@@ -448,15 +425,15 @@ class TestOracle:
         games = [[3.287, 3.227, 11.874], [19.525, 12.468, 8.845], [10.384, 16.286, 10.685]]
         prob = _LsqProblem(ConeBasis(space, [Game(g) for g in games]), R05)
         t = np.array([0.3, 0.1, 0.2])
-        val, _ = prob.big_L(t)
+        val, _ = prob.oracle(t)
         for start in (*np.eye(3), [0.5, 0.5, 0.0], [0.0, 0.9, 0.1]):
-            got = prob.maximize(prob.adjusted(t), np.array(start))[0]
+            got = prob.maximize(prob.adjusted_prices(t), np.array(start))[0]
             assert got == pytest.approx(val, rel=2e-10)
 
     def test_uncertified_stop_raises(self, monkeypatch):
         monkeypatch.setattr(gameprice.lsq, "_ORACLE_MAX_ITER", 1)
         with pytest.raises(PricingError, match="gap"):
-            _LsqProblem(B13, R05).big_L(np.zeros(2))
+            _LsqProblem(B13, R05).oracle(np.zeros(2))
 
 
 class TestMixHessian:
@@ -546,22 +523,22 @@ class TestLeastSquaresPrices:
                 assert sol.prices[i] <= sol.ceilings[i] + 1e-9
 
     def test_fast_path_consistency(self):
-        # a warm start with the tight cut and the single-game cuts changes
-        # the route, not the answer
+        # the dual started from the tight mix and the single-game mixes
+        # takes another route to the same answer, on every exit
         for b in (B11, B12, B13):
             cold = least_squares_prices(b, R05)
-            seeds = [cold.certificate.weights, *np.eye(b.n)]
-            warm = least_squares_prices(b, R05, seed_mixes=seeds)
-            assert np.max(np.abs(cold.prices - warm.prices)) <= 1e-7
-            assert np.max(np.abs(cold.x - warm.x)) <= 1e-7
+            prob = _LsqProblem(b, R05)
+            x = _dual_x(prob, [cold.certificate.weights, *np.eye(b.n)])
+            assert np.max(np.abs(cold.prices - prob.adjusted_prices(x))) <= 1e-7
+            assert np.max(np.abs(cold.x - x)) <= 1e-7
 
     def test_unique_across_cut_orderings(self):
         rng = np.random.default_rng(42)
         base = least_squares_prices(B13, R05)
+        prob = _LsqProblem(B13, R05)
         for _ in range(10):
             mixes = rng.dirichlet(np.ones(2), size=3)
-            sol = least_squares_prices(B13, R05, seed_mixes=mixes)
-            assert np.max(np.abs(sol.x - base.x)) <= 1e-7
+            assert np.max(np.abs(_dual_x(prob, mixes) - base.x)) <= 1e-7
 
     def test_basis_rescaling_rescales_prices(self):
         # x does not change when a game is rescaled, by up to 1e6 either way:
@@ -627,6 +604,12 @@ def _normalized_space(probs):
     return OutcomeSpace((probs / probs.sum()).tolist())
 
 
+def _dual_x(prob, mixes):
+    """x = min(w d, 1) at the dual's maximizer w, climbed from the mixes."""
+    w = _max_dual(prob, [list(p) for p in mixes])[0]
+    return np.minimum(np.multiply(w, prob.d_tuple), 1.0)
+
+
 def _cut_then_polish(b, rate, tol_L=1e-9):
     """Reference route: Kelley's cutting planes to tol_L, then one KKT polish,
     whose point replaces the last iterate when it is accepted. The solver
@@ -635,11 +618,13 @@ def _cut_then_polish(b, rate, tol_L=1e-9):
     cuts = []
     for _ in range(200):
         x = _min_norm_point(cuts, b.n)
-        val, p = prob.big_L(x)
+        val, p = prob.oracle(x)
+        p = np.array(p)
         if val - 1.0 <= tol_L:
             break
-        a = p * prob.d
-        cuts.append((a, min(prob.price_mix(p) - float(p @ prob.u), float(a.sum()))))
+        a = p * np.array(prob.d_tuple)
+        cuts.append((a, min(prob.price_mix(p) - float(np.dot(p, prob.u_tuple)),
+                            float(a.sum()))))
     else:
         raise AssertionError("reference did not reach tol_L")
     refined = _polish(prob, x, p, tol_L)
@@ -688,7 +673,7 @@ def _bisection_coordinate(prob, x, i):
     def feasible(s):
         t = x.copy()
         t[i] = s
-        return prob.big_L(t)[0] <= 1.0 + 1e-13
+        return prob.oracle(t)[0] <= 1.0 + 1e-13
 
     if feasible(0.0):
         return 0.0
@@ -890,7 +875,7 @@ class TestDualSolve:
         # 6.5e-96, and D along the worst mix at x = 0 peaks near 1e-180. The
         # answer must be certified, or the solver must say it cannot give one
         b, rate = _stress_draw(2, 260)
-        assert _LsqProblem(b, rate).u[0] < 1e-90
+        assert _LsqProblem(b, rate).u_tuple[0] < 1e-90
         try:
             sol = least_squares_prices(b, rate)
         except PricingError:
@@ -940,8 +925,8 @@ LS_DEEP_LIKE = (
 
 
 class TestOracleAtZero:
-    """The oracle climbs at x = 0 only when no start mix of the dual already
-    proves prices nonlinear, and a solve prices each mix once."""
+    """The oracle climbs at x = 0 only when the uniform mix does not already
+    prove prices nonlinear, and a solve prices each mix once."""
 
     @pytest.mark.parametrize("name, termination", [
         ("example13.json", "newton"), ("example12.json", "linear"),
@@ -954,19 +939,6 @@ class TestOracleAtZero:
         climbs = _count_calls(monkeypatch, "maximize")
         assert least_squares_prices(b, rate).termination == termination
         assert len(climbs) == 1
-
-    def test_a_seed_mix_can_prove_prices_nonlinear(self, monkeypatch):
-        # at tol_L = 0.1 the uniform mix's ratio, 1.0897, proves nothing;
-        # the seed's, 1.1062, does; L(0) is 1.1114
-        b = ConeBasis(OutcomeSpace([0.2, 0.3, 0.5]),
-                      [Game([1, 2, 3]), Game([5, 1, 1]), Game([2, 4, 6.5])])
-        climbs = _count_calls(monkeypatch, "maximize")
-        plain = least_squares_prices(b, R05, tol_L=0.1)
-        assert len(climbs) == 2
-        seeded = least_squares_prices(b, R05, tol_L=0.1, seed_mixes=[[0.5, 0.5, 0.0]])
-        assert len(climbs) == 3
-        assert seeded.termination == plain.termination == "newton"
-        assert seeded.x.tolist() == pytest.approx(plain.x.tolist(), abs=1e-10)
 
     @pytest.mark.parametrize("name, linear, climbs", [
         ("example13.json", False, 0), ("example12.json", True, 1)])
@@ -1632,6 +1604,29 @@ def test_the_least_squares_solve_keeps_its_claims(problem, j, log_scale):
     other = least_squares_prices(_ls_basis(scaled, probs), rate)
     assert other.termination == sol.termination, case
     assert other.price_tuple[j] == pytest.approx(k * sol.price_tuple[j], rel=1e-11), case
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_ls_problems(), st.permutations(range(7)))
+@example(([[1.0, 2.0, 3.0], [2.0, 4.0, 6.000000001], [5.0, 1.0, 1.0]], [0.2, 0.3, 0.5],
+          Rate(0.05)), [1, 0, 2, 3, 4, 5, 6])
+def test_permuting_the_games_permutes_the_answer(problem, shuffle):
+    # the reduction may keep the other game of a near-proportional pair, as
+    # in the example, which moves x; the prices of the cone stay in place
+    games, probs, rate = problem
+    case = (games, probs, rate)
+    order = [i for i in shuffle if i < len(games)]  # _ls_problems has n <= 7
+    sol = least_squares_prices(_ls_basis(games, probs), rate)
+    other = least_squares_prices(_ls_basis([games[i] for i in order], probs), rate)
+    assert other.termination == sol.termination, (case, order)
+    x, prices = [0.0] * len(games), [0.0] * len(games)
+    for i, xi, pi in zip(order, other.x_tuple, other.price_tuple):
+        x[i], prices[i] = xi, pi
+    if sorted(order[k] for k in other.basis) == list(sol.basis):
+        assert x == pytest.approx(sol.x_tuple, rel=0.0, abs=1e-10), (case, order)
+        assert prices == pytest.approx(sol.price_tuple, rel=1e-12, abs=0.0), (case, order)
+    else:
+        assert prices == pytest.approx(sol.price_tuple, rel=1e-8, abs=0.0), (case, order)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)

@@ -204,8 +204,16 @@ class TestPutCallParity:
         assert "call pays nothing" in rep.reason
 
     def test_nonpositive_strike_rejected(self):
-        with pytest.raises(InvariantViolation):
-            put_call_parity(Game([12, 8]), COIN, 0.0, R05)
+        for strike in (0.0, -1.0):
+            with pytest.raises(InvariantViolation, match="strike must be finite and > 0"):
+                put_call_parity(Game([12, 8]), COIN, strike, R05)
+
+    @pytest.mark.parametrize("strike", [math.inf, math.nan])
+    def test_non_finite_strike_rejected(self, strike):
+        # inf used to pass as a strike above every payoff, and nan to fail
+        # later as a payoff that is not finite
+        with pytest.raises(InvariantViolation, match="strike must be finite and > 0"):
+            put_call_parity(Game([12, 8]), COIN, strike, R05)
 
     def test_stock_with_zero_payoff(self):
         rep = put_call_parity(Game([9, 0]), COIN, 4.0, R05)
