@@ -218,10 +218,6 @@ def fair_coin() -> OutcomeSpace:
     return OutcomeSpace([0.5, 0.5])
 
 
-def is_fair_coin(space: OutcomeSpace) -> bool:
-    return space.size == 2 and abs(space.prob_tuple[0] - 0.5) <= PROB_TOL
-
-
 class Game(_Record):
     """Nonnegative payoff vector aligned to an OutcomeSpace.
 
@@ -268,10 +264,12 @@ class Rate(_Record):
 
     def __post_init__(self):
         try:
-            valid = self.value > 0.0 and math.isfinite(self.value)
+            finite = math.isfinite(self.value)
         except OverflowError:  # an int beyond float range
-            raise InvariantViolation("interest rate must be finite") from None
-        if not valid:
+            finite = False
+        if not finite:
+            raise InvariantViolation("interest rate must be finite")
+        if not self.value > 0.0:
             raise InvariantViolation("interest rate must be > 0")
         if self.convention not in ("continuous", "simple"):
             raise InvariantViolation(f"unknown convention {self.convention!r}")

@@ -61,9 +61,8 @@ from .core import (
     _mix_weights,
     _payoff_rows,
     _Record,
-    is_fair_coin,
 )
-from .pricer import _price_fair, _price_numeric
+from .pricer import _price
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -152,7 +151,6 @@ class _LsqProblem:
         self._cols = [g.payoff_tuple for g in basis.games]
         self._rows = _payoff_rows(basis.games)
         self.g = rate.growth_factor()
-        self._fair = is_fair_coin(self.space)
         self.n = basis.n
         self.u_tuple, self.c_tuple = map(tuple, zip(*map(self.standalone, self._cols)))
         self.d_tuple = tuple(max(ci - ui, 0.0)
@@ -164,11 +162,9 @@ class _LsqProblem:
         return self.price_full(list(col))[0], _dot(self._probs_list, col) / self.g
 
     def price_full(self, payoffs: list[float]) -> tuple[float, float]:
-        """(price, proportion) of an arbitrary payoff list on the space."""
-        if self._fair and payoffs[0] > 0.0 and payoffs[1] > 0.0:
-            return _price_fair(payoffs[0], payoffs[1], self.g)
-        u, t, _, _ = _price_numeric(payoffs, self._probs_list, self.rate)
-        return u, t
+        """(price, proportion) of an arbitrary payoff list on the space, by
+        pricer._price: the route and the answer price_general gives."""
+        return _price(payoffs, self._probs_list, self.rate)
 
     def price_mix(self, p: Sequence[float]) -> float:
         return self.price_full([_dot(row, p) for row in self._rows])[0]
@@ -219,8 +215,9 @@ class _LsqProblem:
         W = sum(qi * x / di for qi, x, di in zip(q, a, D))
         gamma = [qi * u / (di * W) for qi, di in zip(q, D)]
         # the first-order condition's partials: u probs / D^2 in a,
-        # -E[a / D^2] in u and -E[(a - u)^2 / D^2] in t
-        pd2 = [qi / (di * di) for qi, di in zip(q, D)]
+        # -E[a / D^2] in u and -E[(a - u)^2 / D^2] in t; where D^2
+        # underflows to 0, q / D / D stands in for q / D^2
+        pd2 = [qi / (di * di) if di * di else qi / di / di for qi, di in zip(q, D)]
         s_a = sum(map(mul, pd2, a))
         s_au = sum(w * x * (x - u) for w, x in zip(pd2, a))
         s_uu = sum(w * (x - u) ** 2 for w, x in zip(pd2, a))

@@ -2,8 +2,9 @@
 
 The price u of a game is the stake at which repeated proportional investment,
 at the best proportion t, grows capital at exactly the risk-free growth
-factor g (e^r continuous, 1+r simple). Fair two-outcome games have a closed
-form; general finite games are solved from the simultaneous equations
+factor g (e^r continuous, 1+r simple). Every entry point prices through
+_price, the one route rule: the closed form _price_fair on a fair coin with
+positive payoffs, and _price_numeric on every other game, which solves
 
     E[log(a_j * t/u - t + 1)] = log g        (growth at the optimum)
     E[(a_j - u) / (a_j t - u t + u)] = 0     (first-order condition in t)
@@ -28,6 +29,7 @@ from __future__ import annotations
 import math
 import sys
 from .core import (
+    PROB_TOL,
     Game,
     InvariantViolation,
     LogDomainViolation,
@@ -39,8 +41,8 @@ from .core import (
     _check_aligned,
     _dot,
     _Record,
+    fair_coin,
     harmonic_mean,
-    is_fair_coin,
 )
 
 TYPE_CHECKING = False
@@ -73,8 +75,9 @@ _LOG_HUGE = math.log(sys.float_info.max)
 class PriceResult(_Record):
     """Price, optimal proportion, regime flag and the growth attained there.
 
-    regime is full_investment exactly when proportion == 1; achieved_growth
-    equals the risk-free growth factor up to solver tolerance.
+    Built by price_general alone. regime is full_investment exactly when
+    proportion == 1; achieved_growth equals the risk-free growth factor up
+    to solver tolerance.
     """
 
     price: float
@@ -177,14 +180,11 @@ def _price_fair(a: float, b: float, g: float) -> tuple[float, float]:
 
 
 def price_two_outcome_fair(a: float, b: float, rate: Rate) -> PriceResult:
-    """Closed-form price of a fair-coin game paying a or b (both > 0)."""
+    """Closed-form price of a fair-coin game paying a or b (both > 0), by
+    price_general on the fair coin."""
     if not (a > 0 and b > 0):
         raise InvariantViolation("closed form needs strictly positive payoffs")
-    u, t = _price_fair(a, b, rate.growth_factor())
-    if t == 1.0:
-        return PriceResult(u, 1.0, REGIME_FULL, math.sqrt(a * b) / u)
-    achieved = math.exp(_growth_system([a, b], [0.5, 0.5], u, t)[0])
-    return PriceResult(u, t, REGIME_INTERIOR, achieved)
+    return price_general(Game([a, b]), fair_coin(), rate)
 
 
 def _growth_system(pay, pr, u, t):
@@ -283,7 +283,8 @@ def _zero_payoff_floor(pay, pr, log_g):
     return math.exp(log_lo)
 
 
-def _price_numeric(pay, pr, rate: Rate):
+def _price_numeric(pay, pr, rate: Rate) -> tuple[float, float]:
+    """(price, proportion) of any finite game, by the two routes above."""
     g = rate.growth_factor()
     log_g = rate.log_growth_factor()
     mean = sum(p * a for a, p in zip(pay, pr))
@@ -294,8 +295,7 @@ def _price_numeric(pay, pr, rate: Rate):
     else:
         gm, hm = 0.0, 0.0  # zero payoff: harmonic condition cannot hold
     if gm > 0.0 and gm / g <= hm * FULL_SLACK:
-        u = gm / g
-        return u, 1.0, REGIME_FULL, gm / u
+        return gm / g, 1.0
     # The best growth over t is at least log g at lo and at most log g at hi
     # (Jensen). In between, the regime is interior, so the best growth is
     # attained at some t < 1.
@@ -323,9 +323,7 @@ def _price_numeric(pay, pr, rate: Rate):
             # units of a relative step in u
             if (abs(du) <= U_REL_TOL * u
                     and abs(dt) <= U_REL_TOL * max(1.0, u * fu / ft)):
-                u, t = u + du, t + dt
-                growth = _growth_system(pay, pr, u, t)[0]
-                return u, t, REGIME_INTERIOR, math.exp(growth)
+                return u + du, t + dt
             if it < NEWTON_ITER and math.isfinite(du) and math.isfinite(dt):
                 # multiplicative in u; the caps keep exp finite and u_new > 0
                 # unless u is near underflow, where the step bisects
@@ -354,25 +352,26 @@ def _price_numeric(pay, pr, rate: Rate):
     )
 
 
-def price_general(
-    game: Game,
-    space: OutcomeSpace,
-    rate: Rate,
-    *,
-    force_numeric: bool = False,
-) -> PriceResult:
+def _price(pay, pr, rate: Rate) -> tuple[float, float]:
+    """(price, proportion) of payoffs pay on probabilities pr."""
+    if len(pr) == 2 and abs(pr[0] - 0.5) <= PROB_TOL and min(pay) > 0.0:
+        return _price_fair(pay[0], pay[1], rate.growth_factor())
+    return _price_numeric(pay, pr, rate)
+
+
+def price_general(game: Game, space: OutcomeSpace, rate: Rate) -> PriceResult:
     """Price a finite game with nonnegative payoffs and positive expectation.
 
-    Dispatches to the closed form for fair-coin games with positive payoffs;
-    otherwise solves numerically. force_numeric routes the solver path even
-    when the closed form applies (used to cross-check the two).
+    The one constructor of PriceResult, from _price's (price, proportion).
     """
     _check_aligned(game, space)
-    pay = game.payoff_tuple
-    if not force_numeric and is_fair_coin(space) and min(pay) > 0.0:
-        return price_two_outcome_fair(pay[0], pay[1], rate)
-    u, t, regime, achieved = _price_numeric(pay, space.prob_tuple, rate)
-    return PriceResult(u, t, regime, achieved)
+    pay, pr = game.payoff_tuple, space.prob_tuple
+    u, t = _price(pay, pr, rate)
+    if t == 1.0:
+        gm = math.exp(_dot(pr, map(math.log, pay)))
+        return PriceResult(u, t, REGIME_FULL, gm / u)
+    growth = _growth_system(pay, pr, u, t)[0]
+    return PriceResult(u, t, REGIME_INTERIOR, math.exp(growth))
 
 
 def truncate_series(sgame: SeriesGame) -> tuple[OutcomeSpace, Game]:
@@ -426,6 +425,6 @@ def truncate_series(sgame: SeriesGame) -> tuple[OutcomeSpace, Game]:
 
 
 def price_series(sgame: SeriesGame, rate: Rate) -> PriceResult:
-    """Price a countable-support game via adaptive truncation."""
+    """Price a countable-support game: price_general on its truncation."""
     space, game = truncate_series(sgame)
-    return price_general(game, space, rate, force_numeric=True)
+    return price_general(game, space, rate)

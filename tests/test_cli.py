@@ -193,6 +193,13 @@ class TestExitCodes:
         assert out == ""
         assert err.count("\n") == 1 and "overflows" in err
 
+    @pytest.mark.parametrize("rate", ["inf", "nan", "1e400"])
+    def test_a_rate_that_is_not_finite_is_reported_as_such(self, capsys, intro, rate):
+        rc, out, err = run(capsys, ["price", intro, "--game", "A", "--rate", rate])
+        assert rc == 3
+        assert out == ""
+        assert "rate must be finite" in err and "> 0" not in err
+
     @pytest.mark.parametrize("u", ["inf", "nan", "0"])
     def test_simulate_at_a_price_that_is_not_finite_and_positive(self, capsys, intro, u):
         rc, out, err = run(capsys, ["simulate", intro, "--game", "A", "--u", u])
@@ -418,6 +425,14 @@ class TestLsPriceCommand:
         assert rc == 0
         assert "priced by linearity" in out
         assert "certificate mix" in out
+
+    def test_a_game_whose_d_squared_underflows(self, capsys, tmp_path):
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps({"probabilities": [0.3, 0.7],
+                                    "games": {"A": [1e-10, 0]}, "rate": {"value": 120}}))
+        rc, out, err = run(capsys, ["ls-price", str(path), "--format", "json"])
+        assert rc == 0 and err == ""
+        assert json.loads(out)["prices"] == [2.4997155209389922e-185]
 
     def test_redundant_game_on_three_outcomes(self, capsys):
         rc, out, err = run(capsys, ["ls-price", "--full-precision",

@@ -191,6 +191,11 @@ class TestRate:
         with pytest.raises(InvariantViolation):
             Rate(0.0)
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_a_rate_that_is_not_finite_is_reported_as_such(self, value):
+        with pytest.raises(InvariantViolation, match="rate must be finite"):
+            Rate(value)
+
     def test_rejects_unknown_convention(self):
         with pytest.raises(InvariantViolation):
             Rate(0.05, "weekly")

@@ -885,6 +885,16 @@ class TestDualSolve:
         # uniform mix starts near the answer's scale
         assert sol.iterations <= 25
 
+    def test_a_game_whose_d_squared_underflows(self):
+        # at r = 120 the price is 2.5e-185, and D on the zero payoff is about
+        # 1.7e-185: its square is 0, and the mix Hessian divided by it
+        space, game, rate = OutcomeSpace([0.3, 0.7]), Game([1e-10, 0.0]), Rate(120.0)
+        sol = least_squares_prices(ConeBasis(space, [game]), rate)
+        assert sol.termination == "linear"
+        assert sol.standalone_tuple == sol.price_tuple == (price_general(game, space, rate).price,)
+        assert sol.price_tuple[0] == 2.4997155209389922e-185
+        assert all(map(math.isfinite, (*sol.x_tuple, sol.norm, sol.max_violation)))
+
     def test_iteration_cap_raises(self, monkeypatch):
         # B13 takes 6 steps from the even mix
         monkeypatch.setattr(gameprice.lsq, "_ORACLE_MAX_ITER", 1)

@@ -24,6 +24,7 @@ from gameprice import (
     expected_log_growth,
     fair_coin,
     geometric_mean,
+    least_squares_prices,
     max_proportion,
     mix_game,
     optimal_proportion,
@@ -270,9 +271,9 @@ class TestClosedForm:
         # investment there, so the closed form needs no kappa
         rate = Rate(r)
         cf = price_two_outcome_fair(19.0, 1.0, rate)
-        nm = price_general(Game([19.0, 1.0]), COIN, rate, force_numeric=True)
-        assert cf.regime == nm.regime == REGIME_FULL
-        assert cf.price == pytest.approx(nm.price, rel=1e-12)
+        u, t = _price_numeric([19.0, 1.0], COIN.prob_tuple, rate)
+        assert cf.regime == REGIME_FULL and t == 1.0
+        assert cf.price == pytest.approx(u, rel=1e-12)
         assert cf.price == pytest.approx(math.sqrt(19.0) * math.exp(-r), rel=1e-12)
 
     def test_an_interior_game_where_kappa_underflows_is_an_invariant_violation(self):
@@ -287,9 +288,9 @@ class TestPriceGeneral:
     def test_numeric_agrees_with_closed_form(self):
         for a, b in ((19.0, 1.0), (16.0, 4.0)):
             cf = price_two_outcome_fair(a, b, R05)
-            nm = price_general(Game([a, b]), COIN, R05, force_numeric=True)
-            assert nm.price == pytest.approx(cf.price, rel=1e-9)
-            assert nm.proportion == pytest.approx(cf.proportion, abs=1e-7)
+            u, t = _price_numeric([a, b], COIN.prob_tuple, R05)
+            assert u == pytest.approx(cf.price, rel=1e-9)
+            assert t == pytest.approx(cf.proportion, abs=1e-7)
 
     def test_one_fund_vector(self):
         space = OutcomeSpace([0.25] * 4)
@@ -317,8 +318,10 @@ class TestPriceGeneral:
 
     def test_achieved_growth_matches_rate(self):
         for game in (Game([19, 1]), Game([10, 10]), Game([0, 2])):
-            res = price_general(game, COIN, R05, force_numeric=True)
-            assert res.achieved_growth == pytest.approx(G, rel=1e-9)
+            u, t = _price_numeric(game.payoff_tuple, COIN.prob_tuple, R05)
+            achieved = math.exp(expected_log_growth(game, COIN, u, t))
+            assert achieved == pytest.approx(G, rel=1e-9)
+            assert price_general(game, COIN, R05).achieved_growth == pytest.approx(G, rel=1e-9)
 
 
 class TestPriceSeries:
@@ -401,7 +404,7 @@ def test_first_order_condition_residual():
         w = rng.uniform(0.1, 1.0, pay.size)
         space = OutcomeSpace(w / w.sum())
         game = Game(pay)
-        res = price_general(game, space, R05, force_numeric=True)
+        res = price_general(game, space, R05)
         if res.regime != REGIME_INTERIOR:
             continue
         u, t = res.price, res.proportion
@@ -525,7 +528,7 @@ def _agrees_with_bisection(pay, pr, rate):
     pay = [float(a) for a in pay]
     pr = [float(p) for p in np.asarray(pr) / np.sum(pr)]
     u_ref, t_ref, regime_ref, _ = _bisection_price(pay, pr, rate)
-    res = price_general(Game(pay), OutcomeSpace(pr), rate, force_numeric=True)
+    res = price_general(Game(pay), OutcomeSpace(pr), rate)
     case = (pay, pr, rate)
     assert res.regime == regime_ref, case
     assert res.price == pytest.approx(u_ref, rel=1e-11), case
@@ -609,14 +612,15 @@ class TestNewtonPrice:
             return system(pay, pr, u, t)
 
         monkeypatch.setattr(pricer, "_growth_system", recorded)
-        u, t, regime, achieved = _price_numeric(pay, pr, rate)
+        u, t = _price_numeric(pay, pr, rate)
         # the Newton step from the start leaves the bracket; the next iterate
         # is its midpoint, with either end possibly moved to the start
         midpoints = [0.5 * (lo + hi), 0.5 * (lo + start[0]), 0.5 * (start[0] + hi)]
         assert any(iterates[1] == pytest.approx(m, rel=1e-13) for m in midpoints)
         assert u == pytest.approx(U_GAME_A, rel=1e-13)
         assert t == pytest.approx(T_GAME_A, abs=1e-12)
-        assert regime == REGIME_INTERIOR
+        assert 0.0 < t < 1.0
+        achieved = math.exp(expected_log_growth(Game(pay), OutcomeSpace(pr), u, t))
         assert achieved == pytest.approx(G, rel=1e-14)
 
     def test_bisection_alone_converges(self, monkeypatch):
@@ -625,8 +629,8 @@ class TestNewtonPrice:
         monkeypatch.setattr(pricer, "NEWTON_ITER", 0)
         for pay, pr in (([19.0, 1.0], [0.5, 0.5]), ([0.0, 3.0, 7.0], [0.2, 0.5, 0.3])):
             u_ref, t_ref, _, _ = _bisection_price(pay, pr, R05)
-            u, t, regime, _ = _price_numeric(pay, pr, R05)
-            assert regime == REGIME_INTERIOR
+            u, t = _price_numeric(pay, pr, R05)
+            assert 0.0 < t < 1.0
             assert u == pytest.approx(u_ref, rel=1e-11)
             assert t == pytest.approx(t_ref, abs=1e-10)
 
@@ -638,8 +642,8 @@ class TestNewtonPrice:
         pay, pr, rate = [0.0, 1.0], [0.9, 0.1], Rate(20.0)
         with pytest.raises(PricingError):
             _bisection_price(pay, pr, rate)
-        u, t, regime, _ = _price_numeric(pay, pr, rate)
-        assert regime == REGIME_INTERIOR
+        u, t = _price_numeric(pay, pr, rate)
+        assert 0.0 < t < 1.0
         assert u == pytest.approx(0.1 * math.exp((0.9 * math.log(0.9) - 20.0) / 0.1), rel=1e-12)
         assert u == pytest.approx(5.3614986911377856e-89, rel=1e-12)
         assert t == pytest.approx(0.1, rel=1e-12)
@@ -660,13 +664,13 @@ class TestNewtonPrice:
                 pr = np.maximum(rng.dirichlet(np.full(m, rng.uniform(0.2, 2.0))), 1e-6)
                 pay, pr = pay.tolist(), (pr / pr.sum()).tolist()
                 try:
-                    u, t, regime, _ = _price_numeric(pay, pr, rate)
+                    u, t = _price_numeric(pay, pr, rate)
                 except PricingError as exc:
                     assert "underflows" in str(exc), (pay, pr, rate)
                     underflowed += 1
                     continue
                 solved += 1
-                assert regime == REGIME_INTERIOR and 0.0 < t < 1.0, (pay, pr, rate)
+                assert 0.0 < t < 1.0, (pay, pr, rate)
                 growth, foc = _growth_and_foc_residuals(pay, pr, rate, u, t)
                 assert abs(growth) <= 1e-8 and abs(foc) <= 1e-7, (pay, pr, rate)
         assert solved >= 780 and underflowed >= 1
@@ -713,8 +717,7 @@ def _check_price_solve(pay, pr, rate):
     """The numeric solve converges to the reference price within 1e-13, its
     growth at (u, t) is log g within 1e-12, and t is optimal_proportion's."""
     game, space = Game(pay), OutcomeSpace(pr)
-    res = price_general(game, space, rate, force_numeric=True)
-    u, t = res.price, res.proportion
+    u, t = _price_numeric(pay, pr, rate)
     assert u == pytest.approx(_bisection_price(pay, pr, rate)[0], rel=1e-13)
     assert abs(expected_log_growth(game, space, u, t) - rate.log_growth_factor()) <= 1e-12
     assert optimal_proportion(game, space, u)[0] == pytest.approx(t, abs=1e-12)
@@ -755,8 +758,8 @@ def test_a_step_below_lo_from_the_best_stake_goes_to_lo(monkeypatch):
         return system(pay, pr, u, t)
 
     monkeypatch.setattr(pricer, "_growth_system", recorded)
-    u, t, regime, _ = _price_numeric(pay, pr, rate)
-    assert regime == REGIME_INTERIOR
+    u, t = _price_numeric(pay, pr, rate)
+    assert 0.0 < t < 1.0
     assert len(passes) <= 20
     assert u == pytest.approx(_bisection_price(pay, pr, rate)[0], rel=1e-13)
 
@@ -768,8 +771,9 @@ class TestPayoffsWhoseSquareOverflows:
     @pytest.mark.parametrize("pay, pr", [([1e200, 1.0], [0.4, 0.6]),
                                          ([1e160, 3.0, 1.0], [0.2, 0.3, 0.5])])
     def test_the_start_falls_back_to_the_bracket(self, pay, pr):
-        u, t, regime, achieved = _price_numeric(pay, pr, R05)
-        assert regime == REGIME_INTERIOR and 0.0 < t < 1.0
+        u, t = _price_numeric(pay, pr, R05)
+        assert 0.0 < t < 1.0
+        achieved = math.exp(expected_log_growth(Game(pay), OutcomeSpace(pr), u, t))
         assert achieved == pytest.approx(G, rel=1e-12)
         growth, foc = _growth_and_foc_residuals(pay, pr, R05, u, t)
         assert abs(growth) <= 1e-12 and abs(foc) <= 1e-12
@@ -777,7 +781,7 @@ class TestPayoffsWhoseSquareOverflows:
     def test_a_price_beyond_float_range_raises_no_overflow_error(self):
         # near its price, about 1e-48, t a / u overflows
         with contextlib.suppress(PricingError):
-            price_general(Game([1e300, 1e-300]), COIN, Rate(400), force_numeric=True)
+            _price_numeric([1e300, 1e-300], COIN.prob_tuple, Rate(400))
 
 
 class TestOneRegimeRule:
@@ -810,13 +814,49 @@ class TestOneRegimeRule:
                 continue
             checked += 1
             game = Game([a, b])
-            numeric = price_general(game, COIN, rate, force_numeric=True)
-            t = optimal_proportion(game, COIN, numeric.price)[0]
-            regimes = (price_general(game, COIN, rate).regime, numeric.regime,
-                       REGIME_FULL if t == 1.0 else REGIME_INTERIOR)
+            u, t_numeric = _price_numeric([a, b], COIN.prob_tuple, rate)
+            t = optimal_proportion(game, COIN, u)[0]
+            regimes = (price_general(game, COIN, rate).regime,
+                       *(REGIME_FULL if s == 1.0 else REGIME_INTERIOR
+                         for s in (t_numeric, t)))
             expected = REGIME_FULL if edge > 0.0 else REGIME_INTERIOR
             assert regimes == (expected,) * 3, (a, b, rate, edge)
         assert checked >= 1900
+
+
+@st.composite
+def _games(draw):
+    """(pay, pr, rate): half the time a fair coin with positive payoffs, else
+    m = 2-6 outcomes with about one payoff in five zero; continuous rates
+    from 0.1% to 100%."""
+    unit = st.floats(0.0, 1.0)
+    rate = Rate(10.0 ** (3.0 * draw(unit) - 3.0))
+    if draw(st.booleans()):
+        return [0.5 + 49.5 * draw(unit) for _ in range(2)], [0.5, 0.5], rate
+    m = draw(st.integers(2, 6))
+    pay = [0.0 if draw(st.integers(0, 4)) == 0 else 0.5 + 49.5 * draw(unit)
+           for _ in range(m)]
+    assume(max(pay) > 0.0)
+    w = [0.05 + draw(unit) for _ in range(m)]
+    return pay, [v / sum(w) for v in w], rate
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_games())
+def test_one_price_per_game_whatever_the_entry_point(problem):
+    # price_general, price_series on the same terms, the stand-alone price of
+    # a least-squares solve and, on a fair coin, the closed form's entry
+    # point all take one route, so they agree bit for bit
+    pay, pr, rate = problem
+    game, space = Game(pay), OutcomeSpace(pr)
+    res = price_general(game, space, rate)
+    series = SeriesGame(lambda j: (pay[j - 1], pr[j - 1]) if j <= len(pay) else (0.0, 0.0),
+                        tail_exponent=1.0, moment_bound=max(pay) + 1.0)
+    assert price_series(series, rate) == res
+    sol = least_squares_prices(ConeBasis(space, [game]), rate)
+    assert sol.standalone_tuple == (res.price,)
+    if pr == [0.5, 0.5] and min(pay) > 0.0:
+        assert price_two_outcome_fair(*pay, rate) == res
 
 
 @pytest.mark.xfail(strict=True, reason="the price solve's last Newton step can "
@@ -827,10 +867,10 @@ def test_a_near_constant_interior_price_stays_in_its_bracket():
     # optimal_proportion at that price finds full investment
     game = Game([15.054335981344655, 15.054224284221291])
     rate = Rate(6.865175095072118e-12, "simple")
-    res = price_general(game, COIN, rate, force_numeric=True)
-    assert res.regime == REGIME_INTERIOR
-    assert res.price >= geometric_mean(game, COIN) / rate.growth_factor()
-    assert optimal_proportion(game, COIN, res.price)[0] < 1.0
+    u, t = _price_numeric(game.payoff_tuple, COIN.prob_tuple, rate)
+    assert t != 1.0  # the interior regime, as price_general reads it
+    assert u >= geometric_mean(game, COIN) / rate.growth_factor()
+    assert optimal_proportion(game, COIN, u)[0] < 1.0
 
 
 def _growth_and_foc_residuals(pay, pr, rate, u, t):
