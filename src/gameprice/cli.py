@@ -401,7 +401,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"invariant violated: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
     except PricingError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
 
 

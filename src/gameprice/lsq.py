@@ -514,8 +514,9 @@ def _max_dual(
             -0.5 * si * si if si <= 1.0 else 0.5 - si for si in s)
         g = [(gi - ui - di * min(si, 1.0)) / ci
              for gi, ui, di, si, ci in zip(grad, u, d, s, c)]
-        H = [[hjk / (total * cj * ck) for hjk, ck in zip(row, c)]
-             for row, cj in zip(hess, c)]
+        # where total c_j c_k underflows to 0, dividing in steps stands in
+        H = [[hjk / (total * cj * ck) if total * cj * ck else hjk / total / cj / ck
+              for hjk, ck in zip(row, c)] for row, cj in zip(hess, c)]
         for j in range(n):
             if s[j] < 1.0:
                 H[j][j] -= (d[j] / c[j]) ** 2

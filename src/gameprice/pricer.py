@@ -11,17 +11,18 @@ positive payoffs, and _price_numeric on every other game, which solves
 
 by two routes. Newton's method on (u, t) takes the exact Jacobian from the
 same pass over the outcomes; the growth is concave in t, so each iterate
-narrows the price bracket [gm/g, E/g] from the side its growth certifies.
-A Newton step that is not finite, leaves the log domain or the bracket, or
-comes after NEWTON_ITER steps becomes a bisection step in u (geometric while
-the bracket spans more than a factor 4) at the optimal stake t*(u), which
-optimal_proportion solves for on the same pass. At t*(u) the Newton step is
-Newton on the best growth, convex in log u: from above the price it can land
-below the bracket, and then the next point is the bracket's lower end, from
-which Newton rises to the price, instead of the midpoint. With a zero payoff
-gm = 0, and the lower end is a certified floor from the single-outcome
-sub-games (_zero_payoff_floor), which can lie tens of orders of magnitude
-below E/g. Every growth figure comes from one kernel, _growth_system.
+narrows the price bracket [lo, hi] = [gm/g, E/g] from the side its growth
+certifies. The first step, the converged one included, that is not finite,
+leaves the bracket or the log domain, or sets t to 1 or above hands the
+solve to Newton in log u from lo, at the optimal stake t*(u) that
+_best_stake finds for optimal_proportion too. Each growth term is the log
+of a positive combination of exponentials of log u, so the best growth is
+convex and decreasing in log u, and that Newton rises from lo to the price
+without passing it; a step of it that is not finite is a growth overflow,
+and raises PricingError at once. With a zero payoff gm = 0, and lo is a
+certified floor from the single-outcome sub-games (_zero_payoff_floor),
+which can lie tens of orders of magnitude below E/g. Every growth figure
+comes from one kernel, _growth_system.
 """
 
 from __future__ import annotations
@@ -56,10 +57,8 @@ REGIME_INTERIOR = "interior"
 
 # price solve, relative
 U_REL_TOL = 1e-12
-# iteration cap of the price solve and of optimal_proportion
+# iteration cap of each route of the price solve and of optimal_proportion
 MAX_PRICE_ITER = 200
-# iterations after which every step of the price solve is a bisection step
-NEWTON_ITER = 40
 # full investment (t* = 1) when the price is at most the harmonic mean hm
 # times this; every regime test reads it, so entry points agree on the regime
 FULL_SLACK = 1.0 + 1e-14
@@ -297,15 +296,14 @@ def _price_numeric(pay, pr, rate: Rate) -> tuple[float, float]:
     if gm > 0.0 and gm / g <= hm * FULL_SLACK:
         return gm / g, 1.0
     # The best growth over t is at least log g at lo and at most log g at hi
-    # (Jensen). In between, the regime is interior, so the best growth is
-    # attained at some t < 1.
+    # (Jensen); in between, the regime is interior, so it is attained at t < 1
     lo = gm / g if gm > 0.0 else _zero_payoff_floor(pay, pr, log_g)
     hi = mean / g
     u, t = _newton_start(pay, pr, mean, log_g, lo, hi)
     while not _inside(a_min, u, t):
         t *= 0.5
-    system, best = _growth_system(pay, pr, u, t), False  # best: t is t*(u)
-    for it in range(MAX_PRICE_ITER):
+    system = _growth_system(pay, pr, u, t)
+    for _ in range(MAX_PRICE_ITER):
         growth, f, gu, fu, ft = system
         gap = growth - log_g
         # growth is concave in t, so the best growth at u lies between growth
@@ -315,37 +313,37 @@ def _price_numeric(pay, pr, rate: Rate) -> tuple[float, float]:
         elif gap + (f * (1.0 - t) if f > 0.0 else -f * t) < 0.0:
             hi = u
         det = gu * ft - f * fu
-        to_lo = False
-        if det != 0.0:
-            du = (f * f - gap * ft) / det
-            dt = (gap * fu - f * gu) / det
-            # t moves with u as dt*/du = -fu/ft: its step is measured in the
-            # units of a relative step in u
-            if (abs(du) <= U_REL_TOL * u
-                    and abs(dt) <= U_REL_TOL * max(1.0, u * fu / ft)):
-                return u + du, t + dt
-            if it < NEWTON_ITER and math.isfinite(du) and math.isfinite(dt):
-                # multiplicative in u; the caps keep exp finite and u_new > 0
-                # unless u is near underflow, where the step bisects
-                u_new = u * math.exp(min(max(du / u, -50.0), 50.0))
-                t_new = t + dt
-                if lo < u_new < hi and _inside(a_min, u_new, t_new):
-                    u, t = u_new, t_new
-                    system, best = _growth_system(pay, pr, u, t), False
-                    continue
-                # at t*(u) the step is Newton on the best growth, convex in
-                # log u: from above the price it can land below lo, and from
-                # lo it rises to the price inside the bracket
-                to_lo = best and u_new <= lo < u
-        # else bisect the bracket, geometrically while it spans orders of
-        # magnitude; at the best stake there, the next pass's growth is the
-        # best growth at u, so it moves one end of the bracket to u
-        if to_lo:
-            u = lo
-        else:
-            u = math.sqrt(lo) * math.sqrt(hi) if hi > 4.0 * lo else 0.5 * (lo + hi)
-        t, system = _best_stake(pay, pr, u, t)
-        best = True
+        if det == 0.0:
+            break
+        du = (f * f - gap * ft) / det
+        dt = (gap * fu - f * gu) / det
+        # t moves with u as dt*/du = -fu/ft: its step is measured in the
+        # units of a relative step in u
+        done = (abs(du) <= U_REL_TOL * u
+                and abs(dt) <= U_REL_TOL * max(1.0, u * fu / ft))
+        # multiplicative in u; the caps keep exp finite
+        u_new = u + du if done else u * math.exp(min(max(du / u, -50.0), 50.0))
+        t_new = t + dt
+        if not (math.isfinite(du) and math.isfinite(dt) and lo <= u_new <= hi
+                and t_new < 1.0 and _inside(a_min, u_new, t_new)):
+            break
+        if done:
+            return u_new, t_new
+        u, t = u_new, t_new
+        system = _growth_system(pay, pr, u, t)
+    # Newton in log u at t*(u) from lo; the best growth's slope is u gu there
+    u = lo
+    for _ in range(MAX_PRICE_ITER):
+        t, (growth, _, gu, fu, ft) = _best_stake(pay, pr, u, t)
+        s = max((log_g - growth) / (u * gu), 0.0)  # < 0 only by rounding
+        if not (math.isfinite(s) and math.isfinite(gu)):  # gu = -inf rounds s to 0
+            raise PricingError(f"growth overflows at price {u!r}: the price of this "
+                               f"game is not representable (bracket [{lo!r}, {hi!r}])")
+        u_new = u * math.exp(s)
+        if s <= U_REL_TOL:
+            return u_new, t
+        t -= fu / ft * (u_new - u)  # t*(u_new) to first order
+        u = u_new
     raise PricingError(
         f"internal error: price solve did not converge in {MAX_PRICE_ITER} "
         f"iterations (bracket [{lo!r}, {hi!r}], target growth {log_g!r})"

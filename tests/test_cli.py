@@ -42,6 +42,15 @@ def remark35(tmp_path):
     return str(path)
 
 
+# ceilings c = 6.7e-55 and 4.0e-83: the dual's total c_j c_k underflows to 0
+TINY_CEILINGS = {
+    "probabilities": [0.26996350895349364, 0.7300364910465064],
+    "games": {"A": [0.046895393982378526, 3.510412903439512e-09],
+              "B": [2.782976814602153e-30, 0.0]},
+    "rate": {"value": 120.36376549068146},
+}
+
+
 def run(capsys, argv):
     rc = main(argv)
     captured = capsys.readouterr()
@@ -244,6 +253,21 @@ class TestExitCodes:
         assert rc == 2
         assert "--rate" in err
 
+    @pytest.mark.parametrize("spec, rate", [
+        # the zero-payoff floor underflows
+        ({"probabilities": [0.9, 0.1], "games": {"A": [0, 1]}}, "100"),
+        # t a / u overflows near the price
+        ({"probabilities": [0.4, 0.6], "games": {"A": [1e300, 1e-300]}}, "400"),
+    ])
+    def test_a_price_that_is_not_representable_is_no_internal_error(
+            self, capsys, tmp_path, spec, rate):
+        path = tmp_path / "game.json"
+        path.write_text(json.dumps(spec))
+        rc, out, err = run(capsys, ["price", "--game", "A", "--rate", rate, str(path)])
+        assert rc == 1 and out == ""
+        assert err.startswith("error: ") and "not representable" in err
+        assert "internal error" not in err
+
 
 def _out_of_tolerance(solver):
     """solver, with its result's max_violation pushed far past any tol_L."""
@@ -433,6 +457,13 @@ class TestLsPriceCommand:
         rc, out, err = run(capsys, ["ls-price", str(path), "--format", "json"])
         assert rc == 0 and err == ""
         assert json.loads(out)["prices"] == [2.4997155209389922e-185]
+
+    def test_a_mix_hessian_whose_scale_underflows(self, capsys, tmp_path):
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps(TINY_CEILINGS))
+        rc, _, err = run(capsys, ["ls-price", str(path)])
+        assert rc == 1
+        assert err.startswith("not within tolerance") and "Traceback" not in err
 
     def test_redundant_game_on_three_outcomes(self, capsys):
         rc, out, err = run(capsys, ["ls-price", "--full-precision",

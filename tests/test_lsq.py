@@ -895,6 +895,19 @@ class TestDualSolve:
         assert sol.price_tuple[0] == 2.4997155209389922e-185
         assert all(map(math.isfinite, (*sol.x_tuple, sol.norm, sol.max_violation)))
 
+    def test_a_mix_hessian_whose_scale_underflows(self):
+        # ceilings 6.7e-55 and 4.0e-83: total c_j c_k underflows to 0 in the
+        # dual's Hessian. The solve may fail, but only in the ways it reports
+        space = OutcomeSpace([0.26996350895349364, 0.7300364910465064])
+        games = [Game([0.046895393982378526, 3.510412903439512e-09]),
+                 Game([2.782976814602153e-30, 0.0])]
+        try:
+            sol = least_squares_prices(ConeBasis(space, games), Rate(120.36376549068146))
+        except PricingError:
+            return
+        assert sol.termination == "newton" and sol.max_violation <= 1e-12 or (
+            sol.termination == "stalled" and sol.max_violation > DEFAULT_L_TOL)
+
     def test_iteration_cap_raises(self, monkeypatch):
         # B13 takes 6 steps from the even mix
         monkeypatch.setattr(gameprice.lsq, "_ORACLE_MAX_ITER", 1)

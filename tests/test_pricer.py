@@ -537,6 +537,19 @@ def _agrees_with_bisection(pay, pr, rate):
     return res.regime
 
 
+def _record_passes(monkeypatch):
+    """The u of every _growth_system pass from here on, in order."""
+    passes = []
+    system = pricer._growth_system
+
+    def recorded(pay, pr, u, t):
+        passes.append(u)
+        return system(pay, pr, u, t)
+
+    monkeypatch.setattr(pricer, "_growth_system", recorded)
+    return passes
+
+
 def _random_probs(rng, m):
     w = rng.uniform(0.1, 1.0, m)
     return w / w.sum()
@@ -597,42 +610,45 @@ class TestNewtonPrice:
             rate = Rate(math.log(gm / hm) + math.log1p(-delta))
             assert _agrees_with_bisection(pay, pr, rate) == REGIME_INTERIOR
 
-    def test_a_start_that_newton_overshoots_falls_back_to_bisection(self, monkeypatch):
+    def test_a_start_that_newton_overshoots_falls_back_to_lo(self, monkeypatch):
         pay, pr, rate = [19.0, 1.0], [0.5, 0.5], R05
         g = rate.growth_factor()
         lo = math.exp(0.5 * math.log(19.0)) / g
         hi = 10.0 / g
         start = (hi * (1.0 - 1e-9), 0.999)
         monkeypatch.setattr(pricer, "_newton_start", lambda *args: start)
-        iterates = []
-        system = pricer._growth_system
-
-        def recorded(pay, pr, u, t):
-            iterates.append(u)
-            return system(pay, pr, u, t)
-
-        monkeypatch.setattr(pricer, "_growth_system", recorded)
+        iterates = _record_passes(monkeypatch)
         u, t = _price_numeric(pay, pr, rate)
-        # the Newton step from the start leaves the bracket; the next iterate
-        # is its midpoint, with either end possibly moved to the start
-        midpoints = [0.5 * (lo + hi), 0.5 * (lo + start[0]), 0.5 * (start[0] + hi)]
-        assert any(iterates[1] == pytest.approx(m, rel=1e-13) for m in midpoints)
+        # the Newton step from the start leaves the bracket; the fallback
+        # starts at lo and rises to the price without passing it
+        assert iterates[0] == start[0]
+        assert iterates[1] == lo
+        assert all(a <= b <= U_GAME_A for a, b in zip(iterates[1:], iterates[2:]))
         assert u == pytest.approx(U_GAME_A, rel=1e-13)
         assert t == pytest.approx(T_GAME_A, abs=1e-12)
         assert 0.0 < t < 1.0
         achieved = math.exp(expected_log_growth(Game(pay), OutcomeSpace(pr), u, t))
         assert achieved == pytest.approx(G, rel=1e-14)
 
-    def test_bisection_alone_converges(self, monkeypatch):
-        # with no Newton iterations allowed every step bisects the bracket,
-        # the path taken once NEWTON_ITER steps have not converged
-        monkeypatch.setattr(pricer, "NEWTON_ITER", 0)
+    def test_the_fallback_alone_converges(self, monkeypatch):
+        # from a start just below hi with t 1e-4 below 1 the first Newton step
+        # lands below lo on both games, so every later pass is the fallback's
+        g = R05.growth_factor()
         for pay, pr in (([19.0, 1.0], [0.5, 0.5]), ([0.0, 3.0, 7.0], [0.2, 0.5, 0.3])):
+            hi = sum(p * a for a, p in zip(pay, pr)) / g
+            monkeypatch.setattr(pricer, "_newton_start",
+                                lambda *args, hi=hi: (hi * (1.0 - 1e-9), 0.9999))
+            iterates = _record_passes(monkeypatch)
             u_ref, t_ref, _, _ = _bisection_price(pay, pr, R05)
             u, t = _price_numeric(pay, pr, R05)
+            lo = (math.exp(sum(p * math.log(a) for a, p in zip(pay, pr))) / g if min(pay) > 0.0
+                  else pricer._zero_payoff_floor(pay, pr, R05.log_growth_factor()))
+            assert iterates[1] == lo
+            assert all(a <= b <= u for a, b in zip(iterates[1:], iterates[2:]))
             assert 0.0 < t < 1.0
-            assert u == pytest.approx(u_ref, rel=1e-11)
-            assert t == pytest.approx(t_ref, abs=1e-10)
+            assert u == pytest.approx(u_ref, rel=1e-13)
+            assert t == pytest.approx(t_ref, abs=1e-12)
+            monkeypatch.undo()
 
     def test_a_price_below_the_zero_payoff_bracket_raises(self):
         # the reference's bracket starts at E * 1e-9, and at r = 20 the price
@@ -714,10 +730,15 @@ def _price_problems(draw):
 
 
 def _check_price_solve(pay, pr, rate):
-    """The numeric solve converges to the reference price within 1e-13, its
+    """The numeric solve converges to the reference price within 1e-13, in
+    its bracket [lo, E/g] with 0 < t < 1 unless at lo = gm/g with t = 1, its
     growth at (u, t) is log g within 1e-12, and t is optimal_proportion's."""
     game, space = Game(pay), OutcomeSpace(pr)
     u, t = _price_numeric(pay, pr, rate)
+    g = rate.growth_factor()
+    lo = (geometric_mean(game, space) / g if min(pay) > 0.0
+          else pricer._zero_payoff_floor(pay, pr, rate.log_growth_factor()))
+    assert lo <= u <= expectation(game, space) / g and (0.0 < t < 1.0 or t == 1.0 and u == lo)
     assert u == pytest.approx(_bisection_price(pay, pr, rate)[0], rel=1e-13)
     assert abs(expected_log_growth(game, space, u, t) - rate.log_growth_factor()) <= 1e-12
     assert optimal_proportion(game, space, u)[0] == pytest.approx(t, abs=1e-12)
@@ -729,7 +750,7 @@ def test_the_price_solve_meets_its_reference(problem):
     _check_price_solve(*problem)
 
 
-def test_a_step_that_leaves_the_log_domain_bisects_at_the_best_stake(monkeypatch):
+def test_a_step_that_leaves_the_log_domain_falls_back_to_the_best_stake(monkeypatch):
     # (1, 100) on (0.9, 0.1) at 5%: the first Newton step leaves the log
     # domain, which a damped step once shortened by three halvings
     seen = []
@@ -745,19 +766,12 @@ def test_a_step_that_leaves_the_log_domain_bisects_at_the_best_stake(monkeypatch
 
 
 def test_a_step_below_lo_from_the_best_stake_goes_to_lo(monkeypatch):
-    # (0.5, 1) just inside the interior regime: from the best stake above the
-    # price, each Newton step lands below lo, so bisection alone would take
-    # about 100 growth passes; from lo, Newton rises to the price
+    # (0.5, 1) just inside the interior regime, t* near 1: the start's
+    # Newton step fails the bracket test, and from lo, a hair below the
+    # price, Newton at the best stake reaches it
     pay, pr = [0.5, 1.0], [0.1380938292619644, 0.8619061707380357]
     rate = Rate(0.03363543392064187)
-    passes = []
-    system = pricer._growth_system
-
-    def recorded(pay, pr, u, t):
-        passes.append(u)
-        return system(pay, pr, u, t)
-
-    monkeypatch.setattr(pricer, "_growth_system", recorded)
+    passes = _record_passes(monkeypatch)
     u, t = _price_numeric(pay, pr, rate)
     assert 0.0 < t < 1.0
     assert len(passes) <= 20
@@ -778,10 +792,15 @@ class TestPayoffsWhoseSquareOverflows:
         growth, foc = _growth_and_foc_residuals(pay, pr, R05, u, t)
         assert abs(growth) <= 1e-12 and abs(foc) <= 1e-12
 
-    def test_a_price_beyond_float_range_raises_no_overflow_error(self):
-        # near its price, about 1e-48, t a / u overflows
-        with contextlib.suppress(PricingError):
-            _price_numeric([1e300, 1e-300], COIN.prob_tuple, Rate(400))
+    def test_a_price_beyond_float_range_raises_no_overflow_error(self, monkeypatch):
+        # near its price, about 1e-48 on the fair coin, t a / u overflows: the
+        # first step that is not finite names the overflow
+        for pr in (COIN.prob_tuple, (0.4, 0.6)):
+            passes = _record_passes(monkeypatch)
+            with pytest.raises(PricingError, match="overflows"):
+                _price_numeric([1e300, 1e-300], pr, Rate(400))
+            assert len(passes) <= 5
+            monkeypatch.undo()
 
 
 class TestOneRegimeRule:
@@ -859,12 +878,10 @@ def test_one_price_per_game_whatever_the_entry_point(problem):
         assert price_two_outcome_fair(*pay, rate) == res
 
 
-@pytest.mark.xfail(strict=True, reason="the price solve's last Newton step can "
-                   "leave the bracket: an interior price below gm/g, t > 1")
 def test_a_near_constant_interior_price_stays_in_its_bracket():
     # payoffs 7e-6 apart at g - 1 = 7e-12, 6e-15 inside the interior regime:
-    # the solve returns u 2.9e-14 below gm/g with t = 1.0009, so
-    # optimal_proportion at that price finds full investment
+    # the last Newton step lands 2.9e-14 below gm/g with t = 1.0009, so the
+    # solve falls back to lo rather than return it
     game = Game([15.054335981344655, 15.054224284221291])
     rate = Rate(6.865175095072118e-12, "simple")
     u, t = _price_numeric(game.payoff_tuple, COIN.prob_tuple, rate)
