@@ -62,7 +62,7 @@ from .core import (
     _payoff_rows,
     _Record,
 )
-from .pricer import _price
+from .pricer import _price_numeric
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -163,8 +163,8 @@ class _LsqProblem:
 
     def price_full(self, payoffs: list[float]) -> tuple[float, float]:
         """(price, proportion) of an arbitrary payoff list on the space, by
-        pricer._price: the route and the answer price_general gives."""
-        return _price(payoffs, self._probs_list, self.rate)
+        pricer._price_numeric: the solve and the answer price_general gives."""
+        return _price_numeric(payoffs, self._probs_list, self.rate)
 
     def price_mix(self, p: Sequence[float]) -> float:
         return self.price_full([_dot(row, p) for row in self._rows])[0]
@@ -989,7 +989,7 @@ def _unit_qr(cols: Sequence[Sequence[float]]) -> Optional[tuple]:
     n, m = len(cols), len(cols[0])
     if n > m:
         return None
-    norms = [math.sqrt(_dot(col, col)) for col in cols]
+    norms = [math.hypot(*col) for col in cols]  # no square under- or overflows
     unit = [[a / nj for a in col] for col, nj in zip(cols, norms)]
     reflectors, R = _householder(unit)
     if not all(R[k][k] for k in range(n)):

@@ -2,9 +2,9 @@
 
 The price u of a game is the stake at which repeated proportional investment,
 at the best proportion t, grows capital at exactly the risk-free growth
-factor g (e^r continuous, 1+r simple). Every entry point prices through
-_price, the one route rule: the closed form _price_fair on a fair coin with
-positive payoffs, and _price_numeric on every other game, which solves
+factor g (e^r continuous, 1+r simple). Every entry point prices through one
+solve, _price_numeric. It returns u = gm/g at t = 1 when that is at most
+hm FULL_SLACK (full investment), and otherwise solves
 
     E[log(a_j * t/u - t + 1)] = log g        (growth at the optimum)
     E[(a_j - u) / (a_j t - u t + u)] = 0     (first-order condition in t)
@@ -18,11 +18,15 @@ solve to Newton in log u from lo, at the optimal stake t*(u) that
 _best_stake finds for optimal_proportion too. Each growth term is the log
 of a positive combination of exponentials of log u, so the best growth is
 convex and decreasing in log u, and that Newton rises from lo to the price
-without passing it; a step of it that is not finite is a growth overflow,
-and raises PricingError at once. With a zero payoff gm = 0, and lo is a
-certified floor from the single-outcome sub-games (_zero_payoff_floor),
-which can lie tens of orders of magnitude below E/g. Every growth figure
-comes from one kernel, _growth_system.
+without passing it. With a zero payoff gm = 0, and lo is a certified floor
+from the single-outcome sub-games (_zero_payoff_floor), which can lie tens
+of orders of magnitude below E/g. One representability rule covers both
+lower ends: below the smallest normal float, the solve starts at that float
+if the best growth there reaches log g, and otherwise the price is not
+representable and PricingError says so. Every growth figure comes from one
+kernel, _growth_system. The paper's fair-coin closed form,
+u = kappa max + (1 - kappa) min in the interior regime, is this solve on a
+fair coin; KappaContext keeps kappa for the paper's check.
 """
 
 from __future__ import annotations
@@ -30,7 +34,6 @@ from __future__ import annotations
 import math
 import sys
 from .core import (
-    PROB_TOL,
     Game,
     InvariantViolation,
     LogDomainViolation,
@@ -66,9 +69,6 @@ FULL_SLACK = 1.0 + 1e-14
 # bound is below SERIES_TOL, and fails after SERIES_MAX_TERMS terms
 SERIES_TOL = 1e-12
 SERIES_MAX_TERMS = 60
-# logs of the smallest normal and the largest float
-_LOG_TINY = math.log(sys.float_info.min)
-_LOG_HUGE = math.log(sys.float_info.max)
 
 
 class PriceResult(_Record):
@@ -160,27 +160,11 @@ def _kappa(g: float) -> float:
     return q / (2.0 * (1.0 + math.sqrt(1.0 - q)))
 
 
-def _price_fair(a: float, b: float, g: float) -> tuple[float, float]:
-    """(price, proportion) of a fair-coin game paying a or b (both > 0).
-
-    Full-investment regime when E/sqrt(ab) <= g FULL_SLACK: u = sqrt(ab)/g
-    and t = 1.
-    Otherwise u = kappa*max(a,b) + (1-kappa)*min(a,b) and
-    t = u(E-u)/((a-u)(u-b)), with kappa computed only then: 1/g^2 underflows
-    at rates where payoffs less than 4 g^2 apart are in full investment.
-    """
-    mean = 0.5 * (a + b)
-    gm = math.sqrt(a * b)
-    if mean <= gm * g * FULL_SLACK:  # gm/g <= hm FULL_SLACK, as hm = gm^2/E
-        return gm / g, 1.0
-    kappa = _kappa(g)
-    u = kappa * max(a, b) + (1.0 - kappa) * min(a, b)
-    return u, u * (mean - u) / ((a - u) * (u - b))
-
-
 def price_two_outcome_fair(a: float, b: float, rate: Rate) -> PriceResult:
-    """Closed-form price of a fair-coin game paying a or b (both > 0), by
-    price_general on the fair coin."""
+    """Price of a fair-coin game paying a or b (both > 0): price_general on
+    the fair coin. In the interior regime this is the paper's closed form
+    kappa max(a, b) + (1 - kappa) min(a, b), reached by the same solve as
+    every other game."""
     if not (a > 0 and b > 0):
         raise InvariantViolation("closed form needs strictly positive payoffs")
     return price_general(Game([a, b]), fair_coin(), rate)
@@ -191,14 +175,18 @@ def _growth_system(pay, pr, u, t):
 
     With D_j = u + t (a_j - u) it returns E[log(D/u)], f = E[(a - u)/D],
     d growth/du = -(t/u) E[a/D], df/du = -E[a/D^2] and df/dt =
-    -E[(a - u)^2/D^2]; d growth/dt is f itself.
+    -E[(a - u)^2/D^2]; d growth/dt is f itself. A growth term is
+    log1p(t (a - u)/u), or log D - log u where that ratio overflows: a price
+    can be a normal float though a payoff over it is not.
     """
     growth = f = s_a = s_a2 = s_d2 = 0.0
     for a, p in zip(pay, pr):
         d = a - u
         inv = 1.0 / (u + t * d)
         q = p * inv
-        growth += p * math.log1p(t * d / u)
+        x = t * d / u
+        growth += p * (math.log1p(x) if x < math.inf
+                       else math.log(u + t * d) - math.log(u))
         f += q * d
         s_a += q * a
         s_a2 += q * a * inv
@@ -246,15 +234,19 @@ def _newton_start(pay, pr, mean, log_g, lo, hi):
     (E - u)^2 / (2 E[(a - u)^2]), reached at t = u (E - u) / E[(a - u)^2];
     setting it to log g < 1/2 gives u = E - sqrt(2 log g Var / (1 - 2 log g)).
     Otherwise, or when that u is not above lo (high rates, payoffs over many
-    orders of magnitude), the start is (lo, 1/2). Squares are products, which
+    orders of magnitude) or the variance or t underflows to 0 (payoffs below
+    about 1e-154), the start is (lo, 1/2). Squares are products, which
     overflow to inf (and so to that start) where ** raises OverflowError.
+    Near the regime boundary the second-order t can reach 1 or more; it is
+    held below 1, where the Newton step on (u, t) can still be taken.
     """
     var = sum(p * ((a - mean) * (a - mean)) for a, p in zip(pay, pr))
-    if log_g < 0.5:
+    if log_g < 0.5 and var > 0.0:
         u = mean - math.sqrt(2.0 * log_g * var / (1.0 - 2.0 * log_g))
-        if u > lo:
-            u = min(u, hi - 1e-6 * (hi - lo))
-            return u, u * (mean - u) / (var + (mean - u) * (mean - u))
+        u = min(u, hi - 1e-6 * (hi - lo))
+        t = u * (mean - u) / (var + (mean - u) * (mean - u))
+        if u > lo and t > 0.0:
+            return u, min(t, 1.0 - 1e-12)
     return lo, 0.5
 
 
@@ -266,24 +258,21 @@ def _zero_payoff_floor(pay, pr, log_g):
     exceeds (1 - p) log(1 - p) + p log(p a/u) (p = p_j, a = a_j). Setting
     the latter to log g bounds the price from below by
     p a exp(((1 - p) log(1 - p) - log g) / p); the largest bound over j is
-    returned. Raises PricingError when it underflows: below the smallest
-    normal float, or so small that a payoff over it overflows.
+    returned. It may underflow: _price_numeric's representability rule reads
+    it as it reads gm/g.
     """
-    log_lo = max(
+    return math.exp(max(
         math.log(p * a) + ((1.0 - p) * math.log1p(-p) - log_g) / p
         for a, p in zip(pay, pr)
         if a > 0.0
-    )
-    if log_lo < _LOG_TINY or math.log(max(pay)) - log_lo > _LOG_HUGE:
-        raise PricingError(
-            f"price lower bound exp({log_lo:.6g}) underflows: the price of "
-            f"this game with a zero payoff is not representable"
-        )
-    return math.exp(log_lo)
+    ))
 
 
 def _price_numeric(pay, pr, rate: Rate) -> tuple[float, float]:
-    """(price, proportion) of any finite game, by the two routes above."""
+    """(price, proportion) of any finite game, by the two routes above.
+
+    Raises PricingError when the price lies below the smallest normal float.
+    """
     g = rate.growth_factor()
     log_g = rate.log_growth_factor()
     mean = sum(p * a for a, p in zip(pay, pr))
@@ -291,14 +280,24 @@ def _price_numeric(pay, pr, rate: Rate) -> tuple[float, float]:
     if a_min > 0.0:
         gm = math.exp(sum(p * math.log(a) for a, p in zip(pay, pr)))
         hm = 1.0 / sum(p / a for a, p in zip(pay, pr))
+        lo = gm / g
     else:
-        gm, hm = 0.0, 0.0  # zero payoff: harmonic condition cannot hold
-    if gm > 0.0 and gm / g <= hm * FULL_SLACK:
-        return gm / g, 1.0
+        hm = 0.0  # zero payoff: harmonic condition cannot hold
+        lo = _zero_payoff_floor(pay, pr, log_g)
+    # The price lies in [lo, hi] and the best growth decreases in u, so it is
+    # a normal float exactly when the best growth at the smallest one reaches
+    # log g. There t* is found from 1/2: a payoff far above u makes the first
+    # order condition about p/t near 0, where Newton only doubles t
+    hi = mean / g
+    if lo < sys.float_info.min:
+        lo = sys.float_info.min
+        if hi < lo or _best_stake(pay, pr, lo, 0.5)[1][0] < log_g:
+            raise PricingError(f"the price lies below the smallest normal float, "
+                               f"{lo!r}: it underflows and is not representable")
+    elif lo <= hm * FULL_SLACK:
+        return lo, 1.0
     # The best growth over t is at least log g at lo and at most log g at hi
     # (Jensen); in between, the regime is interior, so it is attained at t < 1
-    lo = gm / g if gm > 0.0 else _zero_payoff_floor(pay, pr, log_g)
-    hi = mean / g
     u, t = _newton_start(pay, pr, mean, log_g, lo, hi)
     while not _inside(a_min, u, t):
         t *= 0.5
@@ -337,9 +336,9 @@ def _price_numeric(pay, pr, rate: Rate) -> tuple[float, float]:
         t, (growth, _, gu, fu, ft) = _best_stake(pay, pr, u, t)
         s = max((log_g - growth) / (u * gu), 0.0)  # < 0 only by rounding
         if not (math.isfinite(s) and math.isfinite(gu)):  # gu = -inf rounds s to 0
-            raise PricingError(f"growth overflows at price {u!r}: the price of this "
-                               f"game is not representable (bracket [{lo!r}, {hi!r}])")
-        u_new = u * math.exp(s)
+            raise PricingError(f"internal error: the growth step is not finite at "
+                               f"price {u!r} (bracket [{lo!r}, {hi!r}])")
+        u_new = u * math.exp(min(s, 50.0))  # as above, the cap keeps exp finite
         if s <= U_REL_TOL:
             return u_new, t
         t -= fu / ft * (u_new - u)  # t*(u_new) to first order
@@ -350,21 +349,15 @@ def _price_numeric(pay, pr, rate: Rate) -> tuple[float, float]:
     )
 
 
-def _price(pay, pr, rate: Rate) -> tuple[float, float]:
-    """(price, proportion) of payoffs pay on probabilities pr."""
-    if len(pr) == 2 and abs(pr[0] - 0.5) <= PROB_TOL and min(pay) > 0.0:
-        return _price_fair(pay[0], pay[1], rate.growth_factor())
-    return _price_numeric(pay, pr, rate)
-
-
 def price_general(game: Game, space: OutcomeSpace, rate: Rate) -> PriceResult:
     """Price a finite game with nonnegative payoffs and positive expectation.
 
-    The one constructor of PriceResult, from _price's (price, proportion).
+    The one constructor of PriceResult, from _price_numeric's (price,
+    proportion).
     """
     _check_aligned(game, space)
     pay, pr = game.payoff_tuple, space.prob_tuple
-    u, t = _price(pay, pr, rate)
+    u, t = _price_numeric(pay, pr, rate)
     if t == 1.0:
         gm = math.exp(_dot(pr, map(math.log, pay)))
         return PriceResult(u, t, REGIME_FULL, gm / u)

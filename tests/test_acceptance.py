@@ -30,7 +30,7 @@ from gameprice import (
     st_petersburg,
 )
 from gameprice.lsq import _LsqProblem, _max_dual
-from gameprice.pricer import _price_numeric
+from gameprice.pricer import FULL_SLACK, _price_numeric
 
 R05 = Rate(0.05)
 R02S = Rate(0.02, "simple")
@@ -199,12 +199,18 @@ def _check_bounds_amgm_foc(rng) -> bool:
 
 
 def _check_closed_vs_numeric(rng) -> bool:
+    # the paper's closed form, sqrt(ab)/g in full investment and
+    # kappa max + (1 - kappa) min otherwise, against the price solve
+    kappa = KappaContext.from_rate(R05).kappa
     worst = 0.0
     for _ in range(1000):
         a, b = np.exp(rng.uniform(np.log(0.5), np.log(100.0), 2))
-        cf = price_two_outcome_fair(a, b, R05)
+        if 0.5 * (a + b) <= math.sqrt(a * b) * G * FULL_SLACK:
+            cf = math.sqrt(a * b) / G
+        else:
+            cf = kappa * max(a, b) + (1.0 - kappa) * min(a, b)
         u = _price_numeric([a, b], COIN.prob_tuple, R05)[0]
-        worst = max(worst, abs(cf.price - u) / cf.price)
+        worst = max(worst, abs(cf - u) / cf)
     return worst <= 1e-8
 
 

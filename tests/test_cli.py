@@ -254,19 +254,34 @@ class TestExitCodes:
         assert "--rate" in err
 
     @pytest.mark.parametrize("spec, rate", [
-        # the zero-payoff floor underflows
+        # the zero-payoff floor underflows; the price is about 2e-436
         ({"probabilities": [0.9, 0.1], "games": {"A": [0, 1]}}, "100"),
-        # t a / u overflows near the price
-        ({"probabilities": [0.4, 0.6], "games": {"A": [1e300, 1e-300]}}, "400"),
+        # full investment at gm/g, about 3e-474
+        ({"probabilities": [0.2, 0.3, 0.5], "games": {"A": [3e-300, 1e-300, 2e-300]}},
+         "400"),
+        # a fair coin whose sqrt(ab) underflows
+        ({"probabilities": [0.5, 0.5], "games": {"A": [1e-300, 1e-300]}}, "400"),
     ])
     def test_a_price_that_is_not_representable_is_no_internal_error(
             self, capsys, tmp_path, spec, rate):
+        # the price lies below the smallest normal float, in price and ls-price
         path = tmp_path / "game.json"
         path.write_text(json.dumps(spec))
-        rc, out, err = run(capsys, ["price", "--game", "A", "--rate", rate, str(path)])
-        assert rc == 1 and out == ""
-        assert err.startswith("error: ") and "not representable" in err
-        assert "internal error" not in err
+        for argv in (["price", "--game", "A"], ["ls-price"]):
+            rc, out, err = run(capsys, [*argv, "--rate", rate, str(path)])
+            assert rc == 1 and out == ""
+            assert err.startswith("error: ") and "not representable" in err
+            assert "internal error" not in err
+
+    def test_a_price_whose_payoff_over_it_overflows_is_priced(self, capsys, tmp_path):
+        # t a / u overflows near the price, but the price is a normal float
+        path = tmp_path / "game.json"
+        path.write_text(json.dumps({"probabilities": [0.4, 0.6],
+                                    "games": {"A": [1e300, 1e-300]}}))
+        rc, out, err = run(capsys, ["price", "--game", "A", "--rate", "400",
+                                    "--format", "json", str(path)])
+        assert rc == 0, err
+        assert json.loads(out)["price"] == pytest.approx(9.43637005259688e-136, rel=1e-13)
 
 
 def _out_of_tolerance(solver):

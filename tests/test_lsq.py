@@ -525,12 +525,18 @@ class TestLeastSquaresPrices:
     def test_fast_path_consistency(self):
         # the dual started from the tight mix and the single-game mixes
         # takes another route to the same answer, on every exit
-        for b in (B11, B12, B13):
+        for b in (B11, B13):
             cold = least_squares_prices(b, R05)
             prob = _LsqProblem(b, R05)
             x = _dual_x(prob, [cold.certificate.weights, *np.eye(b.n)])
             assert np.max(np.abs(cold.prices - prob.adjusted_prices(x))) <= 1e-7
             assert np.max(np.abs(cold.x - x)) <= 1e-7
+        # B12's prices are linear: the solve ends at x = 0 before any dual,
+        # and no start mix is priced above its stand-alone prices
+        linear = least_squares_prices(B12, R05)
+        assert linear.termination == "linear"
+        assert linear.x_tuple == (0.0, 0.0)
+        assert linear.price_tuple == linear.standalone_tuple
 
     def test_unique_across_cut_orderings(self):
         rng = np.random.default_rng(42)

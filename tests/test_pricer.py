@@ -2,6 +2,8 @@ import contextlib
 import math
 import random
 import signal
+import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -35,8 +37,10 @@ from gameprice import (
     truncate_series,
 )
 from gameprice import pricer
-from gameprice.core import PricingError
+from gameprice.core import PricingError, _dot
 from gameprice.pricer import REGIME_FULL, REGIME_INTERIOR, _price_numeric
+
+from decimal_reference import decimal_price
 
 R05 = Rate(0.05)
 R02S = Rate(0.02, "simple")
@@ -268,7 +272,7 @@ class TestClosedForm:
     @pytest.mark.parametrize("r", [354.0, 355.0, 400.0, 700.0])
     def test_full_investment_where_one_over_g_squared_underflows(self, r):
         # from r = 355, g^2 overflows and 1/g^2 is 0; (19, 1) is in full
-        # investment there, so the closed form needs no kappa
+        # investment there, priced at sqrt(19)/g with no kappa
         rate = Rate(r)
         cf = price_two_outcome_fair(19.0, 1.0, rate)
         u, t = _price_numeric([19.0, 1.0], COIN.prob_tuple, rate)
@@ -277,20 +281,30 @@ class TestClosedForm:
         assert cf.price == pytest.approx(math.sqrt(19.0) * math.exp(-r), rel=1e-12)
 
     def test_an_interior_game_where_kappa_underflows_is_an_invariant_violation(self):
-        # payoffs more than 4 g^2 apart stay interior; kappa is not representable
+        # payoffs more than 4 g^2 apart stay interior; kappa is not
+        # representable, but the price, 9.17e-49, is, and the solve needs no
+        # kappa. (1e-300, 1e-300) is priced at about 1.9e-474, below the
+        # smallest normal float
         with pytest.raises(InvariantViolation, match="kappa"):
             KappaContext.from_rate(Rate(400.0))
-        with pytest.raises(InvariantViolation, match="kappa"):
-            price_two_outcome_fair(1e300, 1e-300, Rate(400.0))
+        res = price_two_outcome_fair(1e300, 1e-300, Rate(400.0))
+        assert res.regime == REGIME_INTERIOR
+        assert res.price == pytest.approx(9.169686460444219e-49, rel=1e-13)
+        with pytest.raises(PricingError, match="not representable"):
+            price_two_outcome_fair(1e-300, 1e-300, Rate(400.0))
 
 
 class TestPriceGeneral:
     def test_numeric_agrees_with_closed_form(self):
+        # the paper's interior formulas: u = kappa max + (1 - kappa) min and
+        # t = u (E - u) / ((max - u) (u - min))
+        kappa = KappaContext.from_rate(R05).kappa
         for a, b in ((19.0, 1.0), (16.0, 4.0)):
-            cf = price_two_outcome_fair(a, b, R05)
+            u_cf = kappa * a + (1.0 - kappa) * b
+            t_cf = u_cf * (0.5 * (a + b) - u_cf) / ((a - u_cf) * (u_cf - b))
             u, t = _price_numeric([a, b], COIN.prob_tuple, R05)
-            assert u == pytest.approx(cf.price, rel=1e-9)
-            assert t == pytest.approx(cf.proportion, abs=1e-7)
+            assert u == pytest.approx(u_cf, rel=1e-9)
+            assert t == pytest.approx(t_cf, abs=1e-7)
 
     def test_one_fund_vector(self):
         space = OutcomeSpace([0.25] * 4)
@@ -666,9 +680,9 @@ class TestNewtonPrice:
         assert _growth_and_foc_residuals(pay, pr, rate, u, t) == pytest.approx((0.0, 0.0), abs=1e-12)
 
     def test_zero_payoff_games_converge_or_raise_in_bounded_time(self):
-        # a floor that underflows (or leaves payoff / price overflowing)
-        # raises at once; every other case converges, within the iteration
-        # cap, to a price where growth and first-order condition hold
+        # a price below the smallest normal float raises at once; every
+        # other case converges, within the iteration cap, to a price where
+        # growth and first-order condition hold
         rng = np.random.default_rng(7)
         solved = underflowed = 0
         with _time_limit(60.0):
@@ -778,6 +792,117 @@ def test_a_step_below_lo_from_the_best_stake_goes_to_lo(monkeypatch):
     assert u == pytest.approx(_bisection_price(pay, pr, rate)[0], rel=1e-13)
 
 
+def test_the_newton_start_holds_t_below_one(monkeypatch):
+    # on the same game the second-order start puts t at 1.28; held below 1,
+    # the solve takes 3 growth passes where it took 16
+    pay, pr = [0.5, 1.0], [0.1380938292619644, 0.8619061707380357]
+    rate = Rate(0.03363543392064187)
+    g, log_g, mean = rate.growth_factor(), rate.log_growth_factor(), _dot(pay, pr)
+    lo = math.exp(_dot(pr, map(math.log, pay))) / g
+    assert 0.0 < pricer._newton_start(pay, pr, mean, log_g, lo, mean / g)[1] < 1.0
+    passes = _record_passes(monkeypatch)
+    u, t = _price_numeric(pay, pr, rate)
+    assert len(passes) <= 7
+    assert u == pytest.approx(_bisection_price(pay, pr, rate)[0], rel=1e-13)
+
+
+# ---------------------------------------------------------------------------
+# The 50-digit decimal reference: prices, and prices below float range
+# ---------------------------------------------------------------------------
+
+
+def _check_against_decimal(pay, pr, rate, rel=1e-13):
+    """The solve's price is within rel of the decimal reference, or it is
+    refused as not representable and the reference lies below the smallest
+    normal float."""
+    ref = decimal_price(pay, pr, rate)
+    try:
+        u = _price_numeric(pay, pr, rate)[0]
+    except PricingError as exc:
+        assert "not representable" in str(exc), (pay, pr, rate)
+        assert ref < Decimal(sys.float_info.min), (pay, pr, rate, ref)
+        return
+    assert abs(Decimal(u) - ref) <= Decimal(rel) * ref, (pay, pr, rate, u, ref)
+
+
+@st.composite
+def _zero_payoffs_at_high_rates(draw):
+    """(pay, pr, rate): m = 2-6 outcomes, about one payoff in three zero and
+    at least one, the others over 10 orders of magnitude, with probability
+    weights 1e-2 to 1 apart, at continuous rates from 0.01 to 100. Where
+    little probability falls on positive payoffs, the price can lie below
+    the smallest normal float."""
+    m = draw(st.integers(2, 6))
+    unit = st.floats(0.0, 1.0)
+    pay = [0.0 if draw(st.integers(0, 2)) == 0 else 10.0 ** (10.0 * draw(unit) - 5.0)
+           for _ in range(m)]
+    pay[draw(st.integers(0, m - 1))] = 0.0
+    assume(max(pay) > 0.0)
+    w = [10.0 ** (-2.0 * draw(unit)) for _ in range(m)]
+    return pay, [v / sum(w) for v in w], Rate(0.01 * 1e4 ** draw(unit))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_price_problems())
+def test_the_price_solve_meets_the_decimal_reference(problem):
+    _check_against_decimal(*problem)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_zero_payoffs_at_high_rates())
+def test_zero_payoffs_at_high_rates_meet_the_decimal_reference(problem):
+    _check_against_decimal(*problem)
+
+
+@pytest.mark.parametrize("pay, pr, r", [
+    ([1e300, 1e-300], [0.5, 0.5], 400.0),  # kappa underflows
+    ([1e300, 1e-300], [0.4, 0.6], 400.0),  # t a / u overflows
+    ([0.0, 1e300], [0.9, 0.1], 71.0),  # so does a payoff over the floor
+    ([0.0, 1e300, 5.0], [0.5, 0.1, 0.4], 300.0),  # the floor underflows
+])
+def test_a_price_that_is_a_normal_float_is_priced(pay, pr, r):
+    assert decimal_price(pay, pr, Rate(r)) >= Decimal(sys.float_info.min)
+    _check_against_decimal(pay, pr, Rate(r))
+
+
+@pytest.mark.parametrize("pay, pr, r", [
+    ([0.0, 1.0], [0.9, 0.1], 100.0),  # about 2e-436
+    ([3e-300, 1e-300, 2e-300], [0.2, 0.3, 0.5], 400.0),  # full investment
+    ([1e-300, 1e-300], [0.5, 0.5], 400.0),  # sqrt(ab) underflows
+])
+def test_a_price_below_the_smallest_normal_float_is_not_representable(pay, pr, r):
+    # every entry point refuses it with one message, and none divides by a
+    # price that underflowed to 0
+    rate = Rate(r)
+    game, space = Game(pay), OutcomeSpace(pr)
+    assert decimal_price(pay, pr, rate) < Decimal(sys.float_info.min)
+    for price in (lambda: _price_numeric(pay, pr, rate),
+                  lambda: price_general(game, space, rate),
+                  lambda: least_squares_prices(ConeBasis(space, [game]), rate)):
+        with pytest.raises(PricingError, match="not representable"):
+            price()
+    if pr == [0.5, 0.5]:
+        with pytest.raises(PricingError, match="not representable"):
+            price_two_outcome_fair(*pay, rate)
+
+
+@pytest.mark.parametrize("pay, pr, r", [
+    # every square of a payoff underflows, and with it the start's variance
+    ([8.000903486140594e-238, 4.513346996280324e-284],
+     [0.8516742516363607, 0.14832574836363932], 3.060216943418307e-10),
+    # the start's t = u (E - u) / E[(a - u)^2] underflows to 0
+    ([2.939616502677342e-158, 6.760051906492675e-273],
+     [0.9999998466369139, 1.5336308617233972e-07], 8.392091904039545e-12),
+    # from lo = gm/g, about 1e-224, the fallback's first step in log u is
+    # beyond 709, where exp overflows
+    ([2.2364676222909383e+218, 6.316140289254288e-227],
+     [0.004260316419513593, 0.9957396835804865], 1.1925417483179868e-07),
+])
+def test_payoffs_hundreds_of_orders_of_magnitude_apart(pay, pr, r):
+    with _time_limit(10.0):
+        _check_against_decimal(pay, pr, Rate(r))
+
+
 class TestPayoffsWhoseSquareOverflows:
     # past a payoff of about 1.3e154, (a - mean)^2 overflows to inf in the
     # starting point, which is then (lo, 1/2)
@@ -793,18 +918,23 @@ class TestPayoffsWhoseSquareOverflows:
         assert abs(growth) <= 1e-12 and abs(foc) <= 1e-12
 
     def test_a_price_beyond_float_range_raises_no_overflow_error(self, monkeypatch):
-        # near its price, about 1e-48 on the fair coin, t a / u overflows: the
-        # first step that is not finite names the overflow
-        for pr in (COIN.prob_tuple, (0.4, 0.6)):
-            passes = _record_passes(monkeypatch)
-            with pytest.raises(PricingError, match="overflows"):
-                _price_numeric([1e300, 1e-300], pr, Rate(400))
-            assert len(passes) <= 5
-            monkeypatch.undo()
+        # near its price, about 1e-48 on the fair coin and 1e-135 on (0.4,
+        # 0.6), t a / u overflows, and the growth term is log D - log u there.
+        # With 1e300 at 1% and 0 otherwise the price is below float range
+        for pr, price in ((COIN.prob_tuple, 9.169686460444219e-49),
+                          ((0.4, 0.6), 9.436370052596880e-136)):
+            u, t = _price_numeric([1e300, 1e-300], pr, Rate(400))
+            assert u == pytest.approx(price, rel=1e-13)
+            assert t == pytest.approx(pr[0], rel=1e-12)
+        assert decimal_price([1e300, 0.0], (0.01, 0.99), Rate(400)) < Decimal(sys.float_info.min)
+        passes = _record_passes(monkeypatch)
+        with pytest.raises(PricingError, match="not representable"):
+            _price_numeric([1e300, 0.0], (0.01, 0.99), Rate(400))
+        assert len(passes) <= 5
 
 
 class TestOneRegimeRule:
-    """The closed form, the price solve and optimal_proportion decide full
+    """price_general, the price solve and optimal_proportion decide full
     investment by one rule, u <= hm FULL_SLACK."""
 
     def test_a_payoff_below_eps_times_the_price(self):
