@@ -32,7 +32,8 @@ active-set method on a Householder QR of its passive columns: whether a game
 lies in it and with which coefficients, which games are its extreme rays,
 and whether some mix pays a constant, with the largest support such a mix
 can have; one QR of the games, with a bound on its rounding, settles the
-clear cases first. Everything runs on plain Python floats, so solving
+clear cases first, and a solve computes it once for the reduction and the
+constant-mix test alike. Everything runs on plain Python floats, so solving
 imports no numpy; the functions that return arrays build them on the way
 out.
 """
@@ -341,21 +342,31 @@ def _projected_newton(
             g = [gj - g[r] for gj in g]
             H = [[hjk - hk - hr[j] + hr[r] for hjk, hk in zip(row, hr)]
                  for j, row in enumerate(H)]
-        eps = min(1e-3, math.sqrt(sum((xj - max(xj + gj, 0.0)) ** 2
-                                      for xj, gj in zip(x, g))))
-        out = [xj <= eps and gj < 0.0 for xj, gj in zip(x, g)]
-        free = [j for j in range(len(x)) if j != r and not out[j]]
-        step, flat = _newton_split([[H[j][k] for k in free] for j in free],
-                                   [g[j] for j in free])
-        # the function is affine along flat: go on from the Newton point to
-        # the first bound, so that it is met exactly
-        reach = [(x[j] + sj) / -fj for j, sj, fj in zip(free, step, flat) if fj < 0.0]
-        if simplex and sum(flat) > 0.0:
-            reach.append((x[r] - sum(step)) / sum(flat))
-        if reach:
-            alpha = max(min(reach), 0.0)
-            step = [sj + alpha * fj for sj, fj in zip(step, flat)]
-        d = [-xj if o else 0.0 for xj, o in zip(x, out)]
+        eps = min(1e-3, math.sqrt(sum([(xj - max(xj + gj, 0.0)) ** 2
+                                       for xj, gj in zip(x, g)])))
+        free, d = [], []  # d: -x on the epsilon-active set, the step elsewhere
+        for j, (xj, gj) in enumerate(zip(x, g)):
+            if xj <= eps and gj < 0.0:
+                d.append(-xj)
+            else:
+                d.append(0.0)
+                if j != r:
+                    free.append(j)
+        if len(free) == len(x):
+            step, flat = _newton_split(H, g)
+        else:
+            step, flat = _newton_split([[H[j][k] for k in free] for j in free],
+                                       [g[j] for j in free])
+        if any(flat):
+            # the function is affine along flat: go on from the Newton point
+            # to the first bound, so that it is met exactly
+            reach = [(x[j] + sj) / -fj
+                     for j, sj, fj in zip(free, step, flat) if fj < 0.0]
+            if simplex and sum(flat) > 0.0:
+                reach.append((x[r] - sum(step)) / sum(flat))
+            if reach:
+                alpha = max(min(reach), 0.0)
+                step = [sj + alpha * fj for sj, fj in zip(step, flat)]
         for j, sj in zip(free, step):
             d[j] = sj
         tau = 1.0
@@ -374,8 +385,8 @@ def _projected_newton(
                 # Armijo's rule on the projection arc: the value rises by a
                 # share of what the gradient predicts for the step taken
                 rise = new[0] - value
-                pred = sum(map(mul, g, map(sub, x_new, x)))
-                if (rise > 0.0 and rise >= _ARMIJO * pred) or accept(new, state):
+                if (rise > 0.0 and rise >= _ARMIJO * sum(map(mul, g, map(sub, x_new, x)))
+                        or accept(new, state)):
                     break
             tau *= 0.5
             if tau * max(map(abs, d)) < 1e-16 * max(x):  # x would no longer move
@@ -412,10 +423,15 @@ def _newton_split(
     gs = [gj / dj for gj, dj in zip(g, d)]
     rest = list(range(k))
     pivots = []  # (index, column of V, pivot), in elimination order
-    limit = _FLAT * max(max(S[j][j] for j in rest), 0.0)
+    limit = None
     while rest:
-        p = max(rest, key=lambda j: S[j][j])
+        p = rest[0]  # the first largest pivot, as max picks it
         s = S[p][p]
+        for j in rest:
+            if S[j][j] > s:
+                p, s = j, S[j][j]
+        if limit is None:  # the first pivot is the largest curvature
+            limit = _FLAT * max(s, 0.0)
         if s <= limit:
             break
         rest.remove(p)
@@ -428,43 +444,47 @@ def _newton_split(
             for i in rest:
                 row[i] -= lj * v[i]
         pivots.append((p, v, s))
-    # an orthonormal basis of the null space of V^T: e_q for each flat
-    # coordinate q, with the pivot coordinates solved by back substitution
-    # (V is unit triangular in them), then Gram-Schmidt
-    null = []
-    for q in rest:
-        z = [0.0] * k
-        z[q] = 1.0
-        for p, v, _ in reversed(pivots):
-            z[p] = -_dot(v, z)
-        for e in null:
-            c = _dot(e, z)
-            z = [zi - c * ei for zi, ei in zip(z, e)]
-        norm = math.sqrt(_dot(z, z))
-        null.append([zi / norm for zi in z])
+    if rest:
+        # an orthonormal basis of the null space of V^T: e_q for each flat
+        # coordinate q, with the pivot coordinates solved by back
+        # substitution (V is unit triangular in them), then Gram-Schmidt
+        null = []
+        for q in rest:
+            z = [0.0] * k
+            z[q] = 1.0
+            for p, v, _ in reversed(pivots):
+                z[p] = -_dot(v, z)
+            for e in null:
+                c = _dot(e, z)
+                z = [zi - c * ei for zi, ei in zip(z, e)]
+            norm = math.sqrt(_dot(z, z))
+            null.append([zi / norm for zi in z])
 
-    def project(x: list[float]) -> list[float]:
-        """x's orthogonal projection onto the null space of V^T."""
-        out = [0.0] * k
-        for e in null:
-            c = _dot(e, x)
-            out = [oi + c * ei for oi, ei in zip(out, e)]
-        return out
+        def project(x: list[float]) -> list[float]:
+            """x's orthogonal projection onto the null space of V^T."""
+            out = [0.0] * k
+            for e in null:
+                c = _dot(e, x)
+                out = [oi + c * ei for oi, ei in zip(out, e)]
+            return out
 
-    flat = project(gs)
-    curved = list(map(sub, gs, flat))
+        flat = project(gs)
+        curved = list(map(sub, gs, flat))
+    else:  # no flat pivot: g is all curved
+        flat, curved = [0.0] * k, gs
     # curved = V a (forward substitution on the pivot rows); then V^T x = a / s
     # (back substitution) gives a solution on the pivot coordinates, and
     # removing its null-space part leaves the one of least norm
     a = []
     for p, _, _ in pivots:
-        a.append(curved[p] - sum(ai * v[p] for ai, (_, v, _) in zip(a, pivots)))
+        a.append(curved[p] - sum([ai * v[p] for ai, (_, v, _) in zip(a, pivots)]))
     x = [0.0] * k
     for (p, v, s), ai in zip(reversed(pivots), reversed(a)):
-        x[p] = ai / s - _dot(v, x)
-    if null:
+        x[p] = ai / s - sum(map(mul, v, x))
+    if rest:
         x = list(map(sub, x, project(x)))
-    return [xi / dj for xi, dj in zip(x, d)], [fi / dj for fi, dj in zip(flat, d)]
+        flat = [fi / dj for fi, dj in zip(flat, d)]
+    return [xi / dj for xi, dj in zip(x, d)], flat
 
 
 # ---------------------------------------------------------------------------
@@ -500,7 +520,6 @@ def _max_dual(
     raises D.
     """
     c, d, u = prob.c_tuple, prob.d_tuple, prob.u_tuple
-    n = prob.n
 
     def at(v: list[float], w: list[float], p: list[float], total: float):
         """(D, dD/dv, its Hessian, w, the projected gradient, sum(v), p) at
@@ -512,17 +531,20 @@ def _max_dual(
         s = [wi * di for wi, di in zip(w, d)]
         value = price - sum(map(mul, w, u)) + sum(
             -0.5 * si * si if si <= 1.0 else 0.5 - si for si in s)
-        g = [(gi - ui - di * min(si, 1.0)) / ci
-             for gi, ui, di, si, ci in zip(grad, u, d, s, c)]
-        # where total c_j c_k underflows to 0, dividing in steps stands in
-        H = [[hjk / (total * cj * ck) if total * cj * ck else hjk / total / cj / ck
-              for hjk, ck in zip(row, c)] for row, cj in zip(hess, c)]
-        for j in range(n):
-            if s[j] < 1.0:
-                H[j][j] -= (d[j] / c[j]) ** 2
-        # the projected gradient's largest entry, per game on the scale of c
-        pg = max(abs(gj) if vj > 0.0 else gj for vj, gj in zip(v, g))
-        return value, g, H, w, pg, sum(v), p
+        g, H, pgs = [], [], []
+        for j, (dpj, uj, dj, sj, cj, vj, row) in enumerate(zip(grad, u, d, s, c, v, hess)):
+            gj = (dpj - uj - dj * min(sj, 1.0)) / cj
+            g.append(gj)
+            # the projected gradient's entry, per game on the scale of c
+            pgs.append(abs(gj) if vj > 0.0 else gj)
+            # where total c_j c_k underflows to 0, dividing in steps stands in
+            tc = total * cj
+            Hj = [hjk / tck if (tck := tc * ck) else hjk / total / cj / ck
+                  for hjk, ck in zip(row, c)]
+            if sj < 1.0:
+                Hj[j] -= (dj / cj) ** 2
+            H.append(Hj)
+        return value, g, H, w, max(pgs), sum(v), p
 
     def evaluate(v: list[float]):
         w = [vi / ci for vi, ci in zip(v, c)]
@@ -533,7 +555,12 @@ def _max_dual(
     for p in mixes:
         b = prob.value_grad_hess(p)[0] - _dot(p, u)
         if b > 0.0:
-            scale = b / sum((pi * di) ** 2 for pi, di in zip(p, d))
+            a2 = sum((pi * di) ** 2 for pi, di in zip(p, d))
+            if a2:
+                scale = b / a2
+            else:  # |a|^2 underflows to 0: divide by |a| in steps
+                norm = math.hypot(*(pi * di for pi, di in zip(p, d)))
+                scale = b / norm / norm
             w = [scale * pi for pi in p]
             v = [wi * ci for wi, ci in zip(w, c)]
             starts.append((at(v, w, p, scale), v))
@@ -771,7 +798,8 @@ def least_squares_prices(
     dual's last mix. LsSolution.termination records which exit was taken.
     """
     games = basis.games
-    keep, coords = _reduce_to_basis(games)
+    qr = _unit_qr([g.payoff_tuple for g in games])
+    keep, coords = _reduce_to_basis(games, qr)
     dropped = len(keep) < len(games)
     prob = _LsqProblem(
         ConeBasis(basis.space, [games[i] for i in keep]) if dropped else basis, rate)
@@ -804,7 +832,7 @@ def least_squares_prices(
             basis=tuple(keep),
         )
 
-    if check_constant_mix(prob.basis) is not None:
+    if _constant_mix(prob.basis, _unit_qr(prob._cols) if dropped else qr) is not None:
         # every feasible point has x_i = 1 wherever d_i > 0 (check_constant_mix)
         x = [1.0 if di > 0.0 else 0.0 for di in prob.d_tuple]
         val, pstar = prob.oracle(x)
@@ -863,6 +891,13 @@ def check_constant_mix(basis: ConeBasis) -> Optional[tuple[Mix, tuple[int, ...]]
     their span over sqrt(m), so none is constant when that exceeds CONE_TOL
     beyond rounding; on a square basis, k = M^-1 1 positive beyond rounding
     is the NNLS answer."""
+    return _constant_mix(basis, _unit_qr([g.payoff_tuple for g in basis.games]))
+
+
+def _constant_mix(
+    basis: ConeBasis, qr: Optional[tuple]
+) -> Optional[tuple[Mix, tuple[int, ...]]]:
+    """check_constant_mix, given _unit_qr of the games' payoff columns."""
     cols = [g.payoff_tuple for g in basis.games]
     rows = _payoff_rows(basis.games)
     n, m = basis.n, len(rows)
@@ -890,7 +925,6 @@ def check_constant_mix(basis: ConeBasis) -> Optional[tuple[Mix, tuple[int, ...]]
         total = sum(k)
         return [ki / total for ki in k]
 
-    qr = _unit_qr(cols)
     if qr is not None and qr[4] <= CONE_TOL:
         reflectors, R, norms, _, rounding = qr
         c = _apply_qt(reflectors, [1.0] * m)
@@ -949,7 +983,7 @@ def _cone_fit(
     r = list(target)
     for col, kj in zip(cols, k):
         r = [ri - kj * a for ri, a in zip(r, col)]
-    residual = math.sqrt(_dot(r, r)) / max(map(abs, target))
+    residual = math.hypot(*r) / max(map(abs, target))  # r . r can underflow
     if residual > tol:
         raise BasisError(
             f"game lies outside the cone: relative residual {residual:.3g}")
@@ -1003,12 +1037,17 @@ def _unit_qr(cols: Sequence[Sequence[float]]) -> Optional[tuple]:
     return reflectors, R, norms, inv2, 100.0 * _EPS * m * n * math.sqrt(sum(inv2))
 
 
-def _reduce_to_basis(games: Sequence[Game]) -> tuple[list[int], list[list[float]]]:
+def _reduce_to_basis(
+    games: Sequence[Game], qr: Optional[tuple] | bool = False
+) -> tuple[list[int], list[list[float]]]:
     """reduce_to_basis as lists, with the kept indices, on the games of a
     ConeBasis. A game farther than CONE_TOL of its largest payoff from the others'
-    span, beyond _unit_qr's rounding, is kept without the cone test's NNLS."""
+    span, beyond _unit_qr's rounding, is kept without the cone test's NNLS. qr
+    is _unit_qr of the games' payoff columns when the caller has it (False
+    computes it here)."""
     cols = [g.payoff_tuple for g in games]
-    qr = _unit_qr(cols)
+    if qr is False:
+        qr = _unit_qr(cols)
     far = [False] * len(cols) if qr is None else [
         (1.0 - qr[4]) * nj > CONE_TOL * max(col) * math.sqrt(r2)
         for col, nj, r2 in zip(cols, qr[2], qr[3])]

@@ -274,15 +274,23 @@ def _price_numeric(pay, pr, rate: Rate) -> tuple[float, float]:
     Raises PricingError when the price lies below the smallest normal float.
     """
     g = rate.growth_factor()
-    log_g = rate.log_growth_factor()
-    mean = sum(p * a for a, p in zip(pay, pr))
     a_min = min(pay)
+    mean = 0.0
     if a_min > 0.0:
-        gm = math.exp(sum(p * math.log(a) for a, p in zip(pay, pr)))
-        hm = 1.0 / sum(p / a for a, p in zip(pay, pr))
-        lo = gm / g
-    else:
-        hm = 0.0  # zero payoff: harmonic condition cannot hold
+        s_log = s_inv = 0.0  # E[log a] and E[1 / a]
+        for a, p in zip(pay, pr):
+            mean += p * a
+            s_log += p * math.log(a)
+            s_inv += p / a
+        lo = math.exp(s_log) / g  # gm / g
+        hm = 1.0 / s_inv
+        if sys.float_info.min <= lo <= hm * FULL_SLACK:
+            return lo, 1.0
+        log_g = rate.log_growth_factor()
+    else:  # a zero payoff: hm = 0, and the harmonic condition cannot hold
+        for a, p in zip(pay, pr):
+            mean += p * a
+        log_g = rate.log_growth_factor()
         lo = _zero_payoff_floor(pay, pr, log_g)
     # The price lies in [lo, hi] and the best growth decreases in u, so it is
     # a normal float exactly when the best growth at the smallest one reaches
@@ -294,8 +302,6 @@ def _price_numeric(pay, pr, rate: Rate) -> tuple[float, float]:
         if hi < lo or _best_stake(pay, pr, lo, 0.5)[1][0] < log_g:
             raise PricingError(f"the price lies below the smallest normal float, "
                                f"{lo!r}: it underflows and is not representable")
-    elif lo <= hm * FULL_SLACK:
-        return lo, 1.0
     # The best growth over t is at least log g at lo and at most log g at hi
     # (Jensen); in between, the regime is interior, so it is attained at t < 1
     u, t = _newton_start(pay, pr, mean, log_g, lo, hi)

@@ -480,6 +480,16 @@ class TestLsPriceCommand:
         assert rc == 1
         assert err.startswith("not within tolerance") and "Traceback" not in err
 
+    def test_a_game_near_1e_300(self, capsys, tmp_path):
+        # the dual's start scale divides by |p d|^2, which underflows to 0
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps({"probabilities": [0.2, 0.3, 0.5],
+                                    "games": {"A": [3e-300, 1e-300, 2e-300], "B": [1, 2, 3]},
+                                    "rate": {"value": 0.05}}))
+        rc, _, err = run(capsys, ["ls-price", str(path)])
+        assert rc == 0 or (rc == 1 and err.startswith("not within tolerance"))
+        assert "Traceback" not in err
+
     def test_redundant_game_on_three_outcomes(self, capsys):
         rc, out, err = run(capsys, ["ls-price", "--full-precision",
                                     str(ROOT / "sample_games" / "redundant3.json")])

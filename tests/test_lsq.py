@@ -257,6 +257,29 @@ class TestOneBasisRule:
         # 1.1e-9 up; a set with a planted redundant game takes every fit
         assert (len(fits) - fast_fits) - fast_fits >= 50
 
+    @pytest.mark.parametrize("case, dropped", [
+        ("example13.json", 0), (5, 0), ("redundant3.json", 1)])
+    def test_one_factorization_per_solve(self, monkeypatch, case, dropped):
+        # the reduction and the constant-mix test share the games' QR when no
+        # game is dropped (example 13, and the 3 x 3 basis of LS_DEEP_LIKE);
+        # a dropped game (redundant3's B = 2 A) leaves the kept ones to
+        # factor again. Without the QR shortcut, the answer is the same to
+        # the bit
+        if isinstance(case, str):
+            b, rate = _sample_basis(case)
+        else:
+            probs, games, r = LS_DEEP_LIKE[case]
+            b, rate = ConeBasis(OutcomeSpace(probs), [Game(g) for g in games]), Rate(r)
+        calls = []
+        unit_qr = gameprice.lsq._unit_qr
+        monkeypatch.setattr(gameprice.lsq, "_unit_qr",
+                            lambda cols: calls.append(cols) or unit_qr(cols))
+        sol = least_squares_prices(b, rate)
+        assert len(sol.basis) == b.n - dropped
+        assert len(calls) == (2 if dropped else 1)
+        _nnls_only(monkeypatch)
+        assert least_squares_prices(b, rate) == sol
+
     def test_tiny_rate_basis_with_a_proportional_pair(self):
         # a fuzz draw whose declared form stalled the constant-mix exit's
         # oracle at L - 1 = 6.5e-5 (these rounded inputs do not)
@@ -914,6 +937,19 @@ class TestDualSolve:
         assert sol.termination == "newton" and sol.max_violation <= 1e-12 or (
             sol.termination == "stalled" and sol.max_violation > DEFAULT_L_TOL)
 
+    def test_a_start_whose_scale_underflows(self):
+        # game 0 pays near 1e-300, so |p d|^2 underflows to 0 at both start
+        # mixes and their scale b / |p d|^2 divides by |p d| in steps. The
+        # solve may fail, but only in the ways it reports
+        games = [Game([3e-300, 1e-300, 2e-300]), Game([1.0, 2.0, 3.0])]
+        try:
+            sol = least_squares_prices(ConeBasis(OutcomeSpace([0.2, 0.3, 0.5]), games), R05)
+        except PricingError:
+            return
+        assert all(map(math.isfinite, (*sol.x_tuple, *sol.price_tuple, sol.max_violation)))
+        assert sol.termination == "newton" and sol.max_violation <= 1e-12 or (
+            sol.termination == "stalled" and sol.max_violation > DEFAULT_L_TOL)
+
     def test_iteration_cap_raises(self, monkeypatch):
         # B13 takes 6 steps from the even mix
         monkeypatch.setattr(gameprice.lsq, "_ORACLE_MAX_ITER", 1)
@@ -1239,6 +1275,14 @@ class TestDependentGames:
         assert in_cone(b, Game([6, 8, 10]))
         assert not in_cone(b, Game([0.4, 1.6, 2.8]))  # (1,2,3) - 0.2 * (3,2,1)
         assert not in_cone(b, Game([1, 0, 0]))  # off the span
+
+    def test_a_game_near_1e_300(self):
+        # the residual's r . r underflows to 0 there; its norm must not
+        b = ConeBasis(self.S3, [Game([1, 2, 3])])
+        assert not in_cone(b, Game([3e-300, 1e-300, 2e-300]))
+        with pytest.raises(BasisError, match="outside the cone"):
+            cone_coordinates(b, Game([3e-300, 1e-300, 2e-300]))
+        assert in_cone(b, Game([1e-300, 2e-300, 3e-300]))
 
     def test_dependent_triple_without_constant_mix(self):
         b = ConeBasis(self.S3, [Game([1, 2, 3]), Game([2, 4, 6]), Game([5, 1, 1])])
