@@ -95,7 +95,10 @@ def __getattr__(name: str):
     module = _LAZY_NAMES.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    # bound on first access, so later lookups never reach __getattr__
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
 
 
 def __dir__():

@@ -6,6 +6,11 @@ to stdout as a plain table (default), JSON, or CSV. Exit codes: 0 ok,
 1 a result out of tolerance, a failed paper check or a solver failure,
 2 parse error, 3 invariant violation, 4 basis failure.
 
+Each command reads its input through `_inputs` (the game file, its rate
+with --rate and --convention applied, and the games it names) and prints
+through `_show` (one JSON document, CSV rows or table lines); simulate and
+sweep also work out their price, stake and SimConfig in `_simulation`.
+
 The solver modules (lsq, portfolio, reference, simulate) are imported
 inside the commands that use them, so `price` compiles only core and pricer.
 No command loads numpy: simulate and sweep draw numpy's seeded random
@@ -69,13 +74,11 @@ def _fmt_prop(x: float, full: bool) -> str:
     return repr(float(x)) if full else f"{x:.3f}"
 
 
-def _regime_short(regime: str) -> str:
-    return "full" if regime == REGIME_FULL else "interior"
-
-
-def _resolve_rate(gf: GameFile, args) -> Rate:
-    value = args.rate
-    convention = args.convention
+def _inputs(args, *names: str) -> tuple[GameFile, Rate, list[Game]]:
+    """The game file, its rate with --rate and --convention applied, and the
+    games of the given names."""
+    gf = load_game_file(args.input)
+    value, convention = args.rate, args.convention
     if value is None:
         if gf.rate is None:
             raise GameFileError(
@@ -84,38 +87,25 @@ def _resolve_rate(gf: GameFile, args) -> Rate:
         value = gf.rate.value
     if convention is None:
         convention = gf.rate.convention if gf.rate is not None else "continuous"
-    return Rate(value, convention)
+    rate = Rate(value, convention)
+    for name in names:
+        if name not in gf.games:
+            known = ", ".join(sorted(gf.games))
+            raise GameFileError(f'game "{name}" not in file (has: {known})')
+    return gf, rate, [gf.games[name] for name in names]
 
 
-def _pick_game(gf: GameFile, name: str) -> Game:
-    if name not in gf.games:
-        known = ", ".join(sorted(gf.games))
-        raise GameFileError(f'game "{name}" not in file (has: {known})')
-    return gf.games[name]
-
-
-def cmd_price(args) -> int:
-    gf = load_game_file(args.input)
-    rate = _resolve_rate(gf, args)
-    game = _pick_game(gf, args.game)
-    res = price_general(game, gf.space, rate)
-    fp = args.full_precision
+def _show(args, doc, csv_lines, table_lines) -> None:
+    """Print doc as JSON, csv_lines as CSV rows or table_lines as text lines,
+    as --format asks. A CSV cell is text as is and a number by repr."""
     if args.format == "json":
-        print(json.dumps({
-            "game": args.game,
-            "price": res.price,
-            "proportion": res.proportion,
-            "regime": res.regime,
-            "achieved_growth": res.achieved_growth,
-        }))
+        print(json.dumps(doc))
     elif args.format == "csv":
-        print("game,price,proportion,regime,achieved_growth")
-        print(f"{args.game},{res.price!r},{res.proportion!r},"
-              f"{res.regime},{res.achieved_growth!r}")
+        for row in csv_lines:
+            print(",".join(c if isinstance(c, str) else repr(c) for c in row))
     else:
-        print(f"u={_fmt_price(res.price, fp)} t={_fmt_prop(res.proportion, fp)} "
-              f"regime={_regime_short(res.regime)}")
-    return EXIT_OK
+        for line in table_lines:
+            print(line)
 
 
 def _tolerance_exit(sol: Optional[LsSolution], tol_L: float) -> int:
@@ -130,156 +120,130 @@ def _tolerance_exit(sol: Optional[LsSolution], tol_L: float) -> int:
     return EXIT_FAIL
 
 
+def cmd_price(args) -> int:
+    gf, rate, (game,) = _inputs(args, args.game)
+    res = price_general(game, gf.space, rate)
+    fp = args.full_precision
+    doc = {"game": args.game, "price": res.price, "proportion": res.proportion,
+           "regime": res.regime, "achieved_growth": res.achieved_growth}
+    _show(args, doc, [list(doc), list(doc.values())], [
+        f"u={_fmt_price(res.price, fp)} t={_fmt_prop(res.proportion, fp)} "
+        f"regime={'full' if res.regime == REGIME_FULL else 'interior'}"])
+    return EXIT_OK
+
+
 def cmd_ls_price(args) -> int:
     from . import lsq
 
-    gf = load_game_file(args.input)
-    rate = _resolve_rate(gf, args)
+    gf, rate, _ = _inputs(args)
     basis = ConeBasis(gf.space, gf.games.values())
     sol = lsq.least_squares_prices(basis, rate, tol_L=args.tol_ls)
     fp = args.full_precision
     rows = list(zip(gf.games, sol.standalone_tuple, sol.price_tuple, sol.x_tuple))
-    if args.format == "json":
-        print(json.dumps(sol.to_json_dict()))
-    elif args.format == "csv":
-        print("game,standalone,ls_price,x")
-        for name, u, price, x in rows:
-            print(f"{name},{u!r},{price!r},{x!r}")
-    else:  # the basis games first, then the rest
-        for name, u, price, x in (rows[i] for i in sol.basis):
-            print(f"{name}: standalone={_fmt_price(u, fp)} "
-                  f"ls={_fmt_price(price, fp)} x={_fmt_price(x, fp)}")
-        for j, (name, _, price, _) in enumerate(rows):
-            if j not in sol.basis:
-                print(f"{name}: ls={_fmt_price(price, fp)} (priced by linearity)")
-        cert = (_fmt_price(sol.certificate.weight_tuple[i], fp) for i in sol.basis)
-        print(f"certificate mix: ({', '.join(cert)})")
+    # the table lists the basis games first, then the rest
+    table = [f"{name}: standalone={_fmt_price(u, fp)} "
+             f"ls={_fmt_price(price, fp)} x={_fmt_price(x, fp)}"
+             for name, u, price, x in (rows[i] for i in sol.basis)]
+    table += [f"{name}: ls={_fmt_price(price, fp)} (priced by linearity)"
+              for j, (name, _, price, _) in enumerate(rows) if j not in sol.basis]
+    cert = (_fmt_price(sol.certificate.weight_tuple[i], fp) for i in sol.basis)
+    table.append(f"certificate mix: ({', '.join(cert)})")
+    _show(args, sol.to_json_dict(), [("game", "standalone", "ls_price", "x"), *rows],
+          table)
     return _tolerance_exit(sol, args.tol_ls)
 
 
-def _resolve_u_t(args, gf: GameFile, game: Game, rate: Rate) -> tuple[float, float]:
-    u = getattr(args, "u", None)
-    t = getattr(args, "t", None)
+def _simulation(args) -> tuple:
+    """The outcome space, the game and the SimConfig of simulate or sweep.
+
+    A price or stake left out by --u or --t is solved; sweep has no --t and
+    configures t = 0, so with --u it solves nothing.
+    """
+    from .simulate import SimConfig
+
+    gf, rate, (game,) = _inputs(args, args.game)
+    u, t = args.u, getattr(args, "t", 0.0)
     if u is None or t is None:
         res = price_general(game, gf.space, rate)
-        if u is None:
-            u = res.price
-        if t is None:
-            t = res.proportion
-    return float(u), float(t)
+        u = res.price if u is None else u
+        t = res.proportion if t is None else t
+    cfg = SimConfig(attempts=args.attempts, paths=args.paths, seed=args.seed,
+                    price=float(u), proportion=float(t))
+    return gf.space, game, cfg
 
 
 def cmd_simulate(args) -> int:
-    from .simulate import SimConfig, simulate_growth
+    from .simulate import simulate_growth
 
-    gf = load_game_file(args.input)
-    rate = _resolve_rate(gf, args)
-    game = _pick_game(gf, args.game)
-    u, t = _resolve_u_t(args, gf, game, rate)
-    cfg = SimConfig(attempts=args.attempts, paths=args.paths, seed=args.seed,
-                    price=u, proportion=t)
-    rep = simulate_growth(game, gf.space, cfg)
-    if args.format == "json":
-        doc = rep.to_json_dict()
-        doc.update(price=u, proportion=t)
-        print(json.dumps(doc))
-    elif args.format == "csv":
-        print("price,proportion,mean_growth,var_growth,ci,failed_paths")
-        print(f"{u!r},{t!r},{rep.mean_growth!r},{rep.var_growth!r},"
-              f"{rep.ci_halfwidth!r},{rep.failed_paths}")
-    else:
-        fp = args.full_precision
-        print(f"u={_fmt_price(u, fp)} t={_fmt_prop(t, fp)} "
-              f"mean_growth={_fmt_price(rep.mean_growth, fp)} "
-              f"var_growth={rep.var_growth:.3e} ci={rep.ci_halfwidth:.3e} "
-              f"failed_paths={rep.failed_paths}")
+    space, game, cfg = _simulation(args)
+    rep = simulate_growth(game, space, cfg)
+    u, t, fp = cfg.price, cfg.proportion, args.full_precision
+    _show(args, {**rep.to_json_dict(), "price": u, "proportion": t}, [
+        ("price", "proportion", "mean_growth", "var_growth", "ci", "failed_paths"),
+        (u, t, rep.mean_growth, rep.var_growth, rep.ci_halfwidth, rep.failed_paths),
+    ], [f"u={_fmt_price(u, fp)} t={_fmt_prop(t, fp)} "
+        f"mean_growth={_fmt_price(rep.mean_growth, fp)} "
+        f"var_growth={rep.var_growth:.3e} ci={rep.ci_halfwidth:.3e} "
+        f"failed_paths={rep.failed_paths}"])
     return EXIT_OK
 
 
 def cmd_sweep(args) -> int:
-    from .simulate import SimConfig, sweep_proportion, sweep_rows_csv
+    from .simulate import sweep_proportion
 
-    gf = load_game_file(args.input)
-    rate = _resolve_rate(gf, args)
-    game = _pick_game(gf, args.game)
-    if args.u is not None:
-        u = float(args.u)
-    else:
-        u = price_general(game, gf.space, rate).price
-    cfg = SimConfig(attempts=args.attempts, paths=args.paths, seed=args.seed,
-                    price=u, proportion=0.0)
-    rows = sweep_proportion(game, gf.space, u, args.points, cfg)
-    if args.format == "json":
-        print(json.dumps([
-            {"t": r.proportion, "mean_growth": r.mean_growth,
-             "var_growth": r.var_growth, "ci": r.ci_halfwidth}
-            for r in rows
-        ]))
-    elif args.format == "table":
-        fp = args.full_precision
-        print("t        mean_growth")
-        for r in rows:
-            print(f"{_fmt_prop(r.proportion, fp):8} "
-                  f"{_fmt_price(r.mean_growth, fp)}")
-    else:
-        sys.stdout.write(sweep_rows_csv(rows))
+    space, game, cfg = _simulation(args)
+    rows = sweep_proportion(game, space, cfg.price, args.points, cfg)
+    keys = ("t", "mean_growth", "var_growth", "ci")
+    docs = [dict(zip(keys, (r.proportion, r.mean_growth, r.var_growth, r.ci_halfwidth)))
+            for r in rows]
+    fp = args.full_precision
+    _show(args, docs, [keys, *(d.values() for d in docs)], [
+        "t        mean_growth",
+        *(f"{_fmt_prop(r.proportion, fp):8} {_fmt_price(r.mean_growth, fp)}"
+          for r in rows)])
     return EXIT_OK
 
 
 def cmd_compare_mv(args) -> int:
     from .portfolio import compare_mean_variance
 
-    gf = load_game_file(args.input)
-    rate = _resolve_rate(gf, args)
-    x = _pick_game(gf, args.x)
-    y = _pick_game(gf, args.y)
+    _, rate, (x, y) = _inputs(args, args.x, args.y)
     comp = compare_mean_variance(x, y, rate)
-    if args.format == "json":
-        print(json.dumps(comp.to_json_dict()))
-        return EXIT_OK
     doc = comp.to_json_dict()
-    if args.format == "csv":
-        keys = [k for k in doc if not isinstance(doc[k], list)]
-        print(",".join(keys))
-        print(",".join(repr(doc[k]) for k in keys))
-        return EXIT_OK
+    keys = [k for k in doc if not isinstance(doc[k], list)]
     fp = args.full_precision
-    print(f"u_X={_fmt_price(comp.u_x, fp)} u_Y={_fmt_price(comp.u_y, fp)}")
-    print(f"r_X={_fmt_price(comp.r_x, fp)} r_Y={_fmt_price(comp.r_y, fp)} "
-          f"v_X={_fmt_price(comp.var_x, fp)} v_Y={_fmt_price(comp.var_y, fp)}")
-    print(f"one-fund: w={_fmt_price(comp.w_onefund, fp)} "
-          f"price={_fmt_price(comp.price_onefund, fp)}")
-    print(f"best mix: w={_fmt_price(comp.w_star, fp)} "
-          f"price={_fmt_price(comp.price_star, fp)}")
     alloc = ", ".join(_fmt_price(a, fp) for a in comp.allocation)
-    print(f"t*={_fmt_price(comp.t_star, fp)} allocation=({alloc})")
+    _show(args, doc, [keys, [doc[k] for k in keys]], [
+        f"u_X={_fmt_price(comp.u_x, fp)} u_Y={_fmt_price(comp.u_y, fp)}",
+        f"r_X={_fmt_price(comp.r_x, fp)} r_Y={_fmt_price(comp.r_y, fp)} "
+        f"v_X={_fmt_price(comp.var_x, fp)} v_Y={_fmt_price(comp.var_y, fp)}",
+        f"one-fund: w={_fmt_price(comp.w_onefund, fp)} "
+        f"price={_fmt_price(comp.price_onefund, fp)}",
+        f"best mix: w={_fmt_price(comp.w_star, fp)} "
+        f"price={_fmt_price(comp.price_star, fp)}",
+        f"t*={_fmt_price(comp.t_star, fp)} allocation=({alloc})"])
     return EXIT_OK
 
 
 def cmd_parity(args) -> int:
     from .portfolio import put_call_parity
 
-    gf = load_game_file(args.input)
-    rate = _resolve_rate(gf, args)
-    stock = _pick_game(gf, args.stock)
+    gf, rate, (stock,) = _inputs(args, args.stock)
     rep = put_call_parity(stock, gf.space, args.strike, rate, tol_L=args.tol_ls)
-    if args.format == "json":
-        print(json.dumps(rep.to_json_dict()))
-        return _tolerance_exit(rep.solution, args.tol_ls)
-    if rep.degenerate:
-        print(f"degenerate: {rep.reason}")
-        return EXIT_OK
     fp = args.full_precision
-    if args.format == "csv":
-        print("put,call,covered,stock,residual")
-        print(f"{rep.put_price!r},{rep.call_price!r},{rep.covered_price!r},"
-              f"{rep.stock_price!r},{rep.residual!r}")
-        return _tolerance_exit(rep.solution, args.tol_ls)
-    print(f"put={_fmt_price(rep.put_price, fp)} "
-          f"call={_fmt_price(rep.call_price, fp)} "
-          f"covered={_fmt_price(rep.covered_price, fp)} "
-          f"stock={_fmt_price(rep.stock_price, fp)}")
-    print(f"parity residual: {rep.residual:.3e}")
+    if rep.degenerate:  # no solve: the same one line in CSV and table
+        table = [f"degenerate: {rep.reason}"]
+        csv = [table]
+    else:
+        csv = [("put", "call", "covered", "stock", "residual"),
+               (rep.put_price, rep.call_price, rep.covered_price, rep.stock_price,
+                rep.residual)]
+        table = [f"put={_fmt_price(rep.put_price, fp)} "
+                 f"call={_fmt_price(rep.call_price, fp)} "
+                 f"covered={_fmt_price(rep.covered_price, fp)} "
+                 f"stock={_fmt_price(rep.stock_price, fp)}",
+                 f"parity residual: {rep.residual:.3e}"]
+    _show(args, rep.to_json_dict(), csv, table)
     return _tolerance_exit(rep.solution, args.tol_ls)
 
 
@@ -290,24 +254,19 @@ def cmd_paper_examples(args) -> int:
     if not rows:
         print(f"no checks match {args.only!r}", file=sys.stderr)
         return EXIT_PARSE
-    if args.format == "json":
-        print(json.dumps([
-            {"id": r.check_id, "description": r.description,
-             "expected": r.expected, "computed": r.computed, "passed": r.passed}
-            for r in rows
-        ]))
-    elif args.format == "csv":
-        print("id,passed,expected,computed")
-        for r in rows:
-            print(f'{r.check_id},{r.passed},"{r.expected}","{r.computed}"')
-    else:
-        width = max(len(r.check_id) for r in rows)
-        for r in rows:
-            status = "PASS" if r.passed else "FAIL"
-            print(f"{r.check_id:<{width}}  {status}  "
-                  f"expected {r.expected}; got {r.computed}")
-        n_pass = sum(r.passed for r in rows)
-        print(f"{n_pass}/{len(rows)} checks passed")
+    width = max(len(r.check_id) for r in rows)
+    _show(args, [
+        {"id": r.check_id, "description": r.description,
+         "expected": r.expected, "computed": r.computed, "passed": r.passed}
+        for r in rows
+    ], [
+        ("id", "passed", "expected", "computed"),
+        *((r.check_id, r.passed, f'"{r.expected}"', f'"{r.computed}"') for r in rows),
+    ], [
+        *(f"{r.check_id:<{width}}  {'PASS' if r.passed else 'FAIL'}  "
+          f"expected {r.expected}; got {r.computed}" for r in rows),
+        f"{sum(r.passed for r in rows)}/{len(rows)} checks passed",
+    ])
     return EXIT_OK if all(r.passed for r in rows) else EXIT_FAIL
 
 

@@ -217,11 +217,13 @@ class _LsqProblem:
         gamma = [qi * u / (di * W) for qi, di in zip(q, D)]
         # the first-order condition's partials: u probs / D^2 in a,
         # -E[a / D^2] in u and -E[(a - u)^2 / D^2] in t; where D^2
-        # underflows to 0, q / D / D stands in for q / D^2
+        # underflows to 0, q / D / D stands in for q / D^2; the last squares
+        # (a - u) / D, which stays finite where (a - u)^2 overflows
         pd2 = [qi / (di * di) if di * di else qi / di / di for qi, di in zip(q, D)]
         s_a = sum(map(mul, pd2, a))
         s_au = sum(w * x * (x - u) for w, x in zip(pd2, a))
-        s_uu = sum(w * (x - u) ** 2 for w, x in zip(pd2, a))
+        r = [(x - u) / di for x, di in zip(a, D)]
+        s_uu = sum(qi * (ri * ri) for qi, ri in zip(q, r))
         dt = [(u * w - s_a * gi) / s_uu for w, gi in zip(pd2, gamma)]
         dW = [qi / di - (1.0 - t) * gi * s_a - t * w * x - dti * s_au
               for qi, di, gi, w, x, dti in zip(q, D, gamma, pd2, a, dt)]
@@ -654,9 +656,9 @@ def _nnls_cols(cols: Sequence[Sequence[float]], b: Sequence[float]) -> list[floa
     """
     b = _float_tuple(b, "b")
     n, m = len(cols), len(b)
-    norms = [math.sqrt(_dot(col, col)) or 1.0 for col in cols]
+    norms = [math.hypot(*col) or 1.0 for col in cols]  # no square under- or overflows
     A = [[a / nj for a in col] for col, nj in zip(cols, norms)]
-    tol = 10.0 * _EPS * max(m, n) * math.sqrt(_dot(b, b))
+    tol = 10.0 * _EPS * max(m, n) * math.hypot(*b)
     x = [0.0] * n
     passive: list[int] = []
     reflectors: list = []  # of the Householder QR of the passive columns
@@ -719,7 +721,7 @@ def _orthogonal_entry(A, passive, reflectors, r, w, tol):
         return None
     k = len(passive)
     r_perp = _apply_qt(reflectors, r)[k:]
-    rounding = 10.0 * _EPS * max(len(r), len(A)) * math.sqrt(_dot(r, r))
+    rounding = 10.0 * _EPS * max(len(r), len(A)) * math.hypot(*r)
     best, best_margin = None, 0.0
     for j in cand:
         p = _apply_qt(reflectors, A[j])[k:]

@@ -84,6 +84,16 @@ class TestPriceCommand:
         assert doc["regime"] == "interior"
         assert doc["price"] == pytest.approx(7.223641028417384, rel=1e-12)
 
+    def test_csv(self, capsys, intro):
+        rc, out, _ = run(capsys, ["price", "--game", "A", "--format", "csv", intro])
+        assert rc == 0
+        header, row = out.splitlines()
+        assert header == "game,price,proportion,regime,achieved_growth"
+        cells = row.split(",")
+        assert cells[0] == "A" and cells[3] == "interior"
+        for i in (1, 2, 4):
+            float(cells[i])
+
     def test_full_precision(self, capsys, intro):
         rc, out, _ = run(capsys, ["price", "--game", "A", "--full-precision", intro])
         assert rc == 0
@@ -124,6 +134,16 @@ class TestExitCodes:
         rc, _, err = run(capsys, ["price", "--game", "A", str(tmp_path / "nope.json")])
         assert rc == 2
         assert "error" in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["ls-price", "--tol-ls", "0"], "tolerance must lie in (0, 1e-2]"),
+        (["price", "--game", "A", "--rate", "-1"], "rate must be > 0"),
+    ])
+    def test_an_option_out_of_range_is_refused(self, capsys, intro, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, intro])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
 
     def test_bad_json_reports_line_and_column(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
@@ -490,6 +510,28 @@ class TestLsPriceCommand:
         assert rc == 0 or (rc == 1 and err.startswith("not within tolerance"))
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("games", [{"A": [1e200, 1]}, {"A": [1e200, 1], "B": [2, 3]}])
+    def test_a_payoff_whose_square_overflows(self, capsys, tmp_path, games):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"probabilities": [0.4, 0.6], "games": games,
+                                    "rate": {"value": 0.05}}))
+        rc, out, err = run(capsys, ["ls-price", str(path), "--format", "json"])
+        assert rc == 0, err
+        doc = json.loads(out)
+        assert doc["prices"][0] >= 2.55e199  # A's stand-alone price
+        assert all(0.0 < price < math.inf for price in doc["prices"])
+
+    def test_a_proportional_pair_near_1e_300(self, capsys, tmp_path):
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps({"probabilities": [0.5, 0.5],
+                                    "games": {"A": [1e-300, 2e-300], "B": [2e-300, 4e-300]},
+                                    "rate": {"value": 0.05}}))
+        rc, out, err = run(capsys, ["ls-price", str(path)])
+        assert rc == 0, err
+        lines = out.splitlines()
+        assert lines[0].startswith("A: standalone=")
+        assert lines[1].startswith("B: ") and lines[1].endswith("(priced by linearity)")
+
     def test_redundant_game_on_three_outcomes(self, capsys):
         rc, out, err = run(capsys, ["ls-price", "--full-precision",
                                     str(ROOT / "sample_games" / "redundant3.json")])
@@ -585,6 +627,62 @@ class TestSimulateAndSweep:
         assert doc["mean_growth"] == pytest.approx(math.exp(0.05), rel=1e-12)
         assert doc["failed_paths"] == 0
 
+    def test_simulate_csv(self, capsys, intro):
+        rc, out, _ = run(capsys, [
+            "simulate", "--game", "B", "--attempts", "50", "--paths", "5",
+            "--format", "csv", intro,
+        ])
+        assert rc == 0
+        header, row = out.splitlines()
+        assert header == "price,proportion,mean_growth,var_growth,ci,failed_paths"
+        assert row.split(",")[-1] == "0"
+        for cell in row.split(","):
+            float(cell)
+
+    def test_simulate_table(self, capsys, intro):
+        rc, out, _ = run(capsys, [
+            "simulate", "--game", "B", "--attempts", "50", "--paths", "5", intro,
+        ])
+        assert rc == 0
+        (line,) = out.splitlines()
+        assert [cell.split("=")[0] for cell in line.split()] == [
+            "u", "t", "mean_growth", "var_growth", "ci", "failed_paths"]
+        assert line.endswith(" failed_paths=0")
+
+    def test_sweep_json(self, capsys, intro):
+        rc, out, _ = run(capsys, [
+            "sweep", "--game", "A", "--points", "3", "--attempts", "50",
+            "--paths", "5", "--format", "json", intro,
+        ])
+        assert rc == 0
+        docs = json.loads(out)
+        assert len(docs) == 3
+        assert all(list(d) == ["t", "mean_growth", "var_growth", "ci"] for d in docs)
+        assert [d["t"] for d in docs] == [0.0, 0.5, 1.0]
+
+    def test_sweep_table(self, capsys, intro):
+        rc, out, _ = run(capsys, [
+            "sweep", "--game", "A", "--points", "3", "--attempts", "50",
+            "--paths", "5", "--format", "table", intro,
+        ])
+        assert rc == 0
+        lines = out.splitlines()
+        assert lines[0] == "t        mean_growth"
+        assert len(lines) == 4
+        assert lines[1].split() == ["0.000", "1"]
+
+    def test_sweep_at_a_given_price_solves_no_price(self, capsys, monkeypatch, intro):
+        def refuse(*args, **kwargs):
+            raise AssertionError("price_general called")
+
+        monkeypatch.setattr(gameprice.cli, "price_general", refuse)
+        rc, out, _ = run(capsys, [
+            "sweep", "--game", "A", "--u", "7", "--points", "3", "--attempts", "50",
+            "--paths", "5", intro,
+        ])
+        assert rc == 0
+        assert len(out.splitlines()) == 4
+
     def test_sweep_default_csv(self, capsys, intro):
         rc, out, _ = run(capsys, [
             "sweep", "--game", "A", "--points", "3", "--attempts", "50",
@@ -605,6 +703,23 @@ class TestCompareAndParity:
         assert doc["w_onefund"] == pytest.approx(0.2932, abs=1e-3)
         assert doc["price_star"] == pytest.approx(21.4134, abs=1e-3)
         assert len(doc["allocation"]) == 3
+
+    def test_compare_csv_has_the_json_scalars(self, capsys, remark35):
+        _, out, _ = run(capsys, ["compare-mv", "--format", "json", remark35])
+        doc = json.loads(out)
+        rc, out, _ = run(capsys, ["compare-mv", "--format", "csv", remark35])
+        assert rc == 0
+        header, row = out.splitlines()
+        assert header.split(",") == [k for k in doc if not isinstance(doc[k], list)]
+        assert len(row.split(",")) == len(header.split(","))
+
+    def test_compare_table(self, capsys, remark35):
+        rc, out, _ = run(capsys, ["compare-mv", remark35])
+        assert rc == 0
+        lines = out.splitlines()
+        assert [line.split("=")[0].split(":")[0] for line in lines] == [
+            "u_X", "r_X", "one-fund", "best mix", "t*"]
+        assert lines[-1].split("allocation=")[1].count(",") == 2
 
     def test_parity_table(self, capsys, remark35):
         rc, out, _ = run(capsys, [
@@ -646,6 +761,14 @@ class TestPaperExamples:
         docs = json.loads(out)
         assert all(d["passed"] for d in docs)
         assert len(docs) == 3
+
+    def test_csv_format(self, capsys):
+        rc, out, _ = run(capsys, ["paper-examples", "--format", "csv"])
+        assert rc == 0
+        lines = out.splitlines()
+        assert lines[0] == "id,passed,expected,computed"
+        assert len(lines) == 15
+        assert all(line.split(",")[1] == "True" for line in lines[1:])
 
     def test_unmatched_filter(self, capsys):
         rc, _, err = run(capsys, ["paper-examples", "--only", "nonsense"])

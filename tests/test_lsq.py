@@ -1284,6 +1284,28 @@ class TestDependentGames:
             cone_coordinates(b, Game([3e-300, 1e-300, 2e-300]))
         assert in_cone(b, Game([1e-300, 2e-300, 3e-300]))
 
+    @pytest.mark.parametrize("scale", [1.0, 1e-300, 1e200])
+    def test_a_proportional_pair_at_any_scale(self, scale):
+        # the squares of the NNLS column norms underflow at 1e-300 and
+        # overflow at 1e200; the norms must not
+        games = [Game([scale, 2 * scale]), Game([2 * scale, 4 * scale])]
+        assert len(reduce_to_basis(games, fair_coin())[0].games) == 1
+        sol = least_squares_prices(ConeBasis(fair_coin(), games), Rate(0.05))
+        assert sol.basis == (0,)
+        assert sol.price_tuple[1] == pytest.approx(2 * sol.price_tuple[0], rel=1e-12)
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e300])
+    @pytest.mark.parametrize("games, support", [
+        ([[19, 1], [10, 10], [5, 5]], (1, 2)),
+        ([[1, 2, 3], [3, 2, 1], [2, 4, 6]], (0, 1, 2)),
+        ([[1, 0, 1], [0, 1, 0], [5, 1, 1]], (0, 1)),
+    ])
+    def test_constant_mix_support_at_any_scale(self, games, support, scale):
+        space = fair_coin() if len(games[0]) == 2 else self.S3
+        b = ConeBasis(space, [Game([scale * v for v in g]) for g in games])
+        found = check_constant_mix(b)
+        assert found is not None and found[1] == support
+
     def test_dependent_triple_without_constant_mix(self):
         b = ConeBasis(self.S3, [Game([1, 2, 3]), Game([2, 4, 6]), Game([5, 1, 1])])
         assert check_constant_mix(b) is None

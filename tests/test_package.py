@@ -31,6 +31,16 @@ def test_lazy_names_are_the_module_objects():
     assert gameprice.least_squares_prices is gameprice.lsq.least_squares_prices
 
 
+def test_a_lazy_name_is_bound_on_first_access(monkeypatch):
+    monkeypatch.delitem(vars(gameprice), "least_squares_prices", raising=False)
+    listed, exported = dir(gameprice), list(gameprice.__all__)
+    assert "least_squares_prices" not in vars(gameprice)
+    gameprice.least_squares_prices
+    assert vars(gameprice)["least_squares_prices"] is gameprice.lsq.least_squares_prices
+    assert dir(gameprice) == listed
+    assert gameprice.__all__ == exported
+
+
 def test_unknown_name_is_an_attribute_error():
     assert not hasattr(gameprice, "no_such_name")
 
