@@ -277,6 +277,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "over the cone they span.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    tol_ls_help = ("tolerance on the worst-case ratio L, not a stop test: prices are "
+                   "linear when L(0) <= 1 + tol, and a solution with L - 1 above it "
+                   "is stalled and exits 1")
 
     def common(sp, with_input=True):
         if with_input:
@@ -297,8 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("ls-price", help="least-squares prices of all games")
     common(sp)
-    sp.add_argument("--tol-ls", type=_tolerance, default=DEFAULT_L_TOL,
-                    help="stopping tolerance on the worst-case ratio")
+    sp.add_argument("--tol-ls", type=_tolerance, default=DEFAULT_L_TOL, help=tol_ls_help)
     sp.set_defaults(func=cmd_ls_price)
 
     sp = sub.add_parser("simulate", help="Monte Carlo growth at a price/stake")
@@ -332,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--stock", default="S", help="name of the stock game")
     sp.add_argument("--strike", type=float, required=True)
-    sp.add_argument("--tol-ls", type=_tolerance, default=DEFAULT_L_TOL)
+    sp.add_argument("--tol-ls", type=_tolerance, default=DEFAULT_L_TOL, help=tol_ls_help)
     sp.set_defaults(func=cmd_parity)
 
     sp = sub.add_parser("paper-examples",

@@ -14,11 +14,13 @@ concave maximization over w >= 0 (_max_dual). Projected Newton solves it
 from any start, and t = min(w (c - u), 1) at its maximizer; the oracle then
 certifies L(t) <= 1 + tol_L from the tight mix w / |w|. When some mix of the
 games pays a constant, t = 1 is the only feasible point on the games with
-c_i > u_i, so it is returned at once. Prices are linear exactly when
-L(0) <= 1, and every mix's ratio at t = 0 bounds L(0) from below: when the
-uniform mix is priced clearly above its stand-alone prices, the dual starts
-from it at once, and only otherwise does one oracle call at t = 0 decide. A
-solve evaluates each mix once, handing each stage's last mix to the next.
+c_i > u_i, so it is returned at once, with that mix as its certificate: no
+mix is priced above its ceiling E/g (Jensen), so L(1) <= 1 needs no climb.
+Prices are linear exactly when L(0) <= 1, and every mix's ratio at t = 0
+bounds L(0) from below: when the uniform mix is priced clearly above its
+stand-alone prices, the dual starts from it at once, and only otherwise does
+one oracle call at t = 0 decide. A solve evaluates each mix once, handing
+each stage's last mix to the next.
 LsSolution.termination says which way a solve ended. One projected-Newton
 routine (_projected_newton) makes both climbs: the oracle's, on a concave
 reparametrization of the ratio over the mix simplex, and the dual's, over
@@ -32,10 +34,9 @@ active-set method on a Householder QR of its passive columns: whether a game
 lies in it and with which coefficients, which games are its extreme rays,
 and whether some mix pays a constant, with the largest support such a mix
 can have; one QR of the games, with a bound on its rounding, settles the
-clear cases first, and a solve computes it once for the reduction and the
-constant-mix test alike. Everything runs on plain Python floats, so solving
-imports no numpy; the functions that return arrays build them on the way
-out.
+clear cases first, once per solve for the reduction and the constant-mix
+NNLS alike. Everything runs on plain Python floats, so solving imports no
+numpy; the functions that return arrays build them on the way out.
 """
 
 from __future__ import annotations
@@ -95,9 +96,9 @@ class LsSolution(_Record):
     The vectors run over the declared games; basis holds the indices of the
     ones solved on, the rest priced by linearity, and norm is |x|^2 over
     them. certificate is a mix whose stand-alone price equals its linear
-    price at the solution; max_violation is the final L - 1 seen by the solver.
-    termination says how the solve ended: "constant_mix" (x pinned by a
-    constant mix), "linear" (the oracle certified L(0) <= 1 + tol_L, so
+    price at the solution; max_violation is its ratio L - 1. termination
+    says how the solve ended: "constant_mix" (x pinned by a constant mix,
+    the certificate), "linear" (the oracle certified L(0) <= 1 + tol_L, so
     x = 0), "newton" (the dual's projected Newton converged and the oracle
     certified its point) or "stalled" (the solver settled, but the oracle's
     L - 1 at its point exceeds tol_L; max_violation says by how much).
@@ -330,8 +331,9 @@ def _projected_newton(
     not move, and the bound is the maximum along them. The step is
     projected and halved until the value rises by Armijo's rule or accept
     passes it. Returns the last state, the steps taken, and how the climb
-    ended: "done", "stalled" (a halved step would no longer move x) or
-    "cap" (_ORACLE_MAX_ITER steps).
+    ended: "done", "stalled" (a halved step would no longer move x, or the
+    step is not finite because the Hessian overflowed) or "cap"
+    (_ORACLE_MAX_ITER steps).
     """
     for steps in range(_ORACLE_MAX_ITER):
         if done(state):
@@ -371,6 +373,8 @@ def _projected_newton(
                 step = [sj + alpha * fj for sj, fj in zip(step, flat)]
         for j, sj in zip(free, step):
             d[j] = sj
+        if not math.isfinite(sum(d)):
+            return state, steps, "stalled"
         tau = 1.0
         while True:
             x_new = [max(xj + tau * dj, 0.0) for xj, dj in zip(x, d)]
@@ -638,7 +642,9 @@ def _back_substitute(R: list[list[float]], c: Sequence[float]) -> list[float]:
     return x
 
 
-def _nnls_cols(cols: Sequence[Sequence[float]], b: Sequence[float]) -> list[float]:
+def _nnls_cols(
+    cols: Sequence[Sequence[float]], b: Sequence[float], qr: Optional[tuple] = None
+) -> list[float]:
     """argmin |A x - b| over x >= 0, A given by its columns, by Lawson and
     Hanson's active-set method.
 
@@ -652,11 +658,18 @@ def _nnls_cols(cols: Sequence[Sequence[float]], b: Sequence[float]) -> list[floa
     coefficient to round to zero can cycle forever on nearly parallel
     columns. Before stopping, a column nearly parallel to the passive ones
     gets a second entry test, on the residual it would remove
-    (_orthogonal_entry). A zero column keeps a zero coefficient.
+    (_orthogonal_entry). A zero column keeps a zero coefficient. Given qr,
+    _unit_qr of the columns, the solve starts with every column passive:
+    that least-squares point, positive beyond qr's rounding bound, is the
+    NNLS point, and is returned at once.
     """
     b = _float_tuple(b, "b")
     n, m = len(cols), len(b)
     norms = [math.hypot(*col) or 1.0 for col in cols]  # no square under- or overflows
+    if qr is not None:
+        z = _back_substitute(qr[1], _apply_qt(qr[0], b))
+        if min(z) > qr[4] * math.sqrt(_dot(z, z)):
+            return [zj / nj for zj, nj in zip(z, norms)]
     A = [[a / nj for a in col] for col, nj in zip(cols, norms)]
     tol = 10.0 * _EPS * max(m, n) * math.hypot(*b)
     x = [0.0] * n
@@ -783,9 +796,10 @@ def least_squares_prices(
     the certificate.
 
     A constant mix (check_constant_mix) pins every price at its ceiling:
-    x is 1 wherever d = c - u > 0 and 0 elsewhere, and one oracle call
-    gives max_violation and the certificate. Otherwise the uniform mix is
-    priced first. When it alone proves L(0) > 1 + max(tol_L, 0)
+    x is 1 wherever d = c - u > 0 and 0 elsewhere. No mix is priced above
+    its ceiling E/g (Jensen), so L(x) <= 1 without a climb, and the
+    constant mix, which attains it, is the certificate. Otherwise the
+    uniform mix is priced first. When it alone proves L(0) > 1 + max(tol_L, 0)
     (_proves_nonlinear), prices are not linear and the oracle at x = 0 is
     skipped; else one oracle call at x = 0 decides whether they are
     (L(0) <= 1 + tol_L, x = 0). When they are not, x = min(w d, 1) at the
@@ -834,11 +848,14 @@ def least_squares_prices(
             basis=tuple(keep),
         )
 
-    if _constant_mix(prob.basis, _unit_qr(prob._cols) if dropped else qr) is not None:
-        # every feasible point has x_i = 1 wherever d_i > 0 (check_constant_mix)
+    found = _constant_mix(prob.basis, _unit_qr(prob._cols) if dropped else qr)
+    if found is not None:
+        # every feasible point has x_i = 1 wherever d_i > 0 (check_constant_mix),
+        # and L(x) <= 1 there by Jensen's inequality
         x = [1.0 if di > 0.0 else 0.0 for di in prob.d_tuple]
-        val, pstar = prob.oracle(x)
-        return solution(x, pstar, val - 1.0, 1, "constant_mix")
+        pstar = list(found[0].weight_tuple)
+        ratio = prob.price_mix(pstar) / _dot(pstar, prob.adjusted_prices(x))
+        return solution(x, pstar, ratio - 1.0, 1, "constant_mix")
 
     x = [0.0] * n
     starts = [[1.0 / n] * n]
@@ -888,11 +905,9 @@ def check_constant_mix(basis: ConeBasis) -> Optional[tuple[Mix, tuple[int, ...]]
     w = (k', 1) / lam has M w = 1 to CONE_TOL. The mean of k and the
     successful witnesses, each as a mix, has the largest support any constant
     mix has. Every mix must keep its payoff spread within CONE_TOL of the
-    largest payoff. First, where it is sure, one QR of the games (_unit_qr)
-    decides without NNLS: every mix pays |M k - 1| >= the distance of 1 from
-    their span over sqrt(m), so none is constant when that exceeds CONE_TOL
-    beyond rounding; on a square basis, k = M^-1 1 positive beyond rounding
-    is the NNLS answer."""
+    largest payoff. The NNLS for k starts from the QR of the games
+    (_unit_qr), so a least-squares k positive beyond its rounding needs no
+    active-set step."""
     return _constant_mix(basis, _unit_qr([g.payoff_tuple for g in basis.games]))
 
 
@@ -906,18 +921,6 @@ def _constant_mix(
     scale = max(map(max, cols))
     minus_ones = [-1.0] * m
 
-    def _validated(p: list[float]) -> Optional[tuple[Mix, tuple[int, ...]]]:
-        p = [max(pi, 0.0) for pi in p]
-        total = sum(p)
-        if total <= 0.0:
-            return None
-        p = [pi / total for pi in p]
-        payoff = [_dot(row, p) for row in rows]
-        if max(payoff) - min(payoff) > CONE_TOL * max(scale, 1.0):
-            return None
-        support = tuple(i for i, pi in enumerate(p) if pi > 1e-9)
-        return Mix(p), support
-
     # M k = 1 must hold to CONE_TOL itself: the spread check is scaled by the
     # largest payoff, which lets mixes of much smaller games through
     def constant(k: list[float]) -> bool:
@@ -927,17 +930,7 @@ def _constant_mix(
         total = sum(k)
         return [ki / total for ki in k]
 
-    if qr is not None and qr[4] <= CONE_TOL:
-        reflectors, R, norms, _, rounding = qr
-        c = _apply_qt(reflectors, [1.0] * m)
-        if n < m and _dot(c[n:], c[n:]) > m * (CONE_TOL + rounding) ** 2:
-            return None
-        k = _back_substitute(R, c)
-        if n == m and min(k) > rounding * math.sqrt(_dot(k, k)):
-            k = [ki / nj for ki, nj in zip(k, norms)]
-            if constant(k):
-                return _validated(mix(k))
-    k = _nnls_cols(cols, [1.0] * m)
+    k = _nnls_cols(cols, [1.0] * m, qr)
     if not constant(k):
         return None
     witnesses = [mix(k)]
@@ -952,7 +945,11 @@ def _constant_mix(
         w = [wi / z[-1] for wi in w]
         if constant(w):
             witnesses.append(mix(w))
-    return _validated([sum(col) / len(witnesses) for col in zip(*witnesses)])
+    p = mix([sum(col) / len(witnesses) for col in zip(*witnesses)])
+    payoff = [_dot(row, p) for row in rows]
+    if max(payoff) - min(payoff) > CONE_TOL * max(scale, 1.0):
+        return None
+    return Mix(p), tuple(i for i, pi in enumerate(p) if pi > 1e-9)
 
 
 def check_linear_pricing(basis: ConeBasis, rate: Rate) -> bool:

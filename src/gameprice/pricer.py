@@ -198,10 +198,13 @@ def _best_stake(pay, pr, u, t):
     """Root t* in (0, 1) of the first-order condition at u, by Newton from t.
 
     The condition decreases in t, so each iterate narrows the bracket, and a
-    step leaving it is replaced by the midpoint. Returns t* and the last
-    _growth_system pass, which was made at (u, t*).
+    step leaving it is replaced by the midpoint. It stops when the step or
+    the bracket is within 4 eps of t, or when the condition comes out as on
+    the pass before: then it is flat to rounding, and Newton would repeat
+    its step. Returns t* and the last _growth_system pass, which was made
+    at (u, t*).
     """
-    lo, hi, tol = 0.0, 1.0, 4.0 * sys.float_info.epsilon
+    lo, hi, tol, f_prev = 0.0, 1.0, 4.0 * sys.float_info.epsilon, None
     for _ in range(MAX_PRICE_ITER):
         if not lo < t < hi:
             t = 0.5 * (lo + hi)
@@ -213,9 +216,10 @@ def _best_stake(pay, pr, u, t):
         step = -f / ft
         # stop before the safeguard: a sub-ulp step can round onto the
         # bracket's end, and its midpoint would restart as bisection
-        if abs(step) <= tol * t or hi - lo <= tol * hi:
+        if abs(step) <= tol * t or hi - lo <= tol * hi or f == f_prev:
             return t, system
         t += step
+        f_prev = f
     raise PricingError(
         f"internal error: optimal proportion did not converge in "
         f"{MAX_PRICE_ITER} iterations (bracket [{lo!r}, {hi!r}], price {u!r})"
@@ -238,7 +242,9 @@ def _newton_start(pay, pr, mean, log_g, lo, hi):
     about 1e-154), the start is (lo, 1/2). Squares are products, which
     overflow to inf (and so to that start) where ** raises OverflowError.
     Near the regime boundary the second-order t can reach 1 or more; it is
-    held below 1, where the Newton step on (u, t) can still be taken.
+    held below 1, where the Newton step on (u, t) can still be taken. Either
+    start lies in the log domain: u >= lo > 0 and 0 < t < 1 keep every
+    u + t (a - u) positive.
     """
     var = sum(p * ((a - mean) * (a - mean)) for a, p in zip(pay, pr))
     if log_g < 0.5 and var > 0.0:
@@ -305,8 +311,6 @@ def _price_numeric(pay, pr, rate: Rate) -> tuple[float, float]:
     # The best growth over t is at least log g at lo and at most log g at hi
     # (Jensen); in between, the regime is interior, so it is attained at t < 1
     u, t = _newton_start(pay, pr, mean, log_g, lo, hi)
-    while not _inside(a_min, u, t):
-        t *= 0.5
     system = _growth_system(pay, pr, u, t)
     for _ in range(MAX_PRICE_ITER):
         growth, f, gu, fu, ft = system

@@ -370,13 +370,3 @@ def sweep_proportion(
             )
         )
     return rows
-
-
-def sweep_rows_csv(rows: Sequence[SweepPoint]) -> str:
-    """CSV rendering with the documented columns."""
-    lines = ["t,mean_growth,var_growth,ci"]
-    for r in rows:
-        lines.append(
-            f"{r.proportion!r},{r.mean_growth!r},{r.var_growth!r},{r.ci_halfwidth!r}"
-        )
-    return "\n".join(lines) + "\n"

@@ -510,6 +510,21 @@ class TestLsPriceCommand:
         assert rc == 0 or (rc == 1 and err.startswith("not within tolerance"))
         assert "Traceback" not in err
 
+    def test_a_game_near_1e_200_beside_normal_ones(self, capsys, tmp_path):
+        # the mix price's Hessian in the weights overflows near A's small
+        # weights (inf - inf): the dual's Newton step is not finite, and the
+        # solve reports where it stopped
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"probabilities": [0.2, 0.3, 0.5],
+                                    "games": {"A": [1e200, 1, 5], "B": [2, 3, 1]},
+                                    "rate": {"value": 0.05}}))
+        rc, out, err = run(capsys, ["ls-price", str(path), "--format", "json"])
+        if rc == 0:
+            assert all(0.0 < price < math.inf for price in json.loads(out)["prices"])
+        else:
+            assert rc == 1 and len(err.splitlines()) == 1, err
+            assert err.startswith(("not within tolerance", "error:")), err
+
     @pytest.mark.parametrize("games", [{"A": [1e200, 1]}, {"A": [1e200, 1], "B": [2, 3]}])
     def test_a_payoff_whose_square_overflows(self, capsys, tmp_path, games):
         path = tmp_path / "big.json"

@@ -604,6 +604,24 @@ class TestLeastSquaresPrices:
                 assert big_L(b, R05, t)[0] > 1.0, (b, i)
         assert outside >= 10
 
+    def test_constant_mix_is_the_certificate_without_a_climb(self, monkeypatch):
+        # at x = 1 every adjusted price is at least its ceiling E/g, which no
+        # mix price exceeds (Jensen): L <= 1 needs no oracle climb, and the
+        # constant mix attains it
+        rng = np.random.default_rng(13)
+        for _ in range(120):
+            b, _ = _random_full_rank_basis(rng, "constant")
+            rate = Rate(float(rng.uniform(1e-3, 0.3)))
+            climbs = _count_calls(monkeypatch, "maximize")
+            sol = least_squares_prices(b, rate)
+            assert sol.termination == "constant_mix" and not climbs
+            # to the rounding of renormalizing the mix
+            mix = check_constant_mix(b)[0]
+            assert sol.certificate.weight_tuple == pytest.approx(mix.weight_tuple,
+                                                                 rel=0.0, abs=1e-15)
+            assert sol.max_violation == ls_ratio(b, rate, sol.x, mix) - 1.0
+            assert big_L(b, rate, sol.x)[0] <= 1.0 + 1e-12, b
+
     def test_one_free_coordinate_with_a_light_tight_mix(self):
         # the tight mix puts 7e-4 on game 1, the only free coordinate. In
         # unknowns (mu, q) the polish's Newton stalls here: steps in mu and q_1
@@ -999,11 +1017,11 @@ class TestOracleAtZero:
     ])
     def test_one_oracle_climb_per_solve(self, monkeypatch, name, termination):
         # example 13: the uniform mix proves L(0) > 1, so the only climb is
-        # the certificate's
+        # the certificate's; a constant mix is its own certificate, with none
         b, rate = _sample_basis(name)
         climbs = _count_calls(monkeypatch, "maximize")
         assert least_squares_prices(b, rate).termination == termination
-        assert len(climbs) == 1
+        assert len(climbs) == (termination != "constant_mix")
 
     @pytest.mark.parametrize("name, linear, climbs", [
         ("example13.json", False, 0), ("example12.json", True, 1)])

@@ -859,6 +859,11 @@ def test_zero_payoffs_at_high_rates_meet_the_decimal_reference(problem):
     ([1e300, 1e-300], [0.4, 0.6], 400.0),  # t a / u overflows
     ([0.0, 1e300], [0.9, 0.1], 71.0),  # so does a payoff over the floor
     ([0.0, 1e300, 5.0], [0.5, 0.1, 0.4], 300.0),  # the floor underflows
+    # the stake's first-order condition is flat to rounding near t*: every
+    # pass returns the same value, and Newton repeats a step of 5e-15
+    ([2.7940866507937104e99, 8.341995224241442e258, 7.500116741535786e-288],
+     [0.14763599797775598, 0.8522080426140529, 0.00015595940819121762],
+     2.3013717090871826e-10),
 ])
 def test_a_price_that_is_a_normal_float_is_priced(pay, pr, r):
     assert decimal_price(pay, pr, Rate(r)) >= Decimal(sys.float_info.min)

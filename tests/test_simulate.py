@@ -19,7 +19,6 @@ from gameprice import (
     sweep_proportion,
 )
 from gameprice import simulate
-from gameprice.simulate import sweep_rows_csv
 
 COIN = fair_coin()
 G = math.exp(0.05)
@@ -255,10 +254,3 @@ class TestSweep:
         cfg = SimConfig(attempts=10, paths=2, seed=0, price=7.0, proportion=0.0)
         with pytest.raises(InvariantViolation):
             sweep_proportion(GAME_A, COIN, 7.0, 2, cfg)
-
-    def test_csv_columns(self):
-        cfg = SimConfig(attempts=50, paths=10, seed=0, price=7.0, proportion=0.0)
-        rows = sweep_proportion(GAME_A, COIN, 7.0, 3, cfg)
-        text = sweep_rows_csv(rows)
-        assert text.splitlines()[0] == "t,mean_growth,var_growth,ci"
-        assert len(text.splitlines()) == 4
