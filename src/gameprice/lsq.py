@@ -22,16 +22,20 @@ stand-alone prices, the dual starts from it at once, and only otherwise does
 one oracle call at t = 0 decide. A solve evaluates each mix once, handing
 each stage's last mix to the next.
 LsSolution.termination says which way a solve ended. One projected-Newton
-routine (_projected_newton) makes both climbs: the oracle's, on a concave
-reparametrization of the ratio over the mix simplex, and the dual's, over
-w >= 0. Both take the mix price's exact gradient and Hessian from one price
-solve, and the routine splits each Newton step into its curved and flat
-parts by a pivoted LDL^T factorization. The oracle stops only when the
-upper bound max_i dh/dy_i (Euler's identity plus concavity) is within 1e-10
-relative of its value. Every question about the cone the games span is one
-nonnegative least-squares (NNLS) problem, solved by Lawson and Hanson's
-active-set method on a Householder QR of its passive columns: whether a game
-lies in it and with which coefficients, which games are its extreme rays,
+routine (_projected_newton) makes both climbs, each maximizing a concave
+function of nonnegative game weights: the oracle's, of price-weighted mix
+weights v = q adj whose maximum lies at L times the worst mix, and the
+dual's, of w. Both take the mix price's exact gradient and Hessian from one
+price solve, on one scale: each game per unit of its ceiling, each mix
+solved per unit of its largest payoff, so that rescaling a game leaves
+every step as it was. The routine splits each Newton step into its curved
+and flat parts by a pivoted LDL^T factorization. The oracle stops only
+when the upper bound max_i (dprice/dq_i) / adj_i (Euler's identity plus
+concavity) is within 1e-10 relative of its value. Every question about
+the cone the games span is one nonnegative least-squares (NNLS) problem,
+solved by Lawson and Hanson's active-set method on a Householder QR of its
+passive columns: whether a game lies in it and with which coefficients,
+which games are its extreme rays,
 and whether some mix pays a constant, with the largest support such a mix
 can have; one QR of the games, with a bound on its rounding, settles the
 clear cases first, once per solve for the reduction and the constant-mix
@@ -138,9 +142,11 @@ class _LsqProblem:
 
     u_tuple, c_tuple and d_tuple hold the stand-alone prices, the ceilings
     and d = max(c - u, 0), and every method runs on plain floats.
-    value_grad_hess keeps each mix's evaluation, keyed by the exact mix, for
-    as long as the problem lives: a solve that hands the same mix list from
-    one stage to the next prices it once.
+    value_grad_hess measures each game's weight per unit of its ceiling, so
+    that scaling a game leaves the derivatives both climbs take as they
+    were, and keeps each mix's evaluation, keyed by the exact mix, for as
+    long as the problem lives: a solve that hands the same mix list from one
+    stage to the next prices it once.
     """
 
     def __init__(self, basis: ConeBasis, rate: Rate):
@@ -149,14 +155,17 @@ class _LsqProblem:
         self.space = basis.space
         self._probs_list = list(self.space.prob_tuple)
         # the hot loops run on plain floats (numpy overhead dominates at these
-        # sizes): payoff rows for M p, columns for M^T dprice
-        self._cols = [g.payoff_tuple for g in basis.games]
+        # sizes): payoff rows for M p, and for M^T dprice each game's column
+        # per unit of its ceiling
         self._rows = _payoff_rows(basis.games)
         self.g = rate.growth_factor()
         self.n = basis.n
-        self.u_tuple, self.c_tuple = map(tuple, zip(*map(self.standalone, self._cols)))
+        self.u_tuple, self.c_tuple = map(tuple, zip(
+            *(self.standalone(g.payoff_tuple) for g in basis.games)))
         self.d_tuple = tuple(max(ci - ui, 0.0)
                              for ci, ui in zip(self.c_tuple, self.u_tuple))
+        self._cols = [[a / ci for a in g.payoff_tuple]
+                      for g, ci in zip(basis.games, self.c_tuple)]
         self._evaluations = {}  # value_grad_hess's, by tuple(p)
 
     def standalone(self, col: Sequence[float]) -> tuple[float, float]:
@@ -178,10 +187,17 @@ class _LsqProblem:
     def value_grad_hess(
         self, p: Sequence[float]
     ) -> tuple[float, list[float], list[list[float]]]:
-        """Mix price at p with its gradient and Hessian in p, from one price solve.
+        """Mix price at p with its gradient and Hessian, from one price solve.
 
-        In the payoffs a the gradient is gamma = probs u / (D W), with
-        D = u + t (a - u) and W = E[a / D], by the envelope theorem at the
+        The derivatives are per unit of each game's ceiling: in the weights
+        p_j c_j, the gradient's entry j is dprice/dp_j / c_j and the Hessian's
+        entry jk d2price/dp_j dp_k / (c_j c_k). The price solve runs on the
+        mix's payoffs over their largest, top, and homogeneity takes it back:
+        the price times top, the gradient as it is, the Hessian over top. So
+        neither a game's scale nor the mix's enters the solve or the
+        derivative columns. In the payoffs a the gradient is
+        gamma = probs u / (D W), with D = u + t (a - u) and W = E[a / D],
+        by the envelope theorem at the
         solved (u, t). Its Jacobian follows from differentiating gamma through
         u (du/da = gamma) and through t, whose derivative dt the implicit
         function theorem gives from the first-order condition
@@ -204,13 +220,15 @@ class _LsqProblem:
         cols = self._cols
         q = self._probs_list
         a = [sum(map(mul, row, p)) for row in self._rows]
+        top = max(a)
+        a = [x / top for x in a]
         u, t = self.price_full(a)
         if t == 1.0:
             gamma = [qi * u / x for qi, x in zip(q, a)]
             G = [sum(map(mul, col, gamma)) for col in cols]
             w = [gi / x for gi, x in zip(gamma, a)]
-            return u, G, [
-                [gj * gk / u - sum(map(mul, cw, ck)) for gk, ck in zip(G, cols)]
+            return u * top, G, [
+                [(gj * gk / u - sum(map(mul, cw, ck))) / top for gk, ck in zip(G, cols)]
                 for gj, cw in zip(G, [list(map(mul, col, w)) for col in cols])
             ]
         D = [u + t * (x - u) for x in a]
@@ -234,8 +252,8 @@ class _LsqProblem:
                          for v in (gamma, e, f, dt, dW))
         GV = [gk / u - vk / W for gk, vk in zip(G, V)]
         te = [t * ei for ei in e]
-        return u, G, [
-            [gj * gvk - sej * gk - fj * tk - sum(map(mul, ce, ck))
+        return u * top, G, [
+            [(gj * gvk - sej * gk - fj * tk - sum(map(mul, ce, ck))) / top
              for gk, tk, gvk, ck in zip(G, T, GV, cols)]
             for gj, sej, fj, ce in zip(G, [(1.0 - t) * ej for ej in E], F,
                                        [list(map(mul, col, te)) for col in cols])
@@ -250,55 +268,60 @@ class _LsqProblem:
     ) -> tuple[float, list[float]]:
         """max over mixes p of price(mix(p)) / (p . adj), climbing from the mix p0.
 
-        In y = p * adj / (p . adj) the ratio is h(y) = price(mix(y / adj)),
-        concave on the simplex because the mix price is concave and
-        1-homogeneous, so a local maximum is global. Euler's identity
-        grad h . y = h and concavity give max h <= max_i dh/dy_i; the climb
-        (_projected_newton on the simplex) runs until that bound is within
-        ORACLE_GAP of the value, and raises PricingError otherwise. Along
-        the flat directions of the Hessian the ratio is affine: the cash
+        In v = q adj, q the mix weights at any scale, the climb maximizes
+        phi(v) = price(M q) - (sum v)^2 / 2 over v >= 0 (_projected_newton).
+        phi is concave, as the mix price is, and on the ray through the mix
+        p it is s R - s^2 / 2, s = sum(v) and R the ratio at p: it peaks at
+        s = R with value R^2 / 2, so phi's maximum lies at L times the worst
+        mix, and a local maximum is global. Each trial point moves to the
+        peak of its ray, q = total p with total = price(p) / (p . adj)^2
+        (divided in steps: the square can underflow), and the climb goes on
+        from there. Euler's identity and concavity bound the ratio by
+        max_i (dprice/dq_i) / adj_i, which is R plus the largest entry of
+        dphi/dv at a peak; the climb runs until that bound is within
+        ORACLE_GAP of R, and raises PricingError otherwise. Along the flat
+        directions of the mix price's Hessian the ratio is affine: the cash
         direction M^-1 1 of a square basis, the null space of M when there
         are more games than outcomes. A step is also taken when the bound is
-        met, or when the value falls by at most ORACLE_GAP while the bound
-        comes closer. The first evaluation is at p0 itself, so a mix the
-        caller has already evaluated is not priced again.
+        met, or when R falls by at most ORACLE_GAP while the bound comes
+        closer. The first evaluation is at p0 itself, so a mix the caller
+        has already evaluated is not priced again.
         """
         adj = _float_tuple(adj, "adj")
-        inv = [1.0 / ai for ai in adj]
+        # value_grad_hess's weights, per unit of ceiling, are v c / adj
+        factor = [ci / ai for ci, ai in zip(self.c_tuple, adj)]
 
-        def at(p: list[float], total: float):
-            """(h, dh/dy, its Hessian, certificate gap, p) at y = total p adj."""
+        def at(p: list[float]):
+            """(phi, dphi/dv, its Hessian, R, certificate gap, p, v) at the
+            peak of the ray through the mix p."""
             price, grad, hess = self.value_grad_hess(p)
-            # the price is 1-homogeneous: h(y) = price(M (y / adj)) on the
-            # simplex, and y / adj = total * p
-            val = price * total
-            g = list(map(mul, grad, inv))
-            # the price's Hessian is (-1)-homogeneous: at y / adj it is
-            # hess / total, and y / adj puts inv on both of its sides
-            scale = [bj / total for bj in inv]
-            H = [[hk * sj * bk for hk, bk in zip(row, inv)]
+            padj = _dot(p, adj)
+            ratio = price / padj
+            total = ratio / padj
+            g = [gj * fj - ratio for gj, fj in zip(grad, factor)]
+            # the price's Hessian is (-1)-homogeneous: at q = total p it is
+            # hess / total
+            scale = [fj / total for fj in factor]
+            H = [[hk * sj * fk - 1.0 for hk, fk in zip(row, factor)]
                  for row, sj in zip(hess, scale)]
-            return val, g, H, max(g) - val, p
+            v = [total * pi * ai for pi, ai in zip(p, adj)]
+            return 0.5 * ratio * ratio, g, H, ratio, max(g), p, v
 
-        def evaluate(y: list[float]):
-            p = list(map(mul, y, inv))
-            total = sum(p)
-            return at([pi / total for pi in p], total)
+        def evaluate(v: list[float]):
+            q = [vi / ai for vi, ai in zip(v, adj)]
+            total = sum(q)
+            return at([qi / total for qi in q])
 
         def certified(state) -> bool:
-            return state[3] <= ORACLE_GAP * state[0]
+            return state[4] <= ORACLE_GAP * state[3]
 
         def accept(new, old) -> bool:
             return certified(new) or (
-                new[0] - old[0] >= -ORACLE_GAP * old[0] and new[3] < old[3])
+                new[3] - old[3] >= -ORACLE_GAP * old[3] and new[4] < old[4])
 
-        p0 = list(_float_tuple(p0, "p0"))
-        y = list(map(mul, p0, adj))
-        total = sum(y)
-        y = [yi / total for yi in y]
-        state, _, end = _projected_newton(evaluate, y, at(p0, 1.0 / total), certified,
-                                          accept, simplex=True)
-        val, gap, p = state[0], state[3], state[4]
+        state = at(list(_float_tuple(p0, "p0")))
+        state, _, end = _projected_newton(evaluate, state[-1], state, certified, accept)
+        val, gap, p = state[3], state[4], state[5]
         if end != "done":
             why = end if end == "stalled" else f"iteration cap {_ORACLE_MAX_ITER} hit"
             raise PricingError(f"separation oracle {why} with gap {gap / val:.3e}")
@@ -311,41 +334,31 @@ def _projected_newton(
     state: tuple,
     done: Callable[[tuple], bool],
     accept: Callable[[tuple, tuple], bool],
-    *,
-    simplex: bool,
 ) -> tuple[tuple, int, Literal["done", "stalled", "cap"]]:
     """Projected Newton (Bertsekas 1982) for a smooth concave function,
-    climbing from x on x >= 0, and on sum(x) = 1 as well when simplex is set.
+    climbing from x on x >= 0.
 
-    evaluate(x) gives a state (value, gradient, Hessian, ...), with state
-    the one at x; done(state) is the caller's stop test, made at the top of
-    each step, and accept(new, old) lets a step through that Armijo's rule
-    rejects. On the simplex each step drops r = argmax x and works in z, x
-    without x_r = 1 - sum(z), on the box z >= 0 with sum(z) <= 1; the
-    gradient in z is g_j - g_r and the Hessian H_jk - H_rk - H_rj + H_rr.
-    Coordinates within eps of 0 that the gradient pushes out go to 0 (the
-    epsilon-active set, eps the length of a projected gradient step and at
-    most 1e-3). The others take the Newton step along the curved directions
-    of their Hessian block (_newton_split), and along its flat ones a step
-    on to the first bound: there the function is affine, so Newton would
-    not move, and the bound is the maximum along them. The step is
-    projected and halved until the value rises by Armijo's rule or accept
-    passes it. Returns the last state, the steps taken, and how the climb
-    ended: "done", "stalled" (a halved step would no longer move x, or the
-    step is not finite because the Hessian overflowed) or "cap"
+    evaluate(x) gives a state (value, gradient, Hessian, ..., point), with
+    state the one at x; the climb goes on from the point a state carries
+    last, which evaluate may move from the trial point to one of no lower
+    value. done(state) is the caller's stop test, made at the top of each
+    step, and accept(new, old) lets a step through that Armijo's rule
+    rejects. Coordinates within eps of 0 that the gradient pushes out go to
+    0 (the epsilon-active set, eps the length of a projected gradient step
+    and at most 1e-3). The others take the Newton step along the curved
+    directions of their Hessian block (_newton_split), and along its flat
+    ones a step on to the first bound: there the function is affine, so
+    Newton would not move, and the bound is the maximum along them. The
+    step is projected and halved until the value rises by Armijo's rule or
+    accept passes it. Returns the last state, the steps taken, and how the
+    climb ended: "done", "stalled" (a halved step would no longer move x,
+    or the step is not finite because the Hessian overflowed) or "cap"
     (_ORACLE_MAX_ITER steps).
     """
     for steps in range(_ORACLE_MAX_ITER):
         if done(state):
             return state, steps, "done"
         value, g, H = state[:3]
-        r = -1
-        if simplex:  # into z: drop x_r
-            r = x.index(max(x))
-            hr = H[r]
-            g = [gj - g[r] for gj in g]
-            H = [[hjk - hk - hr[j] + hr[r] for hjk, hk in zip(row, hr)]
-                 for j, row in enumerate(H)]
         eps = min(1e-3, math.sqrt(sum([(xj - max(xj + gj, 0.0)) ** 2
                                        for xj, gj in zip(x, g)])))
         free, d = [], []  # d: -x on the epsilon-active set, the step elsewhere
@@ -354,8 +367,7 @@ def _projected_newton(
                 d.append(-xj)
             else:
                 d.append(0.0)
-                if j != r:
-                    free.append(j)
+                free.append(j)
         if len(free) == len(x):
             step, flat = _newton_split(H, g)
         else:
@@ -366,8 +378,6 @@ def _projected_newton(
             # to the first bound, so that it is met exactly
             reach = [(x[j] + sj) / -fj
                      for j, sj, fj in zip(free, step, flat) if fj < 0.0]
-            if simplex and sum(flat) > 0.0:
-                reach.append((x[r] - sum(step)) / sum(flat))
             if reach:
                 alpha = max(min(reach), 0.0)
                 step = [sj + alpha * fj for sj, fj in zip(step, flat)]
@@ -378,14 +388,6 @@ def _projected_newton(
         tau = 1.0
         while True:
             x_new = [max(xj + tau * dj, 0.0) for xj, dj in zip(x, d)]
-            if simplex:
-                x_new[r] = 0.0
-                x_r = 1.0 - sum(x_new)
-                if x_r >= 0.0:
-                    x_new[r] = x_r
-                else:  # x_r clipped at 0: back onto the simplex
-                    norm = sum(x_new)
-                    x_new = [xj / norm for xj in x_new]
             if any(x_new):
                 new = evaluate(x_new)
                 # Armijo's rule on the projection arc: the value rises by a
@@ -397,7 +399,7 @@ def _projected_newton(
             tau *= 0.5
             if tau * max(map(abs, d)) < 1e-16 * max(x):  # x would no longer move
                 return state, steps, "stalled"
-        x, state = x_new, new
+        x, state = new[-1], new
     return state, _ORACLE_MAX_ITER, "cap"
 
 
@@ -513,44 +515,44 @@ def _max_dual(
     value_grad_hess call gives both. At the maximizer the adjusted prices
     equal the mix price's gradient on the support of w, so w / |w| is a
     tight mix by Euler's identity, and D = |x|^2 / 2 certifies minimality.
-    Each game is measured on the scale of its ceiling, v = w c, which
-    leaves x unchanged when a game is rescaled. The climb starts from the
-    mix with the largest D at its best scale b / |a|^2, a = p d and
-    b = price(M p) - p . u (D's maximum along p while b p d / |a|^2 <= 1),
-    and runs _projected_newton on v >= 0. least_squares_prices passes the
-    uniform mix, led by the oracle's worst mix at x = 0 when it ran that
-    call. The mixes must lie on the simplex. One value_grad_hess call at p
-    gives a start's b and its first state, so a mix the caller has already
-    evaluated is not priced again. The climb
-    stops when the projected gradient vanishes to rounding or no halving
-    raises D.
+    The climb runs on v = w c, value_grad_hess's scale, where the gradient
+    is its gradient less u / c and (d / c) x(w): this leaves x unchanged
+    when a game is rescaled. It starts from the mix with the largest D at
+    its best scale b / |a|^2, a = p d and b = price(M p) - p . u (D's
+    maximum along p while b p d / |a|^2 <= 1), and runs _projected_newton
+    on v >= 0. least_squares_prices passes the uniform mix, led by the
+    oracle's worst mix at x = 0 when it ran that call. The mixes must lie
+    on the simplex. One value_grad_hess call at p gives a start's b and its
+    first state, so a mix the caller has already evaluated is not priced
+    again. The climb stops when the projected gradient vanishes to
+    rounding, when no halving raises D, or at the iteration cap; whichever
+    ended it, its last point is returned, and the oracle's certificate at
+    it says how far it is from feasible.
     """
     c, d, u = prob.c_tuple, prob.d_tuple, prob.u_tuple
+    uc = [ui / ci for ui, ci in zip(u, c)]
+    dc = [di / ci for di, ci in zip(d, c)]
 
     def at(v: list[float], w: list[float], p: list[float], total: float):
-        """(D, dD/dv, its Hessian, w, the projected gradient, sum(v), p) at
-        v = w c, w = total p."""
-        # the mix price is 1-homogeneous: it is solved on the simplex, where
-        # the payoffs keep their scale however small w is
+        """(D, dD/dv, its Hessian, w, the projected gradient, sum(v), p, v)
+        at v = w c, w = total p."""
+        # the mix price is 1-homogeneous and its Hessian (-1)-homogeneous:
+        # both are solved on the simplex and scaled to w = total p
         price, grad, hess = prob.value_grad_hess(p)
-        price *= total
         s = [wi * di for wi, di in zip(w, d)]
-        value = price - sum(map(mul, w, u)) + sum(
+        value = price * total - sum(map(mul, w, u)) + sum(
             -0.5 * si * si if si <= 1.0 else 0.5 - si for si in s)
         g, H, pgs = [], [], []
-        for j, (dpj, uj, dj, sj, cj, vj, row) in enumerate(zip(grad, u, d, s, c, v, hess)):
-            gj = (dpj - uj - dj * min(sj, 1.0)) / cj
+        for j, (gj, ucj, dcj, sj, vj, row) in enumerate(zip(grad, uc, dc, s, v, hess)):
+            gj -= ucj + dcj * min(sj, 1.0)
             g.append(gj)
             # the projected gradient's entry, per game on the scale of c
             pgs.append(abs(gj) if vj > 0.0 else gj)
-            # where total c_j c_k underflows to 0, dividing in steps stands in
-            tc = total * cj
-            Hj = [hjk / tck if (tck := tc * ck) else hjk / total / cj / ck
-                  for hjk, ck in zip(row, c)]
+            Hj = [hjk / total for hjk in row]
             if sj < 1.0:
-                Hj[j] -= (dj / cj) ** 2
+                Hj[j] -= dcj * dcj
             H.append(Hj)
-        return value, g, H, w, max(pgs), sum(v), p
+        return value, g, H, w, max(pgs), sum(v), p, v
 
     def evaluate(v: list[float]):
         w = [vi / ci for vi, ci in zip(v, c)]
@@ -561,28 +563,22 @@ def _max_dual(
     for p in mixes:
         b = prob.value_grad_hess(p)[0] - _dot(p, u)
         if b > 0.0:
-            a2 = sum((pi * di) ** 2 for pi, di in zip(p, d))
-            if a2:
-                scale = b / a2
-            else:  # |a|^2 underflows to 0: divide by |a| in steps
-                norm = math.hypot(*(pi * di for pi, di in zip(p, d)))
-                scale = b / norm / norm
+            # |a|^2 under- or overflows where |a| does not: divide in steps
+            norm = math.hypot(*(pi * di for pi, di in zip(p, d)))
+            scale = b / norm / norm
             w = [scale * pi for pi in p]
-            v = [wi * ci for wi, ci in zip(w, c)]
-            starts.append((at(v, w, p, scale), v))
+            starts.append(at([wi * ci for wi, ci in zip(w, c)], w, p, scale))
     if not starts:
         raise PricingError("no start mix is priced above its stand-alone prices")
-    state, v = max(starts, key=lambda start: start[0][0])
+    state = max(starts, key=lambda start: start[0])
 
     def accept(new, old) -> bool:
         # D level to rounding while the gradient shrinks: D's terms are at
         # most w . c = sum(v) and cancel
         return new[0] - old[0] >= -1e-14 * old[5] and new[4] < old[4]
 
-    state, steps, end = _projected_newton(
-        evaluate, v, state, lambda s: s[4] <= 1e-15, accept, simplex=False)
-    if end == "cap":
-        raise PricingError(f"least-squares dual iteration cap {_ORACLE_MAX_ITER} hit")
+    state, steps, _ = _projected_newton(
+        evaluate, state[-1], state, lambda s: s[4] <= 1e-15, accept)
     return state[3], state[6], steps
 
 
@@ -848,7 +844,8 @@ def least_squares_prices(
             basis=tuple(keep),
         )
 
-    found = _constant_mix(prob.basis, _unit_qr(prob._cols) if dropped else qr)
+    found = _constant_mix(prob.basis, _unit_qr(
+        [g.payoff_tuple for g in prob.basis.games]) if dropped else qr)
     if found is not None:
         # every feasible point has x_i = 1 wherever d_i > 0 (check_constant_mix),
         # and L(x) <= 1 there by Jensen's inequality

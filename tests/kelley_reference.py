@@ -122,6 +122,7 @@ def _polish_newton(prob, pinned1, free, q_hat, x_hat):
     # one end of it and leave out a game that the optimum weighs
     adj_hat = np.array(prob.adjusted_prices(x_hat))
     value, grad, _ = prob.value_grad_hess(q_hat.tolist())
+    grad = np.array(grad) * prob.c_tuple  # from per unit of ceiling to per unit of q
     ratio = value / float(q_hat @ adj_hat)
     support = np.flatnonzero((q_hat > 1e-7 * float(np.max(q_hat)))
                              | (np.array(grad) >= ratio * (1.0 - 1e-8) * adj_hat))
@@ -151,7 +152,9 @@ def _polish_newton(prob, pinned1, free, q_hat, x_hat):
         Jx[:, 0] = q * d_free / qd
         Jx[raw >= 1.0] = 0.0
         value, grad, hess = prob.value_grad_hess(q.tolist())
-        grad, hess = np.array(grad), np.array(hess)
+        # from per unit of ceiling to per unit of q
+        c = np.array(prob.c_tuple)
+        grad, hess = np.array(grad) * c, np.array(hess) * np.outer(c, c)
         adj = np.array(prob.adjusted_prices(x))
         dadj = d[:, None] * Jx
         den = float(q @ adj)

@@ -536,6 +536,30 @@ class TestLsPriceCommand:
         assert doc["prices"][0] >= 2.55e199  # A's stand-alone price
         assert all(0.0 < price < math.inf for price in doc["prices"])
 
+    def test_a_start_scale_whose_square_overflows(self, capsys, tmp_path):
+        # |p d|^2 at the dual's start overflows: b / |p d|^2 is formed by
+        # hypot and divided in steps
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"probabilities": [0.33, 0.26, 0.41],
+                                    "games": {"A": [7.5e200, 1.4e201, 1.3e201],
+                                              "B": [7.2, 20, 16.7]},
+                                    "rate": {"value": 0.066}}))
+        rc, out, err = run(capsys, ["ls-price", str(path), "--format", "json"])
+        assert rc == 0 and err == ""
+        doc = json.loads(out)
+        assert doc["max_violation"] <= 1e-9
+        assert doc["x"] == pytest.approx([0.0339, 0.0363], abs=1e-4)
+
+    @pytest.mark.parametrize("games", [{"A": [1e200, 1, 5], "B": [2, 3, 1]},
+                                       {"A": [3e-300, 1e-300, 2e-300], "B": [1, 2, 3]}])
+    def test_games_1e200_or_more_apart_end_within_tolerance(self, capsys, tmp_path, games):
+        path = tmp_path / "apart.json"
+        path.write_text(json.dumps({"probabilities": [0.2, 0.3, 0.5], "games": games,
+                                    "rate": {"value": 0.05}}))
+        rc, out, err = run(capsys, ["ls-price", str(path), "--format", "json"])
+        assert rc == 0 and err == ""
+        assert json.loads(out)["max_violation"] <= 1e-9
+
     def test_a_proportional_pair_near_1e_300(self, capsys, tmp_path):
         path = tmp_path / "tiny.json"
         path.write_text(json.dumps({"probabilities": [0.5, 0.5],

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import textwrap
@@ -439,8 +440,9 @@ class TestOracle:
                             for q in _simplex_grid(n))
             assert val >= grid_best * (1.0 - 1e-12)
             # max_i dh/dy_i bounds the ratio over the whole simplex
-            price, grad, _ = prob.value_grad_hess(p)
+            price, grad, _ = prob.value_grad_hess(p)  # per unit of ceiling
             ratio = price / float(np.dot(p, adj))
+            grad = np.array(grad) * prob.c_tuple
             assert float(np.max(grad / adj)) - ratio <= 1e-10 * ratio
 
     def test_any_start_mix_reaches_the_same_value(self):
@@ -479,8 +481,11 @@ class TestMixHessian:
             rate = Rate(float(rng.uniform(0.005, 0.10)))
             prob = _LsqProblem(ConeBasis(space, [Game(c) for c in M.T]), rate)
             p = rng.dirichlet(np.ones(n))
+            # value_grad_hess's derivatives are per unit of ceiling: in p
+            # the gradient is grad c and the Hessian hess c c^T
+            c = np.array(prob.c_tuple)
             value, grad, hess = prob.value_grad_hess(p.tolist())
-            grad, hess = np.array(grad), np.array(hess)
+            grad, hess = np.array(grad) * c, np.array(hess) * np.outer(c, c)
             scale = float(np.max(np.abs(grad)))
             assert value == pytest.approx(prob.price_mix(p), rel=1e-12)
             for j in range(n):
@@ -489,8 +494,8 @@ class TestMixHessian:
                 e[j] = 1e-4 * p[j]
                 fd = (prob.price_mix(p + e) - prob.price_mix(p - e)) / (2.0 * e[j])
                 assert abs(grad[j] - fd) <= 1e-7 * scale, (case, j)
-                fd = (np.array(prob.value_grad_hess((p + e).tolist())[1])
-                      - np.array(prob.value_grad_hess((p - e).tolist())[1])) / (2.0 * e[j])
+                fd = c * (np.array(prob.value_grad_hess((p + e).tolist())[1])
+                          - np.array(prob.value_grad_hess((p - e).tolist())[1])) / (2.0 * e[j])
                 assert np.max(np.abs(hess[:, j] - fd)) <= 1e-7 * scale, (case, j)
             a = M @ p
             seen["full" if prob.price_full(a.tolist())[1] == 1.0 else "interior"] += 1
@@ -968,11 +973,16 @@ class TestDualSolve:
         assert sol.termination == "newton" and sol.max_violation <= 1e-12 or (
             sol.termination == "stalled" and sol.max_violation > DEFAULT_L_TOL)
 
-    def test_iteration_cap_raises(self, monkeypatch):
-        # B13 takes 6 steps from the even mix
-        monkeypatch.setattr(gameprice.lsq, "_ORACLE_MAX_ITER", 1)
-        with pytest.raises(PricingError, match="dual iteration cap"):
-            _max_dual(_LsqProblem(B13, R05), [[0.5, 0.5]])
+    def test_iteration_cap_is_reported_as_a_stall(self, monkeypatch):
+        # B13 takes 6 dual steps from the even mix. Capped at 3, the dual
+        # returns its last point, and the oracle, which needs fewer steps
+        # from the dual's last mix, certifies how far it is from feasible
+        monkeypatch.setattr(gameprice.lsq, "_ORACLE_MAX_ITER", 3)
+        assert _max_dual(_LsqProblem(B13, R05), [[0.5, 0.5]])[2] == 3
+        sol = least_squares_prices(B13, R05)
+        assert (sol.termination, sol.iterations) == ("stalled", 3)
+        assert sol.max_violation > DEFAULT_L_TOL
+        assert sol.x.tolist() == pytest.approx(EX13_X, abs=1e-3)
 
 
 def _sample_basis(name):
@@ -1041,23 +1051,21 @@ class TestOracleAtZero:
             priced.clear()
 
 
-def _climb(f, grad, hess, x, *, simplex):
+def _climb(f, grad, hess, x):
     """_projected_newton on a closed-form concave f, from x.
 
     The state carries x last; the climb is done when the projected gradient
-    vanishes (x >= 0) or the Frank-Wolfe gap max(g) - g . x does (simplex).
+    vanishes.
     """
     def evaluate(x):
         return f(x), grad(x), hess(x), x
 
     def done(state):
         g, x = state[1], state[3]
-        if simplex:
-            return max(g) - sum(gj * xj for gj, xj in zip(g, x)) <= 1e-15
         return max(abs(gj) if xj > 0.0 else gj for gj, xj in zip(g, x)) <= 1e-15
 
     state, steps, end = _projected_newton(
-        evaluate, x, evaluate(x), done, lambda new, old: False, simplex=simplex)
+        evaluate, x, evaluate(x), done, lambda new, old: False)
     return state[3], steps, end
 
 
@@ -1070,7 +1078,7 @@ class TestProjectedNewton:
             lambda x: -((x[0] - 1.0) ** 2 + (x[1] + 1.0) ** 2) / 2.0,
             lambda x: [1.0 - x[0], -1.0 - x[1]],
             lambda x: [[-1.0, 0.0], [0.0, -1.0]],
-            [0.5, 0.5], simplex=False)
+            [0.5, 0.5])
         assert (x, steps, end) == ([1.0, 0.0], 1, "done")
 
     def test_flat_step_stops_at_the_first_bound_on_the_orthant(self, monkeypatch):
@@ -1080,29 +1088,9 @@ class TestProjectedNewton:
                 lambda x: [-1.0, -1.0, 0.5 - x[2]],
                 lambda x: [[0.0] * 3, [0.0] * 3, [0.0, 0.0, -1.0]],
                 [0.25, 0.5, 0.25])
-        assert _climb(*args, simplex=False) == ([0.0, 0.0, 0.5], 2, "done")
+        assert _climb(*args) == ([0.0, 0.0, 0.5], 2, "done")
         monkeypatch.setattr(gameprice.lsq, "_ORACLE_MAX_ITER", 1)
-        assert _climb(*args, simplex=False) == ([0.0, 0.25, 0.5], 1, "cap")
-
-    def test_flat_step_stops_at_the_sum_bound_on_the_simplex(self, monkeypatch):
-        # y0 - (y1 - 1/4)^2 / 2 from (1/4, 1/8, 5/8): in z = (y0, y1) it is
-        # affine along z0, which rises until y2 = 1 - z0 - z1 reaches 0
-        args = (lambda y: y[0] - (y[1] - 0.25) ** 2 / 2.0,
-                lambda y: [1.0, 0.25 - y[1], 0.0],
-                lambda y: [[0.0] * 3, [0.0, -1.0, 0.0], [0.0] * 3],
-                [0.25, 0.125, 0.625])
-        assert _climb(*args, simplex=True) == ([1.0, 0.0, 0.0], 2, "done")
-        monkeypatch.setattr(gameprice.lsq, "_ORACLE_MAX_ITER", 1)
-        assert _climb(*args, simplex=True) == ([0.75, 0.25, 0.0], 1, "cap")
-
-    def test_linear_objective_ends_at_the_best_vertex(self):
-        c = [1.0, 3.0, 2.0]
-        x, _, end = _climb(
-            lambda y: sum(ci * yi for ci, yi in zip(c, y)),
-            lambda y: list(c),
-            lambda y: [[0.0] * 3 for _ in range(3)],
-            [1.0 / 3.0] * 3, simplex=True)
-        assert (x, end) == ([0.0, 1.0, 0.0], "done")
+        assert _climb(*args) == ([0.0, 0.25, 0.5], 1, "cap")
 
 
 class TestConstantMixDetector:
@@ -1784,3 +1772,31 @@ def test_scaling_one_game_leaves_x_in_place(problem, j, log_scale):
     sol = least_squares_prices(_ls_basis(games, probs), rate)
     other = least_squares_prices(_ls_basis(_scaled(games, j, log_scale)[0], probs), rate)
     assert other.x_tuple == pytest.approx(sol.x_tuple, abs=1e-11), (games, probs, rate)
+
+
+def _normal_range_bases():
+    """120 bases of 2-4 games on 3-5 outcomes, payoffs uniform on [0.5, 20]
+    and rates of 1-8%, each as (games, probs, rate, j) with a game j to
+    rescale."""
+    rng = random.Random(11)
+    for _ in range(120):
+        n, m = rng.randint(2, 4), rng.randint(3, 5)
+        probs = [rng.uniform(0.05, 1.0) for _ in range(m)]
+        probs = [p / sum(probs) for p in probs]
+        games = [[rng.uniform(0.5, 20.0) for _ in range(m)] for _ in range(n)]
+        yield games, probs, Rate(rng.uniform(0.01, 0.08)), rng.randrange(n)
+
+
+def test_rescaling_one_game_far_out_of_range_leaves_x_in_place():
+    # prices are positive linear, so scaling a game by k scales its price by
+    # k and leaves x where it was: both climbs measure each game per unit of
+    # its ceiling, and each mix per unit of its largest payoff
+    for games, probs, rate, j in _normal_range_bases():
+        sol = least_squares_prices(_ls_basis(games, probs), rate)
+        for log_scale in (-290, -150, 150, 200):
+            case = (games, probs, rate, j, log_scale)
+            other = least_squares_prices(
+                _ls_basis(_scaled(games, j, log_scale)[0], probs), rate)
+            assert other.termination in ("newton", "linear", "constant_mix"), case
+            assert other.max_violation <= 1e-9, case
+            assert other.x_tuple == pytest.approx(sol.x_tuple, rel=0.0, abs=1e-10), case
