@@ -29,18 +29,20 @@ dual's, of w. Both take the mix price's exact gradient and Hessian from one
 price solve, on one scale: each game per unit of its ceiling, each mix
 solved per unit of its largest payoff, so that rescaling a game leaves
 every step as it was. The routine splits each Newton step into its curved
-and flat parts by a pivoted LDL^T factorization. The oracle stops only
-when the upper bound max_i (dprice/dq_i) / adj_i (Euler's identity plus
-concavity) is within 1e-10 relative of its value. Every question about
-the cone the games span is one nonnegative least-squares (NNLS) problem,
-solved by Lawson and Hanson's active-set method on a Householder QR of its
-passive columns: whether a game lies in it and with which coefficients,
-which games are its extreme rays,
-and whether some mix pays a constant, with the largest support such a mix
-can have; one QR of the games, with a bound on its rounding, settles the
-clear cases first, once per solve for the reduction and the constant-mix
-NNLS alike. Everything runs on plain Python floats, so solving imports no
-numpy; the functions that return arrays build them on the way out.
+and flat parts by a pivoted LDL^T factorization, projecting onto the flat
+ones through a Householder QR. The oracle stops only when the upper bound
+max_i (dprice/dq_i) / adj_i (Euler's identity plus concavity) is within
+1e-10 relative of its value. Every question about the cone the games span
+is one nonnegative least-squares (NNLS) problem, solved by Lawson and
+Hanson's active-set method on a Householder QR of its passive columns:
+whether a game lies in it and with which coefficients, which games are its
+extreme rays, and whether some mix pays a constant. A solve asks only
+whether one exists, one NNLS; check_constant_mix alone probes further for
+the largest support such a mix can have. One QR of the games, with a bound
+on its rounding, settles the clear cases first, once per solve for the
+reduction and the constant-mix NNLS alike. Everything runs on plain Python
+floats, so solving imports no numpy; the functions that return arrays
+build them on the way out.
 """
 
 from __future__ import annotations
@@ -72,7 +74,7 @@ from .pricer import _price_numeric
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
-    from typing import Callable, Literal, Optional, Sequence
+    from typing import Callable, Iterable, Literal, Optional, Sequence
 
     import numpy as np
 
@@ -351,9 +353,10 @@ def _projected_newton(
     Newton would not move, and the bound is the maximum along them. The
     step is projected and halved until the value rises by Armijo's rule or
     accept passes it. Returns the last state, the steps taken, and how the
-    climb ended: "done", "stalled" (a halved step would no longer move x,
-    or the step is not finite because the Hessian overflowed) or "cap"
-    (_ORACLE_MAX_ITER steps).
+    climb ended: "done" (done holds at the last state, also when the step
+    that reached it was the last one allowed), "stalled" (a halved step
+    would no longer move x, or the step is not finite because the Hessian
+    overflowed) or "cap" (_ORACLE_MAX_ITER steps).
     """
     for steps in range(_ORACLE_MAX_ITER):
         if done(state):
@@ -400,7 +403,7 @@ def _projected_newton(
             if tau * max(map(abs, d)) < 1e-16 * max(x):  # x would no longer move
                 return state, steps, "stalled"
         x, state = new[-1], new
-    return state, _ORACLE_MAX_ITER, "cap"
+    return state, _ORACLE_MAX_ITER, "done" if done(state) else "cap"
 
 
 def _newton_split(
@@ -417,9 +420,11 @@ def _newton_split(
     diagonal entry left in the Schur complement, and the factorization
     stops at the first pivot within _FLAT of the largest curvature (the
     first pivot). The coordinates left over span the flat directions: g's
-    flat part is its orthogonal projection onto the null space of V^T, and
-    the Newton step -H^-1 g is the minimum-norm solution of
-    V diag(s) V^T x = g - flat.
+    flat part is its orthogonal projection onto the null space of V^T,
+    taken through the Householder QR V = QR (_householder) as Q applied to
+    Q^T g with its first len(pivots) entries zeroed. The Newton step -H^-1 g
+    is the minimum-norm solution of V diag(s) V^T x = g - flat: any
+    solution with its null-space part removed the same way.
     """
     k = len(g)
     if k == 0:
@@ -453,30 +458,11 @@ def _newton_split(
                 row[i] -= lj * v[i]
         pivots.append((p, v, s))
     if rest:
-        # an orthonormal basis of the null space of V^T: e_q for each flat
-        # coordinate q, with the pivot coordinates solved by back
-        # substitution (V is unit triangular in them), then Gram-Schmidt
-        null = []
-        for q in rest:
-            z = [0.0] * k
-            z[q] = 1.0
-            for p, v, _ in reversed(pivots):
-                z[p] = -_dot(v, z)
-            for e in null:
-                c = _dot(e, z)
-                z = [zi - c * ei for zi, ei in zip(z, e)]
-            norm = math.sqrt(_dot(z, z))
-            null.append([zi / norm for zi in z])
-
-        def project(x: list[float]) -> list[float]:
-            """x's orthogonal projection onto the null space of V^T."""
-            out = [0.0] * k
-            for e in null:
-                c = _dot(e, x)
-                out = [oi + c * ei for oi, ei in zip(out, e)]
-            return out
-
-        flat = project(gs)
+        # through the Householder QR of V: Q^T y's entries from len(pivots)
+        # on are y's coordinates in the null space of V^T, and Q y applies
+        # the reflectors, each its own inverse, in reverse order
+        reflectors, r = _householder([v for _, v, _ in pivots])[0], len(pivots)
+        flat = _apply_qt(reflectors[::-1], [0.0] * r + _apply_qt(reflectors, gs)[r:])
         curved = list(map(sub, gs, flat))
     else:  # no flat pivot: g is all curved
         flat, curved = [0.0] * k, gs
@@ -489,8 +475,8 @@ def _newton_split(
     x = [0.0] * k
     for (p, v, s), ai in zip(reversed(pivots), reversed(a)):
         x[p] = ai / s - sum(map(mul, v, x))
-    if rest:
-        x = list(map(sub, x, project(x)))
+    if rest:  # x's part in the range of V
+        x = _apply_qt(reflectors[::-1], _apply_qt(reflectors, x)[:r] + [0.0] * (k - r))
         flat = [fi / dj for fi, dj in zip(flat, d)]
     return [xi / dj for xi, dj in zip(x, d)], flat
 
@@ -844,13 +830,15 @@ def least_squares_prices(
             basis=tuple(keep),
         )
 
-    found = _constant_mix(prob.basis, _unit_qr(
-        [g.payoff_tuple for g in prob.basis.games]) if dropped else qr)
+    # whether some mix pays a constant: one NNLS for k >= 0 with M k = 1
+    cols = [g.payoff_tuple for g in prob.basis.games]
+    k = _nnls_cols(cols, [1.0] * len(prob._rows), _unit_qr(cols) if dropped else qr)
+    found = _constant_mix(prob._rows, [k])
     if found is not None:
         # every feasible point has x_i = 1 wherever d_i > 0 (check_constant_mix),
         # and L(x) <= 1 there by Jensen's inequality
         x = [1.0 if di > 0.0 else 0.0 for di in prob.d_tuple]
-        pstar = list(found[0].weight_tuple)
+        pstar = list(found.weight_tuple)
         ratio = prob.price_mix(pstar) / _dot(pstar, prob.adjusted_prices(x))
         return solution(x, pstar, ratio - 1.0, 1, "constant_mix")
 
@@ -895,58 +883,61 @@ def check_constant_mix(basis: ConeBasis) -> Optional[tuple[Mix, tuple[int, ...]]
     probs / g, so L(t) <= 1 needs adjusted_i >= E_i / g to first order in
     eps: t_i = 1. Payoffs are nonnegative and no game is all zero, so every
     constant mix is k / sum(k) for some k >= 0 with M k = 1: NNLS decides
-    whether one exists. Its k can leave out a game that some other constant
-    mix uses (dependent games, or games equal to within CONE_TOL), so each
-    game j with k_j = 0 is probed with the homogenized NNLS
-    [M_-j, -1] (k', lam) = -M_j: j can carry weight when lam > 0 and
-    w = (k', 1) / lam has M w = 1 to CONE_TOL. The mean of k and the
-    successful witnesses, each as a mix, has the largest support any constant
-    mix has. Every mix must keep its payoff spread within CONE_TOL of the
-    largest payoff. The NNLS for k starts from the QR of the games
-    (_unit_qr), so a least-squares k positive beyond its rounding needs no
-    active-set step."""
-    return _constant_mix(basis, _unit_qr([g.payoff_tuple for g in basis.games]))
+    whether one exists, started from the QR of the games (_unit_qr), so a
+    least-squares k positive beyond its rounding needs no active-set step.
+    least_squares_prices asks only that, and takes k's mix. Here, to find
+    the largest support, each game j with k_j = 0 is then probed, as k can
+    leave out a game that some other constant mix uses (dependent games, or
+    games equal to within CONE_TOL): the homogenized NNLS
+    [M_-j, -1] (k', lam) = -M_j gives a witness w = (k', 1) / lam when
+    lam > 0. The mean of k and the witnesses, each as a mix, has the
+    largest support any constant mix has (_constant_mix)."""
+    cols = [g.payoff_tuple for g in basis.games]
+    rows = _payoff_rows(basis.games)
+    n, minus_ones = len(cols), [-1.0] * len(rows)
+    k = _nnls_cols(cols, [1.0] * len(rows), _unit_qr(cols))
+
+    def witnesses():
+        yield k
+        for j in [j for j, kj in enumerate(k) if kj == 0.0]:
+            others = [i for i in range(n) if i != j]
+            z = _nnls_cols([cols[i] for i in others] + [minus_ones],
+                           [-a for a in cols[j]])
+            if z[-1] > 0.0:
+                w = [1.0] * n
+                for i, zi in zip(others, z):
+                    w[i] = zi
+                yield [wi / z[-1] for wi in w]
+
+    found = _constant_mix(rows, witnesses())
+    if found is None:
+        return None
+    return found, tuple(i for i, pi in enumerate(found.weight_tuple) if pi > 1e-9)
 
 
 def _constant_mix(
-    basis: ConeBasis, qr: Optional[tuple]
-) -> Optional[tuple[Mix, tuple[int, ...]]]:
-    """check_constant_mix, given _unit_qr of the games' payoff columns."""
-    cols = [g.payoff_tuple for g in basis.games]
-    rows = _payoff_rows(basis.games)
-    n, m = basis.n, len(rows)
-    scale = max(map(max, cols))
-    minus_ones = [-1.0] * m
-
-    # M k = 1 must hold to CONE_TOL itself: the spread check is scaled by the
-    # largest payoff, which lets mixes of much smaller games through
-    def constant(k: list[float]) -> bool:
-        return max(abs(_dot(row, k) - 1.0) for row in rows) <= CONE_TOL
-
-    def mix(k: list[float]) -> list[float]:
-        total = sum(k)
-        return [ki / total for ki in k]
-
-    k = _nnls_cols(cols, [1.0] * m, qr)
-    if not constant(k):
-        return None
-    witnesses = [mix(k)]
-    for j in [j for j, kj in enumerate(k) if kj == 0.0]:
-        others = [i for i in range(n) if i != j]
-        z = _nnls_cols([cols[i] for i in others] + [minus_ones], [-a for a in cols[j]])
-        if z[-1] <= 0.0:
-            continue
-        w = [1.0] * n
-        for i, zi in zip(others, z):
-            w[i] = zi
-        w = [wi / z[-1] for wi in w]
-        if constant(w):
-            witnesses.append(mix(w))
-    p = mix([sum(col) / len(witnesses) for col in zip(*witnesses)])
+    rows: list[tuple[float, ...]], ks: Iterable[list[float]]
+) -> Optional[Mix]:
+    """The mean of the mixes k / sum(k) over the k in ks with M k = 1 to
+    CONE_TOL, M by its rows; None when the first k fails that test, and then
+    no later k is drawn, or when the mean's payoff spread exceeds CONE_TOL
+    of the largest payoff (at least 1). M k = 1 must hold to CONE_TOL
+    itself: the spread test is scaled by the largest payoff, which lets
+    mixes of much smaller games through."""
+    mixes = []
+    for k in ks:
+        if max(abs(_dot(row, k) - 1.0) for row in rows) <= CONE_TOL:
+            total = sum(k)
+            mixes.append([ki / total for ki in k])
+        elif not mixes:
+            return None
+    p = [sum(col) / len(mixes) for col in zip(*mixes)]
+    total = sum(p)
+    p = [pi / total for pi in p]
     payoff = [_dot(row, p) for row in rows]
-    if max(payoff) - min(payoff) > CONE_TOL * max(scale, 1.0):
+    if max(payoff) - min(payoff) > CONE_TOL * max(max(map(max, rows)), 1.0):
         return None
-    return Mix(p), tuple(i for i, pi in enumerate(p) if pi > 1e-9)
+    return Mix(p)
 
 
 def check_linear_pricing(basis: ConeBasis, rate: Rate) -> bool:
@@ -1034,16 +1025,13 @@ def _unit_qr(cols: Sequence[Sequence[float]]) -> Optional[tuple]:
 
 
 def _reduce_to_basis(
-    games: Sequence[Game], qr: Optional[tuple] | bool = False
+    games: Sequence[Game], qr: Optional[tuple]
 ) -> tuple[list[int], list[list[float]]]:
     """reduce_to_basis as lists, with the kept indices, on the games of a
-    ConeBasis. A game farther than CONE_TOL of its largest payoff from the others'
-    span, beyond _unit_qr's rounding, is kept without the cone test's NNLS. qr
-    is _unit_qr of the games' payoff columns when the caller has it (False
-    computes it here)."""
+    ConeBasis, given _unit_qr of their payoff columns. A game farther than
+    CONE_TOL of its largest payoff from the others' span, beyond _unit_qr's
+    rounding, is kept without the cone test's NNLS."""
     cols = [g.payoff_tuple for g in games]
-    if qr is False:
-        qr = _unit_qr(cols)
     far = [False] * len(cols) if qr is None else [
         (1.0 - qr[4]) * nj > CONE_TOL * max(col) * math.sqrt(r2)
         for col, nj, r2 in zip(cols, qr[2], qr[3])]
@@ -1072,7 +1060,7 @@ def reduce_to_basis(
     ConeBasis on the space: a nonempty set, each of the space's length.
     """
     games = ConeBasis(space, games).games
-    keep, coords = _reduce_to_basis(games)
+    keep, coords = _reduce_to_basis(games, _unit_qr([g.payoff_tuple for g in games]))
     return ConeBasis(space, [games[i] for i in keep]), _frozen_array(coords)
 
 

@@ -248,11 +248,16 @@ class TestOneBasisRule:
         cone_fit = gameprice.lsq._cone_fit
         monkeypatch.setattr(gameprice.lsq, "_cone_fit",
                             lambda *a: fits.append(a) or cone_fit(*a))
-        fast = [gameprice.lsq._reduce_to_basis(g) for g, _ in sets]
+
+        def reduce(games):
+            qr = gameprice.lsq._unit_qr([g.payoff_tuple for g in games])
+            return gameprice.lsq._reduce_to_basis(games, qr)
+
+        fast = [reduce(g) for g, _ in sets]
         fast_fits = len(fits)
         _nnls_only(monkeypatch)
         for (games, _), (keep, coords) in zip(sets, fast):
-            assert gameprice.lsq._reduce_to_basis(games) == (keep, coords), games
+            assert reduce(games) == (keep, coords), games
         # a fit is skipped for each game of a full-rank set that is farther
         # than 1e-9 from the others' span: the 3.3e-7 set and most pairs from
         # 1.1e-9 up; a set with a planted redundant game takes every fit
@@ -456,9 +461,19 @@ class TestOracle:
             assert got == pytest.approx(val, rel=2e-10)
 
     def test_uncertified_stop_raises(self, monkeypatch):
-        monkeypatch.setattr(gameprice.lsq, "_ORACLE_MAX_ITER", 1)
+        # B13's climb at x = 0 certifies on its first step: at cap 0 it
+        # stops at its start, 2.0e-5 short
+        monkeypatch.setattr(gameprice.lsq, "_ORACLE_MAX_ITER", 0)
         with pytest.raises(PricingError, match="gap"):
             _LsqProblem(B13, R05).oracle(np.zeros(2))
+
+    def test_a_last_step_that_certifies_is_done(self, monkeypatch):
+        # capped at 2 steps, the dual stops short, and an oracle climb whose
+        # second step certifies is done, not an "iteration cap 2 hit with gap
+        # 0.000e+00"
+        monkeypatch.setattr(gameprice.lsq, "_ORACLE_MAX_ITER", 2)
+        sol = least_squares_prices(basis((12, 8), (11, 9)), R05)
+        assert (sol.termination, sol.iterations) == ("stalled", 2)
 
 
 class TestMixHessian:
@@ -626,6 +641,20 @@ class TestLeastSquaresPrices:
                                                                  rel=0.0, abs=1e-15)
             assert sol.max_violation == ls_ratio(b, rate, sol.x, mix) - 1.0
             assert big_L(b, rate, sol.x)[0] <= 1.0 + 1e-12, b
+
+    def test_the_solve_asks_only_whether_a_constant_mix_exists(self, monkeypatch):
+        # k = (0, 0.1) leaves game 0 out: the solve takes k's mix as it is,
+        # with no homogenized probe for game 0; only check_constant_mix looks
+        # for the largest support
+        calls = []
+        nnls = gameprice.lsq._nnls_cols
+        monkeypatch.setattr(gameprice.lsq, "_nnls_cols",
+                            lambda cols, *a: calls.append(cols) or nnls(cols, *a))
+        sol = least_squares_prices(basis((19, 1), (10, 10)), R05)
+        assert len(calls) == 1 and min(map(min, calls[0])) >= 0.0
+        assert sol.termination == "constant_mix"
+        assert sol.certificate.weight_tuple == (0.0, 1.0)
+        assert check_constant_mix(basis((19, 1), (10, 10), (5, 5)))[1] == (1, 2)
 
     def test_one_free_coordinate_with_a_light_tight_mix(self):
         # the tight mix puts 7e-4 on game 1, the only free coordinate. In
