@@ -25,24 +25,23 @@ LsSolution.termination says which way a solve ended. One projected-Newton
 routine (_projected_newton) makes both climbs, each maximizing a concave
 function of nonnegative game weights: the oracle's, of price-weighted mix
 weights v = q adj whose maximum lies at L times the worst mix, and the
-dual's, of w. Both take the mix price's exact gradient and Hessian from one
-price solve, on one scale: each game per unit of its ceiling, each mix
-solved per unit of its largest payoff, so that rescaling a game leaves
-every step as it was. The routine splits each Newton step into its curved
-and flat parts by a pivoted LDL^T factorization, projecting onto the flat
-ones through a Householder QR. The oracle stops only when the upper bound
-max_i (dprice/dq_i) / adj_i (Euler's identity plus concavity) is within
-1e-10 relative of its value. Every question about the cone the games span
-is one nonnegative least-squares (NNLS) problem, solved by Lawson and
-Hanson's active-set method on a Householder QR of its passive columns:
-whether a game lies in it and with which coefficients, which games are its
-extreme rays, and whether some mix pays a constant. A solve asks only
-whether one exists, one NNLS; check_constant_mix alone probes further for
-the largest support such a mix can have. One QR of the games, with a bound
-on its rounding, settles the clear cases first, once per solve for the
-reduction and the constant-mix NNLS alike. Everything runs on plain Python
-floats, so solving imports no numpy; the functions that return arrays
-build them on the way out.
+dual's, of v = w c. Both take the mix price's exact gradient and Hessian from
+one price solve, on one scale: each game per unit of its ceiling, so that
+every mix pays g on average and rescaling a game leaves every step as it was.
+The routine splits each Newton step into its curved and flat parts by a
+pivoted LDL^T factorization, projecting onto the flat ones through a
+Householder QR. The oracle stops only when the upper bound
+max_i (dprice/dq_i) / adj_i (Euler's identity plus concavity) is within 1e-10
+relative of its value. Every question about the cone the games span is one
+nonnegative least-squares (NNLS) problem, solved by Lawson and Hanson's
+active-set method on a Householder QR of its passive columns: whether a game
+lies in it and with which coefficients, which games are its extreme rays, and
+whether some mix pays a constant. A solve asks only whether one exists, one
+NNLS; check_constant_mix alone probes further for the largest support such a
+mix can have. One QR of the games, with a bound on its rounding, settles the
+clear cases first, once per solve for the reduction and the constant-mix NNLS
+alike. Everything runs on plain Python floats, so solving imports no numpy;
+the functions that return arrays build them on the way out.
 """
 
 from __future__ import annotations
@@ -95,7 +94,6 @@ _ORACLE_MAX_ITER = 500
 _EPS = sys.float_info.epsilon
 
 
-
 class LsSolution(_Record):
     """Min-norm coordinates, the prices they induce, and a tightness witness.
 
@@ -143,12 +141,10 @@ class _LsqProblem:
     """Precomputed pricing context for one basis and rate.
 
     u_tuple, c_tuple and d_tuple hold the stand-alone prices, the ceilings
-    and d = max(c - u, 0), and every method runs on plain floats.
-    value_grad_hess measures each game's weight per unit of its ceiling, so
-    that scaling a game leaves the derivatives both climbs take as they
-    were, and keeps each mix's evaluation, keyed by the exact mix, for as
-    long as the problem lives: a solve that hands the same mix list from one
-    stage to the next prices it once.
+    and d = max(c - u, 0), and every method runs on plain floats. Both
+    climbs weigh each game per unit of its ceiling (value_grad_hess), which
+    keeps each mix's evaluation for as long as the problem lives, keyed by
+    the exact mix; raw_mix gives such a mix in the games' own weights.
     """
 
     def __init__(self, basis: ConeBasis, rate: Rate):
@@ -157,8 +153,8 @@ class _LsqProblem:
         self.space = basis.space
         self._probs_list = list(self.space.prob_tuple)
         # the hot loops run on plain floats (numpy overhead dominates at these
-        # sizes): payoff rows for M p, and for M^T dprice each game's column
-        # per unit of its ceiling
+        # sizes): payoff rows for M p, and each game per unit of its ceiling,
+        # by columns for M^T dprice and by rows for value_grad_hess's mixes
         self._rows = _payoff_rows(basis.games)
         self.g = rate.growth_factor()
         self.n = basis.n
@@ -168,6 +164,9 @@ class _LsqProblem:
                              for ci, ui in zip(self.c_tuple, self.u_tuple))
         self._cols = [[a / ci for a in g.payoff_tuple]
                       for g, ci in zip(basis.games, self.c_tuple)]
+        self._unit_rows = list(zip(*self._cols))
+        self._uc = [ui / ci for ui, ci in zip(self.u_tuple, self.c_tuple)]
+        self._dc = [di / ci for di, ci in zip(self.d_tuple, self.c_tuple)]
         self._evaluations = {}  # value_grad_hess's, by tuple(p)
 
     def standalone(self, col: Sequence[float]) -> tuple[float, float]:
@@ -186,29 +185,30 @@ class _LsqProblem:
         """u + t d."""
         return [ui + ti * di for ui, ti, di in zip(self.u_tuple, t, self.d_tuple)]
 
+    def raw_mix(self, p: Sequence[float]) -> list[float]:
+        """The games' own weights of the mix p per unit of ceiling: p / c."""
+        q = [pi / ci for pi, ci in zip(p, self.c_tuple)]
+        total = sum(q)
+        return [qi / total for qi in q]
+
     def value_grad_hess(
         self, p: Sequence[float]
     ) -> tuple[float, list[float], list[list[float]]]:
         """Mix price at p with its gradient and Hessian, from one price solve.
 
-        The derivatives are per unit of each game's ceiling: in the weights
-        p_j c_j, the gradient's entry j is dprice/dp_j / c_j and the Hessian's
-        entry jk d2price/dp_j dp_k / (c_j c_k). The price solve runs on the
-        mix's payoffs over their largest, top, and homogeneity takes it back:
-        the price times top, the gradient as it is, the Hessian over top. So
-        neither a game's scale nor the mix's enters the solve or the
-        derivative columns. In the payoffs a the gradient is
-        gamma = probs u / (D W), with D = u + t (a - u) and W = E[a / D],
-        by the envelope theorem at the
+        p weighs each game per unit of its ceiling: the mix pays a = M p, M
+        the games over their ceilings, whose mean is g on the simplex, so no
+        game's scale enters the solve or the derivatives, which are in p. In
+        the payoffs a the gradient is gamma = probs u / (D W), with
+        D = u + t (a - u) and W = E[a / D], by the envelope theorem at the
         solved (u, t). Its Jacobian follows from differentiating gamma through
         u (du/da = gamma) and through t, whose derivative dt the implicit
         function theorem gives from the first-order condition
         E[(a - u) / D] = 0; dW is W's. With e = gamma / D, f = e (a - u) and
-        G, E, F, T, V = M^T gamma, e, f, dt, dW the Hessian in the weights is
+        G, E, F, T, V = M^T gamma, e, f, dt, dW the Hessian in p is
         G G^T / u - (1 - t) E G^T - F T^T - G V^T / W - t M^T diag(e) M. In
         the full-investment regime the price is gm/g, and the Hessian is
-        G G^T / u - M^T diag(gamma / a) M. Runs on plain floats: numpy's
-        overhead dominates at these sizes. The evaluation is kept, keyed by
+        G G^T / u - M^T diag(gamma / a) M. The evaluation is kept, keyed by
         tuple(p), and returned again for the same mix; callers must not
         change the lists.
         """
@@ -221,16 +221,14 @@ class _LsqProblem:
     def _value_grad_hess(self, p: tuple[float, ...]) -> tuple:
         cols = self._cols
         q = self._probs_list
-        a = [sum(map(mul, row, p)) for row in self._rows]
-        top = max(a)
-        a = [x / top for x in a]
+        a = [sum(map(mul, row, p)) for row in self._unit_rows]
         u, t = self.price_full(a)
         if t == 1.0:
             gamma = [qi * u / x for qi, x in zip(q, a)]
             G = [sum(map(mul, col, gamma)) for col in cols]
             w = [gi / x for gi, x in zip(gamma, a)]
-            return u * top, G, [
-                [(gj * gk / u - sum(map(mul, cw, ck))) / top for gk, ck in zip(G, cols)]
+            return u, G, [
+                [gj * gk / u - sum(map(mul, cw, ck)) for gk, ck in zip(G, cols)]
                 for gj, cw in zip(G, [list(map(mul, col, w)) for col in cols])
             ]
         D = [u + t * (x - u) for x in a]
@@ -254,8 +252,8 @@ class _LsqProblem:
                          for v in (gamma, e, f, dt, dW))
         GV = [gk / u - vk / W for gk, vk in zip(G, V)]
         te = [t * ei for ei in e]
-        return u * top, G, [
-            [(gj * gvk - sej * gk - fj * tk - sum(map(mul, ce, ck))) / top
+        return u, G, [
+            [gj * gvk - sej * gk - fj * tk - sum(map(mul, ce, ck))
              for gk, tk, gvk, ck in zip(G, T, GV, cols)]
             for gj, sej, fj, ce in zip(G, [(1.0 - t) * ej for ej in E], F,
                                        [list(map(mul, col, te)) for col in cols])
@@ -263,35 +261,35 @@ class _LsqProblem:
 
     def oracle(self, t: Sequence[float]) -> tuple[float, list[float]]:
         """max of the price ratio over the mix simplex and an attaining mix."""
-        return self.maximize(self.adjusted_prices(t), [1.0 / self.n] * self.n)
+        val, p = self.maximize(self.adjusted_prices(t), [1.0 / self.n] * self.n)
+        return val, self.raw_mix(p)
 
     def maximize(
         self, adj: Sequence[float], p0: Sequence[float]
     ) -> tuple[float, list[float]]:
         """max over mixes p of price(mix(p)) / (p . adj), climbing from the mix p0.
 
-        In v = q adj, q the mix weights at any scale, the climb maximizes
-        phi(v) = price(M q) - (sum v)^2 / 2 over v >= 0 (_projected_newton).
-        phi is concave, as the mix price is, and on the ray through the mix
-        p it is s R - s^2 / 2, s = sum(v) and R the ratio at p: it peaks at
-        s = R with value R^2 / 2, so phi's maximum lies at L times the worst
-        mix, and a local maximum is global. Each trial point moves to the
-        peak of its ray, q = total p with total = price(p) / (p . adj)^2
-        (divided in steps: the square can underflow), and the climb goes on
-        from there. Euler's identity and concavity bound the ratio by
+        p0 and the mix returned are per unit of ceiling (value_grad_hess), as
+        is adj / c. In v = q adj, q the games' own weights at any scale, the
+        climb maximizes phi(v) = price(M q) - (sum v)^2 / 2 over v >= 0. phi
+        is concave, as the mix price is, and on the ray through the mix p it
+        is s R - s^2 / 2, s = sum(v) and R the ratio at p: it peaks at s = R
+        with value R^2 / 2, so phi's maximum lies at L times the worst mix,
+        and a local maximum is global. Each trial point moves to the peak of
+        its ray, total p with total = price(p) / (p . adj)^2 (divided in
+        steps: the square can underflow), and the climb goes on from there.
+        Euler's identity and concavity bound the ratio by
         max_i (dprice/dq_i) / adj_i, which is R plus the largest entry of
         dphi/dv at a peak; the climb runs until that bound is within
         ORACLE_GAP of R, and raises PricingError otherwise. Along the flat
         directions of the mix price's Hessian the ratio is affine: the cash
-        direction M^-1 1 of a square basis, the null space of M when there
-        are more games than outcomes. A step is also taken when the bound is
-        met, or when R falls by at most ORACLE_GAP while the bound comes
-        closer. The first evaluation is at p0 itself, so a mix the caller
-        has already evaluated is not priced again.
+        direction M^-1 1 of a square basis, the null space of M when there are
+        more games than outcomes. A step is also taken when the bound is met,
+        or when R falls by at most ORACLE_GAP while the bound comes closer.
+        The first evaluation is at p0 itself, so a mix the caller has already
+        evaluated is not priced again.
         """
-        adj = _float_tuple(adj, "adj")
-        # value_grad_hess's weights, per unit of ceiling, are v c / adj
-        factor = [ci / ai for ci, ai in zip(self.c_tuple, adj)]
+        adj = [ai / ci for ai, ci in zip(_float_tuple(adj, "adj"), self.c_tuple)]
 
         def at(p: list[float]):
             """(phi, dphi/dv, its Hessian, R, certificate gap, p, v) at the
@@ -300,12 +298,11 @@ class _LsqProblem:
             padj = _dot(p, adj)
             ratio = price / padj
             total = ratio / padj
-            g = [gj * fj - ratio for gj, fj in zip(grad, factor)]
-            # the price's Hessian is (-1)-homogeneous: at q = total p it is
+            g = [gj / aj - ratio for gj, aj in zip(grad, adj)]
+            # the price's Hessian is (-1)-homogeneous: at total p it is
             # hess / total
-            scale = [fj / total for fj in factor]
-            H = [[hk * sj * fk - 1.0 for hk, fk in zip(row, factor)]
-                 for row, sj in zip(hess, scale)]
+            H = [[hk / (sj * ak) - 1.0 for hk, ak in zip(row, adj)]
+                 for row, sj in zip(hess, [total * aj for aj in adj])]
             v = [total * pi * ai for pi, ai in zip(p, adj)]
             return 0.5 * ratio * ratio, g, H, ratio, max(g), p, v
 
@@ -489,8 +486,9 @@ def _newton_split(
 def _max_dual(
     prob: _LsqProblem, mixes: Sequence[Sequence[float]]
 ) -> tuple[list[float], list[float], int]:
-    """Weights w >= 0 that maximize the dual, the mix w / |w| the last
-    evaluation priced, and the Newton steps taken.
+    """Weights w >= 0 that maximize the dual, the mix v / |v| per unit of
+    ceiling (v = w c) that the last evaluation priced, and the Newton steps
+    taken.
 
     The min-norm point of {x in [0,1]^n : price(M w) <= w . (u + d x) for
     all w >= 0} has the Lagrangian dual
@@ -501,71 +499,65 @@ def _max_dual(
     value_grad_hess call gives both. At the maximizer the adjusted prices
     equal the mix price's gradient on the support of w, so w / |w| is a
     tight mix by Euler's identity, and D = |x|^2 / 2 certifies minimality.
-    The climb runs on v = w c, value_grad_hess's scale, where the gradient
-    is its gradient less u / c and (d / c) x(w): this leaves x unchanged
-    when a game is rescaled. It starts from the mix with the largest D at
-    its best scale b / |a|^2, a = p d and b = price(M p) - p . u (D's
-    maximum along p while b p d / |a|^2 <= 1), and runs _projected_newton
-    on v >= 0. least_squares_prices passes the uniform mix, led by the
-    oracle's worst mix at x = 0 when it ran that call. The mixes must lie
-    on the simplex. One value_grad_hess call at p gives a start's b and its
-    first state, so a mix the caller has already evaluated is not priced
-    again. The climb stops when the projected gradient vanishes to
-    rounding, when no halving raises D, or at the iteration cap; whichever
-    ended it, its last point is returned, and the oracle's certificate at
-    it says how far it is from feasible.
+    The climb runs on v alone, value_grad_hess's scale, where
+    D = price(v) - v . u / c + sum_i psi(v_i d_i / c_i), and forms w = v / c
+    on return, so that rescaling a game leaves x unchanged. It starts from
+    the mix p (per unit of ceiling, on the simplex) with the largest D at
+    its best scale b / |a|^2, a = p d / c and b = price(p) - p . u / c (D's
+    maximum along p while b a / |a|^2 <= 1), and runs _projected_newton on
+    v >= 0. least_squares_prices passes the uniform mix, led by the oracle's
+    worst mix at x = 0 when it ran that call. One value_grad_hess call at p
+    gives a start's b and its first state, so a mix the caller has already
+    evaluated is not priced again. The climb stops when the projected
+    gradient vanishes to rounding, when no halving raises D, or at the
+    iteration cap; whichever ended it, its last point is returned, and the
+    oracle's certificate at it says how far it is from feasible.
     """
-    c, d, u = prob.c_tuple, prob.d_tuple, prob.u_tuple
-    uc = [ui / ci for ui, ci in zip(u, c)]
-    dc = [di / ci for di, ci in zip(d, c)]
+    uc, dc = prob._uc, prob._dc  # u / c and d / c
 
-    def at(v: list[float], w: list[float], p: list[float], total: float):
-        """(D, dD/dv, its Hessian, w, the projected gradient, sum(v), p, v)
-        at v = w c, w = total p."""
+    def at(v: list[float], p: list[float], total: float):
+        """(D, dD/dv, its Hessian, the projected gradient, sum(v), p, v) at
+        v = total p."""
         # the mix price is 1-homogeneous and its Hessian (-1)-homogeneous:
-        # both are solved on the simplex and scaled to w = total p
+        # both are solved on the simplex and scaled to v = total p
         price, grad, hess = prob.value_grad_hess(p)
-        s = [wi * di for wi, di in zip(w, d)]
-        value = price * total - sum(map(mul, w, u)) + sum(
+        s = [vi * dcj for vi, dcj in zip(v, dc)]  # w d
+        value = price * total - _dot(v, uc) + sum(
             -0.5 * si * si if si <= 1.0 else 0.5 - si for si in s)
         g, H, pgs = [], [], []
         for j, (gj, ucj, dcj, sj, vj, row) in enumerate(zip(grad, uc, dc, s, v, hess)):
             gj -= ucj + dcj * min(sj, 1.0)
             g.append(gj)
-            # the projected gradient's entry, per game on the scale of c
-            pgs.append(abs(gj) if vj > 0.0 else gj)
+            pgs.append(abs(gj) if vj > 0.0 else gj)  # projected gradient entry
             Hj = [hjk / total for hjk in row]
             if sj < 1.0:
                 Hj[j] -= dcj * dcj
             H.append(Hj)
-        return value, g, H, w, max(pgs), sum(v), p, v
+        return value, g, H, max(pgs), total, p, v
 
     def evaluate(v: list[float]):
-        w = [vi / ci for vi, ci in zip(v, c)]
-        total = sum(w)
-        return at(v, w, [wi / total for wi in w], total)
+        total = sum(v)
+        return at(v, [vi / total for vi in v], total)
 
     starts = []
     for p in mixes:
-        b = prob.value_grad_hess(p)[0] - _dot(p, u)
+        b = prob.value_grad_hess(p)[0] - _dot(p, uc)
         if b > 0.0:
-            # |a|^2 under- or overflows where |a| does not: divide in steps
-            norm = math.hypot(*(pi * di for pi, di in zip(p, d)))
+            norm = math.hypot(*map(mul, p, dc))  # |a|^2 can underflow where |a| does not
             scale = b / norm / norm
-            w = [scale * pi for pi in p]
-            starts.append(at([wi * ci for wi, ci in zip(w, c)], w, p, scale))
+            starts.append(at([scale * pi for pi in p], p, scale))
     if not starts:
         raise PricingError("no start mix is priced above its stand-alone prices")
     state = max(starts, key=lambda start: start[0])
 
     def accept(new, old) -> bool:
         # D level to rounding while the gradient shrinks: D's terms are at
-        # most w . c = sum(v) and cancel
-        return new[0] - old[0] >= -1e-14 * old[5] and new[4] < old[4]
+        # most sum(v) and cancel
+        return new[0] - old[0] >= -1e-14 * old[4] and new[3] < old[3]
 
     state, steps, _ = _projected_newton(
-        evaluate, state[-1], state, lambda s: s[4] <= 1e-15, accept)
-    return state[3], state[6], steps
+        evaluate, state[-1], state, lambda s: s[3] <= 1e-15, accept)
+    return [vi / ci for vi, ci in zip(state[-1], prob.c_tuple)], state[5], steps
 
 
 # ---------------------------------------------------------------------------
@@ -770,12 +762,12 @@ def least_squares_prices(
     """Min-norm feasible coordinates and the prices they induce, per game.
 
     The solve runs on the extreme rays of the cone the games span
-    (reduce_to_basis), on the caller's basis itself when none is dropped,
-    so one cone gets one price system. A dropped game j is priced by
-    linearity at k_j . prices, k_j its coordinates, with x_j =
-    (price_j - u_j) / d_j (0 when d_j = 0, 1 on the constant-mix exit), in
-    [0, 1] up to tol_L u_j / d_j and the cone test's 1e-9, and weight 0 in
-    the certificate.
+    (reduce_to_basis), on the caller's basis itself when none is dropped, so
+    one cone gets one price system. A dropped game j is priced by linearity
+    at k_j . prices, k_j its coordinates (per unit of largest payoff, as no
+    such k_j overflows), with x_j = (price_j - u_j) / d_j (0 when d_j = 0, 1
+    on the constant-mix exit), in [0, 1] up to tol_L u_j / d_j and the cone
+    test's 1e-9, and weight 0 in the certificate.
 
     A constant mix (check_constant_mix) pins every price at its ceiling:
     x is 1 wherever d = c - u > 0 and 0 elsewhere. No mix is priced above
@@ -787,13 +779,15 @@ def least_squares_prices(
     (L(0) <= 1 + tol_L, x = 0). When they are not, x = min(w d, 1) at the
     maximizer w >= 0 of the concave dual (_max_dual), certified by the
     oracle from the tight mix w / |w|. The dual starts from the better of
-    the uniform mix and the oracle's worst mix at x = 0 when that call ran
-    (any mix is a start), which changes the route but not the answer: D is
-    concave. The uniform mix matters where the worst mix at x = 0 sits on
-    a game whose stand-alone price is near 0, and D along it is near 0 too.
-    Each mix is priced once: the starts reuse the first pricing and the
-    oracle's last evaluation, and the certificate's climb starts from the
-    dual's last mix. LsSolution.termination records which exit was taken.
+    the uniform mix and the oracle's worst mix at x = 0 when that call ran:
+    any mix is a start, D being concave, and the uniform one matters where
+    the worst sits on a game whose stand-alone price is near 0. Each mix is
+    priced once: the starts reuse the first pricing and the oracle's last
+    evaluation, and the certificate's climb starts from the dual's last mix.
+    The climbs' mixes are per unit of ceiling (_LsqProblem), and the
+    certificate is the last one in the games' own weights: on a linear
+    basis, where every mix is tight, the uniform mix per unit of ceiling.
+    LsSolution.termination records which exit was taken.
     """
     games = basis.games
     qr = _unit_qr([g.payoff_tuple for g in games])
@@ -807,16 +801,16 @@ def least_squares_prices(
         prices, u, c = prob.adjusted_prices(x), prob.u_tuple, prob.c_tuple
         norm = _dot(x, x)
         if dropped:  # by linearity; a constant mix pins every game at its ceiling
-            kept = dict(zip(keep, zip(u, c)))
-            u, c = zip(*(kept[j] if j in kept else prob.standalone(g.payoff_tuple)
-                         for j, g in enumerate(games)))
-            prices = [_dot(k, prices) for k in coords]
-            x_all = [0.0 if cj - uj <= 0.0 else 1.0 if termination == "constant_mix"
-                     else (pj - uj) / (cj - uj) for pj, uj, cj in zip(prices, u, c)]
-            p_all = [0.0] * len(games)
-            for r, i in enumerate(keep):
-                x_all[i], p_all[i] = x[r], pstar[r]
-            x, pstar = x_all, p_all
+            kept = dict(zip(keep, zip(u, c, prices, x, pstar)))
+            unit = [pi / max(games[i].payoff_tuple) for pi, i in zip(prices, keep)]
+
+            def linear(col, k):  # (u, c, price, x, weight) of a dropped game
+                uj, cj = prob.standalone(col)
+                pj = max(col) * _dot(k, unit)  # k per unit of largest payoff
+                return uj, cj, pj, 0.0 if cj - uj <= 0.0 else (
+                    1.0 if termination == "constant_mix" else (pj - uj) / (cj - uj)), 0.0
+            u, c, prices, x, pstar = zip(*(kept[j] if j in kept else linear(
+                g.payoff_tuple, k) for j, (g, k) in enumerate(zip(games, coords))))
         return LsSolution(
             x_tuple=tuple(x),
             price_tuple=tuple(prices),
@@ -845,17 +839,17 @@ def least_squares_prices(
     x = [0.0] * n
     starts = [[1.0 / n] * n]
     if not _proves_nonlinear(prob, tol_L):
-        val, pstar = prob.oracle(x)
+        val, pstar = prob.maximize(prob.adjusted_prices(x), starts[0])
         if val <= 1.0 + max(tol_L, 0.0):
             # L(0) <= 1 makes x = 0 exact, and the dual's maximum w = 0
             end = "linear" if val - 1.0 <= tol_L else "stalled"
-            return solution(x, pstar, val - 1.0, 1, end)
+            return solution(x, prob.raw_mix(pstar), val - 1.0, 1, end)
         starts.insert(0, pstar)
     w, p, steps = _max_dual(prob, starts)
     x = [min(wi * di, 1.0) for wi, di in zip(w, prob.d_tuple)]
     val, pstar = prob.maximize(prob.adjusted_prices(x), p)
     end = "newton" if val - 1.0 <= tol_L else "stalled"
-    return solution(x, pstar, val - 1.0, steps, end)
+    return solution(x, prob.raw_mix(pstar), val - 1.0, steps, end)
 
 
 def _proves_nonlinear(prob: _LsqProblem, tol_L: float) -> bool:
@@ -867,9 +861,9 @@ def _proves_nonlinear(prob: _LsqProblem, tol_L: float) -> bool:
     stop up to ORACLE_GAP below L(0), so the mix must clear the threshold by
     that much, and as much again for the rounding of the price solves.
     """
-    p = [1.0 / prob.n] * prob.n
+    p = [1.0 / prob.n] * prob.n  # per unit of ceiling, as the solve's start
     threshold = (1.0 + max(tol_L, 0.0)) * (1.0 + 2.0 * ORACLE_GAP)
-    return prob.value_grad_hess(p)[0] > threshold * _dot(p, prob.u_tuple)
+    return prob.value_grad_hess(p)[0] > threshold * _dot(p, prob._uc)
 
 
 def check_constant_mix(basis: ConeBasis) -> Optional[tuple[Mix, tuple[int, ...]]]:
@@ -1028,13 +1022,15 @@ def _reduce_to_basis(
     games: Sequence[Game], qr: Optional[tuple]
 ) -> tuple[list[int], list[list[float]]]:
     """reduce_to_basis as lists, with the kept indices, on the games of a
-    ConeBasis, given _unit_qr of their payoff columns. A game farther than
-    CONE_TOL of its largest payoff from the others' span, beyond _unit_qr's
-    rounding, is kept without the cone test's NNLS."""
+    ConeBasis, given _unit_qr of their payoff columns, and on each game per
+    unit of its largest payoff, so that no coordinate exceeds 1 by more than
+    CONE_TOL. A game farther than CONE_TOL of its largest payoff from the
+    others' span, beyond _unit_qr's rounding, is kept without an NNLS."""
     cols = [g.payoff_tuple for g in games]
     far = [False] * len(cols) if qr is None else [
         (1.0 - qr[4]) * nj > CONE_TOL * max(col) * math.sqrt(r2)
         for col, nj, r2 in zip(cols, qr[2], qr[3])]
+    cols = [[a / max(col) for a in col] for col in cols]
     keep = list(range(len(games)))
     for i in reversed(range(len(games))):
         others = [j for j in keep if j != i]
@@ -1056,11 +1052,15 @@ def reduce_to_basis(
     cone_coordinates), so the cone never changes and no kept game lies in
     the cone of the others. The kept games form the basis in input order;
     row i of the coordinates, a read-only float64 array, represents
-    games[i] in it: a unit vector for a kept game. The games must make a
-    ConeBasis on the space: a nonempty set, each of the space's length.
+    games[i] in it: a unit vector for a kept game, and inf where a
+    coordinate passes the float range. The games must make a ConeBasis on
+    the space: a nonempty set, each of the space's length.
     """
     games = ConeBasis(space, games).games
     keep, coords = _reduce_to_basis(games, _unit_qr([g.payoff_tuple for g in games]))
+    tops = [max(g.payoff_tuple) for g in games]
+    coords = [[kj * ti / tops[j] for kj, j in zip(k, keep)]
+              for k, ti in zip(coords, tops)]
     return ConeBasis(space, [games[i] for i in keep]), _frozen_array(coords)
 
 

@@ -18,6 +18,21 @@ from gameprice.lsq import _LsqProblem, _nnls_cols
 _MULTIPLIER_TOL = 1e-9
 
 
+def raw_value_grad_hess(prob: _LsqProblem, q: np.ndarray):
+    """value_grad_hess at q, weights of the games themselves at any scale,
+    with its derivatives in q.
+
+    value_grad_hess weighs each game per unit of its ceiling: q is the mix
+    p = q c / s there, s = q . c. The price is 1-homogeneous, its gradient
+    0-homogeneous and its Hessian (-1)-homogeneous, so in q they are the
+    price times s, the gradient times c and the Hessian times c c^T / s.
+    """
+    c = np.array(prob.c_tuple)
+    s = float(q @ c)
+    value, grad, hess = prob.value_grad_hess((q * c / s).tolist())
+    return value * s, np.array(grad) * c, np.array(hess) * np.outer(c, c) / s
+
+
 def _nnls(A, b) -> np.ndarray:
     """The library's NNLS (_nnls_cols) on an m x n array A, as an array."""
     return np.array(_nnls_cols(np.asarray(A, dtype=float).T.tolist(), b))
@@ -95,7 +110,9 @@ def _polish(prob: _LsqProblem, x_hat: np.ndarray, q_hat: np.ndarray, tol_L: floa
     # the oracle's certificate does not depend on where it starts; from the
     # tight mix q it takes a step or two
     adj = np.array(prob.adjusted_prices(x))
-    val, p_best = prob.maximize(adj, q)
+    c = np.array(prob.c_tuple)
+    val, p_best = prob.maximize(adj, (q * c / float(q @ c)).tolist())
+    p_best = np.array(prob.raw_mix(p_best))
     if val - 1.0 > max(tol_L, 1e-9) or val < 1.0 - 1e-6:
         return None
     # prefer the tighter witness
@@ -112,7 +129,7 @@ def _polish_newton(prob, pinned1, free, q_hat, x_hat):
     q_i on a free game makes the system near singular: steps in mu and q_i
     cancel in x_i = mu q_i d_i. The residual is the ratio less 1 and the
     differences of its gradient over the support of q; its Jacobian is exact,
-    by the chain rule through value_grad_hess. Newton stops after a step
+    by the chain rule through raw_value_grad_hess. Newton stops after a step
     within 1e-12 of z, or when the line search no longer lowers the residual.
     """
     n = prob.n
@@ -121,8 +138,7 @@ def _polish_newton(prob, pinned1, free, q_hat, x_hat):
     # ratio at q_hat: where the tight mixes form a segment, q_hat can lie at
     # one end of it and leave out a game that the optimum weighs
     adj_hat = np.array(prob.adjusted_prices(x_hat))
-    value, grad, _ = prob.value_grad_hess(q_hat.tolist())
-    grad = np.array(grad) * prob.c_tuple  # from per unit of ceiling to per unit of q
+    value, grad, _ = raw_value_grad_hess(prob, q_hat)
     ratio = value / float(q_hat @ adj_hat)
     support = np.flatnonzero((q_hat > 1e-7 * float(np.max(q_hat)))
                              | (np.array(grad) >= ratio * (1.0 - 1e-8) * adj_hat))
@@ -151,10 +167,7 @@ def _polish_newton(prob, pinned1, free, q_hat, x_hat):
         Jx = mu * d_free[:, None] * Jq - np.outer(raw, d_free @ Jq) / qd
         Jx[:, 0] = q * d_free / qd
         Jx[raw >= 1.0] = 0.0
-        value, grad, hess = prob.value_grad_hess(q.tolist())
-        # from per unit of ceiling to per unit of q
-        c = np.array(prob.c_tuple)
-        grad, hess = np.array(grad) * c, np.array(hess) * np.outer(c, c)
+        value, grad, hess = raw_value_grad_hess(prob, q)
         adj = np.array(prob.adjusted_prices(x))
         dadj = d[:, None] * Jx
         den = float(q @ adj)

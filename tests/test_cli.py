@@ -42,7 +42,7 @@ def remark35(tmp_path):
     return str(path)
 
 
-# ceilings c = 6.7e-55 and 4.0e-83: the dual's total c_j c_k underflows to 0
+# ceilings c = 6.7e-55 and 4.0e-83: their product c_j c_k underflows to 0
 TINY_CEILINGS = {
     "probabilities": [0.26996350895349364, 0.7300364910465064],
     "games": {"A": [0.046895393982378526, 3.510412903439512e-09],
@@ -496,9 +496,9 @@ class TestLsPriceCommand:
     def test_a_mix_hessian_whose_scale_underflows(self, capsys, tmp_path):
         path = tmp_path / "tiny.json"
         path.write_text(json.dumps(TINY_CEILINGS))
-        rc, _, err = run(capsys, ["ls-price", str(path)])
-        assert rc == 1
-        assert err.startswith("not within tolerance") and "Traceback" not in err
+        rc, out, err = run(capsys, ["ls-price", str(path), "--format", "json"])
+        assert rc == 0 and err == ""
+        assert json.loads(out)["max_violation"] <= 1e-9
 
     def test_a_game_near_1e_300(self, capsys, tmp_path):
         # the dual's start scale divides by |p d|^2, which underflows to 0

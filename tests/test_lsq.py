@@ -1,3 +1,4 @@
+import collections
 import itertools
 import json
 import math
@@ -46,7 +47,7 @@ from gameprice.lsq import (
     _projected_newton,
     _nnls_cols,
 )
-from kelley_reference import _min_norm_point, _nnls, _polish
+from kelley_reference import _min_norm_point, _nnls, _polish, raw_value_grad_hess
 
 ROOT = Path(__file__).resolve().parents[1]
 R05 = Rate(0.05)
@@ -90,6 +91,24 @@ class TestReduceToBasis:
         assert spans == {(19.0, 1.0), (13.0, 7.0)}
         # (16, 4) sits strictly inside: both coefficients 1/2
         assert sorted(coords[1].tolist()) == pytest.approx([0.5, 0.5], rel=1e-12)
+
+    def test_a_coordinate_past_the_float_range(self):
+        # C = 1e207 (1e186 A + B) lies in the cone of A and B, on A with a
+        # coordinate of 1e393: C is still dropped, and priced by linearity
+        # as the same games in normal range price it
+        space = OutcomeSpace([0.2, 0.3, 0.5])
+        games = [[1e-186, 2e-186, 3e-186], [3.0, 1.0, 0.0], [4e207, 3e207, 3e207]]
+        b, coords = reduce_to_basis([Game(g) for g in games], space)
+        assert b.n == 2 and math.isinf(coords[2][0])
+        assert coords[2][1] == pytest.approx(1e207, rel=1e-14)
+        scales = (1e186, 1.0, 1e-207)
+        sol, ref = (least_squares_prices(_ls_basis(g, space.prob_tuple), R05) for g in (
+            games, [[a * k for a in g] for g, k in zip(games, scales)]))
+        assert (sol.termination, sol.basis) == ("newton", (0, 1))
+        assert sol.max_violation <= 1e-12
+        assert sol.x_tuple == pytest.approx(ref.x_tuple, rel=0.0, abs=1e-12)
+        assert [p * k for p, k in zip(sol.price_tuple, scales)] == pytest.approx(
+            ref.price_tuple, rel=1e-12)
 
     def test_cone_membership_is_genuinely_verified(self):
         # (13,7) = -1*(19,1) + 2*(16,4): outside the cone of those two
@@ -410,6 +429,15 @@ class TestBigL:
         assert val == pytest.approx(1.0, abs=1e-10)
         assert p.weights.tolist() == pytest.approx([0.4, 0.6], abs=1e-6)
 
+    def test_t_of_another_length_or_off_the_box_is_refused(self):
+        with pytest.raises(InvariantViolation, match="length 2"):
+            big_L(B11, R05, [0.5])
+        for t in ([0.5, -1e-14], [1.0 + 1e-14, 0.5]):
+            with pytest.raises(InvariantViolation, match=r"\[0, 1\]"):
+                big_L(B11, R05, t)
+        # within 1e-15 of the box, t is clipped onto it
+        assert big_L(B11, R05, [-1e-16, 1.0 + 1e-16])[0] == big_L(B11, R05, [0.0, 1.0])[0]
+
 
 def _simplex_grid(n: int):
     """Rational grid on the simplex (33-91 points), the oracle's reference."""
@@ -445,9 +473,8 @@ class TestOracle:
                             for q in _simplex_grid(n))
             assert val >= grid_best * (1.0 - 1e-12)
             # max_i dh/dy_i bounds the ratio over the whole simplex
-            price, grad, _ = prob.value_grad_hess(p)  # per unit of ceiling
+            price, grad, _ = raw_value_grad_hess(prob, np.array(p))
             ratio = price / float(np.dot(p, adj))
-            grad = np.array(grad) * prob.c_tuple
             assert float(np.max(grad / adj)) - ratio <= 1e-10 * ratio
 
     def test_any_start_mix_reaches_the_same_value(self):
@@ -496,11 +523,7 @@ class TestMixHessian:
             rate = Rate(float(rng.uniform(0.005, 0.10)))
             prob = _LsqProblem(ConeBasis(space, [Game(c) for c in M.T]), rate)
             p = rng.dirichlet(np.ones(n))
-            # value_grad_hess's derivatives are per unit of ceiling: in p
-            # the gradient is grad c and the Hessian hess c c^T
-            c = np.array(prob.c_tuple)
-            value, grad, hess = prob.value_grad_hess(p.tolist())
-            grad, hess = np.array(grad) * c, np.array(hess) * np.outer(c, c)
+            value, grad, hess = raw_value_grad_hess(prob, p)
             scale = float(np.max(np.abs(grad)))
             assert value == pytest.approx(prob.price_mix(p), rel=1e-12)
             for j in range(n):
@@ -509,8 +532,8 @@ class TestMixHessian:
                 e[j] = 1e-4 * p[j]
                 fd = (prob.price_mix(p + e) - prob.price_mix(p - e)) / (2.0 * e[j])
                 assert abs(grad[j] - fd) <= 1e-7 * scale, (case, j)
-                fd = c * (np.array(prob.value_grad_hess((p + e).tolist())[1])
-                          - np.array(prob.value_grad_hess((p - e).tolist())[1])) / (2.0 * e[j])
+                fd = (raw_value_grad_hess(prob, p + e)[1]
+                      - raw_value_grad_hess(prob, p - e)[1]) / (2.0 * e[j])
                 assert np.max(np.abs(hess[:, j] - fd)) <= 1e-7 * scale, (case, j)
             a = M @ p
             seen["full" if prob.price_full(a.tolist())[1] == 1.0 else "interior"] += 1
@@ -937,6 +960,14 @@ class TestDualSolve:
     """Every stress draw ends certified: the dual is concave, so Newton needs
     no globalization, and it measures each game on the scale of its ceiling."""
 
+    def test_no_start_mix_priced_above_its_standalone_prices_raises(self):
+        # one game is priced linearly along its only mix: price(p) - p . u / c
+        # rounds to 0, and D has no rise along it to start from
+        prob = _LsqProblem(ConeBasis(COIN, [Game([1, 2])]), R05)
+        assert prob.value_grad_hess([1.0])[0] - prob.u_tuple[0] / prob.c_tuple[0] <= 0.0
+        with pytest.raises(PricingError, match="no start mix"):
+            _max_dual(prob, [[1.0]])
+
     @pytest.mark.parametrize("seed, wide", [(7, False), (31337, True)])
     def test_stress_draws_end_certified(self, seed, wide):
         # the wide draws' game scales span up to 1e6 within one basis, so
@@ -1120,6 +1151,21 @@ class TestProjectedNewton:
         assert _climb(*args) == ([0.0, 0.0, 0.5], 2, "done")
         monkeypatch.setattr(gameprice.lsq, "_ORACLE_MAX_ITER", 1)
         assert _climb(*args) == ([0.0, 0.25, 0.5], 1, "cap")
+
+    def test_a_step_that_is_not_finite_stalls_in_place(self):
+        # gradient 1 over a subnormal curvature: the Newton step overflows
+        assert _climb(lambda x: x[0] - 5e-321 * x[0] * x[0],
+                      lambda x: [1.0 - 1e-320 * x[0]],
+                      lambda x: [[-1e-320]],
+                      [1.0]) == ([1.0], 0, "stalled")
+
+    def test_a_step_no_halving_makes_rise_stalls_in_place(self):
+        # the gradient points up while f falls both ways, as rounding can
+        # make it near a maximum: no halving rises, until x would not move
+        assert _climb(lambda x: -abs(x[0] - 1.0),
+                      lambda x: [1.0],
+                      lambda x: [[-1.0]],
+                      [1.0]) == ([1.0], 0, "stalled")
 
 
 class TestConstantMixDetector:
@@ -1818,8 +1864,8 @@ def _normal_range_bases():
 
 def test_rescaling_one_game_far_out_of_range_leaves_x_in_place():
     # prices are positive linear, so scaling a game by k scales its price by
-    # k and leaves x where it was: both climbs measure each game per unit of
-    # its ceiling, and each mix per unit of its largest payoff
+    # k and leaves x where it was: both climbs weigh each game per unit of
+    # its ceiling
     for games, probs, rate, j in _normal_range_bases():
         sol = least_squares_prices(_ls_basis(games, probs), rate)
         for log_scale in (-290, -150, 150, 200):
@@ -1829,3 +1875,52 @@ def test_rescaling_one_game_far_out_of_range_leaves_x_in_place():
             assert other.termination in ("newton", "linear", "constant_mix"), case
             assert other.max_violation <= 1e-9, case
             assert other.x_tuple == pytest.approx(sol.x_tuple, rel=0.0, abs=1e-10), case
+
+
+def _wide_scale_bases(count=600):
+    """Bases whose game scales lie up to 1e600 apart: 2-4 games on 2-6
+    outcomes, probabilities uniform on [0.5, 1.5] then normalized, payoffs
+    uniform on [0.5, 20] times a per-game 10^U(-300, 300), each zero with
+    probability 1/5 (a game drawn all zero is drawn again), and continuous
+    rates of 1-8%."""
+    rng = random.Random(5)
+    for _ in range(count):
+        n, m = rng.randint(2, 4), rng.randint(2, 6)
+        probs = [rng.uniform(0.5, 1.5) for _ in range(m)]
+        probs = [p / sum(probs) for p in probs]
+        games = []
+        for _ in range(n):
+            scale, pay = 10.0 ** rng.uniform(-300.0, 300.0), [0.0]
+            while not any(pay):
+                pay = [0.0 if rng.random() < 0.2 else rng.uniform(0.5, 20.0) * scale
+                       for _ in range(m)]
+            games.append(pay)
+        yield games, probs, Rate(rng.uniform(0.01, 0.08))
+
+
+def test_games_scaled_up_to_1e600_apart_end_certified():
+    # every mix the climbs price is per unit of ceiling, and pays g on
+    # average, so no mix of games far apart underflows
+    ends = collections.Counter()
+    for games, probs, rate in _wide_scale_bases():
+        sol = least_squares_prices(_ls_basis(games, probs), rate)
+        assert sol.max_violation <= DEFAULT_L_TOL, (games, probs, rate)
+        assert all(map(math.isfinite, sol.price_tuple)), (games, probs, rate)
+        ends[sol.termination] += 1
+    assert ends["newton"] >= 400 and ends["linear"] and ends["constant_mix"], ends
+
+
+def test_games_1e517_apart_solve_as_in_normal_range():
+    probs = [p / 1.001 for p in (0.128, 0.278, 0.152, 0.235, 0.208)]
+    games = [[0.0, 7.1e273, 4.5e273, 2.3e273, 5.2e273],
+             [2.5e169, 7.7e169, 4.1e169, 1.3e169, 5.6e169],
+             [1.1e-244, 2.2e-244, 1.1e-244, 2.6e-244, 0.0]]
+    normal = [[a * 1e-273 for a in games[0]], [a * 1e-169 for a in games[1]],
+              [a * 1e244 for a in games[2]]]
+    sol, ref = (least_squares_prices(_ls_basis(g, probs), Rate(0.025))
+                for g in (games, normal))
+    assert (sol.termination, ref.termination) == ("newton", "newton")
+    assert sol.max_violation <= 1e-12
+    assert sol.x_tuple == pytest.approx(ref.x_tuple, rel=0.0, abs=1e-12)
+    assert ref.x_tuple == pytest.approx(
+        (0.27546525705265745, 0.4530365675932029, 0.5749021220698983), abs=1e-12)
