@@ -425,7 +425,8 @@ def harmonic_mean(game: Game, space: OutcomeSpace) -> float:
 def variance(game: Game, space: OutcomeSpace) -> float:
     """Probability-weighted payoff variance."""
     mean = expectation(game, space)
-    return sum(p * (a - mean) ** 2 for p, a in zip(space.prob_tuple, game.payoff_tuple))
+    return sum(p * ((a - mean) * (a - mean))
+               for p, a in zip(space.prob_tuple, game.payoff_tuple))
 
 
 def _mix_weights(p: Mix | Sequence[float], n: int) -> tuple[float, ...]:

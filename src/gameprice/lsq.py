@@ -300,8 +300,9 @@ class _LsqProblem:
             total = ratio / padj
             g = [gj / aj - ratio for gj, aj in zip(grad, adj)]
             # the price's Hessian is (-1)-homogeneous: at total p it is
-            # hess / total
-            H = [[hk / (sj * ak) - 1.0 for hk, ak in zip(row, adj)]
+            # hess / total (divided in steps where sj ak underflows to 0)
+            H = [[(hk / (sj * ak) if sj * ak else hk / sj / ak) - 1.0
+                  for hk, ak in zip(row, adj)]
                  for row, sj in zip(hess, [total * aj for aj in adj])]
             v = [total * pi * ai for pi, ai in zip(p, adj)]
             return 0.5 * ratio * ratio, g, H, ratio, max(g), p, v
@@ -359,8 +360,8 @@ def _projected_newton(
         if done(state):
             return state, steps, "done"
         value, g, H = state[:3]
-        eps = min(1e-3, math.sqrt(sum([(xj - max(xj + gj, 0.0)) ** 2
-                                       for xj, gj in zip(x, g)])))
+        pg = [xj - max(xj + gj, 0.0) for xj, gj in zip(x, g)]
+        eps = min(1e-3, math.sqrt(_dot(pg, pg)))
         free, d = [], []  # d: -x on the epsilon-active set, the step elsewhere
         for j, (xj, gj) in enumerate(zip(x, g)):
             if xj <= eps and gj < 0.0:
@@ -424,10 +425,6 @@ def _newton_split(
     solution with its null-space part removed the same way.
     """
     k = len(g)
-    if k == 0:
-        return [], []
-    if k == 1:  # scaled, H is -1 or flat
-        return ([-g[0] / H[0][0]], [0.0]) if H[0][0] < 0.0 else ([0.0], [g[0]])
     d = [math.sqrt(-H[j][j]) if H[j][j] < 0.0 else 1.0 for j in range(k)]
     S = [[-hjk / (dj * dk) for hjk, dk in zip(row, d)] for row, dj in zip(H, d)]
     gs = [gj / dj for gj, dj in zip(g, d)]
@@ -626,16 +623,26 @@ def _nnls_cols(
     scaled to unit norm first: the entering test and its tolerance then weigh
     games whose payoffs span many orders of magnitude alike. Each passive set
     is solved through a Householder QR of its columns, which stays stable on
-    nearly proportional columns. A column whose own coefficient comes out
-    nonpositive on entry is rejected for this round, and a step that reaches
-    the boundary drops its blocking column explicitly: waiting for the stepped
-    coefficient to round to zero can cycle forever on nearly parallel
-    columns. Before stopping, a column nearly parallel to the passive ones
-    gets a second entry test, on the residual it would remove
-    (_orthogonal_entry). A zero column keeps a zero coefficient. Given qr,
-    _unit_qr of the columns, the solve starts with every column passive:
-    that least-squares point, positive beyond qr's rounding bound, is the
-    NNLS point, and is returned at once.
+    nearly proportional columns. One rule admits a column: the residual r
+    is orthogonal to the passive columns, so only a_j's part p_j off their
+    span can reduce it, by p_j . r / |p_j| per unit step, and a_j enters a
+    trial when p_j . r exceeds max(tol |p_j|, rounding). The other columns
+    are tried in decreasing a_j . r = p_j . r down to the first below -tol;
+    the first whose trial gives it a positive coefficient enters, and the
+    solve stops when none does. A column with a_j . r > tol passes without
+    p_j, as |p_j| <= 1 and |r| <= |b|: the gradient test is the cheap case
+    of the rule. It alone would miss a column nearly parallel to a passive
+    one, whose a_j . r shrinks with |p_j| below tol while the residual it
+    would remove is far above it. Below row k = len(passive), Q^T a_j holds
+    p_j's coordinates and Q^T r those of r, both formed only when needed.
+    The QR computes p_j's direction to about eps max(m, n) of the unit
+    column, so rounding = 10 eps max(m, n) |r| bounds the error in p_j . r,
+    with tol's factor 10. A step that reaches the boundary drops its blocking
+    column explicitly: waiting for the stepped coefficient to round to zero
+    can cycle forever on nearly parallel columns. A zero column keeps a zero
+    coefficient. Given qr, _unit_qr of the columns, the solve starts with
+    every column passive: that least-squares point, positive beyond qr's
+    rounding bound, is the NNLS point, and is returned at once.
     """
     b = _float_tuple(b, "b")
     n, m = len(cols), len(b)
@@ -663,19 +670,27 @@ def _nnls_cols(
         r = list(b)
         for j in passive:
             r = [ri - x[j] * aij for ri, aij in zip(r, A[j])]
-        w = [-math.inf if j in passive else _dot(A[j], r) for j in range(n)]
-        while True:
-            j = max(range(n), key=w.__getitem__)
+        w = {j: _dot(A[j], r) for j in range(n) if j not in passive}
+        r_perp = None
+        for j in sorted(w, key=w.__getitem__, reverse=True):
             if w[j] <= tol:
-                j = _orthogonal_entry(A, passive, reflectors, r, w, tol)
-                if j is None:
+                # with no passive column p_j = a_j, and past -tol no column enters
+                if w[j] < -tol or not passive:
                     return [xj / nj for xj, nj in zip(x, norms)]
+                if r_perp is None:
+                    k = len(passive)
+                    r_perp = _apply_qt(reflectors, r)[k:]
+                    rounding = 10.0 * _EPS * max(m, n) * math.hypot(*r)
+                p = _apply_qt(reflectors, A[j])[k:]
+                if _dot(p, r_perp) <= max(tol * math.sqrt(_dot(p, p)), rounding):
+                    continue
             trial = sorted([*passive, j])
             z, trial_reflectors = solve(trial)
             if z[j] > 0.0:
                 passive, reflectors = trial, trial_reflectors
                 break
-            w[j] = -math.inf
+        else:
+            return [xj / nj for xj, nj in zip(x, norms)]
         while any(z[i] <= 0.0 for i in passive):
             blocked = [i for i in passive if z[i] <= 0.0]
             steps = [x[i] / (x[i] - z[i]) for i in blocked]
@@ -685,39 +700,6 @@ def _nnls_cols(
             z, reflectors = solve(passive)
         x = z
     raise PricingError(f"NNLS iteration cap {3 * n} hit")
-
-
-def _orthogonal_entry(A, passive, reflectors, r, w, tol):
-    """A column the gradient test w_j > tol misses, or None.
-
-    Only the part p_j of column a_j orthogonal to the passive columns can
-    reduce the residual r, by p_j . r / |p_j| per unit step, while
-    w_j = a_j . r shrinks with |p_j|. For a column nearly parallel to a
-    passive one, w_j drops below tol while the residual it would remove is
-    far above it. Returns the column with the largest such reduction above
-    tol and above the rounding of p_j's direction, which the QR computes to
-    about eps max(m, n) of the unit column, so the reduction to
-    eps max(m, n) |r| / |p_j|; both bounds carry tol's factor 10. Below row
-    k = len(passive), Q^T a_j holds p_j's coordinates in the orthogonal
-    complement of the passive columns, and Q^T r those of r.
-    """
-    # w_j < -tol leaves no doubt, as in the gradient test: p_j . r has the
-    # sign of w_j when r is orthogonal to the passive columns
-    cand = [j for j, wj in enumerate(w) if wj >= -tol]
-    if not cand or not passive:
-        return None
-    k = len(passive)
-    r_perp = _apply_qt(reflectors, r)[k:]
-    rounding = 10.0 * _EPS * max(len(r), len(A)) * math.hypot(*r)
-    best, best_margin = None, 0.0
-    for j in cand:
-        p = _apply_qt(reflectors, A[j])[k:]
-        p_norm = math.sqrt(_dot(p, p))
-        if p_norm > 0.0:
-            margin = _dot(p, r_perp) / p_norm - max(tol, rounding / p_norm)
-            if margin > best_margin:
-                best, best_margin = j, margin
-    return best
 
 
 # ---------------------------------------------------------------------------

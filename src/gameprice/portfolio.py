@@ -109,9 +109,10 @@ def _one_fund(
     _, _, v_x, r_x = stats_x
     _, _, v_y, r_y = stats_y
     # each game's variance against its own largest payoff: a coin game next
-    # to a much larger one is still a coin game
+    # to a much larger one is still a coin game (divided in steps, as the
+    # square can overflow)
     for v, g in ((v_x, x), (v_y, y)):
-        if v <= 1e-12 * max(g.payoff_tuple) ** 2:
+        if v / max(g.payoff_tuple) / max(g.payoff_tuple) <= 1e-12:
             raise InvariantViolation("one-fund formula undefined for a constant game")
     r = rate.value
     if r_x <= r or r_y <= r:

@@ -375,6 +375,19 @@ def price_general(game: Game, space: OutcomeSpace, rate: Rate) -> PriceResult:
     return PriceResult(u, t, REGIME_INTERIOR, math.exp(growth))
 
 
+def _moment(a: float, p: float, nu: float) -> float:
+    """p max(a, 1)^nu, inf only where it passes the float range: where the
+    power alone does, the term is taken as (p^(1/nu) a)^nu."""
+    try:
+        return p * math.pow(max(a, 1.0), nu)
+    except OverflowError:
+        pass
+    try:
+        return math.pow(math.pow(p, 1.0 / nu) * a, nu)
+    except OverflowError:
+        return math.inf
+
+
 def truncate_series(sgame: SeriesGame) -> tuple[OutcomeSpace, Game]:
     """Finite approximation of a countable-support game.
 
@@ -398,7 +411,7 @@ def truncate_series(sgame: SeriesGame) -> tuple[OutcomeSpace, Game]:
             pays.append(float(a))
             probs.append(float(p))
             cum_p += p
-            cum_moment += p * max(a, 1.0) ** nu
+            cum_moment += _moment(a, p, nu)
         if cum_p > 1.0 + 1e-12:
             raise InvariantViolation("series probabilities exceed 1")
         if cum_moment > sgame.moment_bound * (1.0 + 1e-9):

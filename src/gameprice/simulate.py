@@ -323,7 +323,10 @@ def _report(game: Game, counts: list[list[int]], attempts: int, u: float,
             growths.append(math.exp(math.fsum(c * lf for c, lf in zip(cs, log_f)) * inv_n))
     n = len(growths)
     mean = math.fsum(growths) / n
-    var = math.fsum((g - mean) ** 2 for g in growths) / n
+    try:
+        var = math.fsum((g - mean) * (g - mean) for g in growths) / n
+    except OverflowError:  # the sum passes the float range
+        var = math.inf
     ci = 1.96 * math.sqrt(var / n)
     return SimReport(mean, var, ci, failures)
 

@@ -642,6 +642,16 @@ class TestLsPriceCommand:
         assert rc == 0
         assert out.count("ls=9.512") == 2
 
+    def test_a_tolerance_that_sends_the_oracle_at_zero_to_the_dual(self, capsys):
+        # between example 13's uniform excess and L(0) - 1: the oracle at
+        # x = 0 runs and hands its worst mix to the dual, which ends where
+        # the default solve does
+        path = str(ROOT / "sample_games" / "example13.json")
+        rc, out, _ = run(capsys, ["ls-price", path, "--tol-ls", "0.0013109",
+                                  "--format", "json"])
+        assert rc == 0
+        assert out == run(capsys, ["ls-price", path, "--format", "json"])[1]
+
     def test_csv_prints_plain_numbers(self, capsys):
         rc, out, _ = run(capsys, ["ls-price", str(ROOT / "sample_games" / "intro.json"),
                                   "--format", "csv"])
@@ -677,6 +687,17 @@ class TestSimulateAndSweep:
         assert row.split(",")[-1] == "0"
         for cell in row.split(","):
             float(cell)
+
+    def test_simulate_with_a_variance_past_the_float_range(self, capsys, tmp_path):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"probabilities": [0.5, 0.5],
+                                    "games": {"A": [1e300, 1e290]},
+                                    "rate": {"value": 0.05}}))
+        rc, out, err = run(capsys, ["simulate", str(path), "--game", "A", "--u", "1e100",
+                                    "--t", "1", "--attempts", "10", "--paths", "5",
+                                    "--format", "json"])
+        assert rc == 0 and err == ""
+        assert json.loads(out)["var_growth"] == math.inf
 
     def test_simulate_table(self, capsys, intro):
         rc, out, _ = run(capsys, [
@@ -759,6 +780,17 @@ class TestCompareAndParity:
         assert [line.split("=")[0].split(":")[0] for line in lines] == [
             "u_X", "r_X", "one-fund", "best mix", "t*"]
         assert lines[-1].split("allocation=")[1].count(",") == 2
+
+    def test_compare_on_a_game_near_1e200_is_an_error_not_a_traceback(
+            self, capsys, tmp_path):
+        # no variance, one-fund test or oracle step overflows; the oracle
+        # stalls on denominators 1e200 apart per unit of ceiling
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({**REMARK35, "games": {"X": [1e200, 1],
+                                                          "Y": [30.6191, 14]}}))
+        rc, _, err = run(capsys, ["compare-mv", str(path)])
+        assert rc == 1 and len(err.splitlines()) == 1, err
+        assert err.startswith("error: separation oracle stalled"), err
 
     def test_parity_table(self, capsys, remark35):
         rc, out, _ = run(capsys, [

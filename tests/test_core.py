@@ -294,6 +294,9 @@ class TestStatistics:
     def test_variance_x(self):
         assert variance(Game([50, 1]), COIN) == 600.25
 
+    def test_a_variance_past_the_float_range_is_inf(self):
+        assert variance(Game([1e200, 1]), COIN) == math.inf
+
     def test_dimension_mismatch(self):
         with pytest.raises(InvariantViolation):
             expectation(Game([1, 2, 3]), COIN)

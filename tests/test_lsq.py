@@ -40,6 +40,7 @@ from gameprice import (
 import gameprice.lsq
 from gameprice.core import DEFAULT_L_TOL
 from gameprice.lsq import (
+    CONE_TOL,
     _FLAT,
     _LsqProblem,
     _max_dual,
@@ -1110,6 +1111,18 @@ class TestOracleAtZero:
             assert len(set(payoffs)) == len(payoffs), (probs, games, r)
             priced.clear()
 
+    def test_the_oracle_at_zero_hands_its_worst_mix_to_the_dual(self, monkeypatch):
+        # example 13's uniform mix has excess 1.3108573e-3 and L(0) - 1 is
+        # 1.3109348e-3: a tol_L between them leaves the uniform mix no proof,
+        # the oracle at x = 0 climbs, finds L(0) above tolerance and hands
+        # its worst mix on to the dual, whose maximum is the default's
+        b, rate = _sample_basis("example13.json")
+        default = least_squares_prices(b, rate)
+        climbs = _count_calls(monkeypatch, "maximize")
+        sol = least_squares_prices(b, rate, tol_L=1.3109e-3)
+        assert len(climbs) == 2 and sol.termination == "newton"
+        assert sol.x_tuple == default.x_tuple
+
 
 def _climb(f, grad, hess, x):
     """_projected_newton on a closed-form concave f, from x.
@@ -1159,6 +1172,13 @@ class TestProjectedNewton:
                       lambda x: [[-1e-320]],
                       [1.0]) == ([1.0], 0, "stalled")
 
+    def test_a_gradient_whose_square_overflows_stalls_in_place(self):
+        # the epsilon-active threshold squares the projected step, 1e308
+        assert _climb(lambda x: 1e308 * x[0] - 5e-301 * x[0] * x[0],
+                      lambda x: [1e308 - 1e-300 * x[0]],
+                      lambda x: [[-1e-300]],
+                      [1.0]) == ([1.0], 0, "stalled")
+
     def test_a_step_no_halving_makes_rise_stalls_in_place(self):
         # the gradient points up while f falls both ways, as rounding can
         # make it near a maximum: no halving rises, until x would not move
@@ -1188,6 +1208,14 @@ class TestConstantMixDetector:
         found = check_constant_mix(basis((0, 2), (2, 0)))
         assert found is not None
         assert found[0].weights.tolist() == pytest.approx([0.5, 0.5], abs=1e-9)
+
+    def test_a_mix_whose_payoffs_spread_is_refused(self):
+        # k = 1 - 7.5e-10 passes M k = 1 to CONE_TOL, but the payoffs of
+        # the mix spread by 1.5e-9 of the largest
+        game = (1.0, 1.0 + 1.5e-9)
+        k = _nnls_cols([game], [1.0, 1.0])
+        assert max(abs(a * k[0] - 1.0) for a in game) <= CONE_TOL
+        assert check_constant_mix(basis(game)) is None
 
 
 def _lp_constant_mix(M, tol=1e-9):
@@ -1708,6 +1736,18 @@ class TestPlainFloatKernels:
                 assert gap <= 1e-10 * scale, (H, g)
             planted += float(np.linalg.norm(d * ref_flat)) > 1e-3 * scale
         assert planted >= 200
+
+    @pytest.mark.parametrize("H, g", [
+        ([[-4.0]], [3.0]), ([[-2.5e-7]], [-1.0]), ([[-3e10]], [7.0]),
+        ([[0.0]], [2.0]), ([[1e-3]], [-0.5])])
+    def test_newton_split_of_one_coordinate_takes_the_general_path(self, H, g):
+        step, flat = _newton_split(H, g)
+        ref_step, ref_flat = _eigh_split(H, g)
+        assert step == pytest.approx(ref_step, rel=1e-15, abs=0.0)
+        assert flat == ref_flat
+
+    def test_newton_split_of_no_coordinate(self):
+        assert _newton_split([], []) == ([], [])
 
 
 # ---------------------------------------------------------------------------

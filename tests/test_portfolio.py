@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from gameprice import (
+    ConeBasis,
     Game,
     InvariantViolation,
     OutcomeSpace,
+    PricingError,
     Rate,
     compare_mean_variance,
     fair_coin,
@@ -78,6 +80,13 @@ class TestOneFundWeight:
         with pytest.raises(InvariantViolation, match="undefined"):
             one_fund_weight(Game([10, 10]), y, R02S)
 
+    def test_a_game_whose_variance_overflows_gets_no_weight(self):
+        # v / max^2 taken in steps: inf for (1e200, 1), whose square
+        # overflows, and 0 for the constant (1e200, 1e200)
+        assert one_fund_weight(Game([1e200, 1]), Y, R02S) == 0.0
+        with pytest.raises(InvariantViolation, match="undefined"):
+            one_fund_weight(Game([1e200, 1e200]), Y, R02S)
+
     def test_mean_return_exceeds_rate_even_near_constant(self):
         # u <= E/g with equality only for constants, so E/u - 1 > r always;
         # the weight stays well defined arbitrarily close to degeneracy
@@ -135,6 +144,17 @@ class TestCompareMeanVariance:
 
 
 class TestCertifiedBestBlend:
+    def test_a_hessian_scale_that_underflows_is_divided_in_steps(self):
+        # unit denominators on coin games 1e200 apart: at the peak of a ray
+        # total adj_j adj_k underflows to 0, and the climb goes on; it then
+        # stalls, the denominators lying 1e200 apart per unit of ceiling
+        space, x4, y4 = joint_space(Game([1e200, 1]), Y)
+        problem = portfolio._LsqProblem(ConeBasis(space, [x4, y4]), R02S)
+        with pytest.raises(PricingError, match="stalled"):
+            problem.maximize([1.0, 1.0], [0.5, 0.5])
+        with pytest.raises(PricingError, match="stalled"):
+            compare_mean_variance(Game([1e200, 1]), Y, R02S)
+
     def test_no_grid_weight_prices_above_the_certified_maximum(self):
         # seeded coin pairs at scales 1e-3..1e3, both games of a pair at one
         # scale

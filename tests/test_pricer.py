@@ -370,6 +370,18 @@ class TestPriceSeries:
         with pytest.raises(InvariantViolation):
             truncate_series(bad)
 
+    @pytest.mark.parametrize("p, violated", [(0.5, True), (1e-300, False)])
+    def test_a_moment_term_whose_power_overflows(self, p, violated):
+        # (1e200)^2 passes the float range: p (1e200)^2 is 5e399 for p = 1/2,
+        # far above the bound, and 1e100 for p = 1e-300, within it
+        series = SeriesGame(term=lambda j: (1e200, p) if j == 1 else (1.0, 1.0 - p),
+                            tail_exponent=2.0, moment_bound=1e300)
+        if violated:
+            with pytest.raises(InvariantViolation, match="declared moment bound violated"):
+                price_series(series, R05)
+        else:
+            assert truncate_series(series)[1].payoff_tuple == (1e200, 1.0)
+
 
 @settings(max_examples=50, deadline=None)
 @given(

@@ -86,6 +86,16 @@ class TestSimulateGrowth:
         rep = simulate_growth(Game([0, 2]), COIN, cfg)
         assert rep.failed_paths > 0
 
+    @pytest.mark.parametrize("payoffs, u", [
+        ((1e300, 1e290), 1e100),  # a squared deviation overflows
+        ((1.5e157, 1.5e147), 1.0),  # each is finite, their sum is not
+    ])
+    def test_a_variance_past_the_float_range_is_inf(self, payoffs, u):
+        cfg = SimConfig(attempts=10, paths=5, seed=0, price=u, proportion=1.0)
+        rep = simulate_growth(Game(payoffs), COIN, cfg)
+        assert math.isfinite(rep.mean_growth)
+        assert rep.var_growth == rep.ci_halfwidth == math.inf
+
     def test_variance_decays_with_attempts(self):
         small = SimConfig(attempts=100, paths=400, seed=11, price=7.224, proportion=0.274)
         large = SimConfig(
