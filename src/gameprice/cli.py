@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .core import (
@@ -95,11 +96,25 @@ def _inputs(args, *names: str) -> tuple[GameFile, Rate, list[Game]]:
     return gf, rate, [gf.games[name] for name in names]
 
 
+def _json_safe(doc):
+    """doc with each non-finite float, in lists and objects at any depth, as
+    the string repr gives it ("inf", "-inf" or "nan"), which float() reads
+    back: JSON has no number for them."""
+    if isinstance(doc, float):
+        return doc if math.isfinite(doc) else repr(doc)
+    if isinstance(doc, dict):
+        return {key: _json_safe(value) for key, value in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return [_json_safe(value) for value in doc]
+    return doc
+
+
 def _show(args, doc, csv_lines, table_lines) -> None:
     """Print doc as JSON, csv_lines as CSV rows or table_lines as text lines,
-    as --format asks. A CSV cell is text as is and a number by repr."""
+    as --format asks. A CSV cell is text as is and a number by repr; a JSON
+    number that is not finite is a string (_json_safe)."""
     if args.format == "json":
-        print(json.dumps(doc))
+        print(json.dumps(_json_safe(doc), allow_nan=False))
     elif args.format == "csv":
         for row in csv_lines:
             print(",".join(c if isinstance(c, str) else repr(c) for c in row))

@@ -40,15 +40,17 @@ whether some mix pays a constant. A solve asks only whether one exists, one
 NNLS; check_constant_mix alone probes further for the largest support such a
 mix can have. One QR of the games, with a bound on its rounding, settles the
 clear cases first, once per solve for the reduction and the constant-mix NNLS
-alike. Everything runs on plain Python floats, so solving imports no numpy;
-the functions that return arrays build them on the way out.
+alike: with fewer games than outcomes, its least-squares residual of M k = 1
+rules a constant mix out before any NNLS wherever it can. Everything runs on
+plain Python floats, so solving imports no numpy; the functions that return
+arrays build them on the way out.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from operator import mul, sub
+from operator import mul, sub, truediv
 
 from .core import (
     DEFAULT_L_TOL,
@@ -160,13 +162,13 @@ class _LsqProblem:
         self.n = basis.n
         self.u_tuple, self.c_tuple = map(tuple, zip(
             *(self.standalone(g.payoff_tuple) for g in basis.games)))
-        self.d_tuple = tuple(max(ci - ui, 0.0)
-                             for ci, ui in zip(self.c_tuple, self.u_tuple))
+        self.d_tuple = tuple(map(max, map(sub, self.c_tuple, self.u_tuple),
+                                 [0.0] * self.n))
         self._cols = [[a / ci for a in g.payoff_tuple]
                       for g, ci in zip(basis.games, self.c_tuple)]
         self._unit_rows = list(zip(*self._cols))
-        self._uc = [ui / ci for ui, ci in zip(self.u_tuple, self.c_tuple)]
-        self._dc = [di / ci for di, ci in zip(self.d_tuple, self.c_tuple)]
+        self._uc = list(map(truediv, self.u_tuple, self.c_tuple))
+        self._dc = list(map(truediv, self.d_tuple, self.c_tuple))
         self._evaluations = {}  # value_grad_hess's, by tuple(p)
 
     def standalone(self, col: Sequence[float]) -> tuple[float, float]:
@@ -226,11 +228,14 @@ class _LsqProblem:
         if t == 1.0:
             gamma = [qi * u / x for qi, x in zip(q, a)]
             G = [sum(map(mul, col, gamma)) for col in cols]
-            w = [gi / x for gi, x in zip(gamma, a)]
-            return u, G, [
-                [gj * gk / u - sum(map(mul, cw, ck)) for gk, ck in zip(G, cols)]
-                for gj, cw in zip(G, [list(map(mul, col, w)) for col in cols])
-            ]
+            w = list(map(truediv, gamma, a))
+            H = []
+            for gj, cj in zip(G, cols):
+                cw, Hj = list(map(mul, cj, w)), []
+                for gk, ck in zip(G, cols):
+                    Hj.append(gj * gk / u - sum(map(mul, cw, ck)))
+                H.append(Hj)
+            return u, G, H
         D = [u + t * (x - u) for x in a]
         W = sum(qi * x / di for qi, x, di in zip(q, a, D))
         gamma = [qi * u / (di * W) for qi, di in zip(q, D)]
@@ -360,20 +365,16 @@ def _projected_newton(
         if done(state):
             return state, steps, "done"
         value, g, H = state[:3]
-        pg = [xj - max(xj + gj, 0.0) for xj, gj in zip(x, g)]
-        eps = min(1e-3, math.sqrt(_dot(pg, pg)))
-        free, d = [], []  # d: -x on the epsilon-active set, the step elsewhere
-        for j, (xj, gj) in enumerate(zip(x, g)):
-            if xj <= eps and gj < 0.0:
-                d.append(-xj)
-            else:
-                d.append(0.0)
-                free.append(j)
-        if len(free) == len(x):
-            step, flat = _newton_split(H, g)
-        else:
-            step, flat = _newton_split([[H[j][k] for k in free] for j in free],
-                                       [g[j] for j in free])
+        # the epsilon-active set; eps <= 1e-3 is formed only when some
+        # coordinate that the gradient pushes out lies within 1e-3 of 0
+        active = [j for j, (xj, gj) in enumerate(zip(x, g)) if gj < 0.0 and xj <= 1e-3]
+        if active:
+            pg = [xj - max(xj + gj, 0.0) for xj, gj in zip(x, g)]
+            eps = min(1e-3, math.sqrt(_dot(pg, pg)))
+            active = [j for j in active if x[j] <= eps]
+        free = [j for j in range(len(x)) if j not in active] if active else range(len(x))
+        step, flat = _newton_split([[H[j][k] for k in free] for j in free],
+                                   [g[j] for j in free]) if active else _newton_split(H, g)
         if any(flat):
             # the function is affine along flat: go on from the Newton point
             # to the first bound, so that it is met exactly
@@ -382,13 +383,17 @@ def _projected_newton(
             if reach:
                 alpha = max(min(reach), 0.0)
                 step = [sj + alpha * fj for sj, fj in zip(step, flat)]
-        for j, sj in zip(free, step):
-            d[j] = sj
+        d = step  # -x on the epsilon-active set, the step elsewhere
+        if active:
+            d = [-xj for xj in x]
+            for j, sj in zip(free, step):
+                d[j] = sj
         if not math.isfinite(sum(d)):
             return state, steps, "stalled"
         tau = 1.0
         while True:
-            x_new = [max(xj + tau * dj, 0.0) for xj, dj in zip(x, d)]
+            x_new = [0.0 if (y := xj + tau * dj) < 0.0 else y  # max(y, 0.0)
+                     for xj, dj in zip(x, d)]
             if any(x_new):
                 new = evaluate(x_new)
                 # Armijo's rule on the projection arc: the value rises by a
@@ -425,9 +430,9 @@ def _newton_split(
     solution with its null-space part removed the same way.
     """
     k = len(g)
-    d = [math.sqrt(-H[j][j]) if H[j][j] < 0.0 else 1.0 for j in range(k)]
+    d = [math.sqrt(-hjj) if (hjj := row[j]) < 0.0 else 1.0 for j, row in enumerate(H)]
     S = [[-hjk / (dj * dk) for hjk, dk in zip(row, d)] for row, dj in zip(H, d)]
-    gs = [gj / dj for gj, dj in zip(g, d)]
+    gs = list(map(truediv, g, d))
     rest = list(range(k))
     pivots = []  # (index, column of V, pivot), in elimination order
     limit = None
@@ -465,14 +470,17 @@ def _newton_split(
     # removing its null-space part leaves the one of least norm
     a = []
     for p, _, _ in pivots:
-        a.append(curved[p] - sum([ai * v[p] for ai, (_, v, _) in zip(a, pivots)]))
+        acc = 0.0
+        for ai, (_, v, _) in zip(a, pivots):
+            acc += ai * v[p]
+        a.append(curved[p] - acc)
     x = [0.0] * k
     for (p, v, s), ai in zip(reversed(pivots), reversed(a)):
         x[p] = ai / s - sum(map(mul, v, x))
     if rest:  # x's part in the range of V
         x = _apply_qt(reflectors[::-1], _apply_qt(reflectors, x)[:r] + [0.0] * (k - r))
-        flat = [fi / dj for fi, dj in zip(flat, d)]
-    return [xi / dj for xi, dj in zip(x, d)], flat
+        flat = list(map(truediv, flat, d))
+    return list(map(truediv, x, d)), flat
 
 
 # ---------------------------------------------------------------------------
@@ -518,19 +526,20 @@ def _max_dual(
         # the mix price is 1-homogeneous and its Hessian (-1)-homogeneous:
         # both are solved on the simplex and scaled to v = total p
         price, grad, hess = prob.value_grad_hess(p)
-        s = [vi * dcj for vi, dcj in zip(v, dc)]  # w d
-        value = price * total - _dot(v, uc) + sum(
-            -0.5 * si * si if si <= 1.0 else 0.5 - si for si in s)
+        vu = psi = 0.0  # v . u / c and sum_i psi(s_i)
         g, H, pgs = [], [], []
-        for j, (gj, ucj, dcj, sj, vj, row) in enumerate(zip(grad, uc, dc, s, v, hess)):
-            gj -= ucj + dcj * min(sj, 1.0)
+        for j, (gj, ucj, dcj, vj, row) in enumerate(zip(grad, uc, dc, v, hess)):
+            sj = vj * dcj  # w d
+            vu += vj * ucj
+            psi += -0.5 * sj * sj if sj <= 1.0 else 0.5 - sj
+            gj -= ucj + dcj * (1.0 if sj > 1.0 else sj)  # min(s, 1)
             g.append(gj)
             pgs.append(abs(gj) if vj > 0.0 else gj)  # projected gradient entry
             Hj = [hjk / total for hjk in row]
             if sj < 1.0:
                 Hj[j] -= dcj * dcj
             H.append(Hj)
-        return value, g, H, max(pgs), total, p, v
+        return price * total - vu + psi, g, H, max(pgs), total, p, v
 
     def evaluate(v: list[float]):
         total = sum(v)
@@ -806,10 +815,11 @@ def least_squares_prices(
             basis=tuple(keep),
         )
 
-    # whether some mix pays a constant: one NNLS for k >= 0 with M k = 1
+    # whether some mix pays a constant: one NNLS for k >= 0 with M k = 1,
+    # unless the least-squares residual already rules one out
     cols = [g.payoff_tuple for g in prob.basis.games]
-    k = _nnls_cols(cols, [1.0] * len(prob._rows), _unit_qr(cols) if dropped else qr)
-    found = _constant_mix(prob._rows, [k])
+    k = _constant_mix_nnls(cols, _unit_qr(cols) if dropped else qr)
+    found = None if k is None else _constant_mix(prob._rows, [k])
     if found is not None:
         # every feasible point has x_i = 1 wherever d_i > 0 (check_constant_mix),
         # and L(x) <= 1 there by Jensen's inequality
@@ -860,7 +870,9 @@ def check_constant_mix(basis: ConeBasis) -> Optional[tuple[Mix, tuple[int, ...]]
     eps: t_i = 1. Payoffs are nonnegative and no game is all zero, so every
     constant mix is k / sum(k) for some k >= 0 with M k = 1: NNLS decides
     whether one exists, started from the QR of the games (_unit_qr), so a
-    least-squares k positive beyond its rounding needs no active-set step.
+    least-squares k positive beyond its rounding needs no active-set step,
+    unless that QR's least-squares residual already rules every k out
+    (_constant_mix_nnls, the rule least_squares_prices uses too).
     least_squares_prices asks only that, and takes k's mix. Here, to find
     the largest support, each game j with k_j = 0 is then probed, as k can
     leave out a game that some other constant mix uses (dependent games, or
@@ -871,7 +883,9 @@ def check_constant_mix(basis: ConeBasis) -> Optional[tuple[Mix, tuple[int, ...]]
     cols = [g.payoff_tuple for g in basis.games]
     rows = _payoff_rows(basis.games)
     n, minus_ones = len(cols), [-1.0] * len(rows)
-    k = _nnls_cols(cols, [1.0] * len(rows), _unit_qr(cols))
+    k = _constant_mix_nnls(cols, _unit_qr(cols))
+    if k is None:
+        return None
 
     def witnesses():
         yield k
@@ -889,6 +903,29 @@ def check_constant_mix(basis: ConeBasis) -> Optional[tuple[Mix, tuple[int, ...]]
     if found is None:
         return None
     return found, tuple(i for i, pi in enumerate(found.weight_tuple) if pi > 1e-9)
+
+
+def _constant_mix_nnls(cols: Sequence[Sequence[float]],
+                       qr: Optional[tuple]) -> Optional[list[float]]:
+    """The NNLS k >= 0 closest to M k = 1, M by its columns and qr their
+    _unit_qr, for _constant_mix's test; None, with no NNLS, when the
+    least-squares residual rho = |(Q^T 1)[n:]| alone shows that no k passes
+    that test. With n >= m games rho is 0, and without qr it is not formed:
+    the NNLS decides."""
+    n, m = len(cols), len(cols[0])
+    if qr is not None and n < m:
+        # |M k - 1| >= rho for every k, signed or not, so some row has
+        # |(M k)_i - 1| >= rho / sqrt(m). The computed rho is within
+        # rounding |1| = rounding sqrt(m) of the exact one (_unit_qr), so
+        # rho > sqrt(m) (2 CONE_TOL + rounding) leaves some row of every k
+        # more than 2 CONE_TOL from 1. _constant_mix forms each (M k)_i in
+        # floats from nonnegative terms, to about n eps of itself: a row it
+        # reads within CONE_TOL of 1 is within 2 CONE_TOL exactly, so no k
+        # passes.
+        r = _apply_qt(qr[0], [1.0] * m)[n:]
+        if math.hypot(*r) > math.sqrt(m) * (2.0 * CONE_TOL + qr[4]):
+            return None
+    return _nnls_cols(cols, [1.0] * m, qr)
 
 
 def _constant_mix(
@@ -1007,13 +1044,16 @@ def _reduce_to_basis(
     ConeBasis, given _unit_qr of their payoff columns, and on each game per
     unit of its largest payoff, so that no coordinate exceeds 1 by more than
     CONE_TOL. A game farther than CONE_TOL of its largest payoff from the
-    others' span, beyond _unit_qr's rounding, is kept without an NNLS."""
+    others' span, beyond _unit_qr's rounding, is kept without an NNLS, and
+    when every game is, none is rescaled."""
     cols = [g.payoff_tuple for g in games]
     far = [False] * len(cols) if qr is None else [
         (1.0 - qr[4]) * nj > CONE_TOL * max(col) * math.sqrt(r2)
         for col, nj, r2 in zip(cols, qr[2], qr[3])]
-    cols = [[a / max(col) for a in col] for col in cols]
     keep = list(range(len(games)))
+    if all(far):  # every game is kept without an NNLS, so none is rescaled
+        return keep, [[float(i == j) for j in keep] for i in keep]
+    cols = [[a / top for a in col] for col, top in zip(cols, map(max, cols))]
     for i in reversed(range(len(games))):
         others = [j for j in keep if j != i]
         if not far[i] and others and _cone_fit([cols[j] for j in others],

@@ -105,20 +105,32 @@ def one_fund_weight(x: Game, y: Game, rate: Rate) -> float:
 def _one_fund(
     x: Game, y: Game, rate: Rate, stats_x: tuple, stats_y: tuple
 ) -> float:
-    """one_fund_weight from the games' _coin_stats."""
-    _, _, v_x, r_x = stats_x
-    _, _, v_y, r_y = stats_y
-    # each game's variance against its own largest payoff: a coin game next
-    # to a much larger one is still a coin game (divided in steps, as the
-    # square can overflow)
-    for v, g in ((v_x, x), (v_y, y)):
-        if v / max(g.payoff_tuple) / max(g.payoff_tuple) <= 1e-12:
+    """one_fund_weight from the games' _coin_stats.
+
+    Each ratio (r_i - r) / v_i is formed on the game scaled by 2^-e_i to a
+    largest payoff in [0.5, 1), so that no variance underflows or
+    overflows. The scaling is exact, and it multiplies v_i by 2^(-2 e_i)
+    and leaves r_i, so both ratios are brought to the common scale
+    2^(2 min(e_x, e_y)), where neither can overflow; where every float
+    stays normal the weight is bit for bit the unscaled formula's.
+    """
+    r_x, r_y, r = stats_x[3], stats_y[3], rate.value
+    scaled = []
+    for g in (x, y):
+        e = math.frexp(max(g.payoff_tuple))[1]
+        unit = Game([math.ldexp(a, -e) for a in g.payoff_tuple])
+        v, top = variance(unit, fair_coin()), max(unit.payoff_tuple)
+        # each game's variance against its own largest payoff: a coin game
+        # next to a much larger one is still a coin game
+        if v / top / top <= 1e-12:
             raise InvariantViolation("one-fund formula undefined for a constant game")
-    r = rate.value
+        scaled.append((v, e))
+    (v_x, e_x), (v_y, e_y) = scaled
     if r_x <= r or r_y <= r:
         raise InvariantViolation("mean returns must exceed the risk-free rate")
-    s_x = (r_x - r) / v_x
-    s_y = (r_y - r) / v_y
+    low = min(e_x, e_y)
+    s_x = math.ldexp((r_x - r) / v_x, 2 * (low - e_x))
+    s_y = math.ldexp((r_y - r) / v_y, 2 * (low - e_y))
     return s_x / (s_x + s_y)
 
 

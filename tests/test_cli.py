@@ -57,6 +57,25 @@ def run(capsys, argv):
     return rc, captured.out, captured.err
 
 
+def _no_constant(name):
+    raise ValueError(f"JSON constant {name} in the output")
+
+
+class TestJsonNonFinite:
+    def test_non_finite_floats_at_any_depth_become_strings(self):
+        doc = {"a": math.inf, "b": [1.5, -math.inf, {"c": math.nan}], "d": (0.0, 2),
+               "e": "text", "f": None, "g": True}
+        assert gameprice.cli._json_safe(doc) == {
+            "a": "inf", "b": [1.5, "-inf", {"c": "nan"}], "d": [0.0, 2],
+            "e": "text", "f": None, "g": True}
+
+    def test_a_finite_document_prints_as_before(self, capsys):
+        doc = {"x": [0.1, 1e-300, -2.5e300, 7], "y": {"z": (1.0, False)}, "s": "inf"}
+        args = type("Args", (), {"format": "json"})()
+        gameprice.cli._show(args, doc, [], [])
+        assert capsys.readouterr().out == json.dumps(doc) + "\n"
+
+
 class TestPriceCommand:
     def test_game_a_table(self, capsys, intro):
         rc, out, _ = run(capsys, ["price", "--game", "A", intro])
@@ -697,7 +716,10 @@ class TestSimulateAndSweep:
                                     "--t", "1", "--attempts", "10", "--paths", "5",
                                     "--format", "json"])
         assert rc == 0 and err == ""
-        assert json.loads(out)["var_growth"] == math.inf
+        # strict JSON: no Infinity or NaN constant; a non-finite number is
+        # the string float() reads back
+        doc = json.loads(out, parse_constant=_no_constant)
+        assert doc["var_growth"] == "inf" and float(doc["var_growth"]) == math.inf
 
     def test_simulate_table(self, capsys, intro):
         rc, out, _ = run(capsys, [

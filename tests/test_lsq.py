@@ -1218,6 +1218,77 @@ class TestConstantMixDetector:
         assert check_constant_mix(basis(game)) is None
 
 
+class TestResidualBound:
+    """The least-squares residual rho = |(Q^T 1)[n:]| of M k = 1 rules out a
+    constant mix before any NNLS when rho > sqrt(m) (2 CONE_TOL + rounding)."""
+
+    @staticmethod
+    def _nnls_calls(monkeypatch):
+        calls, nnls = [], gameprice.lsq._nnls_cols
+        monkeypatch.setattr(gameprice.lsq, "_nnls_cols",
+                            lambda *args: calls.append(args) or nnls(*args))
+        return calls
+
+    @staticmethod
+    def _verdicts(cols):
+        """(the verdict with the bound, the NNLS verdict alone, whether the
+        bound decided), each verdict a Mix or None."""
+        lsq, rows = gameprice.lsq, [tuple(row) for row in zip(*cols)]
+        qr = lsq._unit_qr(cols)
+        k = lsq._constant_mix_nnls(cols, qr)
+        alone = lsq._constant_mix(rows, [_nnls_cols(cols, [1.0] * len(rows), qr)])
+        return None if k is None else lsq._constant_mix(rows, [k]), alone, k is None
+
+    def test_no_nnls_where_the_residual_rules_a_constant_mix_out(self, monkeypatch):
+        probs, games, rate = LS_DEEP_LIKE[0]
+        b, rate = ConeBasis(OutcomeSpace(probs), [Game(g) for g in games]), Rate(rate)
+        qr = gameprice.lsq._unit_qr(games)
+        rho = math.hypot(*gameprice.lsq._apply_qt(qr[0], [1.0] * 3)[2:])
+        assert rho > 0.1 > math.sqrt(3) * (2.0 * CONE_TOL + qr[4])
+        with monkeypatch.context() as m:  # the answers of the NNLS alone
+            m.setattr(gameprice.lsq, "_constant_mix_nnls",
+                      lambda cols, qr: _nnls_cols(cols, [1.0] * len(cols[0]), qr))
+            expected = least_squares_prices(b, rate)
+            assert check_constant_mix(b) is None
+        calls = self._nnls_calls(monkeypatch)
+        assert least_squares_prices(b, rate) == expected
+        assert check_constant_mix(b) is None
+        assert calls == []
+
+    def test_a_pair_that_sums_to_a_constant_runs_the_nnls(self, monkeypatch):
+        games = [(1, 2, 3), (3, 2, 1)]  # their sum pays 4
+        b = ConeBasis(OutcomeSpace([0.2, 0.3, 0.5]), [Game(g) for g in games])
+        qr = gameprice.lsq._unit_qr(games)
+        rho = math.hypot(*gameprice.lsq._apply_qt(qr[0], [1.0] * 3)[2:])
+        assert rho <= 1e-15
+        calls = self._nnls_calls(monkeypatch)
+        sol = least_squares_prices(b, R05)
+        assert len(calls) == 1 and sol.termination == "constant_mix"
+        assert check_constant_mix(b)[1] == (0, 1)
+
+    def test_the_bound_agrees_with_the_nnls_alone_across_cone_tol(self):
+        # n < m games holding a mix k . M = c pushed off constant by a
+        # relative delta from 1e-11 to 1e-7, on both sides of CONE_TOL
+        rng, decided = random.Random(44), collections.Counter()
+        for _ in range(300):
+            m = rng.randint(3, 6)
+            n = rng.randint(2, m - 1)
+            games = [[rng.uniform(0.5, 20.0) for _ in range(m)] for _ in range(n - 1)]
+            k = [rng.uniform(0.2, 1.0) for _ in range(n - 1)]
+            mixed = [sum(ki * g[j] for ki, g in zip(k, games)) for j in range(m)]
+            c = max(mixed) + rng.uniform(0.5, 20.0)
+            delta = 10.0 ** rng.uniform(-11.0, -7.0)
+            games.append([(c - a) * (1.0 + delta * rng.choice((-1.0, 1.0))) for a in mixed])
+            with_bound, alone, by_bound = self._verdicts(games)
+            assert with_bound == alone
+            decided[by_bound, alone is not None] += 1
+        # the bound decides most draws with delta far above CONE_TOL, the
+        # NNLS the rest, and both verdicts occur
+        assert decided[True, True] == 0
+        assert decided[True, False] > 50 and decided[False, True] > 20
+        assert decided[False, False] > 0
+
+
 def _lp_constant_mix(M, tol=1e-9):
     """Reference: the linear-programming search, maximin weight then probes."""
     from scipy.optimize import linprog

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -86,6 +87,31 @@ class TestOneFundWeight:
         assert one_fund_weight(Game([1e200, 1]), Y, R02S) == 0.0
         with pytest.raises(InvariantViolation, match="undefined"):
             one_fund_weight(Game([1e200, 1e200]), Y, R02S)
+
+    @staticmethod
+    def _exact_weight(x: Game, y: Game, rate: Rate) -> Fraction:
+        """s_x / (s_x + s_y), s = (r_i - r) / v_i, in exact arithmetic on the
+        _coin_stats rates of mean return and the payoffs' exact variances."""
+        def ratio(g: Game) -> Fraction:
+            a, b = map(Fraction, g.payoff_tuple)
+            v = (a - b) * (a - b) / 4
+            return (Fraction(portfolio._coin_stats(g, rate)[3]) - Fraction(rate.value)) / v
+        s_x, s_y = ratio(x), ratio(y)
+        return s_x / (s_x + s_y)
+
+    @pytest.mark.parametrize("x", [Game([1e-160, 2e-160]), Game([1e-200, 2e-200])])
+    def test_a_tiny_coin_game_keeps_its_weight(self, x):
+        # the variance of (1e-160, 2e-160) is subnormal and of (1e-200,
+        # 2e-200) is 0; on the game scaled by a power of two it is neither
+        w = one_fund_weight(x, Y, R02S)
+        assert w == float(self._exact_weight(x, Y, R02S))
+        w = one_fund_weight(Y, x, R02S)
+        assert w == pytest.approx(float(self._exact_weight(Y, x, R02S)), abs=1e-300)
+
+    def test_normal_range_weights_match_the_exact_formula(self):
+        for x in (X, Game([7.7e-4, 1.36e-3]), Game([10.0, 9.99])):
+            w = one_fund_weight(x, Y, R02S)
+            assert w == pytest.approx(float(self._exact_weight(x, Y, R02S)), rel=1e-14)
 
     def test_mean_return_exceeds_rate_even_near_constant(self):
         # u <= E/g with equality only for constants, so E/u - 1 > r always;
