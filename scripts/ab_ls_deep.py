@@ -4,11 +4,14 @@
 Loads each tree's src/gameprice under its own package name, so both live in
 one process, and solves bench/workloads.generate("ls_deep", SEED, BLOCKS)
 with each, alternating the two trees request by request and swapping which
-goes first on every pass. Each request's time is its fastest send. Prints,
-per tree, the sum of those fastest sends, the throughput it implies, and a
-sha256 digest of every answer (x, prices, certificate, max_violation,
-iterations and termination, or the error raised), then the second tree's
-throughput gain over the first. Equal digests mean bit-identical answers.
+goes first on every pass. Each request's time is its fastest send. Prints
+one line per basis of workloads.LS_DEEP_CATALOGUE (each request is matched to
+the basis it jitters): each tree's sum of those fastest sends over the
+basis's requests, and their ratio a / b. Then, per tree, the sum over all
+requests, the throughput it implies, and a sha256 digest of every answer
+(x, prices, certificate, max_violation, iterations and termination, or the
+error raised), and last the second tree's throughput gain over the first.
+Equal digests mean bit-identical answers.
 Standard library only; it reads bench/ of this checkout and changes nothing.
 Example:
 
@@ -47,6 +50,19 @@ def solver(gp):
                              [gp.Game(g) for g in req["games"]])
         return gp.least_squares_prices(basis, gp.Rate(req["rate"]))
     return solve
+
+
+def catalogue_basis(req: dict) -> int:
+    """Index of the LS_DEEP_CATALOGUE basis whose payoffs the request jitters
+    (by at most workloads.JITTER each, far less than any two bases differ)."""
+    def distance(base: dict) -> float:
+        if [len(g) for g in base["games"]] != [len(g) for g in req["games"]]:
+            return float("inf")
+        return max(abs(a / b - 1.0) for g, h in zip(req["games"], base["games"])
+                   for a, b in zip(g, h) if b)
+
+    return min(range(len(workloads.LS_DEEP_CATALOGUE)),
+               key=lambda i: distance(workloads.LS_DEEP_CATALOGUE[i]))
 
 
 def answer(solve, req: dict) -> str:
@@ -92,6 +108,12 @@ def main() -> int:
     totals = [sum(b) for b in best]
     print(f"ls_deep seed {args.seed}: {len(requests)} requests, "
           f"fastest of {args.sends} sends each")
+    bases = [catalogue_basis(req) for req in requests]
+    for i, base in enumerate(workloads.LS_DEEP_CATALOGUE):
+        sums = [sum(t for t, j in zip(b, bases) if j == i) for b in best]
+        shape = f"{len(base['games'])}x{len(base['probs'])}"
+        print(f"basis {i} ({shape}, {bases.count(i)} requests): a {sums[0] * 1e3:.3f} ms, "
+              f"b {sums[1] * 1e3:.3f} ms, a / b {sums[0] / sums[1]:.3f}")
     for label, tree, total, dig in zip("ab", (args.tree_a, args.tree_b), totals, digests):
         print(f"{label} {tree}: {total * 1e3:.3f} ms, {len(requests) / total:.0f} rps, "
               f"digest {dig.hexdigest()[:16]}")

@@ -152,20 +152,20 @@ class _LsqProblem:
     def __init__(self, basis: ConeBasis, rate: Rate):
         self.basis = basis
         self.rate = rate
-        self.space = basis.space
-        self._probs_list = list(self.space.prob_tuple)
+        self._probs_list = probs = list(basis.space.prob_tuple)
         # the hot loops run on plain floats (numpy overhead dominates at these
         # sizes): payoff rows for M p, and each game per unit of its ceiling,
         # by columns for M^T dprice and by rows for value_grad_hess's mixes
         self._rows = _payoff_rows(basis.games)
-        self.g = rate.growth_factor()
+        self.g = g = rate.growth_factor()
         self.n = basis.n
-        self.u_tuple, self.c_tuple = map(tuple, zip(
-            *(self.standalone(g.payoff_tuple) for g in basis.games)))
-        self.d_tuple = tuple(map(max, map(sub, self.c_tuple, self.u_tuple),
-                                 [0.0] * self.n))
-        self._cols = [[a / ci for a in g.payoff_tuple]
-                      for g, ci in zip(basis.games, self.c_tuple)]
+        u, c = [], []
+        for game in basis.games:  # (u, c) as standalone gives them
+            u.append(_price_numeric(game.payoff_tuple, probs, rate)[0])
+            c.append(_dot(probs, game.payoff_tuple) / g)
+        self.u_tuple, self.c_tuple = tuple(u), tuple(c)
+        self.d_tuple = tuple(map(max, map(sub, c, u), [0.0] * self.n))
+        self._cols = [[a / ci for a in g.payoff_tuple] for g, ci in zip(basis.games, c)]
         self._unit_rows = list(zip(*self._cols))
         self._uc = list(map(truediv, self.u_tuple, self.c_tuple))
         self._dc = list(map(truediv, self.d_tuple, self.c_tuple))
@@ -224,7 +224,7 @@ class _LsqProblem:
         cols = self._cols
         q = self._probs_list
         a = [sum(map(mul, row, p)) for row in self._unit_rows]
-        u, t = self.price_full(a)
+        u, t = _price_numeric(a, q, self.rate)
         if t == 1.0:
             gamma = [qi * u / x for qi, x in zip(q, a)]
             G = [sum(map(mul, col, gamma)) for col in cols]
@@ -292,9 +292,16 @@ class _LsqProblem:
         more games than outcomes. A step is also taken when the bound is met,
         or when R falls by at most ORACLE_GAP while the bound comes closer.
         The first evaluation is at p0 itself, so a mix the caller has already
-        evaluated is not priced again.
+        evaluated is not priced again, and the stop test is made there first:
+        when p0 is certified, its ratio and p0 are returned before any oracle
+        Hessian, closure or climb is formed.
         """
         adj = [ai / ci for ai, ci in zip(_float_tuple(adj, "adj"), self.c_tuple)]
+        p = list(_float_tuple(p0, "p0"))
+        price, grad, _ = self.value_grad_hess(p)
+        ratio = price / _dot(p, adj)
+        if max([gj / aj - ratio for gj, aj in zip(grad, adj)]) <= ORACLE_GAP * ratio:
+            return ratio, p  # p0 is certified: no climb
 
         def at(p: list[float]):
             """(phi, dphi/dv, its Hessian, R, certificate gap, p, v) at the
@@ -324,7 +331,7 @@ class _LsqProblem:
             return certified(new) or (
                 new[3] - old[3] >= -ORACLE_GAP * old[3] and new[4] < old[4])
 
-        state = at(list(_float_tuple(p0, "p0")))
+        state = at(p)
         state, _, end = _projected_newton(evaluate, state[-1], state, certified, accept)
         val, gap, p = state[3], state[4], state[5]
         if end != "done":
@@ -535,26 +542,31 @@ def _max_dual(
             gj -= ucj + dcj * (1.0 if sj > 1.0 else sj)  # min(s, 1)
             g.append(gj)
             pgs.append(abs(gj) if vj > 0.0 else gj)  # projected gradient entry
-            Hj = [hjk / total for hjk in row]
+            Hj = []
+            for hjk in row:
+                Hj.append(hjk / total)
             if sj < 1.0:
                 Hj[j] -= dcj * dcj
             H.append(Hj)
         return price * total - vu + psi, g, H, max(pgs), total, p, v
 
     def evaluate(v: list[float]):
-        total = sum(v)
-        return at(v, [vi / total for vi in v], total)
+        total, p = sum(v), []
+        for vi in v:
+            p.append(vi / total)
+        return at(v, p, total)
 
-    starts = []
+    state = None  # the start with the largest D, the first of equals as max picks it
     for p in mixes:
         b = prob.value_grad_hess(p)[0] - _dot(p, uc)
         if b > 0.0:
             norm = math.hypot(*map(mul, p, dc))  # |a|^2 can underflow where |a| does not
             scale = b / norm / norm
-            starts.append(at([scale * pi for pi in p], p, scale))
-    if not starts:
+            start = at([scale * pi for pi in p], p, scale)
+            if state is None or start[0] > state[0]:
+                state = start
+    if state is None:
         raise PricingError("no start mix is priced above its stand-alone prices")
-    state = max(starts, key=lambda start: start[0])
 
     def accept(new, old) -> bool:
         # D level to rounding while the gradient shrinks: D's terms are at
@@ -583,18 +595,16 @@ def _householder(cols: list[list[float]]) -> tuple[list, list[list[float]]]:
     reflectors, R = [], []
     for i, col in enumerate(work):
         if i < m:
-            x = col[i:]
-            alpha = -math.copysign(math.sqrt(_dot(x, x)), x[0])
-            v = x
+            v = col[i:]
+            alpha = -math.copysign(math.sqrt(_dot(v, v)), v[0])
             v[0] -= alpha
             beta = -alpha * v[0]  # v.v / 2
             if beta > 0.0:
-                reflector = (i, v, beta)
-                reflectors.append(reflector)
+                reflectors.append(reflector := (i, v, beta))
                 for other in work[i + 1:]:
                     _reflect(reflector, other)
-                col[i:] = [alpha] + [0.0] * (m - i - 1)
-        R.append((col + [0.0] * (i + 1 - m))[:i + 1])
+                col[i] = alpha  # R's diagonal; below it, R is zero and not stored
+        R.append(col[:i + 1] if i < m else col + [0.0] * (i + 1 - m))
     return reflectors, R
 
 
@@ -602,7 +612,8 @@ def _reflect(reflector: tuple, y: list[float]) -> None:
     """Apply one Householder reflector to y in place."""
     i, v, beta = reflector
     c = _dot(v, y[i:]) / beta
-    y[i:] = [yj - c * vj for yj, vj in zip(y[i:], v)]
+    for j, vj in enumerate(v, i):
+        y[j] -= c * vj
 
 
 def _apply_qt(reflectors: list, y: Sequence[float]) -> list[float]:
@@ -774,51 +785,45 @@ def least_squares_prices(
     any mix is a start, D being concave, and the uniform one matters where
     the worst sits on a game whose stand-alone price is near 0. Each mix is
     priced once: the starts reuse the first pricing and the oracle's last
-    evaluation, and the certificate's climb starts from the dual's last mix.
+    evaluation, and the certificate's maximize starts from the dual's last
+    mix. There the dual's maximizer makes that mix tight, so it is usually
+    certified at once, and maximize returns it without a climb.
     The climbs' mixes are per unit of ceiling (_LsqProblem), and the
     certificate is the last one in the games' own weights: on a linear
     basis, where every mix is tight, the uniform mix per unit of ceiling.
     LsSolution.termination records which exit was taken.
     """
     games = basis.games
-    qr = _unit_qr([g.payoff_tuple for g in games])
-    keep, coords = _reduce_to_basis(games, qr)
-    dropped = len(keep) < len(games)
-    prob = _LsqProblem(
-        ConeBasis(basis.space, [games[i] for i in keep]) if dropped else basis, rate)
+    cols = [g.payoff_tuple for g in games]
+    qr = _unit_qr(cols)
+    keep, coords = _extreme_rays(games, qr)
+    if coords:  # a game is dropped
+        cols = [cols[i] for i in keep]
+        basis, qr = ConeBasis(basis.space, [games[i] for i in keep]), _unit_qr(cols)
+    prob = _LsqProblem(basis, rate)
     n = prob.n
 
     def solution(x, pstar, violation: float, iterations: int, termination: Termination):
         prices, u, c = prob.adjusted_prices(x), prob.u_tuple, prob.c_tuple
         norm = _dot(x, x)
-        if dropped:  # by linearity; a constant mix pins every game at its ceiling
+        if coords:  # by linearity; a constant mix pins every game at its ceiling
             kept = dict(zip(keep, zip(u, c, prices, x, pstar)))
             unit = [pi / max(games[i].payoff_tuple) for pi, i in zip(prices, keep)]
 
-            def linear(col, k):  # (u, c, price, x, weight) of a dropped game
+            def linear(j):  # (u, c, price, x, weight) of dropped game j
+                col = games[j].payoff_tuple
                 uj, cj = prob.standalone(col)
-                pj = max(col) * _dot(k, unit)  # k per unit of largest payoff
+                pj = max(col) * _dot(coords[j], unit)  # per unit of largest payoff
                 return uj, cj, pj, 0.0 if cj - uj <= 0.0 else (
                     1.0 if termination == "constant_mix" else (pj - uj) / (cj - uj)), 0.0
-            u, c, prices, x, pstar = zip(*(kept[j] if j in kept else linear(
-                g.payoff_tuple, k) for j, (g, k) in enumerate(zip(games, coords))))
-        return LsSolution(
-            x_tuple=tuple(x),
-            price_tuple=tuple(prices),
-            certificate=Mix(pstar),
-            norm=norm,
-            iterations=iterations,
-            max_violation=violation,
-            standalone_tuple=tuple(u),
-            ceiling_tuple=tuple(c),
-            termination=termination,
-            basis=tuple(keep),
-        )
+            u, c, prices, x, pstar = zip(*(linear(j) if j in coords else kept[j]
+                                           for j in range(len(games))))
+        return LsSolution(tuple(x), tuple(prices), Mix(pstar), norm, iterations,
+                          violation, tuple(u), tuple(c), termination, tuple(keep))
 
     # whether some mix pays a constant: one NNLS for k >= 0 with M k = 1,
     # unless the least-squares residual already rules one out
-    cols = [g.payoff_tuple for g in prob.basis.games]
-    k = _constant_mix_nnls(cols, _unit_qr(cols) if dropped else qr)
+    k = _constant_mix_nnls(cols, qr)
     found = None if k is None else _constant_mix(prob._rows, [k])
     if found is not None:
         # every feasible point has x_i = 1 wherever d_i > 0 (check_constant_mix),
@@ -882,7 +887,7 @@ def check_constant_mix(basis: ConeBasis) -> Optional[tuple[Mix, tuple[int, ...]]
     largest support any constant mix has (_constant_mix)."""
     cols = [g.payoff_tuple for g in basis.games]
     rows = _payoff_rows(basis.games)
-    n, minus_ones = len(cols), [-1.0] * len(rows)
+    minus_ones = [-1.0] * len(rows)
     k = _constant_mix_nnls(cols, _unit_qr(cols))
     if k is None:
         return None
@@ -890,14 +895,9 @@ def check_constant_mix(basis: ConeBasis) -> Optional[tuple[Mix, tuple[int, ...]]
     def witnesses():
         yield k
         for j in [j for j, kj in enumerate(k) if kj == 0.0]:
-            others = [i for i in range(n) if i != j]
-            z = _nnls_cols([cols[i] for i in others] + [minus_ones],
-                           [-a for a in cols[j]])
-            if z[-1] > 0.0:
-                w = [1.0] * n
-                for i, zi in zip(others, z):
-                    w[i] = zi
-                yield [wi / z[-1] for wi in w]
+            z = _nnls_cols(cols[:j] + cols[j + 1:] + [minus_ones], [-a for a in cols[j]])
+            if z[-1] > 0.0:  # k' on the others, 1 on game j
+                yield [wi / z[-1] for wi in z[:j] + [1.0] + z[j:-1]]
 
     found = _constant_mix(rows, witnesses())
     if found is None:
@@ -1026,7 +1026,7 @@ def _unit_qr(cols: Sequence[Sequence[float]]) -> Optional[tuple]:
     norms = [math.hypot(*col) for col in cols]  # no square under- or overflows
     unit = [[a / nj for a in col] for col, nj in zip(cols, norms)]
     reflectors, R = _householder(unit)
-    if not all(R[k][k] for k in range(n)):
+    if 0.0 in [R[k][k] for k in range(n)]:
         return None
     inv2 = []  # by forward substitution in R^T y = e_k
     for k in range(n):
@@ -1037,22 +1037,28 @@ def _unit_qr(cols: Sequence[Sequence[float]]) -> Optional[tuple]:
     return reflectors, R, norms, inv2, 100.0 * _EPS * m * n * math.sqrt(sum(inv2))
 
 
-def _reduce_to_basis(
-    games: Sequence[Game], qr: Optional[tuple]
-) -> tuple[list[int], list[list[float]]]:
+def _reduce_to_basis(games: Sequence[Game], qr: Optional[tuple]) -> tuple[list, list]:
     """reduce_to_basis as lists, with the kept indices, on the games of a
     ConeBasis, given _unit_qr of their payoff columns, and on each game per
     unit of its largest payoff, so that no coordinate exceeds 1 by more than
-    CONE_TOL. A game farther than CONE_TOL of its largest payoff from the
-    others' span, beyond _unit_qr's rounding, is kept without an NNLS, and
-    when every game is, none is rescaled."""
+    CONE_TOL (_extreme_rays)."""
+    keep, coords = _extreme_rays(games, qr)
+    return keep, [coords[i] if i in coords else [float(i == j) for j in keep]
+                  for i in range(len(games))]
+
+
+def _extreme_rays(games: Sequence[Game], qr: Optional[tuple]) -> tuple[list[int], dict]:
+    """_reduce_to_basis's kept indices, with the coordinates of each game it
+    drops, by index. A game farther than CONE_TOL of its largest payoff from
+    the others' span, beyond _unit_qr's rounding, is kept without an NNLS,
+    and when every game is, none is rescaled."""
     cols = [g.payoff_tuple for g in games]
     far = [False] * len(cols) if qr is None else [
         (1.0 - qr[4]) * nj > CONE_TOL * max(col) * math.sqrt(r2)
         for col, nj, r2 in zip(cols, qr[2], qr[3])]
     keep = list(range(len(games)))
     if all(far):  # every game is kept without an NNLS, so none is rescaled
-        return keep, [[float(i == j) for j in keep] for i in keep]
+        return keep, {}
     cols = [[a / top for a in col] for col, top in zip(cols, map(max, cols))]
     for i in reversed(range(len(games))):
         others = [j for j in keep if j != i]
@@ -1060,8 +1066,8 @@ def _reduce_to_basis(
                                                cols[i])[1] <= CONE_TOL:
             keep = others
     kept = [cols[j] for j in keep]
-    return keep, [[float(i == j) for j in keep] if i in keep
-                  else _cone_fit(kept, col, CONE_TOL)[0] for i, col in enumerate(cols)]
+    return keep, {i: _cone_fit(kept, col, CONE_TOL)[0]
+                  for i, col in enumerate(cols) if i not in keep}
 
 
 def reduce_to_basis(

@@ -1103,7 +1103,9 @@ class TestOracleAtZero:
         assert len(calls) == climbs
 
     def test_no_payoff_vector_is_priced_twice(self, monkeypatch):
-        priced = _count_calls(monkeypatch, "price_full")
+        priced, price = [], gameprice.lsq._price_numeric
+        monkeypatch.setattr(gameprice.lsq, "_price_numeric",
+                            lambda *args: priced.append(args) or price(*args))
         for probs, games, r in LS_DEEP_LIKE:
             b = ConeBasis(OutcomeSpace(probs), [Game(g) for g in games])
             least_squares_prices(b, Rate(r))
@@ -1122,6 +1124,75 @@ class TestOracleAtZero:
         sol = least_squares_prices(b, rate, tol_L=1.3109e-3)
         assert len(climbs) == 2 and sol.termination == "newton"
         assert sol.x_tuple == default.x_tuple
+
+
+class TestCertificatePath:
+    """maximize returns at its first state when that state is certified,
+    before it forms an oracle Hessian or climbs; an uncertified start still
+    climbs."""
+
+    @staticmethod
+    def _record(monkeypatch):
+        """Counts of maximize calls, of their climbs (_projected_newton
+        calls inside maximize) and of the mix-price Hessians read inside
+        maximize, which is where the oracle forms its own."""
+        seen, inside = collections.Counter(), []
+        maximize, evaluation = _LsqProblem.maximize, _LsqProblem.value_grad_hess
+        climb = gameprice.lsq._projected_newton
+
+        class Hessian(list):
+            def __iter__(self):
+                seen["hessians"] += bool(inside)
+                return super().__iter__()
+
+        def recorded_maximize(self, *args):
+            seen["maximize"] += 1
+            inside.append(self)
+            try:
+                return maximize(self, *args)
+            finally:
+                inside.pop()
+
+        def recorded_evaluation(self, p):
+            price, grad, hess = evaluation(self, p)
+            return price, grad, Hessian(hess)
+
+        def recorded_climb(*args):
+            seen["climbs"] += bool(inside)
+            return climb(*args)
+
+        monkeypatch.setattr(_LsqProblem, "maximize", recorded_maximize)
+        monkeypatch.setattr(_LsqProblem, "value_grad_hess", recorded_evaluation)
+        monkeypatch.setattr(gameprice.lsq, "_projected_newton", recorded_climb)
+        return seen
+
+    @pytest.mark.parametrize("probs, games, r", LS_DEEP_LIKE)
+    def test_every_ls_deep_certificate_is_certified_at_its_first_state(
+            self, monkeypatch, probs, games, r):
+        seen = self._record(monkeypatch)
+        sol = least_squares_prices(ConeBasis(OutcomeSpace(probs), [Game(g) for g in games]),
+                                   Rate(r))
+        # one certificate maximize per solve, none on the constant-mix basis
+        assert seen["maximize"] == (sol.termination != "constant_mix")
+        assert seen["climbs"] == 0 and seen["hessians"] == 0
+
+    @pytest.mark.parametrize("probs, games, r",
+                             [case for case in LS_DEEP_LIKE if len(case[1]) == 2])
+    def test_an_uncertified_start_still_climbs(self, monkeypatch, probs, games, r):
+        b, rate = ConeBasis(OutcomeSpace(probs), [Game(g) for g in games]), Rate(r)
+        sol = least_squares_prices(b, rate)
+        prob = _LsqProblem(b, rate)
+        adj = prob.adjusted_prices(sol.x_tuple)
+        seen = self._record(monkeypatch)
+        # the uniform mix is not the worst one at the solution: it climbs,
+        # forming the oracle's Hessians on the way
+        val, p = prob.maximize(adj, [0.5, 0.5])
+        assert seen["climbs"] == 1 and seen["hessians"] >= 1
+        # to a certified point: a start there returns at once, with the
+        # same answer, and the value is the solve's certified L
+        assert prob.maximize(adj, p) == (val, p)
+        assert seen["climbs"] == 1
+        assert val == pytest.approx(1.0 + sol.max_violation, rel=2 * gameprice.lsq.ORACLE_GAP)
 
 
 def _climb(f, grad, hess, x):
