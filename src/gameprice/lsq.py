@@ -28,9 +28,11 @@ weights v = q adj whose maximum lies at L times the worst mix, and the
 dual's, of v = w c. Both take the mix price's exact gradient and Hessian from
 one price solve, on one scale: each game per unit of its ceiling, so that
 every mix pays g on average and rescaling a game leaves every step as it was.
-The routine splits each Newton step into its curved and flat parts by a
-pivoted LDL^T factorization, projecting onto the flat ones through a
-Householder QR. The oracle stops only when the upper bound
+Their states share one layout, and the routine holds the one stop rule and
+the one accept rule that read it; each climb fills the fields. The routine
+splits each Newton step into its curved and flat parts by a pivoted LDL^T
+factorization, projecting onto the flat ones through a Householder QR. The
+oracle stops only when the upper bound
 max_i (dprice/dq_i) / adj_i (Euler's identity plus concavity) is within 1e-10
 relative of its value. Every question about the cone the games span is one
 nonnegative least-squares (NNLS) problem, solved by Lawson and Hanson's
@@ -285,93 +287,95 @@ class _LsqProblem:
         steps: the square can underflow), and the climb goes on from there.
         Euler's identity and concavity bound the ratio by
         max_i (dprice/dq_i) / adj_i, which is R plus the largest entry of
-        dphi/dv at a peak; the climb runs until that bound is within
-        ORACLE_GAP of R, and raises PricingError otherwise. Along the flat
-        directions of the mix price's Hessian the ratio is affine: the cash
-        direction M^-1 1 of a square basis, the null space of M when there are
-        more games than outcomes. A step is also taken when the bound is met,
-        or when R falls by at most ORACLE_GAP while the bound comes closer.
-        The first evaluation is at p0 itself, so a mix the caller has already
-        evaluated is not priced again, and the stop test is made there first:
-        when p0 is certified, its ratio and p0 are returned before any oracle
-        Hessian, closure or climb is formed.
+        dphi/dv at a peak. In _projected_newton's state layout the level is
+        R, the stop value that largest entry and its bound ORACLE_GAP R, so
+        the climb runs until the bound on the ratio is within ORACLE_GAP of
+        R, and raises PricingError otherwise; the slack is ORACLE_GAP R too,
+        so a step is also taken when R falls by at most that while the bound
+        comes closer. Along the flat directions of the mix price's Hessian
+        the ratio is affine: the cash direction M^-1 1 of a square basis, the
+        null space of M when there are more games than outcomes. A state
+        carries the oracle Hessian only when it is not certified. The first
+        evaluation is at p0 itself, so a mix the caller has already evaluated
+        is not priced again; when p0 is certified, its ratio and p0 are
+        returned from that first state: the closures are formed, but no
+        oracle Hessian and no climb.
         """
-        adj = [ai / ci for ai, ci in zip(_float_tuple(adj, "adj"), self.c_tuple)]
-        p = list(_float_tuple(p0, "p0"))
-        price, grad, _ = self.value_grad_hess(p)
-        ratio = price / _dot(p, adj)
-        if max([gj / aj - ratio for gj, aj in zip(grad, adj)]) <= ORACLE_GAP * ratio:
-            return ratio, p  # p0 is certified: no climb
+        adj = [ai / ci for ai, ci in zip(adj, self.c_tuple)]
 
         def at(p: list[float]):
-            """(phi, dphi/dv, its Hessian, R, certificate gap, p, v) at the
-            peak of the ray through the mix p."""
+            """The climb state at the peak of the ray through the mix p:
+            (phi, dphi/dv, its Hessian or None when certified, R,
+            ORACLE_GAP R, max(dphi/dv), ORACLE_GAP R, p, v)."""
             price, grad, hess = self.value_grad_hess(p)
             padj = _dot(p, adj)
             ratio = price / padj
             total = ratio / padj
             g = [gj / aj - ratio for gj, aj in zip(grad, adj)]
-            # the price's Hessian is (-1)-homogeneous: at total p it is
-            # hess / total (divided in steps where sj ak underflows to 0)
-            H = [[(hk / (sj * ak) if sj * ak else hk / sj / ak) - 1.0
-                  for hk, ak in zip(row, adj)]
-                 for row, sj in zip(hess, [total * aj for aj in adj])]
+            gap, stop, H = ORACLE_GAP * ratio, max(g), None
+            if not stop <= gap:  # where the stop rule fails, nan included
+                # the price's Hessian is (-1)-homogeneous: at total p it is
+                # hess / total (divided in steps where sj ak underflows to 0)
+                H = [[(hk / (sj * ak) if sj * ak else hk / sj / ak) - 1.0
+                      for hk, ak in zip(row, adj)]
+                     for row, sj in zip(hess, [total * aj for aj in adj])]
             v = [total * pi * ai for pi, ai in zip(p, adj)]
-            return 0.5 * ratio * ratio, g, H, ratio, max(g), p, v
+            return 0.5 * ratio * ratio, g, H, ratio, gap, stop, gap, p, v
 
         def evaluate(v: list[float]):
             q = [vi / ai for vi, ai in zip(v, adj)]
             total = sum(q)
             return at([qi / total for qi in q])
 
-        def certified(state) -> bool:
-            return state[4] <= ORACLE_GAP * state[3]
-
-        def accept(new, old) -> bool:
-            return certified(new) or (
-                new[3] - old[3] >= -ORACLE_GAP * old[3] and new[4] < old[4])
-
-        state = at(p)
-        state, _, end = _projected_newton(evaluate, state[-1], state, certified, accept)
-        val, gap, p = state[3], state[4], state[5]
-        if end != "done":
-            why = end if end == "stalled" else f"iteration cap {_ORACLE_MAX_ITER} hit"
-            raise PricingError(f"separation oracle {why} with gap {gap / val:.3e}")
-        return val, p
+        state = at(list(p0))
+        if state[2] is not None:  # p0 is not certified: climb
+            state, _, end = _projected_newton(evaluate, state)
+            if end != "done":
+                why = end if end == "stalled" else f"iteration cap {_ORACLE_MAX_ITER} hit"
+                raise PricingError(
+                    f"separation oracle {why} with gap {state[5] / state[3]:.3e}")
+        return state[3], state[7]
 
 
 def _projected_newton(
-    evaluate: Callable[[list[float]], tuple],
-    x: list[float],
-    state: tuple,
-    done: Callable[[tuple], bool],
-    accept: Callable[[tuple, tuple], bool],
+    evaluate: Callable[[list[float]], tuple], state: tuple
 ) -> tuple[tuple, int, Literal["done", "stalled", "cap"]]:
-    """Projected Newton (Bertsekas 1982) for a smooth concave function,
-    climbing from x on x >= 0.
+    """Projected Newton (Bertsekas 1982) for a smooth concave function on
+    x >= 0, climbing from the point that state carries.
 
-    evaluate(x) gives a state (value, gradient, Hessian, ..., point), with
-    state the one at x; the climb goes on from the point a state carries
-    last, which evaluate may move from the trial point to one of no lower
-    value. done(state) is the caller's stop test, made at the top of each
-    step, and accept(new, old) lets a step through that Armijo's rule
-    rejects. Coordinates within eps of 0 that the gradient pushes out go to
-    0 (the epsilon-active set, eps the length of a projected gradient step
+    Every state has one layout, (value, g, H, level, slack, stop, bound, p,
+    x): the function's value, gradient and Hessian at x, a level with the
+    slack it may lose in one step, a stop value with its bound, the
+    caller's point p, and x. evaluate(x) gives the state at a trial point,
+    which it may move to one of no lower value: the climb goes on from the
+    x a state carries. Both rules read the states alone. The stop rule: a
+    state is done when stop <= bound, tested at the top of each step, and
+    H is read only at a state that is not done, so a caller may leave it
+    None at one that is. The accept rule: a trial that Armijo's rule
+    rejects still passes when it is done, or when its level falls by at
+    most the old state's slack while its stop value falls below the old
+    one. Coordinates within eps of 0 that the gradient pushes out go to 0
+    (the epsilon-active set, eps the length of a projected gradient step
     and at most 1e-3). The others take the Newton step along the curved
     directions of their Hessian block (_newton_split), and along its flat
     ones a step on to the first bound: there the function is affine, so
     Newton would not move, and the bound is the maximum along them. The
-    step is projected and halved until the value rises by Armijo's rule or
-    accept passes it. Returns the last state, the steps taken, and how the
-    climb ended: "done" (done holds at the last state, also when the step
-    that reached it was the last one allowed), "stalled" (a halved step
-    would no longer move x, or the step is not finite because the Hessian
-    overflowed) or "cap" (_ORACLE_MAX_ITER steps).
+    step is projected and halved until Armijo's rule or the accept rule
+    passes it. Returns the last state, the steps taken, and how the climb
+    ended: "done" (the last state is done, also when the step that reached
+    it was the last one allowed), "stalled" (a halved step would no longer
+    move x, or the step is not finite because the Hessian overflowed) or
+    "cap" (_ORACLE_MAX_ITER steps).
     """
-    for steps in range(_ORACLE_MAX_ITER):
+    def done(state) -> bool:
+        return state[5] <= state[6]
+
+    for steps in range(_ORACLE_MAX_ITER + 1):
         if done(state):
             return state, steps, "done"
-        value, g, H = state[:3]
+        if steps == _ORACLE_MAX_ITER:
+            return state, steps, "cap"
+        value, g, H, level, slack, stop, _, _, x = state
         # the epsilon-active set; eps <= 1e-3 is formed only when some
         # coordinate that the gradient pushes out lies within 1e-3 of 0
         active = [j for j, (xj, gj) in enumerate(zip(x, g)) if gj < 0.0 and xj <= 1e-3]
@@ -403,17 +407,17 @@ def _projected_newton(
                      for xj, dj in zip(x, d)]
             if any(x_new):
                 new = evaluate(x_new)
-                # Armijo's rule on the projection arc: the value rises by a
-                # share of what the gradient predicts for the step taken
+                # Armijo's rule on the projection arc (the value rises by a
+                # share of what the gradient predicts for the step taken),
+                # then the accept rule
                 rise = new[0] - value
                 if (rise > 0.0 and rise >= _ARMIJO * sum(map(mul, g, map(sub, x_new, x)))
-                        or accept(new, state)):
+                        or done(new) or new[3] - level >= -slack and new[5] < stop):
                     break
             tau *= 0.5
             if tau * max(map(abs, d)) < 1e-16 * max(x):  # x would no longer move
                 return state, steps, "stalled"
-        x, state = new[-1], new
-    return state, _ORACLE_MAX_ITER, "done" if done(state) else "cap"
+        state = new
 
 
 def _newton_split(
@@ -520,16 +524,19 @@ def _max_dual(
     v >= 0. least_squares_prices passes the uniform mix, led by the oracle's
     worst mix at x = 0 when it ran that call. One value_grad_hess call at p
     gives a start's b and its first state, so a mix the caller has already
-    evaluated is not priced again. The climb stops when the projected
-    gradient vanishes to rounding, when no halving raises D, or at the
-    iteration cap; whichever ended it, its last point is returned, and the
-    oracle's certificate at it says how far it is from feasible.
+    evaluated is not priced again. In _projected_newton's state layout the
+    level is D, with a slack of 1e-14 sum(v), and the stop value is the
+    largest entry of the projected gradient, with a bound of 1e-15: the
+    climb stops when that gradient vanishes to rounding, when no halving
+    raises D, or at the iteration cap; whichever ended it, its last point
+    is returned, and the oracle's certificate at it says how far it is from
+    feasible.
     """
     uc, dc = prob._uc, prob._dc  # u / c and d / c
 
     def at(v: list[float], p: list[float], total: float):
-        """(D, dD/dv, its Hessian, the projected gradient, sum(v), p, v) at
-        v = total p."""
+        """The climb state at v = total p: (D, dD/dv, its Hessian, D,
+        1e-14 sum(v), the projected gradient's largest entry, 1e-15, p, v)."""
         # the mix price is 1-homogeneous and its Hessian (-1)-homogeneous:
         # both are solved on the simplex and scaled to v = total p
         price, grad, hess = prob.value_grad_hess(p)
@@ -548,7 +555,10 @@ def _max_dual(
             if sj < 1.0:
                 Hj[j] -= dcj * dcj
             H.append(Hj)
-        return price * total - vu + psi, g, H, max(pgs), total, p, v
+        value = price * total - vu + psi
+        # D may fall by its rounding while the projected gradient shrinks:
+        # D's terms are at most sum(v) and cancel
+        return value, g, H, value, 1e-14 * total, max(pgs), 1e-15, p, v
 
     def evaluate(v: list[float]):
         total, p = sum(v), []
@@ -568,14 +578,8 @@ def _max_dual(
     if state is None:
         raise PricingError("no start mix is priced above its stand-alone prices")
 
-    def accept(new, old) -> bool:
-        # D level to rounding while the gradient shrinks: D's terms are at
-        # most sum(v) and cancel
-        return new[0] - old[0] >= -1e-14 * old[4] and new[3] < old[3]
-
-    state, steps, _ = _projected_newton(
-        evaluate, state[-1], state, lambda s: s[3] <= 1e-15, accept)
-    return [vi / ci for vi, ci in zip(state[-1], prob.c_tuple)], state[5], steps
+    state, steps, _ = _projected_newton(evaluate, state)
+    return [vi / ci for vi, ci in zip(state[-1], prob.c_tuple)], state[7], steps
 
 
 # ---------------------------------------------------------------------------

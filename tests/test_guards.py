@@ -1,15 +1,19 @@
-"""Guards on removed mechanisms of the least-squares solver, and on the
-least-squares answers of the command line.
+"""Guards on removed mechanisms of the library, and on the least-squares
+answers of the command line.
 
 Each of the first tests keeps a mechanism that was replaced from coming
-back: a second scale for the climbs, a second feasible set, a second QR of
-the games per solve, a constant-mix probe in the solve, a second
-orthogonalization kernel and an oracle climb that the uniform mix makes
-unnecessary. The ls-price tests run `gameprice ls-price` through cli.main on
-inputs that once broke it; each passes only when the command exits 0 and,
-where the input has one, its checked answer holds.
+back: in the least-squares solver a second scale for the climbs, a second
+feasible set, a second QR of the games per solve, a constant-mix probe in
+the solve, a second orthogonalization kernel, an oracle climb that the
+uniform mix makes unnecessary and a climb policy outside _projected_newton;
+then removed names and rules anywhere in the package, searched for in its
+sources, and the signatures, records and price solve that replaced them.
+The ls-price tests run `gameprice ls-price` through cli.main on inputs that
+once broke it; each passes only when the command exits 0 and, where the
+input has one, its checked answer holds.
 """
 
+import ast
 import inspect
 import json
 import re
@@ -20,15 +24,25 @@ import pytest
 from gameprice import (
     ConeBasis,
     Game,
+    Mix,
+    OutcomeSpace,
     Rate,
     cli,
+    core,
     fair_coin,
+    geometric_mean,
     least_squares_prices,
     load_game_file,
     lsq,
+    portfolio,
+    pricer,
+    reference,
+    simulate,
 )
 
 ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
+LSQ = SRC / "gameprice" / "lsq.py"
 
 
 def _solve(name):
@@ -90,6 +104,118 @@ def test_the_oracle_climbs_only_where_the_uniform_mix_leaves_it_open(monkeypatch
     _solve("example13")
     assert len(calls) <= 1
     assert _solve("example12").termination == "linear"
+
+
+def test_projected_newton_owns_the_stop_and_accept_rules():
+    # both climbs hand it only their evaluation and their first state, whose
+    # one layout carries what its stop rule and its accept rule read
+    assert list(inspect.signature(lsq._projected_newton).parameters) == ["evaluate", "state"]
+    defined = {node.name for node in ast.walk(ast.parse(LSQ.read_text()))
+               if isinstance(node, ast.FunctionDef)}
+    assert not defined & {"certified", "accept"}
+
+
+def _grep(pattern, path=SRC):
+    """grep -rn of a regular expression in the package's Python sources under
+    path, a directory or one file: the matching lines, as file:line: text."""
+    files = sorted(path.rglob("*.py")) if path.is_dir() else [path]
+    return [f"{f.relative_to(ROOT)}:{i}: {line}" for f in files
+            for i, line in enumerate(f.read_text().splitlines(), 1)
+            if re.search(pattern, line)]
+
+
+def _words(*names):
+    """A pattern matching any of the names as a whole word, as grep -w does."""
+    return r"(?<!\w)(?:" + "|".join(map(re.escape, names)) + r")(?!\w)"
+
+
+@pytest.mark.parametrize("pattern, path", [
+    # the reduction alone judges a basis: no pair rule in ConeBasis, no
+    # bypass of it
+    pytest.param(r"_ray_residual|_unchecked", SRC, id="pair-rule"),
+    # optimal_proportion runs on the price solve's kernel: no second stake
+    # solver
+    pytest.param(_words("_opt_t", "_dgrowth", "T_TOL", "_tmax_raw"), SRC, id="stake-solver"),
+    # one growth kernel, one regime test and one cone tolerance
+    pytest.param(_words("_elg"), SRC, id="growth-kernel"),
+    pytest.param(r"1e-13", LSQ, id="cone-tolerance"),
+    # one entry rule in the NNLS: no second entry test beside its loop
+    pytest.param(r"_orthogonal_entry", LSQ, id="nnls-entry"),
+    # squares are products: float ** raises OverflowError where * gives inf
+    pytest.param(r"\*\* *(2|nu)\b", SRC, id="float-power"),
+    # every record builds through _Record's one constructor
+    pytest.param(r"cached_property", SRC, id="cached-property"),
+    # one price solve for every game: no fair-coin closed form
+    pytest.param(_words("_price_fair"), SRC, id="fair-coin"),
+    # one fallback for the price solve, Newton at the optimal stake from lo:
+    # no step cap before it
+    pytest.param(_words("NEWTON_ITER"), SRC, id="newton-cap"),
+    # the CLI reads its input through one helper, _inputs, and prints
+    # through one, _show
+    pytest.param(_words("_resolve_rate", "_resolve_u_t", "_pick_game"), SRC, id="cli-input"),
+])
+def test_removed_names_stay_removed(pattern, path):
+    assert not _grep(pattern, path)
+
+
+def test_cone_questions_take_no_tolerance():
+    assert [f for f in ("check_constant_mix", "check_linear_pricing", "cone_coordinates",
+                        "in_cone")
+            if "tol" in inspect.signature(getattr(lsq, f)).parameters] == []
+
+
+def test_every_record_builds_through_one_constructor():
+    # no subclass of _Record has its own __init__; its arrays come from
+    # core._array. cli, lsq, portfolio, reference and simulate are imported
+    # above, so their subclasses are listed
+    todo = core._Record.__subclasses__()
+    for c in todo:
+        todo.extend(c.__subclasses__())
+    assert [c.__name__ for c in todo if "__init__" in vars(c)] == []
+
+
+def test_records_replace_with_their_own_fields():
+    s = OutcomeSpace([0.25, 0.75])
+    records = (s, Game([19, 1]), Mix([0.5, 0.5]), ConeBasis(s, [Game([19, 1])]))
+    assert all(r.replace() == r
+               and r.replace(**{r._fields[-1]: getattr(r, r._fields[-1])}) == r
+               for r in records)
+
+
+def test_series_truncation_takes_no_tolerance_or_term_cap():
+    # SERIES_TOL and SERIES_MAX_TERMS are module constants
+    assert [f for f in ("truncate_series", "price_series")
+            if any("tol" in p or "terms" in p
+                   for p in inspect.signature(getattr(pricer, f)).parameters)] == []
+
+
+def test_lsq_keeps_only_what_the_library_runs():
+    # no array wrappers on _LsqProblem, no array NNLS, no seed mixes for a
+    # solve
+    prob = lsq._LsqProblem(ConeBasis(OutcomeSpace([0.5, 0.5]), [Game([1.0, 2.0])]),
+                           Rate(0.05))
+    assert (["seed_mixes"] * ("seed_mixes" in inspect.signature(
+                lsq.least_squares_prices).parameters)
+            + [a for a in ("u", "d", "adjusted", "big_L", "scale", "ratio")
+               if hasattr(lsq._LsqProblem, a) or a in vars(prob)]
+            + ["_nnls"] * hasattr(lsq, "_nnls")) == []
+
+
+def test_one_price_solve_for_every_game():
+    # pricer._price_numeric prices every game: no force_numeric switch, no
+    # fair-coin closed form and no route rule
+    assert "force_numeric" not in inspect.signature(pricer.price_general).parameters
+    assert re.findall(r"\b(?:_price_fair|is_fair_coin)\b", LSQ.read_text()) == []
+
+
+def test_the_pricer_has_no_second_price_route():
+    assert not hasattr(pricer, "_price")
+
+
+def test_the_newton_fallback_stays_in_its_bracket_on_a_near_constant_coin():
+    pay, rate = (15.054335981344655, 15.054224284221291), Rate(6.865175095072118e-12, "simple")
+    u, t = pricer._price_numeric(pay, (0.5, 0.5), rate)
+    assert u >= geometric_mean(Game(pay), fair_coin()) / rate.growth_factor() and 0.0 < t < 1.0
 
 
 # inputs of `gameprice ls-price` that once broke it, by name

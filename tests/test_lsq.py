@@ -542,6 +542,24 @@ class TestMixHessian:
             seen["fair coin"] += space is COIN and bool(np.all(a > 0.0))
         assert min(seen.values()) >= 15, seen
 
+    def test_a_payoff_whose_square_overflows_keeps_the_hessian(self):
+        # an outcome of probability 1e-170 on which game 0 pays 1e160: per
+        # unit of ceiling the mix pays about 5e159 there, so (a - u)^2 and
+        # D^2 overflow, while the outcome moves the price by about 1e-10 of
+        # itself. The interior Hessian must stay that of the games without it
+        games = [[0.0, 2.0, 1.0], [1.0, 3.0, 0.5]]
+        tiny = _LsqProblem(ConeBasis(OutcomeSpace([1e-170, 0.3, 0.3, 0.4]),
+                                     [Game([1e160, *games[0]]), Game([1.0, *games[1]])]), R05)
+        plain = _LsqProblem(ConeBasis(OutcomeSpace([0.3, 0.3, 0.4]),
+                                      [Game(g) for g in games]), R05)
+        for p in ([0.5, 0.5], [0.8, 0.2]):
+            a = [sum(x * y for x, y in zip(row, p)) for row in tiny._unit_rows]
+            u, t = tiny.price_full(a)
+            assert t < 1.0 and (a[0] - u) * (a[0] - u) == math.inf
+            hess = tiny.value_grad_hess(p)[2]
+            for row, expected in zip(hess, plain.value_grad_hess(p)[2]):
+                assert row == pytest.approx(expected, rel=1e-9)
+
 
 class TestLeastSquaresPrices:
     def test_example_11_prices_hit_ceiling(self):
@@ -1034,6 +1052,23 @@ class TestDualSolve:
         assert sol.termination == "newton" and sol.max_violation <= 1e-12 or (
             sol.termination == "stalled" and sol.max_violation > DEFAULT_L_TOL)
 
+    def test_the_climb_stops_on_the_projected_gradient(self, monkeypatch):
+        # at twice B13's maximizer no coordinate's gradient is positive, but
+        # both weights are positive and their gradients strongly negative:
+        # that state is not done, and a climb from it returns to the maximizer
+        climbs, climb = [], gameprice.lsq._projected_newton
+        monkeypatch.setattr(gameprice.lsq, "_projected_newton",
+                            lambda evaluate, state: climbs.append(evaluate)
+                            or climb(evaluate, state))
+        prob = _LsqProblem(B13, R05)
+        w = _max_dual(prob, [[0.5, 0.5]])[0]
+        state = climbs[0]([2.0 * wi * ci for wi, ci in zip(w, prob.c_tuple)])
+        assert max(state[1]) < -1e-4
+        state, steps, end = climb(climbs[0], state)
+        assert end == "done" and steps >= 1
+        assert [vi / ci for vi, ci in zip(state[-1], prob.c_tuple)] == pytest.approx(
+            w, rel=1e-9)
+
     def test_iteration_cap_is_reported_as_a_stall(self, monkeypatch):
         # B13 takes 6 dual steps from the even mix. Capped at 3, the dual
         # returns its last point, and the oracle, which needs fewer steps
@@ -1198,19 +1233,18 @@ class TestCertificatePath:
 def _climb(f, grad, hess, x):
     """_projected_newton on a closed-form concave f, from x.
 
-    The state carries x last; the climb is done when the projected gradient
-    vanishes.
+    The stop value is the projected gradient's largest entry, with a bound
+    of 1e-15, so the climb is done when it vanishes. The level is -inf,
+    whose change is nan, so only Armijo's rule or a done trial passes a
+    step.
     """
     def evaluate(x):
-        return f(x), grad(x), hess(x), x
+        g = grad(x)
+        stop = max(abs(gj) if xj > 0.0 else gj for gj, xj in zip(g, x))
+        return f(x), g, hess(x), -math.inf, 0.0, stop, 1e-15, x, x
 
-    def done(state):
-        g, x = state[1], state[3]
-        return max(abs(gj) if xj > 0.0 else gj for gj, xj in zip(g, x)) <= 1e-15
-
-    state, steps, end = _projected_newton(
-        evaluate, x, evaluate(x), done, lambda new, old: False)
-    return state[3], steps, end
+    state, steps, end = _projected_newton(evaluate, evaluate(x))
+    return state[-1], steps, end
 
 
 class TestProjectedNewton:
