@@ -71,7 +71,8 @@ def stress(seed: int, wide: bool, draws: int) -> None:
             emit({**key, "solve_error": str(exc)})
         t = np.random.default_rng([seed, index]).uniform(0.0, 1.0, basis.n).tolist()
         try:
-            val, p = _LsqProblem(basis, rate).oracle(t)
+            prob = _LsqProblem(basis, rate)
+            val, p = prob.oracle(prob.adjusted_prices(t))
             emit({**key, "t": t, "oracle": val, "mix": p})
         except PricingError as exc:
             emit({**key, "t": t, "oracle_error": str(exc)})

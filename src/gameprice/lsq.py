@@ -266,15 +266,19 @@ class _LsqProblem:
                                        [list(map(mul, col, te)) for col in cols])
         ]
 
-    def oracle(self, t: Sequence[float]) -> tuple[float, list[float]]:
-        """max of the price ratio over the mix simplex and an attaining mix."""
-        val, p = self.maximize(self.adjusted_prices(t), [1.0 / self.n] * self.n)
-        return val, self.raw_mix(p)
+    def oracle(self, adj: Sequence[float]) -> tuple[float, list[float]]:
+        """max over the mix simplex of the ratio of a mix's price to its
+        linear price at the denominators adj (adjusted_prices(t) for the
+        ratio L(t)), and an attaining mix in the games' own weights: maximize
+        from the uniform mix, read from the state it ends on. Outside the
+        solve, the one reader of a climb."""
+        state = self.maximize(adj, [1.0 / self.n] * self.n)[0]
+        return state[3], self.raw_mix(state[7])
 
     def maximize(
         self, adj: Sequence[float], p0: Sequence[float]
-    ) -> tuple[float, list[float]]:
-        """max over mixes p of price(mix(p)) / (p . adj), climbing from the mix p0.
+    ) -> tuple[tuple, int, Literal["done"]]:
+        """The climb from the mix p0 to the max over mixes p of price(mix(p)) / (p . adj).
 
         p0 and the mix returned are per unit of ceiling (value_grad_hess), as
         is adj / c. In v = q adj, q the games' own weights at any scale, the
@@ -297,9 +301,12 @@ class _LsqProblem:
         null space of M when there are more games than outcomes. A state
         carries the oracle Hessian only when it is not certified. The first
         evaluation is at p0 itself, so a mix the caller has already evaluated
-        is not priced again; when p0 is certified, its ratio and p0 are
-        returned from that first state: the closures are formed, but no
-        oracle Hessian and no climb.
+        is not priced again. Returns _projected_newton's (state, steps, end):
+        the state the climb ends on, whose level state[3] is the ratio and
+        whose state[7] the mix that attains it, per unit of ceiling; end is
+        always "done". When p0 is certified, that first state is returned as
+        (state, 0, "done"): the closures are formed, but no oracle Hessian
+        and no climb.
         """
         adj = [ai / ci for ai, ci in zip(adj, self.c_tuple)]
 
@@ -328,13 +335,13 @@ class _LsqProblem:
             return at([qi / total for qi in q])
 
         state = at(list(p0))
-        if state[2] is not None:  # p0 is not certified: climb
-            state, _, end = _projected_newton(evaluate, state)
-            if end != "done":
-                why = end if end == "stalled" else f"iteration cap {_ORACLE_MAX_ITER} hit"
-                raise PricingError(
-                    f"separation oracle {why} with gap {state[5] / state[3]:.3e}")
-        return state[3], state[7]
+        if state[2] is None:  # p0 is certified: no climb
+            return state, 0, "done"
+        state, steps, end = _projected_newton(evaluate, state)
+        if end != "done":
+            why = end if end == "stalled" else f"iteration cap {_ORACLE_MAX_ITER} hit"
+            raise PricingError(f"separation oracle {why} with gap {state[5] / state[3]:.3e}")
+        return state, steps, end
 
 
 def _projected_newton(
@@ -501,10 +508,11 @@ def _newton_split(
 
 def _max_dual(
     prob: _LsqProblem, mixes: Sequence[Sequence[float]]
-) -> tuple[list[float], list[float], int]:
-    """Weights w >= 0 that maximize the dual, the mix v / |v| per unit of
-    ceiling (v = w c) that the last evaluation priced, and the Newton steps
-    taken.
+) -> tuple[tuple, int, Literal["done", "stalled", "cap"]]:
+    """_projected_newton's (state, steps, end) for the climb to the weights
+    w >= 0 that maximize the dual: the state it ends on holds D (state[3]),
+    the mix v / |v| per unit of ceiling that the last evaluation priced
+    (state[7]) and v = w c (state[8]).
 
     The min-norm point of {x in [0,1]^n : price(M w) <= w . (u + d x) for
     all w >= 0} has the Lagrangian dual
@@ -516,9 +524,9 @@ def _max_dual(
     equal the mix price's gradient on the support of w, so w / |w| is a
     tight mix by Euler's identity, and D = |x|^2 / 2 certifies minimality.
     The climb runs on v alone, value_grad_hess's scale, where
-    D = price(v) - v . u / c + sum_i psi(v_i d_i / c_i), and forms w = v / c
-    on return, so that rescaling a game leaves x unchanged. It starts from
-    the mix p (per unit of ceiling, on the simplex) with the largest D at
+    D = price(v) - v . u / c + sum_i psi(v_i d_i / c_i), and the caller
+    forms w = v / c, so that rescaling a game leaves x unchanged. It starts
+    from the mix p (per unit of ceiling, on the simplex) with the largest D at
     its best scale b / |a|^2, a = p d / c and b = price(p) - p . u / c (D's
     maximum along p while b a / |a|^2 <= 1), and runs _projected_newton on
     v >= 0. least_squares_prices passes the uniform mix, led by the oracle's
@@ -528,9 +536,9 @@ def _max_dual(
     level is D, with a slack of 1e-14 sum(v), and the stop value is the
     largest entry of the projected gradient, with a bound of 1e-15: the
     climb stops when that gradient vanishes to rounding, when no halving
-    raises D, or at the iteration cap; whichever ended it, its last point
-    is returned, and the oracle's certificate at it says how far it is from
-    feasible.
+    raises D, or at the iteration cap; whichever ended it, its last state
+    is returned, and the oracle's certificate at its point says how far it
+    is from feasible.
     """
     uc, dc = prob._uc, prob._dc  # u / c and d / c
 
@@ -578,8 +586,7 @@ def _max_dual(
     if state is None:
         raise PricingError("no start mix is priced above its stand-alone prices")
 
-    state, steps, _ = _projected_newton(evaluate, state)
-    return [vi / ci for vi, ci in zip(state[-1], prob.c_tuple)], state[7], steps
+    return _projected_newton(evaluate, state)
 
 
 # ---------------------------------------------------------------------------
@@ -746,7 +753,7 @@ def big_L(
 ) -> tuple[float, Mix]:
     """Worst-case ratio over all mixes, with an attaining mix."""
     prob = _LsqProblem(basis, rate)
-    val, p = prob.oracle(_check_t(t, basis.n))
+    val, p = prob.oracle(prob.adjusted_prices(_check_t(t, basis.n)))
     return val, Mix(p)
 
 
@@ -792,10 +799,14 @@ def least_squares_prices(
     evaluation, and the certificate's maximize starts from the dual's last
     mix. There the dual's maximizer makes that mix tight, so it is usually
     certified at once, and maximize returns it without a climb.
-    The climbs' mixes are per unit of ceiling (_LsqProblem), and the
-    certificate is the last one in the games' own weights: on a linear
-    basis, where every mix is tight, the uniform mix per unit of ceiling.
-    LsSolution.termination records which exit was taken.
+    Both climbs return the state they end on (_projected_newton's layout),
+    and the solve reads each such state once: the ratio and the mix of a
+    maximize, and the dual's point v = w c and last mix, with x = min(w d, 1)
+    formed from w = v / c. The climbs' mixes are per unit of ceiling
+    (_LsqProblem), and the certificate is the last one in the games' own
+    weights: on a linear basis, where every mix is tight, the uniform mix
+    per unit of ceiling. LsSolution.termination records which exit was
+    taken.
     """
     games = basis.games
     cols = [g.payoff_tuple for g in games]
@@ -840,17 +851,17 @@ def least_squares_prices(
     x = [0.0] * n
     starts = [[1.0 / n] * n]
     if not _proves_nonlinear(prob, tol_L):
-        val, pstar = prob.maximize(prob.adjusted_prices(x), starts[0])
-        if val <= 1.0 + max(tol_L, 0.0):
+        state = prob.maximize(prob.adjusted_prices(x), starts[0])[0]
+        if state[3] <= 1.0 + max(tol_L, 0.0):
             # L(0) <= 1 makes x = 0 exact, and the dual's maximum w = 0
-            end = "linear" if val - 1.0 <= tol_L else "stalled"
-            return solution(x, prob.raw_mix(pstar), val - 1.0, 1, end)
-        starts.insert(0, pstar)
-    w, p, steps = _max_dual(prob, starts)
-    x = [min(wi * di, 1.0) for wi, di in zip(w, prob.d_tuple)]
-    val, pstar = prob.maximize(prob.adjusted_prices(x), p)
-    end = "newton" if val - 1.0 <= tol_L else "stalled"
-    return solution(x, prob.raw_mix(pstar), val - 1.0, steps, end)
+            end = "linear" if state[3] - 1.0 <= tol_L else "stalled"
+            return solution(x, prob.raw_mix(state[7]), state[3] - 1.0, 1, end)
+        starts.insert(0, state[7])
+    state, steps, _ = _max_dual(prob, starts)
+    x = [min(vi / ci * di, 1.0) for vi, ci, di in zip(state[8], prob.c_tuple, prob.d_tuple)]
+    state = prob.maximize(prob.adjusted_prices(x), state[7])[0]
+    end = "newton" if state[3] - 1.0 <= tol_L else "stalled"
+    return solution(x, prob.raw_mix(state[7]), state[3] - 1.0, steps, end)
 
 
 def _proves_nonlinear(prob: _LsqProblem, tol_L: float) -> bool:
@@ -970,7 +981,7 @@ def check_linear_pricing(basis: ConeBasis, rate: Rate) -> bool:
     prob = _LsqProblem(basis, rate)
     if _proves_nonlinear(prob, DEFAULT_L_TOL):
         return False
-    return prob.oracle([0.0] * prob.n)[0] <= 1.0 + DEFAULT_L_TOL
+    return prob.oracle(prob.adjusted_prices([0.0] * prob.n))[0] <= 1.0 + DEFAULT_L_TOL
 
 
 def _cone_fit(

@@ -159,7 +159,7 @@ def compare_mean_variance(x: Game, y: Game, rate: Rate) -> FundComparison:
 
     price_onefund = price_general(blend(w_of), space, rate).price
     problem = _LsqProblem(ConeBasis(space, [x4, y4]), rate)
-    w_star = problem.raw_mix(problem.maximize([1.0, 1.0], [0.5, 0.5])[1])[0]
+    w_star = problem.oracle([1.0, 1.0])[1][0]
     star = price_general(blend(w_star), space, rate)
     t_star = star.proportion
     allocation = (t_star * w_star, t_star * (1.0 - w_star), 1.0 - t_star)

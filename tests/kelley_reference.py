@@ -111,8 +111,8 @@ def _polish(prob: _LsqProblem, x_hat: np.ndarray, q_hat: np.ndarray, tol_L: floa
     # tight mix q it takes a step or two
     adj = np.array(prob.adjusted_prices(x))
     c = np.array(prob.c_tuple)
-    val, p_best = prob.maximize(adj, (q * c / float(q @ c)).tolist())
-    p_best = np.array(prob.raw_mix(p_best))
+    state = prob.maximize(adj, (q * c / float(q @ c)).tolist())[0]
+    val, p_best = state[3], np.array(prob.raw_mix(state[7]))
     if val - 1.0 > max(tol_L, 1e-9) or val < 1.0 - 1e-6:
         return None
     # prefer the tighter witness

@@ -263,7 +263,7 @@ def _check_minimality(rng) -> bool:
             continue
         s = (lowered - u) / np.where(d > 0, d, 1.0)
         s = np.clip(s, 0.0, 1.0)
-        val, p = prob.oracle(s)
+        val, p = prob.oracle(prob.adjusted_prices(s))
         if not (val > 1.0 and prob.price_mix(p) > float(np.dot(p, lowered))):
             return False
     return True
@@ -277,7 +277,8 @@ def _check_min_norm_uniqueness(rng) -> bool:
     prob = _LsqProblem(basis, R05)
     for _ in range(10):
         mixes = rng.dirichlet(np.ones(2), size=3)
-        w = _max_dual(prob, mixes.tolist())[0]
+        v = _max_dual(prob, mixes.tolist())[0][8]
+        w = [vi / ci for vi, ci in zip(v, prob.c_tuple)]
         x = np.minimum(np.multiply(w, prob.d_tuple), 1.0)
         if float(np.max(np.abs(x - base.x))) > 1e-7:
             return False

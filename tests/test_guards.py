@@ -1,16 +1,18 @@
-"""Guards on removed mechanisms of the library, and on the least-squares
-answers of the command line.
+"""Guards on removed mechanisms of the library, and on the answers of the
+command line.
 
 Each of the first tests keeps a mechanism that was replaced from coming
 back: in the least-squares solver a second scale for the climbs, a second
 feasible set, a second QR of the games per solve, a constant-mix probe in
 the solve, a second orthogonalization kernel, an oracle climb that the
-uniform mix makes unnecessary and a climb policy outside _projected_newton;
-then removed names and rules anywhere in the package, searched for in its
-sources, and the signatures, records and price solve that replaced them.
-The ls-price tests run `gameprice ls-price` through cli.main on inputs that
-once broke it; each passes only when the command exits 0 and, where the
-input has one, its checked answer holds.
+uniform mix makes unnecessary, a climb policy outside _projected_newton and
+a reader of a climb's state outside lsq.py; then removed names and rules
+anywhere in the package, searched for in its sources, and the signatures,
+records and price solve that replaced them. The command-line tests run
+`gameprice` through cli.main on inputs that once broke it: ls-price, which
+passes only when the command exits 0 and, where the input has one, its
+checked answer holds; then price at extreme rates and payoffs, and simulate
+at an infinite price, each with the exit code and answer it must give.
 """
 
 import ast
@@ -113,6 +115,13 @@ def test_projected_newton_owns_the_stop_and_accept_rules():
     defined = {node.name for node in ast.walk(ast.parse(LSQ.read_text()))
                if isinstance(node, ast.FunctionDef)}
     assert not defined & {"certified", "accept"}
+
+
+def test_only_lsq_reads_a_climb():
+    # maximize and _max_dual return the state their climb ends on, and
+    # outside lsq.py the oracle, which reads it there, is its one reader
+    assert [hit for hit in _grep(r"\.maximize\(|\braw_mix\b|\b_max_dual\b|_projected_newton")
+            if not hit.startswith("src/gameprice/lsq.py:")] == []
 
 
 def _grep(pattern, path=SRC):
@@ -218,8 +227,8 @@ def test_the_newton_fallback_stays_in_its_bracket_on_a_near_constant_coin():
     assert u >= geometric_mean(Game(pay), fair_coin()) / rate.growth_factor() and 0.0 < t < 1.0
 
 
-# inputs of `gameprice ls-price` that once broke it, by name
-LS_INPUTS = {
+# inputs of `gameprice` that once broke it, by name
+INPUTS = {
     # one free coordinate, B, on which the tight mix puts only 7e-4: the
     # dual's maximizer still lands on the root of L(1, s, 1) = 1
     "light-mix": {
@@ -280,18 +289,28 @@ LS_INPUTS = {
     "tiny-pair": {"probabilities": [0.5, 0.5],
                   "games": {"A": [1e-300, 2e-300], "B": [2e-300, 4e-300]},
                   "rate": {"value": 0.05}},
+    # a zero payoff at a high rate: the price, ~5e-89, lies far below E * 1e-9
+    "zero-payoff": {"probabilities": [0.9, 0.1], "games": {"A": [0, 1]}},
+    # a payoff over the price overflows, but the price, ~9.4364e-136, is a
+    # normal float
+    "overflow": {"probabilities": [0.4, 0.6], "games": {"A": [1e300, 1e-300]},
+                 "rate": {"value": 400}},
+    # a price below the smallest normal float, ~3.4e-474 in full
+    # investment, is an error of the input, not an internal one
+    "underflow": {"probabilities": [0.2, 0.3, 0.5],
+                  "games": {"A": [3e-300, 1e-300, 2e-300]}, "rate": {"value": 400}},
 }
 
 
-def _ls_price(capsys, tmp_path, name, *options):
-    """(exit code, stdout, stderr) of `gameprice ls-price` on an input: a
-    file of sample_games, or one of LS_INPUTS written under tmp_path."""
-    if name in LS_INPUTS:
+def _gameprice(capsys, tmp_path, command, name, *options):
+    """(exit code, stdout, stderr) of `gameprice <command>` on an input: a
+    file of sample_games, or one of INPUTS written under tmp_path."""
+    if name in INPUTS:
         path = tmp_path / f"{name}.json"
-        path.write_text(json.dumps(LS_INPUTS[name]))
+        path.write_text(json.dumps(INPUTS[name]))
     else:
         path = ROOT / "sample_games" / f"{name}.json"
-    code = cli.main(["ls-price", str(path), *options])
+    code = cli.main([command, str(path), *options])
     out, err = capsys.readouterr()
     return code, out, err
 
@@ -300,14 +319,14 @@ def _ls_price(capsys, tmp_path, name, *options):
 def test_a_game_in_the_cone_of_others_is_priced_by_linearity(capsys, tmp_path, name):
     # a game that is a multiple of another is dropped from the basis on any
     # outcome space, also near 1e-300, and priced by linearity
-    code, out, _ = _ls_price(capsys, tmp_path, name)
+    code, out, _ = _gameprice(capsys, tmp_path, "ls-price", name)
     assert code == 0
     assert "priced by linearity" in out
 
 
 def test_the_json_lists_every_game_in_the_file(capsys, tmp_path):
     # B = 2 A priced by linearity
-    code, out, _ = _ls_price(capsys, tmp_path, "redundant3", "--format", "json")
+    code, out, _ = _gameprice(capsys, tmp_path, "ls-price", "redundant3", "--format", "json")
     assert code == 0
     p = json.loads(out)["prices"]
     assert len(p) == 3 and abs(p[1] - 2 * p[0]) <= 1e-12 * p[1]
@@ -323,13 +342,55 @@ def test_the_json_lists_every_game_in_the_file(capsys, tmp_path):
     ("tiny-ceilings", lambda doc: doc["max_violation"] <= 1e-9),
 ])
 def test_hard_bases_end_certified(capsys, tmp_path, name, check):
-    code, out, _ = _ls_price(capsys, tmp_path, name, "--format", "json")
+    code, out, _ = _gameprice(capsys, tmp_path, "ls-price", name, "--format", "json")
     assert code == 0
     assert check(json.loads(out))
 
 
 @pytest.mark.parametrize("name", ["big-payoff", "apart-201", "apart-200", "apart-300"])
 def test_extreme_payoffs_are_priced_without_a_traceback(capsys, tmp_path, name):
-    code, _, err = _ls_price(capsys, tmp_path, name)
+    code, _, err = _gameprice(capsys, tmp_path, "ls-price", name)
     assert code == 0
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("name, options, code", [
+    # kappa stays positive at rates where g exceeds 1e8
+    pytest.param("intro", ["--rate", "20"], 0, id="rate-20"),
+    # a zero payoff at a high rate (see INPUTS)
+    pytest.param("zero-payoff", ["--rate", "20"], 0, id="zero-payoff"),
+    # a continuous rate whose growth factor overflows is an invariant violation
+    pytest.param("intro", ["--rate", "710"], 3, id="rate-710"),
+    # at r = 400, 1/g^2 underflows; game A is in full investment, priced at
+    # sqrt(19)/g
+    pytest.param("intro", ["--rate", "400"], 0, id="rate-400"),
+    # a payoff whose square overflows: the price solve starts from its bracket
+    pytest.param("big-payoff", [], 0, id="big-payoff"),
+])
+def test_price_at_extreme_rates_and_payoffs_exits_as_it_should(
+        capsys, tmp_path, name, options, code):
+    assert _gameprice(capsys, tmp_path, "price", name, "--game", "A", *options)[0] == code
+
+
+def test_a_price_whose_payoff_over_it_overflows_is_a_normal_float(capsys, tmp_path):
+    code, out, _ = _gameprice(capsys, tmp_path, "price", "overflow", "--game", "A",
+                              "--format", "json")
+    assert code == 0
+    u = json.loads(out)["price"]
+    assert abs(u - 9.4364e-136) <= 1e-4 * u
+
+
+@pytest.mark.parametrize("command, options", [
+    pytest.param("price", ["--game", "A"], id="price"),
+    pytest.param("ls-price", [], id="ls-price"),
+])
+def test_a_price_below_the_float_range_is_an_input_error(capsys, tmp_path, command, options):
+    code, _, err = _gameprice(capsys, tmp_path, command, "underflow", *options)
+    assert code == 1
+    assert "not representable" in err
+    assert not re.search(r"internal error|Traceback", err)
+
+
+def test_a_simulation_at_an_infinite_price_is_an_invariant_violation(capsys, tmp_path):
+    code, _, _ = _gameprice(capsys, tmp_path, "simulate", "intro", "--game", "A", "--u", "inf")
+    assert code == 3

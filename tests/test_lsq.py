@@ -468,7 +468,7 @@ class TestOracle:
             payoffs[:, 0] += 1.0  # no game is all zero
             prob = _LsqProblem(ConeBasis(space, [Game(row) for row in payoffs]), R05)
             t = rng.uniform(0.0, 1.0, n)
-            val, p = prob.oracle(t)
+            val, p = prob.oracle(prob.adjusted_prices(t))
             adj = np.array(prob.adjusted_prices(t))
             grid_best = max(prob.price_mix(q) / float(np.dot(q, adj))
                             for q in _simplex_grid(n))
@@ -483,17 +483,18 @@ class TestOracle:
         games = [[3.287, 3.227, 11.874], [19.525, 12.468, 8.845], [10.384, 16.286, 10.685]]
         prob = _LsqProblem(ConeBasis(space, [Game(g) for g in games]), R05)
         t = np.array([0.3, 0.1, 0.2])
-        val, _ = prob.oracle(t)
+        val, _ = prob.oracle(prob.adjusted_prices(t))
         for start in (*np.eye(3), [0.5, 0.5, 0.0], [0.0, 0.9, 0.1]):
-            got = prob.maximize(prob.adjusted_prices(t), np.array(start))[0]
+            got = prob.maximize(prob.adjusted_prices(t), np.array(start))[0][3]
             assert got == pytest.approx(val, rel=2e-10)
 
     def test_uncertified_stop_raises(self, monkeypatch):
         # B13's climb at x = 0 certifies on its first step: at cap 0 it
         # stops at its start, 2.0e-5 short
         monkeypatch.setattr(gameprice.lsq, "_ORACLE_MAX_ITER", 0)
+        prob = _LsqProblem(B13, R05)
         with pytest.raises(PricingError, match="gap"):
-            _LsqProblem(B13, R05).oracle(np.zeros(2))
+            prob.oracle(prob.adjusted_prices(np.zeros(2)))
 
     def test_a_last_step_that_certifies_is_done(self, monkeypatch):
         # capped at 2 steps, the dual stops short, and an oracle climb whose
@@ -727,9 +728,15 @@ def _normalized_space(probs):
     return OutcomeSpace((probs / probs.sum()).tolist())
 
 
+def _dual_w(prob, mixes):
+    """The dual's maximizer w = v / c, climbed from the mixes: v is the point
+    of the state the climb ends on."""
+    return [vi / ci for vi, ci in zip(_max_dual(prob, mixes)[0][8], prob.c_tuple)]
+
+
 def _dual_x(prob, mixes):
     """x = min(w d, 1) at the dual's maximizer w, climbed from the mixes."""
-    w = _max_dual(prob, [list(p) for p in mixes])[0]
+    w = _dual_w(prob, [list(p) for p in mixes])
     return np.minimum(np.multiply(w, prob.d_tuple), 1.0)
 
 
@@ -741,7 +748,7 @@ def _cut_then_polish(b, rate, tol_L=1e-9):
     cuts = []
     for _ in range(200):
         x = _min_norm_point(cuts, b.n)
-        val, p = prob.oracle(x)
+        val, p = prob.oracle(prob.adjusted_prices(x))
         p = np.array(p)
         if val - 1.0 <= tol_L:
             break
@@ -796,7 +803,7 @@ def _bisection_coordinate(prob, x, i):
     def feasible(s):
         t = x.copy()
         t[i] = s
-        return prob.oracle(t)[0] <= 1.0 + 1e-13
+        return prob.oracle(prob.adjusted_prices(t))[0] <= 1.0 + 1e-13
 
     if feasible(0.0):
         return 0.0
@@ -1061,7 +1068,7 @@ class TestDualSolve:
                             lambda evaluate, state: climbs.append(evaluate)
                             or climb(evaluate, state))
         prob = _LsqProblem(B13, R05)
-        w = _max_dual(prob, [[0.5, 0.5]])[0]
+        w = _dual_w(prob, [[0.5, 0.5]])
         state = climbs[0]([2.0 * wi * ci for wi, ci in zip(w, prob.c_tuple)])
         assert max(state[1]) < -1e-4
         state, steps, end = climb(climbs[0], state)
@@ -1074,7 +1081,7 @@ class TestDualSolve:
         # returns its last point, and the oracle, which needs fewer steps
         # from the dual's last mix, certifies how far it is from feasible
         monkeypatch.setattr(gameprice.lsq, "_ORACLE_MAX_ITER", 3)
-        assert _max_dual(_LsqProblem(B13, R05), [[0.5, 0.5]])[2] == 3
+        assert _max_dual(_LsqProblem(B13, R05), [[0.5, 0.5]])[1] == 3
         sol = least_squares_prices(B13, R05)
         assert (sol.termination, sol.iterations) == ("stalled", 3)
         assert sol.max_violation > DEFAULT_L_TOL
@@ -1221,13 +1228,34 @@ class TestCertificatePath:
         seen = self._record(monkeypatch)
         # the uniform mix is not the worst one at the solution: it climbs,
         # forming the oracle's Hessians on the way
-        val, p = prob.maximize(adj, [0.5, 0.5])
+        state = prob.maximize(adj, [0.5, 0.5])[0]
+        val, p = state[3], state[7]
         assert seen["climbs"] == 1 and seen["hessians"] >= 1
         # to a certified point: a start there returns at once, with the
         # same answer, and the value is the solve's certified L
-        assert prob.maximize(adj, p) == (val, p)
+        again, steps, end = prob.maximize(adj, p)
+        assert (again[3], again[7]) == (val, p) and (steps, end) == (0, "done")
         assert seen["climbs"] == 1
         assert val == pytest.approx(1.0 + sol.max_violation, rel=2 * gameprice.lsq.ORACLE_GAP)
+
+
+@pytest.mark.parametrize("probs, games, r",
+                         [case for case in LS_DEEP_LIKE if len(case[1]) == 2]
+                         + [(COIN.prob_tuple, [(12, 8), (11, 9)], 0.05)])
+def test_the_dual_level_certifies_minimality(probs, games, r):
+    # weak duality (Boyd and Vandenberghe 5.2): D(w) <= |x|^2 / 2 for every
+    # w >= 0 and feasible x, so the level D of the state the dual climb ends
+    # on, equal to |x|^2 / 2 at the certified x = min(w d, 1), w = v / c,
+    # proves x the min-norm point. On the two-game ls_deep bases and B13 the
+    # solve starts the dual from the uniform mix alone, so x is the solve's
+    b, rate = ConeBasis(OutcomeSpace(probs), [Game(g) for g in games]), Rate(r)
+    prob = _LsqProblem(b, rate)
+    state, _, end = _max_dual(prob, [[0.5, 0.5]])
+    x = [min(vi / ci * di, 1.0) for vi, ci, di in zip(state[8], prob.c_tuple, prob.d_tuple)]
+    sol = least_squares_prices(b, rate)
+    assert end == "done" and sol.termination == "newton"
+    assert tuple(x) == sol.x_tuple
+    assert state[3] == pytest.approx(sol.norm / 2.0, rel=1e-12)
 
 
 def _climb(f, grad, hess, x):
@@ -2036,11 +2064,11 @@ def test_the_solve_matches_the_route_through_the_oracle_at_zero(seed, wide):
     if check_constant_mix(prob.basis) is not None:
         assert sol.termination == "constant_mix"
         return
-    val, pstar = prob.oracle([0.0] * n)
+    val, pstar = prob.oracle(prob.adjusted_prices([0.0] * n))
     if val <= 1.0 + DEFAULT_L_TOL:
         assert sol.termination == "linear" and x_sol == [0.0] * n
         return
-    w, _, _ = _max_dual(prob, [pstar, [1.0 / n] * n])
+    w = _dual_w(prob, [pstar, [1.0 / n] * n])
     x = [min(wi * di, 1.0) for wi, di in zip(w, prob.d_tuple)]
     assert x_sol == pytest.approx(x, abs=1e-10)
     end = "newton" if big_L(prob.basis, rate, x)[0] - 1.0 <= DEFAULT_L_TOL else "stalled"
@@ -2140,3 +2168,27 @@ def test_games_1e517_apart_solve_as_in_normal_range():
     assert sol.x_tuple == pytest.approx(ref.x_tuple, rel=0.0, abs=1e-12)
     assert ref.x_tuple == pytest.approx(
         (0.27546525705265745, 0.4530365675932029, 0.5749021220698983), abs=1e-12)
+
+
+def test_a_flat_pivot_is_flat_to_1e_9_of_the_largest_curvature():
+    # draw 119 of scripts/fuzz_digest.py's wide_n_ge_m part: five games up
+    # to 1e357 apart on five outcomes. The dual's Hessian block has a pivot
+    # between 1e-9 and 1e-6 of its largest curvature, which _newton_split
+    # must treat as curved: flat at 1e-6, the solve ends stalled at
+    # L - 1 = 1.47e-9, with x_1 = 0.999257021918873
+    probs = [0.1089886543795145, 0.22638796818888138, 0.22790831655296268,
+             0.22386579138899, 0.21284926948965158]
+    games = [[6.278363068512276e+24, 1.0443951609446553e+25, 1.6455134759303945e+25,
+              9.448864261745551e+24, 6.306083282085919e+24],
+             [1.8181202913307935e-129, 0.0, 1.810362930599e-129, 4.894671216387207e-130,
+              1.0815360372486331e-129],
+             [1.6998141464191283e-220, 2.1788457650754715e-221, 1.8445395068721516e-220,
+              0.0, 1.113804583628183e-220],
+             [0.0, 3.646417202426491e+120, 0.0, 5.611590137899908e+120,
+              4.477349235551634e+120],
+             [1.380035852204416e-237, 2.472089075129431e-237, 0.0, 1.868491088839807e-237,
+              0.0]]
+    sol = least_squares_prices(_ls_basis(games, probs), Rate(0.039304566115146974))
+    assert sol.termination == "newton"
+    assert sol.max_violation <= 1e-9
+    assert sol.x_tuple[1] == pytest.approx(0.9992644753454161, rel=0.0, abs=1e-9)
