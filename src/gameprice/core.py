@@ -524,7 +524,10 @@ def parse_game_file(text: str) -> GameFile:
             raise GameFileError('"rate" must be an object with a "value"')
         if not isinstance(rdoc["value"], float):
             raise GameFileError('"rate" "value" must be a number')
-        rate = Rate(rdoc["value"], rdoc.get("convention", "continuous"))
+        convention = rdoc.get("convention", "continuous")
+        if not isinstance(convention, str):
+            raise GameFileError('"rate" "convention" must be a string')
+        rate = Rate(rdoc["value"], convention)
     return GameFile(space=space, games=games, rate=rate)
 
 

@@ -1095,9 +1095,12 @@ def reduce_to_basis(
     cone_coordinates), so the cone never changes and no kept game lies in
     the cone of the others. The kept games form the basis in input order;
     row i of the coordinates, a read-only float64 array, represents
-    games[i] in it: a unit vector for a kept game, and inf where a
-    coordinate passes the float range. The games must make a ConeBasis on
-    the space: a nonempty set, each of the space's length.
+    games[i] in it: a unit vector for a kept game, inf where a coordinate
+    passes the float range, and 0 where it falls below it, so that
+    price_in_cone of such a row loses the term; least_squares_prices prices
+    each dropped game per unit of its largest payoff and keeps it. The games
+    must make a ConeBasis on the space: a nonempty set, each of the space's
+    length.
     """
     games = ConeBasis(space, games).games
     keep, coords = _reduce_to_basis(games, _unit_qr([g.payoff_tuple for g in games]))

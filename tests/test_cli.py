@@ -202,6 +202,11 @@ class TestExitCodes:
         ({"rate": {"value": "a"}}, '"rate" "value" must be a number'),
         ({"rate": {"value": None}}, '"rate" "value" must be a number'),
         ({"rate": {"value": [0.05]}}, '"rate" "value" must be a number'),
+        ({"rate": {"value": 0.05, "convention": 5}}, '"rate" "convention" must be a string'),
+        ({"rate": {"value": 0.05, "convention": None}}, '"rate" "convention" must be a string'),
+        ({"rate": {"value": 0.05, "convention": ["simple"]}},
+         '"rate" "convention" must be a string'),
+        ({"rate": {"value": 0.05, "convention": True}}, '"rate" "convention" must be a string'),
     ], ids=lambda v: json.dumps(v) if isinstance(v, dict) else None)
     def test_non_numeric_value_is_a_parse_error(self, capsys, tmp_path, spec, message):
         path = tmp_path / "bad.json"
@@ -217,6 +222,7 @@ class TestExitCodes:
         ({"games": {"A": [19, float("nan")]}}, "finite"),
         ({"games": {"A": [19, float("inf")]}}, "finite"),
         ({"rate": {"value": -0.05}}, "rate must be > 0"),
+        ({"rate": {"value": 0.05, "convention": "annual"}}, "unknown convention 'annual'"),
     ], ids=lambda v: json.dumps(v) if isinstance(v, dict) else None)
     def test_numbers_breaking_an_invariant_stay_invariant_violations(
             self, capsys, tmp_path, spec, message):
@@ -712,9 +718,11 @@ class TestSimulateAndSweep:
         path.write_text(json.dumps({"probabilities": [0.5, 0.5],
                                     "games": {"A": [1e300, 1e290]},
                                     "rate": {"value": 0.05}}))
-        rc, out, err = run(capsys, ["simulate", str(path), "--game", "A", "--u", "1e100",
-                                    "--t", "1", "--attempts", "10", "--paths", "5",
-                                    "--format", "json"])
+        argv = ["simulate", str(path), "--game", "A", "--u", "1e100", "--t", "1",
+                "--attempts", "10", "--paths", "5"]
+        rc, _, err = run(capsys, argv)
+        assert rc == 0 and err == ""
+        rc, out, err = run(capsys, argv + ["--format", "json"])
         assert rc == 0 and err == ""
         # strict JSON: no Infinity or NaN constant; a non-finite number is
         # the string float() reads back
@@ -785,6 +793,10 @@ class TestCompareAndParity:
         assert doc["w_onefund"] == pytest.approx(0.2932, abs=1e-3)
         assert doc["price_star"] == pytest.approx(21.4134, abs=1e-3)
         assert len(doc["allocation"]) == 3
+        # Remark 3.5: the certified best blend weight, priced at least as high
+        # as the one-fund blend
+        assert abs(doc["w_star"] - 0.3514) <= 1e-3
+        assert doc["price_star"] >= doc["price_onefund"]
 
     def test_compare_csv_has_the_json_scalars(self, capsys, remark35):
         _, out, _ = run(capsys, ["compare-mv", "--format", "json", remark35])

@@ -12,13 +12,19 @@ records and price solve that replaced them. The command-line tests run
 `gameprice` through cli.main on inputs that once broke it: ls-price, which
 passes only when the command exits 0 and, where the input has one, its
 checked answer holds; then price at extreme rates and payoffs, and simulate
-at an infinite price, each with the exit code and answer it must give.
+at an infinite price, each with the exit code and answer it must give; then
+put-call parity on three outcomes. The last test asks two cone questions in
+a fresh interpreter where scipy cannot be imported: the largest support of
+a constant mix, and the basis of a proportional pair.
 """
 
 import ast
 import inspect
 import json
 import re
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -354,22 +360,28 @@ def test_extreme_payoffs_are_priced_without_a_traceback(capsys, tmp_path, name):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("name, options, code", [
-    # kappa stays positive at rates where g exceeds 1e8
-    pytest.param("intro", ["--rate", "20"], 0, id="rate-20"),
-    # a zero payoff at a high rate (see INPUTS)
-    pytest.param("zero-payoff", ["--rate", "20"], 0, id="zero-payoff"),
+@pytest.mark.parametrize("name, options, code, price", [
+    # at r = 20, g exceeds 1e8 and 1 - 1/g^2 rounds to 1: game A is still
+    # priced, in full investment
+    pytest.param("intro", ["--rate", "20"], 0, None, id="rate-20"),
+    # a zero payoff at a high rate (see INPUTS): the price, not the bracket's
+    # lower end
+    pytest.param("zero-payoff", ["--rate", "20", "--format", "json"], 0,
+                 5.3614986911377856e-89, id="zero-payoff"),
     # a continuous rate whose growth factor overflows is an invariant violation
-    pytest.param("intro", ["--rate", "710"], 3, id="rate-710"),
+    pytest.param("intro", ["--rate", "710"], 3, None, id="rate-710"),
     # at r = 400, 1/g^2 underflows; game A is in full investment, priced at
     # sqrt(19)/g
-    pytest.param("intro", ["--rate", "400"], 0, id="rate-400"),
+    pytest.param("intro", ["--rate", "400"], 0, None, id="rate-400"),
     # a payoff whose square overflows: the price solve starts from its bracket
-    pytest.param("big-payoff", [], 0, id="big-payoff"),
+    pytest.param("big-payoff", [], 0, None, id="big-payoff"),
 ])
 def test_price_at_extreme_rates_and_payoffs_exits_as_it_should(
-        capsys, tmp_path, name, options, code):
-    assert _gameprice(capsys, tmp_path, "price", name, "--game", "A", *options)[0] == code
+        capsys, tmp_path, name, options, code, price):
+    got, out, _ = _gameprice(capsys, tmp_path, "price", name, "--game", "A", *options)
+    assert got == code
+    if price is not None:
+        assert abs(json.loads(out)["price"] - price) <= 1e-9 * price
 
 
 def test_a_price_whose_payoff_over_it_overflows_is_a_normal_float(capsys, tmp_path):
@@ -394,3 +406,36 @@ def test_a_price_below_the_float_range_is_an_input_error(capsys, tmp_path, comma
 def test_a_simulation_at_an_infinite_price_is_an_invariant_violation(capsys, tmp_path):
     code, _, _ = _gameprice(capsys, tmp_path, "simulate", "intro", "--game", "A", "--u", "inf")
     assert code == 3
+
+
+def test_three_outcome_parity_holds_to_1e7_of_the_strike(capsys, tmp_path):
+    # put + covered = strike is a constant mix on three outcomes too
+    code, out, _ = _gameprice(capsys, tmp_path, "parity", "stock3", "--strike", "9",
+                              "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert abs(doc["residual"]) < 1e-7 * doc["strike"]
+
+
+def test_the_cone_questions_need_no_scipy():
+    # in a fresh interpreter where scipy cannot be imported: the largest
+    # support of a constant mix among dependent games, and a proportional
+    # pair, whose solve keeps one game and prices the other by linearity
+    script = textwrap.dedent(f"""
+        import json, sys
+        sys.path.insert(0, {str(SRC)!r})
+        sys.modules["scipy"] = None
+        from gameprice import (ConeBasis, Game, Rate, check_constant_mix, fair_coin,
+                               least_squares_prices)
+        dependent = [Game([19, 1]), Game([10, 10]), Game([5, 5])]
+        support = check_constant_mix(ConeBasis(fair_coin(), dependent))[1]
+        pair = ConeBasis(fair_coin(), [Game([2, 2]), Game([5, 5])])
+        sol = least_squares_prices(pair, Rate(0.05))
+        print(json.dumps([support, sol.basis, sol.price_tuple]))
+    """)
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    support, basis, p = json.loads(done.stdout)
+    assert support == [1, 2]
+    assert basis == [0] and abs(p[1] - 2.5 * p[0]) <= 1e-14 * p[1]
