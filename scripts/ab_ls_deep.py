@@ -7,7 +7,9 @@ with each, alternating the two trees request by request and swapping which
 goes first on every pass. Each request's time is its fastest send. Prints
 one line per basis of workloads.LS_DEEP_CATALOGUE (each request is matched to
 the basis it jitters): each tree's sum of those fastest sends over the
-basis's requests, and their ratio a / b. Then, per tree, the sum over all
+basis's requests, their ratio a / b, and whether the two trees' answers on
+those requests are identical, so a change that moves one basis's answers
+shows which. Then, per tree, the sum over all
 requests, the throughput it implies, and a sha256 digest of every answer
 (x, prices, certificate, max_violation, iterations and termination, or the
 error raised), and last the second tree's throughput gain over the first.
@@ -90,8 +92,8 @@ def main() -> int:
     requests = workloads.generate("ls_deep", args.seed, args.blocks)
     solves = [solver(load_tree(args.tree_a, "gameprice_a")),
               solver(load_tree(args.tree_b, "gameprice_b"))]
-    digests = [hashlib.sha256("\n".join(answer(s, req) for req in requests).encode())
-               for s in solves]
+    answers = [[answer(s, req) for req in requests] for s in solves]
+    digests = [hashlib.sha256("\n".join(a).encode()) for a in answers]
 
     best = [[float("inf")] * len(requests) for _ in solves]
     gc.collect()
@@ -112,8 +114,10 @@ def main() -> int:
     for i, base in enumerate(workloads.LS_DEEP_CATALOGUE):
         sums = [sum(t for t, j in zip(b, bases) if j == i) for b in best]
         shape = f"{len(base['games'])}x{len(base['probs'])}"
+        same = all(x == y for x, y, j in zip(*answers, bases) if j == i)
         print(f"basis {i} ({shape}, {bases.count(i)} requests): a {sums[0] * 1e3:.3f} ms, "
-              f"b {sums[1] * 1e3:.3f} ms, a / b {sums[0] / sums[1]:.3f}")
+              f"b {sums[1] * 1e3:.3f} ms, a / b {sums[0] / sums[1]:.3f}, "
+              f"answers {'identical' if same else 'DIFFER'}")
     for label, tree, total, dig in zip("ab", (args.tree_a, args.tree_b), totals, digests):
         print(f"{label} {tree}: {total * 1e3:.3f} ms, {len(requests) / total:.0f} rps, "
               f"digest {dig.hexdigest()[:16]}")

@@ -15,7 +15,8 @@ from any start, and t = min(w (c - u), 1) at its maximizer; the oracle then
 certifies L(t) <= 1 + tol_L from the tight mix w / |w|. When some mix of the
 games pays a constant, t = 1 is the only feasible point on the games with
 c_i > u_i, so it is returned at once, with that mix as its certificate: no
-mix is priced above its ceiling E/g (Jensen), so L(1) <= 1 needs no climb.
+mix is priced above its ceiling E/g (Jensen), so L(1) <= 1 needs no climb,
+and its max_violation is 0 by that theorem, with no price solve.
 Prices are linear exactly when L(0) <= 1, and every mix's ratio at t = 0
 bounds L(0) from below: when the uniform mix is priced clearly above its
 stand-alone prices, the dual starts from it at once, and only otherwise does
@@ -38,9 +39,12 @@ relative of its value. Every question about the cone the games span is one
 nonnegative least-squares (NNLS) problem, solved by Lawson and Hanson's
 active-set method on a Householder QR of its passive columns: whether a game
 lies in it and with which coefficients, which games are its extreme rays, and
-whether some mix pays a constant. A solve asks only whether one exists, one
-NNLS; check_constant_mix alone probes further for the largest support such a
-mix can have. One QR of the games, with a bound on its rounding, settles the
+whether some mix pays a constant, that is, whether the payoff vector 1 lies
+in it. Each decides by one rule (_residual): the NNLS point's distance
+|M k - target| (2-norm) over the target's largest payoff is within
+CONE_TOL. A solve asks only whether a constant mix exists, one NNLS;
+check_constant_mix alone probes further for the largest support such a mix
+can have. One QR of the games, with a bound on its rounding, settles the
 clear cases first, once per solve for the reduction and the constant-mix NNLS
 alike: with fewer games than outcomes, its least-squares residual of M k = 1
 rules a constant mix out before any NNLS wherever it can. Everything runs on
@@ -77,13 +81,14 @@ from .pricer import _price_numeric
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
-    from typing import Callable, Iterable, Literal, Optional, Sequence
+    from typing import Callable, Literal, Optional, Sequence
 
     import numpy as np
 
     Termination = Literal["constant_mix", "linear", "newton", "stalled"]
 
-# a game within this of its largest payoff (2-norm) from a cone lies in it
+# a game within this of its largest payoff (2-norm) from a cone lies in it, and
+# so does the payoff vector 1 of a constant mix (_residual, the one cone test)
 CONE_TOL = 1e-9
 # relative gap between the oracle's computed upper bound and its value
 ORACLE_GAP = 1e-10
@@ -106,7 +111,8 @@ class LsSolution(_Record):
     them. certificate is a mix whose stand-alone price equals its linear
     price at the solution; max_violation is its ratio L - 1. termination
     says how the solve ended: "constant_mix" (x pinned by a constant mix,
-    the certificate), "linear" (the oracle certified L(0) <= 1 + tol_L, so
+    the certificate; max_violation is 0, as Jensen's inequality proves
+    L <= 1 there), "linear" (the oracle certified L(0) <= 1 + tol_L, so
     x = 0), "newton" (the dual's projected Newton converged and the oracle
     certified its point) or "stalled" (the solver settled, but the oracle's
     L - 1 at its point exceeds tol_L; max_violation says by how much).
@@ -779,13 +785,16 @@ def least_squares_prices(
     one cone gets one price system. A dropped game j is priced by linearity
     at k_j . prices, k_j its coordinates (per unit of largest payoff, as no
     such k_j overflows), with x_j = (price_j - u_j) / d_j (0 when d_j = 0, 1
-    on the constant-mix exit), in [0, 1] up to tol_L u_j / d_j and the cone
-    test's 1e-9, and weight 0 in the certificate.
+    on the constant-mix exit) clamped to [0, 1], which moves it by at most
+    tol_L u_j / d_j and the cone test's 1e-9, so that big_L and ls_ratio
+    take the solution's x as it is; its weight in the certificate is 0.
 
     A constant mix (check_constant_mix) pins every price at its ceiling:
     x is 1 wherever d = c - u > 0 and 0 elsewhere. No mix is priced above
-    its ceiling E/g (Jensen), so L(x) <= 1 without a climb, and the
-    constant mix, which attains it, is the certificate. Otherwise the
+    its ceiling E/g (Jensen), so L(x) <= 1 without a climb, and
+    max_violation is 0 with no price solve. The solve asks whether one
+    exists by check_constant_mix's test (_constant_mix), and the NNLS k's
+    mix k / sum(k), which attains L = 1, is the certificate. Otherwise the
     uniform mix is priced first. When it alone proves L(0) > 1 + max(tol_L, 0)
     (_proves_nonlinear), prices are not linear and the oracle at x = 0 is
     skipped; else one oracle call at x = 0 decides whether they are
@@ -830,7 +839,8 @@ def least_squares_prices(
                 uj, cj = prob.standalone(col)
                 pj = max(col) * _dot(coords[j], unit)  # per unit of largest payoff
                 return uj, cj, pj, 0.0 if cj - uj <= 0.0 else (
-                    1.0 if termination == "constant_mix" else (pj - uj) / (cj - uj)), 0.0
+                    1.0 if termination == "constant_mix"
+                    else min(max((pj - uj) / (cj - uj), 0.0), 1.0)), 0.0
             u, c, prices, x, pstar = zip(*(linear(j) if j in coords else kept[j]
                                            for j in range(len(games))))
         return LsSolution(tuple(x), tuple(prices), Mix(pstar), norm, iterations,
@@ -838,15 +848,13 @@ def least_squares_prices(
 
     # whether some mix pays a constant: one NNLS for k >= 0 with M k = 1,
     # unless the least-squares residual already rules one out
-    k = _constant_mix_nnls(cols, qr)
-    found = None if k is None else _constant_mix(prob._rows, [k])
-    if found is not None:
+    k = _constant_mix(cols, qr)
+    if k is not None:
         # every feasible point has x_i = 1 wherever d_i > 0 (check_constant_mix),
-        # and L(x) <= 1 there by Jensen's inequality
+        # and L(x) <= 1 there by Jensen's inequality, attained at k's mix
         x = [1.0 if di > 0.0 else 0.0 for di in prob.d_tuple]
-        pstar = list(found.weight_tuple)
-        ratio = prob.price_mix(pstar) / _dot(pstar, prob.adjusted_prices(x))
-        return solution(x, pstar, ratio - 1.0, 1, "constant_mix")
+        total = sum(k)
+        return solution(x, [ki / total for ki in k], 0.0, 1, "constant_mix")
 
     x = [0.0] * n
     starts = [[1.0 / n] * n]
@@ -888,84 +896,65 @@ def check_constant_mix(basis: ConeBasis) -> Optional[tuple[Mix, tuple[int, ...]]
     full-investment regime, where the price's gradient in the payoffs is
     probs / g, so L(t) <= 1 needs adjusted_i >= E_i / g to first order in
     eps: t_i = 1. Payoffs are nonnegative and no game is all zero, so every
-    constant mix is k / sum(k) for some k >= 0 with M k = 1: NNLS decides
-    whether one exists, started from the QR of the games (_unit_qr), so a
-    least-squares k positive beyond its rounding needs no active-set step,
-    unless that QR's least-squares residual already rules every k out
-    (_constant_mix_nnls, the rule least_squares_prices uses too).
-    least_squares_prices asks only that, and takes k's mix. Here, to find
-    the largest support, each game j with k_j = 0 is then probed, as k can
-    leave out a game that some other constant mix uses (dependent games, or
-    games equal to within CONE_TOL): the homogenized NNLS
-    [M_-j, -1] (k', lam) = -M_j gives a witness w = (k', 1) / lam when
-    lam > 0. The mean of k and the witnesses, each as a mix, has the
-    largest support any constant mix has (_constant_mix)."""
+    constant mix is k / sum(k) for some k >= 0 with M k = 1, and one exists
+    exactly when the payoff vector 1 lies in the games' cone. The cone test
+    decides (_constant_mix): |M k - 1| (2-norm) within CONE_TOL for the NNLS
+    k, started from the QR of the games (_unit_qr), so a least-squares k
+    positive beyond its rounding needs no active-set step, unless that QR's
+    least-squares residual already rules every k out. least_squares_prices
+    asks only that, and takes k's mix. Here, to find the largest support,
+    each game j with k_j = 0 is then probed, as k can leave out a game that
+    some other constant mix uses (dependent games, or games equal to within
+    CONE_TOL): the homogenized NNLS [M_-j, -1] (k', lam) = -M_j gives a
+    witness w = (k', 1) / lam when lam > 0, kept when it passes the same
+    test. The mean of k and the kept witnesses, each as a mix, has the
+    largest support any constant mix has."""
     cols = [g.payoff_tuple for g in basis.games]
-    rows = _payoff_rows(basis.games)
-    minus_ones = [-1.0] * len(rows)
-    k = _constant_mix_nnls(cols, _unit_qr(cols))
+    k = _constant_mix(cols, _unit_qr(cols))
     if k is None:
         return None
-
-    def witnesses():
-        yield k
-        for j in [j for j, kj in enumerate(k) if kj == 0.0]:
-            z = _nnls_cols(cols[:j] + cols[j + 1:] + [minus_ones], [-a for a in cols[j]])
-            if z[-1] > 0.0:  # k' on the others, 1 on game j
-                yield [wi / z[-1] for wi in z[:j] + [1.0] + z[j:-1]]
-
-    found = _constant_mix(rows, witnesses())
-    if found is None:
-        return None
+    ones = [1.0] * len(cols[0])
+    mixes = [k]
+    for j in [j for j, kj in enumerate(k) if kj == 0.0]:
+        z = _nnls_cols(cols[:j] + cols[j + 1:] + [[-1.0] * len(ones)], [-a for a in cols[j]])
+        if z[-1] > 0.0:  # k' on the others, 1 on game j
+            w = [wi / z[-1] for wi in z[:j] + [1.0] + z[j:-1]]
+            if _residual(cols, w, ones) <= CONE_TOL:
+                mixes.append(w)
+    mixes = [[wi / total for wi in w] for w, total in zip(mixes, map(sum, mixes))]
+    found = Mix([sum(col) / len(mixes) for col in zip(*mixes)])
     return found, tuple(i for i, pi in enumerate(found.weight_tuple) if pi > 1e-9)
 
 
-def _constant_mix_nnls(cols: Sequence[Sequence[float]],
-                       qr: Optional[tuple]) -> Optional[list[float]]:
-    """The NNLS k >= 0 closest to M k = 1, M by its columns and qr their
-    _unit_qr, for _constant_mix's test; None, with no NNLS, when the
-    least-squares residual rho = |(Q^T 1)[n:]| alone shows that no k passes
-    that test. With n >= m games rho is 0, and without qr it is not formed:
-    the NNLS decides."""
+def _constant_mix(cols: Sequence[Sequence[float]],
+                  qr: Optional[tuple]) -> Optional[list[float]]:
+    """k >= 0 with M k = 1 to CONE_TOL, M by its columns and qr their
+    _unit_qr, or None: the cone test of _cone_fit for the payoff vector 1,
+    which lies in the games' cone exactly when some mix k / sum(k) pays a
+    constant. The NNLS k starts from qr, and passes when its residual
+    |M k - 1| (2-norm, _residual) is within CONE_TOL. With fewer games than
+    outcomes, the least-squares residual rho = |(Q^T 1)[n:]| first rules
+    every k out where it can, with no NNLS; with n >= m rho is 0, and
+    without qr it is not formed."""
     n, m = len(cols), len(cols[0])
+    ones = [1.0] * m
     if qr is not None and n < m:
-        # |M k - 1| >= rho for every k, signed or not, so some row has
-        # |(M k)_i - 1| >= rho / sqrt(m). The computed rho is within
-        # rounding |1| = rounding sqrt(m) of the exact one (_unit_qr), so
-        # rho > sqrt(m) (2 CONE_TOL + rounding) leaves some row of every k
-        # more than 2 CONE_TOL from 1. _constant_mix forms each (M k)_i in
-        # floats from nonnegative terms, to about n eps of itself: a row it
-        # reads within CONE_TOL of 1 is within 2 CONE_TOL exactly, so no k
-        # passes.
-        r = _apply_qt(qr[0], [1.0] * m)[n:]
-        if math.hypot(*r) > math.sqrt(m) * (2.0 * CONE_TOL + qr[4]):
+        # |M k - 1| >= rho for every k, signed or not. _residual forms
+        # M k - 1 from nonnegative terms, to about n sqrt(m) eps where it
+        # reads a k within CONE_TOL: such a k is within 2 CONE_TOL exactly,
+        # and then rho <= 2 CONE_TOL. The computed rho is within
+        # rounding |1| = sqrt(m) rounding of the exact one (_unit_qr), so a
+        # computed rho above 2 CONE_TOL + sqrt(m) rounding leaves no k that
+        # passes. Either margin alone would do, so dropping one moves no
+        # answer: rounding's factor of 100 covers _residual's error, and
+        # CONE_TOL covers the QR's own, since a passing k on the unit
+        # columns has norm at most |M k| (the columns are nonnegative), so
+        # the QR moves rho by a few eps m n sqrt(m) at most.
+        r = _apply_qt(qr[0], ones)[n:]
+        if math.hypot(*r) > 2.0 * CONE_TOL + math.sqrt(m) * qr[4]:
             return None
-    return _nnls_cols(cols, [1.0] * m, qr)
-
-
-def _constant_mix(
-    rows: list[tuple[float, ...]], ks: Iterable[list[float]]
-) -> Optional[Mix]:
-    """The mean of the mixes k / sum(k) over the k in ks with M k = 1 to
-    CONE_TOL, M by its rows; None when the first k fails that test, and then
-    no later k is drawn, or when the mean's payoff spread exceeds CONE_TOL
-    of the largest payoff (at least 1). M k = 1 must hold to CONE_TOL
-    itself: the spread test is scaled by the largest payoff, which lets
-    mixes of much smaller games through."""
-    mixes = []
-    for k in ks:
-        if max(abs(_dot(row, k) - 1.0) for row in rows) <= CONE_TOL:
-            total = sum(k)
-            mixes.append([ki / total for ki in k])
-        elif not mixes:
-            return None
-    p = [sum(col) / len(mixes) for col in zip(*mixes)]
-    total = sum(p)
-    p = [pi / total for pi in p]
-    payoff = [_dot(row, p) for row in rows]
-    if max(payoff) - min(payoff) > CONE_TOL * max(max(map(max, rows)), 1.0):
-        return None
-    return Mix(p)
+    k = _nnls_cols(cols, ones, qr)
+    return k if _residual(cols, k, ones) <= CONE_TOL else None
 
 
 def check_linear_pricing(basis: ConeBasis, rate: Rate) -> bool:
@@ -995,14 +984,22 @@ def _cone_fit(
     compare it with CONE_TOL; BasisError when it exceeds tol.
     """
     k = _nnls_cols(cols, target)
-    r = list(target)
-    for col, kj in zip(cols, k):
-        r = [ri - kj * a for ri, a in zip(r, col)]
-    residual = math.hypot(*r) / max(map(abs, target))  # r . r can underflow
+    residual = _residual(cols, k, target)
     if residual > tol:
         raise BasisError(
             f"game lies outside the cone: relative residual {residual:.3g}")
     return k, residual
+
+
+def _residual(
+    cols: Sequence[Sequence[float]], k: Sequence[float], target: Sequence[float]
+) -> float:
+    """|M k - target| (2-norm) over the target's largest payoff, M by its
+    columns: the one distance every cone test compares with CONE_TOL."""
+    r = list(target)
+    for col, kj in zip(cols, k):
+        r = [ri - kj * a for ri, a in zip(r, col)]
+    return math.hypot(*r) / max(map(abs, target))  # r . r can underflow
 
 
 def cone_coordinates(basis: ConeBasis, game: Game) -> np.ndarray:
@@ -1066,7 +1063,10 @@ def _extreme_rays(games: Sequence[Game], qr: Optional[tuple]) -> tuple[list[int]
     """_reduce_to_basis's kept indices, with the coordinates of each game it
     drops, by index. A game farther than CONE_TOL of its largest payoff from
     the others' span, beyond _unit_qr's rounding, is kept without an NNLS,
-    and when every game is, none is rescaled."""
+    and when every game is, none is rescaled. Each drop can move the cone by
+    up to CONE_TOL, so every dropped game is then fitted against the kept
+    games, and those farther than CONE_TOL from their cone are restored,
+    until none is."""
     cols = [g.payoff_tuple for g in games]
     far = [False] * len(cols) if qr is None else [
         (1.0 - qr[4]) * nj > CONE_TOL * max(col) * math.sqrt(r2)
@@ -1080,9 +1080,13 @@ def _extreme_rays(games: Sequence[Game], qr: Optional[tuple]) -> tuple[list[int]
         if not far[i] and others and _cone_fit([cols[j] for j in others],
                                                cols[i])[1] <= CONE_TOL:
             keep = others
-    kept = [cols[j] for j in keep]
-    return keep, {i: _cone_fit(kept, col, CONE_TOL)[0]
-                  for i, col in enumerate(cols) if i not in keep}
+    while True:  # each drop can move the cone by CONE_TOL: restore what left it
+        fits = {i: _cone_fit([cols[j] for j in keep], col)
+                for i, col in enumerate(cols) if i not in keep}
+        outside = [i for i, (_, residual) in fits.items() if residual > CONE_TOL]
+        if not outside:
+            return keep, {i: k for i, (k, _) in fits.items()}
+        keep = sorted(keep + outside)
 
 
 def reduce_to_basis(
@@ -1092,8 +1096,11 @@ def reduce_to_basis(
 
     Valid on any outcome space. From the last game to the first, a game is
     dropped while it lies in the cone of the games still kept (the test of
-    cone_coordinates), so the cone never changes and no kept game lies in
-    the cone of the others. The kept games form the basis in input order;
+    cone_coordinates). Each drop can move the cone by up to that test's
+    CONE_TOL, so a dropped game that lies farther than CONE_TOL from the
+    kept games' cone is restored to the basis, until none does: every game
+    lies in the cone of the basis by the same test. The kept games form
+    the basis in input order;
     row i of the coordinates, a read-only float64 array, represents
     games[i] in it: a unit vector for a kept game, inf where a coordinate
     passes the float range, and 0 where it falls below it, so that

@@ -234,7 +234,8 @@ class TestOneBasisRule:
 
     def test_a_dropped_game_sits_within_rounding_of_its_standalone_price(self):
         # B = 2 A is priced at 2 x A's price, 1 ulp below B's own stand-alone
-        # price (4.081865934334524 against ...525), so x_B = -3.0e-15
+        # price (4.081865934334524 against ...525), so (price - u) / d is
+        # -3.0e-15, which x_B clamps to 0
         space, rate = OutcomeSpace([0.2, 0.3, 0.5]), R05
         games = [Game([1, 2, 3]), Game([2, 4, 6])]
         sol = least_squares_prices(ConeBasis(space, games), rate)
@@ -244,6 +245,49 @@ class TestOneBasisRule:
         # the docstring's bound on a dropped game's x: tol_L u / d plus the cone
         # test's 1e-9, here 1e-9 x 4.0819 / 0.29379 + 1e-9 = 1.49e-8
         assert -1.49e-8 <= sol.x_tuple[1] <= 1.0 + 1.49e-8
+
+    def test_a_game_the_reduction_drops_is_restored_when_it_leaves_the_cone(
+            self, capsys, tmp_path):
+        # C is dropped against cone(A, B), then B, 7e-10 from cone(A),
+        # against cone(A); C lies 1.41e-9 of its largest payoff from cone(A),
+        # so it returns to the basis, and B, the midpoint of A and C, is
+        # priced by linearity
+        from gameprice.cli import main
+
+        games = [Game([1, 1]), Game([1, 1.000000001]), Game([1, 1.000000002])]
+        kept, coords = reduce_to_basis(games, COIN)
+        assert list(kept.games) == [games[0], games[2]]
+        assert coords[1].tolist() == pytest.approx([0.5, 0.5], abs=1e-7)
+        sol = least_squares_prices(ConeBasis(COIN, games), R05)
+        assert sol.basis == (0, 2)
+        path = tmp_path / "near.json"
+        path.write_text(json.dumps({"probabilities": [0.5, 0.5],
+                                    "games": {n: list(g.payoff_tuple)
+                                              for n, g in zip("ABC", games)},
+                                    "rate": {"value": 0.05}}))
+        assert main(["ls-price", str(path), "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["prices"] == list(sol.price_tuple)
+
+    @pytest.mark.parametrize("games, probs, rate", [
+        # draw 92 of scripts/fuzz_digest.py's wide part: (price - u) / d of
+        # game 1 is -1.55e-15
+        ([[2.710882854590863e-212, 0.0], [4.674945928015067e-283, 0.0],
+          [5.94772935985278e+265, 3.1349403139707833e+264]],
+         [0.5837937489350354, 0.41620625106496456], 0.010494435130397103),
+        # draw 56 of its wide_n_ge_m part: that of game 2 is -1.63e-15
+        ([[0.0, 3.358521715412193e-115], [2.8006601609386717e-75, 1.7714778981883755e-74],
+          [6.1810664841289116e+249, 5.327609068978672e+250],
+          [0.0, 4.083586067172317e-209]],
+         [0.6411434862122225, 0.35885651378777755], 0.0632199427015634),
+    ], ids=["wide-92", "wide_n_ge_m-56"])
+    def test_a_dropped_game_has_x_in_the_unit_cube(self, games, probs, rate):
+        # the solve's own x is a point that big_L and ls_ratio accept
+        b, rate = _ls_basis(games, probs), Rate(rate)
+        sol = least_squares_prices(b, rate)
+        assert len(sol.basis) < b.n and sol.termination == "linear"
+        assert all(0.0 <= xi <= 1.0 for xi in sol.x_tuple)
+        assert big_L(b, rate, sol.x_tuple)[0] <= 1.0 + DEFAULT_L_TOL
+        assert ls_ratio(b, rate, sol.x_tuple, sol.certificate) <= 1.0 + DEFAULT_L_TOL
 
     @staticmethod
     def _near_proportional_sets():
@@ -669,8 +713,8 @@ class TestLeastSquaresPrices:
 
     def test_constant_mix_is_the_certificate_without_a_climb(self, monkeypatch):
         # at x = 1 every adjusted price is at least its ceiling E/g, which no
-        # mix price exceeds (Jensen): L <= 1 needs no oracle climb, and the
-        # constant mix attains it
+        # mix price exceeds (Jensen): L <= 1 needs no oracle climb, the
+        # constant mix attains it, and max_violation is 0 with no price solve
         rng = np.random.default_rng(13)
         for _ in range(120):
             b, _ = _random_full_rank_basis(rng, "constant")
@@ -682,7 +726,8 @@ class TestLeastSquaresPrices:
             mix = check_constant_mix(b)[0]
             assert sol.certificate.weight_tuple == pytest.approx(mix.weight_tuple,
                                                                  rel=0.0, abs=1e-15)
-            assert sol.max_violation == ls_ratio(b, rate, sol.x, mix) - 1.0
+            assert sol.max_violation == 0.0
+            assert abs(ls_ratio(b, rate, sol.x, mix) - 1.0) <= 1e-15
             assert big_L(b, rate, sol.x)[0] <= 1.0 + 1e-12, b
 
     def test_the_solve_asks_only_whether_a_constant_mix_exists(self, monkeypatch):
@@ -1343,17 +1388,19 @@ class TestConstantMixDetector:
         assert found[0].weights.tolist() == pytest.approx([0.5, 0.5], abs=1e-9)
 
     def test_a_mix_whose_payoffs_spread_is_refused(self):
-        # k = 1 - 7.5e-10 passes M k = 1 to CONE_TOL, but the payoffs of
-        # the mix spread by 1.5e-9 of the largest
+        # k = 1 - 7.5e-10 passes M k = 1 to CONE_TOL in every row, but
+        # |M k - 1| is 1.06e-9 in the 2-norm, the cone test's
         game = (1.0, 1.0 + 1.5e-9)
         k = _nnls_cols([game], [1.0, 1.0])
         assert max(abs(a * k[0] - 1.0) for a in game) <= CONE_TOL
         assert check_constant_mix(basis(game)) is None
+        # the solve decides by the same test
+        assert least_squares_prices(basis(game), R05).termination != "constant_mix"
 
 
 class TestResidualBound:
     """The least-squares residual rho = |(Q^T 1)[n:]| of M k = 1 rules out a
-    constant mix before any NNLS when rho > sqrt(m) (2 CONE_TOL + rounding)."""
+    constant mix before any NNLS when rho > 2 CONE_TOL + sqrt(m) rounding."""
 
     @staticmethod
     def _nnls_calls(monkeypatch):
@@ -1363,14 +1410,21 @@ class TestResidualBound:
         return calls
 
     @staticmethod
-    def _verdicts(cols):
+    def _alone(cols, qr):
+        """The NNLS verdict alone: its k when M k = 1 to CONE_TOL, else None."""
+        ones = [1.0] * len(cols[0])
+        k = _nnls_cols(cols, ones, qr)
+        return k if gameprice.lsq._residual(cols, k, ones) <= CONE_TOL else None
+
+    @classmethod
+    def _verdicts(cls, cols, calls):
         """(the verdict with the bound, the NNLS verdict alone, whether the
-        bound decided), each verdict a Mix or None."""
-        lsq, rows = gameprice.lsq, [tuple(row) for row in zip(*cols)]
-        qr = lsq._unit_qr(cols)
-        k = lsq._constant_mix_nnls(cols, qr)
-        alone = lsq._constant_mix(rows, [_nnls_cols(cols, [1.0] * len(rows), qr)])
-        return None if k is None else lsq._constant_mix(rows, [k]), alone, k is None
+        bound decided), each verdict a k or None; calls records the NNLS
+        calls (_nnls_calls)."""
+        qr = gameprice.lsq._unit_qr(cols)
+        calls.clear()
+        with_bound = gameprice.lsq._constant_mix(cols, qr)
+        return with_bound, cls._alone(cols, qr), not calls
 
     def test_no_nnls_where_the_residual_rules_a_constant_mix_out(self, monkeypatch):
         probs, games, rate = LS_DEEP_LIKE[0]
@@ -1379,8 +1433,7 @@ class TestResidualBound:
         rho = math.hypot(*gameprice.lsq._apply_qt(qr[0], [1.0] * 3)[2:])
         assert rho > 0.1 > math.sqrt(3) * (2.0 * CONE_TOL + qr[4])
         with monkeypatch.context() as m:  # the answers of the NNLS alone
-            m.setattr(gameprice.lsq, "_constant_mix_nnls",
-                      lambda cols, qr: _nnls_cols(cols, [1.0] * len(cols[0]), qr))
+            m.setattr(gameprice.lsq, "_constant_mix", self._alone)
             expected = least_squares_prices(b, rate)
             assert check_constant_mix(b) is None
         calls = self._nnls_calls(monkeypatch)
@@ -1399,10 +1452,11 @@ class TestResidualBound:
         assert len(calls) == 1 and sol.termination == "constant_mix"
         assert check_constant_mix(b)[1] == (0, 1)
 
-    def test_the_bound_agrees_with_the_nnls_alone_across_cone_tol(self):
+    def test_the_bound_agrees_with_the_nnls_alone_across_cone_tol(self, monkeypatch):
         # n < m games holding a mix k . M = c pushed off constant by a
         # relative delta from 1e-11 to 1e-7, on both sides of CONE_TOL
         rng, decided = random.Random(44), collections.Counter()
+        calls = self._nnls_calls(monkeypatch)
         for _ in range(300):
             m = rng.randint(3, 6)
             n = rng.randint(2, m - 1)
@@ -1412,7 +1466,7 @@ class TestResidualBound:
             c = max(mixed) + rng.uniform(0.5, 20.0)
             delta = 10.0 ** rng.uniform(-11.0, -7.0)
             games.append([(c - a) * (1.0 + delta * rng.choice((-1.0, 1.0))) for a in mixed])
-            with_bound, alone, by_bound = self._verdicts(games)
+            with_bound, alone, by_bound = self._verdicts(games, calls)
             assert with_bound == alone
             decided[by_bound, alone is not None] += 1
         # the bound decides most draws with delta far above CONE_TOL, the
