@@ -16,7 +16,10 @@ certifies L(t) <= 1 + tol_L from the tight mix w / |w|. When some mix of the
 games pays a constant, t = 1 is the only feasible point on the games with
 c_i > u_i, so it is returned at once, with that mix as its certificate: no
 mix is priced above its ceiling E/g (Jensen), so L(1) <= 1 needs no climb,
-and its max_violation is 0 by that theorem, with no price solve.
+and its max_violation is 0 by that theorem, with no price solve. The
+ceilings are linear on the whole cone, so that exit prices every game the
+caller gave and reduces none; the other exits solve on the extreme rays of
+the cone and price the rest by linearity.
 Prices are linear exactly when L(0) <= 1, and every mix's ratio at t = 0
 bounds L(0) from below: when the uniform mix is priced clearly above its
 stand-alone prices, the dual starts from it at once, and only otherwise does
@@ -42,12 +45,13 @@ lies in it and with which coefficients, which games are its extreme rays, and
 whether some mix pays a constant, that is, whether the payoff vector 1 lies
 in it. Each decides by one rule (_residual): the NNLS point's distance
 |M k - target| (2-norm) over the target's largest payoff is within
-CONE_TOL. A solve asks only whether a constant mix exists, one NNLS;
-check_constant_mix alone probes further for the largest support such a mix
-can have. One QR of the games, with a bound on its rounding, settles the
-clear cases first, once per solve for the reduction and the constant-mix NNLS
-alike: with fewer games than outcomes, its least-squares residual of M k = 1
-rules a constant mix out before any NNLS wherever it can. Everything runs on
+CONE_TOL. A solve asks first whether a constant mix exists, one NNLS on the
+caller's games, by the very call check_constant_mix makes; check_constant_mix
+alone probes further for the largest support such a mix can have. One QR of
+the games, with a bound on its rounding, settles the clear cases first, once
+per solve for the constant-mix NNLS and the reduction alike: with fewer games
+than outcomes, its least-squares residual of M k = 1 rules a constant mix out
+before any NNLS wherever it can. Everything runs on
 plain Python floats, so solving imports no numpy; the functions that return
 arrays build them on the way out.
 """
@@ -108,7 +112,9 @@ class LsSolution(_Record):
 
     The vectors run over the declared games; basis holds the indices of the
     ones solved on, the rest priced by linearity, and norm is |x|^2 over
-    them. certificate is a mix whose stand-alone price equals its linear
+    them. On a "constant_mix" exit basis lists every game: each is priced at
+    u + x d, its ceiling (its stand-alone price where d = 0), and none by
+    linearity. certificate is a mix whose stand-alone price equals its linear
     price at the solution; max_violation is its ratio L - 1. termination
     says how the solve ended: "constant_mix" (x pinned by a constant mix,
     the certificate; max_violation is 0, as Jensen's inequality proves
@@ -328,7 +334,10 @@ class _LsqProblem:
             gap, stop, H = ORACLE_GAP * ratio, max(g), None
             if not stop <= gap:  # where the stop rule fails, nan included
                 # the price's Hessian is (-1)-homogeneous: at total p it is
-                # hess / total (divided in steps where sj ak underflows to 0)
+                # hess / total (divided in steps where sj ak underflows to 0),
+                # which cannot be formed where some sj = total aj is 0
+                if not total * min(adj):
+                    raise PricingError("separation oracle: the ray's peak underflows to 0")
                 H = [[(hk / (sj * ak) if sj * ak else hk / sj / ak) - 1.0
                       for hk, ak in zip(row, adj)]
                      for row, sj in zip(hess, [total * aj for aj in adj])]
@@ -780,34 +789,37 @@ def least_squares_prices(
 ) -> LsSolution:
     """Min-norm feasible coordinates and the prices they induce, per game.
 
-    The solve runs on the extreme rays of the cone the games span
-    (reduce_to_basis), on the caller's basis itself when none is dropped, so
-    one cone gets one price system. A dropped game j is priced by linearity
-    at k_j . prices, k_j its coordinates (per unit of largest payoff, as no
-    such k_j overflows), with x_j = (price_j - u_j) / d_j (0 when d_j = 0, 1
-    on the constant-mix exit) clamped to [0, 1], which moves it by at most
+    The caller's games are factored once (_unit_qr), and the solve first
+    asks whether some mix of them pays a constant, by the very call
+    check_constant_mix makes (_constant_mix). One that does pins every
+    price at its ceiling: x is 1 wherever d = c - u > 0 and 0 elsewhere,
+    and every game, the basis of the solution, is priced at u + x d. No
+    mix is priced above its ceiling E/g (Jensen), so L(x) <= 1 without a
+    climb, and max_violation is 0 with no price solve; the NNLS k's mix
+    k / sum(k), which attains L = 1, is the certificate. The ceilings are
+    linear on the whole cone, so that exit needs no basis reduction.
+
+    Otherwise the solve runs on the extreme rays of the cone the games span
+    (reduce_to_basis, from the same QR), on the caller's basis itself when
+    none is dropped, so one cone gets one price system. A dropped game j is
+    priced by linearity at k_j . prices, k_j its coordinates (per unit of
+    largest payoff, as no such k_j overflows), with x_j = (price_j - u_j) /
+    d_j (0 when d_j = 0) clamped to [0, 1], which moves it by at most
     tol_L u_j / d_j and the cone test's 1e-9, so that big_L and ls_ratio
     take the solution's x as it is; its weight in the certificate is 0.
-
-    A constant mix (check_constant_mix) pins every price at its ceiling:
-    x is 1 wherever d = c - u > 0 and 0 elsewhere. No mix is priced above
-    its ceiling E/g (Jensen), so L(x) <= 1 without a climb, and
-    max_violation is 0 with no price solve. The solve asks whether one
-    exists by check_constant_mix's test (_constant_mix), and the NNLS k's
-    mix k / sum(k), which attains L = 1, is the certificate. Otherwise the
-    uniform mix is priced first. When it alone proves L(0) > 1 + max(tol_L, 0)
-    (_proves_nonlinear), prices are not linear and the oracle at x = 0 is
-    skipped; else one oracle call at x = 0 decides whether they are
-    (L(0) <= 1 + tol_L, x = 0). When they are not, x = min(w d, 1) at the
-    maximizer w >= 0 of the concave dual (_max_dual), certified by the
-    oracle from the tight mix w / |w|. The dual starts from the better of
-    the uniform mix and the oracle's worst mix at x = 0 when that call ran:
-    any mix is a start, D being concave, and the uniform one matters where
-    the worst sits on a game whose stand-alone price is near 0. Each mix is
-    priced once: the starts reuse the first pricing and the oracle's last
-    evaluation, and the certificate's maximize starts from the dual's last
-    mix. There the dual's maximizer makes that mix tight, so it is usually
-    certified at once, and maximize returns it without a climb.
+    The uniform mix is priced first. When it alone proves
+    L(0) > 1 + max(tol_L, 0) (_proves_nonlinear), prices are not linear and
+    the oracle at x = 0 is skipped; else one oracle call at x = 0 decides
+    whether they are (L(0) <= 1 + tol_L, x = 0). When they are not,
+    x = min(w d, 1) at the maximizer w >= 0 of the concave dual (_max_dual),
+    certified by the oracle from the tight mix w / |w|. The dual starts from
+    the better of the uniform mix and the oracle's worst mix at x = 0 when
+    that call ran: any mix is a start, D being concave, and the uniform one
+    matters where the worst sits on a game whose stand-alone price is near
+    0. Each mix is priced once: the starts reuse the first pricing and the
+    oracle's last evaluation, and the certificate's maximize starts from the
+    dual's last mix. There the dual's maximizer makes that mix tight, so it
+    is usually certified at once, and maximize returns it without a climb.
     Both climbs return the state they end on (_projected_newton's layout),
     and the solve reads each such state once: the ratio and the mix of a
     maximize, and the dual's point v = w c and last mix, with x = min(w d, 1)
@@ -820,17 +832,18 @@ def least_squares_prices(
     games = basis.games
     cols = [g.payoff_tuple for g in games]
     qr = _unit_qr(cols)
-    keep, coords = _extreme_rays(games, qr)
+    # whether some mix pays a constant, as check_constant_mix asks: then every
+    # price is its ceiling, linear on the whole cone, and no game is dropped
+    k = _constant_mix(cols, qr)
+    keep, coords = _extreme_rays(games, qr) if k is None else (list(range(len(games))), {})
     if coords:  # a game is dropped
-        cols = [cols[i] for i in keep]
-        basis, qr = ConeBasis(basis.space, [games[i] for i in keep]), _unit_qr(cols)
+        basis = ConeBasis(basis.space, [games[i] for i in keep])
     prob = _LsqProblem(basis, rate)
-    n = prob.n
 
     def solution(x, pstar, violation: float, iterations: int, termination: Termination):
         prices, u, c = prob.adjusted_prices(x), prob.u_tuple, prob.c_tuple
         norm = _dot(x, x)
-        if coords:  # by linearity; a constant mix pins every game at its ceiling
+        if coords:  # by linearity
             kept = dict(zip(keep, zip(u, c, prices, x, pstar)))
             unit = [pi / max(games[i].payoff_tuple) for pi, i in zip(prices, keep)]
 
@@ -838,17 +851,13 @@ def least_squares_prices(
                 col = games[j].payoff_tuple
                 uj, cj = prob.standalone(col)
                 pj = max(col) * _dot(coords[j], unit)  # per unit of largest payoff
-                return uj, cj, pj, 0.0 if cj - uj <= 0.0 else (
-                    1.0 if termination == "constant_mix"
-                    else min(max((pj - uj) / (cj - uj), 0.0), 1.0)), 0.0
+                return uj, cj, pj, 0.0 if cj - uj <= 0.0 else min(
+                    max((pj - uj) / (cj - uj), 0.0), 1.0), 0.0
             u, c, prices, x, pstar = zip(*(linear(j) if j in coords else kept[j]
                                            for j in range(len(games))))
         return LsSolution(tuple(x), tuple(prices), Mix(pstar), norm, iterations,
                           violation, tuple(u), tuple(c), termination, tuple(keep))
 
-    # whether some mix pays a constant: one NNLS for k >= 0 with M k = 1,
-    # unless the least-squares residual already rules one out
-    k = _constant_mix(cols, qr)
     if k is not None:
         # every feasible point has x_i = 1 wherever d_i > 0 (check_constant_mix),
         # and L(x) <= 1 there by Jensen's inequality, attained at k's mix
@@ -856,8 +865,8 @@ def least_squares_prices(
         total = sum(k)
         return solution(x, [ki / total for ki in k], 0.0, 1, "constant_mix")
 
-    x = [0.0] * n
-    starts = [[1.0 / n] * n]
+    x = [0.0] * prob.n
+    starts = [[1.0 / prob.n] * prob.n]
     if not _proves_nonlinear(prob, tol_L):
         state = prob.maximize(prob.adjusted_prices(x), starts[0])[0]
         if state[3] <= 1.0 + max(tol_L, 0.0):
@@ -902,12 +911,14 @@ def check_constant_mix(basis: ConeBasis) -> Optional[tuple[Mix, tuple[int, ...]]
     k, started from the QR of the games (_unit_qr), so a least-squares k
     positive beyond its rounding needs no active-set step, unless that QR's
     least-squares residual already rules every k out. least_squares_prices
-    asks only that, and takes k's mix. Here, to find the largest support,
-    each game j with k_j = 0 is then probed, as k can leave out a game that
-    some other constant mix uses (dependent games, or games equal to within
-    CONE_TOL): the homogenized NNLS [M_-j, -1] (k', lam) = -M_j gives a
-    witness w = (k', 1) / lam when lam > 0, kept when it passes the same
-    test. The mean of k and the kept witnesses, each as a mix, has the
+    makes this very call, _constant_mix on the QR of the caller's games,
+    before any basis reduction, and takes k's mix, so the solve ends
+    "constant_mix" exactly when this returns a mix. Here, to find the largest
+    support, each game j with k_j = 0 is then probed, as k can leave out a
+    game that some other constant mix uses (dependent games, or games equal
+    to within CONE_TOL): the homogenized NNLS [M_-j, -1] (k', lam) = -M_j
+    gives a witness w = (k', 1) / lam when lam > 0, kept when it passes the
+    same test. The mean of k and the kept witnesses, each as a mix, has the
     largest support any constant mix has."""
     cols = [g.payoff_tuple for g in basis.games]
     k = _constant_mix(cols, _unit_qr(cols))

@@ -220,10 +220,10 @@ def put_call_parity(
     """Check call - put + K/g = stock under least-squares prices.
 
     The basis is {put, call, stock-minus-call}; put + (stock-minus-call) = K
-    is the constant mix that pins both of those prices to their ceilings.
-    least_squares_prices prices all three: a member in the cone of the
-    others (one always is on two outcomes) is priced by linearity. The
-    stock is call + (stock-minus-call), so its price is their sum.
+    is a constant mix, so least_squares_prices takes its constant-mix exit
+    and drops no game: every price is its ceiling E/g, which is linear (the
+    stand-alone price where d = c - u is not positive). The stock is call +
+    (stock-minus-call), so its price is their sum.
     """
     if not 0.0 < strike < math.inf:
         raise InvariantViolation("strike must be finite and > 0")
@@ -244,8 +244,8 @@ def put_call_parity(
             degenerate=True,
             reason="call pays nothing: strike at or above every stock payoff",
         )
-    # the reduction tries the last game first: when the three are dependent,
-    # covered is dropped and the solve keeps put and call
+    # put + covered = strike: the solve's constant-mix test finds that mix
+    # on these three games, before any basis reduction
     sol = least_squares_prices(
         ConeBasis(space, [Game(put), Game(call), Game(covered)]), rate, tol_L=tol_L)
     if sol.termination != "constant_mix":

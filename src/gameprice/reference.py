@@ -40,13 +40,19 @@ def _coin_basis(pairs) -> ConeBasis:
     return ConeBasis(fair_coin(), [Game(p) for p in pairs])
 
 
+@cache
+def _game_a():
+    """The price of game A = (19, 1), shared by its two checks."""
+    return price_general(Game([19, 1]), fair_coin(), R_CONT)
+
+
 def _check_game_a_price():
-    res = price_general(Game([19, 1]), fair_coin(), R_CONT)
+    res = _game_a()
     return _close(res.price, 7.224, 5e-4), "u = 7.224 +- 5e-4", f"u = {res.price:.6f}"
 
 
 def _check_game_a_proportion():
-    res = price_general(Game([19, 1]), fair_coin(), R_CONT)
+    res = _game_a()
     return (
         _close(res.proportion, 0.274, 5e-4),
         "t = 0.274 +- 5e-4",
@@ -153,13 +159,14 @@ _Y = Game([30.6191, 14])
 
 @cache
 def _remark35():
-    """The Remark 3.5 fund comparison, shared by three checks."""
+    """The Remark 3.5 fund comparison, shared by four checks: its u_x and u_y
+    are the funds' stand-alone prices by price_general."""
     return compare_mean_variance(_X, _Y, R_SIMPLE)
 
 
 def _check_remark35_standalone():
-    u_x = price_general(_X, fair_coin(), R_SIMPLE).price
-    u_y = price_general(_Y, fair_coin(), R_SIMPLE).price
+    comp = _remark35()
+    u_x, u_y = comp.u_x, comp.u_y
     ok = _close(u_x, 20.6721, 1e-3) and _close(u_y, 20.6721, 1e-3)
     return (
         ok,

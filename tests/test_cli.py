@@ -275,19 +275,31 @@ class TestExitCodes:
             "games": {"A": [2, 2], "B": [10, 10]},
             "rate": {"value": 0.05},
         }))
-        # a proportional pair reduces to its first game on any outcome space
         path2 = tmp_path / "prop3.json"
         path2.write_text(json.dumps({
             "probabilities": [0.4, 0.3, 0.3],
             "games": {"A": [2, 2, 2], "B": [10, 10, 10]},
             "rate": {"value": 0.05},
         }))
+        # a constant pair is a constant mix: both games are solved on, each at
+        # its ceiling, on any outcome space
         for spec in (path, path2):
             rc, out, err = run(capsys, ["ls-price", str(spec)])
             assert rc == 0, err
             lines = out.splitlines()
             assert lines[0].startswith("A: standalone=1.902 ls=1.902")
-            assert lines[1] == "B: ls=9.512 (priced by linearity)"
+            assert lines[1] == "B: standalone=9.512 ls=9.512 x=0"
+        # a proportional pair with no constant mix reduces to its first game
+        path.write_text(json.dumps({
+            "probabilities": [0.5, 0.5],
+            "games": {"A": [2, 4], "B": [10, 20]},
+            "rate": {"value": 0.05},
+        }))
+        rc, out, err = run(capsys, ["ls-price", str(path)])
+        assert rc == 0, err
+        lines = out.splitlines()
+        assert lines[0].startswith("A: standalone=2.692 ls=2.692")
+        assert lines[1] == "B: ls=13.46 (priced by linearity)"
 
     def test_missing_rate_everywhere(self, capsys, tmp_path):
         path = tmp_path / "norate.json"
@@ -815,16 +827,21 @@ class TestCompareAndParity:
             "u_X", "r_X", "one-fund", "best mix", "t*"]
         assert lines[-1].split("allocation=")[1].count(",") == 2
 
-    def test_compare_on_a_game_near_1e200_is_an_error_not_a_traceback(
-            self, capsys, tmp_path):
+    @pytest.mark.parametrize("x, message", [
         # no variance, one-fund test or oracle step overflows; the oracle
         # stalls on denominators 1e200 apart per unit of ceiling
+        ([1e200, 1], "error: separation oracle stalled"),
+        # the oracle's ray peak price / (p . adj)^2 underflows to 0, where
+        # its Hessian would divide by it
+        ([1e-200, 1e-201], "error: separation oracle: the ray's peak"),
+    ], ids=["1e200", "1e-200"])
+    def test_compare_on_a_game_near_1e200_is_an_error_not_a_traceback(
+            self, capsys, tmp_path, x, message):
         path = tmp_path / "big.json"
-        path.write_text(json.dumps({**REMARK35, "games": {"X": [1e200, 1],
-                                                          "Y": [30.6191, 14]}}))
+        path.write_text(json.dumps({**REMARK35, "games": {"X": x, "Y": [30.6191, 14]}}))
         rc, _, err = run(capsys, ["compare-mv", str(path)])
         assert rc == 1 and len(err.splitlines()) == 1, err
-        assert err.startswith("error: separation oracle stalled"), err
+        assert err.startswith(message), err
 
     def test_parity_table(self, capsys, remark35):
         rc, out, _ = run(capsys, [

@@ -219,11 +219,12 @@ class TestMixAndBasis:
 
     def test_proportional_pair_is_not_a_basis(self):
         # ConeBasis takes the pair; the reduction keeps one game, and the
-        # solve prices the other by linearity
-        b = ConeBasis(COIN, [Game([2, 2]), Game([5, 5])])
+        # solve, with no constant mix to pin the prices, prices the other by
+        # linearity
+        b = ConeBasis(COIN, [Game([2, 4]), Game([5, 10])])
         assert reduce_to_basis(b.games, COIN)[0].n == 1
         sol = least_squares_prices(b, Rate(0.05))
-        assert sol.basis == (0,)
+        assert sol.basis == (0,) and sol.termination == "linear"
         assert sol.price_tuple[1] == pytest.approx(2.5 * sol.price_tuple[0], rel=1e-14)
         # only an empty set is no ConeBasis, for the reduction too
         for make in (ConeBasis, lambda space, games: reduce_to_basis(games, space)):

@@ -429,7 +429,7 @@ def test_the_cone_questions_need_no_scipy():
                                least_squares_prices)
         dependent = [Game([19, 1]), Game([10, 10]), Game([5, 5])]
         support = check_constant_mix(ConeBasis(fair_coin(), dependent))[1]
-        pair = ConeBasis(fair_coin(), [Game([2, 2]), Game([5, 5])])
+        pair = ConeBasis(fair_coin(), [Game([2, 4]), Game([5, 10])])
         sol = least_squares_prices(pair, Rate(0.05))
         print(json.dumps([support, sol.basis, sol.price_tuple]))
     """)

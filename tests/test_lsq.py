@@ -180,9 +180,22 @@ class TestOneBasisRule:
     """least_squares_prices reduces the games it is given, as ls-price does."""
 
     def test_declared_prices_are_reduced_prices_by_linearity(self):
-        solved = 0
+        solved = pinned = 0
         for games, space in _redundant_sets():
             sol = least_squares_prices(ConeBasis(space, games), R05)
+            if sol.termination == "constant_mix":
+                # every price is its ceiling, linear on the whole cone: no
+                # game is dropped, and each sits at u + x d with x = 1 where
+                # d > 0
+                assert sol.basis == tuple(range(len(games)))
+                u = sol.standalone_tuple
+                d = [max(c - ui, 0.0) for ui, c in zip(u, sol.ceiling_tuple)]
+                assert sol.x_tuple == tuple(1.0 if di > 0.0 else 0.0 for di in d)
+                assert sol.price_tuple == tuple(ui + xi * di
+                                                for ui, xi, di in zip(u, sol.x_tuple, d))
+                assert sol.max_violation == 0.0
+                pinned += 1
+                continue
             b, coords = reduce_to_basis(games, space)
             ref = least_squares_prices(b, R05)
             assert [games[i] for i in sol.basis] == list(b.games)
@@ -194,7 +207,26 @@ class TestOneBasisRule:
             assert sol.certificate.weights[kept].tolist() == list(ref.certificate.weight_tuple)
             assert sol.max_violation == ref.max_violation
             solved += 1
-        assert solved == 300
+        assert solved + pinned == 300 and pinned > 0 and solved > 0
+
+    def test_a_constant_mix_exit_prices_no_game_below_its_standalone_price(self):
+        # intro.json's B = (10, 10) lies in the cone of A and C; its price is
+        # its stand-alone price, 1 ulp above its ceiling, where by linearity
+        # it read 9.512294245007137, below both
+        b, rate = _sample_basis("intro.json")
+        sol = least_squares_prices(b, rate)
+        alone = price_general(b.games[1], b.space, rate).price
+        assert sol.price_tuple[1] == alone == 9.51229424500714
+        assert sol.ceiling_tuple[1] == 9.512294245007139
+        assert sol.termination == "constant_mix" and sol.basis == (0, 1, 2)
+        # the solve decides the constant mix by check_constant_mix's test
+        for games, space in _redundant_sets():
+            basis = ConeBasis(space, games)
+            sol = least_squares_prices(basis, R05)
+            assert (sol.termination == "constant_mix") == (
+                check_constant_mix(basis) is not None), games
+            if sol.termination == "constant_mix":
+                assert all(p >= u for p, u in zip(sol.price_tuple, sol.standalone_tuple))
 
     def test_library_and_ls_price_agree_bit_for_bit(self, capsys):
         from gameprice.cli import main
@@ -212,18 +244,20 @@ class TestOneBasisRule:
         assert doc["prices"][1] == pytest.approx(2.0 * doc["prices"][0], rel=1e-12)
         assert doc["x"][1] == pytest.approx(doc["x"][0], abs=1e-12)
 
-    @pytest.mark.parametrize("probs, a, k, end", [
-        # a constant game pins both prices at their ceilings
-        ([0.5, 0.5], [2, 2], 2.5, "constant_mix"),
-        ([0.2, 0.3, 0.5], [1, 2, 3], 2.0, "linear"),
-    ], ids=["coin", "three_outcomes"])
+    @pytest.mark.parametrize("probs, a, k, end, basis", [
+        # a constant game pins both prices at their ceilings, and both games
+        # are solved on
+        ([0.5, 0.5], [2, 2], 2.5, "constant_mix", (0, 1)),
+        ([0.5, 0.5], [2, 4], 2.5, "linear", (0,)),
+        ([0.2, 0.3, 0.5], [1, 2, 3], 2.0, "linear", (0,)),
+    ], ids=["coin", "coin_not_constant", "three_outcomes"])
     def test_a_proportional_pair_is_priced_as_by_ls_price(self, capsys, tmp_path,
-                                                          probs, a, k, end):
+                                                          probs, a, k, end, basis):
         from gameprice.cli import main
 
         b = [a, [k * v for v in a]]
         sol = least_squares_prices(ConeBasis(OutcomeSpace(probs), [Game(g) for g in b]), R05)
-        assert sol.basis == (0,) and sol.termination == end
+        assert sol.basis == basis and sol.termination == end
         assert sol.max_violation <= 1e-12
         assert sol.price_tuple[1] == pytest.approx(k * sol.price_tuple[0], rel=1e-14)
         path = tmp_path / "pair.json"
@@ -250,16 +284,21 @@ class TestOneBasisRule:
             self, capsys, tmp_path):
         # C is dropped against cone(A, B), then B, 7e-10 from cone(A),
         # against cone(A); C lies 1.41e-9 of its largest payoff from cone(A),
-        # so it returns to the basis, and B, the midpoint of A and C, is
-        # priced by linearity
+        # so it returns to the basis
         from gameprice.cli import main
 
         games = [Game([1, 1]), Game([1, 1.000000001]), Game([1, 1.000000002])]
         kept, coords = reduce_to_basis(games, COIN)
         assert list(kept.games) == [games[0], games[2]]
         assert coords[1].tolist() == pytest.approx([0.5, 0.5], abs=1e-7)
+        # A pays a constant there, so the solve drops nothing. These games
+        # have no constant mix and take the same steps: C is dropped, 6.7e-10
+        # from cone(A, B), then B, 6.7e-10 from cone(A), and C, 1.34e-9 from
+        # cone(A), is restored; B, the midpoint of A and C, is priced by
+        # linearity
+        games = [Game([1, 2]), Game([1, 2 + 3e-9]), Game([1, 2 + 6e-9])]
         sol = least_squares_prices(ConeBasis(COIN, games), R05)
-        assert sol.basis == (0, 2)
+        assert sol.basis == (0, 2) and sol.termination == "linear"
         path = tmp_path / "near.json"
         path.write_text(json.dumps({"probabilities": [0.5, 0.5],
                                     "games": {n: list(g.payoff_tuple)
@@ -328,25 +367,29 @@ class TestOneBasisRule:
         assert (len(fits) - fast_fits) - fast_fits >= 50
 
     @pytest.mark.parametrize("case, dropped", [
-        ("example13.json", 0), (5, 0), ("redundant3.json", 1)])
+        ("example13.json", 0), (5, 0), ("redundant3.json", 1), ("intro.json", 0)])
     def test_one_factorization_per_solve(self, monkeypatch, case, dropped):
-        # the reduction and the constant-mix test share the games' QR when no
-        # game is dropped (example 13, and the 3 x 3 basis of LS_DEEP_LIKE);
-        # a dropped game (redundant3's B = 2 A) leaves the kept ones to
-        # factor again. Without the QR shortcut, the answer is the same to
-        # the bit
+        # the constant-mix test and the reduction share the games' QR, also
+        # when a game is dropped (redundant3's B = 2 A); a constant-mix exit
+        # (the 3 x 3 basis of LS_DEEP_LIKE, and intro.json, whose constant B
+        # lies in the cone of A and C) runs no reduction. Without the QR
+        # shortcut, the answer is the same to the bit
         if isinstance(case, str):
             b, rate = _sample_basis(case)
         else:
             probs, games, r = LS_DEEP_LIKE[case]
             b, rate = ConeBasis(OutcomeSpace(probs), [Game(g) for g in games]), Rate(r)
-        calls = []
-        unit_qr = gameprice.lsq._unit_qr
+        calls, rays = [], []
+        unit_qr, extreme_rays = gameprice.lsq._unit_qr, gameprice.lsq._extreme_rays
         monkeypatch.setattr(gameprice.lsq, "_unit_qr",
                             lambda cols: calls.append(cols) or unit_qr(cols))
+        monkeypatch.setattr(gameprice.lsq, "_extreme_rays",
+                            lambda *a: rays.append(a) or extreme_rays(*a))
         sol = least_squares_prices(b, rate)
         assert len(sol.basis) == b.n - dropped
-        assert len(calls) == (2 if dropped else 1)
+        assert len(calls) == 1
+        assert len(rays) == (0 if sol.termination == "constant_mix" else 1)
+        assert (sol.termination == "constant_mix") == (case in (5, "intro.json"))
         _nnls_only(monkeypatch)
         assert least_squares_prices(b, rate) == sol
 
@@ -358,7 +401,7 @@ class TestOneBasisRule:
         sol = least_squares_prices(b, Rate(1.4294e-9))
         assert sol.termination == "constant_mix"
         assert sol.max_violation <= 1e-12
-        assert sol.basis == (0, 1)
+        assert sol.basis == (0, 1, 2)  # a constant-mix exit drops no game
         assert sol.x.tolist() == [1.0, 1.0, 1.0]
         assert sol.prices[2] == pytest.approx(sol.prices[1] * 8.47028 / 62.5219, rel=1e-12)
 
