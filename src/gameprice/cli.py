@@ -3,8 +3,8 @@
 Subcommands: price, ls-price, simulate, sweep, compare-mv, parity,
 paper-examples. Input is the game-spec JSON documented in core; output goes
 to stdout as a plain table (default), JSON, or CSV. Exit codes: 0 ok,
-1 a result out of tolerance, a failed paper check or a solver failure,
-2 parse error, 3 invariant violation, 4 basis failure.
+1 an ls-price result out of --tol-ls, a failed paper check or a solver
+failure, 2 parse error, 3 invariant violation.
 
 Each command reads its input through `_inputs` (the game file, its rate
 with --rate and --convention applied, and the games it names) and prints
@@ -26,16 +26,13 @@ import sys
 
 from .core import (
     DEFAULT_L_TOL,
-    BasisError,
     ConeBasis,
     Game,
     GameFile,
     GameFileError,
     InvariantViolation,
-    LogDomainViolation,
     PricingError,
     Rate,
-    TruncationError,
     load_game_file,
 )
 from .pricer import REGIME_FULL, price_general
@@ -44,13 +41,10 @@ TYPE_CHECKING = False
 if TYPE_CHECKING:
     from typing import Optional
 
-    from .lsq import LsSolution
-
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_PARSE = 2
 EXIT_INVARIANT = 3
-EXIT_BASIS = 4
 
 
 def _tolerance(text: str) -> float:
@@ -123,18 +117,6 @@ def _show(args, doc, csv_lines, table_lines) -> None:
             print(line)
 
 
-def _tolerance_exit(sol: Optional[LsSolution], tol_L: float) -> int:
-    """EXIT_FAIL, after a note on stderr, when the solver stopped out of tolerance.
-
-    Call it after the result is printed: the result is still shown.
-    """
-    if sol is None or sol.max_violation <= tol_L:
-        return EXIT_OK
-    print(f"not within tolerance: max_violation {sol.max_violation:.3e} > "
-          f"tol_L {tol_L:.3e}", file=sys.stderr)
-    return EXIT_FAIL
-
-
 def cmd_price(args) -> int:
     gf, rate, (game,) = _inputs(args, args.game)
     res = price_general(game, gf.space, rate)
@@ -165,7 +147,12 @@ def cmd_ls_price(args) -> int:
     table.append(f"certificate mix: ({', '.join(cert)})")
     _show(args, sol.to_json_dict(), [("game", "standalone", "ls_price", "x"), *rows],
           table)
-    return _tolerance_exit(sol, args.tol_ls)
+    if sol.max_violation <= args.tol_ls:
+        return EXIT_OK
+    # out of tolerance: the result is printed, then a note on stderr
+    print(f"not within tolerance: max_violation {sol.max_violation:.3e} > "
+          f"tol_L {args.tol_ls:.3e}", file=sys.stderr)
+    return EXIT_FAIL
 
 
 def _simulation(args) -> tuple:
@@ -244,7 +231,7 @@ def cmd_parity(args) -> int:
     from .portfolio import put_call_parity
 
     gf, rate, (stock,) = _inputs(args, args.stock)
-    rep = put_call_parity(stock, gf.space, args.strike, rate, tol_L=args.tol_ls)
+    rep = put_call_parity(stock, gf.space, args.strike, rate)
     fp = args.full_precision
     if rep.degenerate:  # no solve: the same one line in CSV and table
         table = [f"degenerate: {rep.reason}"]
@@ -259,7 +246,7 @@ def cmd_parity(args) -> int:
                  f"stock={_fmt_price(rep.stock_price, fp)}",
                  f"parity residual: {rep.residual:.3e}"]
     _show(args, rep.to_json_dict(), csv, table)
-    return _tolerance_exit(rep.solution, args.tol_ls)
+    return EXIT_OK
 
 
 def cmd_paper_examples(args) -> int:
@@ -292,9 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "over the cone they span.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    tol_ls_help = ("tolerance on the worst-case ratio L, not a stop test: prices are "
-                   "linear when L(0) <= 1 + tol, and a solution with L - 1 above it "
-                   "is stalled and exits 1")
 
     def common(sp, with_input=True):
         if with_input:
@@ -305,8 +289,9 @@ def build_parser() -> argparse.ArgumentParser:
                             default=None, help="rate compounding convention")
         sp.add_argument("--format", choices=["json", "csv", "table"],
                         default="table", help="output format")
-        sp.add_argument("--full-precision", action="store_true",
-                        help="print full float precision instead of 4 digits")
+        if with_input:  # paper-examples prints its checks' own text
+            sp.add_argument("--full-precision", action="store_true",
+                            help="print full float precision instead of 4 digits")
 
     sp = sub.add_parser("price", help="price one game")
     common(sp)
@@ -315,7 +300,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("ls-price", help="least-squares prices of all games")
     common(sp)
-    sp.add_argument("--tol-ls", type=_tolerance, default=DEFAULT_L_TOL, help=tol_ls_help)
+    sp.add_argument("--tol-ls", type=_tolerance, default=DEFAULT_L_TOL,
+                    help="tolerance on the worst-case ratio L, not a stop test: "
+                         "prices are linear when L(0) <= 1 + tol, and a solution "
+                         "with L - 1 above it is stalled and exits 1")
     sp.set_defaults(func=cmd_ls_price)
 
     sp = sub.add_parser("simulate", help="Monte Carlo growth at a price/stake")
@@ -349,7 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--stock", default="S", help="name of the stock game")
     sp.add_argument("--strike", type=float, required=True)
-    sp.add_argument("--tol-ls", type=_tolerance, default=DEFAULT_L_TOL, help=tol_ls_help)
     sp.set_defaults(func=cmd_parity)
 
     sp = sub.add_parser("paper-examples",
@@ -370,10 +357,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except GameFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except BasisError as exc:
-        print(f"basis error: {exc}", file=sys.stderr)
-        return EXIT_BASIS
-    except (InvariantViolation, LogDomainViolation, TruncationError) as exc:
+    except InvariantViolation as exc:
         print(f"invariant violated: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
     except PricingError as exc:

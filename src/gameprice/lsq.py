@@ -985,21 +985,17 @@ def check_linear_pricing(basis: ConeBasis, rate: Rate) -> bool:
 
 
 def _cone_fit(
-    cols: Sequence[Sequence[float]], target: Sequence[float], tol: float = math.inf
+    cols: Sequence[Sequence[float]], target: Sequence[float]
 ) -> tuple[list[float], float]:
     """Coefficients k >= 0 with M k closest to target, by NNLS, and how close.
 
     M is given by its columns. The distance is |M k - target| (2-norm) over
     the target's largest payoff, which is positive because no game is all
     zero; scaling all payoffs leaves the distance unchanged. The cone tests
-    compare it with CONE_TOL; BasisError when it exceeds tol.
+    compare it with CONE_TOL.
     """
     k = _nnls_cols(cols, target)
-    residual = _residual(cols, k, target)
-    if residual > tol:
-        raise BasisError(
-            f"game lies outside the cone: relative residual {residual:.3g}")
-    return k, residual
+    return k, _residual(cols, k, target)
 
 
 def _residual(
@@ -1020,8 +1016,10 @@ def cone_coordinates(basis: ConeBasis, game: Game) -> np.ndarray:
     nonnegative residual exceeds CONE_TOL of the game's largest payoff. The
     coefficients come as a read-only float64 array.
     """
-    cols = [g.payoff_tuple for g in basis.games]
-    return _frozen_array(_cone_fit(cols, game.payoff_tuple, CONE_TOL)[0])
+    k, residual = _cone_fit([g.payoff_tuple for g in basis.games], game.payoff_tuple)
+    if residual > CONE_TOL:
+        raise BasisError(f"game lies outside the cone: relative residual {residual:.3g}")
+    return _frozen_array(k)
 
 
 def in_cone(basis: ConeBasis, game: Game) -> bool:

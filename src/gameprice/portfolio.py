@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 
 from .core import (
-    DEFAULT_L_TOL,
     ConeBasis,
     Game,
     InvariantViolation,
@@ -214,8 +213,6 @@ def put_call_parity(
     space: OutcomeSpace,
     strike: float,
     rate: Rate,
-    *,
-    tol_L: float = DEFAULT_L_TOL,
 ) -> ParityReport:
     """Check call - put + K/g = stock under least-squares prices.
 
@@ -223,7 +220,9 @@ def put_call_parity(
     is a constant mix, so least_squares_prices takes its constant-mix exit
     and drops no game: every price is its ceiling E/g, which is linear (the
     stand-alone price where d = c - u is not positive). The stock is call +
-    (stock-minus-call), so its price is their sum.
+    (stock-minus-call), so its price is their sum. That exit has
+    max_violation 0 by Jensen's inequality, whatever the tolerance, so the
+    check takes none.
     """
     if not 0.0 < strike < math.inf:
         raise InvariantViolation("strike must be finite and > 0")
@@ -247,7 +246,7 @@ def put_call_parity(
     # put + covered = strike: the solve's constant-mix test finds that mix
     # on these three games, before any basis reduction
     sol = least_squares_prices(
-        ConeBasis(space, [Game(put), Game(call), Game(covered)]), rate, tol_L=tol_L)
+        ConeBasis(space, [Game(put), Game(call), Game(covered)]), rate)
     if sol.termination != "constant_mix":
         raise PricingError(
             "internal error: put + covered = strike mix not detected"

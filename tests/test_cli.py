@@ -10,7 +10,6 @@ import pytest
 
 import gameprice.cli
 import gameprice.lsq
-import gameprice.portfolio
 from gameprice.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -154,6 +153,19 @@ class TestExitCodes:
         assert rc == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("argv, option", [
+        # parity ends on the constant-mix exit, whose max_violation is 0 at
+        # any tolerance, and paper-examples prints its checks' own text
+        (["parity", "{input}", "--strike", "10", "--tol-ls", "1e-6"], "--tol-ls 1e-6"),
+        (["paper-examples", "--full-precision"], "--full-precision"),
+    ], ids=["parity", "paper-examples"])
+    def test_an_option_that_changes_nothing_is_refused(self, capsys, remark35, argv,
+                                                       option):
+        with pytest.raises(SystemExit) as exc:
+            main([a.format(input=remark35) for a in argv])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {option}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv, message", [
         (["ls-price", "--tol-ls", "0"], "tolerance must lie in (0, 1e-2]"),
         (["price", "--game", "A", "--rate", "-1"], "rate must be > 0"),
@@ -199,6 +211,11 @@ class TestExitCodes:
         ({"games": {"A": [19, [1]]}}, 'game "A" must be a list of numbers'),
         ({"games": {"A": [19, {"a": 1}]}}, 'game "A" must be a list of numbers'),
         ({"games": {"A": [19, True]}}, 'game "A" must be a list of numbers'),
+        ({"games": {}}, '"games" must be a nonempty object of name -> payoffs'),
+        ({"games": [[19, 1]]}, '"games" must be a nonempty object of name -> payoffs'),
+        ({"rate": 0.05}, '"rate" must be an object with a "value"'),
+        ({"rate": [0.05]}, '"rate" must be an object with a "value"'),
+        ({"rate": {"convention": "simple"}}, '"rate" must be an object with a "value"'),
         ({"rate": {"value": "a"}}, '"rate" "value" must be a number'),
         ({"rate": {"value": None}}, '"rate" "value" must be a number'),
         ({"rate": {"value": [0.05]}}, '"rate" "value" must be a number'),
@@ -215,6 +232,16 @@ class TestExitCodes:
         assert rc == 2
         assert out == ""
         assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("text", ["[0.5, 0.5]", '"intro"', "null", "5"])
+    def test_a_top_level_that_is_not_an_object_is_a_parse_error(self, capsys, tmp_path,
+                                                                 text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        rc, out, err = run(capsys, ["price", "--game", "A", str(path)])
+        assert rc == 2
+        assert out == ""
+        assert err == "error: top level must be a JSON object\n"
 
     @pytest.mark.parametrize("spec, message", [
         ({"probabilities": [0.5, 0.6]}, "sum to 1"),
@@ -362,19 +389,6 @@ class TestOutOfTolerance:
         assert out.strip()
         assert err.splitlines() == [
             "not within tolerance: max_violation 1.000e-03 > tol_L 1.000e-09"
-        ]
-
-    @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
-    def test_parity_prints_then_fails(self, capsys, monkeypatch, remark35, fmt):
-        monkeypatch.setattr(gameprice.portfolio, "least_squares_prices",
-                            _out_of_tolerance(gameprice.portfolio.least_squares_prices))
-        rc, out, err = run(capsys, [
-            "parity", "--strike", "10", "--tol-ls", "1e-6", "--format", fmt, remark35,
-        ])
-        assert rc == 1
-        assert out.strip()
-        assert err.splitlines() == [
-            "not within tolerance: max_violation 1.000e-03 > tol_L 1.000e-06"
         ]
 
 

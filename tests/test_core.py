@@ -97,6 +97,13 @@ class TestValueTypes:
         with pytest.raises(InvariantViolation):
             make(values)
 
+    @pytest.mark.parametrize("values", [5, [[1, 2]], "12", b"12"])
+    def test_payoffs_that_are_not_a_vector_are_named(self, values):
+        # a scalar or a nested list fails float(); a string would read as
+        # its characters' digits
+        with pytest.raises(InvariantViolation, match="^payoffs must be a nonempty 1-d vector$"):
+            Game(values)
+
     def test_arrays_are_read_only_float64_and_cached(self):
         g = Game([19, 1])
         s = OutcomeSpace(np.array([0.25, 0.75]))

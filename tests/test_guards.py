@@ -168,15 +168,22 @@ def _words(*names):
     # the CLI reads its input through one helper, _inputs, and prints
     # through one, _show
     pytest.param(_words("_resolve_rate", "_resolve_u_t", "_pick_game"), SRC, id="cli-input"),
+    # the CLI catches only what a command can raise: no exit 4, and no
+    # handler for an error that no command reaches
+    pytest.param(_words("EXIT_BASIS", "BasisError", "LogDomainViolation", "TruncationError"),
+                 SRC / "gameprice" / "cli.py", id="cli-exits"),
 ])
 def test_removed_names_stay_removed(pattern, path):
     assert not _grep(pattern, path)
 
 
 def test_cone_questions_take_no_tolerance():
-    assert [f for f in ("check_constant_mix", "check_linear_pricing", "cone_coordinates",
-                        "in_cone")
-            if "tol" in inspect.signature(getattr(lsq, f)).parameters] == []
+    # every cone test compares with CONE_TOL, and put-call parity ends on
+    # the constant-mix exit, whose max_violation is 0 at any tolerance
+    functions = [lsq.check_constant_mix, lsq.check_linear_pricing, lsq.cone_coordinates,
+                 lsq.in_cone, lsq._cone_fit, portfolio.put_call_parity]
+    assert [f.__name__ for f in functions
+            if any("tol" in p for p in inspect.signature(f).parameters)] == []
 
 
 def test_every_record_builds_through_one_constructor():

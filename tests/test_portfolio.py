@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -224,20 +225,55 @@ class TestPutCallParity:
 
     @pytest.mark.parametrize("probs", [(0.5, 0.3, 0.2), (0.2, 0.5, 0.3), (0.3, 0.3, 0.4)])
     def test_three_outcome_strike_sweep_never_stalls(self, probs):
-        # put + covered = strike is a constant mix at every strike, so x = 1
-        # and the certified oracle's L at x is the only check: it must not
-        # stop short near its optimum, where the value's gain drowns in price
-        # noise
+        # put + covered = strike is a constant mix at every strike, so the
+        # solve ends on its constant-mix exit, x = 1, where Jensen's
+        # inequality gives L <= 1 with no oracle: max_violation is 0 at any
+        # tolerance
         space = OutcomeSpace(list(probs))
         stock = np.array([14.0, 10.0, 6.0])
         for strike in np.linspace(7.0, 13.0, 13):
             rep = put_call_parity(Game(stock), space, float(strike), R05)
             assert not rep.degenerate
-            assert rep.solution.max_violation <= 1e-9, strike
+            assert rep.solution.termination == "constant_mix", strike
+            assert rep.solution.max_violation == 0.0, strike
             # put + covered = strike pins every price at its ceiling exactly
             assert np.all(rep.solution.x == 1.0), (strike, rep.solution.x)
             ceiling = space.probs @ np.maximum(stock - strike, 0.0) / R05.growth_factor()
             assert rep.call_price == pytest.approx(ceiling, rel=1e-12), strike
+
+    def test_random_stocks_end_on_the_constant_mix_exit(self):
+        # 2 to 8 outcomes, payoffs from 1e-50 to 1e50 with 15% zeros, rates
+        # up to 0.5 in both conventions: every solve takes the constant-mix
+        # exit, keeps all three games and prices each at its ceiling E/g
+        # (its stand-alone price where d = c - u is not positive)
+        rng = random.Random(53)
+        solved, conventions = 0, set()
+        for _ in range(400):
+            m = rng.randint(2, 8)
+            lo = rng.uniform(-50.0, 50.0)
+            hi = rng.uniform(lo, 50.0)
+            pays = [0.0 if rng.random() < 0.15 else 10.0 ** rng.uniform(lo, hi)
+                    for _ in range(m)]
+            pays[rng.randrange(m)] = 10.0 ** hi
+            pos = [a for a in pays if a > 0.0]
+            strike = 10.0 ** rng.uniform(math.log10(min(pos)), math.log10(max(pos)))
+            weights = [rng.uniform(0.05, 1.0) for _ in range(m)]
+            rate = Rate(rng.uniform(1e-3, 0.5), rng.choice(["continuous", "simple"]))
+            rep = put_call_parity(Game(pays), OutcomeSpace([w / sum(weights)
+                                                            for w in weights]),
+                                  strike, rate)
+            if rep.degenerate:
+                continue
+            sol = rep.solution
+            assert (sol.termination, sol.max_violation, sol.basis) == (
+                "constant_mix", 0.0, (0, 1, 2)), (pays, strike, rate)
+            for x, u, c, price in zip(sol.x_tuple, sol.standalone_tuple,
+                                      sol.ceiling_tuple, sol.price_tuple):
+                assert x == (1.0 if c > u else 0.0)
+                assert price == pytest.approx(c if c > u else u, rel=1e-15)
+            solved += 1
+            conventions.add(rate.convention)
+        assert solved > 350 and conventions == {"continuous", "simple"}
 
     def test_strike_below_every_payoff_degenerates(self):
         rep = put_call_parity(Game([12, 8]), COIN, 5.0, R05)

@@ -370,6 +370,31 @@ class TestPriceSeries:
         with pytest.raises(InvariantViolation):
             truncate_series(bad)
 
+    @pytest.mark.parametrize("nu, bound, message", [
+        (0.0, 3.0, "tail exponent must be > 0"),
+        (-0.5, 3.0, "tail exponent must be > 0"),
+        (math.nan, 3.0, "tail exponent must be > 0"),
+        (0.5, 0.0, "moment bound must be positive and finite"),
+        (0.5, math.inf, "moment bound must be positive and finite"),
+        (0.5, math.nan, "moment bound must be positive and finite"),
+    ])
+    def test_a_series_declaration_out_of_range_is_refused(self, nu, bound, message):
+        with pytest.raises(InvariantViolation, match=f"^{message}$"):
+            SeriesGame(term=lambda j: (2.0**j, 2.0**-j), tail_exponent=nu,
+                       moment_bound=bound)
+
+    @pytest.mark.parametrize("term, message", [
+        (lambda j: (-1.0, 0.5), r"series term 1 is invalid: \(-1.0, 0.5\)"),
+        (lambda j: (2.0, math.nan), r"series term 1 is invalid: \(2.0, nan\)"),
+        (lambda j: (2.0, 0.25) if j == 1 else (math.inf, 0.25),
+         r"series term 2 is invalid: \(inf, 0.25\)"),
+        (lambda j: (1.0, 0.6), "series probabilities exceed 1"),
+    ], ids=["negative-payoff", "nan-probability", "inf-payoff", "mass-above-1"])
+    def test_truncation_refuses_a_term_out_of_range(self, term, message):
+        series = SeriesGame(term=term, tail_exponent=0.5, moment_bound=10.0)
+        with pytest.raises(InvariantViolation, match=f"^{message}$"):
+            truncate_series(series)
+
     @pytest.mark.parametrize("p, violated", [(0.5, True), (1e-300, False)])
     def test_a_moment_term_whose_power_overflows(self, p, violated):
         # (1e200)^2 passes the float range: p (1e200)^2 is 5e399 for p = 1/2,

@@ -1,5 +1,7 @@
+import inspect
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -155,6 +157,33 @@ def _random_space(rng, m):
     return OutcomeSpace([w / math.fsum(weights) for w in weights])
 
 
+def _btpe_draws(seed, key, n, p, size):
+    """size binomial(n, p) draws of the stream SeedSequence(seed,
+    spawn_key=(key,)), and how often each of _binomial_btpe's tail rejections
+    ran: the `continue` after `if y < 0:` and after `if y > n:`, by a line
+    trace of that function."""
+    lines, first = inspect.getsourcelines(simulate._binomial_btpe)
+    rejections = {first + i + 1: line.strip() for i, line in enumerate(lines)
+                  if line.strip() in ("if y < 0:", "if y > n:")}
+    assert len(rejections) == 2
+    hits = dict.fromkeys(rejections.values(), 0)
+
+    def count(frame, event, arg):
+        if event == "line" and frame.f_lineno in rejections:
+            hits[rejections[frame.f_lineno]] += 1
+        return count
+
+    code = simulate._binomial_btpe.__code__
+    next_double = simulate._pcg64_doubles(seed, key)
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: count if frame.f_code is code else None)
+    try:
+        draws = [simulate._binomial(next_double, p, n) for _ in range(size)]
+    finally:
+        sys.settrace(previous)
+    return draws, hits
+
+
 class TestStreamParity:
     """Each path's counts are numpy's default_rng(SeedSequence(seed,
     spawn_key=(i,))).multinomial draw, count for count."""
@@ -185,6 +214,25 @@ class TestStreamParity:
             path = rng.choice((rng.randrange(64), rng.randrange(2**32, 2**34)))
             assert simulate._path_counts(space, n, seed, path) == _numpy_counts(
                 space.prob_tuple, n, seed, path), (case, space.prob_tuple, n, seed, path)
+
+    @pytest.mark.parametrize("seed, key, n, p, size, rejection", [
+        # about 1 draw in 3,000 rejects below 0 at n = 3100, p = 0.01; p = 0.99
+        # draws n minus the same count
+        (0, 961, 3_100, 0.01, 2_000, "if y < 0:"),
+        (0, 961, 3_100, 0.99, 2_000, "if y < 0:"),
+        # y > n is rarer than 1 draw in 200,000 at n = 61, p = 0.5, its
+        # likeliest case: each stream's first try takes it, found by a scan
+        # of SeedSequence(0, spawn_key=(k,)) for k below 3,000,000
+        (0, 930_710, 61, 0.5, 20, "if y > n:"),
+        (0, 1_153_942, 61, 0.5, 20, "if y > n:"),
+    ])
+    def test_btpe_tail_rejections_draw_numpys_counts(self, seed, key, n, p, size,
+                                                     rejection):
+        draws, hits = _btpe_draws(seed, key, n, p, size)
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(
+            seed, spawn_key=(key,))))
+        assert draws == rng.binomial(n, p, size).tolist()
+        assert hits[rejection] > 0, hits
 
     def test_reports_match_numpy_reference(self):
         rng = random.Random(7)
