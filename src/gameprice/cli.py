@@ -159,7 +159,8 @@ def _simulation(args) -> tuple:
     """The outcome space, the game and the SimConfig of simulate or sweep.
 
     A price or stake left out by --u or --t is solved; sweep has no --t and
-    configures t = 0, so with --u it solves nothing.
+    configures t = 0, so with --u it solves nothing. The price goes only into
+    cfg.price, where simulate_growth and sweep_proportion read it.
     """
     from .simulate import SimConfig
 
@@ -194,7 +195,7 @@ def cmd_sweep(args) -> int:
     from .simulate import sweep_proportion
 
     space, game, cfg = _simulation(args)
-    rows = sweep_proportion(game, space, cfg.price, args.points, cfg)
+    rows = sweep_proportion(game, space, args.points, cfg)
     keys = ("t", "mean_growth", "var_growth", "ci")
     docs = [dict(zip(keys, (r.proportion, r.mean_growth, r.var_growth, r.ci_halfwidth)))
             for r in rows]

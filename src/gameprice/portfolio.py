@@ -220,9 +220,11 @@ def put_call_parity(
     is a constant mix, so least_squares_prices takes its constant-mix exit
     and drops no game: every price is its ceiling E/g, which is linear (the
     stand-alone price where d = c - u is not positive). The stock is call +
-    (stock-minus-call), so its price is their sum. That exit has
-    max_violation 0 by Jensen's inequality, whatever the tolerance, so the
-    check takes none.
+    (stock-minus-call), so its price is their sum, and the residual is
+    K/g - put - covered: the same gap with the call's price cancelled
+    exactly, so a call far above K adds no rounding of its own. That exit
+    has max_violation 0 by Jensen's inequality, whatever the tolerance, so
+    the check takes none.
     """
     if not 0.0 < strike < math.inf:
         raise InvariantViolation("strike must be finite and > 0")
@@ -253,9 +255,7 @@ def put_call_parity(
         )
     put_price, call_price, covered_price = sol.price_tuple
     stock_price = call_price + covered_price
-    residual = (
-        call_price - put_price + strike / rate.growth_factor() - stock_price
-    )
+    residual = strike / rate.growth_factor() - put_price - covered_price
     return ParityReport(
         strike=strike,
         degenerate=False,

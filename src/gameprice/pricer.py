@@ -433,8 +433,6 @@ def truncate_series(sgame: SeriesGame) -> tuple[OutcomeSpace, Game]:
             f"tail bound insufficient after {SERIES_MAX_TERMS} terms "
             f"(remaining probability {1.0 - cum_p:.3e})"
         )
-    if not pays:
-        raise InvariantViolation("series produced no positive-probability terms")
     return OutcomeSpace(probs), Game(pays)
 
 

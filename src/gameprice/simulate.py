@@ -341,28 +341,28 @@ def simulate_growth(game: Game, space: OutcomeSpace, cfg: SimConfig) -> SimRepor
 def sweep_proportion(
     game: Game,
     space: OutcomeSpace,
-    u: float,
     grid: int,
     cfg: SimConfig,
 ) -> list[SweepPoint]:
-    """Empirical growth curve over stake proportions at price u.
+    """Empirical growth curve over stake proportions at the price cfg.price.
 
-    All grid points share the same seed family, so each path's counts are
-    drawn once and the curve is smooth in t (common random numbers); its
-    argmax lands near the optimal proportion once attempts are large. The
-    grid is i * t_hi / (grid - 1), ending at t_hi exactly.
+    The grid sets every stake, so cfg.proportion is not read. All grid
+    points share the same seed family, so each path's counts are drawn once
+    and the curve is smooth in t (common random numbers); its argmax lands
+    near the optimal proportion once attempts are large. The grid is
+    i * t_hi / (grid - 1), ending at t_hi exactly.
     """
     if grid < 3:
         raise InvariantViolation("grid needs at least 3 points")
     _check_aligned(game, space)
-    t_cap = max_proportion(game, u)
+    t_cap = max_proportion(game, cfg.price)
     t_hi = 1.0 if math.isinf(t_cap) else min(1.0, t_cap * (1.0 - 1e-9))
     step = t_hi / (grid - 1)
     counts = _draw_paths(space, cfg)
     rows = []
     for i in range(grid):
         t = t_hi if i == grid - 1 else i * step
-        rep = _report(game, counts, cfg.attempts, u, t)
+        rep = _report(game, counts, cfg.attempts, cfg.price, t)
         rows.append(
             SweepPoint(
                 proportion=t,

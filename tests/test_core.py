@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -18,6 +19,8 @@ from gameprice import (
     OutcomeSpace,
     Rate,
     SimConfig,
+    combine,
+    constant_series,
     expectation,
     expected_log_growth,
     fair_coin,
@@ -70,6 +73,23 @@ class TestGame:
 
     def test_zero_entries_allowed(self):
         assert Game([0.0, 2.0]).size == 2
+
+
+class TestInputChecks:
+    """Each input check raises its own error with its whole message."""
+
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda: Game([19, 1]).scaled(0), InvariantViolation, "scale factor must be > 0"),
+        (lambda: constant_series(0), InvariantViolation, "constant payoff must be > 0"),
+        (lambda: combine(ConeBasis(COIN, [Game([19, 1]), Game([4, 16])]), [1.0]),
+         DimensionMismatch, "coefficients of length 1 over 2 games"),
+        (lambda: combine(ConeBasis(COIN, [Game([19, 1]), Game([4, 16])]), [0.0, 0.0]),
+         InvariantViolation, "cone coefficients must not all be zero"),
+    ], ids=["scaled-by-0", "constant-series-of-0", "combine-wrong-length",
+            "combine-all-zero"])
+    def test_each_check_raises_its_message(self, call, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            call()
 
 
 class TestValueTypes:
@@ -161,7 +181,7 @@ class TestDimensionMismatch:
         lambda g, s: expected_log_growth(g, s, 1.0, 0.5),
         lambda g, s: optimal_proportion(g, s, 1.0),
         lambda g, s: simulate_growth(g, s, _SIM),
-        lambda g, s: sweep_proportion(g, s, 1.0, 3, _SIM),
+        lambda g, s: sweep_proportion(g, s, 3, _SIM),
         lambda g, s: put_call_parity(g, s, 2.0, Rate(0.05)),
     ], ids=["expectation", "geometric_mean", "harmonic_mean", "variance", "ConeBasis",
             "reduce_to_basis", "price_general", "expected_log_growth",

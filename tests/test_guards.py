@@ -211,6 +211,12 @@ def test_series_truncation_takes_no_tolerance_or_term_cap():
                    for p in inspect.signature(getattr(pricer, f)).parameters)] == []
 
 
+def test_a_sweep_takes_its_price_from_its_config():
+    # SimConfig.price is the one price of a simulation
+    assert list(inspect.signature(simulate.sweep_proportion).parameters) == [
+        "game", "space", "grid", "cfg"]
+
+
 def test_lsq_keeps_only_what_the_library_runs():
     # no array wrappers on _LsqProblem, no array NNLS, no seed mixes for a
     # solve

@@ -223,6 +223,13 @@ class TestPutCallParity:
         assert not rep.degenerate
         assert abs(rep.residual) < 1e-7 * rep.strike
 
+    def test_a_call_far_above_the_strike_adds_no_rounding_to_the_residual(self):
+        # the call's price, about 5e21, cancels out of the residual exactly;
+        # computed as call - put + K/g - (call + covered) it read 1048576.0
+        rep = put_call_parity(Game([1e22, 1.0]), COIN, 1e6, R05)
+        assert not rep.degenerate
+        assert abs(rep.residual) <= 1e-9 * rep.strike
+
     @pytest.mark.parametrize("probs", [(0.5, 0.3, 0.2), (0.2, 0.5, 0.3), (0.3, 0.3, 0.4)])
     def test_three_outcome_strike_sweep_never_stalls(self, probs):
         # put + covered = strike is a constant mix at every strike, so the

@@ -36,6 +36,9 @@ class TestSimConfig:
             SimConfig(attempts=1, paths=1, seed=0, price=0.0, proportion=0.5)
         with pytest.raises(InvariantViolation):
             SimConfig(attempts=1, paths=1, seed=0, price=1.0, proportion=1.5)
+        with pytest.raises(InvariantViolation,
+                           match=r"^seed must be a nonnegative integer$"):
+            SimConfig(attempts=1, paths=1, seed=-1, price=1.0, proportion=0.5)
 
     @pytest.mark.parametrize("field, value", [
         ("attempts", 2.5), ("attempts", 3.0), ("attempts", True),
@@ -261,7 +264,7 @@ class TestSweep:
     ])
     def test_rows_equal_simulate_growth(self, game, u, grid):
         cfg = SimConfig(attempts=300, paths=12, seed=2**40, price=u, proportion=0.0)
-        rows = sweep_proportion(game, COIN, u, grid, cfg)
+        rows = sweep_proportion(game, COIN, grid, cfg)
         t_cap = max_proportion(game, u)
         t_hi = 1.0 if math.isinf(t_cap) else min(1.0, t_cap * (1.0 - 1e-9))
         assert [r.proportion for r in rows] == np.linspace(0.0, t_hi, grid).tolist()
@@ -280,13 +283,13 @@ class TestSweep:
 
         monkeypatch.setattr(simulate, "_path_counts", counted)
         cfg = SimConfig(attempts=100, paths=10, seed=3, price=7.0, proportion=0.0)
-        sweep_proportion(GAME_A, COIN, 7.0, 5, cfg)
+        sweep_proportion(GAME_A, COIN, 5, cfg)
         assert calls == list(range(10))
 
     def test_argmax_near_optimal_proportion(self):
         u = 7.224
         cfg = SimConfig(attempts=20_000, paths=200, seed=5, price=u, proportion=0.0)
-        rows = sweep_proportion(GAME_A, COIN, u, 21, cfg)
+        rows = sweep_proportion(GAME_A, COIN, 21, cfg)
         best = max(rows, key=lambda r: r.mean_growth)
         step = rows[1].proportion - rows[0].proportion
         assert abs(best.proportion - 0.2736) <= 2 * step
@@ -294,7 +297,7 @@ class TestSweep:
     def test_constant_game_below_fair_price_wants_full_stake(self):
         u = 9.0  # below 10/e^r
         cfg = SimConfig(attempts=500, paths=50, seed=5, price=u, proportion=0.0)
-        rows = sweep_proportion(GAME_B, COIN, u, 11, cfg)
+        rows = sweep_proportion(GAME_B, COIN, 11, cfg)
         best = max(rows, key=lambda r: r.mean_growth)
         assert best.proportion == 1.0
         growths = [r.mean_growth for r in rows]
@@ -303,7 +306,7 @@ class TestSweep:
     def test_at_expectation_zero_stake_is_best(self):
         u = 10.0
         cfg = SimConfig(attempts=20_000, paths=300, seed=9, price=u, proportion=0.0)
-        rows = sweep_proportion(GAME_A, COIN, u, 11, cfg)
+        rows = sweep_proportion(GAME_A, COIN, 11, cfg)
         best = max(rows, key=lambda r: r.mean_growth)
         step = rows[1].proportion - rows[0].proportion
         assert best.proportion <= 2 * step
@@ -311,4 +314,4 @@ class TestSweep:
     def test_grid_too_small_rejected(self):
         cfg = SimConfig(attempts=10, paths=2, seed=0, price=7.0, proportion=0.0)
         with pytest.raises(InvariantViolation):
-            sweep_proportion(GAME_A, COIN, 7.0, 2, cfg)
+            sweep_proportion(GAME_A, COIN, 2, cfg)
