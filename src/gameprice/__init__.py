@@ -73,7 +73,6 @@ _LAZY = {
     "simulate": (
         "SimConfig",
         "SimReport",
-        "SweepPoint",
         "simulate_growth",
         "sweep_proportion",
     ),

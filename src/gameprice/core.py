@@ -306,10 +306,6 @@ class Mix(_Record):
             raise InvariantViolation("mix weights must be nonnegative")
         self.__dict__["weight_tuple"] = _on_simplex(values, "mix weights")
 
-    @property
-    def size(self) -> int:
-        return len(self.weight_tuple)
-
 
 def _dot(a: Sequence[float], b: Sequence[float]) -> float:
     return sum(map(mul, a, b))

@@ -402,7 +402,6 @@ def truncate_series(sgame: SeriesGame) -> tuple[OutcomeSpace, Game]:
     probs: list[float] = []
     cum_p = 0.0
     cum_moment = 0.0
-    converged = False
     for j in range(1, SERIES_MAX_TERMS + 1):
         a, p = sgame.term(j)
         if not (math.isfinite(a) and a >= 0.0 and math.isfinite(p) and p >= 0.0):
@@ -420,15 +419,13 @@ def truncate_series(sgame: SeriesGame) -> tuple[OutcomeSpace, Game]:
             )
         tail_p = 1.0 - cum_p
         if tail_p <= 0.0:
-            converged = True
             break
         if p > 0.0:
             # p_j * a_j^nu <= bound, so log a_j <= (log bound - log p_j)/nu
             log_pay_est = max(0.0, (log_bound - math.log(p)) / nu)
             if tail_p * (log_pay_est + 60.0) < SERIES_TOL:
-                converged = True
                 break
-    if not converged:
+    else:
         raise TruncationError(
             f"tail bound insufficient after {SERIES_MAX_TERMS} terms "
             f"(remaining probability {1.0 - cum_p:.3e})"

@@ -273,6 +273,7 @@ class SimConfig(_Record):
 
 
 class SimReport(_Record):
+    proportion: float
     mean_growth: float
     var_growth: float
     ci_halfwidth: float
@@ -287,22 +288,14 @@ class SimReport(_Record):
         }
 
 
-class SweepPoint(_Record):
-    proportion: float
-    mean_growth: float
-    var_growth: float
-    ci_halfwidth: float
-    failed_paths: int = 0
-
-
 def _draw_paths(space: OutcomeSpace, cfg: SimConfig) -> list[list[int]]:
     return [_path_counts(space, cfg.attempts, cfg.seed, i) for i in range(cfg.paths)]
 
 
 def _report(game: Game, counts: list[list[int]], attempts: int, u: float,
             t: float) -> SimReport:
-    """Mean and variance of c_N^(1/N) over the paths' counts, with a 95% CI
-    half-width; a path whose capital hits 0 reports growth 0."""
+    """Mean and variance of c_N^(1/N) over the paths' counts at stake t, with
+    a 95% CI half-width; a path whose capital hits 0 reports growth 0."""
     log_f = []
     dead = []
     for j, a in enumerate(game.payoff_tuple):
@@ -328,7 +321,7 @@ def _report(game: Game, counts: list[list[int]], attempts: int, u: float,
     except OverflowError:  # the sum passes the float range
         var = math.inf
     ci = 1.96 * math.sqrt(var / n)
-    return SimReport(mean, var, ci, failures)
+    return SimReport(t, mean, var, ci, failures)
 
 
 def simulate_growth(game: Game, space: OutcomeSpace, cfg: SimConfig) -> SimReport:
@@ -343,7 +336,7 @@ def sweep_proportion(
     space: OutcomeSpace,
     grid: int,
     cfg: SimConfig,
-) -> list[SweepPoint]:
+) -> list[SimReport]:
     """Empirical growth curve over stake proportions at the price cfg.price.
 
     The grid sets every stake, so cfg.proportion is not read. All grid
@@ -359,17 +352,6 @@ def sweep_proportion(
     t_hi = 1.0 if math.isinf(t_cap) else min(1.0, t_cap * (1.0 - 1e-9))
     step = t_hi / (grid - 1)
     counts = _draw_paths(space, cfg)
-    rows = []
-    for i in range(grid):
-        t = t_hi if i == grid - 1 else i * step
-        rep = _report(game, counts, cfg.attempts, cfg.price, t)
-        rows.append(
-            SweepPoint(
-                proportion=t,
-                mean_growth=rep.mean_growth,
-                var_growth=rep.var_growth,
-                ci_halfwidth=rep.ci_halfwidth,
-                failed_paths=rep.failed_paths,
-            )
-        )
-    return rows
+    return [_report(game, counts, cfg.attempts, cfg.price,
+                    t_hi if i == grid - 1 else i * step)
+            for i in range(grid)]

@@ -172,6 +172,9 @@ def _words(*names):
     # handler for an error that no command reaches
     pytest.param(_words("EXIT_BASIS", "BasisError", "LogDomainViolation", "TruncationError"),
                  SRC / "gameprice" / "cli.py", id="cli-exits"),
+    # one Monte Carlo result record: a sweep point is the SimReport at its
+    # stake
+    pytest.param(_words("SweepPoint"), SRC, id="monte-carlo-record"),
 ])
 def test_removed_names_stay_removed(pattern, path):
     assert not _grep(pattern, path)

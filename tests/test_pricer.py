@@ -363,6 +363,12 @@ class TestPriceSeries:
         with pytest.raises(TruncationError):
             price_series(st_petersburg(), R05)
 
+    def test_cap_binding_names_the_terms_and_the_remaining_mass(self, monkeypatch):
+        monkeypatch.setattr(pricer, "SERIES_MAX_TERMS", 10)
+        with pytest.raises(TruncationError, match=r"^tail bound insufficient after 10 "
+                           r"terms \(remaining probability 9\.766e-04\)$"):
+            truncate_series(st_petersburg())
+
     def test_moment_bound_checked(self):
         bad = SeriesGame(
             term=lambda j: (2.0**j, 2.0**-j), tail_exponent=0.5, moment_bound=1.5

@@ -22,7 +22,6 @@ from gameprice import (
     SeriesGame,
     SimConfig,
     SimReport,
-    SweepPoint,
     compare_mean_variance,
     fair_coin,
     least_squares_prices,
@@ -65,9 +64,7 @@ RECORDS = [
      ("check_id", "description", "expected", "computed", "passed")),
     (lambda: SimConfig(10, 2, 0, 1.0, 0.5),
      ("attempts", "paths", "seed", "price", "proportion")),
-    (lambda: SimReport(1.01, 0.02, 0.03, 1),
-     ("mean_growth", "var_growth", "ci_halfwidth", "failed_paths")),
-    (lambda: SweepPoint(0.5, 1.01, 0.02, 0.03, 1),
+    (lambda: SimReport(0.5, 1.01, 0.02, 0.03, 1),
      ("proportion", "mean_growth", "var_growth", "ci_halfwidth", "failed_paths")),
 ]
 IDS = [fields[0] for _, fields in RECORDS]
@@ -81,7 +78,7 @@ def test_every_record_type_is_covered():
     covered = {type(make()) for make, _ in RECORDS}
     assert covered == {OutcomeSpace, Game, Rate, Mix, ConeBasis, SeriesGame, GameFile,
                        PriceResult, KappaContext, LsSolution, FundComparison,
-                       ParityReport, CheckResult, SimConfig, SimReport, SweepPoint}
+                       ParityReport, CheckResult, SimConfig, SimReport}
 
 
 @pytest.mark.parametrize("make, fields", RECORDS, ids=IDS)
@@ -151,8 +148,7 @@ def test_defaults():
     assert (rep.reason, rep.put_price, rep.call_price, rep.covered_price,
             rep.stock_price, rep.residual, rep.solution) == (None,) * 7
     assert ParityReport(10.0, True, reason="r").reason == "r"
-    assert SimReport(1.0, 0.5, 0.1).failed_paths == 0
-    assert SweepPoint(0.5, 1.0, 0.5, 0.1).failed_paths == 0
+    assert SimReport(0.5, 1.0, 0.5, 0.1).failed_paths == 0
 
 
 class TestReplace:

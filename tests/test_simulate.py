@@ -152,7 +152,7 @@ def _numpy_report(game, space, cfg):
     n = cfg.paths
     mean = math.fsum(growths) / n
     var = math.fsum((g - mean) ** 2 for g in growths) / n
-    return SimReport(mean, var, 1.96 * math.sqrt(var / n), failures)
+    return SimReport(cfg.proportion, mean, var, 1.96 * math.sqrt(var / n), failures)
 
 
 def _random_space(rng, m):
@@ -237,6 +237,21 @@ class TestStreamParity:
         assert draws == rng.binomial(n, p, size).tolist()
         assert hits[rejection] > 0, hits
 
+    @pytest.mark.parametrize("p, count", [(0.3, 0), (0.7, 2)])
+    def test_inversion_restarts_past_its_bound(self, p, count):
+        # at n = 2, min(p, q) = 0.3 the bound is x = 2, and u = 1 - 2**-53
+        # outlasts all three masses; as numpy's random_binomial_inversion
+        # does, the search starts again at x = 0 with a fresh u
+        doubles = [1.0 - 2.0**-53, 0.1]
+        drawn = []
+
+        def next_double():
+            drawn.append(doubles[len(drawn)])
+            return drawn[-1]
+
+        assert simulate._binomial(next_double, p, 2) == count
+        assert drawn == doubles
+
     def test_reports_match_numpy_reference(self):
         rng = random.Random(7)
         for case in range(300):
@@ -272,6 +287,12 @@ class TestSweep:
             rep = simulate_growth(game, COIN, cfg.replace(proportion=r.proportion))
             assert (r.mean_growth, r.var_growth, r.ci_halfwidth, r.failed_paths) == (
                 rep.mean_growth, rep.var_growth, rep.ci_halfwidth, rep.failed_paths)
+
+    def test_rows_are_the_reports_of_their_stakes(self):
+        cfg = SimConfig(attempts=200, paths=8, seed=5, price=7.224, proportion=0.0)
+        rows = sweep_proportion(GAME_A, COIN, 5, cfg)
+        assert rows == [simulate_growth(GAME_A, COIN, cfg.replace(proportion=r.proportion))
+                        for r in rows]
 
     def test_draws_each_path_once(self, monkeypatch):
         calls = []
