@@ -9,24 +9,26 @@ hm FULL_SLACK (full investment), and otherwise solves
     E[log(a_j * t/u - t + 1)] = log g        (growth at the optimum)
     E[(a_j - u) / (a_j t - u t + u)] = 0     (first-order condition in t)
 
-by two routes. Newton's method on (u, t) takes the exact Jacobian from the
-same pass over the outcomes; the growth is concave in t, so each iterate
-narrows the price bracket [lo, hi] = [gm/g, E/g] from the side its growth
-certifies. The first step, the converged one included, that is not finite,
-leaves the bracket or the log domain, or sets t to 1 or above hands the
-solve to Newton in log u from lo, at the optimal stake t*(u) that
-_best_stake finds for optimal_proportion too. Each growth term is the log
-of a positive combination of exponentials of log u, so the best growth is
-convex and decreasing in log u, and that Newton rises from lo to the price
-without passing it. With a zero payoff gm = 0, and lo is a certified floor
-from the single-outcome sub-games (_zero_payoff_floor), which can lie tens
-of orders of magnitude below E/g. One representability rule covers both
-lower ends: below the smallest normal float, the solve starts at that float
-if the best growth there reaches log g, and otherwise the price is not
-representable and PricingError says so. Every growth figure comes from one
-kernel, _growth_system. The paper's fair-coin closed form,
-u = kappa max + (1 - kappa) min in the interior regime, is this solve on a
-fair coin; KappaContext keeps kappa for the paper's check.
+by one safeguarded Newton's method. Newton's method on (u, t) takes the
+exact Jacobian from the same pass over the outcomes; the growth is concave
+in t, so each iterate narrows the price bracket [lo, hi] = [gm/g, E/g] from
+the side its growth certifies. A step that is not finite, leaves the bracket
+or the log domain, or sets t to 1 or above is replaced by a safeguard point:
+the step's u held in the bracket, at the optimal stake t*(u) that
+_best_stake finds for optimal_proportion too. There the growth is the best
+growth, so it moves one end of the bracket to u, and Newton goes on from
+that point. A step that is nan, or one held at an end already tested so,
+goes to the bracket's geometric midpoint instead. The solve ends on a Newton
+step within U_REL_TOL, or on a bracket narrower than U_REL_TOL u. With a
+zero payoff gm = 0, and lo is a certified floor from the single-outcome
+sub-games (_zero_payoff_floor), which can lie tens of orders of magnitude
+below E/g. One representability rule covers both lower ends: below the
+smallest normal float, the solve starts at that float if the best growth
+there reaches log g, and otherwise the price is not representable and
+PricingError says so. Every growth figure comes from one kernel,
+_growth_system. The paper's fair-coin closed form, u = kappa max +
+(1 - kappa) min in the interior regime, is this solve on a fair coin;
+KappaContext keeps kappa for the paper's check.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ REGIME_INTERIOR = "interior"
 
 # price solve, relative
 U_REL_TOL = 1e-12
-# iteration cap of each route of the price solve and of optimal_proportion
+# iteration cap of the price solve and of its stake solve, _best_stake
 MAX_PRICE_ITER = 200
 # full investment (t* = 1) when the price is at most the harmonic mean hm
 # times this; every regime test reads it, so entry points agree on the regime
@@ -198,11 +200,12 @@ def _best_stake(pay, pr, u, t):
     """Root t* in (0, 1) of the first-order condition at u, by Newton from t.
 
     The condition decreases in t, so each iterate narrows the bracket, and a
-    step leaving it is replaced by the midpoint. It stops when the step or
-    the bracket is within 4 eps of t, or when the condition comes out as on
-    the pass before: then it is flat to rounding, and Newton would repeat
-    its step. Returns t* and the last _growth_system pass, which was made
-    at (u, t*).
+    step leaving it is replaced by the midpoint, as is the step where df/dt
+    overflows to -inf: it rounds to 0 though f need not be small. It stops
+    when the step or the bracket is within 4 eps of t, or when the condition
+    comes out as on the pass before: then it is flat to rounding, and Newton
+    would repeat its step. Returns t* and the last _growth_system pass, which
+    was made at (u, t*).
     """
     lo, hi, tol, f_prev = 0.0, 1.0, 4.0 * sys.float_info.epsilon, None
     for _ in range(MAX_PRICE_ITER):
@@ -213,7 +216,7 @@ def _best_stake(pay, pr, u, t):
             lo = t
         else:
             hi = t
-        step = -f / ft
+        step = -f / ft if ft > -math.inf else math.nan
         # stop before the safeguard: a sub-ulp step can round onto the
         # bracket's end, and its midpoint would restart as bisection
         if abs(step) <= tol * t or hi - lo <= tol * hi or f == f_prev:
@@ -275,7 +278,7 @@ def _zero_payoff_floor(pay, pr, log_g):
 
 
 def _price_numeric(pay, pr, rate: Rate) -> tuple[float, float]:
-    """(price, proportion) of any finite game, by the two routes above.
+    """(price, proportion) of any finite game, by the safeguarded Newton above.
 
     Raises PricingError when the price lies below the smallest normal float.
     """
@@ -312,18 +315,20 @@ def _price_numeric(pay, pr, rate: Rate) -> tuple[float, float]:
     # (Jensen); in between, the regime is interior, so it is attained at t < 1
     u, t = _newton_start(pay, pr, mean, log_g, lo, hi)
     system = _growth_system(pay, pr, u, t)
+    best, tested = False, set()  # whether t is t*(u); the u of each stake solve
     for _ in range(MAX_PRICE_ITER):
         growth, f, gu, fu, ft = system
         gap = growth - log_g
         # growth is concave in t, so the best growth at u lies between growth
-        # and growth + f (s - t) maximized over s in [0, 1]
+        # and growth + f (s - t) maximized over s in [0, 1]; at t*(u) it is
+        # growth itself
         if gap >= 0.0:
             lo = u
-        elif gap + (f * (1.0 - t) if f > 0.0 else -f * t) < 0.0:
+        elif best or gap + (f * (1.0 - t) if f > 0.0 else -f * t) < 0.0:
             hi = u
-        det = gu * ft - f * fu
-        if det == 0.0:
-            break
+        if best and hi - lo <= U_REL_TOL * u:
+            return u, t
+        det = gu * ft - f * fu or math.nan  # no step where det is 0
         du = (f * f - gap * ft) / det
         dt = (gap * fu - f * gu) / det
         # t moves with u as dt*/du = -fu/ft: its step is measured in the
@@ -333,26 +338,22 @@ def _price_numeric(pay, pr, rate: Rate) -> tuple[float, float]:
         # multiplicative in u; the caps keep exp finite
         u_new = u + du if done else u * math.exp(min(max(du / u, -50.0), 50.0))
         t_new = t + dt
-        if not (math.isfinite(du) and math.isfinite(dt) and lo <= u_new <= hi
+        if (math.isfinite(du) and math.isfinite(dt) and lo <= u_new <= hi
                 and t_new < 1.0 and _inside(a_min, u_new, t_new)):
-            break
-        if done:
-            return u_new, t_new
-        u, t = u_new, t_new
-        system = _growth_system(pay, pr, u, t)
-    # Newton in log u at t*(u) from lo; the best growth's slope is u gu there
-    u = lo
-    for _ in range(MAX_PRICE_ITER):
-        t, (growth, _, gu, fu, ft) = _best_stake(pay, pr, u, t)
-        s = max((log_g - growth) / (u * gu), 0.0)  # < 0 only by rounding
-        if not (math.isfinite(s) and math.isfinite(gu)):  # gu = -inf rounds s to 0
-            raise PricingError(f"internal error: the growth step is not finite at "
-                               f"price {u!r} (bracket [{lo!r}, {hi!r}])")
-        u_new = u * math.exp(min(s, 50.0))  # as above, the cap keeps exp finite
-        if s <= U_REL_TOL:
-            return u_new, t
-        t -= fu / ft * (u_new - u)  # t*(u_new) to first order
-        u = u_new
+            if done:
+                return u_new, t_new
+            u, t, best = u_new, t_new, False
+            system = _growth_system(pay, pr, u, t)
+            continue
+        # the safeguard: the step's u held in the bracket, at its best stake.
+        # A nan step, or an end tested before, takes the geometric midpoint,
+        # so each safeguard point narrows the bracket or tests an end once
+        u = min(max(u_new, lo), hi)
+        if math.isnan(u_new) or u in tested:
+            u = math.sqrt(lo) * math.sqrt(hi)
+        tested.add(u)
+        t, system = _best_stake(pay, pr, u, t)
+        best = True
     raise PricingError(
         f"internal error: price solve did not converge in {MAX_PRICE_ITER} "
         f"iterations (bracket [{lo!r}, {hi!r}], target growth {log_g!r})"

@@ -162,9 +162,10 @@ def _words(*names):
     pytest.param(r"cached_property", SRC, id="cached-property"),
     # one price solve for every game: no fair-coin closed form
     pytest.param(_words("_price_fair"), SRC, id="fair-coin"),
-    # one fallback for the price solve, Newton at the optimal stake from lo:
-    # no step cap before it
+    # one safeguarded Newton for the price solve: no step cap inside it, and
+    # no second loop with its own exit
     pytest.param(_words("NEWTON_ITER"), SRC, id="newton-cap"),
+    pytest.param(r"growth step is not finite", SRC, id="price-fallback"),
     # the CLI reads its input through one helper, _inputs, and prints
     # through one, _show
     pytest.param(_words("_resolve_rate", "_resolve_u_t", "_pick_game"), SRC, id="cli-input"),
@@ -243,7 +244,7 @@ def test_the_pricer_has_no_second_price_route():
     assert not hasattr(pricer, "_price")
 
 
-def test_the_newton_fallback_stays_in_its_bracket_on_a_near_constant_coin():
+def test_the_safeguard_stays_in_its_bracket_on_a_near_constant_coin():
     pay, rate = (15.054335981344655, 15.054224284221291), Rate(6.865175095072118e-12, "simple")
     u, t = pricer._price_numeric(pay, (0.5, 0.5), rate)
     assert u >= geometric_mean(Game(pay), fair_coin()) / rate.growth_factor() and 0.0 < t < 1.0

@@ -607,6 +607,61 @@ def _record_passes(monkeypatch):
     return passes
 
 
+def _record_solve(monkeypatch):
+    """The steps of the price solve from here on, in order: ("newton", u, t,
+    system) for each _growth_system pass outside a stake solve, and ("stake",
+    u, t*, system) for each _best_stake call, the safeguard's points, with
+    the pass it returns."""
+    steps, in_stake = [], []
+    system, best_stake = pricer._growth_system, pricer._best_stake
+
+    def recorded_system(pay, pr, u, t):
+        out = system(pay, pr, u, t)
+        if not in_stake:
+            steps.append(("newton", u, t, out))
+        return out
+
+    def recorded_stake(pay, pr, u, t):
+        in_stake.append(u)
+        try:
+            t_best, out = best_stake(pay, pr, u, t)
+        finally:
+            in_stake.pop()
+        steps.append(("stake", u, t_best, out))
+        return t_best, out
+
+    monkeypatch.setattr(pricer, "_growth_system", recorded_system)
+    monkeypatch.setattr(pricer, "_best_stake", recorded_stake)
+    return steps
+
+
+def _check_safeguard(pay, pr, rate, steps):
+    """The safeguard's contract, replayed from the solve's steps with the
+    solve's own certificates (growth at least log g moves lo; the concave
+    bound below log g, or growth below it at the best stake, moves hi):
+    every point lies in the bracket [lo, hi] certified before it, and no
+    safeguard point repeats an earlier one. So each safeguard point narrows
+    the bracket, or tests one of its ends at its best stake for the first
+    time. Returns (u, lo, hi) for each safeguard point, with the bracket
+    before it."""
+    g, log_g = rate.growth_factor(), rate.log_growth_factor()
+    lo = (math.exp(sum(p * math.log(a) for a, p in zip(pay, pr))) / g if min(pay) > 0.0
+          else pricer._zero_payoff_floor(pay, pr, log_g))
+    lo, hi = max(lo, sys.float_info.min), sum(p * a for a, p in zip(pay, pr)) / g
+    safeguards = []
+    for kind, u, t, (growth, f, *_) in steps:
+        assert lo <= u <= hi, (kind, u, lo, hi)
+        gap = growth - log_g
+        if kind == "stake":
+            assert u not in [s[0] for s in safeguards], u
+            safeguards.append((u, lo, hi))
+        if gap >= 0.0:
+            lo = u
+        elif kind == "stake" or gap + (f * (1.0 - t) if f > 0.0 else -f * t) < 0.0:
+            hi = u
+    return safeguards
+
+
 def _random_probs(rng, m):
     w = rng.uniform(0.1, 1.0, m)
     return w / w.sum()
@@ -667,45 +722,68 @@ class TestNewtonPrice:
             rate = Rate(math.log(gm / hm) + math.log1p(-delta))
             assert _agrees_with_bisection(pay, pr, rate) == REGIME_INTERIOR
 
-    def test_a_start_that_newton_overshoots_falls_back_to_lo(self, monkeypatch):
+    def test_a_start_that_newton_overshoots_is_held_in_the_bracket(self, monkeypatch):
         pay, pr, rate = [19.0, 1.0], [0.5, 0.5], R05
         g = rate.growth_factor()
         lo = math.exp(0.5 * math.log(19.0)) / g
         hi = 10.0 / g
         start = (hi * (1.0 - 1e-9), 0.999)
         monkeypatch.setattr(pricer, "_newton_start", lambda *args: start)
-        iterates = _record_passes(monkeypatch)
+        steps = _record_solve(monkeypatch)
         u, t = _price_numeric(pay, pr, rate)
-        # the Newton step from the start leaves the bracket; the fallback
-        # starts at lo and rises to the price without passing it
-        assert iterates[0] == start[0]
-        assert iterates[1] == lo
-        assert all(a <= b <= U_GAME_A for a, b in zip(iterates[1:], iterates[2:]))
+        # the Newton step from the start leaves the bracket below lo; the
+        # safeguard holds it at lo, at its best stake, and Newton goes on
+        assert steps[0][:2] == ("newton", start[0])
+        assert steps[1][:2] == ("stake", lo)
+        assert len(_check_safeguard(pay, pr, rate, steps)) == 1
         assert u == pytest.approx(U_GAME_A, rel=1e-13)
         assert t == pytest.approx(T_GAME_A, abs=1e-12)
         assert 0.0 < t < 1.0
         achieved = math.exp(expected_log_growth(Game(pay), OutcomeSpace(pr), u, t))
         assert achieved == pytest.approx(G, rel=1e-14)
 
-    def test_the_fallback_alone_converges(self, monkeypatch):
+    def test_the_safeguard_converges_from_a_start_below_one(self, monkeypatch):
         # from a start just below hi with t 1e-4 below 1 the first Newton step
-        # lands below lo on both games, so every later pass is the fallback's
+        # lands below lo on both games, so the safeguard takes over there
         g = R05.growth_factor()
         for pay, pr in (([19.0, 1.0], [0.5, 0.5]), ([0.0, 3.0, 7.0], [0.2, 0.5, 0.3])):
             hi = sum(p * a for a, p in zip(pay, pr)) / g
             monkeypatch.setattr(pricer, "_newton_start",
                                 lambda *args, hi=hi: (hi * (1.0 - 1e-9), 0.9999))
-            iterates = _record_passes(monkeypatch)
+            steps = _record_solve(monkeypatch)
             u_ref, t_ref, _, _ = _bisection_price(pay, pr, R05)
             u, t = _price_numeric(pay, pr, R05)
             lo = (math.exp(sum(p * math.log(a) for a, p in zip(pay, pr))) / g if min(pay) > 0.0
                   else pricer._zero_payoff_floor(pay, pr, R05.log_growth_factor()))
-            assert iterates[1] == lo
-            assert all(a <= b <= u for a, b in zip(iterates[1:], iterates[2:]))
+            assert steps[1][:2] == ("stake", lo)
+            assert _check_safeguard(pay, pr, R05, steps)
             assert 0.0 < t < 1.0
             assert u == pytest.approx(u_ref, rel=1e-13)
             assert t == pytest.approx(t_ref, abs=1e-12)
             monkeypatch.undo()
+
+    def test_a_zero_determinant_is_safeguarded(self, monkeypatch):
+        # the first pass reports d growth/du = df/du = 0, so the Newton
+        # system is singular and has no step: the safeguard takes the
+        # bracket's geometric midpoint
+        pay, pr, rate = [19.0, 1.0], [0.5, 0.5], R05
+        system = pricer._growth_system
+        calls = []
+
+        def singular_first(pay, pr, u, t):
+            growth, f, gu, fu, ft = system(pay, pr, u, t)
+            calls.append(u)
+            return (growth, f, 0.0, 0.0, ft) if len(calls) == 1 else (growth, f, gu, fu, ft)
+
+        monkeypatch.setattr(pricer, "_growth_system", singular_first)
+        steps = _record_solve(monkeypatch)
+        u, t = _price_numeric(pay, pr, rate)
+        assert steps[1][0] == "stake"
+        u1, lo, hi = _check_safeguard(pay, pr, rate, steps)[0]
+        assert u1 == math.sqrt(lo) * math.sqrt(hi)
+        assert 0.0 < t < 1.0
+        assert u == pytest.approx(_bisection_price(pay, pr, rate)[0], rel=1e-13)
+        assert u == pytest.approx(U_GAME_A, rel=1e-13)
 
     def test_a_price_below_the_zero_payoff_bracket_raises(self):
         # the reference's bracket starts at E * 1e-9, and at r = 20 the price
@@ -809,29 +887,29 @@ def test_the_price_solve_meets_its_reference(problem):
 
 def test_a_step_that_leaves_the_log_domain_falls_back_to_the_best_stake(monkeypatch):
     # (1, 100) on (0.9, 0.1) at 5%: the first Newton step leaves the log
-    # domain, which a damped step once shortened by three halvings
-    seen = []
-    best_stake = pricer._best_stake
-
-    def recorded(pay, pr, u, t):
-        seen.append(u)
-        return best_stake(pay, pr, u, t)
-
-    monkeypatch.setattr(pricer, "_best_stake", recorded)
-    _check_price_solve([1.0, 100.0], [0.9, 0.1], R05)
-    assert seen
+    # domain, which a damped step once shortened by three halvings; the
+    # safeguard takes its u at the best stake instead
+    pay, pr = [1.0, 100.0], [0.9, 0.1]
+    steps = _record_solve(monkeypatch)
+    _price_numeric(pay, pr, R05)
+    assert _check_safeguard(pay, pr, R05, steps)
+    monkeypatch.undo()
+    _check_price_solve(pay, pr, R05)
 
 
 def test_a_step_below_lo_from_the_best_stake_goes_to_lo(monkeypatch):
     # (0.5, 1) just inside the interior regime, t* near 1: the start's
-    # Newton step fails the bracket test, and from lo, a hair below the
-    # price, Newton at the best stake reaches it
+    # Newton step fails the bracket test, and lo, a hair below the price,
+    # is the safeguard's point; at its best stake the growth falls short of
+    # log g by rounding, which closes the bracket there
     pay, pr = [0.5, 1.0], [0.1380938292619644, 0.8619061707380357]
     rate = Rate(0.03363543392064187)
     passes = _record_passes(monkeypatch)
+    steps = _record_solve(monkeypatch)
     u, t = _price_numeric(pay, pr, rate)
     assert 0.0 < t < 1.0
     assert len(passes) <= 20
+    assert len(_check_safeguard(pay, pr, rate, steps)) == 1
     assert u == pytest.approx(_bisection_price(pay, pr, rate)[0], rel=1e-13)
 
 
@@ -913,6 +991,83 @@ def test_a_price_that_is_a_normal_float_is_priced(pay, pr, r):
     _check_against_decimal(pay, pr, Rate(r))
 
 
+def test_a_bracket_from_the_smallest_normal_float_is_priced(monkeypatch):
+    # draw 1948 of scripts/fuzz_digest.py: lo is the smallest normal float,
+    # where the growth's slope in u overflows to -inf, and the price lies
+    # near 1e-210, about 200 orders of magnitude above it
+    pay = [0.0, 3.8301648575013414e+36, 1.8487739460544363e-173, 2.09704474604538e+295,
+           1.120881247113671e+271, 4.270822683655722e-308]
+    pr = [0.16875309290678794, 0.17460799723613474, 0.23892172592969832,
+          0.1258765752893423, 0.12529027605846202, 0.1665503325795747]
+    rate = Rate(403.8314548374478)
+    ref = decimal_price(pay, pr, rate)
+    assert float(ref) == 1.8620296167762764e-210
+    passes = _record_passes(monkeypatch)
+    u, t = _price_numeric(pay, pr, rate)
+    assert len(passes) <= 20
+    assert 0.0 < t < 1.0
+    assert abs(Decimal(u) - ref) <= Decimal(1e-13) * ref
+
+
+def test_a_bracket_end_is_tested_once(monkeypatch):
+    # fuzz draw 2874: from its best stake at hi, Newton in (u, t) wanders
+    # and leaves the bracket above hi again. A safeguard point at hi once
+    # more would repeat that path until the iteration cap; the bracket's
+    # midpoint is taken instead
+    pay = [1.092037653150054e+255, 5.68426578977071e-194, 4.768546413026063e+227,
+           1.5239312728899474e-66, 1.8563026410349457e+233]
+    pr = [0.20315888990314676, 0.22193934354147768, 0.17293612338978356,
+          0.1590088923255164, 0.2429567508400756]
+    rate = Rate(0.02867547725275818, "simple")
+    passes = _record_passes(monkeypatch)
+    steps = _record_solve(monkeypatch)
+    u, t = _price_numeric(pay, pr, rate)
+    assert len(_check_safeguard(pay, pr, rate, steps)) >= 2
+    assert len(passes) <= 40
+    ref = decimal_price(pay, pr, rate)
+    assert abs(Decimal(u) - ref) <= Decimal(1e-13) * ref
+
+
+def test_a_stake_whose_slope_overflows_is_found():
+    # draw 1500 of scripts/fuzz_digest.py: at u = 1.33e305 and t near 1,
+    # (a - u)^2 overflows and df/dt is -inf, so the Newton step in t rounds
+    # to 0 though f is -2.2e4. The stake solve bisects there instead of
+    # stopping, and the safeguard's point gets its best stake
+    pay, pr = [2.3273719161869176e+305, 1.8124399808940526e+117], [0.7276646660819885, 0.2723353339180114]
+    u, t_far = 1.3276538032460644e+305, 0.9999877559424466
+    assert pricer._growth_system(pay, pr, u, t_far)[4] == -math.inf
+    t, _ = pricer._best_stake(pay, pr, u, t_far)
+    assert t == pytest.approx(optimal_proportion(Game(pay), OutcomeSpace(pr), u)[0], rel=1e-12)
+    _check_against_decimal(pay, pr, Rate(6.669189140760754e-06))
+
+
+def test_a_stake_near_one_is_priced_in_few_passes(monkeypatch):
+    # S = (12, 8) of sample_games/remark35.json at 2% simple: t* = 0.985,
+    # and the start's Newton step sets t beyond 1
+    pay, pr = [12.0, 8.0], [0.5, 0.5]
+    passes = _record_passes(monkeypatch)
+    u, t = _price_numeric(pay, pr, R02S)
+    assert len(passes) <= 9
+    assert t == pytest.approx(0.9846873133543306, abs=1e-12)
+    assert u == pytest.approx(_bisection_price(pay, pr, R02S)[0], rel=1e-13)
+
+
+def test_a_full_investment_price_near_the_float_range_end():
+    # exp(E[log a]) / g carries the absolute rounding of E[log a], here
+    # about -529, into the price's relative error: README states the bound
+    # 2 eps E[|log a|], which is 2.35e-13 here
+    pay = [2.5963926312089614e-230, 4.5843614376940023e+105, 8.535904953950486e+139,
+           4.7568624067877183e+238, 4.866524333998911e+302, 8.31181791374096e-236]
+    pr = [0.9999463676903985, 7.8992435970729e-08, 3.8857436721422295e-05,
+          5.231311154731084e-12, 1.0003147364336674e-06, 1.3695560476293325e-05]
+    rate = Rate(13.702207263053094, "simple")
+    u, t = _price_numeric(pay, pr, rate)
+    assert t == 1.0
+    bound = 2.0 * sys.float_info.epsilon * sum(p * abs(math.log(a)) for a, p in zip(pay, pr))
+    ref = decimal_price(pay, pr, rate)
+    assert abs(Decimal(u) - ref) <= Decimal(bound) * ref
+
+
 @pytest.mark.parametrize("pay, pr, r", [
     ([0.0, 1.0], [0.9, 0.1], 100.0),  # about 2e-436
     ([3e-300, 1e-300, 2e-300], [0.2, 0.3, 0.5], 400.0),  # full investment
@@ -941,8 +1096,8 @@ def test_a_price_below_the_smallest_normal_float_is_not_representable(pay, pr, r
     # the start's t = u (E - u) / E[(a - u)^2] underflows to 0
     ([2.939616502677342e-158, 6.760051906492675e-273],
      [0.9999998466369139, 1.5336308617233972e-07], 8.392091904039545e-12),
-    # from lo = gm/g, about 1e-224, the fallback's first step in log u is
-    # beyond 709, where exp overflows
+    # from lo = gm/g, about 1e-224, a step in log u to the price is beyond
+    # 709, where exp overflows
     ([2.2364676222909383e+218, 6.316140289254288e-227],
      [0.004260316419513593, 0.9957396835804865], 1.1925417483179868e-07),
 ])
@@ -1059,7 +1214,7 @@ def test_one_price_per_game_whatever_the_entry_point(problem):
 def test_a_near_constant_interior_price_stays_in_its_bracket():
     # payoffs 7e-6 apart at g - 1 = 7e-12, 6e-15 inside the interior regime:
     # the last Newton step lands 2.9e-14 below gm/g with t = 1.0009, so the
-    # solve falls back to lo rather than return it
+    # safeguard holds it at lo rather than return it
     game = Game([15.054335981344655, 15.054224284221291])
     rate = Rate(6.865175095072118e-12, "simple")
     u, t = _price_numeric(game.payoff_tuple, COIN.prob_tuple, rate)
